@@ -56,6 +56,7 @@ from .dropping import (
     DemandVector,
     DropDecision,
     DynamicPlan,
+    PlanInvariantError,
     TransmissionVector,
     build_demand_vector,
     build_transmission_vectors,
@@ -78,6 +79,7 @@ from .sim import (
     BaselineParams,
     DisturbanceSpec,
     Framework,
+    HorizonTooShort,
     MacParams,
     Metrics,
     SimConfig,

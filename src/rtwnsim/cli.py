@@ -5,8 +5,9 @@
     rtwnsim sweep --spec sweep.yaml [--out-dir DIR] [--parallel N]
 
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
-reports success=0 in the CSV), 2 configuration/parse errors, 3 infeasible
-static schedule.  RTWNSIM_OUT sets the default output directory.
+reports success=0 in the CSV), 2 configuration/parse errors (including a
+``sim.horizon`` that ends before the disturbance's latest end point), 3
+infeasible static schedule.  RTWNSIM_OUT sets the default output directory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     record_row,
     run_sweep,
 )
-from .sim import Framework, run
+from .sim import Framework, HorizonTooShort, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,6 +101,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         trace, metrics = run(cfg)
+    except HorizonTooShort as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ScheduleInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

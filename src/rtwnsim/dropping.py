@@ -11,6 +11,7 @@ sweep that turns a drop decision into the dynamic slot table.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -41,6 +42,7 @@ from .rhythmic import (
 from .static_schedule import Schedule, SlotAssignment, hop_expansion
 
 __all__ = [
+    "PlanInvariantError",
     "TransmissionVector",
     "DemandVector",
     "DropDecision",
@@ -61,6 +63,11 @@ PacketKey = tuple[int, int]  # (task id, release slot)
 ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
+
+
+class PlanInvariantError(RuntimeError):
+    """A chosen dynamic plan breaks a guarantee the solvers must uphold; this
+    signals a bug in the planner, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -313,75 +320,88 @@ def drop_transmissions(
 ) -> DropDecision:
     """Surrender individual periodic slots, cheapest reliability loss first.
 
-    Each round recomputes, for every still-assigned slot lying in the window
-    of a rhythmic packet that still needs slots, the delivery-probability drop
-    its removal would cause (for PBS the packet's flexible-slot probability;
-    the slot taken is then its earliest in-window one).  The cheapest slot is
-    dropped and the window's residual demand decremented.  Ties go to the
-    lowest release, then task id, then slot.
+    A candidate is a still-assigned periodic slot inside the window of a
+    rhythmic packet that still needs slots.  Its key is ``(delta, release,
+    task, slot)``, where ``delta = delivery_pdr() - pdr_without(ordinal)`` is
+    the drop in its packet's delivery probability were it removed.  Under
+    TBS every candidate slot has a key, and slots of one hop share a delta.
+    Under PBS a packet's slots are interchangeable (hop label 0 on every
+    slot; any other label raises ``ValueError``), so each packet has one
+    key, on its earliest slot in a needy window.  Each round drops the
+    smallest key's slot and decrements its window's residual demand, until
+    no residual is left.
+
+    The keys sit in one heap, computed once per packet before the first
+    round.  A drop changes only its own packet: that packet's version is
+    bumped and its keys are recomputed and pushed, and every other key stays
+    exact.  A popped entry is discarded when its packet's version is stale
+    or its window's residual is already 0; residuals only decrease, so a
+    satisfied window never needs slots again.  Under PBS such an entry means
+    the packet's earliest needy slot moved later, so its key is pushed again
+    with the same delta and the later slot.  Keys only grow, so the lazy heap
+    pops the same minimum a full rescan of every packet would.
     """
     residual = list(demand.residual)
-    if all(v == 0 for v in residual):
+    needed = sum(residual)
+    if needed == 0:
         return DropDecision(level="transmission")
 
+    pbs = mode is SchedulingMode.PBS
     packets = [
         PeriodicPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), dict(p.window_of))
         for p in state
     ]
-    original_pdr = {p.packet: p.delivery_pdr() for p in packets}
+    if pbs and any(h != 0 for p in packets for h in p.hops):
+        raise ValueError("PBS packet states carry hop label 0 on every slot")
+    version = [0] * len(packets)
+    # (delta, release, task, slot, packet index, version, ordinal, window)
+    heap: list[tuple[float, int, int, int, int, int, int, int]] = []
+
+    def push_keys(idx: int, pbs_delta: Optional[float] = None) -> None:
+        packet = packets[idx]
+        task, release = packet.packet
+        current = None
+        per_hop: dict[int, float] = {} if pbs_delta is None else {0: pbs_delta}
+        for ordinal, slot in enumerate(packet.slots):
+            w = packet.window_of.get(slot)
+            if w is None or residual[w] == 0:
+                continue
+            hop = packet.hops[ordinal]
+            if hop not in per_hop:
+                if current is None:
+                    current = packet.delivery_pdr()
+                per_hop[hop] = current - packet.pdr_without(ordinal)
+            heapq.heappush(heap, (per_hop[hop], release, task, slot, idx, version[idx], ordinal, w))
+            if pbs:
+                return
+
+    for idx in range(len(packets)):
+        push_keys(idx)
     dropped: list[tuple[int, int, int]] = []
     touched: set[PacketKey] = set()
-
     while True:
-        best = None  # (delta, release, task, slot, packet index, ordinal)
-        for idx, packet in enumerate(packets):
-            current = packet.delivery_pdr()
-            if mode is SchedulingMode.PBS:
-                # Packet-granular selection: removing any slot costs the same,
-                # so rank packets and take the earliest needy-window slot.
-                ordinal = next(
-                    (
-                        o
-                        for o, slot in enumerate(packet.slots)
-                        if packet.window_of.get(slot) is not None
-                        and residual[packet.window_of[slot]] > 0
-                    ),
-                    None,
-                )
-                if ordinal is None:
-                    continue
-                delta = current - packet.pdr_without(ordinal)
-                key = (delta, packet.packet[1], packet.packet[0], packet.slots[ordinal])
-                if best is None or key < best[0]:
-                    best = (key, idx, ordinal)
-            else:
-                per_hop: dict[int, float] = {}
-                for ordinal, slot in enumerate(packet.slots):
-                    w = packet.window_of.get(slot)
-                    if w is None or residual[w] == 0:
-                        continue
-                    hop = packet.hops[ordinal]
-                    if hop not in per_hop:
-                        per_hop[hop] = current - packet.pdr_without(ordinal)
-                    key = (per_hop[hop], packet.packet[1], packet.packet[0], slot)
-                    if best is None or key < best[0]:
-                        best = (key, idx, ordinal)
-        if best is None:
+        if not heap:
             raise CandidateInfeasible("no periodic transmission can cover the remaining demand")
-        _, idx, ordinal = best
-        packet = packets[idx]
-        slot = packet.slots[ordinal]
-        window = packet.window_of[slot]
-        packet.remove(ordinal)
-        dropped.append((packet.packet[0], packet.packet[1], slot))
-        touched.add(packet.packet)
+        delta, release, task, slot, idx, ver, ordinal, window = heapq.heappop(heap)
+        if ver != version[idx]:
+            continue
+        if residual[window] == 0:
+            if pbs:
+                push_keys(idx, delta)
+            continue
+        packets[idx].remove(ordinal)
+        dropped.append((task, release, slot))
+        touched.add((task, release))
         residual[window] -= 1
-        if all(v == 0 for v in residual):
+        needed -= 1
+        if needed == 0:
             break
+        version[idx] += 1
+        push_keys(idx)
 
-    final_pdr = {p.packet: p.delivery_pdr() for p in packets}
+    final = {p.packet: p for p in packets}
     degradations = tuple(
-        (key, pdr_degradation(required_pdr, final_pdr[key]))
+        (key, pdr_degradation(required_pdr, final[key].delivery_pdr()))
         for key in sorted(touched, key=lambda k: (k[1], k[0]))
     )
     return DropDecision(
@@ -671,7 +691,10 @@ def generate_dynamic_schedule(
             if static.task_at[t] == -1 or static.task_at[t] == event.task_id or t in freed
         ]
         if len(usable) < need:
-            raise AssertionError("solver returned an uncoverable demand")  # post-solve invariant
+            raise PlanInvariantError(
+                f"solver left the rhythmic packet released at {entry.release} "
+                f"{len(usable)} usable slots for a demand of {need}"
+            )
         if static.mode is not SchedulingMode.TBS:
             labels = [0] * need
         elif entry.fixed_demand is not None:
@@ -690,7 +713,10 @@ def generate_dynamic_schedule(
     if last_stepped in assignments and assignments[last_stepped]:
         realized_finish = max(s for s, _ in assignments[last_stepped]) + 1
         if not (realized_finish <= end_point <= upper):
-            raise AssertionError("chosen end point violates the completion constraint")
+            raise PlanInvariantError(
+                f"end point {end_point} violates the completion constraint: the last "
+                f"stepped packet finishes at {realized_finish}, the bound is {upper}"
+            )
 
     window = RhythmicWindow(
         start=event.enter_slot,

@@ -251,21 +251,22 @@ def packet_pdr_flexible(link_pdrs: Sequence[float], total_slots: int) -> float:
 
     Models PBS slot semantics: each slot attempts the packet's next pending
     hop, so early successes leave more trials for later hops.  Computed by
-    forward dynamic programming over (slots used, hops completed).
+    forward dynamic programming over (slots used, hops completed), on plain
+    float lists: scalar indexing into numpy arrays costs more than the
+    arithmetic itself.
     """
     hops = len(link_pdrs)
     if hops == 0:
         raise ValueError("need at least one hop")
     if total_slots < 0:
         raise ValueError("slot count must be >= 0")
-    state = np.zeros(hops + 1)
-    state[0] = 1.0
+    state = [1.0] + [0.0] * hops
     for _ in range(total_slots):
-        nxt = state.copy()
+        nxt = state[:]
         for h in range(hops):
-            p = link_pdrs[h]
-            nxt[h] -= state[h] * p
-            nxt[h + 1] += state[h] * p
+            moved = state[h] * link_pdrs[h]
+            nxt[h] -= moved
+            nxt[h + 1] += moved
         state = nxt
     return float(state[hops])
 

@@ -36,6 +36,7 @@ from . import mac as mac_model
 from .dropping import DropDecision, DynamicPlan, generate_dynamic_schedule
 
 __all__ = [
+    "HorizonTooShort",
     "Framework",
     "DisturbanceSpec",
     "BaselineParams",
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 _HYPERPERIOD_SOFT_CAP = 10_000
+
+
+class HorizonTooShort(ValueError):
+    """An explicit horizon ends before the disturbance's latest end point, so
+    the distributed frameworks cannot plan its window."""
 
 
 class Framework(str, Enum):
@@ -340,6 +346,14 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     for task in config.tasks:
         task.validate_against(config.network)
     horizon = config.horizon if config.horizon is not None else default_horizon(config)
+    event = config.event()
+    if event is not None and config.framework is not Framework.BASELINE_BROADCAST:
+        upper = end_point_upper_bound(event, config.beta)
+        if horizon < upper:
+            raise HorizonTooShort(
+                f"sim.horizon {horizon} ends before the disturbance's latest end point "
+                f"{upper}; set it to at least {upper} or leave it unset"
+            )
     static_result = build_static_schedule(
         config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon
     )
@@ -351,7 +365,6 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     by_id = {t.id: t for t in config.tasks}
     trace = SimTrace()
 
-    event = config.event()
     plan: Optional[DynamicPlan] = None
     feasible_dynamic = True
     drt = 0

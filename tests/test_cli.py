@@ -137,6 +137,25 @@ def test_simulate_infeasible_static_exit_code(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("framework", ["FDPAS_PACKET", "FDPAS_TRANSMISSION"])
+def test_simulate_horizon_before_window_end_exit_code(tmp_path, capsys, framework):
+    # The testbed disturbance's latest end point is slot 166; a 60-slot
+    # horizon cannot hold its window under either distributed framework.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    text = text.replace("horizon: 260", "horizon: 60")
+    text = text.replace("framework: FDPAS_PACKET", f"framework: {framework}")
+    scenario = tmp_path / "short.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
+               "--csv-out", str(tmp_path / "metrics.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.horizon 60 ") and err.count("\n") == 1
+    assert "166" in err
+    assert not trace.exists()
+
+
 def test_sweep_smoke_grid(tmp_path):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(

@@ -3,9 +3,11 @@ and full dynamic schedule generation."""
 
 import itertools
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtwnsim.model import (
     CandidateInfeasible,
@@ -307,6 +309,71 @@ def test_drop_transmissions_pbs_selects_packet_granularity():
     decision = drop_transmissions(dv, [a, b], required_pdr=0.99, mode=SchedulingMode.PBS)
     # the sturdier packet loses a slot more cheaply
     assert decision.dropped_slots == ((1, 0, 10),)
+
+
+def test_drop_transmissions_pbs_rejects_hop_labels():
+    # PBS slots are interchangeable only when none is pinned to a hop.
+    dv = DemandVector(required=(1,), available=(0,))
+    state = [PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
+                                 hops=[1, 1, 2], window_of={10: 0, 11: 0, 12: 0})]
+    with pytest.raises(ValueError, match="hop label 0"):
+        drop_transmissions(dv, state, required_pdr=0.99, mode=SchedulingMode.PBS)
+
+
+@st.composite
+def _small_transmission_instances(draw, mode):
+    """Up to four periodic packets of up to four slots over up to three
+    rhythmic windows; link pdrs in [0.5, 0.99]."""
+    windows = draw(st.integers(1, 3))
+    demand = DemandVector(
+        required=tuple(draw(st.lists(st.integers(0, 3), min_size=windows, max_size=windows))),
+        available=tuple(draw(st.lists(st.integers(0, 1), min_size=windows, max_size=windows))),
+    )
+    state = []
+    slot = 0
+    for j in range(draw(st.integers(1, 4))):
+        hop_count = draw(st.integers(1, 3))
+        pdrs = tuple(draw(st.lists(st.floats(0.5, 0.99), min_size=hop_count, max_size=hop_count)))
+        n = draw(st.integers(1, 4))
+        slots = list(range(slot, slot + n))
+        slot += n
+        if mode is SchedulingMode.PBS:
+            hops = [0] * n
+        else:
+            hops = sorted(draw(st.lists(st.integers(1, hop_count), min_size=n, max_size=n)))
+        placement = draw(st.lists(st.integers(-1, windows - 1), min_size=n, max_size=n))
+        window_of = {s: w for s, w in zip(slots, placement) if w >= 0}
+        state.append(PeriodicPacketState((j + 1, 10 * j), pdrs, slots, hops, window_of))
+    return demand, state
+
+
+def _check_against_transmission_oracle(demand, state, mode):
+    before = [(list(p.slots), list(p.hops)) for p in state]
+    try:
+        decision = drop_transmissions(demand, state, required_pdr=0.99, mode=mode)
+    except CandidateInfeasible:
+        with pytest.raises(CandidateInfeasible):
+            optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99, mode=mode)
+        return
+    assert [(p.slots, p.hops) for p in state] == before  # the input is left as it was
+    window_of = {(p.packet, s): w for p in state for s, w in p.window_of.items()}
+    covered = Counter(window_of[((task, release), s)] for task, release, s in decision.dropped_slots)
+    assert [covered[w] for w in range(len(demand.residual))] == list(demand.residual)
+    oracle = optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99,
+                                 mode=mode)
+    assert decision.total_degradation >= oracle.total_degradation - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_transmission_instances(SchedulingMode.TBS))
+def test_drop_transmissions_tbs_covers_and_never_beats_oracle(instance):
+    _check_against_transmission_oracle(*instance, SchedulingMode.TBS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_transmission_instances(SchedulingMode.PBS))
+def test_drop_transmissions_pbs_covers_and_never_beats_oracle(instance):
+    _check_against_transmission_oracle(*instance, SchedulingMode.PBS)
 
 
 # -------------------------------------------------------------------- oracle

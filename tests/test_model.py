@@ -85,6 +85,35 @@ def test_packet_pdr_flexible_insufficient_slots():
     assert packet_pdr_flexible([0.9, 0.9], 1) == 0.0
 
 
+def _flexible_numpy_reference(link_pdrs, total_slots):
+    """The same DP over a numpy state vector, one numpy scalar per step."""
+    hops = len(link_pdrs)
+    state = np.zeros(hops + 1)
+    state[0] = 1.0
+    for _ in range(total_slots):
+        nxt = state.copy()
+        for h in range(hops):
+            p = link_pdrs[h]
+            nxt[h] -= state[h] * p
+            nxt[h + 1] += state[h] * p
+        state = nxt
+    return float(state[hops])
+
+
+def test_packet_pdr_flexible_bit_identical_to_numpy_dp():
+    rng = np.random.default_rng(2402)
+    for case in range(400):
+        hops = int(rng.integers(1, 9))
+        pdrs = rng.uniform(0.05, 1.0, hops)
+        if case % 7 == 0:
+            pdrs[rng.integers(hops)] = 1.0
+        pdrs = pdrs.tolist()
+        slots = int(rng.integers(0, 40))
+        got = packet_pdr_flexible(pdrs, slots)
+        assert type(got) is float
+        assert got.hex() == _flexible_numpy_reference(pdrs, slots).hex(), (pdrs, slots)
+
+
 # ----------------------------------------------------------- pdr_degradation
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from rtwnsim.sim import (
     BaselineParams,
     DisturbanceSpec,
     Framework,
+    HorizonTooShort,
     SimConfig,
     baseline_drt,
     degradation_rate,
@@ -121,6 +122,24 @@ def test_post_endpoint_equality_with_undisturbed_run():
     trace_n, _ = run(cfg_n)
     assert metrics.endpoint is not None
     assert trace_d.packets_from(metrics.endpoint) == trace_n.packets_from(metrics.endpoint)
+
+
+def test_horizon_must_reach_latest_end_point():
+    # Disturbance at instance 3: state exit 121, beta 4, period 15 -> the
+    # latest end point is slot 166.
+    net, tasks = _testbed()
+    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
+        base = dict(network=net, tasks=tasks, required_pdr=0.95, seed=3,
+                    disturbance=DisturbanceSpec(0, 3), framework=framework)
+        with pytest.raises(HorizonTooShort, match="166"):
+            run(SimConfig(horizon=165, **base))
+        _, metrics = run(SimConfig(horizon=166, **base))
+        assert metrics.feasible_dynamic and metrics.endpoint == 121
+    # The baseline plans no window, so a short horizon stays valid for it.
+    _, metrics = run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=60,
+                               disturbance=DisturbanceSpec(0, 3),
+                               framework=Framework.BASELINE_BROADCAST))
+    assert metrics.drt_slots == 30
 
 
 def test_infeasible_disturbance_reports_failure():
