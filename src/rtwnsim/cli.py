@@ -7,7 +7,10 @@
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
 ``sim.horizon`` that ends before the disturbance's latest end point), 3
-infeasible static schedule.  RTWNSIM_OUT sets the default output directory.
+infeasible requirements: a static schedule that misses a deadline, a
+``generate --util`` the network cannot reach, or a sweep trial that admits no
+disturbance.  Every error prints one ``error:`` line to stderr.  RTWNSIM_OUT
+sets the default output directory.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .model import ScheduleInfeasible, generate_taskset
+from .model import InfeasibleError, generate_taskset
 from . import config as config_mod
 from .config import ConfigError
 from .experiments import (
@@ -50,6 +53,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InfeasibleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     meta = {
         "seed": args.seed,
         "target_utilization": args.util,
@@ -104,7 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except HorizonTooShort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScheduleInfeasible as exc:
+    except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
@@ -131,7 +137,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    records = run_sweep(spec, parallel=args.parallel)
+    try:
+        records = run_sweep(spec, parallel=args.parallel)
+    except InfeasibleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     out = _out_dir(args.out_dir)
     records_path = out / "records.csv"
     agg_path = out / "aggregate.csv"

@@ -502,7 +502,8 @@ def optimal_drop_oracle(
             best_cost = cost
             best_selection = selection
 
-    assert best_selection is not None
+    if best_selection is None:
+        raise PlanInvariantError("the transmission oracle enumerated no selection")
     dropped = []
     touched: dict[int, list[int]] = {}
     for idx, ordinal in best_selection:

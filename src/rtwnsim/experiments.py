@@ -20,6 +20,7 @@ from .model import (
     InfeasibleError,
     NetworkModel,
     RhythmicSpec,
+    ScheduleInfeasible,
     SchedulingMode,
     TaskSpec,
     allocate_retry_vector,
@@ -28,7 +29,7 @@ from .model import (
     random_chain_network,
 )
 from .rhythmic import DisturbanceEvent, end_point_upper_bound
-from .static_schedule import build_static_schedule
+from .static_schedule import StaticScheduleResult, build_static_schedule
 from .dropping import generate_dynamic_schedule
 from .sim import (
     BaselineParams,
@@ -47,6 +48,7 @@ __all__ = [
     "RunRecord",
     "ExperimentSpec",
     "make_trial",
+    "trial_horizon",
     "evaluate_trial",
     "run_cell",
     "run_sweep",
@@ -194,6 +196,33 @@ def make_trial(
     raise InfeasibleError(f"no admissible disturbance found for seed {seed}")
 
 
+def _disturbed(trial: Trial) -> tuple[TaskSpec, DisturbanceEvent]:
+    task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
+    return task, DisturbanceEvent.from_task(task, trial.instance, trial.spec)
+
+
+def trial_horizon(trial: Trial, beta: int) -> int:
+    """Slots a trial's static schedule covers: the disturbance's latest end
+    point plus two of the longest periods of slack."""
+    _, event = _disturbed(trial)
+    return end_point_upper_bound(event, beta) + 2 * max(t.period for t in trial.tasks) + 1
+
+
+def _trial_schedule(trial: Trial, beta: int, required_pdr: float) -> StaticScheduleResult:
+    """The trial's TBS static schedule over ``trial_horizon``; every framework
+    evaluated on the trial plans against this one table."""
+    static = build_static_schedule(
+        trial.tasks, trial.network, SchedulingMode.TBS, required_pdr,
+        horizon=trial_horizon(trial, beta),
+    )
+    if not static.feasible:
+        raise ScheduleInfeasible(
+            f"trial seed {trial.seed}: static schedule misses packet (task, release) "
+            f"{static.first_failure}"
+        )
+    return static
+
+
 def evaluate_trial(
     trial: Trial,
     framework: Framework,
@@ -202,18 +231,22 @@ def evaluate_trial(
     required_pdr: float = 0.99,
     solver: str = "greedy",
     tick: int = 60,
+    static: Optional[StaticScheduleResult] = None,
 ) -> RunRecord:
     """Schedule-level evaluation of one (trial, framework) pair at one latency
-    bound.  Returns the record at alpha = alpha_mult nominal periods."""
-    task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
+    bound.  Returns the record at alpha = alpha_mult nominal periods.
+
+    ``static`` is the trial's schedule as ``run_cell`` builds it once for all
+    frameworks (same beta and required pdr); without it the schedule is
+    built here.  Raises ScheduleInfeasible when the task set misses a
+    deadline in its static schedule.
+    """
+    task, event = _disturbed(trial)
     period = task.period
     alpha = alpha_mult * period
-    event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
-    horizon = end_point_upper_bound(event, beta) + 2 * max(t.period for t in trial.tasks) + 1
-    static = build_static_schedule(
-        trial.tasks, trial.network, SchedulingMode.TBS, required_pdr, horizon=horizon
-    )
-    assert static.feasible, "generated task sets are utilization-bounded and must schedule"
+    if static is None:
+        static = _trial_schedule(trial, beta, required_pdr)
+    horizon = static.schedule.horizon
 
     common = dict(
         seed=trial.seed,
@@ -336,6 +369,7 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
         trial = make_trial(
             seed, util, r_steps, gamma=spec.gamma, required_pdr=spec.required_pdr
         )
+        static = _trial_schedule(trial, spec.beta, spec.required_pdr)
         for framework in spec.frameworks:
             base = evaluate_trial(
                 trial,
@@ -345,6 +379,7 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
                 required_pdr=spec.required_pdr,
                 solver=spec.solver,
                 tick=tick,
+                static=static,
             )
             period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
             for mult in spec.alphas:

@@ -178,18 +178,12 @@ def contention_latency_experiment(
             if pending[p] is None and rng.random() < arrival_prob:
                 pending[p] = [frame, 0]
                 stats[p][0] += 1
-        contenders = [
-            ContendingTx(sender=f"N{p}", receiver="C", priority=p)
-            for p in priorities
-            if pending[p] is not None
-        ]
-        if not contenders:
+        waiting = [(p, pending[p]) for p in priorities if pending[p] is not None]
+        if not waiting:
             continue
+        contenders = [ContendingTx(sender=f"N{p}", receiver="C", priority=p) for p, _ in waiting]
         outcomes = arbitrate_slot(contenders, timing, [True] * len(contenders))
-        for c, outcome in zip(contenders, outcomes):
-            p = c.priority
-            packet = pending[p]
-            assert packet is not None
+        for (p, packet), outcome in zip(waiting, outcomes):
             if outcome is TxOutcome.WON_DELIVERED:
                 stats[p][1] += 1
                 stats[p][3] += frame - packet[0] + 1

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -288,8 +288,15 @@ def allocate_retry_vector(link_pdrs: Sequence[float], required_pdr: float) -> tu
     largest log-reliability gain (ties to the earliest hop).  The per-hop gain
     is concave in the trial count, so this greedy walk visits a best-possible
     vector for every total and the first total that meets the target is
-    minimal.
+    minimal.  Results are memoised per (link pdrs, requirement), since task
+    generation, trial drawing and planning ask again for the same paths;
+    errors are not cached, so an unreachable requirement raises every time.
     """
+    return _allocate_retry_vector(tuple(link_pdrs), required_pdr)
+
+
+@lru_cache(maxsize=1024)
+def _allocate_retry_vector(link_pdrs: tuple[float, ...], required_pdr: float) -> tuple[int, ...]:
     hops = len(link_pdrs)
     if hops == 0:
         raise ValueError("need at least one hop")

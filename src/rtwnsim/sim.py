@@ -120,7 +120,8 @@ class SimConfig:
                 raise ValueError("alpha must be at least one nominal period")
 
     def _disturbed_task(self) -> TaskSpec:
-        assert self.disturbance is not None
+        if self.disturbance is None:
+            raise ValueError("config has no disturbance")
         for t in self.tasks:
             if t.id == self.disturbance.task:
                 return t
@@ -272,11 +273,10 @@ def baseline_drt(config: SimConfig, static: Optional[StaticScheduleResult] = Non
     next broadcast-task instance, ``depth`` flood slots, and alignment to the
     disturbed task's next release.  Always at least one nominal period.
     """
-    if config.disturbance is None:
+    event = config.event()
+    if event is None:
         raise ValueError("baseline latency needs a disturbance")
     task = config._disturbed_task()
-    event = config.event()
-    assert event is not None
     if static is None:
         horizon = config.horizon or default_horizon(config)
         static = build_static_schedule(

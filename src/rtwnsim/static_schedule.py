@@ -105,16 +105,6 @@ class Schedule:
         return Schedule(self.mode, self.horizon,
                         self.task_at.copy(), self.release_at.copy(), self.hop_at.copy())
 
-    def dump_lines(self) -> list[str]:
-        """Per-slot text trace of every assigned slot."""
-        lines = []
-        for t in np.nonzero(self.task_at >= 0)[0]:
-            lines.append(
-                f"slot={int(t)} kind=sched task={int(self.task_at[t])} "
-                f"release={int(self.release_at[t])} hop={int(self.hop_at[t])}"
-            )
-        return lines
-
 
 @dataclass(frozen=True)
 class ScheduleVerdict:
@@ -206,8 +196,9 @@ def build_static_schedule(
 
     # (release, deadline, task, demand) for every instance released in window
     jobs: list[list[int]] = []  # [release, deadline, task, remaining]
+    demand_of = {tid: sum(rv) for tid, rv in retry_vectors.items()}
     for task in tasks:
-        demand = sum(retry_vectors[task.id])
+        demand = demand_of[task.id]
         k = 0
         while task.release(k) < horizon:
             jobs.append([task.release(k), task.nominal_deadline(k), task.id, demand])
@@ -215,7 +206,13 @@ def build_static_schedule(
     jobs.sort(key=lambda j: (j[0], j[1], j[2]))
 
     sched = Schedule.empty(mode, horizon)
-    slots_of: dict[tuple[int, int], list[int]] = {}
+    # TBS hop label of each ordinal of a task's packets; a segment of `run`
+    # slots starting at ordinal `done` takes labels[done:done + run].
+    labels = (
+        {tid: np.array(hop_expansion(rv), dtype=np.int16) for tid, rv in retry_vectors.items()}
+        if mode is SchedulingMode.TBS
+        else None
+    )
     missed: list[tuple[int, int, int]] = []  # (deadline, task, release)
 
     heap: list[tuple[int, int, int, int]] = []  # (deadline, task, release, job index)
@@ -242,7 +239,9 @@ def build_static_schedule(
         run = min(remaining, deadline - t, limit - t)
         sched.task_at[t : t + run] = task_id
         sched.release_at[t : t + run] = release
-        slots_of.setdefault((task_id, release), []).extend(range(t, t + run))
+        if labels is not None:
+            done = demand_of[task_id] - remaining
+            sched.hop_at[t : t + run] = labels[task_id][done : done + run]
         jobs[idx][3] = remaining - run
         t += run
         if jobs[idx][3] > 0:
@@ -254,12 +253,6 @@ def build_static_schedule(
         if jobs[i][1] <= horizon:
             missed.append((jobs[i][1], jobs[i][2], jobs[i][0]))
         i += 1
-
-    if mode is SchedulingMode.TBS:
-        for (task_id, release), slots in slots_of.items():
-            labels = hop_expansion(retry_vectors[task_id])
-            for slot, hop in zip(slots, labels):
-                sched.hop_at[slot] = hop
 
     missed_in_window = sorted((d, tid, rel) for d, tid, rel in missed if d <= horizon)
     feasible = not missed_in_window

@@ -39,7 +39,7 @@ from rtwnsim.dropping import (
     optimal_drop_oracle,
 )
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
-from rtwnsim.experiments import evaluate_trial, make_trial
+from rtwnsim.experiments import evaluate_trial, make_trial, trial_horizon
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
 
@@ -280,7 +280,7 @@ def test_a7_constraint_suite():
             continue
         task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
         event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
-        horizon = event.exit_slot + (4 - 1) * task.period + 2 * max(t.period for t in trial.tasks) + 1
+        horizon = trial_horizon(trial, 4)
         static = build_static_schedule(trial.tasks, trial.network, SchedulingMode.TBS,
                                        0.99, horizon=horizon)
         assert static.feasible

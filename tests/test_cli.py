@@ -91,6 +91,16 @@ def test_generate_rejects_malformed_network(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_unreachable_utilization_exit_code(tmp_path, capsys):
+    out = tmp_path / "o.yaml"
+    rc = main(["generate", "--seed", "1", "--util", "1.0",
+               "--network", str(SCENARIOS / "network7.yaml"), "--out", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_testbed_produces_preemptions(tmp_path):
     trace = tmp_path / "trace.txt"
     metrics = tmp_path / "metrics.csv"
@@ -177,6 +187,19 @@ def test_sweep_smoke_grid(tmp_path):
     assert main(["sweep", "--spec", str(spec), "--out-dir", str(out2)]) == EXIT_OK
     assert (out / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
     assert (out / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
+    # At utilization 0 no task is generated, so no trial can host a disturbance.
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text("utils: [0.0, 0.4]\nr_steps: [4]\nalphas: [1]\ntrials: 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["sweep", "--spec", str(spec), "--out-dir", str(out), "--parallel", parallel])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: no admissible disturbance") and err.count("\n") == 1
+    assert not (out / "records.csv").exists()
 
 
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):

@@ -198,6 +198,16 @@ def test_baseline_motivating_shape_three_periods():
     assert baseline_drt(cfg) == 27  # three nominal periods
 
 
+def test_baseline_and_disturbed_task_need_a_disturbance():
+    # Typed errors, not asserts: these checks must survive `python -O`.
+    net, tasks = _motivating_example()
+    cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.9, seed=1, horizon=200)
+    with pytest.raises(ValueError, match="baseline latency needs a disturbance"):
+        baseline_drt(cfg)
+    with pytest.raises(ValueError, match="config has no disturbance"):
+        cfg._disturbed_task()
+
+
 def test_baseline_always_slower_than_distributed_response():
     for i in range(500):
         trial = make_trial(40_000 + i, 0.5, 6)

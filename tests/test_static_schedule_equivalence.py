@@ -1,0 +1,252 @@
+"""The segment-labelling static builder against a frozen copy of the per-slot
+labeller it replaced, plus the one-build-per-trial sweep path and the
+memoised retry allocation.
+
+``reference_build`` below records every assigned slot of every packet and
+writes the TBS hop labels one slot at a time after the EDF pass.  The library
+builder writes each segment's labels as a slice when the segment is placed;
+both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
+same feasibility verdict, under TBS and PBS, with implicit and explicit
+horizons.
+"""
+
+import dataclasses
+import heapq
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rtwnsim import experiments
+from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell, trial_horizon
+from rtwnsim.sim import Framework
+from rtwnsim.model import (
+    InfeasibleError,
+    ScheduleInfeasible,
+    SchedulingMode,
+    TaskSpec,
+    allocate_retry_vector,
+    chain_network,
+)
+from rtwnsim.static_schedule import (
+    HYPERPERIOD_CAP,
+    Schedule,
+    StaticScheduleResult,
+    build_static_schedule,
+    hop_expansion,
+    plan_retry_vectors,
+)
+
+REQUIRED_PDR = 0.99
+BETA = 4
+
+
+def reference_build(tasks, network, mode, required_pdr, horizon=None):
+    """Frozen copy of the builder that labelled hops slot by slot."""
+    retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
+    hyperperiod = 1
+    for task in tasks:
+        hyperperiod = math.lcm(hyperperiod, task.period)
+    if horizon is None:
+        top = max(t.phase for t in tasks) + hyperperiod
+        if top > HYPERPERIOD_CAP:
+            raise ValueError("hyperperiod too large to build implicitly")
+        horizon = top
+
+    jobs = []
+    for task in tasks:
+        demand = sum(retry_vectors[task.id])
+        k = 0
+        while task.release(k) < horizon:
+            jobs.append([task.release(k), task.nominal_deadline(k), task.id, demand])
+            k += 1
+    jobs.sort(key=lambda j: (j[0], j[1], j[2]))
+
+    sched = Schedule.empty(mode, horizon)
+    slots_of = {}
+    missed = []
+    heap = []
+    i = t = 0
+    n = len(jobs)
+    while t < horizon:
+        while i < n and jobs[i][0] <= t:
+            heapq.heappush(heap, (jobs[i][1], jobs[i][2], jobs[i][0], i))
+            i += 1
+        if not heap:
+            if i >= n:
+                break
+            t = min(jobs[i][0], horizon)
+            continue
+        deadline, task_id, release, idx = heapq.heappop(heap)
+        remaining = jobs[idx][3]
+        if deadline <= t:
+            missed.append((deadline, task_id, release))
+            continue
+        limit = horizon
+        if i < n:
+            limit = min(limit, jobs[i][0])
+        run = min(remaining, deadline - t, limit - t)
+        sched.task_at[t : t + run] = task_id
+        sched.release_at[t : t + run] = release
+        slots_of.setdefault((task_id, release), []).extend(range(t, t + run))
+        jobs[idx][3] = remaining - run
+        t += run
+        if jobs[idx][3] > 0:
+            heapq.heappush(heap, (deadline, task_id, release, idx))
+    for deadline, task_id, release, idx in heap:
+        if jobs[idx][3] > 0:
+            missed.append((deadline, task_id, release))
+    while i < n:
+        if jobs[i][1] <= horizon:
+            missed.append((jobs[i][1], jobs[i][2], jobs[i][0]))
+        i += 1
+
+    if mode is SchedulingMode.TBS:
+        for (task_id, release), slots in slots_of.items():
+            for slot, hop in zip(slots, hop_expansion(retry_vectors[task_id])):
+                sched.hop_at[slot] = hop
+
+    missed_in_window = sorted(m for m in missed if m[0] <= horizon)
+    first_failure = (missed_in_window[0][1], missed_in_window[0][2]) if missed_in_window else None
+    return StaticScheduleResult(
+        schedule=sched,
+        retry_vectors=retry_vectors,
+        feasible=not missed_in_window,
+        hyperperiod=hyperperiod,
+        first_failure=first_failure,
+    )
+
+
+def _assert_same_build(tasks, network, mode, horizon=None, required_pdr=REQUIRED_PDR):
+    try:
+        expected = reference_build(tasks, network, mode, required_pdr, horizon)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_static_schedule(tasks, network, mode, required_pdr, horizon=horizon)
+        return None
+    got = build_static_schedule(tasks, network, mode, required_pdr, horizon=horizon)
+    for name in ("task_at", "release_at", "hop_at"):
+        a, b = getattr(got.schedule, name), getattr(expected.schedule, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.schedule.horizon == expected.schedule.horizon
+    assert got.feasible == expected.feasible
+    assert got.first_failure == expected.first_failure
+    assert got.retry_vectors == expected.retry_vectors
+    assert got.hyperperiod == expected.hyperperiod
+    return got
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_sweep_trials_match_reference_at_trial_horizon(mode):
+    for index in range(40):
+        trial = make_trial(1_000 + index, 0.5, 8)
+        _assert_same_build(trial.tasks, trial.network, mode, horizon=trial_horizon(trial, BETA))
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_small_period_trials_match_reference_with_implicit_horizon(mode):
+    built = 0
+    for seed in range(60):
+        trial = make_trial(500_000 + seed, 0.7, 3, gamma=0.5, in_depth=3, out_depth=3,
+                           max_instance=4, max_period=60, hop_range=(2, 6))
+        if _assert_same_build(trial.tasks, trial.network, mode) is not None:
+            built += 1
+    assert built >= 45  # most small-period task sets fit under the hyperperiod cap
+
+
+@st.composite
+def _small_tasksets(draw):
+    """One to four tasks on a 2+2 chain: short periods, constrained deadlines,
+    phases and padded slot budgets, overloaded sets included."""
+    network = chain_network(2, 2, pdr=draw(st.sampled_from([1.0, 0.9, 0.7])))
+    paths = [("S2", "S1", "C", "A1"), ("S1", "C", "A1", "A2"), ("S1", "C", "A1")]
+    tasks = []
+    for tid in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(paths))
+        period = draw(st.integers(len(path) - 1, 24))
+        tasks.append(TaskSpec(
+            id=tid,
+            path=path,
+            period=period,
+            deadline=draw(st.integers(len(path) - 1, period)),
+            slot_budget=draw(st.one_of(st.none(), st.integers(len(path) + 3, len(path) + 8))),
+            phase=draw(st.integers(0, 10)),
+        ))
+    horizon = draw(st.one_of(st.none(), st.integers(1, 200)))
+    return network, tuple(tasks), horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_tasksets(), st.sampled_from([SchedulingMode.TBS, SchedulingMode.PBS]))
+def test_small_tasksets_match_reference(case, mode):
+    network, tasks, horizon = case
+    try:
+        plan_retry_vectors(tasks, network, 0.95)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            build_static_schedule(tasks, network, mode, 0.95, horizon=horizon)
+        return
+    _assert_same_build(tasks, network, mode, horizon=horizon, required_pdr=0.95)
+
+
+# ------------------------------------------------------------ one build per trial
+
+SPEC = ExperimentSpec(utils=(0.5,), r_steps=(8,), alphas=(1, 3), trials=6, base_seed=11)
+
+
+def test_run_cell_builds_each_trial_schedule_once(monkeypatch):
+    calls = []
+    original = experiments.build_static_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("horizon"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_static_schedule", counting)
+    records = run_cell(SPEC, 0.5, 8, 60)
+    assert len(calls) == SPEC.trials
+    assert len(records) == SPEC.trials * len(SPEC.frameworks) * len(SPEC.alphas)
+
+
+def test_run_cell_matches_standalone_evaluations():
+    records = run_cell(SPEC, 0.5, 8, 60)
+    by_key = {(r.framework, r.seed, r.alpha_mult): r for r in records}
+    seeds = sorted({r.seed for r in records})
+    assert len(seeds) == SPEC.trials
+    for seed in seeds:
+        trial = make_trial(seed, 0.5, 8, gamma=SPEC.gamma, required_pdr=SPEC.required_pdr)
+        for framework in SPEC.frameworks:
+            for mult in SPEC.alphas:
+                alone = evaluate_trial(trial, framework, alpha_mult=mult, beta=SPEC.beta,
+                                       required_pdr=SPEC.required_pdr, solver=SPEC.solver, tick=60)
+                assert by_key[(framework.value, seed, mult)] == alone
+
+
+def test_evaluate_trial_raises_on_an_infeasible_static_schedule():
+    trial = make_trial(3, 0.5, 8)
+    host = next(t for t in trial.tasks if t.id != trial.rhythmic_task)
+    hog = TaskSpec(id=max(t.id for t in trial.tasks) + 1, path=host.path,
+                   period=host.hops, deadline=host.hops)
+    overloaded = dataclasses.replace(trial, tasks=trial.tasks + (hog,))
+    with pytest.raises(ScheduleInfeasible, match=r"misses packet \(task, release\)"):
+        evaluate_trial(overloaded, Framework.FDPAS_PACKET)
+
+
+# ------------------------------------------------------------ memoised retry vectors
+
+def test_allocate_retry_vector_memo_accepts_lists_and_tuples():
+    pdrs = [0.91, 0.95, 0.97]
+    first = allocate_retry_vector(pdrs, 0.99)
+    assert isinstance(first, tuple)
+    assert allocate_retry_vector(tuple(pdrs), 0.99) == first
+    pdrs[0] = 0.5  # mutating the caller's list must not disturb the cached entry
+    assert allocate_retry_vector([0.91, 0.95, 0.97], 0.99) == first
+    assert allocate_retry_vector(pdrs, 0.99) != first
+
+
+def test_allocate_retry_vector_memo_still_raises_every_time():
+    for _ in range(3):
+        with pytest.raises(InfeasibleError):
+            allocate_retry_vector([0.9, 0.9], 1.0)
+        with pytest.raises(ValueError):
+            allocate_retry_vector([0.9, 1.5], 0.9)
