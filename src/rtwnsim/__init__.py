@@ -7,7 +7,7 @@ Modules:
     rhythmic         disturbance windows, end-point candidates, active sets
     dropping         packet/transmission dropping solvers, dynamic schedules
     mac              priority-offset MAC arbitration model
-    sim              deterministic slot-driven simulator and metrics
+    sim              disturbance planning, slot-driven simulator, metrics
     experiments      seeded trial generation and sweep aggregation
     config           YAML scenario/experiment files
     cli              generate / simulate / sweep commands
@@ -19,7 +19,6 @@ from .model import (
     InfeasibleError,
     Link,
     NetworkModel,
-    PacketInstance,
     ReliabilityTarget,
     RhythmicSpec,
     ScheduleInfeasible,
@@ -82,10 +81,12 @@ from .sim import (
     HorizonTooShort,
     MacParams,
     Metrics,
+    Plan,
     SimConfig,
     SimTrace,
     baseline_drt,
     degradation_rate,
+    plan,
     run,
     success_ratio,
 )

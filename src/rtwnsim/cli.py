@@ -6,7 +6,8 @@
 
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
-``sim.horizon`` that ends before the disturbance's latest end point), 3
+``sim.horizon`` that ends before the disturbance's latest end point, an
+unknown solver, and a sweep ``alphas`` entry or ``beta`` below 1), 3
 infeasible requirements: a static schedule that misses a deadline, a
 ``generate --util`` the network cannot reach, or a sweep trial that admits no
 disturbance.  Every error prints one ``error:`` line to stderr.  RTWNSIM_OUT
@@ -32,7 +33,8 @@ from .experiments import (
     record_row,
     run_sweep,
 )
-from .sim import Framework, HorizonTooShort, run
+from .sim import HorizonTooShort, run
+from .static_schedule import plan_retry_vectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,37 +70,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _metrics_row(cfg, metrics) -> list[str]:
-    record = RunRecord(
-        framework=metrics.framework.value,
-        seed=cfg.seed,
-        util=0.0,
-        r_steps=0,
-        alpha_slots=cfg.alpha_slots() or 0,
-        drt_slots=metrics.drt_slots,
-        dhl_slots=metrics.dhl_slots,
-        success=metrics.success,
-        feasible_dynamic=metrics.feasible_dynamic,
-        dr=metrics.degradation_rate,
-        dropped_packets=metrics.dropped_packets,
-        dropped_transmissions=metrics.dropped_transmissions,
-    )
-    row = record_row(record)
-    # Fill the scenario-derived columns the record abstraction cannot know.
-    from .static_schedule import plan_retry_vectors
-
-    vectors = plan_retry_vectors(cfg.tasks, cfg.network, cfg.required_pdr)
-    actual_util = sum(sum(vectors[t.id]) / t.period for t in cfg.tasks)
-    row[2] = f"{actual_util:.3f}"
-    if cfg.disturbance is not None:
-        spec = cfg.disturbance.rhythmic
-        if spec is None:
-            task = next(t for t in cfg.tasks if t.id == cfg.disturbance.task)
-            spec = task.rhythmic
-        row[3] = str(spec.steps if spec else 0)
-    return row
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = config_mod.parse_scenario(args.scenario)
@@ -114,6 +85,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
+    vectors = plan_retry_vectors(cfg.tasks, cfg.network, cfg.required_pdr)
+    event = cfg.event()
+    record = RunRecord(
+        framework=cfg.framework.value,
+        seed=cfg.seed,
+        util=sum(sum(vectors[t.id]) / t.period for t in cfg.tasks),
+        r_steps=len(event.periods) if event else 0,
+        alpha_slots=cfg.alpha_slots() or 0,
+        drt_slots=metrics.drt_slots,
+        dhl_slots=metrics.dhl_slots,
+        success=metrics.success,
+        feasible_dynamic=metrics.feasible_dynamic,
+        dr=metrics.degradation_rate,
+        dropped_packets=metrics.dropped_packets,
+        dropped_transmissions=metrics.dropped_transmissions,
+    )
     out = _out_dir(None)
     trace_path = Path(args.trace_out) if args.trace_out else out / "trace.txt"
     csv_path = Path(args.csv_out) if args.csv_out else out / "metrics.csv"
@@ -121,7 +108,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
-        writer.writerow(_metrics_row(cfg, metrics))
+        writer.writerow(record_row(record))
     print(
         f"simulated {cfg.framework.value}: success={int(metrics.success)} "
         f"drt={metrics.drt_slots} dhl={metrics.dhl_slots} dr={metrics.degradation_rate:.6f}"

@@ -42,6 +42,7 @@ from .rhythmic import (
 from .static_schedule import Schedule, SlotAssignment, hop_expansion
 
 __all__ = [
+    "SOLVERS",
     "PlanInvariantError",
     "TransmissionVector",
     "DemandVector",
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 PacketKey = tuple[int, int]  # (task id, release slot)
+
+# Dropping solvers a dynamic schedule can be planned with.
+SOLVERS = ("greedy", "oracle")
 
 ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
@@ -623,8 +627,8 @@ def generate_dynamic_schedule(
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
-    if solver not in ("greedy", "oracle"):
-        raise ValueError("solver must be 'greedy' or 'oracle'")
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}")
     by_id = {t.id: t for t in tasks}
     task = by_id[event.task_id]
     path_pdrs = network.path_pdrs(task.path)

@@ -8,6 +8,7 @@ engine.  Every trial is a pure function of its seed.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    DisturbanceInfeasible,
     InfeasibleError,
     NetworkModel,
     RhythmicSpec,
@@ -30,18 +30,8 @@ from .model import (
 )
 from .rhythmic import DisturbanceEvent, end_point_upper_bound
 from .static_schedule import StaticScheduleResult, build_static_schedule
-from .dropping import generate_dynamic_schedule
-from .sim import (
-    BaselineParams,
-    DisturbanceSpec,
-    Framework,
-    MacParams,
-    SimConfig,
-    baseline_drt,
-    degradation_rate,
-    periodic_packets_in_window,
-)
-from . import mac as mac_model
+from .dropping import SOLVERS
+from .sim import DisturbanceSpec, Framework, SimConfig, plan
 
 __all__ = [
     "Trial",
@@ -196,15 +186,14 @@ def make_trial(
     raise InfeasibleError(f"no admissible disturbance found for seed {seed}")
 
 
-def _disturbed(trial: Trial) -> tuple[TaskSpec, DisturbanceEvent]:
-    task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
-    return task, DisturbanceEvent.from_task(task, trial.instance, trial.spec)
+def _disturbed_task(trial: Trial) -> TaskSpec:
+    return next(t for t in trial.tasks if t.id == trial.rhythmic_task)
 
 
 def trial_horizon(trial: Trial, beta: int) -> int:
     """Slots a trial's static schedule covers: the disturbance's latest end
     point plus two of the longest periods of slack."""
-    _, event = _disturbed(trial)
+    event = DisturbanceEvent.from_task(_disturbed_task(trial), trial.instance, trial.spec)
     return end_point_upper_bound(event, beta) + 2 * max(t.period for t in trial.tasks) + 1
 
 
@@ -241,82 +230,37 @@ def evaluate_trial(
     built here.  Raises ScheduleInfeasible when the task set misses a
     deadline in its static schedule.
     """
-    task, event = _disturbed(trial)
-    period = task.period
-    alpha = alpha_mult * period
     if static is None:
         static = _trial_schedule(trial, beta, required_pdr)
-    horizon = static.schedule.horizon
-
-    common = dict(
+    task = _disturbed_task(trial)
+    config = SimConfig(
+        network=trial.network,
+        tasks=trial.tasks,
+        required_pdr=required_pdr,
+        horizon=static.schedule.horizon,
+        disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
+        alpha=alpha_mult * task.period,
+        beta=beta,
+        solver=solver,
+        framework=framework,
+    )
+    planned = plan(config, static)
+    decision = planned.decision
+    return RunRecord(
+        framework=framework.value,
         seed=trial.seed,
         util=trial.util,
         r_steps=trial.r_steps,
-        alpha_slots=alpha,
-        alpha_mult=alpha_mult,
+        alpha_slots=config.alpha,
+        drt_slots=planned.drt,
+        dhl_slots=planned.dhl,
+        success=planned.success,
+        feasible_dynamic=planned.feasible_dynamic,
+        dr=planned.dr,
+        dropped_packets=decision.packet_count if decision else 0,
+        dropped_transmissions=decision.slot_count if decision else 0,
         tick=tick,
-    )
-    if framework is Framework.BASELINE_BROADCAST:
-        config = SimConfig(
-            network=trial.network,
-            tasks=trial.tasks,
-            required_pdr=required_pdr,
-            horizon=horizon,
-            disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
-            alpha=alpha,
-            beta=beta,
-            framework=framework,
-        )
-        drt = baseline_drt(config, static)
-        return RunRecord(
-            framework=framework.value,
-            drt_slots=drt,
-            dhl_slots=0,
-            success=drt <= alpha,
-            feasible_dynamic=True,
-            dr=0.0,
-            dropped_packets=0,
-            dropped_transmissions=0,
-            **common,
-        )
-
-    level = "packet" if framework is Framework.FDPAS_PACKET else "transmission"
-    try:
-        plan = generate_dynamic_schedule(
-            event,
-            static.schedule,
-            trial.tasks,
-            trial.network,
-            required_pdr,
-            beta=beta,
-            level=level,
-            solver=solver,
-        )
-    except DisturbanceInfeasible:
-        return RunRecord(
-            framework=framework.value,
-            drt_slots=period,
-            dhl_slots=0,
-            success=False,
-            feasible_dynamic=False,
-            dr=0.0,
-            dropped_packets=0,
-            dropped_transmissions=0,
-            **common,
-        )
-    periodic = periodic_packets_in_window(
-        static.schedule, trial.tasks, task.id, event.enter_slot, plan.end_point
-    )
-    return RunRecord(
-        framework=framework.value,
-        drt_slots=period,  # handling starts at the next release, one period on
-        dhl_slots=plan.end_point - event.enter_slot,
-        success=period <= alpha,
-        feasible_dynamic=True,
-        dr=degradation_rate(plan.decision, len(periodic)),
-        dropped_packets=plan.decision.packet_count,
-        dropped_transmissions=plan.decision.slot_count,
-        **common,
+        alpha_mult=alpha_mult,
     )
 
 
@@ -350,6 +294,12 @@ class ExperimentSpec:
         for axis in (self.utils, self.r_steps, self.alphas, self.ticks, self.frameworks):
             if not axis:
                 raise ValueError("sweep axes must be non-empty")
+        if min(self.alphas) < 1:
+            raise ValueError("alphas must be >= 1 (latency bounds in nominal periods)")
+        if self.beta < 1:
+            raise ValueError("beta must be >= 1")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}; expected one of {', '.join(SOLVERS)}")
 
     def cells(self) -> list[tuple[float, int, int]]:
         return list(itertools.product(self.utils, self.r_steps, self.ticks))
@@ -370,6 +320,7 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
             seed, util, r_steps, gamma=spec.gamma, required_pdr=spec.required_pdr
         )
         static = _trial_schedule(trial, spec.beta, spec.required_pdr)
+        period = _disturbed_task(trial).period
         for framework in spec.frameworks:
             base = evaluate_trial(
                 trial,
@@ -381,27 +332,14 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
                 tick=tick,
                 static=static,
             )
-            period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
             for mult in spec.alphas:
                 alpha = mult * period
-                records.append(
-                    RunRecord(
-                        framework=base.framework,
-                        seed=base.seed,
-                        util=base.util,
-                        r_steps=base.r_steps,
-                        alpha_slots=alpha,
-                        drt_slots=base.drt_slots,
-                        dhl_slots=base.dhl_slots,
-                        success=base.feasible_dynamic and base.drt_slots <= alpha,
-                        feasible_dynamic=base.feasible_dynamic,
-                        dr=base.dr,
-                        dropped_packets=base.dropped_packets,
-                        dropped_transmissions=base.dropped_transmissions,
-                        tick=tick,
-                        alpha_mult=mult,
-                    )
-                )
+                records.append(dataclasses.replace(
+                    base,
+                    alpha_slots=alpha,
+                    success=base.feasible_dynamic and base.drt_slots <= alpha,
+                    alpha_mult=mult,
+                ))
     return records
 
 

@@ -206,27 +206,6 @@ class ReliabilityTarget:
             raise ValueError(f"required pdr must be in (0, 1), got {self.required_pdr}")
 
 
-@dataclass(frozen=True)
-class PacketInstance:
-    """One released packet with its per-hop trial budget."""
-
-    task: int
-    index: int
-    release: int
-    deadline: int
-    retry_vector: tuple[int, ...]
-    achieved_pdr: float
-    finish: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.release >= self.deadline:
-            raise ValueError("release must precede deadline")
-        if any(r < 0 for r in self.retry_vector):
-            raise ValueError("trial counts must be >= 0")
-        if sum(self.retry_vector) > self.deadline - self.release:
-            raise ValueError("trial budget exceeds the release-to-deadline window")
-
-
 def packet_pdr(link_pdrs: Sequence[float], retry_vector: Sequence[int]) -> float:
     """End-to-end delivery probability of a packet under per-hop retry budgets.
 

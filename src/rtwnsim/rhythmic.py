@@ -201,18 +201,13 @@ def earliest_last_finish(event: DisturbanceEvent, min_demand: int) -> int:
     return last_release + min_demand
 
 
-def end_point_candidates(
-    event: DisturbanceEvent, f_last: int, beta: int, nominal_period: Optional[int] = None
-) -> list[int]:
+def end_point_candidates(event: DisturbanceEvent, f_last: int, beta: int) -> list[int]:
     """All actual releases of the disturbed task within [f_last, upper bound].
 
     Restricting candidates to release instants is lossless for the dropping
     objective; an empty result means the disturbance cannot be handled within
     the allowed latency.
     """
-    period = nominal_period if nominal_period is not None else event.nominal_period
-    if period != event.nominal_period:
-        raise ValueError("nominal period disagrees with the disturbance event")
     upper = end_point_upper_bound(event, beta)
     candidates = [r for r in actual_releases(event, upper) if f_last <= r <= upper]
     if not candidates:

@@ -11,7 +11,7 @@ an undisturbed run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -31,9 +31,10 @@ from .static_schedule import (
     Schedule,
     StaticScheduleResult,
     build_static_schedule,
+    hyperperiod,
 )
 from . import mac as mac_model
-from .dropping import DropDecision, DynamicPlan, generate_dynamic_schedule
+from .dropping import SOLVERS, DropDecision, DynamicPlan, generate_dynamic_schedule
 
 __all__ = [
     "HorizonTooShort",
@@ -45,6 +46,8 @@ __all__ = [
     "SimTrace",
     "TaskStats",
     "Metrics",
+    "Plan",
+    "plan",
     "run",
     "baseline_drt",
     "success_ratio",
@@ -114,6 +117,8 @@ class SimConfig:
         ReliabilityTarget(self.required_pdr)
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}; expected one of {', '.join(SOLVERS)}")
         if self.disturbance is not None:
             period = self._disturbed_task().period
             if self.alpha is not None and self.alpha < period:
@@ -142,9 +147,7 @@ class SimConfig:
 def default_horizon(config: SimConfig) -> int:
     """Two hyperperiods of slack past the latest possible end point, falling
     back to a bounded window when the hyperperiod is astronomically large."""
-    hyper = 1
-    for t in config.tasks:
-        hyper = math.lcm(hyper, t.period)
+    hyper = hyperperiod(config.tasks)
     max_period = max(t.period for t in config.tasks)
     slack = 2 * hyper if hyper <= _HYPERPERIOD_SOFT_CAP else 4 * max_period
     event = config.event()
@@ -265,7 +268,7 @@ def degradation_rate(decision: Optional[DropDecision], periodic_count: int) -> f
     return decision.total_degradation / periodic_count
 
 
-def baseline_drt(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> int:
+def baseline_drt(config: SimConfig, static: StaticScheduleResult) -> int:
     """Response latency of the centralized baseline, in slots.
 
     Sum of: detection packet reaching the controller under the static
@@ -277,11 +280,6 @@ def baseline_drt(config: SimConfig, static: Optional[StaticScheduleResult] = Non
     if event is None:
         raise ValueError("baseline latency needs a disturbance")
     task = config._disturbed_task()
-    if static is None:
-        horizon = config.horizon or default_horizon(config)
-        static = build_static_schedule(
-            config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon
-        )
     sched = static.schedule
     slots = sched.packet_slots(
         task.id, event.detect_slot, until=event.detect_slot + task.deadline
@@ -324,6 +322,96 @@ def success_ratio(records: Sequence, alpha: Optional[int] = None) -> float:
     return ok / len(records)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """Planning phase of one run: everything decided about the disturbance
+    before the first slot executes."""
+
+    static: StaticScheduleResult
+    event: Optional[DisturbanceEvent]
+    dynamic: Optional[DynamicPlan] = None  # no window: no disturbance, baseline or infeasible
+    feasible_dynamic: bool = True
+    drt: int = 0
+    dhl: int = 0
+    periodic_in_window: int = 0
+    dr: float = 0.0
+    success: bool = True
+
+    @property
+    def decision(self) -> Optional[DropDecision]:
+        return self.dynamic.decision if self.dynamic is not None else None
+
+
+def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Plan:
+    """Plan one scenario's disturbance handling without running any slot.
+
+    The static schedule is built over the resolved horizon unless ``static``
+    (built over that same horizon) is passed in.  The distributed frameworks
+    respond one nominal period after detection, whether or not a feasible
+    window exists; the baseline's latency follows its broadcast timing model.
+    Raises HorizonTooShort when an explicit horizon cannot hold the
+    disturbance's window and ScheduleInfeasible when the static schedule
+    misses a deadline.
+    """
+    for task in config.tasks:
+        task.validate_against(config.network)
+    horizon = config.horizon if config.horizon is not None else default_horizon(config)
+    event = config.event()
+    fdpas = config.framework is not Framework.BASELINE_BROADCAST
+    if event is not None and fdpas:
+        upper = end_point_upper_bound(event, config.beta)
+        if horizon < upper:
+            raise HorizonTooShort(
+                f"sim.horizon {horizon} ends before the disturbance's latest end point "
+                f"{upper}; set it to at least {upper} or leave it unset"
+            )
+    if static is None:
+        static = build_static_schedule(
+            config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon
+        )
+    elif static.schedule.horizon != horizon:
+        raise ValueError(
+            f"static schedule covers {static.schedule.horizon} slots, the config's horizon is {horizon}"
+        )
+    if not static.feasible:
+        raise ScheduleInfeasible(
+            f"static schedule infeasible, first failure {static.first_failure}"
+        )
+    if event is None:
+        return Plan(static, None)
+    if not fdpas:
+        drt = baseline_drt(config, static)
+        return Plan(static, event, drt=drt, success=drt <= config.alpha_slots())
+
+    drt = event.enter_slot - event.detect_slot  # one nominal period
+    try:
+        dynamic = generate_dynamic_schedule(
+            event,
+            static.schedule,
+            config.tasks,
+            config.network,
+            config.required_pdr,
+            beta=config.beta,
+            level="packet" if config.framework is Framework.FDPAS_PACKET else "transmission",
+            solver=config.solver,
+        )
+    except DisturbanceInfeasible:
+        return Plan(static, event, feasible_dynamic=False, drt=drt, success=False)
+    periodic = len(periodic_packets_in_window(
+        static.schedule, config.tasks, event.task_id, event.enter_slot, dynamic.end_point
+    ))
+    return Plan(
+        static,
+        event,
+        dynamic=dynamic,
+        drt=drt,
+        dhl=dynamic.end_point - event.enter_slot,
+        periodic_in_window=periodic,
+        dr=degradation_rate(dynamic.decision, periodic),
+        success=drt <= config.alpha_slots(),
+    )
+
+
 def _link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> dict[tuple[str, str], np.ndarray]:
     """One uniform draw per (link, slot), independent of consumption order."""
     draws = {}
@@ -336,67 +424,29 @@ def _link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> 
 def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     """Execute one scenario and return its trace and metrics.
 
-    Nodes on the disturbed route follow the dynamic overlay inside the chosen
-    window; everyone else follows the static schedule throughout.  Conflicting
-    transmissions contend through the priority MAC (window transmissions of
-    the disturbed task at the high priority), deferred senders do not consume
-    their trial, and a winning transmission is received only if its receiver's
-    own operative schedule expects it.
+    ``plan`` decides the disturbance handling; then nodes on the disturbed
+    route follow the dynamic overlay inside the chosen window and everyone
+    else follows the static schedule throughout.  Conflicting transmissions
+    contend through the priority MAC (window transmissions of the disturbed
+    task at the high priority), deferred senders do not consume their trial,
+    and a winning transmission is received only if its receiver's own
+    operative schedule expects it.
     """
-    for task in config.tasks:
-        task.validate_against(config.network)
-    horizon = config.horizon if config.horizon is not None else default_horizon(config)
-    event = config.event()
-    if event is not None and config.framework is not Framework.BASELINE_BROADCAST:
-        upper = end_point_upper_bound(event, config.beta)
-        if horizon < upper:
-            raise HorizonTooShort(
-                f"sim.horizon {horizon} ends before the disturbance's latest end point "
-                f"{upper}; set it to at least {upper} or leave it unset"
-            )
-    static_result = build_static_schedule(
-        config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon
-    )
-    if not static_result.feasible:
-        raise ScheduleInfeasible(
-            f"static schedule infeasible, first failure {static_result.first_failure}"
-        )
-    sched = static_result.schedule
+    planned = plan(config)
+    sched = planned.static.schedule
+    horizon = sched.horizon
+    dynamic = planned.dynamic
     by_id = {t.id: t for t in config.tasks}
     trace = SimTrace()
 
-    plan: Optional[DynamicPlan] = None
-    feasible_dynamic = True
-    drt = 0
-    dhl = 0
-    endpoint: Optional[int] = None
     vrhy: frozenset[str] = frozenset()
-    if event is not None and config.framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
-        level = "packet" if config.framework is Framework.FDPAS_PACKET else "transmission"
+    overlay: dict = {}
+    window_start = window_end = None
+    if dynamic is not None:
+        event = dynamic.event
         vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
-        try:
-            plan = generate_dynamic_schedule(
-                event,
-                sched,
-                config.tasks,
-                config.network,
-                config.required_pdr,
-                beta=config.beta,
-                level=level,
-                solver=config.solver,
-            )
-            endpoint = plan.end_point
-            drt = event.enter_slot - event.detect_slot  # one nominal period
-            dhl = plan.end_point - event.enter_slot
-        except DisturbanceInfeasible:
-            feasible_dynamic = False
-            plan = None
-    elif event is not None and config.framework is Framework.BASELINE_BROADCAST:
-        drt = baseline_drt(config, static_result)
-
-    overlay = plan.overlay if plan is not None else {}
-    window_start = event.enter_slot if (plan is not None and event is not None) else None
-    window_end = plan.end_point if plan is not None else None
+        overlay = dynamic.overlay
+        window_start, window_end = event.enter_slot, dynamic.end_point
 
     # Packet table.  The disturbed task's nominal instances inside
     # [window start, resume release) are superseded by the dynamic packets.
@@ -404,8 +454,8 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     alias: Optional[tuple[tuple[int, int], int, tuple[int, int]]] = None  # (static key, from slot, packet key)
     for task in config.tasks:
         skip_lo = skip_hi = None
-        if plan is not None and event is not None and task.id == event.task_id:
-            skip_lo, skip_hi = event.enter_slot, plan.sets.resume_release
+        if dynamic is not None and task.id == event.task_id:
+            skip_lo, skip_hi = event.enter_slot, dynamic.sets.resume_release
         k = 0
         while task.nominal_deadline(k) <= horizon:
             release = task.release(k)
@@ -415,20 +465,20 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             packets[(task.id, release)] = _Packet(
                 task, release, task.nominal_deadline(k - 1), task.nominal_deadline(k - 1)
             )
-    if plan is not None and event is not None:
+    if dynamic is not None:
         task = by_id[event.task_id]
-        for entry in plan.sets.rhythmic:
+        for entry in dynamic.sets.rhythmic:
             expiry = entry.deadline
             if entry.tail_slots:
-                prev_release = plan.sets.resume_release - event.nominal_period
+                prev_release = dynamic.sets.resume_release - event.nominal_period
                 expiry = prev_release + event.nominal_deadline
-                alias = ((event.task_id, prev_release), plan.end_point, (event.task_id, entry.release))
+                alias = ((event.task_id, prev_release), dynamic.end_point, (event.task_id, entry.release))
             if expiry <= horizon:
                 packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry, expiry)
 
     decided_drops: set[tuple[int, int]] = set()
-    if plan is not None and plan.decision.level == "packet":
-        decided_drops = set(plan.decision.dropped_packets)
+    if dynamic is not None and dynamic.decision.level == "packet":
+        decided_drops = set(dynamic.decision.dropped_packets)
         for key in decided_drops:
             if key in packets:
                 packets[key].decided_drop = True
@@ -601,34 +651,19 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))
         expiry_idx += 1
 
-    alpha = config.alpha_slots()
-    if event is None:
-        success = True
-    else:
-        success = feasible_dynamic and drt <= (alpha or 0)
-
-    periodic_count = 0
-    dr = 0.0
-    decision = plan.decision if plan is not None else None
-    if plan is not None and event is not None:
-        keys = periodic_packets_in_window(
-            sched, config.tasks, event.task_id, event.enter_slot, plan.end_point
-        )
-        periodic_count = len(keys)
-        dr = degradation_rate(decision, periodic_count)
-
+    decision = planned.decision
     metrics = Metrics(
         framework=config.framework,
-        success=success,
-        drt_slots=drt,
-        dhl_slots=dhl,
-        degradation_rate=dr,
+        success=planned.success,
+        drt_slots=planned.drt,
+        dhl_slots=planned.dhl,
+        degradation_rate=planned.dr,
         total_degradation=decision.total_degradation if decision else 0.0,
         dropped_packets=decision.packet_count if decision else 0,
         dropped_transmissions=decision.slot_count if decision else 0,
-        endpoint=endpoint,
-        periodic_in_window=periodic_count,
+        endpoint=dynamic.end_point if dynamic else None,
+        periodic_in_window=planned.periodic_in_window,
         per_task={tid: stats[tid] for tid in sorted(stats)},
-        feasible_dynamic=feasible_dynamic,
+        feasible_dynamic=planned.feasible_dynamic,
     )
     return trace, metrics

@@ -33,6 +33,7 @@ __all__ = [
     "allocate_retry_vector",
     "plan_retry_vectors",
     "hop_expansion",
+    "hyperperiod",
     "build_static_schedule",
     "verify_schedulable",
 ]
@@ -154,7 +155,8 @@ def hop_expansion(retry_vector: Sequence[int]) -> list[int]:
     return [h for h, r in enumerate(retry_vector, start=1) for _ in range(r)]
 
 
-def _hyperperiod(tasks: Sequence[TaskSpec]) -> int:
+def hyperperiod(tasks: Sequence[TaskSpec]) -> int:
+    """Least common multiple of the task periods."""
     hp = 1
     for task in tasks:
         hp = math.lcm(hp, task.period)
@@ -185,12 +187,12 @@ def build_static_schedule(
         raise ValueError("duplicate task ids")
 
     retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
-    hyperperiod = _hyperperiod(tasks)
+    lcm = hyperperiod(tasks)
     if horizon is None:
-        top = max(t.phase for t in tasks) + hyperperiod
+        top = max(t.phase for t in tasks) + lcm
         if top > HYPERPERIOD_CAP:
             raise ValueError(
-                f"hyperperiod {hyperperiod} too large to build implicitly; pass an explicit horizon"
+                f"hyperperiod {lcm} too large to build implicitly; pass an explicit horizon"
             )
         horizon = top
 
@@ -264,7 +266,7 @@ def build_static_schedule(
         schedule=sched,
         retry_vectors=retry_vectors,
         feasible=feasible,
-        hyperperiod=hyperperiod,
+        hyperperiod=lcm,
         first_failure=first_failure,
     )
 

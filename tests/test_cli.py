@@ -189,6 +189,36 @@ def test_sweep_smoke_grid(tmp_path):
     assert (out / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("alphas: [0]", "alphas must be >= 1"),
+    ("beta: 0", "beta must be >= 1"),
+    ("solver: bogus", "unknown solver 'bogus'"),
+], ids=["alpha_0", "beta_0", "unknown_solver"])
+def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["sweep", "--spec", str(spec), "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "records.csv").exists()
+
+
+def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    scenario = tmp_path / "bogus.yaml"
+    scenario.write_text(text.replace("solver: greedy", "solver: bogus"), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown solver 'bogus'" in err
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.

@@ -10,7 +10,6 @@ from rtwnsim.model import (
     InfeasibleError,
     Link,
     NetworkModel,
-    PacketInstance,
     ReliabilityTarget,
     RhythmicSpec,
     TaskSpec,
@@ -273,13 +272,6 @@ def test_reliability_target_open_interval():
     with pytest.raises(ValueError):
         ReliabilityTarget(1.0)
     assert ReliabilityTarget(0.99).required_pdr == 0.99
-
-
-def test_packet_instance_invariants():
-    with pytest.raises(ValueError):
-        PacketInstance(task=0, index=0, release=5, deadline=5, retry_vector=(1,), achieved_pdr=1.0)
-    with pytest.raises(ValueError):
-        PacketInstance(task=0, index=0, release=0, deadline=3, retry_vector=(2, 2), achieved_pdr=1.0)
 
 
 # ----------------------------------------------------------- taskset builder

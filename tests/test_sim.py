@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
-from rtwnsim.experiments import evaluate_trial, make_trial
+from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial, trial_horizon
 from rtwnsim.sim import (
     BaselineParams,
     DisturbanceSpec,
@@ -14,6 +14,7 @@ from rtwnsim.sim import (
     SimConfig,
     baseline_drt,
     degradation_rate,
+    plan,
     run,
     success_ratio,
 )
@@ -142,6 +143,18 @@ def test_horizon_must_reach_latest_end_point():
     assert metrics.drt_slots == 30
 
 
+def test_plan_rejects_a_static_schedule_over_another_horizon():
+    net, tasks = _testbed()
+    cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
+                    disturbance=DisturbanceSpec(0, 3))
+    static = plan(cfg).static
+    assert static.schedule.horizon == 260
+    assert plan(cfg, static).dhl == run(cfg)[1].dhl_slots
+    with pytest.raises(ValueError, match="covers 260 slots, the config's horizon is 300"):
+        plan(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300,
+                       disturbance=DisturbanceSpec(0, 3)), static)
+
+
 def test_infeasible_disturbance_reports_failure():
     # A ramp whose stepped windows cannot even host the hop count leaves no
     # feasible end point; the run completes with success=False.
@@ -153,6 +166,39 @@ def test_infeasible_disturbance_reports_failure():
     _, metrics = run(cfg)
     assert not metrics.feasible_dynamic
     assert not metrics.success
+    assert metrics.drt_slots == 10  # the response still starts one nominal period on
+
+
+def test_evaluate_trial_reports_an_infeasible_disturbance_like_run():
+    # The same ramp as above, evaluated the sweep's way on its own trial.
+    net = chain_network(2, 2, pdr=1.0)
+    spec = RhythmicSpec((3, 3, 3), (3, 3, 3))
+    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10, rhythmic=spec)
+    trial = Trial(seed=1, util=0.4, r_steps=3, network=net, tasks=(task,), rhythmic_task=0,
+                  instance=1, spec=spec, budget=4)
+    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
+        rec = evaluate_trial(trial, framework, beta=1, required_pdr=0.9)
+        assert not rec.feasible_dynamic and not rec.success
+        assert rec.drt_slots == 10 and rec.dhl_slots == 0 and rec.dr == 0.0
+
+
+def test_evaluate_trial_matches_run_on_sweep_trials():
+    # The sweep plans against its shared static schedule; a full run plans
+    # against its own build over the same horizon.  Both must agree.
+    for index in range(30):
+        trial = make_trial(_trial_seed(0, 0.5, 8, 60, index), 0.5, 8)
+        period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
+        for framework in Framework:
+            rec = evaluate_trial(trial, framework)
+            _, m = run(SimConfig(
+                network=trial.network, tasks=trial.tasks, horizon=trial_horizon(trial, 4),
+                disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+                alpha=period, framework=framework,
+            ))
+            assert (rec.drt_slots, rec.dhl_slots, rec.success, rec.feasible_dynamic, rec.dr,
+                    rec.dropped_packets, rec.dropped_transmissions) == (
+                m.drt_slots, m.dhl_slots, m.success, m.feasible_dynamic, m.degradation_rate,
+                m.dropped_packets, m.dropped_transmissions), (index, framework)
 
 
 # -------------------------------------------------------------- baseline DRT
@@ -184,7 +230,7 @@ def test_baseline_best_case_close_to_one_period():
                     baseline=BaselineParams(broadcast_period=9, depth=1, offset=2))
     # detection at 9, delivery to the controller at 10, broadcast at 11,
     # flood done 12, next release 18: exactly one nominal period.
-    assert baseline_drt(cfg) == 9
+    assert plan(cfg).drt == 9
 
 
 def test_baseline_motivating_shape_three_periods():
@@ -195,7 +241,7 @@ def test_baseline_motivating_shape_three_periods():
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.9, seed=1, horizon=200,
                     disturbance=DisturbanceSpec(0, 1), framework=Framework.BASELINE_BROADCAST,
                     baseline=BaselineParams(broadcast_period=18, depth=2, offset=8))
-    assert baseline_drt(cfg) == 27  # three nominal periods
+    assert plan(cfg).drt == 27  # three nominal periods
 
 
 def test_baseline_and_disturbed_task_need_a_disturbance():
@@ -203,7 +249,7 @@ def test_baseline_and_disturbed_task_need_a_disturbance():
     net, tasks = _motivating_example()
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.9, seed=1, horizon=200)
     with pytest.raises(ValueError, match="baseline latency needs a disturbance"):
-        baseline_drt(cfg)
+        baseline_drt(cfg, plan(cfg).static)
     with pytest.raises(ValueError, match="config has no disturbance"):
         cfg._disturbed_task()
 
