@@ -7,7 +7,8 @@
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
 ``sim.horizon`` that ends before the disturbance's latest end point, an
-unknown solver, and a sweep ``alphas`` entry or ``beta`` below 1), 3
+unknown solver, a task path off the network, a MAC priority outside the
+slot's levels, and a sweep ``alphas`` entry or ``beta`` below 1), 3
 infeasible requirements: a static schedule that misses a deadline, a
 ``generate --util`` the network cannot reach, or a sweep trial that admits no
 disturbance.  Every error prints one ``error:`` line to stderr.  RTWNSIM_OUT
@@ -104,7 +105,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(None)
     trace_path = Path(args.trace_out) if args.trace_out else out / "trace.txt"
     csv_path = Path(args.csv_out) if args.csv_out else out / "metrics.csv"
-    trace_path.write_text(trace.text(), encoding="utf-8")
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        trace.write(fh)
     with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)

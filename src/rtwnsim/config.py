@@ -138,6 +138,11 @@ def parse_scenario(path: str | Path) -> SimConfig:
     doc = load_document(path)
     network = parse_network(doc)
     tasks = parse_tasks(doc)
+    for i, task in enumerate(tasks):
+        try:
+            task.validate_against(network)
+        except ValueError as exc:
+            raise ConfigError(f"tasks[{i}]: {exc}") from exc
     by_id = {t.id: t for t in tasks}
 
     disturbance = None

@@ -10,10 +10,12 @@ an undisturbed run.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from functools import partial
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -96,6 +98,13 @@ class MacParams:
     periodic_priority: int = 1
     per_table: tuple[tuple[int, float], ...] = ()  # overrides the preemption-error lookup
 
+    def __post_init__(self) -> None:
+        levels = mac_model.priority_levels(self.timing)
+        for name in ("rhythmic_priority", "periodic_priority"):
+            value = getattr(self, name)
+            if not 0 <= value < levels:
+                raise ValueError(f"{name} {value} outside the supported range 0..{levels - 1}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -155,16 +164,21 @@ def default_horizon(config: SimConfig) -> int:
     return start + slack
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace record: ``fields`` holds (name, value) pairs in line order."""
+
     slot: int
     kind: str
     fields: tuple[tuple[str, object], ...]
 
     def line(self) -> str:
-        parts = [f"slot={self.slot}", f"kind={self.kind}"]
-        parts += [f"{k}={v}" for k, v in self.fields]
-        return " ".join(parts)
+        return " ".join([f"slot={self.slot}", f"kind={self.kind}", *[f"{k}={v}" for k, v in self.fields]])
+
+
+# Builds a TraceEvent from one (slot, kind, fields) tuple without the Python
+# level __new__ that NamedTuple generates; the slot engine makes one per event.
+_trace_event = partial(tuple.__new__, TraceEvent)
+_WRITE_CHUNK = 4096  # trace lines joined per write call
 
 
 @dataclass
@@ -174,14 +188,19 @@ class SimTrace:
     packet_log: dict[tuple[int, int], list[tuple[int, int, str]]] = field(default_factory=dict)
     terminals: dict[tuple[int, int], tuple[str, int]] = field(default_factory=dict)
 
-    def add(self, slot: int, kind: str, **fields: object) -> None:
-        self.events.append(TraceEvent(slot, kind, tuple(fields.items())))
-
-    def lines(self) -> list[str]:
-        return [e.line() for e in self.events]
+    def write(self, fh: TextIO) -> None:
+        """Write the v1 text form (one line per event) to ``fh`` in chunks,
+        without building the whole text in memory."""
+        events = self.events
+        if not events:
+            fh.write("\n")
+        for start in range(0, len(events), _WRITE_CHUNK):
+            fh.write("\n".join(map(TraceEvent.line, events[start : start + _WRITE_CHUNK])) + "\n")
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        out = io.StringIO()
+        self.write(out)
+        return out.getvalue()
 
     def packets_from(self, slot: int) -> dict[tuple[int, int], tuple]:
         """Per-packet outcome records for packets released at/after ``slot``
@@ -421,6 +440,33 @@ def _link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> 
     return draws
 
 
+def _contend(
+    candidates: list[tuple], t: int, mac: MacParams, draws: dict, pdr: dict, per_draws: Optional[dict]
+) -> list[mac_model.TxOutcome]:
+    """Outcomes of a slot with two or more senders ``(sender, receiver,
+    packet, hop, priority)``: priority arbitration over their link draws,
+    then, below a 60 us tick, the preemption-error draw of the winner."""
+    contenders = [
+        mac_model.ContendingTx(sender=s, receiver=r, priority=prio, payload=(pkt.task, pkt.release, hop))
+        for s, r, pkt, hop, prio in candidates
+    ]
+    link_success = [bool(draws[(s, r)][t] < pdr[(s, r)]) for s, r, *_ in candidates]
+    outcomes = mac_model.arbitrate_slot(contenders, mac.timing, link_success)
+    if per_draws is not None:
+        prios = sorted(c.priority for c in contenders)
+        distance = prios[1] - prios[0]
+        if distance >= 1:
+            per = mac_model.preemption_error_rate(
+                mac.timing.priority_tick_us, distance, table=dict(mac.per_table) or None
+            )
+            for i, outcome in enumerate(outcomes):
+                if outcome is mac_model.TxOutcome.WON_DELIVERED:
+                    sender, receiver = candidates[i][0], candidates[i][1]
+                    if per_draws[(sender, receiver)][t] < per:
+                        outcomes[i] = mac_model.TxOutcome.WON_LOST
+    return outcomes
+
+
 def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     """Execute one scenario and return its trace and metrics.
 
@@ -476,13 +522,22 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             if expiry <= horizon:
                 packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry, expiry)
 
-    decided_drops: set[tuple[int, int]] = set()
     if dynamic is not None and dynamic.decision.level == "packet":
-        decided_drops = set(dynamic.decision.dropped_packets)
-        for key in decided_drops:
+        for key in dynamic.decision.dropped_packets:
             if key in packets:
                 packets[key].decided_drop = True
 
+    # Per-run lookups the slot loop would otherwise repeat every slot.
+    pdr = {(link.src, link.dst): link.pdr for link in config.network.links}
+    hop_links = {t.id: tuple(zip(t.path, t.path[1:])) for t in config.tasks}
+    tbs = config.mode is SchedulingMode.TBS
+    rhythmic_prio, periodic_prio = config.mac.rhythmic_priority, config.mac.periodic_priority
+    won, lost = mac_model.TxOutcome.WON_DELIVERED, mac_model.TxOutcome.WON_LOST
+    results = {
+        lost: "lost",
+        mac_model.TxOutcome.DEFERRED: "deferred",
+        mac_model.TxOutcome.COLLIDED: "collided",
+    }
     draws = _link_draws(config.network, config.seed, horizon, stream=0)
     tick = config.mac.timing.priority_tick_us
     per_draws = _link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
@@ -495,6 +550,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         releases_by_slot.setdefault(pkt.release, []).append(key)
 
     stats = {t.id: TaskStats() for t in config.tasks}
+    add = trace.events.append
+    packet_log = trace.packet_log
+    terminals = trace.terminals
 
     def finalize(pkt: _Packet, slot: int) -> None:
         if pkt.terminal is not None:
@@ -505,147 +563,101 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         else:
             pkt.terminal = "missed"
             stats[pkt.task].missed += 1
-        trace.add(slot, "state", task=pkt.task, release=pkt.release, event=pkt.terminal)
-        trace.terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
+        add(_trace_event((slot, "state", (("task", pkt.task), ("release", pkt.release),
+                                           ("event", pkt.terminal)))))
+        terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
 
-    def sched_entry(t: int) -> Optional[tuple[int, int, int]]:
-        tid = task_at[t]
-        if tid < 0:
-            return None
-        return (tid, release_at[t], hop_at[t])
-
-    def packet_for(tid: int, rel: int, t: int) -> Optional[_Packet]:
-        if alias is not None and (tid, rel) == alias[0] and t >= alias[1]:
-            return packets.get(alias[2])
-        return packets.get((tid, rel))
-
-    def tx_for(entry: tuple[int, int, int], t: int, source: str) -> Optional[tuple]:
+    def tx_for(entry: tuple[int, int, int], t: int, prio: int) -> Optional[tuple]:
         tid, rel, hop = entry
-        pkt = packet_for(tid, rel, t)
+        pkt = packets.get((tid, rel))
         if pkt is None or pkt.terminal is not None or t >= pkt.expiry:
             return None
-        task = by_id[tid]
-        if config.mode is SchedulingMode.TBS and hop > 0:
+        if tbs and hop > 0:
             if pkt.progress != hop - 1:
                 return None
-            sender, receiver = task.hop_link(hop)
-            use_hop = hop
         else:  # PBS: the current holder forwards
             if pkt.progress >= pkt.hops:
                 return None
-            sender, receiver = task.path[pkt.progress], task.path[pkt.progress + 1]
-            use_hop = pkt.progress + 1
-        return (sender, receiver, pkt, use_hop, source)
+            hop = pkt.progress + 1
+        sender, receiver = hop_links[tid][hop - 1]
+        return (sender, receiver, pkt, hop, prio)
 
     expiry_order = sorted(packets.values(), key=lambda p: (p.expiry, p.task, p.release))
     expiry_idx = 0
+    if window_start is None:
+        window_start = window_end = 0
+    alias_from = alias[1] if alias is not None else -1
 
     for t in range(horizon):
+        if t == alias_from:
+            # From here on the static slots of the superseded instance carry
+            # the tail of the last rhythmic packet.
+            packets[alias[0]] = packets.get(alias[2])  # None if it expires past the horizon
         while expiry_idx < len(expiry_order) and expiry_order[expiry_idx].expiry <= t:
             finalize(expiry_order[expiry_idx], expiry_order[expiry_idx].expiry)
             expiry_idx += 1
-        for key in releases_by_slot.get(t, ()):
-            pkt = packets[key]
-            stats[pkt.task].released += 1
-            trace.add(t, "state", task=key[0], release=key[1], event="released")
+        for tid, rel in releases_by_slot.get(t, ()):
+            stats[tid].released += 1
+            add(_trace_event((t, "state", (("task", tid), ("release", rel), ("event", "released")))))
 
-        in_window = window_start is not None and window_start <= t < window_end
-        dyn_entry = overlay.get(t) if in_window else None
-        stat_entry = sched_entry(t)
+        dyn_entry = None
+        if window_start <= t < window_end:
+            slot_plan = overlay.get(t)
+            if slot_plan is not None:
+                dyn_entry = (slot_plan.task, slot_plan.release, slot_plan.hop)
+        tid = task_at[t]
+        stat_entry = (tid, release_at[t], hop_at[t]) if tid >= 0 else None
         if stat_entry is not None:
-            trace.add(t, "sched", src="static", task=stat_entry[0],
-                      release=stat_entry[1], hop=stat_entry[2])
-        if dyn_entry is not None:
-            trace.add(t, "sched", src="dynamic", task=dyn_entry.task,
-                      release=dyn_entry.release, hop=dyn_entry.hop)
-
+            add(_trace_event((t, "sched", (("src", "static"), ("task", tid),
+                                           ("release", stat_entry[1]), ("hop", stat_entry[2])))))
         candidates: list[tuple] = []
         if dyn_entry is not None:
-            tx = tx_for((dyn_entry.task, dyn_entry.release, dyn_entry.hop), t, "dynamic")
+            add(_trace_event((t, "sched", (("src", "dynamic"), ("task", dyn_entry[0]),
+                                           ("release", dyn_entry[1]), ("hop", dyn_entry[2])))))
+            tx = tx_for(dyn_entry, t, rhythmic_prio)
             if tx is not None:
                 candidates.append(tx)
         if stat_entry is not None:
-            tx = tx_for(stat_entry, t, "static")
-            if tx is not None:
-                sender_node = tx[0]
-                # A route node inside the window follows the overlay; its
-                # static entry executes only where the overlay kept the slot.
-                if not (in_window and sender_node in vrhy and t in overlay):
-                    candidates.append(tx)
+            tx = tx_for(stat_entry, t, periodic_prio)
+            # A route node inside the window follows the overlay; its static
+            # entry executes only where the overlay kept the slot.
+            if tx is not None and not (dyn_entry is not None and tx[0] in vrhy):
+                candidates.append(tx)
 
         if not candidates:
             continue
+        for sender, receiver, pkt, hop, prio in candidates:
+            add(_trace_event((t, "tx", (("sender", sender), ("receiver", receiver), ("task", pkt.task),
+                                        ("release", pkt.release), ("hop", hop), ("prio", prio)))))
+        if len(candidates) == 1:
+            # A lone sender owns the slot: its delivery follows its link draw.
+            link = candidates[0][:2]
+            outcomes = [won if draws[link][t] < pdr[link] else lost]
+        else:
+            outcomes = _contend(candidates, t, config.mac, draws, pdr, per_draws)
 
-        contenders = []
-        for sender, receiver, pkt, hop, source in candidates:
-            prio = (
-                config.mac.rhythmic_priority
-                if source == "dynamic"
-                else config.mac.periodic_priority
-            )
-            contenders.append(
-                mac_model.ContendingTx(
-                    sender=sender, receiver=receiver, priority=prio,
-                    payload=(pkt.task, pkt.release, hop),
-                )
-            )
-            trace.add(t, "tx", sender=sender, receiver=receiver, task=pkt.task,
-                      release=pkt.release, hop=hop, prio=prio)
-
-        link_success = []
-        for sender, receiver, pkt, hop, source in candidates:
-            u = draws[(sender, receiver)][t]
-            ok = bool(u < config.network.link_pdr(sender, receiver))
-            link_success.append(ok)
-        outcomes = mac_model.arbitrate_slot(contenders, config.mac.timing, link_success)
-
-        if len(candidates) > 1 and per_draws is not None:
-            prios = sorted(c.priority for c in contenders)
-            distance = prios[1] - prios[0]
-            if distance >= 1:
-                per = mac_model.preemption_error_rate(
-                    tick, distance, table=dict(config.mac.per_table) or None
-                )
-                for i, outcome in enumerate(outcomes):
-                    if outcome is mac_model.TxOutcome.WON_DELIVERED:
-                        sender, receiver = candidates[i][0], candidates[i][1]
-                        if per_draws[(sender, receiver)][t] < per:
-                            outcomes[i] = mac_model.TxOutcome.WON_LOST
-
-        for (sender, receiver, pkt, hop, source), outcome in zip(candidates, outcomes):
-            result = outcome.value
-            if outcome is mac_model.TxOutcome.WON_DELIVERED:
+        for (sender, receiver, pkt, hop, _), outcome in zip(candidates, outcomes):
+            if outcome is won:
                 # Delivery additionally needs the receiver to be listening per
                 # its own operative schedule.
-                if in_window and receiver in vrhy:
-                    op = overlay.get(t)
-                    op_entry = (op.task, op.release, op.hop) if op is not None else stat_entry
-                else:
-                    op_entry = stat_entry
-                expected = (
-                    op_entry is not None
-                    and packet_for(op_entry[0], op_entry[1], t) is pkt
-                )
-                if expected:
+                op_entry = dyn_entry if dyn_entry is not None and receiver in vrhy else stat_entry
+                if op_entry is not None and packets.get(op_entry[:2]) is pkt:
                     pkt.progress += 1
                     result = "delivered"
                     if pkt.progress == pkt.hops:
                         pkt.terminal = "delivered"
                         pkt.finish = t + 1
                         stats[pkt.task].delivered += 1
-                        trace.terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
-                        trace.add(t, "state", task=pkt.task, release=pkt.release, event="delivered")
+                        terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
+                        add(_trace_event((t, "state", (("task", pkt.task), ("release", pkt.release),
+                                                       ("event", "delivered")))))
                 else:
                     result = "no_listener"
-            elif outcome is mac_model.TxOutcome.DEFERRED:
-                result = "deferred"
-            elif outcome is mac_model.TxOutcome.COLLIDED:
-                result = "collided"
             else:
-                result = "lost"
-            trace.add(t, "outcome", sender=sender, task=pkt.task, release=pkt.release,
-                      hop=hop, result=result)
-            trace.packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
+                result = results[outcome]
+            add(_trace_event((t, "outcome", (("sender", sender), ("task", pkt.task),
+                                             ("release", pkt.release), ("hop", hop), ("result", result)))))
+            packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
 
     while expiry_idx < len(expiry_order):
         finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))

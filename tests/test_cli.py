@@ -219,6 +219,27 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  periodic_priority: 99",
+     "mac: periodic_priority 99 outside the supported range 0..13"),
+    ("priority_tick_us: 60", "priority_tick_us: 400\n  rhythmic_priority: 3",
+     "mac: rhythmic_priority 3 outside the supported range 0..2"),
+    ("path: [V2, Vc, V3]", "path: [V2, Vx, V3]", "tasks[1]: task 1: path node 'Vx' not in network"),
+], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network"])
+def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    assert old in text
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace(old, new), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.

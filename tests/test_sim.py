@@ -4,6 +4,7 @@ timing model, determinism and resumption equivalence."""
 import numpy as np
 import pytest
 
+from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
 from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial, trial_horizon
 from rtwnsim.sim import (
@@ -11,6 +12,7 @@ from rtwnsim.sim import (
     DisturbanceSpec,
     Framework,
     HorizonTooShort,
+    MacParams,
     SimConfig,
     baseline_drt,
     degradation_rate,
@@ -79,6 +81,35 @@ def test_conservation_of_packets():
         for stats in metrics.per_task.values():
             assert stats.released == stats.delivered + stats.missed + stats.dropped
         assert 0.0 <= metrics.degradation_rate <= 0.95  # bounded by the requirement
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_packet_balance_over_seeded_fuzz(mode):
+    # Every released packet ends delivered, missed or dropped, under every
+    # framework, with and without preemption errors, whatever the radio seed.
+    for index in range(6):
+        trial = make_trial(_trial_seed(7, 0.5, 6, 50, index), 0.5, 6)
+        for framework in Framework:
+            for tick in (50, 60):
+                _, metrics = run(SimConfig(
+                    network=trial.network, tasks=trial.tasks, mode=mode, seed=index,
+                    disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+                    framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=tick)),
+                ))
+                for tid, stats in metrics.per_task.items():
+                    assert stats.released == stats.delivered + stats.missed + stats.dropped, (
+                        index, framework, tick, tid)
+
+
+@pytest.mark.parametrize("tick, levels", [(60, 14), (400, 3)])
+def test_mac_priorities_must_fit_the_slot_levels(tick, levels):
+    timing = SlotTiming(priority_tick_us=tick)
+    MacParams(timing=timing, rhythmic_priority=0, periodic_priority=levels - 1)
+    for bad in (levels, -1):
+        with pytest.raises(ValueError, match=f"periodic_priority {bad} outside the supported range 0..{levels - 1}"):
+            MacParams(timing=timing, periodic_priority=bad)
+        with pytest.raises(ValueError, match=f"rhythmic_priority {bad} outside"):
+            MacParams(timing=timing, rhythmic_priority=bad)
 
 
 def test_window_conflicts_resolve_for_the_disturbed_task():

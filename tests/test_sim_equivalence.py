@@ -1,0 +1,430 @@
+"""The slot engine against a frozen copy of the loop it replaced.
+
+``reference_run`` below records every event through a keyword-argument
+helper into the old ``fields`` tuples, builds a ``ContendingTx`` and calls
+``mac.arbitrate_slot`` on every busy slot, and resolves the tail alias on
+each packet lookup.  The library engine resolves lone-sender slots from the
+link draw alone and appends ready-made events; both must produce the same
+trace bytes (through ``text()`` and ``write()``), the same typed events,
+packet logs, terminal records and metrics, and raise the same exceptions --
+on sweep trials in both modes under all three frameworks, on the contended
+testbed window at preemption-error and error-free ticks, on runs whose last
+rhythmic packet takes over a static tail, and on hypothesis-drawn variants of
+the testbed network.
+"""
+
+import dataclasses
+import io
+from pathlib import Path
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rtwnsim import mac as mac_model
+from rtwnsim.config import parse_scenario
+from rtwnsim.experiments import _trial_seed, make_trial
+from rtwnsim.mac import SlotTiming
+from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
+from rtwnsim.rhythmic import disturbance_recipients
+from rtwnsim.sim import (
+    DisturbanceSpec,
+    Framework,
+    MacParams,
+    Metrics,
+    SimConfig,
+    SimTrace,
+    TaskStats,
+    TraceEvent,
+    _WRITE_CHUNK,
+    _link_draws,
+    _Packet,
+    plan,
+    run,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _add(trace: SimTrace, slot: int, kind: str, **fields: object) -> None:
+    trace.events.append(TraceEvent(slot, kind, tuple(fields.items())))
+
+
+def _reference_text(trace: SimTrace) -> str:
+    lines = [" ".join([f"slot={e.slot}", f"kind={e.kind}"] + [f"{k}={v}" for k, v in e.fields])
+             for e in trace.events]
+    return "\n".join(lines) + "\n"
+
+
+def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
+    """Frozen copy of the engine that arbitrated every busy slot."""
+    planned = plan(config)
+    sched = planned.static.schedule
+    horizon = sched.horizon
+    dynamic = planned.dynamic
+    by_id = {t.id: t for t in config.tasks}
+    trace = SimTrace()
+
+    vrhy: frozenset[str] = frozenset()
+    overlay: dict = {}
+    window_start = window_end = None
+    if dynamic is not None:
+        event = dynamic.event
+        vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
+        overlay = dynamic.overlay
+        window_start, window_end = event.enter_slot, dynamic.end_point
+
+    # Packet table.  The disturbed task's nominal instances inside
+    # [window start, resume release) are superseded by the dynamic packets.
+    packets: dict[tuple[int, int], _Packet] = {}
+    alias: Optional[tuple[tuple[int, int], int, tuple[int, int]]] = None  # (static key, from slot, packet key)
+    for task in config.tasks:
+        skip_lo = skip_hi = None
+        if dynamic is not None and task.id == event.task_id:
+            skip_lo, skip_hi = event.enter_slot, dynamic.sets.resume_release
+        k = 0
+        while task.nominal_deadline(k) <= horizon:
+            release = task.release(k)
+            k += 1
+            if skip_lo is not None and skip_lo <= release < skip_hi:
+                continue
+            packets[(task.id, release)] = _Packet(
+                task, release, task.nominal_deadline(k - 1), task.nominal_deadline(k - 1)
+            )
+    if dynamic is not None:
+        task = by_id[event.task_id]
+        for entry in dynamic.sets.rhythmic:
+            expiry = entry.deadline
+            if entry.tail_slots:
+                prev_release = dynamic.sets.resume_release - event.nominal_period
+                expiry = prev_release + event.nominal_deadline
+                alias = ((event.task_id, prev_release), dynamic.end_point, (event.task_id, entry.release))
+            if expiry <= horizon:
+                packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry, expiry)
+
+    decided_drops: set[tuple[int, int]] = set()
+    if dynamic is not None and dynamic.decision.level == "packet":
+        decided_drops = set(dynamic.decision.dropped_packets)
+        for key in decided_drops:
+            if key in packets:
+                packets[key].decided_drop = True
+
+    draws = _link_draws(config.network, config.seed, horizon, stream=0)
+    tick = config.mac.timing.priority_tick_us
+    per_draws = _link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
+
+    task_at = sched.task_at.tolist()
+    release_at = sched.release_at.tolist()
+    hop_at = sched.hop_at.tolist()
+    releases_by_slot: dict[int, list[tuple[int, int]]] = {}
+    for key, pkt in packets.items():
+        releases_by_slot.setdefault(pkt.release, []).append(key)
+
+    stats = {t.id: TaskStats() for t in config.tasks}
+
+    def finalize(pkt: _Packet, slot: int) -> None:
+        if pkt.terminal is not None:
+            return
+        if pkt.decided_drop:
+            pkt.terminal = "dropped"
+            stats[pkt.task].dropped += 1
+        else:
+            pkt.terminal = "missed"
+            stats[pkt.task].missed += 1
+        _add(trace, slot, "state", task=pkt.task, release=pkt.release, event=pkt.terminal)
+        trace.terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
+
+    def sched_entry(t: int) -> Optional[tuple[int, int, int]]:
+        tid = task_at[t]
+        if tid < 0:
+            return None
+        return (tid, release_at[t], hop_at[t])
+
+    def packet_for(tid: int, rel: int, t: int) -> Optional[_Packet]:
+        if alias is not None and (tid, rel) == alias[0] and t >= alias[1]:
+            return packets.get(alias[2])
+        return packets.get((tid, rel))
+
+    def tx_for(entry: tuple[int, int, int], t: int, source: str) -> Optional[tuple]:
+        tid, rel, hop = entry
+        pkt = packet_for(tid, rel, t)
+        if pkt is None or pkt.terminal is not None or t >= pkt.expiry:
+            return None
+        task = by_id[tid]
+        if config.mode is SchedulingMode.TBS and hop > 0:
+            if pkt.progress != hop - 1:
+                return None
+            sender, receiver = task.hop_link(hop)
+            use_hop = hop
+        else:  # PBS: the current holder forwards
+            if pkt.progress >= pkt.hops:
+                return None
+            sender, receiver = task.path[pkt.progress], task.path[pkt.progress + 1]
+            use_hop = pkt.progress + 1
+        return (sender, receiver, pkt, use_hop, source)
+
+    expiry_order = sorted(packets.values(), key=lambda p: (p.expiry, p.task, p.release))
+    expiry_idx = 0
+
+    for t in range(horizon):
+        while expiry_idx < len(expiry_order) and expiry_order[expiry_idx].expiry <= t:
+            finalize(expiry_order[expiry_idx], expiry_order[expiry_idx].expiry)
+            expiry_idx += 1
+        for key in releases_by_slot.get(t, ()):
+            pkt = packets[key]
+            stats[pkt.task].released += 1
+            _add(trace, t, "state", task=key[0], release=key[1], event="released")
+
+        in_window = window_start is not None and window_start <= t < window_end
+        dyn_entry = overlay.get(t) if in_window else None
+        stat_entry = sched_entry(t)
+        if stat_entry is not None:
+            _add(trace, t, "sched", src="static", task=stat_entry[0],
+                 release=stat_entry[1], hop=stat_entry[2])
+        if dyn_entry is not None:
+            _add(trace, t, "sched", src="dynamic", task=dyn_entry.task,
+                 release=dyn_entry.release, hop=dyn_entry.hop)
+
+        candidates: list[tuple] = []
+        if dyn_entry is not None:
+            tx = tx_for((dyn_entry.task, dyn_entry.release, dyn_entry.hop), t, "dynamic")
+            if tx is not None:
+                candidates.append(tx)
+        if stat_entry is not None:
+            tx = tx_for(stat_entry, t, "static")
+            if tx is not None:
+                sender_node = tx[0]
+                # A route node inside the window follows the overlay; its
+                # static entry executes only where the overlay kept the slot.
+                if not (in_window and sender_node in vrhy and t in overlay):
+                    candidates.append(tx)
+
+        if not candidates:
+            continue
+
+        contenders = []
+        for sender, receiver, pkt, hop, source in candidates:
+            prio = (
+                config.mac.rhythmic_priority
+                if source == "dynamic"
+                else config.mac.periodic_priority
+            )
+            contenders.append(
+                mac_model.ContendingTx(
+                    sender=sender, receiver=receiver, priority=prio,
+                    payload=(pkt.task, pkt.release, hop),
+                )
+            )
+            _add(trace, t, "tx", sender=sender, receiver=receiver, task=pkt.task,
+                 release=pkt.release, hop=hop, prio=prio)
+
+        link_success = []
+        for sender, receiver, pkt, hop, source in candidates:
+            u = draws[(sender, receiver)][t]
+            ok = bool(u < config.network.link_pdr(sender, receiver))
+            link_success.append(ok)
+        outcomes = mac_model.arbitrate_slot(contenders, config.mac.timing, link_success)
+
+        if len(candidates) > 1 and per_draws is not None:
+            prios = sorted(c.priority for c in contenders)
+            distance = prios[1] - prios[0]
+            if distance >= 1:
+                per = mac_model.preemption_error_rate(
+                    tick, distance, table=dict(config.mac.per_table) or None
+                )
+                for i, outcome in enumerate(outcomes):
+                    if outcome is mac_model.TxOutcome.WON_DELIVERED:
+                        sender, receiver = candidates[i][0], candidates[i][1]
+                        if per_draws[(sender, receiver)][t] < per:
+                            outcomes[i] = mac_model.TxOutcome.WON_LOST
+
+        for (sender, receiver, pkt, hop, source), outcome in zip(candidates, outcomes):
+            result = outcome.value
+            if outcome is mac_model.TxOutcome.WON_DELIVERED:
+                # Delivery additionally needs the receiver to be listening per
+                # its own operative schedule.
+                if in_window and receiver in vrhy:
+                    op = overlay.get(t)
+                    op_entry = (op.task, op.release, op.hop) if op is not None else stat_entry
+                else:
+                    op_entry = stat_entry
+                expected = (
+                    op_entry is not None
+                    and packet_for(op_entry[0], op_entry[1], t) is pkt
+                )
+                if expected:
+                    pkt.progress += 1
+                    result = "delivered"
+                    if pkt.progress == pkt.hops:
+                        pkt.terminal = "delivered"
+                        pkt.finish = t + 1
+                        stats[pkt.task].delivered += 1
+                        trace.terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
+                        _add(trace, t, "state", task=pkt.task, release=pkt.release, event="delivered")
+                else:
+                    result = "no_listener"
+            elif outcome is mac_model.TxOutcome.DEFERRED:
+                result = "deferred"
+            elif outcome is mac_model.TxOutcome.COLLIDED:
+                result = "collided"
+            else:
+                result = "lost"
+            _add(trace, t, "outcome", sender=sender, task=pkt.task, release=pkt.release,
+                 hop=hop, result=result)
+            trace.packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
+
+    while expiry_idx < len(expiry_order):
+        finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))
+        expiry_idx += 1
+
+    decision = planned.decision
+    metrics = Metrics(
+        framework=config.framework,
+        success=planned.success,
+        drt_slots=planned.drt,
+        dhl_slots=planned.dhl,
+        degradation_rate=planned.dr,
+        total_degradation=decision.total_degradation if decision else 0.0,
+        dropped_packets=decision.packet_count if decision else 0,
+        dropped_transmissions=decision.slot_count if decision else 0,
+        endpoint=dynamic.end_point if dynamic else None,
+        periodic_in_window=planned.periodic_in_window,
+        per_task={tid: stats[tid] for tid in sorted(stats)},
+        feasible_dynamic=planned.feasible_dynamic,
+    )
+    return trace, metrics
+
+
+def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
+    try:
+        ref_trace, ref_metrics = reference_run(config)
+    except Exception as exc:  # the engine must fail the same way
+        with pytest.raises(type(exc)):
+            run(config)
+        return None
+    trace, metrics = run(config)
+    assert all(type(e) is TraceEvent for e in trace.events)
+    assert trace.events == ref_trace.events
+    text = trace.text()
+    assert text == _reference_text(ref_trace)
+    out = io.StringIO()
+    trace.write(out)
+    assert out.getvalue() == text
+    assert list(trace.packet_log.items()) == list(ref_trace.packet_log.items())
+    assert list(trace.terminals.items()) == list(ref_trace.terminals.items())
+    assert metrics == ref_metrics
+    return trace
+
+
+def _sweep_config(index: int, mode: SchedulingMode, framework: Framework, tick: int) -> SimConfig:
+    trial = make_trial(_trial_seed(1, 0.5, 8, tick, index), 0.5, 8)
+    return SimConfig(
+        network=trial.network,
+        tasks=trial.tasks,
+        mode=mode,
+        seed=index,
+        disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+        framework=framework,
+        mac=MacParams(timing=SlotTiming(priority_tick_us=tick)),
+    )
+
+
+@pytest.mark.parametrize("tick", [50, 60])
+@pytest.mark.parametrize("framework", list(Framework), ids=lambda f: f.value)
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_sweep_trials_match_reference(mode, framework, tick):
+    ran = [_assert_same_run(_sweep_config(index, mode, framework, tick)) for index in range(3)]
+    # Runs long enough to span more than one write chunk.
+    assert any(t is not None and len(t.events) > _WRITE_CHUNK for t in ran)
+
+
+@pytest.mark.parametrize("tick", [30, 50, 60])
+@pytest.mark.parametrize("framework", list(Framework), ids=lambda f: f.value)
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_contended_testbed_window_matches_reference(mode, framework, tick):
+    base = parse_scenario(SCENARIOS / "testbed.yaml")
+    config = dataclasses.replace(
+        base, mode=mode, framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=tick))
+    )
+    trace = _assert_same_run(config)
+    # The FD-PaS window puts two senders into some slots; the baseline plans
+    # no window, so every slot keeps a lone sender.
+    tx_slots = [e.slot for e in trace.events if e.kind == "tx"]
+    assert (len(tx_slots) > len(set(tx_slots))) == (framework is not Framework.BASELINE_BROADCAST)
+
+
+def _testbed_network(pdr: float) -> NetworkModel:
+    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
+    links = tuple(
+        Link(a, b, pdr)
+        for a, b in [("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"), ("V2", "Vc"), ("Vc", "V5")]
+    )
+    return NetworkModel(nodes=nodes, controller="Vc", links=links)
+
+
+def _testbed_config(mode, period, ramp, phase, p1, phase1, p2, phase2, instance, beta,
+                    framework=Framework.FDPAS_PACKET, tick=60, pdr=0.9, seed=1):
+    tasks = (
+        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=period, deadline=period,
+                 rhythmic=RhythmicSpec(ramp, ramp), phase=phase),
+        TaskSpec(id=1, path=("V2", "Vc", "V3"), period=p1, deadline=p1, phase=phase1),
+        TaskSpec(id=2, path=("V1", "Vc", "V5"), period=p2, deadline=p2, phase=phase2),
+    )
+    return SimConfig(network=_testbed_network(pdr), tasks=tasks, mode=mode, required_pdr=0.9,
+                     seed=seed, disturbance=DisturbanceSpec(0, instance), beta=beta,
+                     framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=tick)))
+
+
+_TBS_TAIL = (SchedulingMode.TBS, 29, (8, 17), 3, 29, 2, 7, 4, 2, 4)
+_PBS_TAIL = (SchedulingMode.PBS, 38, (9, 13), 1, 7, 1, 28, 4, 2, 4)
+
+
+@pytest.mark.parametrize("case, framework, seed", [
+    (_TBS_TAIL, Framework.FDPAS_PACKET, 15),
+    (_TBS_TAIL, Framework.FDPAS_TRANSMISSION, 9),
+    (_PBS_TAIL, Framework.FDPAS_PACKET, 13),
+    (_PBS_TAIL, Framework.FDPAS_TRANSMISSION, 23),
+], ids=["TBS-packet", "TBS-transmission", "PBS-packet", "PBS-transmission"])
+def test_tail_takeover_matches_reference(case, framework, seed):
+    # The last rhythmic packet is released off the nominal grid and takes
+    # over the static tail of the grid instance before the resumed release:
+    # from the end point on, slots labelled with that instance carry the
+    # rhythmic packet.  The radio seeds leave it in flight at the end point.
+    config = _testbed_config(*case, framework=framework, seed=seed)
+    dynamic = plan(config).dynamic
+    boundary = dynamic.sets.rhythmic[-1]
+    taken_over = dynamic.sets.resume_release - dynamic.event.nominal_period
+    assert boundary.tail_slots and taken_over != boundary.release
+    trace = _assert_same_run(config)
+    log = trace.packet_log[(0, boundary.release)]
+    assert any(slot >= dynamic.end_point for slot, _, _ in log)
+
+
+@st.composite
+def _small_scenarios(draw):
+    """The testbed's three loops with drawn periods, phases, ramp, link
+    quality, disturbance instance and engine settings."""
+    period = draw(st.integers(8, 20))
+    ramp = tuple(sorted(draw(st.lists(st.integers(max(4, period // 2), period - 1), min_size=1, max_size=4))))
+    return _testbed_config(
+        draw(st.sampled_from(list(SchedulingMode))),
+        period,
+        ramp,
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([20, 30, 40])),
+        draw(st.integers(0, 5)),
+        draw(st.sampled_from([20, 24, 40])),
+        draw(st.integers(0, 5)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        framework=draw(st.sampled_from(list(Framework))),
+        tick=draw(st.sampled_from([30, 50, 60])),
+        pdr=draw(st.sampled_from([1.0, 0.9, 0.7])),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_scenarios())
+def test_small_scenarios_match_reference(config):
+    _assert_same_run(config)
