@@ -6,13 +6,16 @@
 
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
-``sim.horizon`` that ends before the disturbance's latest end point, an
-unknown solver, a task path off the network, a MAC priority outside the
-slot's levels, and a sweep ``alphas`` entry or ``beta`` below 1), 3
-infeasible requirements: a static schedule that misses a deadline, a
-``generate --util`` the network cannot reach, or a sweep trial that admits no
-disturbance.  Every error prints one ``error:`` line to stderr.  RTWNSIM_OUT
-sets the default output directory.
+``sim.horizon`` below 1 or ending before the disturbance's latest end point,
+a negative ``sim.seed`` or ``disturbance.instance``, an unknown solver, a
+task path off the network, a MAC priority outside the slot's levels, a
+``priority_tick_us`` outside 30..400 us, and a sweep spec with ``utils``
+outside [0, 1], an ``r_steps`` or ``alphas`` entry or ``beta`` below 1,
+``gamma`` or ``required_pdr`` outside (0, 1), or a negative tick or
+``base_seed``), 3 infeasible requirements: a static schedule that misses a
+deadline, a ``generate --util`` the network cannot reach, or a sweep trial
+that admits no disturbance.  Every error prints one ``error:`` line to
+stderr.  RTWNSIM_OUT sets the default output directory.
 """
 
 from __future__ import annotations

@@ -156,9 +156,11 @@ def parse_scenario(path: str | Path) -> SimConfig:
             rhythmic = _parse_rhythmic(raw["rhythmic"], by_id[task_id].period, "disturbance.rhythmic")
         elif by_id[task_id].rhythmic is None:
             raise ConfigError("disturbance: task has no rhythmic specification")
-        disturbance = DisturbanceSpec(
-            task=task_id, instance=int(_require(raw, "instance", "disturbance")), rhythmic=rhythmic
-        )
+        instance = int(_require(raw, "instance", "disturbance"))
+        try:
+            disturbance = DisturbanceSpec(task=task_id, instance=instance, rhythmic=rhythmic)
+        except ValueError as exc:
+            raise ConfigError(f"disturbance: {exc}") from exc
 
     mac_raw = doc.get("mac") or {}
     try:

@@ -82,10 +82,6 @@ class TransmissionVector:
     packet: PacketKey
     replaceable: tuple[int, ...]
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.replaceable))
-
 
 @dataclass(frozen=True)
 class DemandVector:
@@ -216,21 +212,14 @@ def build_transmission_vectors(
     ]
 
 
-def build_demand_vector(
-    sets: ActivePacketSets,
-    static: Schedule,
-    lossy: bool,
-    required_pdr: float,
-    path_pdrs: Sequence[float],
-) -> DemandVector:
-    """Per rhythmic packet: slots demanded (hop count on lossless networks,
-    the reliability retry budget otherwise, or the boundary truncation) and
-    slots already available in its window (idle plus the disturbed task's)."""
-    full = sum(allocate_retry_vector(path_pdrs, required_pdr)) if lossy else len(path_pdrs)
+def build_demand_vector(sets: ActivePacketSets, static: Schedule, full_demand: int) -> DemandVector:
+    """Per rhythmic packet: slots demanded (``full_demand``, the retry budget
+    of a whole packet, or the boundary truncation) and slots already
+    available in its window (idle plus the disturbed task's)."""
     required = []
     available = []
     for entry in sets.rhythmic:
-        required.append(resolved_demand(entry, full))
+        required.append(resolved_demand(entry, full_demand))
         lo, hi = entry.window
         window = static.task_at[lo:hi]
         available.append(int(((window == -1) | (window == sets.task_id)).sum()))
@@ -578,7 +567,6 @@ class DynamicPlan:
     overlay: dict[int, SlotAssignment]
     assignments: dict[int, tuple[tuple[int, int], ...]]  # release -> ((slot, hop), ...)
     evaluations: tuple[tuple[int, Optional[float]], ...]
-    lossy: bool
     retry_vector: tuple[int, ...]  # per-hop budget of each full-demand rhythmic packet
 
     @property
@@ -631,23 +619,21 @@ def generate_dynamic_schedule(
         raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}")
     by_id = {t.id: t for t in tasks}
     task = by_id[event.task_id]
-    path_pdrs = network.path_pdrs(task.path)
-    lossy = not network.lossless()
     retry_vector = (
-        allocate_retry_vector(path_pdrs, required_pdr) if lossy else tuple([1] * task.hops)
+        tuple([1] * task.hops)
+        if network.lossless()
+        else allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
     )
-    full_demand = sum(retry_vector)
+    full_demand = sum(retry_vector)  # slots of a whole rhythmic packet
 
     f_last = earliest_last_finish(event, task.hops)
     upper = end_point_upper_bound(event, beta)
-    candidates = end_point_candidates(event, f_last, beta)
-
     evaluations: list[tuple[int, Optional[float]]] = []
     best: Optional[tuple[float, int, ActivePacketSets, DemandVector, DropDecision]] = None
-    for candidate in candidates:
+    for candidate in end_point_candidates(event, f_last, beta):
         try:
             sets = build_active_sets(candidate, event, static, tasks, full_demand)
-            demand = build_demand_vector(sets, static, lossy, required_pdr, path_pdrs)
+            demand = build_demand_vector(sets, static, full_demand)
             if demand.satisfied:
                 decision = DropDecision(level=level)
             elif level == "packet":
@@ -723,12 +709,7 @@ def generate_dynamic_schedule(
                 f"stepped packet finishes at {realized_finish}, the bound is {upper}"
             )
 
-    window = RhythmicWindow(
-        start=event.enter_slot,
-        end=end_point,
-        end_upper_bound=upper,
-        candidates=tuple(candidates),
-    )
+    window = RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper)
     return DynamicPlan(
         event=event,
         window=window,
@@ -737,6 +718,5 @@ def generate_dynamic_schedule(
         overlay=overlay,
         assignments=assignments,
         evaluations=tuple(evaluations),
-        lossy=lossy,
         retry_vector=retry_vector,
     )

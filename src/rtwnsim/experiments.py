@@ -19,26 +19,24 @@ import numpy as np
 from .model import (
     InfeasibleError,
     NetworkModel,
+    ReliabilityTarget,
     RhythmicSpec,
     ScheduleInfeasible,
-    SchedulingMode,
     TaskSpec,
     allocate_retry_vector,
     generate_rhythmic_spec,
     generate_taskset,
     random_chain_network,
 )
-from .rhythmic import DisturbanceEvent, end_point_upper_bound
-from .static_schedule import StaticScheduleResult, build_static_schedule
+from .static_schedule import StaticScheduleResult
 from .dropping import SOLVERS
-from .sim import DisturbanceSpec, Framework, SimConfig, plan
+from .sim import DisturbanceSpec, Framework, SimConfig, build_static, plan
 
 __all__ = [
     "Trial",
     "RunRecord",
     "ExperimentSpec",
     "make_trial",
-    "trial_horizon",
     "evaluate_trial",
     "run_cell",
     "run_sweep",
@@ -190,26 +188,21 @@ def _disturbed_task(trial: Trial) -> TaskSpec:
     return next(t for t in trial.tasks if t.id == trial.rhythmic_task)
 
 
-def trial_horizon(trial: Trial, beta: int) -> int:
-    """Slots a trial's static schedule covers: the disturbance's latest end
-    point plus two of the longest periods of slack."""
-    event = DisturbanceEvent.from_task(_disturbed_task(trial), trial.instance, trial.spec)
-    return end_point_upper_bound(event, beta) + 2 * max(t.period for t in trial.tasks) + 1
-
-
-def _trial_schedule(trial: Trial, beta: int, required_pdr: float) -> StaticScheduleResult:
-    """The trial's TBS static schedule over ``trial_horizon``; every framework
-    evaluated on the trial plans against this one table."""
-    static = build_static_schedule(
-        trial.tasks, trial.network, SchedulingMode.TBS, required_pdr,
-        horizon=trial_horizon(trial, beta),
+def _trial_config(
+    trial: Trial, framework: Framework, alpha_mult: int, beta: int, required_pdr: float, solver: str
+) -> SimConfig:
+    """The TBS scenario of one trial over the default horizon."""
+    task = _disturbed_task(trial)
+    return SimConfig(
+        network=trial.network,
+        tasks=trial.tasks,
+        required_pdr=required_pdr,
+        disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
+        alpha=alpha_mult * task.period,
+        beta=beta,
+        solver=solver,
+        framework=framework,
     )
-    if not static.feasible:
-        raise ScheduleInfeasible(
-            f"trial seed {trial.seed}: static schedule misses packet (task, release) "
-            f"{static.first_failure}"
-        )
-    return static
 
 
 def evaluate_trial(
@@ -230,20 +223,7 @@ def evaluate_trial(
     built here.  Raises ScheduleInfeasible when the task set misses a
     deadline in its static schedule.
     """
-    if static is None:
-        static = _trial_schedule(trial, beta, required_pdr)
-    task = _disturbed_task(trial)
-    config = SimConfig(
-        network=trial.network,
-        tasks=trial.tasks,
-        required_pdr=required_pdr,
-        horizon=static.schedule.horizon,
-        disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
-        alpha=alpha_mult * task.period,
-        beta=beta,
-        solver=solver,
-        framework=framework,
-    )
+    config = _trial_config(trial, framework, alpha_mult, beta, required_pdr, solver)
     planned = plan(config, static)
     decision = planned.decision
     return RunRecord(
@@ -296,6 +276,17 @@ class ExperimentSpec:
                 raise ValueError("sweep axes must be non-empty")
         if min(self.alphas) < 1:
             raise ValueError("alphas must be >= 1 (latency bounds in nominal periods)")
+        if not all(0 <= u <= 1 for u in self.utils):
+            raise ValueError("utils must lie in [0, 1]")
+        if min(self.r_steps) < 1:
+            raise ValueError("r_steps must be >= 1")
+        if not 0 < self.gamma < 1:
+            raise ValueError("gamma must lie in (0, 1)")
+        ReliabilityTarget(self.required_pdr)
+        if min(self.ticks) < 0:
+            raise ValueError("ticks must be >= 0")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if self.solver not in SOLVERS:
@@ -319,7 +310,12 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
         trial = make_trial(
             seed, util, r_steps, gamma=spec.gamma, required_pdr=spec.required_pdr
         )
-        static = _trial_schedule(trial, spec.beta, spec.required_pdr)
+        config = _trial_config(trial, spec.frameworks[0], spec.alphas[0], spec.beta,
+                               spec.required_pdr, spec.solver)
+        try:
+            static = build_static(config)
+        except ScheduleInfeasible as exc:
+            raise ScheduleInfeasible(f"trial seed {seed}: {exc}") from exc
         period = _disturbed_task(trial).period
         for framework in spec.frameworks:
             base = evaluate_trial(

@@ -137,10 +137,6 @@ class RhythmicSpec:
             raise ValueError("periods must be monotonically non-decreasing")
 
     @property
-    def steps(self) -> int:
-        return len(self.periods)
-
-    @property
     def total(self) -> int:
         """Length of the rhythmic state: sum of all stepped periods."""
         return int(sum(self.periods))

@@ -99,7 +99,6 @@ class RhythmicWindow:
     start: int  # enter_slot
     end: int  # chosen end point
     end_upper_bound: int
-    candidates: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not (self.start < self.end <= self.end_upper_bound):

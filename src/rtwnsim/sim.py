@@ -49,6 +49,7 @@ __all__ = [
     "TaskStats",
     "Metrics",
     "Plan",
+    "build_static",
     "plan",
     "run",
     "baseline_drt",
@@ -58,6 +59,8 @@ __all__ = [
     "default_horizon",
 ]
 
+# Longest hyperperiod, in slots, that default_horizon repeats twice as slack;
+# past it the slack is four of the longest periods.
 _HYPERPERIOD_SOFT_CAP = 10_000
 
 
@@ -77,6 +80,10 @@ class DisturbanceSpec:
     task: int
     instance: int
     rhythmic: Optional[RhythmicSpec] = None  # falls back to the task's own spec
+
+    def __post_init__(self) -> None:
+        if self.instance < 0:
+            raise ValueError(f"instance {self.instance} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,9 @@ class MacParams:
     per_table: tuple[tuple[int, float], ...] = ()  # overrides the preemption-error lookup
 
     def __post_init__(self) -> None:
+        # A run looks preemption errors up at this tick; the lookup rejects
+        # ticks its measurements do not cover.
+        mac_model.preemption_error_rate(self.timing.priority_tick_us, 1)
         levels = mac_model.priority_levels(self.timing)
         for name in ("rhythmic_priority", "periodic_priority"):
             value = getattr(self, name)
@@ -124,6 +134,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         ReliabilityTarget(self.required_pdr)
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon {self.horizon} must be >= 1")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if self.solver not in SOLVERS:
@@ -154,8 +168,10 @@ class SimConfig:
 
 
 def default_horizon(config: SimConfig) -> int:
-    """Two hyperperiods of slack past the latest possible end point, falling
-    back to a bounded window when the hyperperiod is astronomically large."""
+    """The horizon ``simulate`` and ``sweep`` both build the static schedule
+    over when none is set: two hyperperiods of slack past the latest possible
+    end point, or four of the longest periods when the hyperperiod exceeds
+    the soft cap.  A plan reads no slot past it."""
     hyper = hyperperiod(config.tasks)
     max_period = max(t.period for t in config.tasks)
     slack = 2 * hyper if hyper <= _HYPERPERIOD_SOFT_CAP else 4 * max_period
@@ -361,44 +377,56 @@ class Plan:
         return self.dynamic.decision if self.dynamic is not None else None
 
 
+def _horizon(config: SimConfig) -> int:
+    """The config's ``horizon``, or ``default_horizon`` when it is unset.
+    Raises HorizonTooShort when an explicit horizon cannot hold the
+    disturbance's window under a distributed framework."""
+    if config.horizon is None:
+        return default_horizon(config)
+    event = config.event()
+    if event is not None and config.framework is not Framework.BASELINE_BROADCAST:
+        upper = end_point_upper_bound(event, config.beta)
+        if config.horizon < upper:
+            raise HorizonTooShort(
+                f"sim.horizon {config.horizon} ends before the disturbance's latest end point "
+                f"{upper}; set it to at least {upper} or leave it unset"
+            )
+    return config.horizon
+
+
+def build_static(config: SimConfig) -> StaticScheduleResult:
+    """The config's EDF static schedule over its resolved horizon.  Raises
+    HorizonTooShort (see ``_horizon``) and ScheduleInfeasible when the
+    schedule misses a deadline inside the horizon."""
+    static = build_static_schedule(
+        config.tasks, config.network, config.mode, config.required_pdr, horizon=_horizon(config)
+    )
+    if not static.feasible:
+        raise ScheduleInfeasible(
+            f"static schedule misses packet (task, release) {static.first_failure}"
+        )
+    return static
+
+
 def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Plan:
     """Plan one scenario's disturbance handling without running any slot.
 
-    The static schedule is built over the resolved horizon unless ``static``
-    (built over that same horizon) is passed in.  The distributed frameworks
+    The static schedule is ``build_static(config)`` unless ``static``, built
+    that way over the same horizon, is passed in.  The distributed frameworks
     respond one nominal period after detection, whether or not a feasible
     window exists; the baseline's latency follows its broadcast timing model.
-    Raises HorizonTooShort when an explicit horizon cannot hold the
-    disturbance's window and ScheduleInfeasible when the static schedule
-    misses a deadline.
     """
-    for task in config.tasks:
-        task.validate_against(config.network)
-    horizon = config.horizon if config.horizon is not None else default_horizon(config)
-    event = config.event()
-    fdpas = config.framework is not Framework.BASELINE_BROADCAST
-    if event is not None and fdpas:
-        upper = end_point_upper_bound(event, config.beta)
-        if horizon < upper:
-            raise HorizonTooShort(
-                f"sim.horizon {horizon} ends before the disturbance's latest end point "
-                f"{upper}; set it to at least {upper} or leave it unset"
-            )
     if static is None:
-        static = build_static_schedule(
-            config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon
-        )
-    elif static.schedule.horizon != horizon:
+        static = build_static(config)
+    elif static.schedule.horizon != _horizon(config):
         raise ValueError(
-            f"static schedule covers {static.schedule.horizon} slots, the config's horizon is {horizon}"
+            f"static schedule covers {static.schedule.horizon} slots, "
+            f"the config's horizon is {_horizon(config)}"
         )
-    if not static.feasible:
-        raise ScheduleInfeasible(
-            f"static schedule infeasible, first failure {static.first_failure}"
-        )
+    event = config.event()
     if event is None:
         return Plan(static, None)
-    if not fdpas:
+    if config.framework is Framework.BASELINE_BROADCAST:
         drt = baseline_drt(config, static)
         return Plan(static, event, drt=drt, success=drt <= config.alpha_slots())
 

@@ -38,10 +38,6 @@ __all__ = [
     "verify_schedulable",
 ]
 
-# Building a schedule over the full hyperperiod is only sensible while the
-# lcm stays desk-sized; callers must pass an explicit horizon beyond this.
-HYPERPERIOD_CAP = 500_000
-
 
 @dataclass(frozen=True)
 class SlotAssignment:
@@ -98,13 +94,6 @@ class Schedule:
 
     def task_slots(self, task: int) -> np.ndarray:
         return np.nonzero(self.task_at == task)[0]
-
-    def idle_slots(self) -> np.ndarray:
-        return np.nonzero(self.task_at == -1)[0]
-
-    def copy(self) -> "Schedule":
-        return Schedule(self.mode, self.horizon,
-                        self.task_at.copy(), self.release_at.copy(), self.hop_at.copy())
 
 
 @dataclass(frozen=True)
@@ -168,9 +157,9 @@ def build_static_schedule(
     network: NetworkModel,
     mode: SchedulingMode,
     required_pdr: float,
-    horizon: Optional[int] = None,
+    horizon: int,
 ) -> StaticScheduleResult:
-    """EDF slot assignment over [0, horizon) (default: one hyperperiod).
+    """EDF slot assignment over [0, horizon).
 
     Ready packets are served earliest-deadline-first with ties broken by task
     id then release; a packet's w slots are taken in order, labelled hop by
@@ -187,14 +176,6 @@ def build_static_schedule(
         raise ValueError("duplicate task ids")
 
     retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
-    lcm = hyperperiod(tasks)
-    if horizon is None:
-        top = max(t.phase for t in tasks) + lcm
-        if top > HYPERPERIOD_CAP:
-            raise ValueError(
-                f"hyperperiod {lcm} too large to build implicitly; pass an explicit horizon"
-            )
-        horizon = top
 
     # (release, deadline, task, demand) for every instance released in window
     jobs: list[list[int]] = []  # [release, deadline, task, remaining]
@@ -266,7 +247,7 @@ def build_static_schedule(
         schedule=sched,
         retry_vectors=retry_vectors,
         feasible=feasible,
-        hyperperiod=lcm,
+        hyperperiod=hyperperiod(tasks),
         first_failure=first_failure,
     )
 

@@ -29,7 +29,7 @@ from rtwnsim.model import (
     packet_pdr,
 )
 from rtwnsim.static_schedule import build_static_schedule, plan_retry_vectors
-from rtwnsim.rhythmic import DisturbanceEvent, find_idle_slot
+from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound, find_idle_slot
 from rtwnsim.dropping import (
     DemandVector,
     TransmissionVector,
@@ -39,7 +39,7 @@ from rtwnsim.dropping import (
     optimal_drop_oracle,
 )
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
-from rtwnsim.experiments import evaluate_trial, make_trial, trial_horizon
+from rtwnsim.experiments import evaluate_trial, make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
 
@@ -280,7 +280,9 @@ def test_a7_constraint_suite():
             continue
         task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
         event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
-        horizon = trial_horizon(trial, 4)
+        # Two of the longest periods past the latest end point hold every
+        # slot a plan reads, at a fraction of the default horizon's length.
+        horizon = end_point_upper_bound(event, 4) + 2 * max(t.period for t in trial.tasks) + 1
         static = build_static_schedule(trial.tasks, trial.network, SchedulingMode.TBS,
                                        0.99, horizon=horizon)
         assert static.feasible

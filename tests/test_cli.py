@@ -193,7 +193,17 @@ def test_sweep_smoke_grid(tmp_path):
     ("alphas: [0]", "alphas must be >= 1"),
     ("beta: 0", "beta must be >= 1"),
     ("solver: bogus", "unknown solver 'bogus'"),
-], ids=["alpha_0", "beta_0", "unknown_solver"])
+    ("utils: [1.5]", "utils must lie in [0, 1]"),
+    ("utils: [-0.1]", "utils must lie in [0, 1]"),
+    ("r_steps: [0]", "r_steps must be >= 1"),
+    ("gamma: 1.0", "gamma must lie in (0, 1)"),
+    ("gamma: 0", "gamma must lie in (0, 1)"),
+    ("required_pdr: 1.0", "required pdr must be in (0, 1)"),
+    ("required_pdr: 0", "required pdr must be in (0, 1)"),
+    ("ticks: [-1]", "ticks must be >= 0"),
+    ("base_seed: -1", "base_seed must be >= 0"),
+], ids=["alpha_0", "beta_0", "unknown_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
+        "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -225,7 +235,14 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("priority_tick_us: 60", "priority_tick_us: 400\n  rhythmic_priority: 3",
      "mac: rhythmic_priority 3 outside the supported range 0..2"),
     ("path: [V2, Vc, V3]", "path: [V2, Vx, V3]", "tasks[1]: task 1: path node 'Vx' not in network"),
-], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network"])
+    ("horizon: 260\n  alpha: 15\n  beta: 4\n  solver: greedy\n  framework: FDPAS_PACKET",
+     "horizon: -5\n  alpha: 15\n  beta: 4\n  solver: greedy\n  framework: BASELINE_BROADCAST",
+     "sim: horizon -5 must be >= 1"),
+    ("seed: 7", "seed: -1", "sim: seed -1 must be >= 0"),
+    ("instance: 3", "instance: -1", "disturbance: instance -1 must be >= 0"),
+    ("priority_tick_us: 60", "priority_tick_us: 20", "mac: tick must lie in the supported 30..400 us range"),
+], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
+        "baseline_negative_horizon", "negative_seed", "negative_instance", "tick_20"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text

@@ -16,6 +16,7 @@ from rtwnsim.model import (
     RhythmicSpec,
     SchedulingMode,
     TaskSpec,
+    allocate_retry_vector,
     chain_network,
     packet_pdr,
 )
@@ -118,8 +119,7 @@ def test_demand_zero_when_idle_slots_suffice():
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
-    dv = build_demand_vector(sets, result.schedule, lossy=False, required_pdr=0.9,
-                             path_pdrs=[1.0, 1.0])
+    dv = build_demand_vector(sets, result.schedule, full_demand=2)  # one slot per hop
     assert dv.satisfied
 
 
@@ -140,8 +140,7 @@ def test_demand_reliable_subtraction():
         sched.release_at[slot] = 20
         sched.hop_at[slot] = hop
     sets = build_active_sets(15, event, sched, (task0,), full_demand=3)
-    dv = build_demand_vector(sets, sched, lossy=False, required_pdr=0.9,
-                             path_pdrs=[1.0, 1.0, 1.0])
+    dv = build_demand_vector(sets, sched, full_demand=3)  # one slot per hop
     assert dv.required == (3,)
     assert dv.available == (2,)  # slots 10 and 14
     assert dv.residual == (1,)
@@ -161,10 +160,11 @@ def test_demand_lossy_uses_retry_budget():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 20
         sched.hop_at[slot] = hop
-    sets = build_active_sets(15, event, sched, (task0,), full_demand=2)
-    dv = build_demand_vector(sets, sched, lossy=True, required_pdr=0.99,
-                             path_pdrs=[0.9])
-    assert dv.required == (2,)  # allocate([0.9], 0.99) = (2,)
+    full_demand = sum(allocate_retry_vector([0.9], 0.99))
+    assert full_demand == 2
+    sets = build_active_sets(15, event, sched, (task0,), full_demand=full_demand)
+    dv = build_demand_vector(sets, sched, full_demand)
+    assert dv.required == (2,)
     assert dv.available == (0,)
     assert dv.residual == (2,)
 

@@ -133,7 +133,7 @@ def _compare_trial(trial, mode, horizon):
             sets = build_active_sets(candidate, event, static.schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
-        demand = build_demand_vector(sets, static.schedule, lossy, REQUIRED_PDR, path_pdrs)
+        demand = build_demand_vector(sets, static.schedule, full_demand)
         if demand.satisfied:
             continue
         state = build_periodic_state(sets, static.schedule, trial.tasks, trial.network)

@@ -1,12 +1,15 @@
 """Slot-driven simulator: nominal execution, disturbance handling, baseline
 timing model, determinism and resumption equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
-from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial, trial_horizon
+from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial
 from rtwnsim.sim import (
     BaselineParams,
     DisturbanceSpec,
@@ -15,6 +18,7 @@ from rtwnsim.sim import (
     MacParams,
     SimConfig,
     baseline_drt,
+    default_horizon,
     degradation_rate,
     plan,
     run,
@@ -215,14 +219,14 @@ def test_evaluate_trial_reports_an_infeasible_disturbance_like_run():
 
 def test_evaluate_trial_matches_run_on_sweep_trials():
     # The sweep plans against its shared static schedule; a full run plans
-    # against its own build over the same horizon.  Both must agree.
+    # against its own build over the same default horizon.  Both must agree.
     for index in range(30):
         trial = make_trial(_trial_seed(0, 0.5, 8, 60, index), 0.5, 8)
         period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
         for framework in Framework:
             rec = evaluate_trial(trial, framework)
             _, m = run(SimConfig(
-                network=trial.network, tasks=trial.tasks, horizon=trial_horizon(trial, 4),
+                network=trial.network, tasks=trial.tasks,
                 disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
                 alpha=period, framework=framework,
             ))
@@ -230,6 +234,37 @@ def test_evaluate_trial_matches_run_on_sweep_trials():
                     rec.dropped_packets, rec.dropped_transmissions) == (
                 m.drt_slots, m.dhl_slots, m.success, m.feasible_dynamic, m.degradation_rate,
                 m.dropped_packets, m.dropped_transmissions), (index, framework)
+
+
+def _plan_outcome(cfg):
+    try:
+        p = plan(cfg)
+    except ValueError as exc:  # the known PBS rounding defect; it must not depend on the horizon
+        return repr(exc)
+    return (p.drt, p.dhl, p.success, p.feasible_dynamic, p.dr, p.decision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    util=st.sampled_from([0.3, 0.5, 0.7]),
+    r_steps=st.sampled_from([3, 8]),
+    mode=st.sampled_from([SchedulingMode.TBS, SchedulingMode.PBS]),
+    framework=st.sampled_from([Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION]),
+    extra=st.integers(1, 2_000),
+)
+def test_plan_does_not_depend_on_slots_past_the_default_horizon(seed, util, r_steps, mode, framework,
+                                                                 extra):
+    # EDF is causal, so a longer build only appends slots; a plan reads none
+    # of them, so simulate and sweep may share default_horizon.
+    trial = make_trial(seed, util, r_steps)
+    cfg = SimConfig(
+        network=trial.network, tasks=trial.tasks, mode=mode,
+        disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+        framework=framework,
+    )
+    longer = dataclasses.replace(cfg, horizon=default_horizon(cfg) + extra)
+    assert _plan_outcome(cfg) == _plan_outcome(longer)
 
 
 # -------------------------------------------------------------- baseline DRT

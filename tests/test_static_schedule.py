@@ -45,7 +45,7 @@ def _testbed():
 def test_single_task_layout():
     net = chain_network(1, 1, pdr=1.0)
     task = TaskSpec(id=0, path=("S1", "C", "A1"), period=4, deadline=4)
-    result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9)
+    result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=4)
     assert result.feasible
     sched = result.schedule
     assert sched.task_at.tolist() == [0, 0, -1, -1]
@@ -67,7 +67,7 @@ def test_overloaded_set_is_infeasible():
         TaskSpec(id=0, path=("S1", "C", "A1"), period=3, deadline=3),
         TaskSpec(id=1, path=("S1", "C", "A1"), period=3, deadline=3),
     )
-    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.9)
+    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.9, horizon=3)
     assert not result.feasible
     assert result.first_failure is not None
 
@@ -76,7 +76,7 @@ def test_budget_below_reliability_minimum_rejected():
     net = chain_network(1, 1, pdr=0.9)
     task = TaskSpec(id=0, path=("S1", "C", "A1"), period=20, deadline=20, slot_budget=2)
     with pytest.raises(ScheduleInfeasible):
-        build_static_schedule((task,), net, SchedulingMode.TBS, 0.95)
+        build_static_schedule((task,), net, SchedulingMode.TBS, 0.95, horizon=20)
 
 
 def test_budget_padding_is_round_robin():

@@ -6,8 +6,8 @@ memoised retry allocation.
 writes the TBS hop labels one slot at a time after the EDF pass.  The library
 builder writes each segment's labels as a slice when the segment is placed;
 both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
-same feasibility verdict, under TBS and PBS, with implicit and explicit
-horizons.
+same feasibility verdict, under TBS and PBS, over the sweep's default
+horizons, over one hyperperiod and over short explicit horizons.
 """
 
 import dataclasses
@@ -17,9 +17,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtwnsim import experiments
-from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell, trial_horizon
-from rtwnsim.sim import Framework
+from rtwnsim import experiments, sim
+from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.model import (
     InfeasibleError,
     ScheduleInfeasible,
@@ -29,29 +29,25 @@ from rtwnsim.model import (
     chain_network,
 )
 from rtwnsim.static_schedule import (
-    HYPERPERIOD_CAP,
     Schedule,
     StaticScheduleResult,
     build_static_schedule,
     hop_expansion,
+    hyperperiod,
     plan_retry_vectors,
 )
 
 REQUIRED_PDR = 0.99
 BETA = 4
+ONE_HYPERPERIOD_LIMIT = 500_000  # longest one-hyperperiod build the suite makes
 
 
-def reference_build(tasks, network, mode, required_pdr, horizon=None):
+def reference_build(tasks, network, mode, required_pdr, horizon):
     """Frozen copy of the builder that labelled hops slot by slot."""
     retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
     hyperperiod = 1
     for task in tasks:
         hyperperiod = math.lcm(hyperperiod, task.period)
-    if horizon is None:
-        top = max(t.phase for t in tasks) + hyperperiod
-        if top > HYPERPERIOD_CAP:
-            raise ValueError("hyperperiod too large to build implicitly")
-        horizon = top
 
     jobs = []
     for task in tasks:
@@ -117,13 +113,21 @@ def reference_build(tasks, network, mode, required_pdr, horizon=None):
     )
 
 
-def _assert_same_build(tasks, network, mode, horizon=None, required_pdr=REQUIRED_PDR):
-    try:
-        expected = reference_build(tasks, network, mode, required_pdr, horizon)
-    except ValueError:
-        with pytest.raises(ValueError):
-            build_static_schedule(tasks, network, mode, required_pdr, horizon=horizon)
-        return None
+def _one_hyperperiod(tasks):
+    """Slots from 0 through one hyperperiod past the latest phase."""
+    return max(t.phase for t in tasks) + hyperperiod(tasks)
+
+
+def _sweep_horizon(trial):
+    """The horizon the sweep builds a trial's static schedule over."""
+    return default_horizon(SimConfig(
+        network=trial.network, tasks=trial.tasks, beta=BETA,
+        disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+    ))
+
+
+def _assert_same_build(tasks, network, mode, horizon, required_pdr=REQUIRED_PDR):
+    expected = reference_build(tasks, network, mode, required_pdr, horizon)
     got = build_static_schedule(tasks, network, mode, required_pdr, horizon=horizon)
     for name in ("task_at", "release_at", "hop_at"):
         a, b = getattr(got.schedule, name), getattr(expected.schedule, name)
@@ -133,25 +137,27 @@ def _assert_same_build(tasks, network, mode, horizon=None, required_pdr=REQUIRED
     assert got.first_failure == expected.first_failure
     assert got.retry_vectors == expected.retry_vectors
     assert got.hyperperiod == expected.hyperperiod
-    return got
 
 
 @pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
 def test_sweep_trials_match_reference_at_trial_horizon(mode):
     for index in range(40):
         trial = make_trial(1_000 + index, 0.5, 8)
-        _assert_same_build(trial.tasks, trial.network, mode, horizon=trial_horizon(trial, BETA))
+        _assert_same_build(trial.tasks, trial.network, mode, horizon=_sweep_horizon(trial))
 
 
 @pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
 def test_small_period_trials_match_reference_with_implicit_horizon(mode):
+    # One whole hyperperiod past the latest phase, where that is desk-sized.
     built = 0
     for seed in range(60):
         trial = make_trial(500_000 + seed, 0.7, 3, gamma=0.5, in_depth=3, out_depth=3,
                            max_instance=4, max_period=60, hop_range=(2, 6))
-        if _assert_same_build(trial.tasks, trial.network, mode) is not None:
+        horizon = _one_hyperperiod(trial.tasks)
+        if horizon <= ONE_HYPERPERIOD_LIMIT:
+            _assert_same_build(trial.tasks, trial.network, mode, horizon=horizon)
             built += 1
-    assert built >= 45  # most small-period task sets fit under the hyperperiod cap
+    assert built >= 45  # most small-period task sets span a desk-sized hyperperiod
 
 
 @st.composite
@@ -172,7 +178,7 @@ def _small_tasksets(draw):
             slot_budget=draw(st.one_of(st.none(), st.integers(len(path) + 3, len(path) + 8))),
             phase=draw(st.integers(0, 10)),
         ))
-    horizon = draw(st.one_of(st.none(), st.integers(1, 200)))
+    horizon = draw(st.one_of(st.just(_one_hyperperiod(tasks)), st.integers(1, 200)))
     return network, tuple(tasks), horizon
 
 
@@ -196,16 +202,20 @@ SPEC = ExperimentSpec(utils=(0.5,), r_steps=(8,), alphas=(1, 3), trials=6, base_
 
 def test_run_cell_builds_each_trial_schedule_once(monkeypatch):
     calls = []
-    original = experiments.build_static_schedule
+    original = sim.build_static_schedule
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("horizon"))
+        calls.append(kwargs["horizon"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "build_static_schedule", counting)
+    monkeypatch.setattr(sim, "build_static_schedule", counting)
     records = run_cell(SPEC, 0.5, 8, 60)
     assert len(calls) == SPEC.trials
     assert len(records) == SPEC.trials * len(SPEC.frameworks) * len(SPEC.alphas)
+    seeds = list(dict.fromkeys(r.seed for r in records))  # trial order
+    for seed, horizon in zip(seeds, calls):
+        trial = make_trial(seed, 0.5, 8, gamma=SPEC.gamma, required_pdr=SPEC.required_pdr)
+        assert horizon == _sweep_horizon(trial), seed
 
 
 def test_run_cell_matches_standalone_evaluations():
@@ -230,6 +240,20 @@ def test_evaluate_trial_raises_on_an_infeasible_static_schedule():
     overloaded = dataclasses.replace(trial, tasks=trial.tasks + (hog,))
     with pytest.raises(ScheduleInfeasible, match=r"misses packet \(task, release\)"):
         evaluate_trial(overloaded, Framework.FDPAS_PACKET)
+
+
+def test_run_cell_names_the_trial_seed_of_an_infeasible_static_schedule(monkeypatch):
+    def overloaded_trial(seed, *args, **kwargs):
+        trial = make_trial(seed, *args, **kwargs)
+        host = next(t for t in trial.tasks if t.id != trial.rhythmic_task)
+        hog = TaskSpec(id=max(t.id for t in trial.tasks) + 1, path=host.path,
+                       period=host.hops, deadline=host.hops)
+        return dataclasses.replace(trial, tasks=trial.tasks + (hog,))
+
+    monkeypatch.setattr(experiments, "make_trial", overloaded_trial)
+    with pytest.raises(ScheduleInfeasible,
+                       match=r"^trial seed \d+: static schedule misses packet \(task, release\)"):
+        run_cell(SPEC, 0.5, 8, 60)
 
 
 # ------------------------------------------------------------ memoised retry vectors
