@@ -5,7 +5,7 @@ Modules:
     model            domain types, end-to-end reliability math, generators
     static_schedule  EDF slot assignment with retransmission budgets
     rhythmic         disturbance windows, end-point candidates, active sets
-    dropping         packet/transmission dropping solvers, dynamic schedules
+    dropping         packet/transmission dropping heuristics, dynamic schedules
     mac              priority-offset MAC arbitration model
     sim              disturbance planning, slot-driven simulator, metrics
     experiments      seeded trial generation and sweep aggregation
@@ -88,7 +88,6 @@ from .sim import (
     degradation_rate,
     plan,
     run,
-    success_ratio,
 )
 
 __version__ = "0.1.0"

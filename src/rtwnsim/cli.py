@@ -6,12 +6,15 @@
 
 Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
-``sim.horizon`` below 1 or ending before the disturbance's latest end point,
-a negative ``sim.seed`` or ``disturbance.instance``, an unknown solver, a
-task path off the network, a MAC priority outside the slot's levels, a
-``priority_tick_us`` outside 30..400 us, and a sweep spec with ``utils``
-outside [0, 1], an ``r_steps`` or ``alphas`` entry or ``beta`` below 1,
-``gamma`` or ``required_pdr`` outside (0, 1), or a negative tick or
+``sim.horizon`` below 1, zero included, or ending before the disturbance's
+latest end point, a ``sim.alpha`` below one nominal period, zero included, a
+negative ``sim.seed`` or ``disturbance.instance``, a ``solver`` other than
+``greedy`` (the exhaustive oracle is a test reference), a
+``baseline.broadcast_period`` below 1 or a negative ``baseline.depth`` or
+``baseline.offset``, a task path off the network, a MAC priority outside the
+slot's levels, a ``priority_tick_us`` outside 30..400 us, and a sweep spec
+with ``utils`` outside [0, 1], an ``r_steps`` or ``alphas`` entry or ``beta``
+below 1, ``gamma`` or ``required_pdr`` outside (0, 1), or a negative tick or
 ``base_seed``), 3 infeasible requirements: a static schedule that misses a
 deadline, a ``generate --util`` the network cannot reach, or a sweep trial
 that admits no disturbance.  Every error prints one ``error:`` line to

@@ -9,11 +9,18 @@ One YAML document fully determines a run.  Top-level keys:
                                               {ratio, steps}}
     mac:          {priority_tick_us?, rhythmic_priority?, periodic_priority?}
     sim:          {mode?, required_pdr?, seed?, horizon?, alpha?, beta?,
-                   solver?, framework?}
+                   framework?}
     baseline:     {broadcast_period?, depth?, offset?}
 
 Experiment sweep files use: utils, r_steps, alphas, ticks, trials, base_seed,
-frameworks, gamma, required_pdr, beta, solver.
+frameworks, gamma, required_pdr, beta.
+
+FD-PaS plans with its greedy dropping heuristics only.  A ``solver`` key
+(under ``sim`` or at the top of a sweep file) is still accepted when it
+reads ``greedy``; any other value is a configuration error, since the
+exhaustive oracle is a test reference, not a planner.  A key that is
+present is taken as given: ``horizon: 0`` or ``alpha: 0`` is rejected, not
+read as unset.
 """
 
 from __future__ import annotations
@@ -66,6 +73,14 @@ def load_document(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return doc
+
+
+def _check_solver(section: dict, where: str) -> None:
+    if "solver" in section and section["solver"] != "greedy":
+        raise ConfigError(
+            f"{where}: unknown solver {str(section['solver'])!r}; FD-PaS plans with the greedy "
+            "heuristics ('greedy'), the exhaustive oracle is a test reference"
+        )
 
 
 def _require(section: dict, key: str, where: str) -> Any:
@@ -178,13 +193,19 @@ def parse_scenario(path: str | Path) -> SimConfig:
         raise ConfigError(f"mac: {exc}") from exc
 
     base_raw = doc.get("baseline") or {}
-    baseline = BaselineParams(
-        broadcast_period=int(base_raw["broadcast_period"]) if base_raw.get("broadcast_period") else None,
-        depth=int(base_raw["depth"]) if base_raw.get("depth") is not None else None,
-        offset=int(base_raw.get("offset", 0)),
-    )
+    try:
+        baseline = BaselineParams(
+            broadcast_period=(
+                int(base_raw["broadcast_period"]) if base_raw.get("broadcast_period") is not None else None
+            ),
+            depth=int(base_raw["depth"]) if base_raw.get("depth") is not None else None,
+            offset=int(base_raw.get("offset", 0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"baseline: {exc}") from exc
 
     sim_raw = doc.get("sim") or {}
+    _check_solver(sim_raw, "sim")
     try:
         mode = SchedulingMode(str(sim_raw.get("mode", "TBS")).upper())
         framework = Framework(str(sim_raw.get("framework", "FDPAS_PACKET")).upper())
@@ -197,11 +218,10 @@ def parse_scenario(path: str | Path) -> SimConfig:
             mode=mode,
             required_pdr=float(sim_raw.get("required_pdr", 0.99)),
             seed=int(sim_raw.get("seed", 0)),
-            horizon=int(sim_raw["horizon"]) if sim_raw.get("horizon") else None,
+            horizon=int(sim_raw["horizon"]) if sim_raw.get("horizon") is not None else None,
             disturbance=disturbance,
-            alpha=int(sim_raw["alpha"]) if sim_raw.get("alpha") else None,
+            alpha=int(sim_raw["alpha"]) if sim_raw.get("alpha") is not None else None,
             beta=int(sim_raw.get("beta", 4)),
-            solver=str(sim_raw.get("solver", "greedy")),
             framework=framework,
             mac=mac,
             baseline=baseline,
@@ -212,6 +232,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
 
 def parse_experiment(path: str | Path) -> ExperimentSpec:
     doc = load_document(path)
+    _check_solver(doc, "experiment spec")
     try:
         frameworks = tuple(
             Framework(str(f).upper()) for f in doc.get("frameworks", [f.value for f in Framework])
@@ -227,7 +248,6 @@ def parse_experiment(path: str | Path) -> ExperimentSpec:
             gamma=float(doc.get("gamma", 0.2)),
             required_pdr=float(doc.get("required_pdr", 0.99)),
             beta=int(doc.get("beta", 4)),
-            solver=str(doc.get("solver", "greedy")),
         )
     except ValueError as exc:
         raise ConfigError(f"experiment spec: {exc}") from exc
@@ -292,7 +312,6 @@ def dump_scenario(config: SimConfig) -> str:
         "required_pdr": config.required_pdr,
         "seed": config.seed,
         "beta": config.beta,
-        "solver": config.solver,
         "framework": config.framework.value,
     }
     if config.horizon is not None:

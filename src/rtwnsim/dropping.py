@@ -1,12 +1,14 @@
-"""Dropping solvers and dynamic schedule generation.
+"""Dropping heuristics and dynamic schedule generation.
 
 When a disturbance inflates the short-period workload beyond what the idle
 and disturbed-task slots of the static schedule can absorb, some periodic
 traffic must yield.  This module provides the greedy packet-dropping
-heuristic, the minimum-degradation transmission-dropping heuristic, an
-exhaustive optimal oracle for desk-sized instances (the dropping problem is
-NP-hard: set cover embeds into it, see ``from_set_cover``), and the candidate
-sweep that turns a drop decision into the dynamic slot table.
+heuristic, the minimum-degradation transmission-dropping heuristic, and
+the candidate sweep that turns a drop decision into the dynamic slot table.
+The dropping problem is NP-hard (set cover embeds into it, see
+``from_set_cover``), so planning uses the two heuristics only; the
+exhaustive ``optimal_drop_oracle`` for desk-sized instances is the
+reference the tests check them against.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .rhythmic import (
 from .static_schedule import Schedule, SlotAssignment, hop_expansion
 
 __all__ = [
-    "SOLVERS",
     "PlanInvariantError",
     "TransmissionVector",
     "DemandVector",
@@ -61,16 +62,13 @@ __all__ = [
 
 PacketKey = tuple[int, int]  # (task id, release slot)
 
-# Dropping solvers a dynamic schedule can be planned with.
-SOLVERS = ("greedy", "oracle")
-
 ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
 
 
 class PlanInvariantError(RuntimeError):
-    """A chosen dynamic plan breaks a guarantee the solvers must uphold; this
+    """A chosen dynamic plan breaks a guarantee the heuristics must uphold; this
     signals a bug in the planner, never a property of the input."""
 
 
@@ -102,7 +100,7 @@ class DemandVector:
 
 @dataclass(frozen=True)
 class DropDecision:
-    """Outcome of a dropping solver.
+    """Outcome of a dropping heuristic (or of the oracle).
 
     Packet-level decisions abandon whole periodic packets (each degrades by
     the full requirement).  Transmission-level decisions surrender individual
@@ -411,9 +409,9 @@ def optimal_drop_oracle(
     level: str = "packet",
     state: Optional[Sequence[PeriodicPacketState]] = None,
     required_pdr: float = 0.99,
-    mode: SchedulingMode = SchedulingMode.TBS,
 ) -> DropDecision:
-    """Exhaustive-enumeration optimum for desk-sized instances (test oracle).
+    """Exhaustive-enumeration optimum for desk-sized instances: the reference
+    the tests hold the greedy heuristics to.  Planning never calls it.
 
     Packet level: smallest packet subset whose raw replaceable counts cover
     the residual demand.  Transmission level: over all ways of picking exactly
@@ -598,7 +596,6 @@ def generate_dynamic_schedule(
     required_pdr: float,
     beta: int = 4,
     level: str = "packet",
-    solver: str = "greedy",
 ) -> DynamicPlan:
     """Evaluate every end-point candidate, pick the cheapest feasible one and
     lay the rhythmic transmissions into the freed slots.
@@ -606,8 +603,8 @@ def generate_dynamic_schedule(
     Candidates are the disturbed task's release instants between the earliest
     finish of its last stepped packet and the latency bound.  Per candidate
     the demand vector is built and solved at the requested granularity
-    (``level``) with the greedy heuristic or the exhaustive oracle; infeasible
-    candidates are skipped.  The cheapest decision wins (drop count at packet
+    (``level``) with the matching greedy heuristic; infeasible candidates
+    are skipped.  The cheapest decision wins (drop count at packet
     level, total degradation at transmission level; ties to the earliest end
     point).  Rhythmic packets then claim the earliest usable slots in their
     windows, hop-ordered under TBS, where usable means idle, owned by the
@@ -615,15 +612,9 @@ def generate_dynamic_schedule(
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}")
     by_id = {t.id: t for t in tasks}
     task = by_id[event.task_id]
-    retry_vector = (
-        tuple([1] * task.hops)
-        if network.lossless()
-        else allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
-    )
+    retry_vector = allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
     full_demand = sum(retry_vector)  # slots of a whole rhythmic packet
 
     f_last = earliest_last_finish(event, task.hops)
@@ -638,24 +629,10 @@ def generate_dynamic_schedule(
                 decision = DropDecision(level=level)
             elif level == "packet":
                 vectors = build_transmission_vectors(sets, static)
-                if solver == "oracle":
-                    decision = optimal_drop_oracle(
-                        demand, vectors=vectors, level="packet", required_pdr=required_pdr
-                    )
-                else:
-                    decision = greedy_drop_packets(demand, vectors, required_pdr)
+                decision = greedy_drop_packets(demand, vectors, required_pdr)
             else:
                 state = build_periodic_state(sets, static, tasks, network)
-                if solver == "oracle":
-                    decision = optimal_drop_oracle(
-                        demand,
-                        level="transmission",
-                        state=state,
-                        required_pdr=required_pdr,
-                        mode=static.mode,
-                    )
-                else:
-                    decision = drop_transmissions(demand, state, required_pdr, mode=static.mode)
+                decision = drop_transmissions(demand, state, required_pdr, mode=static.mode)
         except CandidateInfeasible:
             evaluations.append((candidate, None))
             continue
@@ -683,7 +660,7 @@ def generate_dynamic_schedule(
         ]
         if len(usable) < need:
             raise PlanInvariantError(
-                f"solver left the rhythmic packet released at {entry.release} "
+                f"the drop decision left the rhythmic packet released at {entry.release} "
                 f"{len(usable)} usable slots for a demand of {need}"
             )
         if static.mode is not SchedulingMode.TBS:

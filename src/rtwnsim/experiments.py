@@ -29,7 +29,6 @@ from .model import (
     random_chain_network,
 )
 from .static_schedule import StaticScheduleResult
-from .dropping import SOLVERS
 from .sim import DisturbanceSpec, Framework, SimConfig, build_static, plan
 
 __all__ = [
@@ -78,7 +77,6 @@ class Trial:
     rhythmic_task: int
     instance: int
     spec: RhythmicSpec
-    budget: int  # per-packet slot demand of the disturbed task
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ def make_trial(
     max_instance: int = 20,
     max_period: int = 500,
     hop_range: tuple[int, int] = (2, 16),
-    lossless: bool = False,
 ) -> Trial:
     """Generate a network, a task set and an admissible disturbance.
 
@@ -141,18 +138,14 @@ def make_trial(
     """
     for attempt in range(64):
         rng = np.random.default_rng([seed, attempt, 0xE1])
-        if lossless:
-            pdrs = (1.0, 1.0)
-        else:
-            pdrs = pdr_range
         network = random_chain_network(
-            int(rng.integers(2**31)), in_depth, out_depth, pdr_range=pdrs
+            int(rng.integers(2**31)), in_depth, out_depth, pdr_range=pdr_range
         )
         tasks = generate_taskset(
             int(rng.integers(2**31)), util, network, required_pdr,
             hop_range=hop_range, max_period=max_period,
         )
-        eligible: list[tuple[TaskSpec, RhythmicSpec, int]] = []
+        eligible: list[tuple[TaskSpec, RhythmicSpec]] = []
         for task in tasks:
             budget = sum(allocate_retry_vector(network.path_pdrs(task.path), required_pdr))
             try:
@@ -165,10 +158,10 @@ def make_trial(
             gap = task.period - rem if rem else task.period
             if gap < budget:
                 continue
-            eligible.append((task, spec, budget))
+            eligible.append((task, spec))
         if not eligible:
             continue
-        task, spec, budget = eligible[int(rng.integers(len(eligible)))]
+        task, spec = eligible[int(rng.integers(len(eligible)))]
         instance = int(rng.integers(1, max_instance + 1))
         return Trial(
             seed=seed,
@@ -179,7 +172,6 @@ def make_trial(
             rhythmic_task=task.id,
             instance=instance,
             spec=spec,
-            budget=budget,
         )
     raise InfeasibleError(f"no admissible disturbance found for seed {seed}")
 
@@ -189,7 +181,7 @@ def _disturbed_task(trial: Trial) -> TaskSpec:
 
 
 def _trial_config(
-    trial: Trial, framework: Framework, alpha_mult: int, beta: int, required_pdr: float, solver: str
+    trial: Trial, framework: Framework, alpha_mult: int, beta: int, required_pdr: float
 ) -> SimConfig:
     """The TBS scenario of one trial over the default horizon."""
     task = _disturbed_task(trial)
@@ -200,7 +192,6 @@ def _trial_config(
         disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
         alpha=alpha_mult * task.period,
         beta=beta,
-        solver=solver,
         framework=framework,
     )
 
@@ -211,7 +202,6 @@ def evaluate_trial(
     alpha_mult: int = 1,
     beta: int = 4,
     required_pdr: float = 0.99,
-    solver: str = "greedy",
     tick: int = 60,
     static: Optional[StaticScheduleResult] = None,
 ) -> RunRecord:
@@ -223,7 +213,7 @@ def evaluate_trial(
     built here.  Raises ScheduleInfeasible when the task set misses a
     deadline in its static schedule.
     """
-    config = _trial_config(trial, framework, alpha_mult, beta, required_pdr, solver)
+    config = _trial_config(trial, framework, alpha_mult, beta, required_pdr)
     planned = plan(config, static)
     decision = planned.decision
     return RunRecord(
@@ -266,7 +256,6 @@ class ExperimentSpec:
     gamma: float = 0.2
     required_pdr: float = 0.99
     beta: int = 4
-    solver: str = "greedy"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -289,8 +278,6 @@ class ExperimentSpec:
             raise ValueError("base_seed must be >= 0")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; expected one of {', '.join(SOLVERS)}")
 
     def cells(self) -> list[tuple[float, int, int]]:
         return list(itertools.product(self.utils, self.r_steps, self.ticks))
@@ -310,8 +297,7 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
         trial = make_trial(
             seed, util, r_steps, gamma=spec.gamma, required_pdr=spec.required_pdr
         )
-        config = _trial_config(trial, spec.frameworks[0], spec.alphas[0], spec.beta,
-                               spec.required_pdr, spec.solver)
+        config = _trial_config(trial, spec.frameworks[0], spec.alphas[0], spec.beta, spec.required_pdr)
         try:
             static = build_static(config)
         except ScheduleInfeasible as exc:
@@ -324,7 +310,6 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
                 alpha_mult=spec.alphas[0],
                 beta=spec.beta,
                 required_pdr=spec.required_pdr,
-                solver=spec.solver,
                 tick=tick,
                 static=static,
             )

@@ -105,9 +105,6 @@ class NetworkModel:
     def path_pdrs(self, path: Sequence[str]) -> list[float]:
         return [self.link_pdr(a, b) for a, b in zip(path, path[1:])]
 
-    def lossless(self) -> bool:
-        return all(l.pdr >= 1.0 for l in self.links)
-
     def broadcast_depth(self) -> int:
         """Worst-case hop distance from the controller, ignoring link direction.
 

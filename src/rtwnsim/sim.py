@@ -30,13 +30,12 @@ from .model import (
 )
 from .rhythmic import DisturbanceEvent, disturbance_recipients, end_point_upper_bound
 from .static_schedule import (
-    Schedule,
     StaticScheduleResult,
     build_static_schedule,
     hyperperiod,
 )
 from . import mac as mac_model
-from .dropping import SOLVERS, DropDecision, DynamicPlan, generate_dynamic_schedule
+from .dropping import DropDecision, DynamicPlan, generate_dynamic_schedule
 
 __all__ = [
     "HorizonTooShort",
@@ -53,7 +52,6 @@ __all__ = [
     "plan",
     "run",
     "baseline_drt",
-    "success_ratio",
     "degradation_rate",
     "periodic_packets_in_window",
     "default_horizon",
@@ -97,6 +95,14 @@ class BaselineParams:
     depth: Optional[int] = None  # default: network broadcast depth
     offset: int = 0  # release offset of the broadcast task
 
+    def __post_init__(self) -> None:
+        if self.broadcast_period is not None and self.broadcast_period < 1:
+            raise ValueError(f"broadcast_period {self.broadcast_period} must be >= 1")
+        if self.depth is not None and self.depth < 0:
+            raise ValueError(f"depth {self.depth} must be >= 0")
+        if self.offset < 0:
+            raise ValueError(f"offset {self.offset} must be >= 0")
+
 
 @dataclass(frozen=True)
 class MacParams:
@@ -127,7 +133,6 @@ class SimConfig:
     disturbance: Optional[DisturbanceSpec] = None
     alpha: Optional[int] = None  # max allowed response latency in slots; default one period
     beta: int = 4
-    solver: str = "greedy"
     framework: Framework = Framework.FDPAS_PACKET
     mac: MacParams = MacParams()
     baseline: BaselineParams = BaselineParams()
@@ -140,8 +145,6 @@ class SimConfig:
             raise ValueError(f"horizon {self.horizon} must be >= 1")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; expected one of {', '.join(SOLVERS)}")
         if self.disturbance is not None:
             period = self._disturbed_task().period
             if self.alpha is not None and self.alpha < period:
@@ -273,17 +276,12 @@ class _Packet:
         self.decided_drop = False
 
 
-def periodic_packets_in_window(
-    static: Schedule, tasks: Sequence[TaskSpec], rhythmic_task: int, start: int, end: int
-) -> list[tuple[int, int]]:
-    """Periodic packets counted by the degradation-rate denominator: released
-    inside [start, end) or owning at least one static slot there."""
-    keys: set[tuple[int, int]] = set()
-    window_tasks = static.task_at[start:end].tolist()
-    window_rel = static.release_at[start:end].tolist()
-    for tid, rel in zip(window_tasks, window_rel):
-        if tid >= 0 and tid != rhythmic_task:
-            keys.add((tid, rel))
+def periodic_packets_in_window(dynamic: DynamicPlan, tasks: Sequence[TaskSpec]) -> list[tuple[int, int]]:
+    """Periodic packets counted by the degradation-rate denominator: those
+    owning a static slot in the plan's window (its active periodic set) plus
+    those released inside it."""
+    keys = set(dynamic.sets.periodic)
+    rhythmic_task, start, end = dynamic.event.task_id, dynamic.window.start, dynamic.end_point
     for task in tasks:
         if task.id == rhythmic_task:
             continue
@@ -328,7 +326,9 @@ def baseline_drt(config: SimConfig, static: StaticScheduleResult) -> int:
         inbound = [int(s) for s in slots]
     arrival = max(inbound) + 1
 
-    period_b = config.baseline.broadcast_period or 2 * task.period
+    period_b = config.baseline.broadcast_period
+    if period_b is None:
+        period_b = 2 * task.period
     depth = config.baseline.depth if config.baseline.depth is not None else config.network.broadcast_depth()
     offset = config.baseline.offset
     k = max(0, math.ceil((arrival - offset) / period_b))
@@ -337,24 +337,6 @@ def baseline_drt(config: SimConfig, static: StaticScheduleResult) -> int:
     k0 = math.ceil((flood_done - task.phase) / task.period)
     start = task.phase + k0 * task.period
     return start - event.detect_slot
-
-
-def success_ratio(records: Sequence, alpha: Optional[int] = None) -> float:
-    """Fraction of runs that met the latency bound with a feasible dynamic
-    schedule.  ``records`` may be Metrics or anything with .drt_slots /
-    .feasible_dynamic; alpha overrides the per-record bound when given."""
-    if not records:
-        raise ValueError("need at least one run")
-    ok = 0
-    for r in records:
-        drt = r.drt_slots
-        feasible = getattr(r, "feasible_dynamic", True)
-        bound = alpha if alpha is not None else getattr(r, "alpha_slots", None)
-        if bound is None:
-            raise ValueError("no latency bound available for a record")
-        if feasible and drt <= bound:
-            ok += 1
-    return ok / len(records)
 
 
 @dataclass(frozen=True)
@@ -440,13 +422,10 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
             config.required_pdr,
             beta=config.beta,
             level="packet" if config.framework is Framework.FDPAS_PACKET else "transmission",
-            solver=config.solver,
         )
     except DisturbanceInfeasible:
         return Plan(static, event, feasible_dynamic=False, drt=drt, success=False)
-    periodic = len(periodic_packets_in_window(
-        static.schedule, config.tasks, event.task_id, event.enter_slot, dynamic.end_point
-    ))
+    periodic = len(periodic_packets_in_window(dynamic, config.tasks))
     return Plan(
         static,
         event,

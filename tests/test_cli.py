@@ -1,6 +1,7 @@
 """Configuration files and the command-line front end."""
 
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,19 @@ def test_parse_experiment_defaults(tmp_path):
     assert spec.trials == 3
     assert spec.alphas == (1, 2)
     assert len(spec.frameworks) == 3
+
+
+def test_solver_greedy_is_still_accepted(tmp_path):
+    # Older scenario and sweep files name the greedy solver explicitly.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    scenario = tmp_path / "greedy.yaml"
+    scenario.write_text(text.replace("framework: FDPAS_PACKET", "solver: greedy\n  framework: FDPAS_PACKET"),
+                        encoding="utf-8")
+    assert parse_scenario(scenario) == parse_scenario(SCENARIOS / "testbed.yaml")
+    plain, greedy = tmp_path / "plain.yaml", tmp_path / "greedy-sweep.yaml"
+    plain.write_text("trials: 3\n", encoding="utf-8")
+    greedy.write_text("trials: 3\nsolver: greedy\n", encoding="utf-8")
+    assert parse_experiment(greedy) == parse_experiment(plain)
 
 
 # ------------------------------------------------------------------ commands
@@ -193,6 +207,7 @@ def test_sweep_smoke_grid(tmp_path):
     ("alphas: [0]", "alphas must be >= 1"),
     ("beta: 0", "beta must be >= 1"),
     ("solver: bogus", "unknown solver 'bogus'"),
+    ("solver: oracle", "unknown solver 'oracle'; FD-PaS plans with the greedy heuristics"),
     ("utils: [1.5]", "utils must lie in [0, 1]"),
     ("utils: [-0.1]", "utils must lie in [0, 1]"),
     ("r_steps: [0]", "r_steps must be >= 1"),
@@ -202,7 +217,7 @@ def test_sweep_smoke_grid(tmp_path):
     ("required_pdr: 0", "required pdr must be in (0, 1)"),
     ("ticks: [-1]", "ticks must be >= 0"),
     ("base_seed: -1", "base_seed must be >= 0"),
-], ids=["alpha_0", "beta_0", "unknown_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
+], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
@@ -219,7 +234,8 @@ def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
 def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     scenario = tmp_path / "bogus.yaml"
-    scenario.write_text(text.replace("solver: greedy", "solver: bogus"), encoding="utf-8")
+    scenario.write_text(text.replace("framework: FDPAS_PACKET", "solver: bogus\n  framework: FDPAS_PACKET"),
+                        encoding="utf-8")
     trace = tmp_path / "trace.txt"
     rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
     assert rc == EXIT_CONFIG
@@ -235,14 +251,30 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("priority_tick_us: 60", "priority_tick_us: 400\n  rhythmic_priority: 3",
      "mac: rhythmic_priority 3 outside the supported range 0..2"),
     ("path: [V2, Vc, V3]", "path: [V2, Vx, V3]", "tasks[1]: task 1: path node 'Vx' not in network"),
-    ("horizon: 260\n  alpha: 15\n  beta: 4\n  solver: greedy\n  framework: FDPAS_PACKET",
-     "horizon: -5\n  alpha: 15\n  beta: 4\n  solver: greedy\n  framework: BASELINE_BROADCAST",
+    ("horizon: 260\n  alpha: 15\n  beta: 4\n  framework: FDPAS_PACKET",
+     "horizon: -5\n  alpha: 15\n  beta: 4\n  framework: BASELINE_BROADCAST",
      "sim: horizon -5 must be >= 1"),
+    ("horizon: 260", "horizon: 0", "sim: horizon 0 must be >= 1"),
+    ("alpha: 15", "alpha: 0", "sim: alpha must be at least one nominal period"),
+    ("framework: FDPAS_PACKET", "solver: oracle\n  framework: FDPAS_PACKET",
+     "sim: unknown solver 'oracle'; FD-PaS plans with the greedy heuristics ('greedy'), "
+     "the exhaustive oracle is a test reference"),
+    ("framework: FDPAS_PACKET",
+     "framework: BASELINE_BROADCAST\nbaseline: {broadcast_period: -5, depth: -3}",
+     "baseline: broadcast_period -5 must be >= 1"),
+    ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST\nbaseline: {broadcast_period: 0}",
+     "baseline: broadcast_period 0 must be >= 1"),
+    ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST\nbaseline: {depth: -3}",
+     "baseline: depth -3 must be >= 0"),
+    ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST\nbaseline: {offset: -1}",
+     "baseline: offset -1 must be >= 0"),
     ("seed: 7", "seed: -1", "sim: seed -1 must be >= 0"),
     ("instance: 3", "instance: -1", "disturbance: instance -1 must be >= 0"),
     ("priority_tick_us: 60", "priority_tick_us: 20", "mac: tick must lie in the supported 30..400 us range"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
-        "baseline_negative_horizon", "negative_seed", "negative_instance", "tick_20"])
+        "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
+        "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
+        "baseline_negative_offset", "negative_seed", "negative_instance", "tick_20"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -294,11 +326,13 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rtwnsim.cli", "simulate", "--scenario",
          str(SCENARIOS / "testbed.yaml")],
         capture_output=True, text=True, cwd=str(SCENARIOS.parent),
+        env={**os.environ, "RTWNSIM_OUT": str(tmp_path)},
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "success=1" in proc.stdout
+    assert (tmp_path / "trace.txt").exists() and (tmp_path / "metrics.csv").exists()

@@ -353,14 +353,13 @@ def _check_against_transmission_oracle(demand, state, mode):
         decision = drop_transmissions(demand, state, required_pdr=0.99, mode=mode)
     except CandidateInfeasible:
         with pytest.raises(CandidateInfeasible):
-            optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99, mode=mode)
+            optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99)
         return
     assert [(p.slots, p.hops) for p in state] == before  # the input is left as it was
     window_of = {(p.packet, s): w for p in state for s, w in p.window_of.items()}
     covered = Counter(window_of[((task, release), s)] for task, release, s in decision.dropped_slots)
     assert [covered[w] for w in range(len(demand.residual))] == list(demand.residual)
-    oracle = optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99,
-                                 mode=mode)
+    oracle = optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99)
     assert decision.total_degradation >= oracle.total_degradation - 1e-12
 
 

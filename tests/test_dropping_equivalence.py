@@ -125,8 +125,7 @@ def _compare_trial(trial, mode, horizon):
     static = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR, horizon=horizon)
     assert static.feasible
     path_pdrs = trial.network.path_pdrs(task.path)
-    lossy = not trial.network.lossless()
-    full_demand = sum(allocate_retry_vector(path_pdrs, REQUIRED_PDR)) if lossy else task.hops
+    full_demand = sum(allocate_retry_vector(path_pdrs, REQUIRED_PDR))
     compared = raised = 0
     for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), BETA):
         try:

@@ -22,7 +22,6 @@ from rtwnsim.sim import (
     degradation_rate,
     plan,
     run,
-    success_ratio,
 )
 from rtwnsim.dropping import DropDecision
 
@@ -210,7 +209,7 @@ def test_evaluate_trial_reports_an_infeasible_disturbance_like_run():
     spec = RhythmicSpec((3, 3, 3), (3, 3, 3))
     task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10, rhythmic=spec)
     trial = Trial(seed=1, util=0.4, r_steps=3, network=net, tasks=(task,), rhythmic_task=0,
-                  instance=1, spec=spec, budget=4)
+                  instance=1, spec=spec)
     for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
         rec = evaluate_trial(trial, framework, beta=1, required_pdr=0.9)
         assert not rec.feasible_dynamic and not rec.success
@@ -335,18 +334,6 @@ def test_baseline_success_monotone_in_alpha():
         rec = evaluate_trial(trial, Framework.BASELINE_BROADCAST, alpha_mult=mult)
         succ.append(rec.success)
     assert succ == sorted(succ)  # False before True
-
-
-def test_success_ratio_counts_feasible_and_on_time():
-    class R:
-        def __init__(self, drt, feasible, alpha):
-            self.drt_slots = drt
-            self.feasible_dynamic = feasible
-            self.alpha_slots = alpha
-
-    records = [R(10, True, 10), R(11, True, 10), R(10, False, 10), R(9, True, 10)]
-    assert success_ratio(records) == pytest.approx(0.5)
-    assert success_ratio(records, alpha=11) == pytest.approx(0.75)
 
 
 def test_degradation_rate_examples():

@@ -228,7 +228,7 @@ def test_run_cell_matches_standalone_evaluations():
         for framework in SPEC.frameworks:
             for mult in SPEC.alphas:
                 alone = evaluate_trial(trial, framework, alpha_mult=mult, beta=SPEC.beta,
-                                       required_pdr=SPEC.required_pdr, solver=SPEC.solver, tick=60)
+                                       required_pdr=SPEC.required_pdr, tick=60)
                 assert by_key[(framework.value, seed, mult)] == alone
 
 
