@@ -13,6 +13,7 @@ from rtwnsim import (
     build_static_schedule,
     verify_schedulable,
 )
+from rtwnsim.static_schedule import hyperperiod
 
 net = NetworkModel(
     nodes=("V0", "V1", "V2", "V3", "V4", "V5", "Vc"),
@@ -33,11 +34,11 @@ tasks = (
 )
 
 result = build_static_schedule(tasks, net, SchedulingMode.TBS, required_pdr=0.95, horizon=121)
-print(f"feasible: {result.feasible}, hyperperiod: {result.hyperperiod} slots")
-print(f"per-task budgets: {result.budgets}")
+print(f"feasible: {result.feasible}, hyperperiod: {hyperperiod(tasks)} slots")
+print(f"per-task budgets: { {tid: sum(rv) for tid, rv in result.retry_vectors.items()} }")
 print(f"retry vectors:    {result.retry_vectors}")
 verdict = verify_schedulable(result, tasks, net, 0.95)
-print(f"independent verification: {'ok' if verdict.ok else verdict.first_violation}")
+print(f"independent verification: {'ok' if verdict.ok else verdict.violations[0]}")
 
 print("\nslot timeline (task.hop, '.' idle):")
 sched = result.schedule

@@ -8,8 +8,11 @@ Exit codes: 0 success (a run that misses its latency bound still exits 0 and
 reports success=0 in the CSV), 2 configuration/parse errors (including a
 ``sim.horizon`` below 1, zero included, or ending before the disturbance's
 latest end point, a ``sim.alpha`` below one nominal period, zero included, a
-negative ``sim.seed`` or ``disturbance.instance``, a ``solver`` other than
-``greedy`` (the exhaustive oracle is a test reference), a
+negative ``sim.seed`` or ``disturbance.instance``, a non-integer
+``disturbance.task``, ``disturbance.instance`` or task ``period``, a scalar
+where a list is expected (a rhythmic ``periods`` or a sweep axis such as
+``utils``) or a list where a number is (a sweep's ``trials``), a ``solver``
+other than ``greedy`` (the exhaustive oracle is a test reference), a
 ``baseline.broadcast_period`` below 1 or a negative ``baseline.depth`` or
 ``baseline.offset``, a task path off the network, a MAC priority outside the
 slot's levels, a ``priority_tick_us`` outside 30..400 us, and a sweep spec

@@ -89,6 +89,14 @@ def _require(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
+def _require_int(section: dict, key: str, where: str) -> int:
+    value = _require(section, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {key} {value!r} is not an integer") from exc
+
+
 def parse_network(doc: dict) -> NetworkModel:
     section = _require(doc, "network", "document")
     nodes = tuple(str(n) for n in _require(section, "nodes", "network"))
@@ -119,7 +127,7 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
             return RhythmicSpec(periods=periods, deadlines=deadlines)
         if "ratio" in raw:
             return generate_rhythmic_spec(period, float(raw["ratio"]), int(_require(raw, "steps", where)))
-    except (ValueError, RuntimeError) as exc:
+    except (TypeError, ValueError, RuntimeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: rhythmic needs either 'periods' or 'ratio'+'steps'")
 
@@ -128,7 +136,7 @@ def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
     tasks = []
     for i, raw in enumerate(_require(doc, "tasks", "document")):
         where = f"tasks[{i}]"
-        period = int(_require(raw, "period", where))
+        period = _require_int(raw, "period", where)
         rhythmic = None
         if raw.get("rhythmic"):
             rhythmic = _parse_rhythmic(raw["rhythmic"], period, f"{where}.rhythmic")
@@ -163,7 +171,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
     disturbance = None
     if doc.get("disturbance"):
         raw = doc["disturbance"]
-        task_id = int(_require(raw, "task", "disturbance"))
+        task_id = _require_int(raw, "task", "disturbance")
         if task_id not in by_id:
             raise ConfigError(f"disturbance: unknown task {task_id}")
         rhythmic = None
@@ -171,7 +179,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
             rhythmic = _parse_rhythmic(raw["rhythmic"], by_id[task_id].period, "disturbance.rhythmic")
         elif by_id[task_id].rhythmic is None:
             raise ConfigError("disturbance: task has no rhythmic specification")
-        instance = int(_require(raw, "instance", "disturbance"))
+        instance = _require_int(raw, "instance", "disturbance")
         try:
             disturbance = DisturbanceSpec(task=task_id, instance=instance, rhythmic=rhythmic)
         except ValueError as exc:
@@ -249,7 +257,7 @@ def parse_experiment(path: str | Path) -> ExperimentSpec:
             required_pdr=float(doc.get("required_pdr", 0.99)),
             beta=int(doc.get("beta", 4)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"experiment spec: {exc}") from exc
 
 

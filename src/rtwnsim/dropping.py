@@ -563,29 +563,12 @@ class DynamicPlan:
     sets: ActivePacketSets
     decision: DropDecision
     overlay: dict[int, SlotAssignment]
-    assignments: dict[int, tuple[tuple[int, int], ...]]  # release -> ((slot, hop), ...)
     evaluations: tuple[tuple[int, Optional[float]], ...]
     retry_vector: tuple[int, ...]  # per-hop budget of each full-demand rhythmic packet
 
     @property
     def end_point(self) -> int:
         return self.window.end
-
-    def as_schedule(self, static: Schedule) -> Schedule:
-        """The dynamic schedule over [0, end point): the static table with
-        rhythmic transmissions overlaid."""
-        dyn = Schedule(
-            static.mode,
-            self.end_point,
-            static.task_at[: self.end_point].copy(),
-            static.release_at[: self.end_point].copy(),
-            static.hop_at[: self.end_point].copy(),
-        )
-        for slot, entry in self.overlay.items():
-            dyn.task_at[slot] = entry.task
-            dyn.release_at[slot] = entry.release
-            dyn.hop_at[slot] = entry.hop
-        return dyn
 
 
 def generate_dynamic_schedule(
@@ -648,8 +631,8 @@ def generate_dynamic_schedule(
     _, end_point, sets, demand, decision = best
 
     overlay: dict[int, SlotAssignment] = {}
-    assignments: dict[int, tuple[tuple[int, int], ...]] = {}
     freed = decision.freed_slots(static)
+    last_stepped = event.enter_slot + sum(event.periods[:-1])
     for entry in sets.rhythmic:
         need = resolved_demand(entry, full_demand)
         lo, hi = entry.window
@@ -669,22 +652,18 @@ def generate_dynamic_schedule(
             labels = list(entry.prefix_hops)  # truncated packet continues a static instance
         else:
             labels = hop_expansion(retry_vector)[:need]
-        chosen = []
-        for slot, hop in zip(usable[:need], labels):
+        chosen = usable[:need]
+        for slot, hop in zip(chosen, labels):
             overlay[slot] = SlotAssignment(task=event.task_id, release=entry.release, hop=hop)
-            chosen.append((slot, hop))
-        assignments[entry.release] = tuple(chosen)
-
-    # The last stepped-state packet must finish inside the window it was
-    # granted; its final assigned slot realizes that finish time.
-    last_stepped = event.enter_slot + sum(event.periods[:-1])
-    if last_stepped in assignments and assignments[last_stepped]:
-        realized_finish = max(s for s, _ in assignments[last_stepped]) + 1
-        if not (realized_finish <= end_point <= upper):
-            raise PlanInvariantError(
-                f"end point {end_point} violates the completion constraint: the last "
-                f"stepped packet finishes at {realized_finish}, the bound is {upper}"
-            )
+        # The last stepped-state packet must finish inside the window it was
+        # granted; its final assigned slot realizes that finish time.
+        if entry.release == last_stepped and chosen:
+            realized_finish = chosen[-1] + 1
+            if not (realized_finish <= end_point <= upper):
+                raise PlanInvariantError(
+                    f"end point {end_point} violates the completion constraint: the last "
+                    f"stepped packet finishes at {realized_finish}, the bound is {upper}"
+                )
 
     window = RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper)
     return DynamicPlan(
@@ -693,7 +672,6 @@ def generate_dynamic_schedule(
         sets=sets,
         decision=decision,
         overlay=overlay,
-        assignments=assignments,
         evaluations=tuple(evaluations),
         retry_vector=retry_vector,
     )

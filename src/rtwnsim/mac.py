@@ -62,7 +62,6 @@ class ContendingTx:
     sender: str
     receiver: str
     priority: int  # 0 = highest
-    payload: tuple[int, int, int] = (0, 0, 0)  # (task, release, hop)
 
     def __post_init__(self) -> None:
         if self.priority < 0:

@@ -203,9 +203,6 @@ _WRITE_CHUNK = 4096  # trace lines joined per write call
 @dataclass
 class SimTrace:
     events: list[TraceEvent] = field(default_factory=list)
-    # (task, release) -> ordered per-transmission log and terminal record
-    packet_log: dict[tuple[int, int], list[tuple[int, int, str]]] = field(default_factory=dict)
-    terminals: dict[tuple[int, int], tuple[str, int]] = field(default_factory=dict)
 
     def write(self, fh: TextIO) -> None:
         """Write the v1 text form (one line per event) to ``fh`` in chunks,
@@ -223,12 +220,24 @@ class SimTrace:
 
     def packets_from(self, slot: int) -> dict[tuple[int, int], tuple]:
         """Per-packet outcome records for packets released at/after ``slot``
-        (the post-window comparison set for resumption checks)."""
-        out = {}
-        for key, log in self.packet_log.items():
-            if key[1] >= slot:
-                out[key] = (tuple(log), self.terminals.get(key))
-        return out
+        (the post-window comparison set for resumption checks), read from
+        the events: each transmitted packet maps to its ``(slot, hop,
+        result)`` outcomes in order and its terminal ``(event, finish)``,
+        where finish is the slot after delivery and -1 otherwise."""
+        logs: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
+        terminal_of: dict[tuple[int, int], tuple[str, int]] = {}
+        for t, kind, fields in self.events:
+            if kind != "outcome" and kind != "state":
+                continue
+            f = dict(fields)
+            key = (f["task"], f["release"])
+            if key[1] < slot:
+                continue
+            if kind == "outcome":
+                logs.setdefault(key, []).append((t, f["hop"], f["result"]))
+            elif f["event"] != "released":
+                terminal_of[key] = (f["event"], t + 1 if f["event"] == "delivered" else -1)
+        return {key: (tuple(log), terminal_of.get(key)) for key, log in logs.items()}
 
 
 @dataclass
@@ -237,10 +246,6 @@ class TaskStats:
     delivered: int = 0
     missed: int = 0
     dropped: int = 0
-
-    @property
-    def delivery_ratio(self) -> float:
-        return self.delivered / self.released if self.released else 1.0
 
 
 @dataclass
@@ -260,19 +265,15 @@ class Metrics:
 
 
 class _Packet:
-    __slots__ = ("task", "release", "deadline", "expiry", "hops", "path",
-                 "progress", "terminal", "finish", "decided_drop")
+    __slots__ = ("task", "release", "expiry", "hops", "progress", "terminal", "decided_drop")
 
-    def __init__(self, task: TaskSpec, release: int, deadline: int, expiry: int):
+    def __init__(self, task: TaskSpec, release: int, expiry: int):
         self.task = task.id
         self.release = release
-        self.deadline = deadline  # nominal deadline used for miss accounting
         self.expiry = expiry  # last slot bound the packet may still transmit in
         self.hops = task.hops
-        self.path = task.path
         self.progress = 0  # completed hops
         self.terminal: Optional[str] = None
-        self.finish: Optional[int] = None
         self.decided_drop = False
 
 
@@ -454,8 +455,7 @@ def _contend(
     packet, hop, priority)``: priority arbitration over their link draws,
     then, below a 60 us tick, the preemption-error draw of the winner."""
     contenders = [
-        mac_model.ContendingTx(sender=s, receiver=r, priority=prio, payload=(pkt.task, pkt.release, hop))
-        for s, r, pkt, hop, prio in candidates
+        mac_model.ContendingTx(sender=s, receiver=r, priority=prio) for s, r, *_, prio in candidates
     ]
     link_success = [bool(draws[(s, r)][t] < pdr[(s, r)]) for s, r, *_ in candidates]
     outcomes = mac_model.arbitrate_slot(contenders, mac.timing, link_success)
@@ -515,9 +515,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             k += 1
             if skip_lo is not None and skip_lo <= release < skip_hi:
                 continue
-            packets[(task.id, release)] = _Packet(
-                task, release, task.nominal_deadline(k - 1), task.nominal_deadline(k - 1)
-            )
+            packets[(task.id, release)] = _Packet(task, release, task.nominal_deadline(k - 1))
     if dynamic is not None:
         task = by_id[event.task_id]
         for entry in dynamic.sets.rhythmic:
@@ -527,7 +525,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                 expiry = prev_release + event.nominal_deadline
                 alias = ((event.task_id, prev_release), dynamic.end_point, (event.task_id, entry.release))
             if expiry <= horizon:
-                packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry, expiry)
+                packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry)
 
     if dynamic is not None and dynamic.decision.level == "packet":
         for key in dynamic.decision.dropped_packets:
@@ -558,8 +556,6 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
 
     stats = {t.id: TaskStats() for t in config.tasks}
     add = trace.events.append
-    packet_log = trace.packet_log
-    terminals = trace.terminals
 
     def finalize(pkt: _Packet, slot: int) -> None:
         if pkt.terminal is not None:
@@ -572,7 +568,6 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             stats[pkt.task].missed += 1
         add(_trace_event((slot, "state", (("task", pkt.task), ("release", pkt.release),
                                            ("event", pkt.terminal)))))
-        terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
 
     def tx_for(entry: tuple[int, int, int], t: int, prio: int) -> Optional[tuple]:
         tid, rel, hop = entry
@@ -653,9 +648,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                     result = "delivered"
                     if pkt.progress == pkt.hops:
                         pkt.terminal = "delivered"
-                        pkt.finish = t + 1
                         stats[pkt.task].delivered += 1
-                        terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
                         add(_trace_event((t, "state", (("task", pkt.task), ("release", pkt.release),
                                                        ("event", "delivered")))))
                 else:
@@ -664,7 +657,6 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                 result = results[outcome]
             add(_trace_event((t, "outcome", (("sender", sender), ("task", pkt.task),
                                              ("release", pkt.release), ("hop", hop), ("result", result)))))
-            packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
 
     while expiry_idx < len(expiry_order):
         finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))

@@ -101,22 +101,13 @@ class ScheduleVerdict:
     ok: bool
     violations: tuple[str, ...] = ()
 
-    @property
-    def first_violation(self) -> Optional[str]:
-        return self.violations[0] if self.violations else None
-
 
 @dataclass
 class StaticScheduleResult:
     schedule: Schedule
     retry_vectors: dict[int, tuple[int, ...]]  # task id -> per-hop trial budget
     feasible: bool
-    hyperperiod: int
     first_failure: Optional[tuple[int, int]] = None  # (task, release) of first missed packet
-
-    @property
-    def budgets(self) -> dict[int, int]:
-        return {tid: sum(rv) for tid, rv in self.retry_vectors.items()}
 
 
 def plan_retry_vectors(
@@ -247,7 +238,6 @@ def build_static_schedule(
         schedule=sched,
         retry_vectors=retry_vectors,
         feasible=feasible,
-        hyperperiod=hyperperiod(tasks),
         first_failure=first_failure,
     )
 

@@ -91,9 +91,9 @@ def test_a1_bench_scenario_dropping():
         assert len(plan.sets.rhythmic) == 5
         for entry in plan.sets.rhythmic:
             need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
-            slots = plan.assignments[entry.release]
+            slots = [s for s, a in plan.overlay.items() if a.release == entry.release]
             assert len(slots) == need
-            assert all(entry.release <= s < entry.deadline for s, _ in slots)
+            assert all(entry.release <= s < entry.deadline for s in slots)
 
     # (b) transmission-level degradation never exceeds packet-level, and each
     # greedy result is oracle-verified at its own granularity and end point.
@@ -246,10 +246,9 @@ def test_a5_delivery_math():
     for task in tasks:
         stats = metrics.per_task[task.id]
         sigma = np.sqrt(0.95 * 0.05 / stats.released)
-        assert stats.delivery_ratio >= 0.95 - 3 * sigma, (
-            f"task {task.id}: {stats.delivery_ratio:.4f} below target band"
-        )
-        ratios.append(stats.delivery_ratio)
+        ratio = stats.delivered / stats.released
+        assert ratio >= 0.95 - 3 * sigma, f"task {task.id}: {ratio:.4f} below target band"
+        ratios.append(ratio)
     elapsed = time.perf_counter() - start
     _criterion("A5", True,
                f"50 Monte-Carlo checks at 1e5 trials; delivery over {total} packets "
@@ -300,19 +299,16 @@ def test_a7_constraint_suite():
         # Constraint 1: the last stepped packet finishes inside the window and
         # the end point respects the latency bound.
         last_stepped = event.enter_slot + sum(event.periods[:-1])
-        finish = max(s for s, _ in plan.assignments[last_stepped]) + 1
+        finish = max(s for s, a in plan.overlay.items() if a.release == last_stepped) + 1
         assert finish <= plan.end_point <= plan.window.end_upper_bound
 
-        # Constraint 4: inside the window every slot is either untouched or
-        # carries the disturbed task.
-        dyn = plan.as_schedule(static.schedule)
-        sl = slice(event.enter_slot, plan.end_point)
-        unchanged = (
-            (dyn.task_at[sl] == static.schedule.task_at[sl])
-            & (dyn.release_at[sl] == static.schedule.release_at[sl])
-            & (dyn.hop_at[sl] == static.schedule.hop_at[sl])
-        )
-        assert bool((unchanged | (dyn.task_at[sl] == task.id)).all())
+        # Constraint 4: the overlay lies inside the window and takes only
+        # idle slots, the disturbed task's own slots, or slots the drop
+        # decision freed.
+        freed = plan.decision.freed_slots(static.schedule)
+        for s in plan.overlay:
+            assert event.enter_slot <= s < plan.end_point
+            assert static.schedule.task_at[s] in (-1, task.id) or s in freed, f"seed {seed}: slot {s}"
 
         # Schedule-computation slot exists for every non-controller route node.
         for node in task.path:

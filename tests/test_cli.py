@@ -217,8 +217,11 @@ def test_sweep_smoke_grid(tmp_path):
     ("required_pdr: 0", "required pdr must be in (0, 1)"),
     ("ticks: [-1]", "ticks must be >= 0"),
     ("base_seed: -1", "base_seed must be >= 0"),
+    ("utils: 0.5", "experiment spec: 'float' object is not iterable"),
+    ("trials: [1]", "experiment spec: int() argument must be"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
-        "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative"])
+        "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
+        "list_trials"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -271,10 +274,16 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("seed: 7", "seed: -1", "sim: seed -1 must be >= 0"),
     ("instance: 3", "instance: -1", "disturbance: instance -1 must be >= 0"),
     ("priority_tick_us: 60", "priority_tick_us: 20", "mac: tick must lie in the supported 30..400 us range"),
+    ("instance: 3", "instance: abc", "disturbance: instance 'abc' is not an integer"),
+    ("  task: 0\n", "  task: x\n", "disturbance: task 'x' is not an integer"),
+    ("period: 30", "period: x", "tasks[1]: period 'x' is not an integer"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: 12}",
+     "tasks[0].rhythmic: 'int' object is not iterable"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
-        "baseline_negative_offset", "negative_seed", "negative_instance", "tick_20"])
+        "baseline_negative_offset", "negative_seed", "negative_instance", "tick_20", "non_integer_instance",
+        "non_integer_task", "non_integer_period", "scalar_rhythmic_periods"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text

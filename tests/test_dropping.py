@@ -508,25 +508,22 @@ def test_dynamic_schedule_constraints_hold():
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     for level in ("packet", "transmission"):
         plan = generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level=level)
-        dyn = plan.as_schedule(result.schedule)
-        for t in range(event.enter_slot, plan.end_point):
-            same = (
-                dyn.task_at[t] == result.schedule.task_at[t]
-                and dyn.release_at[t] == result.schedule.release_at[t]
-                and dyn.hop_at[t] == result.schedule.hop_at[t]
-            )
-            assert same or dyn.task_at[t] == 0  # replaced slots carry the disturbed task
+        # the overlay stays in the window and takes only idle, own or freed slots
+        freed = plan.decision.freed_slots(result.schedule)
+        for t in plan.overlay:
+            assert event.enter_slot <= t < plan.end_point
+            assert result.schedule.task_at[t] in (-1, 0) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:
             need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
-            slots = plan.assignments[entry.release]
+            slots = sorted((t, a.hop) for t, a in plan.overlay.items() if a.release == entry.release)
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s, _ in slots)
             hops = [h for _, h in slots]
             assert hops == sorted(hops)
         # completion constraint for the chosen end point
         last_stepped = event.enter_slot + sum(event.periods[:-1])
-        finish = max(s for s, _ in plan.assignments[last_stepped]) + 1
+        finish = max(t for t, a in plan.overlay.items() if a.release == last_stepped) + 1
         assert finish <= plan.end_point <= plan.window.end_upper_bound
 
 

@@ -5,12 +5,14 @@ helper into the old ``fields`` tuples, builds a ``ContendingTx`` and calls
 ``mac.arbitrate_slot`` on every busy slot, and resolves the tail alias on
 each packet lookup.  The library engine resolves lone-sender slots from the
 link draw alone and appends ready-made events; both must produce the same
-trace bytes (through ``text()`` and ``write()``), the same typed events,
-packet logs, terminal records and metrics, and raise the same exceptions --
-on sweep trials in both modes under all three frameworks, on the contended
-testbed window at preemption-error and error-free ticks, on runs whose last
-rhythmic packet takes over a static tail, and on hypothesis-drawn variants of
-the testbed network.
+trace bytes (through ``text()`` and ``write()``), the same typed events and
+metrics, and raise the same exceptions; ``packets_from(0)``, which the
+library reads off the events, must equal the per-packet logs and terminal
+records the reference keeps as it runs -- on sweep trials in both modes
+under all three frameworks, on the contended testbed window at
+preemption-error and error-free ticks, on runs whose last rhythmic packet
+takes over a static tail, and on hypothesis-drawn variants of the testbed
+network.
 """
 
 import dataclasses
@@ -38,7 +40,6 @@ from rtwnsim.sim import (
     TraceEvent,
     _WRITE_CHUNK,
     _link_draws,
-    _Packet,
     plan,
     run,
 )
@@ -56,14 +57,40 @@ def _reference_text(trace: SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
-    """Frozen copy of the engine that arbitrated every busy slot."""
+class _Packet:
+    """Frozen copy of the engine's packet record, with every field it kept."""
+
+    __slots__ = ("task", "release", "deadline", "expiry", "hops", "path",
+                 "progress", "terminal", "finish", "decided_drop")
+
+    def __init__(self, task: TaskSpec, release: int, deadline: int, expiry: int):
+        self.task = task.id
+        self.release = release
+        self.deadline = deadline  # nominal deadline used for miss accounting
+        self.expiry = expiry  # last slot bound the packet may still transmit in
+        self.hops = task.hops
+        self.path = task.path
+        self.progress = 0  # completed hops
+        self.terminal: Optional[str] = None
+        self.finish: Optional[int] = None
+        self.decided_drop = False
+
+
+PacketRecords = dict[tuple[int, int], tuple]
+
+
+def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics, PacketRecords]:
+    """Frozen copy of the engine that arbitrated every busy slot.  Besides
+    the trace and metrics it returns, per transmitted packet, its ordered
+    ``(slot, hop, result)`` log and terminal ``(event, finish slot or -1)``."""
     planned = plan(config)
     sched = planned.static.schedule
     horizon = sched.horizon
     dynamic = planned.dynamic
     by_id = {t.id: t for t in config.tasks}
     trace = SimTrace()
+    packet_log: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
+    terminals: dict[tuple[int, int], tuple[str, int]] = {}
 
     vrhy: frozenset[str] = frozenset()
     overlay: dict = {}
@@ -132,7 +159,7 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             pkt.terminal = "missed"
             stats[pkt.task].missed += 1
         _add(trace, slot, "state", task=pkt.task, release=pkt.release, event=pkt.terminal)
-        trace.terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
+        terminals[(pkt.task, pkt.release)] = (pkt.terminal, -1)
 
     def sched_entry(t: int) -> Optional[tuple[int, int, int]]:
         tid = task_at[t]
@@ -210,10 +237,7 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                 else config.mac.periodic_priority
             )
             contenders.append(
-                mac_model.ContendingTx(
-                    sender=sender, receiver=receiver, priority=prio,
-                    payload=(pkt.task, pkt.release, hop),
-                )
+                mac_model.ContendingTx(sender=sender, receiver=receiver, priority=prio)
             )
             _add(trace, t, "tx", sender=sender, receiver=receiver, task=pkt.task,
                  release=pkt.release, hop=hop, prio=prio)
@@ -259,7 +283,7 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                         pkt.terminal = "delivered"
                         pkt.finish = t + 1
                         stats[pkt.task].delivered += 1
-                        trace.terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
+                        terminals[(pkt.task, pkt.release)] = ("delivered", t + 1)
                         _add(trace, t, "state", task=pkt.task, release=pkt.release, event="delivered")
                 else:
                     result = "no_listener"
@@ -271,7 +295,7 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                 result = "lost"
             _add(trace, t, "outcome", sender=sender, task=pkt.task, release=pkt.release,
                  hop=hop, result=result)
-            trace.packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
+            packet_log.setdefault((pkt.task, pkt.release), []).append((t, hop, result))
 
     while expiry_idx < len(expiry_order):
         finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))
@@ -292,12 +316,13 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         per_task={tid: stats[tid] for tid in sorted(stats)},
         feasible_dynamic=planned.feasible_dynamic,
     )
-    return trace, metrics
+    records = {key: (tuple(log), terminals.get(key)) for key, log in packet_log.items()}
+    return trace, metrics, records
 
 
 def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
     try:
-        ref_trace, ref_metrics = reference_run(config)
+        ref_trace, ref_metrics, ref_records = reference_run(config)
     except Exception as exc:  # the engine must fail the same way
         with pytest.raises(type(exc)):
             run(config)
@@ -310,8 +335,7 @@ def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
     out = io.StringIO()
     trace.write(out)
     assert out.getvalue() == text
-    assert list(trace.packet_log.items()) == list(ref_trace.packet_log.items())
-    assert list(trace.terminals.items()) == list(ref_trace.terminals.items())
+    assert list(trace.packets_from(0).items()) == list(ref_records.items())
     assert metrics == ref_metrics
     return trace
 
@@ -396,7 +420,7 @@ def test_tail_takeover_matches_reference(case, framework, seed):
     taken_over = dynamic.sets.resume_release - dynamic.event.nominal_period
     assert boundary.tail_slots and taken_over != boundary.release
     trace = _assert_same_run(config)
-    log = trace.packet_log[(0, boundary.release)]
+    log, _ = trace.packets_from(boundary.release)[(0, boundary.release)]
     assert any(slot >= dynamic.end_point for slot, _, _ in log)
 
 

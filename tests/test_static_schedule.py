@@ -18,6 +18,7 @@ from rtwnsim.static_schedule import (
     Schedule,
     build_static_schedule,
     hop_expansion,
+    hyperperiod,
     plan_retry_vectors,
     verify_schedulable,
 )
@@ -56,8 +57,8 @@ def test_testbed_set_is_feasible():
     net, tasks = _testbed()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=240)
     assert result.feasible
-    assert result.hyperperiod == 60
-    assert result.budgets == {0: 8, 1: 6, 2: 4}
+    assert hyperperiod(tasks) == 60
+    assert {tid: sum(rv) for tid, rv in result.retry_vectors.items()} == {0: 8, 1: 6, 2: 4}
     assert verify_schedulable(result, tasks, net, 0.95).ok
 
 
@@ -93,7 +94,7 @@ def test_verify_flags_removed_slot():
     result.schedule.task_at[slot] = -1
     verdict = verify_schedulable(result, tasks, net, 0.95)
     assert not verdict.ok
-    assert "task 1" in verdict.first_violation
+    assert "task 1" in verdict.violations[0]
 
 
 def test_verify_flags_hop_order_violation():
@@ -136,7 +137,7 @@ def test_random_feasible_schedules_verify():
         result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.99, horizon=360)
         assert result.feasible, f"seed {seed} generated an unschedulable set"
         verdict = verify_schedulable(result, tasks, net, 0.99)
-        assert verdict.ok, verdict.first_violation
+        assert verdict.ok, verdict.violations
         for task in tasks:
             rv = result.retry_vectors[task.id]
             assert packet_pdr(net.path_pdrs(task.path), rv) >= 0.99
