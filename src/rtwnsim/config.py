@@ -89,10 +89,18 @@ def _require(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
+def _int(value: Any, key: str) -> int:
+    """``int(value)`` without truncation: a bool or a number with a fractional
+    part raises ``ValueError`` naming ``key`` instead of being read as 1 or 3."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
+
+
 def _require_int(section: dict, key: str, where: str) -> int:
     value = _require(section, key, where)
     try:
-        return int(value)
+        return _int(value, key)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {key} {value!r} is not an integer") from exc
 
@@ -111,6 +119,8 @@ def parse_network(doc: dict) -> NetworkModel:
                     pdr=float(raw.get("pdr", 1.0)),
                 )
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"network.links[{i}]: {exc}") from exc
     try:
@@ -122,11 +132,13 @@ def parse_network(doc: dict) -> NetworkModel:
 def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
     try:
         if "periods" in raw:
-            periods = tuple(int(p) for p in raw["periods"])
-            deadlines = tuple(int(d) for d in raw.get("deadlines", periods))
+            periods = tuple(_int(p, "periods") for p in raw["periods"])
+            deadlines = tuple(_int(d, "deadlines") for d in raw.get("deadlines", periods))
             return RhythmicSpec(periods=periods, deadlines=deadlines)
         if "ratio" in raw:
-            return generate_rhythmic_spec(period, float(raw["ratio"]), int(_require(raw, "steps", where)))
+            return generate_rhythmic_spec(period, float(raw["ratio"]), _require_int(raw, "steps", where))
+    except ConfigError:
+        raise
     except (TypeError, ValueError, RuntimeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: rhythmic needs either 'periods' or 'ratio'+'steps'")
@@ -143,16 +155,20 @@ def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
         try:
             tasks.append(
                 TaskSpec(
-                    id=int(_require(raw, "id", where)),
+                    id=_require_int(raw, "id", where),
                     path=tuple(str(n) for n in _require(raw, "path", where)),
                     period=period,
-                    deadline=int(raw.get("deadline", period)),
+                    deadline=_int(raw.get("deadline", period), "deadline"),
                     rhythmic=rhythmic,
-                    slot_budget=int(raw["slot_budget"]) if raw.get("slot_budget") is not None else None,
-                    phase=int(raw.get("phase", 0)),
+                    slot_budget=(
+                        _int(raw["slot_budget"], "slot_budget") if raw.get("slot_budget") is not None else None
+                    ),
+                    phase=_int(raw.get("phase", 0), "phase"),
                 )
             )
-        except ValueError as exc:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(tasks)
 
@@ -187,29 +203,31 @@ def parse_scenario(path: str | Path) -> SimConfig:
 
     mac_raw = doc.get("mac") or {}
     try:
-        timing = SlotTiming(priority_tick_us=int(mac_raw.get("priority_tick_us", 60)))
+        timing = SlotTiming(priority_tick_us=_int(mac_raw.get("priority_tick_us", 60), "priority_tick_us"))
         per_table = tuple(
-            sorted((int(k), float(v)) for k, v in (mac_raw.get("per_table") or {}).items())
+            sorted((_int(k, "per_table key"), float(v)) for k, v in (mac_raw.get("per_table") or {}).items())
         )
         mac = MacParams(
             timing=timing,
-            rhythmic_priority=int(mac_raw.get("rhythmic_priority", 0)),
-            periodic_priority=int(mac_raw.get("periodic_priority", 1)),
+            rhythmic_priority=_int(mac_raw.get("rhythmic_priority", 0), "rhythmic_priority"),
+            periodic_priority=_int(mac_raw.get("periodic_priority", 1), "periodic_priority"),
             per_table=per_table,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"mac: {exc}") from exc
 
     base_raw = doc.get("baseline") or {}
     try:
         baseline = BaselineParams(
             broadcast_period=(
-                int(base_raw["broadcast_period"]) if base_raw.get("broadcast_period") is not None else None
+                _int(base_raw["broadcast_period"], "broadcast_period")
+                if base_raw.get("broadcast_period") is not None
+                else None
             ),
-            depth=int(base_raw["depth"]) if base_raw.get("depth") is not None else None,
-            offset=int(base_raw.get("offset", 0)),
+            depth=_int(base_raw["depth"], "depth") if base_raw.get("depth") is not None else None,
+            offset=_int(base_raw.get("offset", 0), "offset"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"baseline: {exc}") from exc
 
     sim_raw = doc.get("sim") or {}
@@ -225,16 +243,16 @@ def parse_scenario(path: str | Path) -> SimConfig:
             tasks=tasks,
             mode=mode,
             required_pdr=float(sim_raw.get("required_pdr", 0.99)),
-            seed=int(sim_raw.get("seed", 0)),
-            horizon=int(sim_raw["horizon"]) if sim_raw.get("horizon") is not None else None,
+            seed=_int(sim_raw.get("seed", 0), "seed"),
+            horizon=_int(sim_raw["horizon"], "horizon") if sim_raw.get("horizon") is not None else None,
             disturbance=disturbance,
-            alpha=int(sim_raw["alpha"]) if sim_raw.get("alpha") is not None else None,
-            beta=int(sim_raw.get("beta", 4)),
+            alpha=_int(sim_raw["alpha"], "alpha") if sim_raw.get("alpha") is not None else None,
+            beta=_int(sim_raw.get("beta", 4), "beta"),
             framework=framework,
             mac=mac,
             baseline=baseline,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
 
 
@@ -247,15 +265,15 @@ def parse_experiment(path: str | Path) -> ExperimentSpec:
         )
         return ExperimentSpec(
             utils=tuple(float(u) for u in doc.get("utils", [0.5])),
-            r_steps=tuple(int(r) for r in doc.get("r_steps", [8])),
-            alphas=tuple(int(a) for a in doc.get("alphas", [1])),
-            ticks=tuple(int(t) for t in doc.get("ticks", [60])),
-            trials=int(doc.get("trials", 100)),
-            base_seed=int(doc.get("base_seed", 0)),
+            r_steps=tuple(_int(r, "r_steps") for r in doc.get("r_steps", [8])),
+            alphas=tuple(_int(a, "alphas") for a in doc.get("alphas", [1])),
+            ticks=tuple(_int(t, "ticks") for t in doc.get("ticks", [60])),
+            trials=_int(doc.get("trials", 100), "trials"),
+            base_seed=_int(doc.get("base_seed", 0), "base_seed"),
             frameworks=frameworks,
             gamma=float(doc.get("gamma", 0.2)),
             required_pdr=float(doc.get("required_pdr", 0.99)),
-            beta=int(doc.get("beta", 4)),
+            beta=_int(doc.get("beta", 4), "beta"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"experiment spec: {exc}") from exc

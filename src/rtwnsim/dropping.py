@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -138,39 +139,58 @@ class DropDecision:
 
 @dataclass
 class PeriodicPacketState:
-    """Mutable per-packet view used by the transmission-dropping heuristic."""
+    """Mutable per-packet view used by the transmission-dropping heuristic.
+
+    ``counts[h]`` is the number of remaining slots labelled hop ``h``; index 0
+    counts PBS slots.  It is set up from ``hops`` once and kept in step by
+    ``remove``, the only mutator, so a delivery probability costs O(hops).
+    """
 
     packet: PacketKey
     path_pdrs: tuple[float, ...]
     slots: list[int]
     hops: list[int]  # hop label per remaining slot; 0 under PBS
     window_of: dict[int, int]  # slot -> rhythmic window index, in-window slots only
+    counts: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hop_count = len(self.path_pdrs)
+        if self.hops and not 0 <= min(self.hops) <= max(self.hops) <= hop_count:
+            raise ValueError(f"hop labels must lie in 0..{hop_count}")
+        counts = [0] * (hop_count + 1)
+        for h in self.hops:
+            counts[h] += 1
+        self.counts = counts
 
     @property
     def hop_count(self) -> int:
         return len(self.path_pdrs)
 
+    def _pdr(self, slot_count: int) -> float:
+        """Delivery probability of ``slot_count`` slots labelled as ``counts``."""
+        if not slot_count or slot_count < len(self.path_pdrs):
+            return 0.0
+        if self.counts[0]:
+            return packet_pdr_flexible(self.path_pdrs, slot_count)
+        per_hop = self.counts[1:]
+        if 0 in per_hop:
+            return 0.0
+        return packet_pdr(self.path_pdrs, per_hop)
+
     def delivery_pdr(self) -> float:
-        if not self.slots or len(self.slots) < self.hop_count:
-            return 0.0
-        if any(h == 0 for h in self.hops):
-            return packet_pdr_flexible(self.path_pdrs, len(self.slots))
-        counts = [0] * self.hop_count
-        for h in self.hops:
-            counts[h - 1] += 1
-        if any(c == 0 for c in counts):
-            return 0.0
-        return packet_pdr(self.path_pdrs, counts)
+        return self._pdr(len(self.slots))
 
     def pdr_without(self, ordinal: int) -> float:
-        slots = self.slots[:ordinal] + self.slots[ordinal + 1 :]
-        hops = self.hops[:ordinal] + self.hops[ordinal + 1 :]
-        probe = PeriodicPacketState(self.packet, self.path_pdrs, slots, hops, {})
-        return probe.delivery_pdr()
+        hop = self.hops[ordinal]
+        self.counts[hop] -= 1
+        try:
+            return self._pdr(len(self.slots) - 1)
+        finally:
+            self.counts[hop] += 1
 
     def remove(self, ordinal: int) -> int:
         slot = self.slots.pop(ordinal)
-        self.hops.pop(ordinal)
+        self.counts[self.hops.pop(ordinal)] -= 1
         return slot
 
 
@@ -231,24 +251,29 @@ def build_periodic_state(
     network: NetworkModel,
 ) -> list[PeriodicPacketState]:
     by_id = {t.id: t for t in tasks}
-    windows = [d.window for d in sets.rhythmic]
+    # The rhythmic windows are sorted and disjoint, so a slot lies in the
+    # last window starting at or before it, or in none.
+    starts = [d.release for d in sets.rhythmic]
+    ends = [d.deadline for d in sets.rhythmic]
+    path_pdrs: dict[int, tuple[float, ...]] = {}
     state: list[PeriodicPacketState] = []
     for task_id, release in sets.periodic:
         task = by_id[task_id]
-        slots = [int(s) for s in static.packet_slots(task_id, release, until=release + task.deadline)]
-        hops = [int(static.hop_at[s]) for s in slots]
+        if task_id not in path_pdrs:
+            path_pdrs[task_id] = tuple(network.path_pdrs(task.path))
+        found = static.packet_slots(task_id, release, until=release + task.deadline)
+        slots = found.tolist()
         window_of: dict[int, int] = {}
         for slot in slots:
-            for i, (lo, hi) in enumerate(windows):
-                if lo <= slot < hi:
-                    window_of[slot] = i
-                    break
+            i = bisect_right(starts, slot) - 1
+            if i >= 0 and slot < ends[i]:
+                window_of[slot] = i
         state.append(
             PeriodicPacketState(
                 packet=(task_id, release),
-                path_pdrs=tuple(network.path_pdrs(task.path)),
+                path_pdrs=path_pdrs[task_id],
                 slots=slots,
-                hops=hops,
+                hops=static.hop_at[found].tolist(),
                 window_of=window_of,
             )
         )
@@ -339,10 +364,10 @@ def drop_transmissions(
 
     pbs = mode is SchedulingMode.PBS
     packets = [
-        PeriodicPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), dict(p.window_of))
+        PeriodicPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), p.window_of)
         for p in state
     ]
-    if pbs and any(h != 0 for p in packets for h in p.hops):
+    if pbs and any(p.counts[0] != len(p.hops) for p in packets):
         raise ValueError("PBS packet states carry hop label 0 on every slot")
     version = [0] * len(packets)
     # (delta, release, task, slot, packet index, version, ordinal, window)
@@ -638,8 +663,8 @@ def generate_dynamic_schedule(
         lo, hi = entry.window
         usable = [
             t
-            for t in range(lo, hi)
-            if static.task_at[t] == -1 or static.task_at[t] == event.task_id or t in freed
+            for t, owner in enumerate(static.task_at[lo:hi].tolist(), lo)
+            if owner == -1 or owner == event.task_id or t in freed
         ]
         if len(usable) < need:
             raise PlanInvariantError(

@@ -323,19 +323,15 @@ def build_active_sets(
         demands.append(RhythmicDemand(seq=seq, release=release, deadline=deadline,
                                       fixed_demand=fixed, tail_slots=tail, prefix_hops=prefix))
 
-    # Periodic packets owning at least one static slot inside the window.
+    # Periodic packets owning at least one static slot inside the window.  A
+    # packet's slots come in runs, so only the first slot of each run is read.
     window_tasks = static.task_at[start:candidate]
     window_releases = static.release_at[start:candidate]
-    periodic: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for task_id, release in zip(window_tasks.tolist(), window_releases.tolist()):
-        if task_id < 0 or task_id == event.task_id:
-            continue
-        key = (task_id, release)
-        if key not in seen:
-            seen.add(key)
-            periodic.append(key)
-    periodic.sort(key=lambda k: (k[1], k[0]))
+    run_start = np.ones(len(window_tasks), dtype=bool)
+    run_start[1:] = (window_tasks[1:] != window_tasks[:-1]) | (window_releases[1:] != window_releases[:-1])
+    keep = run_start & (window_tasks >= 0) & (window_tasks != event.task_id)
+    keys = set(zip(window_releases[keep].tolist(), window_tasks[keep].tolist()))
+    periodic = [(task_id, release) for release, task_id in sorted(keys)]
 
     return ActivePacketSets(
         candidate=candidate,

@@ -219,9 +219,13 @@ def test_sweep_smoke_grid(tmp_path):
     ("base_seed: -1", "base_seed must be >= 0"),
     ("utils: 0.5", "experiment spec: 'float' object is not iterable"),
     ("trials: [1]", "experiment spec: int() argument must be"),
+    ("trials: 2.5", "experiment spec: trials 2.5 is not an integer"),
+    ("alphas: [1, 1.5]", "experiment spec: alphas 1.5 is not an integer"),
+    ("beta: 4.5", "experiment spec: beta 4.5 is not an integer"),
+    ("base_seed: true", "experiment spec: base_seed True is not an integer"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
-        "list_trials"])
+        "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -279,11 +283,28 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("period: 30", "period: x", "tasks[1]: period 'x' is not an integer"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: 12}",
      "tasks[0].rhythmic: 'int' object is not iterable"),
+    # A number with a fractional part, or a bool, is rejected, not truncated.
+    ("instance: 3", "instance: 3.9", "disturbance: instance 3.9 is not an integer"),
+    ("instance: 3", "instance: true", "disturbance: instance True is not an integer"),
+    ("period: 30", "period: 30.5", "tasks[1]: period 30.5 is not an integer"),
+    ("slot_budget: 8", "slot_budget: 8.5", "tasks[0]: slot_budget 8.5 is not an integer"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12.5, 12, 12, 12]}",
+     "tasks[0].rhythmic: periods 12.5 is not an integer"),
+    ("priority_tick_us: 60", "priority_tick_us: 60.5", "mac: priority_tick_us 60.5 is not an integer"),
+    ("seed: 7", "seed: 7.5", "sim: seed 7.5 is not an integer"),
+    ("horizon: 260", "horizon: 260.5", "sim: horizon 260.5 is not an integer"),
+    ("beta: 4", "beta: 4.5", "sim: beta 4.5 is not an integer"),
+    ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST\nbaseline: {offset: 1.5}",
+     "baseline: offset 1.5 is not an integer"),
+    ("seed: 7", "seed: [7]", "sim: int() argument must be"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
         "baseline_negative_offset", "negative_seed", "negative_instance", "tick_20", "non_integer_instance",
-        "non_integer_task", "non_integer_period", "scalar_rhythmic_periods"])
+        "non_integer_task", "non_integer_period", "scalar_rhythmic_periods", "fractional_instance",
+        "bool_instance", "fractional_period", "fractional_slot_budget", "fractional_rhythmic_period",
+        "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
+        "list_seed"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -296,6 +317,23 @@ def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("  - id: 1\n", "  - ident: 1\n", "error: tasks[1]: missing required key 'id'\n"),
+    ("{from: V2, to: Vc, pdr: 0.9}", "{src: V2, to: Vc, pdr: 0.9}",
+     "error: network.links[4]: missing required key 'from'\n"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.8}",
+     "error: tasks[0].rhythmic: missing required key 'steps'\n"),
+], ids=["task_id", "link_from", "rhythmic_steps"])
+def test_missing_key_names_its_location_once(tmp_path, capsys, old, new, message):
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    assert old in text
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text.replace(old, new), encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(tmp_path / "trace.txt")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -1,51 +1,154 @@
-"""The incremental transmission-dropping solver against a frozen copy of the
-full-rescan solver it replaced.
+"""The FD-PaS planner against frozen copies of the code it replaced.
 
-``reference_drop_transmissions`` below recomputes every periodic packet's
-delivery probability and per-hop deltas on every round.  The library solver
-caches those deltas in a lazy heap; both must return equal decisions (same
-dropped-slot order, same degradation floats) and raise the same exceptions on
-every end-point candidate of seeded sweep-style and constraint-suite trials,
-under TBS and PBS.
+The references below are kept verbatim from earlier versions of the library
+and share none of its packet-state, periodic-set or solver code:
+
+* ``FrozenPacketState`` recounts hop labels on every delivery probability and
+  builds a probe object per ``pdr_without``; the library's
+  ``PeriodicPacketState`` keeps per-hop counts instead.
+* ``reference_drop_transmissions`` recomputes every periodic packet's delivery
+  probability and per-hop deltas on every round, on frozen packet states; the
+  library solver caches those deltas in a lazy heap.
+* ``frozen_periodic_keys`` and ``frozen_build_periodic_state`` are the
+  per-candidate builders as they were before they shared per-plan work:
+  a Python loop over the window for the periodic set, one ``packet_slots``
+  mask per packet and a scan of the window list per slot.
+* ``reference_plan`` is ``generate_dynamic_schedule`` assembled from those
+  references, with the slot-by-slot scan for usable overlay slots.
+
+Each must agree with the library exactly (same floats, same orders, same
+exceptions) on every end-point candidate of seeded sweep-style and
+constraint-suite trials, under TBS and PBS.
 """
 
+import dataclasses
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtwnsim.dropping import (
     DropDecision,
     PeriodicPacketState,
+    PlanInvariantError,
     build_demand_vector,
     build_periodic_state,
+    build_transmission_vectors,
     drop_transmissions,
+    generate_dynamic_schedule,
+    greedy_drop_packets,
+    resolved_demand,
 )
 from rtwnsim.experiments import make_trial
 from rtwnsim.model import (
     CandidateInfeasible,
+    DisturbanceInfeasible,
     SchedulingMode,
     allocate_retry_vector,
+    packet_pdr,
+    packet_pdr_flexible,
     pdr_degradation,
 )
 from rtwnsim.rhythmic import (
     DisturbanceEvent,
+    RhythmicWindow,
     build_active_sets,
     earliest_last_finish,
     end_point_candidates,
     end_point_upper_bound,
 )
-from rtwnsim.static_schedule import build_static_schedule
+from rtwnsim.static_schedule import SlotAssignment, build_static_schedule, hop_expansion
 
 REQUIRED_PDR = 0.99
 BETA = 4
 
 
+# ------------------------------------------------------------ frozen copies
+
+@dataclass
+class FrozenPacketState:
+    """The per-packet state with a recount per delivery probability."""
+
+    packet: tuple
+    path_pdrs: tuple
+    slots: list
+    hops: list
+    window_of: dict
+
+    @property
+    def hop_count(self):
+        return len(self.path_pdrs)
+
+    def delivery_pdr(self):
+        if not self.slots or len(self.slots) < self.hop_count:
+            return 0.0
+        if any(h == 0 for h in self.hops):
+            return packet_pdr_flexible(self.path_pdrs, len(self.slots))
+        counts = [0] * self.hop_count
+        for h in self.hops:
+            counts[h - 1] += 1
+        if any(c == 0 for c in counts):
+            return 0.0
+        return packet_pdr(self.path_pdrs, counts)
+
+    def pdr_without(self, ordinal):
+        slots = self.slots[:ordinal] + self.slots[ordinal + 1 :]
+        hops = self.hops[:ordinal] + self.hops[ordinal + 1 :]
+        probe = FrozenPacketState(self.packet, self.path_pdrs, slots, hops, {})
+        return probe.delivery_pdr()
+
+    def remove(self, ordinal):
+        slot = self.slots.pop(ordinal)
+        self.hops.pop(ordinal)
+        return slot
+
+
+def frozen_periodic_keys(start, candidate, static, task_id):
+    """Periodic packets owning a static slot in [start, candidate)."""
+    window_tasks = static.task_at[start:candidate]
+    window_releases = static.release_at[start:candidate]
+    periodic = []
+    seen = set()
+    for owner, release in zip(window_tasks.tolist(), window_releases.tolist()):
+        if owner < 0 or owner == task_id:
+            continue
+        key = (owner, release)
+        if key not in seen:
+            seen.add(key)
+            periodic.append(key)
+    periodic.sort(key=lambda k: (k[1], k[0]))
+    return tuple(periodic)
+
+
+def frozen_build_periodic_state(sets, static, tasks, network):
+    by_id = {t.id: t for t in tasks}
+    windows = [d.window for d in sets.rhythmic]
+    state = []
+    for task_id, release in sets.periodic:
+        task = by_id[task_id]
+        slots = [int(s) for s in static.packet_slots(task_id, release, until=release + task.deadline)]
+        hops = [int(static.hop_at[s]) for s in slots]
+        window_of = {}
+        for slot in slots:
+            for i, (lo, hi) in enumerate(windows):
+                if lo <= slot < hi:
+                    window_of[slot] = i
+                    break
+        state.append(FrozenPacketState((task_id, release), tuple(network.path_pdrs(task.path)),
+                                       slots, hops, window_of))
+    return state
+
+
 def reference_drop_transmissions(demand, state, required_pdr, mode=SchedulingMode.TBS):
-    """The full-rescan solver, kept verbatim as the equivalence reference."""
+    """The full-rescan solver on frozen packet states."""
     residual = list(demand.residual)
     if all(v == 0 for v in residual):
         return DropDecision(level="transmission")
 
     packets = [
-        PeriodicPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), dict(p.window_of))
+        FrozenPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), dict(p.window_of))
         for p in state
     ]
     dropped = []
@@ -109,6 +212,119 @@ def reference_drop_transmissions(demand, state, required_pdr, mode=SchedulingMod
     )
 
 
+def reference_plan(event, static, tasks, network, required_pdr, beta, level):
+    """``generate_dynamic_schedule`` built from the frozen references; returns
+    (evaluations, decision, overlay)."""
+    task = next(t for t in tasks if t.id == event.task_id)
+    retry_vector = allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
+    full_demand = sum(retry_vector)
+    upper = end_point_upper_bound(event, beta)
+    evaluations = []
+    best: Optional[tuple] = None
+    for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), beta):
+        try:
+            sets = build_active_sets(candidate, event, static, tasks, full_demand)
+            sets = dataclasses.replace(
+                sets, periodic=frozen_periodic_keys(sets.start, candidate, static, event.task_id))
+            demand = build_demand_vector(sets, static, full_demand)
+            if demand.satisfied:
+                decision = DropDecision(level=level)
+            elif level == "packet":
+                decision = greedy_drop_packets(demand, build_transmission_vectors(sets, static), required_pdr)
+            else:
+                state = frozen_build_periodic_state(sets, static, tasks, network)
+                decision = reference_drop_transmissions(demand, state, required_pdr, mode=static.mode)
+        except CandidateInfeasible:
+            evaluations.append((candidate, None))
+            continue
+        cost = decision.cost()
+        evaluations.append((candidate, cost))
+        if best is None or cost < best[0] - 1e-15:
+            best = (cost, candidate, sets, decision)
+    if best is None:
+        raise DisturbanceInfeasible(f"no feasible end point for the disturbance at slot {event.detect_slot}")
+    _, end_point, sets, decision = best
+
+    overlay = {}
+    freed = decision.freed_slots(static)
+    last_stepped = event.enter_slot + sum(event.periods[:-1])
+    for entry in sets.rhythmic:
+        need = resolved_demand(entry, full_demand)
+        lo, hi = entry.window
+        usable = [
+            t
+            for t in range(lo, hi)
+            if static.task_at[t] == -1 or static.task_at[t] == event.task_id or t in freed
+        ]
+        if len(usable) < need:
+            raise PlanInvariantError(
+                f"the drop decision left the rhythmic packet released at {entry.release} "
+                f"{len(usable)} usable slots for a demand of {need}"
+            )
+        if static.mode is not SchedulingMode.TBS:
+            labels = [0] * need
+        elif entry.fixed_demand is not None:
+            labels = list(entry.prefix_hops)
+        else:
+            labels = hop_expansion(retry_vector)[:need]
+        chosen = usable[:need]
+        for slot, hop in zip(chosen, labels):
+            overlay[slot] = SlotAssignment(task=event.task_id, release=entry.release, hop=hop)
+        if entry.release == last_stepped and chosen:
+            realized_finish = chosen[-1] + 1
+            if not (realized_finish <= end_point <= upper):
+                raise PlanInvariantError(
+                    f"end point {end_point} violates the completion constraint: the last "
+                    f"stepped packet finishes at {realized_finish}, the bound is {upper}"
+                )
+    RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper)  # validates as the library does
+    return tuple(evaluations), decision, overlay
+
+
+# ------------------------------------------------------- packet state property
+
+def _same_float(got, expected):
+    assert got == expected and got.hex() == expected.hex()
+
+
+@st.composite
+def _packet_state_cases(draw):
+    """Path PDRs in (0, 1]; TBS labels 1..H, all-0 PBS labels or a mixed
+    hand-built state; a removal sequence of ordinals (taken modulo the slots
+    left)."""
+    hop_count = draw(st.integers(1, 4))
+    pdrs = tuple(draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                               min_size=hop_count, max_size=hop_count)))
+    n = draw(st.integers(0, 10))
+    low, high = draw(st.sampled_from([(1, hop_count), (0, 0), (0, hop_count)]))
+    hops = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    slots = sorted(draw(st.lists(st.integers(0, 500), min_size=n, max_size=n, unique=True)))
+    removals = draw(st.lists(st.integers(0, 100), max_size=n))
+    return pdrs, slots, hops, removals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packet_state_cases())
+def test_packet_state_matches_frozen_copy(case):
+    pdrs, slots, hops, removals = case
+    state = PeriodicPacketState((1, 0), pdrs, list(slots), list(hops), {})
+    frozen = FrozenPacketState((1, 0), pdrs, list(slots), list(hops), {})
+    for step in range(len(removals) + 1):
+        _same_float(state.delivery_pdr(), frozen.delivery_pdr())
+        for ordinal in range(len(frozen.slots)):
+            _same_float(state.pdr_without(ordinal), frozen.pdr_without(ordinal))
+        if step < len(removals):
+            ordinal = removals[step] % len(frozen.slots)
+            assert state.remove(ordinal) == frozen.remove(ordinal)
+            assert (state.slots, state.hops) == (frozen.slots, frozen.hops)
+
+
+# ---------------------------------------------------------- seeded trials
+
+def _fields(p):
+    return (p.packet, p.path_pdrs, p.slots, p.hops, p.window_of)
+
+
 def _outcome(solver, demand, state, mode):
     try:
         decision = solver(demand, state, REQUIRED_PDR, mode=mode)
@@ -117,30 +333,53 @@ def _outcome(solver, demand, state, mode):
     return ("ok", decision.dropped_slots, decision.degradations, decision.total_degradation)
 
 
+def _plan_outcome(event, static, trial, level):
+    args = (event, static, trial.tasks, trial.network, REQUIRED_PDR, BETA, level)
+    try:
+        plan = generate_dynamic_schedule(*args)
+        got = ("ok", plan.evaluations, plan.decision, plan.overlay)
+    except (DisturbanceInfeasible, PlanInvariantError, ValueError) as exc:
+        got = ("raised", type(exc), str(exc))
+    try:
+        expected = ("ok", *reference_plan(*args))
+    except (DisturbanceInfeasible, PlanInvariantError, ValueError) as exc:
+        expected = ("raised", type(exc), str(exc))
+    return got, expected
+
+
 def _compare_trial(trial, mode, horizon):
-    """Run both solvers on every candidate of the trial's disturbance; return
-    how many unsatisfied candidates were compared and how many raised."""
+    """Compare builders, solver and whole plans on every candidate of the
+    trial's disturbance; return how many unsatisfied candidates went through
+    both solvers and how many of those raised."""
     task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
     event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
     static = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR, horizon=horizon)
     assert static.feasible
+    schedule = static.schedule
     path_pdrs = trial.network.path_pdrs(task.path)
     full_demand = sum(allocate_retry_vector(path_pdrs, REQUIRED_PDR))
+    where = f"seed {trial.seed}, {mode.value}"
     compared = raised = 0
     for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), BETA):
         try:
-            sets = build_active_sets(candidate, event, static.schedule, trial.tasks, full_demand)
+            sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
-        demand = build_demand_vector(sets, static.schedule, full_demand)
+        assert sets.periodic == frozen_periodic_keys(sets.start, candidate, schedule, event.task_id), where
+        state = build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        assert [_fields(p) for p in state] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
+        demand = build_demand_vector(sets, schedule, full_demand)
         if demand.satisfied:
             continue
-        state = build_periodic_state(sets, static.schedule, trial.tasks, trial.network)
-        expected = _outcome(reference_drop_transmissions, demand, state, mode)
+        expected = _outcome(reference_drop_transmissions, demand, frozen, mode)
         got = _outcome(drop_transmissions, demand, state, mode)
-        assert got == expected, f"seed {trial.seed}, {mode.value}, candidate {candidate}"
+        assert got == expected, f"{where}, candidate {candidate}"
         compared += 1
         raised += expected[0] == "raised"
+    for level in ("packet", "transmission"):
+        got, expected = _plan_outcome(event, schedule, trial, level)
+        assert got == expected, f"{where}, {level} plan"
     return compared, raised
 
 
@@ -178,7 +417,7 @@ def test_matches_reference_on_known_pbs_rounding_error():
     # Sweep trials 20 and 31 of base seed 1 at util 0.5, eight steps, tick 50,
     # under PBS with the simulator's default horizon: packet_pdr_flexible
     # returns 1.0000000000000002 for a touched packet and pdr_degradation
-    # raises.  The new solver must raise the same error.
+    # raises.  The library must raise the same error.
     from rtwnsim.experiments import _trial_seed
     from rtwnsim.sim import DisturbanceSpec, SimConfig, default_horizon
 
