@@ -9,6 +9,7 @@ preempted periodic transmissions are visible.
 """
 
 from rtwnsim import (
+    EVENT_FIELDS,
     DisturbanceEvent,
     DisturbanceSpec,
     Framework,
@@ -74,10 +75,10 @@ print(f"mean degradation over {metrics.periodic_in_window} in-window periodic "
       f"packets: {metrics.degradation_rate:.4f}")
 print("preempted periodic transmissions (sender kept its static slot and "
       "deferred to the high-priority packet):")
-for e in trace.events:
-    if e.kind == "outcome" and dict(e.fields)["result"] == "deferred":
-        f = dict(e.fields)
-        print(f"  slot {e.slot}: task {f['task']} hop {f['hop']} from {f['sender']}")
+for slot, kind, *values in trace.events:
+    f = dict(zip(EVENT_FIELDS[kind], values))
+    if kind == "outcome" and f["result"] == "deferred":
+        print(f"  slot {slot}: task {f['task']} hop {f['hop']} from {f['sender']}")
 for tid, stats in metrics.per_task.items():
     print(f"task {tid}: released {stats.released}, delivered {stats.delivered}, "
           f"missed {stats.missed}, dropped {stats.dropped}")

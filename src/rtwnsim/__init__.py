@@ -75,6 +75,7 @@ from .mac import (
     priority_levels,
 )
 from .sim import (
+    EVENT_FIELDS,
     BaselineParams,
     DisturbanceSpec,
     Framework,

@@ -83,8 +83,14 @@ def _check_solver(section: dict, where: str) -> None:
         )
 
 
+def _mapping(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def _require(section: dict, key: str, where: str) -> Any:
-    if key not in section:
+    if key not in _mapping(section, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
     return section[key]
 
@@ -201,7 +207,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(f"disturbance: {exc}") from exc
 
-    mac_raw = doc.get("mac") or {}
+    mac_raw = _mapping(doc.get("mac") or {}, "mac")
     try:
         timing = SlotTiming(priority_tick_us=_int(mac_raw.get("priority_tick_us", 60), "priority_tick_us"))
         per_table = tuple(
@@ -216,7 +222,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mac: {exc}") from exc
 
-    base_raw = doc.get("baseline") or {}
+    base_raw = _mapping(doc.get("baseline") or {}, "baseline")
     try:
         baseline = BaselineParams(
             broadcast_period=(
@@ -230,7 +236,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"baseline: {exc}") from exc
 
-    sim_raw = doc.get("sim") or {}
+    sim_raw = _mapping(doc.get("sim") or {}, "sim")
     _check_solver(sim_raw, "sim")
     try:
         mode = SchedulingMode(str(sim_raw.get("mode", "TBS")).upper())

@@ -14,8 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +44,7 @@ __all__ = [
     "MacParams",
     "SimConfig",
     "SimTrace",
+    "EVENT_FIELDS",
     "TaskStats",
     "Metrics",
     "Plan",
@@ -183,26 +183,26 @@ def default_horizon(config: SimConfig) -> int:
     return start + slack
 
 
-class TraceEvent(NamedTuple):
-    """One trace record: ``fields`` holds (name, value) pairs in line order."""
-
-    slot: int
-    kind: str
-    fields: tuple[tuple[str, object], ...]
-
-    def line(self) -> str:
-        return " ".join([f"slot={self.slot}", f"kind={self.kind}", *[f"{k}={v}" for k, v in self.fields]])
-
-
-# Builds a TraceEvent from one (slot, kind, fields) tuple without the Python
-# level __new__ that NamedTuple generates; the slot engine makes one per event.
-_trace_event = partial(tuple.__new__, TraceEvent)
+# Value names of each trace event kind, in v1 line order.  A record is the
+# flat tuple ``(slot, kind, *values)`` of ints and strings only, which the
+# cyclic garbage collector untracks after its first pass over it.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "state": ("task", "release", "event"),
+    "sched": ("src", "task", "release", "hop"),
+    "tx": ("sender", "receiver", "task", "release", "hop", "prio"),
+    "outcome": ("sender", "task", "release", "hop", "result"),
+}
+# v1 line template of each kind, filled by ``%`` from a whole record.
+_LINE = {
+    kind: " ".join(["slot=%s", "kind=%s", *[f"{name}=%s" for name in names]])
+    for kind, names in EVENT_FIELDS.items()
+}
 _WRITE_CHUNK = 4096  # trace lines joined per write call
 
 
 @dataclass
 class SimTrace:
-    events: list[TraceEvent] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)  # (slot, kind, *values)
 
     def write(self, fh: TextIO) -> None:
         """Write the v1 text form (one line per event) to ``fh`` in chunks,
@@ -211,7 +211,7 @@ class SimTrace:
         if not events:
             fh.write("\n")
         for start in range(0, len(events), _WRITE_CHUNK):
-            fh.write("\n".join(map(TraceEvent.line, events[start : start + _WRITE_CHUNK])) + "\n")
+            fh.write("\n".join([_LINE[r[1]] % r for r in events[start : start + _WRITE_CHUNK]]) + "\n")
 
     def text(self) -> str:
         out = io.StringIO()
@@ -226,17 +226,16 @@ class SimTrace:
         where finish is the slot after delivery and -1 otherwise."""
         logs: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
         terminal_of: dict[tuple[int, int], tuple[str, int]] = {}
-        for t, kind, fields in self.events:
-            if kind != "outcome" and kind != "state":
-                continue
-            f = dict(fields)
-            key = (f["task"], f["release"])
-            if key[1] < slot:
-                continue
+        for record in self.events:
+            kind = record[1]
             if kind == "outcome":
-                logs.setdefault(key, []).append((t, f["hop"], f["result"]))
-            elif f["event"] != "released":
-                terminal_of[key] = (f["event"], t + 1 if f["event"] == "delivered" else -1)
+                t, _, _, task, release, hop, result = record
+                if release >= slot:
+                    logs.setdefault((task, release), []).append((t, hop, result))
+            elif kind == "state":
+                t, _, task, release, event = record
+                if release >= slot and event != "released":
+                    terminal_of[(task, release)] = (event, t + 1 if event == "delivered" else -1)
         return {key: (tuple(log), terminal_of.get(key)) for key, log in logs.items()}
 
 
@@ -510,12 +509,12 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         if dynamic is not None and task.id == event.task_id:
             skip_lo, skip_hi = event.enter_slot, dynamic.sets.resume_release
         k = 0
-        while task.nominal_deadline(k) <= horizon:
+        while (expiry := task.nominal_deadline(k)) <= horizon:
             release = task.release(k)
             k += 1
             if skip_lo is not None and skip_lo <= release < skip_hi:
                 continue
-            packets[(task.id, release)] = _Packet(task, release, task.nominal_deadline(k - 1))
+            packets[(task.id, release)] = _Packet(task, release, expiry)
     if dynamic is not None:
         task = by_id[event.task_id]
         for entry in dynamic.sets.rhythmic:
@@ -566,8 +565,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         else:
             pkt.terminal = "missed"
             stats[pkt.task].missed += 1
-        add(_trace_event((slot, "state", (("task", pkt.task), ("release", pkt.release),
-                                           ("event", pkt.terminal)))))
+        add((slot, "state", pkt.task, pkt.release, pkt.terminal))
 
     def tx_for(entry: tuple[int, int, int], t: int, prio: int) -> Optional[tuple]:
         tid, rel, hop = entry
@@ -600,7 +598,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             expiry_idx += 1
         for tid, rel in releases_by_slot.get(t, ()):
             stats[tid].released += 1
-            add(_trace_event((t, "state", (("task", tid), ("release", rel), ("event", "released")))))
+            add((t, "state", tid, rel, "released"))
 
         dyn_entry = None
         if window_start <= t < window_end:
@@ -610,12 +608,10 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         tid = task_at[t]
         stat_entry = (tid, release_at[t], hop_at[t]) if tid >= 0 else None
         if stat_entry is not None:
-            add(_trace_event((t, "sched", (("src", "static"), ("task", tid),
-                                           ("release", stat_entry[1]), ("hop", stat_entry[2])))))
+            add((t, "sched", "static", tid, stat_entry[1], stat_entry[2]))
         candidates: list[tuple] = []
         if dyn_entry is not None:
-            add(_trace_event((t, "sched", (("src", "dynamic"), ("task", dyn_entry[0]),
-                                           ("release", dyn_entry[1]), ("hop", dyn_entry[2])))))
+            add((t, "sched", "dynamic", *dyn_entry))
             tx = tx_for(dyn_entry, t, rhythmic_prio)
             if tx is not None:
                 candidates.append(tx)
@@ -629,8 +625,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         if not candidates:
             continue
         for sender, receiver, pkt, hop, prio in candidates:
-            add(_trace_event((t, "tx", (("sender", sender), ("receiver", receiver), ("task", pkt.task),
-                                        ("release", pkt.release), ("hop", hop), ("prio", prio)))))
+            add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, prio))
         if len(candidates) == 1:
             # A lone sender owns the slot: its delivery follows its link draw.
             link = candidates[0][:2]
@@ -649,14 +644,12 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                     if pkt.progress == pkt.hops:
                         pkt.terminal = "delivered"
                         stats[pkt.task].delivered += 1
-                        add(_trace_event((t, "state", (("task", pkt.task), ("release", pkt.release),
-                                                       ("event", "delivered")))))
+                        add((t, "state", pkt.task, pkt.release, "delivered"))
                 else:
                     result = "no_listener"
             else:
                 result = results[outcome]
-            add(_trace_event((t, "outcome", (("sender", sender), ("task", pkt.task),
-                                             ("release", pkt.release), ("hop", hop), ("result", result)))))
+            add((t, "outcome", sender, pkt.task, pkt.release, hop, result))
 
     while expiry_idx < len(expiry_order):
         finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))

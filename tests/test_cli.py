@@ -336,6 +336,29 @@ def test_missing_key_names_its_location_once(tmp_path, capsys, old, new, message
     assert capsys.readouterr().err == message
 
 
+_TESTBED = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("    - {from: V0, to: V1, pdr: 0.9}\n", "    - 5\n", "network.links[0]: expected a mapping, got int"),
+    ("\ndisturbance:\n", "  - 7\n\ndisturbance:\n", "tasks[3]: expected a mapping, got int"),
+    (_TESTBED[_TESTBED.index("network:"):_TESTBED.index("tasks:")], "network: 3\n",
+     "network: expected a mapping, got int"),
+    ("disturbance:\n  task: 0\n  instance: 3\n", "disturbance: [1]\n", "disturbance: expected a mapping, got list"),
+    ("mac:\n  priority_tick_us: 60\n", "mac: 3\n", "mac: expected a mapping, got int"),
+    ("mac:\n", "baseline: [1]\nmac:\n", "baseline: expected a mapping, got list"),
+    (_TESTBED[_TESTBED.index("sim:"):], "sim: 3\n", "sim: expected a mapping, got int"),
+], ids=["bare_link", "bare_task", "scalar_network", "list_disturbance", "scalar_mac", "list_baseline",
+        "scalar_sim"])
+def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
+    assert old in _TESTBED
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(_TESTBED.replace(old, new, 1), encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(tmp_path / "trace.txt")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.

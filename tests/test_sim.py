@@ -2,6 +2,7 @@
 timing model, determinism and resumption equivalence."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
 from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial
 from rtwnsim.sim import (
+    EVENT_FIELDS,
     BaselineParams,
     DisturbanceSpec,
     Framework,
@@ -122,13 +124,29 @@ def test_window_conflicts_resolve_for_the_disturbed_task():
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
                     disturbance=DisturbanceSpec(0, 3))
     trace, metrics = run(cfg)
-    deferred = [e for e in trace.events if e.kind == "outcome"
-                and dict(e.fields)["result"] == "deferred"]
+    outcomes = [(e[0], dict(zip(EVENT_FIELDS["outcome"], e[2:]))) for e in trace.events if e[1] == "outcome"]
+    deferred = [(slot, fields) for slot, fields in outcomes if fields["result"] == "deferred"]
     assert deferred, "expected preempted periodic transmissions in the window"
-    for e in deferred:
-        fields = dict(e.fields)
+    for slot, fields in deferred:
         assert fields["task"] != 0
-        assert 61 <= e.slot < metrics.endpoint
+        assert 61 <= slot < metrics.endpoint
+
+
+@pytest.mark.parametrize("framework", list(Framework), ids=lambda f: f.value)
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_trace_records_stay_untracked_by_the_cyclic_gc(mode, framework):
+    # A flat tuple of ints and strings is untracked by the collector's first
+    # pass over it; a nested-tuple or tuple-subclass record stays tracked and
+    # is walked again by every later full collection.
+    net, tasks = _testbed()
+    cfg = SimConfig(network=net, tasks=tasks, mode=mode, required_pdr=0.95, seed=7, horizon=260,
+                    disturbance=DisturbanceSpec(0, 3), framework=framework)
+    trace, _ = run(cfg)
+    gc.collect()
+    assert trace.events and not any(gc.is_tracked(e) for e in trace.events)
+    assert all(type(v) in (int, str) for e in trace.events for v in e)
+    if mode is SchedulingMode.TBS and framework is Framework.FDPAS_PACKET:
+        assert {e[1] for e in trace.events} == set(EVENT_FIELDS)
 
 
 def test_rhythmic_packets_meet_deadlines_with_perfect_links():

@@ -1,11 +1,14 @@
 """The slot engine against a frozen copy of the loop it replaced.
 
 ``reference_run`` below records every event through a keyword-argument
-helper into the old ``fields`` tuples, builds a ``ContendingTx`` and calls
-``mac.arbitrate_slot`` on every busy slot, and resolves the tail alias on
-each packet lookup.  The library engine resolves lone-sender slots from the
-link draw alone and appends ready-made events; both must produce the same
-trace bytes (through ``text()`` and ``write()``), the same typed events and
+helper into a frozen copy of the old ``TraceEvent`` (``(slot, kind,
+fields)`` with ``(name, value)`` pairs, rendered by its own f-string
+``line``), builds a ``ContendingTx`` and calls ``mac.arbitrate_slot`` on
+every busy slot, and resolves the tail alias on each packet lookup.  The
+library engine resolves lone-sender slots from the link draw alone and
+appends flat ``(slot, kind, *values)`` tuples; decoded through
+``EVENT_FIELDS`` they must equal the reference events, and both must
+produce the same trace bytes (through ``text()`` and ``write()``) and
 metrics, and raise the same exceptions; ``packets_from(0)``, which the
 library reads off the events, must equal the per-packet logs and terminal
 records the reference keeps as it runs -- on sweep trials in both modes
@@ -18,7 +21,7 @@ network.
 import dataclasses
 import io
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,7 @@ from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
 from rtwnsim.rhythmic import disturbance_recipients
 from rtwnsim.sim import (
+    EVENT_FIELDS,
     DisturbanceSpec,
     Framework,
     MacParams,
@@ -37,7 +41,6 @@ from rtwnsim.sim import (
     SimConfig,
     SimTrace,
     TaskStats,
-    TraceEvent,
     _WRITE_CHUNK,
     _link_draws,
     plan,
@@ -47,14 +50,29 @@ from rtwnsim.sim import (
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _add(trace: SimTrace, slot: int, kind: str, **fields: object) -> None:
-    trace.events.append(TraceEvent(slot, kind, tuple(fields.items())))
+class TraceEvent(NamedTuple):
+    """Frozen copy of the engine's old trace record: ``fields`` holds
+    (name, value) pairs in line order."""
+
+    slot: int
+    kind: str
+    fields: tuple[tuple[str, object], ...]
+
+    def line(self) -> str:
+        return " ".join([f"slot={self.slot}", f"kind={self.kind}", *[f"{k}={v}" for k, v in self.fields]])
 
 
-def _reference_text(trace: SimTrace) -> str:
-    lines = [" ".join([f"slot={e.slot}", f"kind={e.kind}"] + [f"{k}={v}" for k, v in e.fields])
-             for e in trace.events]
-    return "\n".join(lines) + "\n"
+def _add(events: list[TraceEvent], slot: int, kind: str, **fields: object) -> None:
+    events.append(TraceEvent(slot, kind, tuple(fields.items())))
+
+
+def _reference_text(events: list[TraceEvent]) -> str:
+    return "\n".join(e.line() for e in events) + "\n"
+
+
+def _decoded(trace: SimTrace) -> list[tuple]:
+    """The engine's flat records as ``(slot, kind, ((name, value), ...))``."""
+    return [(r[0], r[1], tuple(zip(EVENT_FIELDS[r[1]], r[2:]))) for r in trace.events]
 
 
 class _Packet:
@@ -79,16 +97,17 @@ class _Packet:
 PacketRecords = dict[tuple[int, int], tuple]
 
 
-def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics, PacketRecords]:
+def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketRecords]:
     """Frozen copy of the engine that arbitrated every busy slot.  Besides
-    the trace and metrics it returns, per transmitted packet, its ordered
-    ``(slot, hop, result)`` log and terminal ``(event, finish slot or -1)``."""
+    the trace events and metrics it returns, per transmitted packet, its
+    ordered ``(slot, hop, result)`` log and terminal ``(event, finish slot
+    or -1)``."""
     planned = plan(config)
     sched = planned.static.schedule
     horizon = sched.horizon
     dynamic = planned.dynamic
     by_id = {t.id: t for t in config.tasks}
-    trace = SimTrace()
+    trace: list[TraceEvent] = []
     packet_log: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
     terminals: dict[tuple[int, int], tuple[str, int]] = {}
 
@@ -322,16 +341,16 @@ def reference_run(config: SimConfig) -> tuple[SimTrace, Metrics, PacketRecords]:
 
 def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
     try:
-        ref_trace, ref_metrics, ref_records = reference_run(config)
+        ref_events, ref_metrics, ref_records = reference_run(config)
     except Exception as exc:  # the engine must fail the same way
         with pytest.raises(type(exc)):
             run(config)
         return None
     trace, metrics = run(config)
-    assert all(type(e) is TraceEvent for e in trace.events)
-    assert trace.events == ref_trace.events
+    assert all(type(e) is tuple and len(e) == 2 + len(EVENT_FIELDS[e[1]]) for e in trace.events)
+    assert _decoded(trace) == ref_events
     text = trace.text()
-    assert text == _reference_text(ref_trace)
+    assert text == _reference_text(ref_events)
     out = io.StringIO()
     trace.write(out)
     assert out.getvalue() == text
@@ -373,7 +392,7 @@ def test_contended_testbed_window_matches_reference(mode, framework, tick):
     trace = _assert_same_run(config)
     # The FD-PaS window puts two senders into some slots; the baseline plans
     # no window, so every slot keeps a lone sender.
-    tx_slots = [e.slot for e in trace.events if e.kind == "tx"]
+    tx_slots = [e[0] for e in trace.events if e[1] == "tx"]
     assert (len(tx_slots) > len(set(tx_slots))) == (framework is not Framework.BASELINE_BROADCAST)
 
 
