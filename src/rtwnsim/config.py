@@ -103,6 +103,13 @@ def _int(value: Any, key: str) -> int:
     return int(value)
 
 
+def _require_list(section: dict, key: str, where: str) -> list:
+    value = _require(section, key, where)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _require_int(section: dict, key: str, where: str) -> int:
     value = _require(section, key, where)
     try:
@@ -113,10 +120,10 @@ def _require_int(section: dict, key: str, where: str) -> int:
 
 def parse_network(doc: dict) -> NetworkModel:
     section = _require(doc, "network", "document")
-    nodes = tuple(str(n) for n in _require(section, "nodes", "network"))
+    nodes = tuple(str(n) for n in _require_list(section, "nodes", "network"))
     controller = str(_require(section, "controller", "network"))
     links = []
-    for i, raw in enumerate(_require(section, "links", "network")):
+    for i, raw in enumerate(_require_list(section, "links", "network")):
         try:
             links.append(
                 Link(
@@ -152,7 +159,7 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
 
 def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
     tasks = []
-    for i, raw in enumerate(_require(doc, "tasks", "document")):
+    for i, raw in enumerate(_require_list(doc, "tasks", "document")):
         where = f"tasks[{i}]"
         period = _require_int(raw, "period", where)
         rhythmic = None

@@ -226,21 +226,47 @@ def packet_pdr_flexible(link_pdrs: Sequence[float], total_slots: int) -> float:
     forward dynamic programming over (slots used, hops completed), on plain
     float lists: scalar indexing into numpy arrays costs more than the
     arithmetic itself.
+
+    The answer for s slots is step s of one recurrence, so each path keeps a
+    prefix table: the DP state after the longest count asked so far and every
+    answer up to it.  A larger count extends the same recurrence in the same
+    operation order; a smaller one is a list index.  Answers are therefore the
+    same floats as a fresh DP, rounding included.  Tables are memoised per
+    path PDR tuple in an ``lru_cache`` bounded at 1024 paths, like
+    ``allocate_retry_vector``; invalid arguments raise before the lookup, so
+    errors are not cached.
     """
-    hops = len(link_pdrs)
-    if hops == 0:
+    if len(link_pdrs) == 0:
         raise ValueError("need at least one hop")
     if total_slots < 0:
         raise ValueError("slot count must be >= 0")
-    state = [1.0] + [0.0] * hops
-    for _ in range(total_slots):
-        nxt = state[:]
-        for h in range(hops):
-            moved = state[h] * link_pdrs[h]
-            nxt[h] -= moved
-            nxt[h + 1] += moved
-        state = nxt
-    return float(state[hops])
+    pdrs = tuple(link_pdrs)
+    table = _flexible_table(pdrs)
+    state, answers = table[0]
+    if total_slots >= len(answers):
+        hops = len(pdrs)
+        answers = answers[:]
+        for _ in range(len(answers), total_slots + 1):
+            nxt = state[:]
+            for h in range(hops):
+                moved = state[h] * pdrs[h]
+                nxt[h] -= moved
+                nxt[h + 1] += moved
+            state = nxt
+            answers.append(float(state[hops]))
+        # One store of a new pair: a concurrent caller reads either the old
+        # or the extended table, never a state that disagrees with answers.
+        table[0] = (state, answers)
+    return answers[total_slots]
+
+
+@lru_cache(maxsize=1024)
+def _flexible_table(link_pdrs: tuple[float, ...]) -> list:
+    """Prefix table of one path, as the one-item list ``[(state, answers)]``:
+    ``answers[s]`` is the delivery probability over s slots and ``state`` the
+    DP state vector after ``len(answers) - 1`` slots.  ``packet_pdr_flexible``
+    replaces the pair when it extends the table."""
+    return [([1.0] + [0.0] * len(link_pdrs), [0.0])]
 
 
 def pdr_degradation(required: float, achieved: float) -> float:
@@ -310,14 +336,14 @@ def generate_rhythmic_spec(
         raise ValueError("ratio must be in (0, 1)")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    # Exact decimal arithmetic: binary float rounding of ratio arithmetic can
-    # push a value that is mathematically an integer just below it, flipping
-    # floor.
-    g = Fraction(str(ratio))
-    periods = []
-    for k in range(1, steps + 1):
-        value = nominal_period * (g + (k - 1) * (1 - g) / steps)
-        periods.append(int(math.floor(value)))
+    # Exact integer arithmetic on the ratio's decimal value n/d: binary float
+    # rounding of ratio arithmetic can push a value that is mathematically an
+    # integer just below it, flipping floor.  Step k's period is
+    # floor(P * (n*steps + (k-1)*(d-n)) / (d*steps)).
+    n, d = Fraction(str(ratio)).as_integer_ratio()
+    periods = [
+        nominal_period * (n * steps + (k - 1) * (d - n)) // (d * steps) for k in range(1, steps + 1)
+    ]
     if any(p < min_period for p in periods):
         raise InfeasibleError(
             f"rhythmic period ramp {periods} falls below the minimum feasible period {min_period}"

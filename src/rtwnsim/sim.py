@@ -543,8 +543,11 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         mac_model.TxOutcome.COLLIDED: "collided",
     }
     draws = _link_draws(config.network, config.seed, horizon, stream=0)
-    tick = config.mac.timing.priority_tick_us
-    per_draws = _link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
+    # Preemption-error draws (stream 1) are read only in contended slots below
+    # a 60 us tick, so the first such slot draws them; each link's array is a
+    # pure function of (seed, stream, link), whenever it is drawn.
+    preempt_errors = config.mac.timing.priority_tick_us < 60
+    per_draws = None
 
     task_at = sched.task_at.tolist()
     release_at = sched.release_at.tolist()
@@ -631,6 +634,8 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             link = candidates[0][:2]
             outcomes = [won if draws[link][t] < pdr[link] else lost]
         else:
+            if preempt_errors and per_draws is None:
+                per_draws = _link_draws(config.network, config.seed, horizon, stream=1)
             outcomes = _contend(candidates, t, config.mac, draws, pdr, per_draws)
 
         for (sender, receiver, pkt, hop, _), outcome in zip(candidates, outcomes):

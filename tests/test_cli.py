@@ -359,6 +359,24 @@ def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("nodes: [V0, V1, V2, V3, V4, V5, Vc]", "nodes: 5", "network: nodes must be a list, got int"),
+    (_TESTBED[_TESTBED.index("  links:"):_TESTBED.index("tasks:")], "  links: 5\n\n",
+     "network: links must be a list, got int"),
+    (_TESTBED[_TESTBED.index("tasks:"):_TESTBED.index("disturbance:")], "tasks: 5\n\n",
+     "document: tasks must be a list, got int"),
+], ids=["scalar_nodes", "scalar_links", "scalar_tasks"])
+def test_non_list_entry_exit_code(tmp_path, capsys, old, new, message):
+    assert old in _TESTBED
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(_TESTBED.replace(old, new, 1), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.

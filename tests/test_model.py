@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtwnsim.model import (
     InfeasibleError,
@@ -13,6 +14,7 @@ from rtwnsim.model import (
     ReliabilityTarget,
     RhythmicSpec,
     TaskSpec,
+    _flexible_table,
     allocate_retry_vector,
     chain_network,
     generate_rhythmic_spec,
@@ -113,6 +115,64 @@ def test_packet_pdr_flexible_bit_identical_to_numpy_dp():
         assert got.hex() == _flexible_numpy_reference(pdrs, slots).hex(), (pdrs, slots)
 
 
+def _flexible_fresh_dp(link_pdrs, total_slots):
+    """The DP run afresh from slot 0 on every call: the reference the prefix
+    table's answers must equal bit for bit."""
+    hops = len(link_pdrs)
+    state = [1.0] + [0.0] * hops
+    for _ in range(total_slots):
+        nxt = state[:]
+        for h in range(hops):
+            moved = state[h] * link_pdrs[h]
+            nxt[h] -= moved
+            nxt[h + 1] += moved
+        state = nxt
+    return float(state[hops])
+
+
+_LINK_PDRS = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(queries=st.lists(
+    st.tuples(st.lists(_LINK_PDRS, min_size=1, max_size=8), st.lists(st.integers(0, 60), min_size=1, max_size=10)),
+    min_size=1, max_size=4,
+))
+def test_packet_pdr_flexible_prefix_table_matches_fresh_dp(queries):
+    # Slot counts come in any order (growing, shrinking, repeated) and paths
+    # interleave; every answer is the fresh DP's float, bit for bit.
+    for pdrs, counts in queries:
+        for slots in counts:
+            got = packet_pdr_flexible(pdrs, slots)
+            assert type(got) is float
+            assert got.hex() == _flexible_fresh_dp(pdrs, slots).hex(), (pdrs, slots)
+    for pdrs, counts in reversed(queries):
+        for slots in reversed(counts):
+            assert packet_pdr_flexible(pdrs, slots).hex() == _flexible_fresh_dp(pdrs, slots).hex()
+
+
+def test_packet_pdr_flexible_invalid_inputs_raise_every_time_and_cache_nothing():
+    _flexible_table.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="at least one hop"):
+            packet_pdr_flexible([], 4)
+        with pytest.raises(ValueError, match="slot count must be >= 0"):
+            packet_pdr_flexible([0.9, 0.8], -1)
+    info = _flexible_table.cache_info()
+    assert info.currsize == 0 and info.misses == 0 and info.hits == 0
+
+
+def test_packet_pdr_flexible_cache_is_bounded():
+    _flexible_table.cache_clear()
+    paths = [[0.5 + i / 4096, 0.9] for i in range(1100)]
+    for pdrs in paths:
+        packet_pdr_flexible(pdrs, 6)
+    assert _flexible_table.cache_info().currsize == _flexible_table.cache_info().maxsize == 1024
+    # An evicted path's table is rebuilt with the same answers.
+    for slots in (9, 3, 6):
+        assert packet_pdr_flexible(paths[0], slots).hex() == _flexible_fresh_dp(paths[0], slots).hex()
+
+
 # ----------------------------------------------------------- pdr_degradation
 
 @pytest.mark.parametrize(
@@ -191,13 +251,17 @@ def test_rhythmic_ramp_single_step():
     assert generate_rhythmic_spec(100, 0.2, 1).periods == (20,)
 
 
-def test_rhythmic_ramp_matches_exact_arithmetic():
-    # Independent re-evaluation of the floor formula in exact arithmetic.
-    p0, gamma, steps = 15, 0.8, 5
-    g = Fraction(str(gamma))
-    expected = tuple(
-        math.floor(p0 * (g + (k - 1) * (1 - g) / steps)) for k in range(1, steps + 1)
+def _fraction_ramp(nominal_period, ratio, steps):
+    """Independent evaluation of the floor formula in ``Fraction`` arithmetic."""
+    g = Fraction(str(ratio))
+    return tuple(
+        math.floor(nominal_period * (g + (k - 1) * (1 - g) / steps)) for k in range(1, steps + 1)
     )
+
+
+def test_rhythmic_ramp_matches_exact_arithmetic():
+    p0, gamma, steps = 15, 0.8, 5
+    expected = _fraction_ramp(p0, gamma, steps)
     assert expected == (12, 12, 13, 13, 14)
     assert generate_rhythmic_spec(p0, gamma, steps).periods == expected
 
@@ -206,6 +270,25 @@ def test_rhythmic_ramp_awkward_decimal_ratio():
     # 0.29 * 100 rounds below 29.0 in binary floating point; the ramp must
     # still floor the mathematical value.
     assert generate_rhythmic_spec(100, 0.29, 1).periods == (29,)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    nominal_period=st.integers(1, 5000),
+    ratio=st.one_of(
+        st.sampled_from([0.2, 0.35, 0.7, 0.29, 0.8, 0.05]),
+        st.integers(1, 999).map(lambda i: i / 1000),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    steps=st.integers(1, 40),
+)
+def test_rhythmic_ramp_integer_form_matches_fraction_reference(nominal_period, ratio, steps):
+    expected = _fraction_ramp(nominal_period, ratio, steps)
+    if min(expected) < 1:
+        with pytest.raises(InfeasibleError):
+            generate_rhythmic_spec(nominal_period, ratio, steps)
+    else:
+        assert generate_rhythmic_spec(nominal_period, ratio, steps).periods == expected
 
 
 def test_rhythmic_ramp_below_min_period():

@@ -26,6 +26,7 @@ from rtwnsim.sim import (
     run,
 )
 from rtwnsim.dropping import DropDecision
+from rtwnsim import sim as sim_mod
 
 
 def _testbed(pdr=0.9):
@@ -147,6 +148,47 @@ def test_trace_records_stay_untracked_by_the_cyclic_gc(mode, framework):
     assert all(type(v) in (int, str) for e in trace.events for v in e)
     if mode is SchedulingMode.TBS and framework is Framework.FDPAS_PACKET:
         assert {e[1] for e in trace.events} == set(EVENT_FIELDS)
+
+
+def _count_link_draws(monkeypatch) -> list[int]:
+    """Streams of the ``sim._link_draws`` calls made from here on."""
+    streams: list[int] = []
+    real = sim_mod._link_draws
+
+    def counting(network, seed, horizon, stream):
+        streams.append(stream)
+        return real(network, seed, horizon, stream)
+
+    monkeypatch.setattr(sim_mod, "_link_draws", counting)
+    return streams
+
+
+def _contended_slots(trace) -> int:
+    senders: dict[int, int] = {}
+    for record in trace.events:
+        if record[1] == "tx":
+            senders[record[0]] = senders.get(record[0], 0) + 1
+    return sum(1 for count in senders.values() if count >= 2)
+
+
+def test_preemption_error_draws_wait_for_the_first_contended_slot(monkeypatch):
+    streams = _count_link_draws(monkeypatch)
+    # A lone task never contends, so its tick-50 run draws only link outcomes.
+    net = chain_network(1, 1, pdr=0.7)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=20, deadline=20)
+    trace, _ = run(SimConfig(network=net, tasks=(task,), mode=SchedulingMode.PBS, required_pdr=0.9,
+                             seed=9, horizon=400, mac=MacParams(timing=SlotTiming(priority_tick_us=50))))
+    assert _contended_slots(trace) == 0
+    assert streams == [0]
+
+    net, tasks = _testbed()
+    for tick, expected in ((30, [0, 1]), (50, [0, 1]), (60, [0])):
+        streams.clear()
+        trace, _ = run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
+                                 disturbance=DisturbanceSpec(0, 3),
+                                 mac=MacParams(timing=SlotTiming(priority_tick_us=tick))))
+        assert _contended_slots(trace) > 0
+        assert streams == expected, tick
 
 
 def test_rhythmic_packets_meet_deadlines_with_perfect_links():
