@@ -4,24 +4,10 @@
     rtwnsim simulate --scenario run.yaml [--trace-out t.txt] [--csv-out m.csv]
     rtwnsim sweep --spec sweep.yaml [--out-dir DIR] [--parallel N]
 
-Exit codes: 0 success (a run that misses its latency bound still exits 0 and
-reports success=0 in the CSV), 2 configuration/parse errors (including a
-``sim.horizon`` below 1, zero included, or ending before the disturbance's
-latest end point, a ``sim.alpha`` below one nominal period, zero included, a
-negative ``sim.seed`` or ``disturbance.instance``, a non-integer
-``disturbance.task``, ``disturbance.instance`` or task ``period``, a scalar
-where a list is expected (a rhythmic ``periods`` or a sweep axis such as
-``utils``) or a list where a number is (a sweep's ``trials``), a ``solver``
-other than ``greedy`` (the exhaustive oracle is a test reference), a
-``baseline.broadcast_period`` below 1 or a negative ``baseline.depth`` or
-``baseline.offset``, a task path off the network, a MAC priority outside the
-slot's levels, a ``priority_tick_us`` outside 30..400 us, and a sweep spec
-with ``utils`` outside [0, 1], an ``r_steps`` or ``alphas`` entry or ``beta``
-below 1, ``gamma`` or ``required_pdr`` outside (0, 1), or a negative tick or
-``base_seed``), 3 infeasible requirements: a static schedule that misses a
-deadline, a ``generate --util`` the network cannot reach, or a sweep trial
-that admits no disturbance.  Every error prints one ``error:`` line to
-stderr.  RTWNSIM_OUT sets the default output directory.
+Exit codes: 0 on success (a run that misses its latency bound included), 2
+for a configuration or parse error, 3 for infeasible requirements; README.md
+lists each case, and every error prints one ``error:`` line to stderr.
+RTWNSIM_OUT sets the default output directory.
 """
 
 from __future__ import annotations

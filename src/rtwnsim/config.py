@@ -2,18 +2,29 @@
 
 One YAML document fully determines a run.  Top-level keys:
 
-    network:      controller, nodes [..], links [{from, to, pdr}]
+    network:      controller, nodes [..], links [{from, to, pdr?}]
     tasks:        [{id, path, period, deadline?, slot_budget?, phase?,
-                    rhythmic?: {periods, deadlines}}]
-    disturbance:  {task, instance, rhythmic?: {periods, deadlines} |
+                    rhythmic?: {periods, deadlines?} | {ratio, steps}}]
+    disturbance:  {task, instance, rhythmic?: {periods, deadlines?} |
                                               {ratio, steps}}
-    mac:          {priority_tick_us?, rhythmic_priority?, periodic_priority?}
+    mac:          {priority_tick_us?, rhythmic_priority?, periodic_priority?,
+                   per_table?: {priority distance: preemption-error rate}}
     sim:          {mode?, required_pdr?, seed?, horizon?, alpha?, beta?,
                    framework?}
     baseline:     {broadcast_period?, depth?, offset?}
+    meta:         free-form notes, ignored (``rtwnsim generate`` writes one)
 
 Experiment sweep files use: utils, r_steps, alphas, ticks, trials, base_seed,
 frameworks, gamma, required_pdr, beta.
+
+The keys of ``mac``, ``sim``, ``baseline`` and a sweep file are the field
+names of ``MacParams`` (plus ``SlotTiming.priority_tick_us``), ``SimConfig``,
+``BaselineParams`` and ``ExperimentSpec``.  The field's type converts the
+value, an absent key keeps the dataclass default, and a null leaves an
+optional field unset.  A key that names no field or section, in any part
+of the file, is a configuration error (``rtwnsim`` exits 2).
+``dump_scenario`` writes the same fields back, so
+``parse_scenario`` reads its output as the config it was given.
 
 FD-PaS plans with its greedy dropping heuristics only.  A ``solver`` key
 (under ``sim`` or at the top of a sweep file) is still accepted when it
@@ -25,8 +36,11 @@ read as unset.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -34,12 +48,11 @@ from .model import (
     Link,
     NetworkModel,
     RhythmicSpec,
-    SchedulingMode,
     TaskSpec,
     generate_rhythmic_spec,
 )
 from .mac import SlotTiming
-from .sim import BaselineParams, DisturbanceSpec, Framework, MacParams, SimConfig
+from .sim import BaselineParams, DisturbanceSpec, MacParams, SimConfig
 from .experiments import ExperimentSpec
 
 __all__ = [
@@ -52,6 +65,9 @@ __all__ = [
     "dump_taskset",
     "dump_scenario",
 ]
+
+# SimConfig fields read from top-level sections of their own, not from ``sim``.
+_SECTIONS = ("network", "tasks", "disturbance", "mac", "baseline")
 
 
 class ConfigError(ValueError):
@@ -75,18 +91,28 @@ def load_document(path: str | Path) -> dict:
     return doc
 
 
-def _check_solver(section: dict, where: str) -> None:
-    if "solver" in section and section["solver"] != "greedy":
+def _without_solver(section: Any, where: str) -> dict:
+    section = _mapping(section or {}, where)
+    if section.get("solver", "greedy") != "greedy":
         raise ConfigError(
             f"{where}: unknown solver {str(section['solver'])!r}; FD-PaS plans with the greedy "
             "heuristics ('greedy'), the exhaustive oracle is a test reference"
         )
+    return {k: v for k, v in section.items() if k != "solver"}
 
 
 def _mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
     return value
+
+
+def _known(section: dict, keys: Iterable[str], where: str) -> dict:
+    """``section``, once each of its keys is among ``keys``."""
+    for key in _mapping(section, where):
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return section
 
 
 def _require(section: dict, key: str, where: str) -> Any:
@@ -118,24 +144,70 @@ def _require_int(section: dict, key: str, where: str) -> int:
         raise ConfigError(f"{where}: {key} {value!r} is not an integer") from exc
 
 
+@cache
+def _field_types(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _convert(hint: Any, value: Any, key: str) -> Any:
+    """YAML ``value`` of field ``key`` as the field's type ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: null leaves it unset
+        return None if value is None else _convert(args[0], value, key)
+    if origin is tuple and get_origin(args[0]) is tuple:  # pairs, written as a mapping
+        k_hint, v_hint = get_args(args[0])
+        items = _mapping(value or {}, key).items()
+        return tuple(sorted((_convert(k_hint, k, f"{key} key"), _convert(v_hint, v, key)) for k, v in items))
+    if origin is tuple:
+        return tuple(_convert(args[0], item, key) for item in value)
+    if hint is int:
+        return _int(value, key)
+    if issubclass(hint, Enum):
+        return hint(str(value).upper())
+    return hint(value)
+
+
+def _plain(hint: Any, value: Any) -> Any:
+    """Field ``value`` in the YAML form ``_convert`` reads back."""
+    origin, args = get_origin(hint), get_args(hint)
+    if value is None:
+        return None
+    if origin is Union:
+        return _plain(args[0], value)
+    if origin is tuple and get_origin(args[0]) is tuple:
+        return dict(value)
+    if origin is tuple:
+        return [_plain(args[0], item) for item in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _build(cls: type, section: Any, where: str, **given: Any) -> Any:
+    """``cls(**given)`` plus one field per key of the flat ``section``."""
+    hints = _field_types(cls)
+    section = _known(section or {}, hints.keys() - given.keys(), where)
+    try:
+        return cls(**given, **{key: _convert(hints[key], value, key) for key, value in section.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _flat(obj: Any, *skip: str) -> dict[str, Any]:
+    """The fields of ``obj`` not in ``skip``, as ``_build`` reads them."""
+    hints = _field_types(type(obj))
+    return {f.name: _plain(hints[f.name], getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+
+
 def parse_network(doc: dict) -> NetworkModel:
     section = _require(doc, "network", "document")
     nodes = tuple(str(n) for n in _require_list(section, "nodes", "network"))
     controller = str(_require(section, "controller", "network"))
     links = []
     for i, raw in enumerate(_require_list(section, "links", "network")):
-        try:
-            links.append(
-                Link(
-                    src=str(_require(raw, "from", f"network.links[{i}]")),
-                    dst=str(_require(raw, "to", f"network.links[{i}]")),
-                    pdr=float(raw.get("pdr", 1.0)),
-                )
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"network.links[{i}]: {exc}") from exc
+        where = f"network.links[{i}]"
+        src, dst = str(_require(raw, "from", where)), str(_require(raw, "to", where))
+        rest = {k: v for k, v in raw.items() if k not in ("from", "to")}
+        links.append(_build(Link, rest, where, src=src, dst=dst))
+    _known(section, ("controller", "nodes", "links"), "network")
     try:
         return NetworkModel(nodes=nodes, controller=controller, links=tuple(links))
     except ValueError as exc:
@@ -143,6 +215,7 @@ def parse_network(doc: dict) -> NetworkModel:
 
 
 def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
+    _known(raw, ("periods", "deadlines", "ratio", "steps"), where)
     try:
         if "periods" in raw:
             periods = tuple(_int(p, "periods") for p in raw["periods"])
@@ -165,29 +238,22 @@ def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
         rhythmic = None
         if raw.get("rhythmic"):
             rhythmic = _parse_rhythmic(raw["rhythmic"], period, f"{where}.rhythmic")
-        try:
-            tasks.append(
-                TaskSpec(
-                    id=_require_int(raw, "id", where),
-                    path=tuple(str(n) for n in _require(raw, "path", where)),
-                    period=period,
-                    deadline=_int(raw.get("deadline", period), "deadline"),
-                    rhythmic=rhythmic,
-                    slot_budget=(
-                        _int(raw["slot_budget"], "slot_budget") if raw.get("slot_budget") is not None else None
-                    ),
-                    phase=_int(raw.get("phase", 0), "phase"),
-                )
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        task_id = _require_int(raw, "id", where)
+        if any(t.id == task_id for t in tasks):
+            raise ConfigError(f"{where}: duplicate task id {task_id}")
+        path = tuple(str(n) for n in _require_list(raw, "path", where))
+        rest = {k: v for k, v in raw.items() if k not in ("id", "path", "period", "rhythmic")}
+        tasks.append(
+            _build(TaskSpec, {"deadline": period, **rest}, where,
+                   id=task_id, path=path, period=period, rhythmic=rhythmic)
+        )
+    if not tasks:
+        raise ConfigError("document: tasks must list at least one task")
     return tuple(tasks)
 
 
 def parse_scenario(path: str | Path) -> SimConfig:
-    doc = load_document(path)
+    doc = _known(load_document(path), (*_SECTIONS, "sim", "meta"), "document")
     network = parse_network(doc)
     tasks = parse_tasks(doc)
     for i, task in enumerate(tasks):
@@ -209,87 +275,27 @@ def parse_scenario(path: str | Path) -> SimConfig:
         elif by_id[task_id].rhythmic is None:
             raise ConfigError("disturbance: task has no rhythmic specification")
         instance = _require_int(raw, "instance", "disturbance")
+        _known(raw, ("task", "instance", "rhythmic"), "disturbance")
         try:
             disturbance = DisturbanceSpec(task=task_id, instance=instance, rhythmic=rhythmic)
         except ValueError as exc:
             raise ConfigError(f"disturbance: {exc}") from exc
 
+    # ``mac`` holds MacParams' fields and the one SlotTiming field a file sets.
     mac_raw = _mapping(doc.get("mac") or {}, "mac")
-    try:
-        timing = SlotTiming(priority_tick_us=_int(mac_raw.get("priority_tick_us", 60), "priority_tick_us"))
-        per_table = tuple(
-            sorted((_int(k, "per_table key"), float(v)) for k, v in (mac_raw.get("per_table") or {}).items())
-        )
-        mac = MacParams(
-            timing=timing,
-            rhythmic_priority=_int(mac_raw.get("rhythmic_priority", 0), "rhythmic_priority"),
-            periodic_priority=_int(mac_raw.get("periodic_priority", 1), "periodic_priority"),
-            per_table=per_table,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mac: {exc}") from exc
-
-    base_raw = _mapping(doc.get("baseline") or {}, "baseline")
-    try:
-        baseline = BaselineParams(
-            broadcast_period=(
-                _int(base_raw["broadcast_period"], "broadcast_period")
-                if base_raw.get("broadcast_period") is not None
-                else None
-            ),
-            depth=_int(base_raw["depth"], "depth") if base_raw.get("depth") is not None else None,
-            offset=_int(base_raw.get("offset", 0), "offset"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"baseline: {exc}") from exc
-
-    sim_raw = _mapping(doc.get("sim") or {}, "sim")
-    _check_solver(sim_raw, "sim")
-    try:
-        mode = SchedulingMode(str(sim_raw.get("mode", "TBS")).upper())
-        framework = Framework(str(sim_raw.get("framework", "FDPAS_PACKET")).upper())
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-    try:
-        return SimConfig(
-            network=network,
-            tasks=tasks,
-            mode=mode,
-            required_pdr=float(sim_raw.get("required_pdr", 0.99)),
-            seed=_int(sim_raw.get("seed", 0), "seed"),
-            horizon=_int(sim_raw["horizon"], "horizon") if sim_raw.get("horizon") is not None else None,
-            disturbance=disturbance,
-            alpha=_int(sim_raw["alpha"], "alpha") if sim_raw.get("alpha") is not None else None,
-            beta=_int(sim_raw.get("beta", 4), "beta"),
-            framework=framework,
-            mac=mac,
-            baseline=baseline,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sim: {exc}") from exc
+    timing = _build(SlotTiming, {k: v for k, v in mac_raw.items() if k == "priority_tick_us"}, "mac")
+    mac = _build(MacParams, {k: v for k, v in mac_raw.items() if k != "priority_tick_us"}, "mac", timing=timing)
+    baseline = _build(BaselineParams, doc.get("baseline"), "baseline")
+    sections = dict(network=network, tasks=tasks, disturbance=disturbance, mac=mac, baseline=baseline)
+    return _build(SimConfig, _without_solver(doc.get("sim"), "sim"), "sim", **sections)
 
 
 def parse_experiment(path: str | Path) -> ExperimentSpec:
-    doc = load_document(path)
-    _check_solver(doc, "experiment spec")
-    try:
-        frameworks = tuple(
-            Framework(str(f).upper()) for f in doc.get("frameworks", [f.value for f in Framework])
-        )
-        return ExperimentSpec(
-            utils=tuple(float(u) for u in doc.get("utils", [0.5])),
-            r_steps=tuple(_int(r, "r_steps") for r in doc.get("r_steps", [8])),
-            alphas=tuple(_int(a, "alphas") for a in doc.get("alphas", [1])),
-            ticks=tuple(_int(t, "ticks") for t in doc.get("ticks", [60])),
-            trials=_int(doc.get("trials", 100), "trials"),
-            base_seed=_int(doc.get("base_seed", 0), "base_seed"),
-            frameworks=frameworks,
-            gamma=float(doc.get("gamma", 0.2)),
-            required_pdr=float(doc.get("required_pdr", 0.99)),
-            beta=_int(doc.get("beta", 4), "beta"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment spec: {exc}") from exc
+    return _build(ExperimentSpec, _without_solver(load_document(path), "experiment spec"), "experiment spec")
+
+
+def _rhythmic_doc(spec: RhythmicSpec) -> dict:
+    return {"periods": list(spec.periods), "deadlines": list(spec.deadlines)}
 
 
 def _task_doc(task: TaskSpec) -> dict:
@@ -304,10 +310,7 @@ def _task_doc(task: TaskSpec) -> dict:
     if task.phase:
         raw["phase"] = task.phase
     if task.rhythmic is not None:
-        raw["rhythmic"] = {
-            "periods": list(task.rhythmic.periods),
-            "deadlines": list(task.rhythmic.deadlines),
-        }
+        raw["rhythmic"] = _rhythmic_doc(task.rhythmic)
     return raw
 
 
@@ -331,30 +334,10 @@ def dump_scenario(config: SimConfig) -> str:
         "tasks": [_task_doc(t) for t in config.tasks],
     }
     if config.disturbance is not None:
-        dist: dict[str, Any] = {
-            "task": config.disturbance.task,
-            "instance": config.disturbance.instance,
-        }
+        doc["disturbance"] = {"task": config.disturbance.task, "instance": config.disturbance.instance}
         if config.disturbance.rhythmic is not None:
-            dist["rhythmic"] = {
-                "periods": list(config.disturbance.rhythmic.periods),
-                "deadlines": list(config.disturbance.rhythmic.deadlines),
-            }
-        doc["disturbance"] = dist
-    doc["mac"] = {
-        "priority_tick_us": config.mac.timing.priority_tick_us,
-        "rhythmic_priority": config.mac.rhythmic_priority,
-        "periodic_priority": config.mac.periodic_priority,
-    }
-    doc["sim"] = {
-        "mode": config.mode.value,
-        "required_pdr": config.required_pdr,
-        "seed": config.seed,
-        "beta": config.beta,
-        "framework": config.framework.value,
-    }
-    if config.horizon is not None:
-        doc["sim"]["horizon"] = config.horizon
-    if config.alpha is not None:
-        doc["sim"]["alpha"] = config.alpha
+            doc["disturbance"]["rhythmic"] = _rhythmic_doc(config.disturbance.rhythmic)
+    doc["mac"] = {"priority_tick_us": config.mac.timing.priority_tick_us, **_flat(config.mac, "timing")}
+    doc["baseline"] = _flat(config.baseline)
+    doc["sim"] = _flat(config, *_SECTIONS)
     return yaml.safe_dump(doc, sort_keys=False)

@@ -120,6 +120,11 @@ class MacParams:
             value = getattr(self, name)
             if not 0 <= value < levels:
                 raise ValueError(f"{name} {value} outside the supported range 0..{levels - 1}")
+        for distance, rate in self.per_table:
+            if distance < 1:
+                raise ValueError(f"per_table priority distance {distance} must be >= 1")
+            if not 0 <= rate <= 1:
+                raise ValueError(f"per_table rate {rate} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

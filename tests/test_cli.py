@@ -1,16 +1,21 @@
 """Configuration files and the command-line front end."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from rtwnsim.config import ConfigError, parse_experiment, parse_scenario
-from rtwnsim.model import generate_taskset
+from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
+from rtwnsim.mac import SlotTiming, priority_levels
+from rtwnsim.model import Link, RhythmicSpec, SchedulingMode, TaskSpec, generate_taskset
+from rtwnsim.sim import BaselineParams, DisturbanceSpec, Framework, MacParams, SimConfig
 from rtwnsim.static_schedule import plan_retry_vectors
 from rtwnsim.config import load_document, parse_network
 
@@ -68,6 +73,88 @@ def test_solver_greedy_is_still_accepted(tmp_path):
     plain.write_text("trials: 3\n", encoding="utf-8")
     greedy.write_text("trials: 3\nsolver: greedy\n", encoding="utf-8")
     assert parse_experiment(greedy) == parse_experiment(plain)
+
+
+def _reparse(text: str, parse):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.yaml"
+        path.write_text(text, encoding="utf-8")
+        return parse(path)
+
+
+@st.composite
+def _rhythmic_specs(draw, period):
+    periods = sorted(draw(st.lists(st.integers(1, period), min_size=1, max_size=4)))
+    return RhythmicSpec(periods=tuple(periods), deadlines=tuple(draw(st.integers(1, p)) for p in periods))
+
+
+@st.composite
+def _scenario_configs(draw):
+    """Configs a scenario file can express: the testbed network with drawn
+    link quality, and drawn tasks, disturbance, MAC, baseline and sim keys."""
+    network = parse_network(load_document(SCENARIOS / "testbed.yaml"))
+    network = dataclasses.replace(network, links=tuple(
+        Link(l.src, l.dst, draw(st.floats(0.01, 1.0))) for l in network.links))
+    paths = draw(st.lists(st.sampled_from([("V0", "V1", "Vc", "V3", "V4"), ("V2", "Vc", "V3"), ("V1", "Vc", "V5")]),
+                          min_size=1, max_size=4))
+    ids = draw(st.lists(st.integers(0, 50), min_size=len(paths), max_size=len(paths), unique=True))
+    tasks = []
+    for task_id, path in zip(ids, paths):
+        period = draw(st.integers(3, 40))
+        tasks.append(TaskSpec(
+            id=task_id, path=path, period=period, deadline=draw(st.integers(1, period)),
+            rhythmic=draw(st.none() | _rhythmic_specs(period)),
+            slot_budget=draw(st.none() | st.integers(len(path) - 1, len(path) + 3)),
+            phase=draw(st.integers(0, 5)),
+        ))
+    disturbance, alpha = None, draw(st.none() | st.integers(1, 100))
+    if draw(st.booleans()):
+        task = draw(st.sampled_from(tasks))
+        own = st.none() if task.rhythmic is not None else st.nothing()
+        disturbance = DisturbanceSpec(task=task.id, instance=draw(st.integers(0, 5)),
+                                      rhythmic=draw(own | _rhythmic_specs(task.period)))
+        alpha = draw(st.none() | st.integers(task.period, 3 * task.period))
+    timing = SlotTiming(priority_tick_us=draw(st.sampled_from([30, 50, 60, 100, 400])))
+    priority = st.integers(0, priority_levels(timing) - 1)
+    per_table = draw(st.dictionaries(st.integers(1, 13), st.floats(0.0, 1.0), max_size=3))
+    return SimConfig(
+        network=network,
+        tasks=tuple(tasks),
+        mode=draw(st.sampled_from(list(SchedulingMode))),
+        required_pdr=draw(st.floats(0.01, 0.999)),
+        seed=draw(st.integers(0, 2**32)),
+        horizon=draw(st.none() | st.integers(1, 10_000)),
+        disturbance=disturbance,
+        alpha=alpha,
+        beta=draw(st.integers(1, 6)),
+        framework=draw(st.sampled_from(list(Framework))),
+        mac=MacParams(timing=timing, rhythmic_priority=draw(priority), periodic_priority=draw(priority),
+                      per_table=tuple(sorted(per_table.items()))),
+        baseline=BaselineParams(broadcast_period=draw(st.none() | st.integers(1, 60)),
+                                depth=draw(st.none() | st.integers(0, 6)), offset=draw(st.integers(0, 10))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenario_configs())
+def test_dump_scenario_round_trips(config):
+    assert _reparse(dump_scenario(config), parse_scenario) == config
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), util=st.floats(0.05, 0.8))
+def test_generated_task_file_parses_back(seed, util):
+    # A scenario is the network file followed by the task file, meta block included.
+    network = SCENARIOS / "network7.yaml"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "tasks.yaml"
+        rc = main(["generate", "--seed", str(seed), "--util", str(util), "--network", str(network),
+                   "--out", str(out)])
+        assume(rc == EXIT_OK)
+        tasks = parse_tasks(load_document(out))
+        text = network.read_text(encoding="utf-8") + out.read_text(encoding="utf-8")
+    assert tasks == tuple(generate_taskset(seed, util, parse_network(load_document(network))))
+    assert _reparse(text, parse_scenario).tasks == tasks
 
 
 # ------------------------------------------------------------------ commands
@@ -223,9 +310,12 @@ def test_sweep_smoke_grid(tmp_path):
     ("alphas: [1, 1.5]", "experiment spec: alphas 1.5 is not an integer"),
     ("beta: 4.5", "experiment spec: beta 4.5 is not an integer"),
     ("base_seed: true", "experiment spec: base_seed True is not an integer"),
+    ("util: [0.9]", "experiment spec: unknown key 'util'"),
+    ("tick: [50]", "experiment spec: unknown key 'tick'"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
-        "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed"])
+        "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed", "util_typo",
+        "tick_typo"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -297,6 +387,26 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST\nbaseline: {offset: 1.5}",
      "baseline: offset 1.5 is not an integer"),
     ("seed: 7", "seed: [7]", "sim: int() argument must be"),
+    # A key that names no field, in any section, is rejected, not ignored.
+    ("seed: 7", "seeed: 7", "sim: unknown key 'seeed'"),
+    ("framework: FDPAS_PACKET", "framework: FDPAS_PACKET\n  mac: {priority_tick_us: 60}", "sim: unknown key 'mac'"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  periodic_prio: 1", "mac: unknown key 'periodic_prio'"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  slot_duration_us: 9000", "mac: unknown key 'slot_duration_us'"),
+    ("mac:\n", "baseline: {broadcast_periods: 30}\nmac:\n", "baseline: unknown key 'broadcast_periods'"),
+    ("mac:\n", "baselin: {broadcast_period: 30}\nmac:\n", "document: unknown key 'baselin'"),
+    ("  controller: Vc\n", "  controller: Vc\n  root: Vc\n", "network: unknown key 'root'"),
+    ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, prr: 0.9}", "network.links[0]: unknown key 'prr'"),
+    ("period: 30", "period: 30\n    priority: 2", "tasks[1]: unknown key 'priority'"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12, 12, 12, 12], deadline: [12]}",
+     "tasks[0].rhythmic: unknown key 'deadline'"),
+    ("  instance: 3\n", "  instance: 3\n  slot: 40\n", "disturbance: unknown key 'slot'"),
+    ("  instance: 3\n", "  instance: 3\n  rhythmic: {periods: [12, 12], steps: 2, ratios: 0.8}\n",
+     "disturbance.rhythmic: unknown key 'ratios'"),
+    ("  - id: 2\n", "  - id: 1\n", "tasks[2]: duplicate task id 1"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: 2.0}", "mac: per_table rate 2.0 must lie in [0, 1]"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
+     "mac: per_table priority distance 0 must be >= 1"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: [0.5]", "mac: per_table: expected a mapping, got list"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
@@ -304,7 +414,9 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "non_integer_task", "non_integer_period", "scalar_rhythmic_periods", "fractional_instance",
         "bool_instance", "fractional_period", "fractional_slot_budget", "fractional_rhythmic_period",
         "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
-        "list_seed"])
+        "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
+        "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
+        "disturbance_rhythmic_typo", "duplicate_task_id", "per_table_rate", "per_table_distance", "per_table_list"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -365,7 +477,10 @@ def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
      "network: links must be a list, got int"),
     (_TESTBED[_TESTBED.index("tasks:"):_TESTBED.index("disturbance:")], "tasks: 5\n\n",
      "document: tasks must be a list, got int"),
-], ids=["scalar_nodes", "scalar_links", "scalar_tasks"])
+    ("path: [V2, Vc, V3]", "path: V2", "tasks[1]: path must be a list, got str"),
+    (_TESTBED[_TESTBED.index("tasks:"):_TESTBED.index("mac:")], "tasks: []\n\n",
+     "document: tasks must list at least one task"),
+], ids=["scalar_nodes", "scalar_links", "scalar_tasks", "scalar_path", "empty_tasks_no_disturbance"])
 def test_non_list_entry_exit_code(tmp_path, capsys, old, new, message):
     assert old in _TESTBED
     scenario = tmp_path / "bad.yaml"
