@@ -21,8 +21,11 @@ The keys of ``mac``, ``sim``, ``baseline`` and a sweep file are the field
 names of ``MacParams`` (plus ``SlotTiming.priority_tick_us``), ``SimConfig``,
 ``BaselineParams`` and ``ExperimentSpec``.  The field's type converts the
 value, an absent key keeps the dataclass default, and a null leaves an
-optional field unset.  A key that names no field or section, in any part
-of the file, is a configuration error (``rtwnsim`` exits 2).
+optional field unset.  A list field takes a list, not a string or a
+mapping.  A section or ``rhythmic`` block given as null reads as absent;
+any other value that is not a mapping, falsy ones included, is an error.
+A key that names no field or section, in any part of the file, is a
+configuration error (``rtwnsim`` exits 2).
 ``dump_scenario`` writes the same fields back, so
 ``parse_scenario`` reads its output as the config it was given.
 
@@ -92,7 +95,7 @@ def load_document(path: str | Path) -> dict:
 
 
 def _without_solver(section: Any, where: str) -> dict:
-    section = _mapping(section or {}, where)
+    section = _section(section, where)
     if section.get("solver", "greedy") != "greedy":
         raise ConfigError(
             f"{where}: unknown solver {str(section['solver'])!r}; FD-PaS plans with the greedy "
@@ -105,6 +108,11 @@ def _mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
     return value
+
+
+def _section(value: Any, where: str) -> dict:
+    """An optional section: null reads as empty, any other non-mapping fails."""
+    return {} if value is None else _mapping(value, where)
 
 
 def _known(section: dict, keys: Iterable[str], where: str) -> dict:
@@ -127,6 +135,14 @@ def _int(value: Any, key: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} {value!r} is not an integer")
     return int(value)
+
+
+def _items(value: Any, key: str) -> Any:
+    """``value`` to iterate as the items of list field ``key``: a string or a
+    mapping is iterable, but is not a list of items."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"{key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _require_list(section: dict, key: str, where: str) -> list:
@@ -156,10 +172,10 @@ def _convert(hint: Any, value: Any, key: str) -> Any:
         return None if value is None else _convert(args[0], value, key)
     if origin is tuple and get_origin(args[0]) is tuple:  # pairs, written as a mapping
         k_hint, v_hint = get_args(args[0])
-        items = _mapping(value or {}, key).items()
+        items = _section(value, key).items()
         return tuple(sorted((_convert(k_hint, k, f"{key} key"), _convert(v_hint, v, key)) for k, v in items))
     if origin is tuple:
-        return tuple(_convert(args[0], item, key) for item in value)
+        return tuple(_convert(args[0], item, key) for item in _items(value, key))
     if hint is int:
         return _int(value, key)
     if issubclass(hint, Enum):
@@ -184,7 +200,7 @@ def _plain(hint: Any, value: Any) -> Any:
 def _build(cls: type, section: Any, where: str, **given: Any) -> Any:
     """``cls(**given)`` plus one field per key of the flat ``section``."""
     hints = _field_types(cls)
-    section = _known(section or {}, hints.keys() - given.keys(), where)
+    section = _known(_section(section, where), hints.keys() - given.keys(), where)
     try:
         return cls(**given, **{key: _convert(hints[key], value, key) for key, value in section.items()})
     except (TypeError, ValueError) as exc:
@@ -218,8 +234,8 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
     _known(raw, ("periods", "deadlines", "ratio", "steps"), where)
     try:
         if "periods" in raw:
-            periods = tuple(_int(p, "periods") for p in raw["periods"])
-            deadlines = tuple(_int(d, "deadlines") for d in raw.get("deadlines", periods))
+            periods = tuple(_int(p, "periods") for p in _items(raw["periods"], "periods"))
+            deadlines = tuple(_int(d, "deadlines") for d in _items(raw.get("deadlines", periods), "deadlines"))
             return RhythmicSpec(periods=periods, deadlines=deadlines)
         if "ratio" in raw:
             return generate_rhythmic_spec(period, float(raw["ratio"]), _require_int(raw, "steps", where))
@@ -236,7 +252,7 @@ def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
         where = f"tasks[{i}]"
         period = _require_int(raw, "period", where)
         rhythmic = None
-        if raw.get("rhythmic"):
+        if raw.get("rhythmic") is not None:
             rhythmic = _parse_rhythmic(raw["rhythmic"], period, f"{where}.rhythmic")
         task_id = _require_int(raw, "id", where)
         if any(t.id == task_id for t in tasks):
@@ -264,13 +280,13 @@ def parse_scenario(path: str | Path) -> SimConfig:
     by_id = {t.id: t for t in tasks}
 
     disturbance = None
-    if doc.get("disturbance"):
-        raw = doc["disturbance"]
+    raw = doc.get("disturbance")
+    if raw is not None:
         task_id = _require_int(raw, "task", "disturbance")
         if task_id not in by_id:
             raise ConfigError(f"disturbance: unknown task {task_id}")
         rhythmic = None
-        if raw.get("rhythmic"):
+        if raw.get("rhythmic") is not None:
             rhythmic = _parse_rhythmic(raw["rhythmic"], by_id[task_id].period, "disturbance.rhythmic")
         elif by_id[task_id].rhythmic is None:
             raise ConfigError("disturbance: task has no rhythmic specification")
@@ -282,7 +298,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
             raise ConfigError(f"disturbance: {exc}") from exc
 
     # ``mac`` holds MacParams' fields and the one SlotTiming field a file sets.
-    mac_raw = _mapping(doc.get("mac") or {}, "mac")
+    mac_raw = _section(doc.get("mac"), "mac")
     timing = _build(SlotTiming, {k: v for k, v in mac_raw.items() if k == "priority_tick_us"}, "mac")
     mac = _build(MacParams, {k: v for k, v in mac_raw.items() if k != "priority_tick_us"}, "mac", timing=timing)
     baseline = _build(BaselineParams, doc.get("baseline"), "baseline")

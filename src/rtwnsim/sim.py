@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, TextIO
@@ -452,16 +453,15 @@ def _link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> 
     return draws
 
 
-def _contend(
-    candidates: list[tuple], t: int, mac: MacParams, draws: dict, pdr: dict, per_draws: Optional[dict]
-) -> list[mac_model.TxOutcome]:
-    """Outcomes of a slot with two or more senders ``(sender, receiver,
-    packet, hop, priority)``: priority arbitration over their link draws,
-    then, below a 60 us tick, the preemption-error draw of the winner."""
+def _contend(candidates: list[tuple], t: int, mac: MacParams, per_draws: Optional[dict]) -> list[mac_model.TxOutcome]:
+    """Outcomes of a slot with two or more senders ``(sender, receiver, link
+    draws, link pdr, packet, hop, priority)``: priority arbitration over
+    their link draws, then, below a 60 us tick, the preemption-error draw of
+    the winner."""
     contenders = [
         mac_model.ContendingTx(sender=s, receiver=r, priority=prio) for s, r, *_, prio in candidates
     ]
-    link_success = [bool(draws[(s, r)][t] < pdr[(s, r)]) for s, r, *_ in candidates]
+    link_success = [bool(draw[t] < pdr) for _, _, draw, pdr, *_ in candidates]
     outcomes = mac_model.arbitrate_slot(contenders, mac.timing, link_success)
     if per_draws is not None:
         prios = sorted(c.priority for c in contenders)
@@ -487,7 +487,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     contend through the priority MAC (window transmissions of the disturbed
     task at the high priority), deferred senders do not consume their trial,
     and a winning transmission is received only if its receiver's own
-    operative schedule expects it.
+    operative schedule expects it.  A slot without an overlay entry has at
+    most one sender, the holder of its static entry, whose receiver expects
+    it; only overlay slots build a candidate list and contend.
     """
     planned = plan(config)
     sched = planned.static.schedule
@@ -497,13 +499,13 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     trace = SimTrace()
 
     vrhy: frozenset[str] = frozenset()
-    overlay: dict = {}
-    window_start = window_end = None
+    dynamic_at: list = [None] * horizon  # the overlay entry of each slot inside the window
     if dynamic is not None:
         event = dynamic.event
         vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
-        overlay = dynamic.overlay
-        window_start, window_end = event.enter_slot, dynamic.end_point
+        for slot, entry in dynamic.overlay.items():
+            if event.enter_slot <= slot < dynamic.end_point:
+                dynamic_at[slot] = entry
 
     # Packet table.  The disturbed task's nominal instances inside
     # [window start, resume release) are superseded by the dynamic packets.
@@ -536,9 +538,15 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             if key in packets:
                 packets[key].decided_drop = True
 
-    # Per-run lookups the slot loop would otherwise repeat every slot.
-    pdr = {(link.src, link.dst): link.pdr for link in config.network.links}
-    hop_links = {t.id: tuple(zip(t.path, t.path[1:])) for t in config.tasks}
+    # Per-run tables the slot loop reads instead of repeating lookups.  Hop
+    # ``h`` of task ``tid`` is ``links[tid][h]``: (sender, receiver, the
+    # link's draws, its pdr); a memoryview reads a draw as a Python float.
+    draws = _link_draws(config.network, config.seed, horizon, stream=0)
+    links = {
+        t.id: (None, *[(s, r, memoryview(draws[(s, r)]), config.network.link_pdr(s, r))
+                       for s, r in zip(t.path, t.path[1:])])
+        for t in config.tasks
+    }
     tbs = config.mode is SchedulingMode.TBS
     rhythmic_prio, periodic_prio = config.mac.rhythmic_priority, config.mac.periodic_priority
     won, lost = mac_model.TxOutcome.WON_DELIVERED, mac_model.TxOutcome.WON_LOST
@@ -547,19 +555,26 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         mac_model.TxOutcome.DEFERRED: "deferred",
         mac_model.TxOutcome.COLLIDED: "collided",
     }
-    draws = _link_draws(config.network, config.seed, horizon, stream=0)
     # Preemption-error draws (stream 1) are read only in contended slots below
     # a 60 us tick, so the first such slot draws them; each link's array is a
     # pure function of (seed, stream, link), whenever it is drawn.
     preempt_errors = config.mac.timing.priority_tick_us < 60
     per_draws = None
 
-    task_at = sched.task_at.tolist()
+    # The slot timeline: ``marks[t]`` lists the packets that expire at slot t,
+    # in (expiry, task, release) order, then the ``released`` records of the
+    # packets released at t, in packet-table order.  No packet expires past
+    # the horizon.
+    timeline: dict[int, list] = defaultdict(list)
+    for pkt in sorted(packets.values(), key=lambda p: (p.expiry, p.task, p.release)):
+        timeline[pkt.expiry].append(pkt)
+    for pkt in packets.values():
+        timeline[pkt.release].append((pkt.release, "state", pkt.task, pkt.release, "released"))
+    marks: list = [None] * (horizon + 1)
+    for slot, mark in timeline.items():
+        marks[slot] = mark
     release_at = sched.release_at.tolist()
     hop_at = sched.hop_at.tolist()
-    releases_by_slot: dict[int, list[tuple[int, int]]] = {}
-    for key, pkt in packets.items():
-        releases_by_slot.setdefault(pkt.release, []).append(key)
 
     stats = {t.id: TaskStats() for t in config.tasks}
     add = trace.events.append
@@ -575,95 +590,115 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             stats[pkt.task].missed += 1
         add((slot, "state", pkt.task, pkt.release, pkt.terminal))
 
-    def tx_for(entry: tuple[int, int, int], t: int, prio: int) -> Optional[tuple]:
+    def deliver(pkt: _Packet, slot: int) -> None:
+        pkt.terminal = "delivered"
+        stats[pkt.task].delivered += 1
+        add((slot, "state", pkt.task, pkt.release, "delivered"))
+
+    def tx_for(entry: tuple[int, int, int], prio: int) -> Optional[tuple]:
         tid, rel, hop = entry
         pkt = packets.get((tid, rel))
-        if pkt is None or pkt.terminal is not None or t >= pkt.expiry:
+        if pkt is None or pkt.terminal is not None:
             return None
         if tbs and hop > 0:
             if pkt.progress != hop - 1:
                 return None
         else:  # PBS: the current holder forwards
-            if pkt.progress >= pkt.hops:
-                return None
             hop = pkt.progress + 1
-        sender, receiver = hop_links[tid][hop - 1]
-        return (sender, receiver, pkt, hop, prio)
+        return (*links[tid][hop], pkt, hop, prio)
 
-    expiry_order = sorted(packets.values(), key=lambda p: (p.expiry, p.task, p.release))
-    expiry_idx = 0
-    if window_start is None:
-        window_start = window_end = 0
     alias_from = alias[1] if alias is not None else -1
 
-    for t in range(horizon):
+    # A packet whose expiry mark has passed is terminal, and so is one whose
+    # last hop was delivered: the terminal check alone keeps both off the air.
+    for t, tid, mark, dyn in zip(range(horizon), sched.task_at.tolist(), marks, dynamic_at):
         if t == alias_from:
             # From here on the static slots of the superseded instance carry
             # the tail of the last rhythmic packet.
             packets[alias[0]] = packets.get(alias[2])  # None if it expires past the horizon
-        while expiry_idx < len(expiry_order) and expiry_order[expiry_idx].expiry <= t:
-            finalize(expiry_order[expiry_idx], expiry_order[expiry_idx].expiry)
-            expiry_idx += 1
-        for tid, rel in releases_by_slot.get(t, ()):
-            stats[tid].released += 1
-            add((t, "state", tid, rel, "released"))
+        if mark is not None:
+            for item in mark:
+                if isinstance(item, tuple):  # a release record
+                    stats[item[2]].released += 1
+                    add(item)
+                else:
+                    finalize(item, t)
 
-        dyn_entry = None
-        if window_start <= t < window_end:
-            slot_plan = overlay.get(t)
-            if slot_plan is not None:
-                dyn_entry = (slot_plan.task, slot_plan.release, slot_plan.hop)
-        tid = task_at[t]
+        if dyn is None:
+            # Lone sender: only the static entry's current holder can send,
+            # and its receiver listens per that same entry, so delivery
+            # follows the link draw alone.
+            if tid < 0:
+                continue
+            rel, hop = release_at[t], hop_at[t]
+            add((t, "sched", "static", tid, rel, hop))
+            pkt = packets.get((tid, rel))
+            if pkt is None or pkt.terminal is not None:
+                continue
+            if tbs and hop > 0:
+                if pkt.progress != hop - 1:
+                    continue
+            else:  # PBS: the current holder forwards
+                hop = pkt.progress + 1
+            sender, receiver, link_draws, link_pdr = links[tid][hop]
+            add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, periodic_prio))
+            if link_draws[t] < link_pdr:
+                pkt.progress += 1
+                if pkt.progress == pkt.hops:
+                    deliver(pkt, t)
+                result = "delivered"
+            else:
+                result = "lost"
+            add((t, "outcome", sender, pkt.task, pkt.release, hop, result))
+            continue
+
+        # Overlay slot: the dynamic entry and the static one may both send.
+        dyn_entry = (dyn.task, dyn.release, dyn.hop)
         stat_entry = (tid, release_at[t], hop_at[t]) if tid >= 0 else None
         if stat_entry is not None:
-            add((t, "sched", "static", tid, stat_entry[1], stat_entry[2]))
+            add((t, "sched", "static", *stat_entry))
+        add((t, "sched", "dynamic", *dyn_entry))
         candidates: list[tuple] = []
-        if dyn_entry is not None:
-            add((t, "sched", "dynamic", *dyn_entry))
-            tx = tx_for(dyn_entry, t, rhythmic_prio)
-            if tx is not None:
-                candidates.append(tx)
+        tx = tx_for(dyn_entry, rhythmic_prio)
+        if tx is not None:
+            candidates.append(tx)
         if stat_entry is not None:
-            tx = tx_for(stat_entry, t, periodic_prio)
+            tx = tx_for(stat_entry, periodic_prio)
             # A route node inside the window follows the overlay; its static
             # entry executes only where the overlay kept the slot.
-            if tx is not None and not (dyn_entry is not None and tx[0] in vrhy):
+            if tx is not None and tx[0] not in vrhy:
                 candidates.append(tx)
 
         if not candidates:
             continue
-        for sender, receiver, pkt, hop, prio in candidates:
+        for sender, receiver, _, _, pkt, hop, prio in candidates:
             add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, prio))
         if len(candidates) == 1:
-            # A lone sender owns the slot: its delivery follows its link draw.
-            link = candidates[0][:2]
-            outcomes = [won if draws[link][t] < pdr[link] else lost]
+            _, _, link_draws, link_pdr, *_ = candidates[0]
+            outcomes = [won if link_draws[t] < link_pdr else lost]
         else:
             if preempt_errors and per_draws is None:
                 per_draws = _link_draws(config.network, config.seed, horizon, stream=1)
-            outcomes = _contend(candidates, t, config.mac, draws, pdr, per_draws)
+            outcomes = _contend(candidates, t, config.mac, per_draws)
 
-        for (sender, receiver, pkt, hop, _), outcome in zip(candidates, outcomes):
+        for (sender, receiver, _, _, pkt, hop, _), outcome in zip(candidates, outcomes):
             if outcome is won:
                 # Delivery additionally needs the receiver to be listening per
                 # its own operative schedule.
-                op_entry = dyn_entry if dyn_entry is not None and receiver in vrhy else stat_entry
+                op_entry = dyn_entry if receiver in vrhy else stat_entry
                 if op_entry is not None and packets.get(op_entry[:2]) is pkt:
                     pkt.progress += 1
                     result = "delivered"
                     if pkt.progress == pkt.hops:
-                        pkt.terminal = "delivered"
-                        stats[pkt.task].delivered += 1
-                        add((t, "state", pkt.task, pkt.release, "delivered"))
+                        deliver(pkt, t)
                 else:
                     result = "no_listener"
             else:
                 result = results[outcome]
             add((t, "outcome", sender, pkt.task, pkt.release, hop, result))
 
-    while expiry_idx < len(expiry_order):
-        finalize(expiry_order[expiry_idx], min(expiry_order[expiry_idx].expiry, horizon))
-        expiry_idx += 1
+    for pkt in marks[horizon] or ():  # nothing is released at the horizon
+        finalize(pkt, horizon)
 
     decision = planned.decision
     metrics = Metrics(

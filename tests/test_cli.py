@@ -312,10 +312,12 @@ def test_sweep_smoke_grid(tmp_path):
     ("base_seed: true", "experiment spec: base_seed True is not an integer"),
     ("util: [0.9]", "experiment spec: unknown key 'util'"),
     ("tick: [50]", "experiment spec: unknown key 'tick'"),
+    ('r_steps: "48"', "experiment spec: r_steps must be a list, got str"),
+    ("r_steps: {4: x}", "experiment spec: r_steps must be a list, got dict"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
         "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed", "util_typo",
-        "tick_typo"])
+        "tick_typo", "string_r_steps", "mapping_r_steps"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -407,6 +409,11 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
      "mac: per_table priority distance 0 must be >= 1"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: [0.5]", "mac: per_table: expected a mapping, got list"),
+    # A string or a mapping is iterable, but is not a list of periods.
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", 'rhythmic: {periods: "12"}',
+     "tasks[0].rhythmic: periods must be a list, got str"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: {12: 12}}",
+     "tasks[0].rhythmic: deadlines must be a list, got dict"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
@@ -416,7 +423,8 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
         "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
         "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
-        "disturbance_rhythmic_typo", "duplicate_task_id", "per_table_rate", "per_table_distance", "per_table_list"])
+        "disturbance_rhythmic_typo", "duplicate_task_id", "per_table_rate", "per_table_distance", "per_table_list",
+        "string_rhythmic_periods", "mapping_rhythmic_deadlines"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -460,8 +468,17 @@ _TESTBED = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     ("mac:\n  priority_tick_us: 60\n", "mac: 3\n", "mac: expected a mapping, got int"),
     ("mac:\n", "baseline: [1]\nmac:\n", "baseline: expected a mapping, got list"),
     (_TESTBED[_TESTBED.index("sim:"):], "sim: 3\n", "sim: expected a mapping, got int"),
+    # Only a null reads as an empty section: a falsy non-mapping is rejected too.
+    (_TESTBED[_TESTBED.index("sim:"):], "sim: []\n", "sim: expected a mapping, got list"),
+    ("mac:\n  priority_tick_us: 60\n", "mac: 0\n", "mac: expected a mapping, got int"),
+    ("mac:\n", "baseline: []\nmac:\n", "baseline: expected a mapping, got list"),
+    ("disturbance:\n  task: 0\n  instance: 3\n", "disturbance: []\n", "disturbance: expected a mapping, got list"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: []", "tasks[0].rhythmic: expected a mapping, got list"),
+    ("  instance: 3\n", "  instance: 3\n  rhythmic: 0\n", "disturbance.rhythmic: expected a mapping, got int"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: []", "mac: per_table: expected a mapping, got list"),
 ], ids=["bare_link", "bare_task", "scalar_network", "list_disturbance", "scalar_mac", "list_baseline",
-        "scalar_sim"])
+        "scalar_sim", "empty_list_sim", "zero_mac", "empty_list_baseline", "empty_list_disturbance",
+        "empty_list_task_rhythmic", "zero_disturbance_rhythmic", "empty_list_per_table"])
 def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
     assert old in _TESTBED
     scenario = tmp_path / "bad.yaml"
