@@ -193,6 +193,20 @@ class PeriodicPacketState:
         self.counts[self.hops.pop(ordinal)] -= 1
         return slot
 
+    def copy(self) -> PeriodicPacketState:
+        """A copy with its own slot, label and count lists.  It skips
+        ``__post_init__``: the labels were checked when this state was made,
+        and ``remove`` keeps ``counts`` in step with them."""
+        clone = object.__new__(PeriodicPacketState)
+        clone.packet, clone.path_pdrs, clone.window_of = self.packet, self.path_pdrs, self.window_of
+        clone.slots, clone.hops, clone.counts = self.slots[:], self.hops[:], self.counts[:]
+        return clone
+
+
+# Per-plan table of delivery probabilities: (path PDRs, per-hop counts) ->
+# (delivery PDR, {hop label: delivery PDR - PDR without one slot of that label}).
+PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
+
 
 def resolved_demand(entry: RhythmicDemand, full_demand: int) -> int:
     return entry.fixed_demand if entry.fixed_demand is not None else full_demand
@@ -333,66 +347,91 @@ def drop_transmissions(
     state: Sequence[PeriodicPacketState],
     required_pdr: float,
     mode: SchedulingMode = SchedulingMode.TBS,
+    table: Optional[PdrTable] = None,
 ) -> DropDecision:
     """Surrender individual periodic slots, cheapest reliability loss first.
 
     A candidate is a still-assigned periodic slot inside the window of a
     rhythmic packet that still needs slots.  Its key is ``(delta, release,
     task, slot)``, where ``delta = delivery_pdr() - pdr_without(ordinal)`` is
-    the drop in its packet's delivery probability were it removed.  Under
-    TBS every candidate slot has a key, and slots of one hop share a delta.
-    Under PBS a packet's slots are interchangeable (hop label 0 on every
-    slot; any other label raises ``ValueError``), so each packet has one
-    key, on its earliest slot in a needy window.  Each round drops the
-    smallest key's slot and decrements its window's residual demand, until
-    no residual is left.
+    the drop in its packet's delivery probability were it removed; the
+    slots of one packet and hop label share a delta.  Under PBS a packet's
+    slots are interchangeable (hop label 0 on every slot; any other label
+    raises ``ValueError``).  Each round drops the smallest key's slot and
+    decrements its window's residual demand, until no residual is left.
 
-    The keys sit in one heap, computed once per packet before the first
-    round.  A drop changes only its own packet: that packet's version is
-    bumped and its keys are recomputed and pushed, and every other key stays
-    exact.  A popped entry is discarded when its packet's version is stale
-    or its window's residual is already 0; residuals only decrease, so a
-    satisfied window never needs slots again.  Under PBS such an entry means
-    the packet's earliest needy slot moved later, so its key is pushed again
-    with the same delta and the later slot.  Keys only grow, so the lazy heap
-    pops the same minimum a full rescan of every packet would.
+    The heap holds one key per (packet, hop label) group: the group's delta
+    and its earliest slot in a needy window.  A drop changes only its own
+    packet: that packet's version is bumped and its groups are pushed with
+    fresh deltas, and every other key stays exact.  A popped entry is
+    discarded when its packet's version is stale.  When its window's
+    residual is already 0, the group's earliest needy slot has moved later
+    (residuals only decrease, so a satisfied window never needs slots
+    again), and the group is pushed again with the same delta and its next
+    needy slot, if any.  Keys only grow, so the lazy heap pops the same
+    minimum a full rescan of every slot of every packet would.
+
+    Delivery probabilities and deltas come from ``table``, keyed by a
+    packet's ``(path_pdrs, counts)``: each entry holds the delivery PDR and,
+    filled as groups ask for them, the per-label deltas.  Both are pure
+    functions of that key (PBS counts every slot at index 0, so the key also
+    fixes the slot count), so a table entry is the same float a fresh
+    evaluation gives.  ``generate_dynamic_schedule`` passes one table to
+    every candidate of a plan, where packets reach the same states again;
+    without one, each call makes its own.  A table is never kept across
+    plans: then the PDR evaluations a plan makes would depend on what ran
+    before it.
     """
     residual = list(demand.residual)
     needed = sum(residual)
     if needed == 0:
         return DropDecision(level="transmission")
 
-    pbs = mode is SchedulingMode.PBS
-    packets = [
-        PeriodicPacketState(p.packet, p.path_pdrs, list(p.slots), list(p.hops), p.window_of)
-        for p in state
-    ]
-    if pbs and any(p.counts[0] != len(p.hops) for p in packets):
+    if mode is SchedulingMode.PBS and any(p.counts[0] != len(p.hops) for p in state):
         raise ValueError("PBS packet states carry hop label 0 on every slot")
+    if table is None:
+        table = {}
+    packets = [p.copy() for p in state]
     version = [0] * len(packets)
     # (delta, release, task, slot, packet index, version, ordinal, window)
     heap: list[tuple[float, int, int, int, int, int, int, int]] = []
 
-    def push_keys(idx: int, pbs_delta: Optional[float] = None) -> None:
+    def entry(packet: PeriodicPacketState) -> tuple[float, dict[int, float]]:
+        key = (packet.path_pdrs, tuple(packet.counts))
+        found = table.get(key)
+        if found is None:
+            found = table[key] = (packet.delivery_pdr(), {})
+        return found
+
+    def push_groups(idx: int, only: Optional[int] = None, delta: float = 0.0) -> None:
+        """Push each hop group of packet ``idx`` on its earliest needy slot,
+        or only group ``only``, whose delta is already known."""
         packet = packets[idx]
-        task, release = packet.packet
-        current = None
-        per_hop: dict[int, float] = {} if pbs_delta is None else {0: pbs_delta}
+        window_of, hops = packet.window_of, packet.hops
+        earliest: dict[int, tuple[int, int, int]] = {}  # hop -> (slot, ordinal, window)
         for ordinal, slot in enumerate(packet.slots):
-            w = packet.window_of.get(slot)
+            w = window_of.get(slot)
             if w is None or residual[w] == 0:
                 continue
-            hop = packet.hops[ordinal]
-            if hop not in per_hop:
-                if current is None:
-                    current = packet.delivery_pdr()
-                per_hop[hop] = current - packet.pdr_without(ordinal)
-            heapq.heappush(heap, (per_hop[hop], release, task, slot, idx, version[idx], ordinal, w))
-            if pbs:
-                return
+            hop = hops[ordinal]
+            if (only is None or hop == only) and (hop not in earliest or slot < earliest[hop][0]):
+                earliest[hop] = (slot, ordinal, w)
+        if not earliest:
+            return
+        task, release = packet.packet
+        if only is not None:
+            slot, ordinal, w = earliest[only]
+            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
+            return
+        current, deltas = entry(packet)
+        for hop, (slot, ordinal, w) in earliest.items():
+            delta = deltas.get(hop)
+            if delta is None:
+                delta = deltas[hop] = current - packet.pdr_without(ordinal)
+            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
 
     for idx in range(len(packets)):
-        push_keys(idx)
+        push_groups(idx)
     dropped: list[tuple[int, int, int]] = []
     touched: set[PacketKey] = set()
     while True:
@@ -402,8 +441,7 @@ def drop_transmissions(
         if ver != version[idx]:
             continue
         if residual[window] == 0:
-            if pbs:
-                push_keys(idx, delta)
+            push_groups(idx, packets[idx].hops[ordinal], delta)
             continue
         packets[idx].remove(ordinal)
         dropped.append((task, release, slot))
@@ -413,11 +451,11 @@ def drop_transmissions(
         if needed == 0:
             break
         version[idx] += 1
-        push_keys(idx)
+        push_groups(idx)
 
     final = {p.packet: p for p in packets}
     degradations = tuple(
-        (key, pdr_degradation(required_pdr, final[key].delivery_pdr()))
+        (key, pdr_degradation(required_pdr, entry(final[key])[0]))
         for key in sorted(touched, key=lambda k: (k[1], k[0]))
     )
     return DropDecision(
@@ -629,6 +667,7 @@ def generate_dynamic_schedule(
     upper = end_point_upper_bound(event, beta)
     evaluations: list[tuple[int, Optional[float]]] = []
     best: Optional[tuple[float, int, ActivePacketSets, DemandVector, DropDecision]] = None
+    table: PdrTable = {}  # shared by this plan's candidates only
     for candidate in end_point_candidates(event, f_last, beta):
         try:
             sets = build_active_sets(candidate, event, static, tasks, full_demand)
@@ -640,7 +679,7 @@ def generate_dynamic_schedule(
                 decision = greedy_drop_packets(demand, vectors, required_pdr)
             else:
                 state = build_periodic_state(sets, static, tasks, network)
-                decision = drop_transmissions(demand, state, required_pdr, mode=static.mode)
+                decision = drop_transmissions(demand, state, required_pdr, static.mode, table)
         except CandidateInfeasible:
             evaluations.append((candidate, None))
             continue

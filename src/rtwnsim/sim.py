@@ -444,12 +444,18 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
     )
 
 
-def _link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> dict[tuple[str, str], np.ndarray]:
-    """One uniform draw per (link, slot), independent of consumption order."""
+def _link_draws(
+    network: NetworkModel, used: set[tuple[str, str]], seed: int, horizon: int, stream: int
+) -> dict[tuple[str, str], np.ndarray]:
+    """One uniform draw per (link, slot) for each link in ``used``,
+    independent of consumption order.  A link's stream index is its position
+    among all of the network's links in (src, dst) order, so its draws do not
+    depend on which other links are used."""
     draws = {}
     for idx, link in enumerate(sorted(network.links, key=lambda l: (l.src, l.dst))):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
-        draws[(link.src, link.dst)] = rng.random(horizon)
+        if (link.src, link.dst) in used:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
+            draws[(link.src, link.dst)] = rng.random(horizon)
     return draws
 
 
@@ -541,7 +547,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     # Per-run tables the slot loop reads instead of repeating lookups.  Hop
     # ``h`` of task ``tid`` is ``links[tid][h]``: (sender, receiver, the
     # link's draws, its pdr); a memoryview reads a draw as a Python float.
-    draws = _link_draws(config.network, config.seed, horizon, stream=0)
+    # Only links on some task's path are drawn: no other link ever sends.
+    used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
+    draws = _link_draws(config.network, used, config.seed, horizon, stream=0)
     links = {
         t.id: (None, *[(s, r, memoryview(draws[(s, r)]), config.network.link_pdr(s, r))
                        for s, r in zip(t.path, t.path[1:])])
@@ -678,7 +686,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             outcomes = [won if link_draws[t] < link_pdr else lost]
         else:
             if preempt_errors and per_draws is None:
-                per_draws = _link_draws(config.network, config.seed, horizon, stream=1)
+                per_draws = _link_draws(config.network, used, config.seed, horizon, stream=1)
             outcomes = _contend(candidates, t, config.mac, per_draws)
 
         for (sender, receiver, _, _, pkt, hop, _), outcome in zip(candidates, outcomes):

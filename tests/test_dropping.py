@@ -299,6 +299,20 @@ def test_drop_transmissions_infeasible():
         drop_transmissions(dv, state, required_pdr=0.99)
 
 
+def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
+    # Packet (1, 0)'s hop groups both start in window 0, which packet (2, 0)
+    # satisfies with the cheaper drop.  Each group's key then moves on to its
+    # next needy slot in window 1, keeping its delta: one of them is dropped
+    # there, where discarding the keys would leave the demand uncovered.
+    dv = DemandVector(required=(1, 1), available=(0, 0))
+    two_hop = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.5, 0.5), slots=[10, 11, 20, 21],
+                                  hops=[1, 2, 1, 2], window_of={10: 0, 11: 0, 20: 1, 21: 1})
+    state = [two_hop, _single_hop_state((2, 0), 0.9, [5, 6], {5: 0, 6: 0})]
+    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    assert decision.dropped_slots == ((2, 0, 5), (1, 0, 20))
+    assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99 - 0.5 * 0.75)
+
+
 def test_drop_transmissions_pbs_selects_packet_granularity():
     dv = DemandVector(required=(1,), available=(0,))
     # PBS packets: hop labels 0, delivery via the shared-pool probability.
@@ -500,6 +514,14 @@ def test_dynamic_schedule_testbed_packet_level():
     # both packets of the 30-slot task released inside the window are dropped
     assert plan.end_point == 121
     assert plan.decision.dropped_packets == ((1, 61), (1, 91))
+
+
+def test_dynamic_schedule_rejects_an_unknown_level():
+    net, tasks = _testbed()
+    event = DisturbanceEvent.from_task(tasks[0], 3)
+    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
+    with pytest.raises(ValueError, match="level must be 'packet' or 'transmission'"):
+        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="slot")
 
 
 def test_dynamic_schedule_constraints_hold():

@@ -8,7 +8,9 @@ and share none of its packet-state, periodic-set or solver code:
   ``PeriodicPacketState`` keeps per-hop counts instead.
 * ``reference_drop_transmissions`` recomputes every periodic packet's delivery
   probability and per-hop deltas on every round, on frozen packet states; the
-  library solver caches those deltas in a lazy heap.
+  library solver keeps one lazy heap key per (packet, hop label) and reads
+  delivery probabilities and deltas from a table that every candidate of a
+  plan shares.
 * ``frozen_periodic_keys`` and ``frozen_build_periodic_state`` are the
   per-candidate builders as they were before they shared per-plan work:
   a Python loop over the window for the periodic set, one ``packet_slots``
@@ -18,15 +20,17 @@ and share none of its packet-state, periodic-set or solver code:
 
 Each must agree with the library exactly (same floats, same orders, same
 exceptions) on every end-point candidate of seeded sweep-style and
-constraint-suite trials, under TBS and PBS.
+constraint-suite trials, under TBS and PBS.  The solver must also decide the
+same with a table shared by a plan's candidates as with a fresh one per call.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtwnsim.dropping import (
@@ -411,6 +415,62 @@ def test_matches_reference_on_constraint_suite_trials(mode):
         horizon = event.exit_slot + (BETA - 1) * task.period + 2 * max(t.period for t in trial.tasks) + 1
         compared += _compare_trial(trial, mode, horizon)[0]
     assert compared > 50
+
+
+def _exact(outcome):
+    """An ``_outcome`` with each float as its hex string, so that equal
+    outcomes carry the same floats bit for bit."""
+    if outcome[0] == "raised":
+        return outcome
+    _, dropped, degradations, total = outcome
+    return ("ok", dropped, tuple((key, d.hex()) for key, d in degradations), total.hex())
+
+
+def _table_snapshot(table):
+    return {key: (pdr.hex(), {h: d.hex() for h, d in deltas.items()}) for key, (pdr, deltas) in table.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(list(SchedulingMode)), st.booleans())
+def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style):
+    # Every candidate of one plan solved with one shared table, in candidate
+    # order as the planner does, against a fresh table per call and the
+    # frozen full-rescan solver, on an A2-style or an A7-style trial.
+    if sweep_style:
+        trial = make_trial(200_000 + seed, 0.5, 8)
+    else:
+        trial = make_trial(500_000 + seed, 0.6, 3, gamma=0.5, in_depth=3, out_depth=3,
+                           max_instance=4, max_period=60, hop_range=(2, 6))
+    task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
+    event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
+    horizon = end_point_upper_bound(event, BETA) + 2 * max(t.period for t in trial.tasks) + 1
+    static = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR, horizon=horizon)
+    assume(static.feasible)
+    schedule = static.schedule
+    full_demand = sum(allocate_retry_vector(trial.network.path_pdrs(task.path), REQUIRED_PDR))
+    table = {}
+    shared_solver = functools.partial(drop_transmissions, table=table)
+    solved = []
+    for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), BETA):
+        try:
+            sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
+        except CandidateInfeasible:
+            continue
+        demand = build_demand_vector(sets, schedule, full_demand)
+        if demand.satisfied:
+            continue
+        state = build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        shared = _exact(_outcome(shared_solver, demand, state, mode))
+        assert shared == _exact(_outcome(drop_transmissions, demand, state, mode)), candidate
+        assert shared == _exact(_outcome(reference_drop_transmissions, demand, frozen, mode)), candidate
+        solved.append((demand, state, shared))
+    # A second pass finds every delivery probability and delta it needs in
+    # the table and decides the same.
+    filled = _table_snapshot(table)
+    for demand, state, shared in solved:
+        assert _exact(_outcome(shared_solver, demand, state, mode)) == shared
+    assert _table_snapshot(table) == filled
 
 
 def test_matches_reference_on_known_pbs_rounding_error():

@@ -155,9 +155,9 @@ def _count_link_draws(monkeypatch) -> list[int]:
     streams: list[int] = []
     real = sim_mod._link_draws
 
-    def counting(network, seed, horizon, stream):
+    def counting(network, used, seed, horizon, stream):
         streams.append(stream)
-        return real(network, seed, horizon, stream)
+        return real(network, used, seed, horizon, stream)
 
     monkeypatch.setattr(sim_mod, "_link_draws", counting)
     return streams

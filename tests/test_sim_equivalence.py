@@ -15,7 +15,9 @@ records the reference keeps as it runs -- on sweep trials in both modes
 under all three frameworks, on the contended testbed window at
 preemption-error and error-free ticks, on runs whose last rhythmic packet
 takes over a static tail, and on hypothesis-drawn variants of the testbed
-network with and without a disturbance.
+network with and without a disturbance.  ``reference_run`` draws every link
+of the network through ``frozen_link_draws``; the engine draws only the
+links on some task's path, with the same per-link streams.
 """
 
 import dataclasses
@@ -23,10 +25,12 @@ import io
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtwnsim import mac as mac_model
+from rtwnsim import sim as sim_mod
 from rtwnsim.config import parse_scenario
 from rtwnsim.experiments import _trial_seed, make_trial
 from rtwnsim.mac import SlotTiming
@@ -42,7 +46,6 @@ from rtwnsim.sim import (
     SimTrace,
     TaskStats,
     _WRITE_CHUNK,
-    _link_draws,
     plan,
     run,
 )
@@ -95,6 +98,15 @@ class _Packet:
 
 
 PacketRecords = dict[tuple[int, int], tuple]
+
+
+def frozen_link_draws(network: NetworkModel, seed: int, horizon: int, stream: int) -> dict:
+    """One uniform draw per (link, slot) for every link of the network."""
+    draws = {}
+    for idx, link in enumerate(sorted(network.links, key=lambda l: (l.src, l.dst))):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
+        draws[(link.src, link.dst)] = rng.random(horizon)
+    return draws
 
 
 def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketRecords]:
@@ -155,9 +167,9 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
             if key in packets:
                 packets[key].decided_drop = True
 
-    draws = _link_draws(config.network, config.seed, horizon, stream=0)
+    draws = frozen_link_draws(config.network, config.seed, horizon, stream=0)
     tick = config.mac.timing.priority_tick_us
-    per_draws = _link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
+    per_draws = frozen_link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
 
     task_at = sched.task_at.tolist()
     release_at = sched.release_at.tolist()
@@ -473,3 +485,24 @@ def _small_scenarios(draw):
 @given(_small_scenarios())
 def test_small_scenarios_match_reference(config):
     _assert_same_run(config)
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_unused_link_is_never_drawn(mode, monkeypatch):
+    # ("V0", "V2") carries no task and sorts between used links, so the
+    # links after it keep their stream index only if it still counts.
+    drawn: list[tuple[int, set]] = []
+    real = sim_mod._link_draws
+
+    def recording(network, used, seed, horizon, stream):
+        draws = real(network, used, seed, horizon, stream)
+        drawn.append((stream, set(draws)))
+        return draws
+
+    monkeypatch.setattr(sim_mod, "_link_draws", recording)
+    base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode,
+                               mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
+    network = dataclasses.replace(base.network, links=base.network.links + (Link("V0", "V2", 0.7),))
+    assert _assert_same_run(dataclasses.replace(base, network=network)) is not None
+    assert [stream for stream, _ in drawn] == [0, 1]
+    assert all(("V0", "V2") not in links and len(links) == 6 for _, links in drawn)
