@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 
@@ -87,11 +86,20 @@ class NetworkModel:
         return {(l.src, l.dst): l.pdr for l in self.links}
 
     @cached_property
-    def graph(self) -> "nx.DiGraph":
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(sorted((l.src, l.dst) for l in self.links))
-        return g
+    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """Successor and predecessor lists of every node, in sorted (src, dst) link order."""
+        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
+        pred: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for src, dst in sorted(self._pdr_map):
+            succ[src].append(dst)
+            pred[dst].append(src)
+        return succ, pred
+
+    @cached_property
+    def _controller_hops(self) -> dict[str, int]:
+        """Hop distance from the controller to each node it reaches, ignoring link direction."""
+        succ, pred = self._adjacency
+        return _bfs_lengths({n: succ[n] + pred[n] for n in self.nodes}, self.controller)
 
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self._pdr_map
@@ -110,11 +118,86 @@ class NetworkModel:
 
         Used as the default flood depth of the centralized baseline model.
         """
-        und = self.graph.to_undirected()
-        lengths = nx.single_source_shortest_path_length(und, self.controller)
-        if len(lengths) < len(self.nodes):
-            raise ValueError("network is not connected")
-        return max(lengths.values())
+        hops = self._controller_hops
+        if len(hops) < len(self.nodes):
+            cut = ", ".join(n for n in self.nodes if n not in hops)
+            raise ValueError(f"network is not connected: {cut} cut off from controller {self.controller}")
+        return max(hops.values())
+
+    def hop_distances(self, source: str, reverse: bool = False) -> dict[str, int]:
+        """Hop distance from ``source`` to each node it reaches over directed
+        links, or with ``reverse`` from each node that reaches it."""
+        return _bfs_lengths(self._adjacency[1 if reverse else 0], source)
+
+    def shortest_path(self, source: str, target: str) -> list[str]:
+        """A shortest directed path from ``source`` to ``target``.
+
+        Bidirectional BFS in the visiting order of networkx's
+        ``bidirectional_shortest_path``, so that ties resolve to the same path:
+        the forward side expands a level when its fringe is not longer than
+        the reverse side's, neighbours come in sorted link order, and the search
+        stops at the first node both sides have reached.
+        """
+        succ, pred = self._adjacency
+        if source not in succ or target not in succ:
+            raise ValueError(f"no node {source if source not in succ else target!r} in network")
+        forward: dict[str, Optional[str]] = {source: None}  # node -> its predecessor toward source
+        backward: dict[str, Optional[str]] = {target: None}  # node -> its successor toward target
+        meet = source if source == target else None
+        forward_fringe, backward_fringe = [source], [target]
+        while meet is None and forward_fringe and backward_fringe:
+            if len(forward_fringe) <= len(backward_fringe):
+                level, forward_fringe = forward_fringe, []
+                meet = _expand_level(level, succ, forward, backward, forward_fringe)
+            else:
+                level, backward_fringe = backward_fringe, []
+                meet = _expand_level(level, pred, backward, forward, backward_fringe)
+        if meet is None:
+            raise ValueError(f"no path from {source} to {target}")
+        path = []
+        node: Optional[str] = meet
+        while node is not None:
+            path.append(node)
+            node = forward[node]
+        path.reverse()
+        node = backward[meet]
+        while node is not None:
+            path.append(node)
+            node = backward[node]
+        return path
+
+
+def _bfs_lengths(adjacency: dict[str, list[str]], source: str) -> dict[str, int]:
+    """Hop distance from ``source`` to each node it reaches over ``adjacency``."""
+    lengths = {source: 0}
+    queue = [source]
+    for node in queue:  # the queue grows while it is read
+        depth = lengths[node] + 1
+        for nxt in adjacency[node]:
+            if nxt not in lengths:
+                lengths[nxt] = depth
+                queue.append(nxt)
+    return lengths
+
+
+def _expand_level(
+    level: list[str],
+    adjacency: dict[str, list[str]],
+    seen: dict[str, Optional[str]],
+    other: dict[str, Optional[str]],
+    fringe: list[str],
+) -> Optional[str]:
+    """One level of a bidirectional BFS: records each new node's parent in
+    ``seen`` and appends it to ``fringe``; returns the first neighbour the
+    other side has reached, or None."""
+    for node in level:
+        for nxt in adjacency[node]:
+            if nxt not in seen:
+                seen[nxt] = node
+                fringe.append(nxt)
+            if nxt in other:
+                return nxt
+    return None
 
 
 @dataclass(frozen=True)
@@ -393,9 +476,8 @@ def random_chain_network(
 
 def _route_depths(network: NetworkModel) -> tuple[dict[int, list[str]], dict[int, list[str]]]:
     """Sensor nodes grouped by hop distance to the controller, and actuators from it."""
-    g = network.graph
-    to_ctrl = dict(nx.single_source_shortest_path_length(g.reverse(copy=False), network.controller))
-    from_ctrl = dict(nx.single_source_shortest_path_length(g, network.controller))
+    to_ctrl = network.hop_distances(network.controller, reverse=True)
+    from_ctrl = network.hop_distances(network.controller)
     sensors: dict[int, list[str]] = {}
     actuators: dict[int, list[str]] = {}
     for node, dist in sorted(to_ctrl.items()):
@@ -439,7 +521,6 @@ def generate_taskset(
     if not available:
         raise InfeasibleError("network too small to host any sensor-to-actuator path")
 
-    g = network.graph
     tasks: list[TaskSpec] = []
     util = 0.0
     attempts = 0
@@ -452,8 +533,8 @@ def generate_taskset(
         a, b = splits[rng.integers(len(splits))]
         sensor = sensors[a][rng.integers(len(sensors[a]))]
         actuator = actuators[b][rng.integers(len(actuators[b]))]
-        inbound = nx.shortest_path(g, sensor, network.controller)
-        outbound = nx.shortest_path(g, network.controller, actuator)
+        inbound = network.shortest_path(sensor, network.controller)
+        outbound = network.shortest_path(network.controller, actuator)
         path = tuple(inbound + outbound[1:])
         period = int(rng.integers(h, max_period + 1))
         budget = sum(allocate_retry_vector(network.path_pdrs(path), required_pdr))

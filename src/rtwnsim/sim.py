@@ -151,6 +151,11 @@ class SimConfig:
             raise ValueError(f"horizon {self.horizon} must be >= 1")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
+        if self.framework is Framework.BASELINE_BROADCAST and self.baseline.depth is None:
+            try:
+                self.network.broadcast_depth()  # the default flood depth
+            except ValueError as exc:
+                raise ValueError(f"baseline.depth unset and {exc}") from None
         if self.disturbance is not None:
             period = self._disturbed_task().period
             if self.alpha is not None and self.alpha < period:

@@ -168,26 +168,30 @@ def build_static_schedule(
 
     retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
 
-    # (release, deadline, task, demand) for every instance released in window
-    jobs: list[list[int]] = []  # [release, deadline, task, remaining]
-    demand_of = {tid: sum(rv) for tid, rv in retry_vectors.items()}
+    # [release, deadline, task, remaining demand] of every instance released
+    # in the window, in (release, deadline, task) order: that triple is unique.
+    jobs: list[list[int]] = []
     for task in tasks:
-        demand = demand_of[task.id]
-        k = 0
-        while task.release(k) < horizon:
-            jobs.append([task.release(k), task.nominal_deadline(k), task.id, demand])
-            k += 1
-    jobs.sort(key=lambda j: (j[0], j[1], j[2]))
+        tid, deadline, demand = task.id, task.deadline, sum(retry_vectors[task.id])
+        jobs.extend([r, r + deadline, tid, demand] for r in range(task.phase, horizon, task.period))
+    jobs.sort()
 
-    sched = Schedule.empty(mode, horizon)
-    # TBS hop label of each ordinal of a task's packets; a segment of `run`
-    # slots starting at ordinal `done` takes labels[done:done + run].
-    labels = (
-        {tid: np.array(hop_expansion(rv), dtype=np.int16) for tid, rv in retry_vectors.items()}
-        if mode is SchedulingMode.TBS
-        else None
-    )
+    # TBS hop labels of every task's packet ordinals, one task after another:
+    # a packet of task tid with r slots left takes flat[label_end[tid] - r] next.
+    label_end: dict[int, int] = {}
+    flat: list[int] = []
+    for tid, rv in retry_vectors.items():
+        flat.extend(hop_expansion(rv))
+        label_end[tid] = len(flat)
     missed: list[tuple[int, int, int]] = []  # (deadline, task, release)
+
+    # One EDF segment of consecutive slots per entry; the slot arrays are
+    # written from these lists after the loop.
+    seg_start: list[int] = []
+    seg_run: list[int] = []
+    seg_task: list[int] = []
+    seg_release: list[int] = []
+    seg_ordinal: list[int] = []  # index of the segment's first hop label in ``flat``
 
     heap: list[tuple[int, int, int, int]] = []  # (deadline, task, release, job index)
     i = 0
@@ -211,11 +215,11 @@ def build_static_schedule(
         if i < n:
             limit = min(limit, jobs[i][0])
         run = min(remaining, deadline - t, limit - t)
-        sched.task_at[t : t + run] = task_id
-        sched.release_at[t : t + run] = release
-        if labels is not None:
-            done = demand_of[task_id] - remaining
-            sched.hop_at[t : t + run] = labels[task_id][done : done + run]
+        seg_start.append(t)
+        seg_run.append(run)
+        seg_task.append(task_id)
+        seg_release.append(release)
+        seg_ordinal.append(label_end[task_id] - remaining)
         jobs[idx][3] = remaining - run
         t += run
         if jobs[idx][3] > 0:
@@ -227,6 +231,18 @@ def build_static_schedule(
         if jobs[i][1] <= horizon:
             missed.append((jobs[i][1], jobs[i][2], jobs[i][0]))
         i += 1
+
+    sched = Schedule.empty(mode, horizon)
+    runs = np.array(seg_run, dtype=np.int64)
+    # Position of each scheduled slot among all of them, minus the position
+    # of its segment's first slot, is its offset in the segment.
+    offset = np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
+    slots = np.repeat(np.array(seg_start, dtype=np.int64), runs) + offset
+    sched.task_at[slots] = np.repeat(np.array(seg_task, dtype=np.int32), runs)
+    sched.release_at[slots] = np.repeat(np.array(seg_release, dtype=np.int64), runs)
+    if mode is SchedulingMode.TBS:
+        ordinals = np.repeat(np.array(seg_ordinal, dtype=np.int64), runs) + offset
+        sched.hop_at[slots] = np.array(flat, dtype=np.int16)[ordinals]
 
     missed_in_window = sorted((d, tid, rel) for d, tid, rel in missed if d <= horizon)
     feasible = not missed_in_window

@@ -439,6 +439,27 @@ def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message
     assert not trace.exists()
 
 
+def test_simulate_baseline_on_disconnected_network_exit_code(tmp_path, capsys):
+    # The baseline's default flood depth needs every node reachable from the
+    # controller with links taken both ways; X9 has no link at all.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    text = text.replace("nodes: [V0, V1, V2, V3, V4, V5, Vc]", "nodes: [V0, V1, V2, V3, V4, V5, Vc, X9]")
+    text = text.replace("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST")
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: sim: baseline.depth unset and network is not connected: X9 cut off from controller Vc\n"
+    )
+    assert not trace.exists()
+    # An explicit depth needs no search, so the same network runs.
+    scenario.write_text(text.replace("mac:\n", "baseline: {depth: 2}\nmac:\n"), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
+                 "--csv-out", str(tmp_path / "metrics.csv")]) == 0
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("  - id: 1\n", "  - ident: 1\n", "error: tasks[1]: missing required key 'id'\n"),
     ("{from: V2, to: Vc, pdr: 0.9}", "{src: V2, to: Vc, pdr: 0.9}",

@@ -397,3 +397,31 @@ def test_taskset_network_too_small():
     net = NetworkModel(nodes=("a", "c"), controller="c", links=(Link("a", "c"),))
     with pytest.raises(InfeasibleError):
         generate_taskset(0, 0.5, net)  # only 1-hop routes exist
+
+
+def test_taskset_unreachable_utilization_raises():
+    # Every drawn 2-hop task over 0.5-pdr links needs more slots than its
+    # period of 2 can hold, so no attempt is ever accepted.
+    net = chain_network(1, 1, pdr=0.5)
+    with pytest.raises(InfeasibleError, match="failed to reach the target utilization"):
+        generate_taskset(0, 0.5, net, max_period=2)
+
+
+# ------------------------------------------------------------ graph searches
+
+def test_broadcast_depth_rejects_a_node_cut_off_from_the_controller():
+    base = chain_network(2, 2)
+    net = NetworkModel(nodes=base.nodes + ("X9",), controller=base.controller, links=base.links)
+    with pytest.raises(ValueError, match="network is not connected: X9 cut off from controller C"):
+        net.broadcast_depth()
+
+
+def test_shortest_path_rejects_unknown_node_and_missing_path():
+    net = chain_network(2, 2)
+    assert net.shortest_path("S2", "A2") == ["S2", "S1", "C", "A1", "A2"]
+    assert net.shortest_path("C", "C") == ["C"]
+    with pytest.raises(ValueError, match="no node 'Z'"):
+        net.shortest_path("S1", "Z")
+    with pytest.raises(ValueError, match="no path from A1 to S1"):
+        net.shortest_path("A1", "S1")
+

@@ -4,8 +4,8 @@ memoised retry allocation.
 
 ``reference_build`` below records every assigned slot of every packet and
 writes the TBS hop labels one slot at a time after the EDF pass.  The library
-builder writes each segment's labels as a slice when the segment is placed;
-both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
+builder records each EDF segment and fills every slot array with one scatter
+after the pass; both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
 same feasibility verdict, under TBS and PBS, over the sweep's default
 horizons, over one hyperperiod and over short explicit horizons.
 """
