@@ -42,22 +42,13 @@ print(f"independent verification: {'ok' if verdict.ok else verdict.violations[0]
 
 print("\nslot timeline (task.hop, '.' idle):")
 sched = result.schedule
+task_at, hop_at = sched.task_at.tolist(), sched.hop_at.tolist()  # task -1 marks an idle slot
 by_id = {t.id: t for t in tasks}
 for base in range(0, 120, 30):
-    row = []
-    for t in range(base, base + 30):
-        entry = sched.entry(t)
-        row.append(f"{entry.task}.{entry.hop}" if entry else " . ")
+    row = [f"{task_at[t]}.{hop_at[t]}" if task_at[t] >= 0 else " . " for t in range(base, base + 30)]
     print(f"  {base:3d}+ " + " ".join(f"{c:>3}" for c in row))
 
 print("\nsender/receiver of the first ten transmissions:")
-shown = 0
-for t in range(sched.horizon):
-    entry = sched.entry(t)
-    if entry is None:
-        continue
-    sender, receiver = by_id[entry.task].hop_link(entry.hop)
-    print(f"  slot {t:3d}: task {entry.task} hop {entry.hop}  {sender} -> {receiver}")
-    shown += 1
-    if shown == 10:
-        break
+for t in [t for t, task in enumerate(task_at) if task >= 0][:10]:
+    sender, receiver = by_id[task_at[t]].hop_link(hop_at[t])
+    print(f"  slot {t:3d}: task {task_at[t]} hop {hop_at[t]}  {sender} -> {receiver}")

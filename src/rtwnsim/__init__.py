@@ -60,10 +60,8 @@ from .dropping import (
     build_demand_vector,
     build_transmission_vectors,
     drop_transmissions,
-    from_set_cover,
     generate_dynamic_schedule,
     greedy_drop_packets,
-    optimal_drop_oracle,
 )
 from .mac import (
     ContendingTx,

@@ -190,10 +190,8 @@ def _plain(hint: Any, value: Any) -> Any:
         return None
     if origin is Union:
         return _plain(args[0], value)
-    if origin is tuple and get_origin(args[0]) is tuple:
+    if origin is tuple:  # a tuple of pairs such as ``per_table``; no dumped field is a plain tuple
         return dict(value)
-    if origin is tuple:
-        return [_plain(args[0], item) for item in value]
     return value.value if isinstance(value, Enum) else value
 
 

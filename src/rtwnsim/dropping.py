@@ -5,16 +5,14 @@ and disturbed-task slots of the static schedule can absorb, some periodic
 traffic must yield.  This module provides the greedy packet-dropping
 heuristic, the minimum-degradation transmission-dropping heuristic, and
 the candidate sweep that turns a drop decision into the dynamic slot table.
-The dropping problem is NP-hard (set cover embeds into it, see
-``from_set_cover``), so planning uses the two heuristics only; the
-exhaustive ``optimal_drop_oracle`` for desk-sized instances is the
-reference the tests check them against.
+The dropping problem is NP-hard, so planning uses the two heuristics only;
+the set-cover embedding and the exhaustive optimum that bound them live
+with the tests, in ``tests/dropping_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -35,12 +33,12 @@ from .model import (
 from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
-    RhythmicDemand,
     RhythmicWindow,
     build_active_sets,
     earliest_last_finish,
     end_point_candidates,
     end_point_upper_bound,
+    resolved_demand,
 )
 from .static_schedule import Schedule, SlotAssignment, hop_expansion
 
@@ -56,16 +54,10 @@ __all__ = [
     "build_periodic_state",
     "greedy_drop_packets",
     "drop_transmissions",
-    "optimal_drop_oracle",
-    "from_set_cover",
     "generate_dynamic_schedule",
 ]
 
 PacketKey = tuple[int, int]  # (task id, release slot)
-
-ORACLE_PACKET_LIMIT = 20
-ORACLE_SLOT_LIMIT = 22
-ORACLE_COMBO_LIMIT = 2_000_000
 
 
 class PlanInvariantError(RuntimeError):
@@ -101,7 +93,7 @@ class DemandVector:
 
 @dataclass(frozen=True)
 class DropDecision:
-    """Outcome of a dropping heuristic (or of the oracle).
+    """Outcome of a dropping heuristic.
 
     Packet-level decisions abandon whole periodic packets (each degrades by
     the full requirement).  Transmission-level decisions surrender individual
@@ -154,17 +146,13 @@ class PeriodicPacketState:
     counts: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        hop_count = len(self.path_pdrs)
-        if self.hops and not 0 <= min(self.hops) <= max(self.hops) <= hop_count:
-            raise ValueError(f"hop labels must lie in 0..{hop_count}")
-        counts = [0] * (hop_count + 1)
+        last = len(self.path_pdrs)  # the highest hop label
+        if self.hops and not 0 <= min(self.hops) <= max(self.hops) <= last:
+            raise ValueError(f"hop labels must lie in 0..{last}")
+        counts = [0] * (last + 1)
         for h in self.hops:
             counts[h] += 1
         self.counts = counts
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.path_pdrs)
 
     def _pdr(self, slot_count: int) -> float:
         """Delivery probability of ``slot_count`` slots labelled as ``counts``."""
@@ -206,10 +194,6 @@ class PeriodicPacketState:
 # Per-plan table of delivery probabilities: (path PDRs, per-hop counts) ->
 # (delivery PDR, {hop label: delivery PDR - PDR without one slot of that label}).
 PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
-
-
-def resolved_demand(entry: RhythmicDemand, full_demand: int) -> int:
-    return entry.fixed_demand if entry.fixed_demand is not None else full_demand
 
 
 def build_transmission_vectors(
@@ -396,7 +380,7 @@ def drop_transmissions(
     # (delta, release, task, slot, packet index, version, ordinal, window)
     heap: list[tuple[float, int, int, int, int, int, int, int]] = []
 
-    def entry(packet: PeriodicPacketState) -> tuple[float, dict[int, float]]:
+    def lookup(packet: PeriodicPacketState) -> tuple[float, dict[int, float]]:
         key = (packet.path_pdrs, tuple(packet.counts))
         found = table.get(key)
         if found is None:
@@ -423,7 +407,7 @@ def drop_transmissions(
             slot, ordinal, w = earliest[only]
             heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
             return
-        current, deltas = entry(packet)
+        current, deltas = lookup(packet)
         for hop, (slot, ordinal, w) in earliest.items():
             delta = deltas.get(hop)
             if delta is None:
@@ -455,7 +439,7 @@ def drop_transmissions(
 
     final = {p.packet: p for p in packets}
     degradations = tuple(
-        (key, pdr_degradation(required_pdr, entry(final[key])[0]))
+        (key, pdr_degradation(required_pdr, lookup(final[key])[0]))
         for key in sorted(touched, key=lambda k: (k[1], k[0]))
     )
     return DropDecision(
@@ -464,157 +448,6 @@ def drop_transmissions(
         degradations=degradations,
         total_degradation=float(sum(d for _, d in degradations)),
     )
-
-
-def optimal_drop_oracle(
-    demand: DemandVector,
-    vectors: Optional[Sequence[TransmissionVector]] = None,
-    level: str = "packet",
-    state: Optional[Sequence[PeriodicPacketState]] = None,
-    required_pdr: float = 0.99,
-) -> DropDecision:
-    """Exhaustive-enumeration optimum for desk-sized instances: the reference
-    the tests hold the greedy heuristics to.  Planning never calls it.
-
-    Packet level: smallest packet subset whose raw replaceable counts cover
-    the residual demand.  Transmission level: over all ways of picking exactly
-    the residual number of in-window slots per rhythmic packet, the selection
-    with the smallest total reliability degradation.
-    """
-    residual = list(demand.residual)
-    if all(v == 0 for v in residual):
-        return DropDecision(level=level)
-
-    if level == "packet":
-        if vectors is None:
-            raise ValueError("packet-level oracle needs transmission vectors")
-        if len(vectors) > ORACLE_PACKET_LIMIT:
-            raise ValueError(f"instance too large for the oracle (> {ORACLE_PACKET_LIMIT} packets)")
-        ordered = sorted(vectors, key=lambda v: (v.packet[1], v.packet[0]))
-        for size in range(1, len(ordered) + 1):
-            for combo in itertools.combinations(ordered, size):
-                if all(
-                    sum(v.replaceable[i] for v in combo) >= residual[i]
-                    for i in range(len(residual))
-                ):
-                    keys = tuple(v.packet for v in combo)
-                    return DropDecision(
-                        level="packet",
-                        dropped_packets=keys,
-                        degradations=tuple((k, required_pdr) for k in keys),
-                        total_degradation=required_pdr * len(keys),
-                    )
-        raise CandidateInfeasible("no packet subset covers the demand")
-
-    if state is None:
-        raise ValueError("transmission-level oracle needs periodic packet state")
-    candidates: list[list[tuple[int, int]]] = [[] for _ in residual]  # (packet idx, ordinal)
-    total_slots = 0
-    for idx, packet in enumerate(state):
-        for ordinal, slot in enumerate(packet.slots):
-            w = packet.window_of.get(slot)
-            if w is not None and residual[w] > 0:
-                candidates[w].append((idx, ordinal))
-                total_slots += 1
-    if total_slots > ORACLE_SLOT_LIMIT:
-        raise ValueError(f"instance too large for the oracle (> {ORACLE_SLOT_LIMIT} slots)")
-
-    combos = 1
-    per_window: list[list[tuple[tuple[int, int], ...]]] = []
-    for w, need in enumerate(residual):
-        if need == 0:
-            per_window.append([()])
-            continue
-        if len(candidates[w]) < need:
-            raise CandidateInfeasible("a rhythmic packet's window lacks droppable slots")
-        options = list(itertools.combinations(candidates[w], need))
-        combos *= len(options)
-        if combos > ORACLE_COMBO_LIMIT:
-            raise ValueError("instance too large for the oracle (combination blow-up)")
-        per_window.append(options)
-
-    best_cost = None
-    best_selection: Optional[tuple[tuple[int, int], ...]] = None
-    for parts in itertools.product(*per_window):
-        selection = tuple(itertools.chain.from_iterable(parts))
-        removed: dict[int, list[int]] = {}
-        for idx, ordinal in selection:
-            removed.setdefault(idx, []).append(ordinal)
-        cost = 0.0
-        for idx, ordinals in removed.items():
-            packet = state[idx]
-            keep = [o for o in range(len(packet.slots)) if o not in set(ordinals)]
-            probe = PeriodicPacketState(
-                packet.packet,
-                packet.path_pdrs,
-                [packet.slots[o] for o in keep],
-                [packet.hops[o] for o in keep],
-                {},
-            )
-            cost += pdr_degradation(required_pdr, probe.delivery_pdr())
-        if best_cost is None or cost < best_cost - 1e-15:
-            best_cost = cost
-            best_selection = selection
-
-    if best_selection is None:
-        raise PlanInvariantError("the transmission oracle enumerated no selection")
-    dropped = []
-    touched: dict[int, list[int]] = {}
-    for idx, ordinal in best_selection:
-        touched.setdefault(idx, []).append(ordinal)
-        packet = state[idx]
-        dropped.append((packet.packet[0], packet.packet[1], packet.slots[ordinal]))
-    degradations = []
-    for idx, ordinals in sorted(touched.items(), key=lambda kv: (state[kv[0]].packet[1], state[kv[0]].packet[0])):
-        packet = state[idx]
-        keep = [o for o in range(len(packet.slots)) if o not in set(ordinals)]
-        probe = PeriodicPacketState(
-            packet.packet,
-            packet.path_pdrs,
-            [packet.slots[o] for o in keep],
-            [packet.hops[o] for o in keep],
-            {},
-        )
-        degradations.append((packet.packet, pdr_degradation(required_pdr, probe.delivery_pdr())))
-    return DropDecision(
-        level="transmission",
-        dropped_slots=tuple(sorted(dropped, key=lambda d: d[2])),
-        degradations=tuple(degradations),
-        total_degradation=float(best_cost),
-    )
-
-
-def from_set_cover(
-    universe: int, collection: Sequence[Sequence[int]]
-) -> tuple[DemandVector, list[TransmissionVector]]:
-    """Embed a set-cover instance into packet-level dropping.
-
-    Element i becomes a rhythmic packet demanding one slot; subset j becomes a
-    periodic packet whose vector has a 1 wherever it contains the element.
-    The minimum drop count then equals the minimum cover size, which is what
-    makes the dropping problem NP-hard.
-    """
-    if universe < 1:
-        raise ValueError("universe must have at least one element")
-    union: set[int] = set()
-    vectors = []
-    for j, subset in enumerate(collection):
-        members = set(subset)
-        if not members:
-            raise ValueError(f"subset {j} is empty")
-        if any(not (0 <= x < universe) for x in members):
-            raise ValueError(f"subset {j} contains elements outside the universe")
-        union |= members
-        vectors.append(
-            TransmissionVector(
-                packet=(j + 1, 0),
-                replaceable=tuple(1 if i in members else 0 for i in range(universe)),
-            )
-        )
-    if union != set(range(universe)):
-        raise ValueError("subsets do not cover the universe")
-    demand = DemandVector(required=tuple([1] * universe), available=tuple([0] * universe))
-    return demand, vectors
 
 
 @dataclass

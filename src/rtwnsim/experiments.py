@@ -29,7 +29,7 @@ from .model import (
     random_chain_network,
 )
 from .static_schedule import StaticScheduleResult
-from .sim import DisturbanceSpec, Framework, SimConfig, build_static, plan
+from .sim import DisturbanceSpec, Framework, Plan, SimConfig, build_static, plan
 
 __all__ = [
     "Trial",
@@ -196,6 +196,29 @@ def _trial_config(
     )
 
 
+def _record(trial: Trial, framework: Framework, planned: Plan, alpha_mult: int, tick: int) -> RunRecord:
+    """The record of one planned (trial, framework) pair at alpha = alpha_mult
+    nominal periods."""
+    alpha = alpha_mult * _disturbed_task(trial).period
+    decision = planned.decision
+    return RunRecord(
+        framework=framework.value,
+        seed=trial.seed,
+        util=trial.util,
+        r_steps=trial.r_steps,
+        alpha_slots=alpha,
+        drt_slots=planned.drt,
+        dhl_slots=planned.dhl,
+        success=planned.meets(alpha),
+        feasible_dynamic=planned.feasible_dynamic,
+        dr=planned.dr,
+        dropped_packets=decision.packet_count if decision else 0,
+        dropped_transmissions=decision.slot_count if decision else 0,
+        tick=tick,
+        alpha_mult=alpha_mult,
+    )
+
+
 def evaluate_trial(
     trial: Trial,
     framework: Framework,
@@ -210,28 +233,12 @@ def evaluate_trial(
 
     ``static`` is the trial's schedule as ``run_cell`` builds it once for all
     frameworks (same beta and required pdr); without it the schedule is
-    built here.  Raises ScheduleInfeasible when the task set misses a
-    deadline in its static schedule.
+    built here.  ``run_cell`` writes the same record from the same plan.
+    Raises ScheduleInfeasible when the task set misses a deadline in its
+    static schedule.
     """
     config = _trial_config(trial, framework, alpha_mult, beta, required_pdr)
-    planned = plan(config, static)
-    decision = planned.decision
-    return RunRecord(
-        framework=framework.value,
-        seed=trial.seed,
-        util=trial.util,
-        r_steps=trial.r_steps,
-        alpha_slots=config.alpha,
-        drt_slots=planned.drt,
-        dhl_slots=planned.dhl,
-        success=planned.success,
-        feasible_dynamic=planned.feasible_dynamic,
-        dr=planned.dr,
-        dropped_packets=decision.packet_count if decision else 0,
-        dropped_transmissions=decision.slot_count if decision else 0,
-        tick=tick,
-        alpha_mult=alpha_mult,
-    )
+    return _record(trial, framework, plan(config, static), alpha_mult, tick)
 
 
 @dataclass(frozen=True)
@@ -289,8 +296,8 @@ def _trial_seed(base_seed: int, util: float, r_steps: int, tick: int, index: int
 
 
 def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list[RunRecord]:
-    """All records of one (util, r, tick) cell: trials evaluated once per
-    framework, then expanded across the alpha axis."""
+    """All records of one (util, r, tick) cell: each trial planned once per
+    framework, and that plan recorded at every bound of the alpha axis."""
     records: list[RunRecord] = []
     for index in range(spec.trials):
         seed = _trial_seed(spec.base_seed, util, r_steps, tick, index)
@@ -302,25 +309,9 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
             static = build_static(config)
         except ScheduleInfeasible as exc:
             raise ScheduleInfeasible(f"trial seed {seed}: {exc}") from exc
-        period = _disturbed_task(trial).period
         for framework in spec.frameworks:
-            base = evaluate_trial(
-                trial,
-                framework,
-                alpha_mult=spec.alphas[0],
-                beta=spec.beta,
-                required_pdr=spec.required_pdr,
-                tick=tick,
-                static=static,
-            )
-            for mult in spec.alphas:
-                alpha = mult * period
-                records.append(dataclasses.replace(
-                    base,
-                    alpha_slots=alpha,
-                    success=base.feasible_dynamic and base.drt_slots <= alpha,
-                    alpha_mult=mult,
-                ))
+            planned = plan(dataclasses.replace(config, framework=framework), static)
+            records.extend(_record(trial, framework, planned, mult, tick) for mult in spec.alphas)
     return records
 
 

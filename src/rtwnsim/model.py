@@ -503,10 +503,10 @@ def generate_taskset(
     by period, which accounts for retransmission slots) first meets or exceeds
     the target.  Hop counts are uniform over ``hop_range`` truncated to the
     path lengths the network offers; periods are uniform over {H..max_period}
-    with deadline equal to period.  Candidate tasks whose budget does not fit
-    their period, or would push total utilization past 1 (breaking EDF
-    feasibility on the shared channel), are redrawn.  Pure function of
-    (seed, target, network).
+    with deadline equal to period.  Candidate tasks whose path revisits a
+    node, whose budget does not fit their period, or that would push total
+    utilization past 1 (breaking EDF feasibility on the shared channel) are
+    redrawn.  Pure function of (seed, target, network).
     """
     if not (0.0 <= target_utilization <= 1.0):
         raise ValueError("target utilization must lie in [0, 1]")
@@ -524,9 +524,15 @@ def generate_taskset(
     tasks: list[TaskSpec] = []
     util = 0.0
     attempts = 0
+    simple = False  # whether any drawn path visited each node once
     while util < target_utilization - 1e-12:
         attempts += 1
         if attempts > 20_000:
+            if not simple:
+                raise InfeasibleError(
+                    "task generation found no simple sensor-to-actuator path: "
+                    "every route it drew revisits a node"
+                )
             raise InfeasibleError("task generation failed to reach the target utilization")
         h = int(available[rng.integers(len(available))])
         splits = [(a, b) for a in sorted(sensors) for b in sorted(actuators) if a + b == h]
@@ -537,6 +543,9 @@ def generate_taskset(
         outbound = network.shortest_path(network.controller, actuator)
         path = tuple(inbound + outbound[1:])
         period = int(rng.integers(h, max_period + 1))
+        if len(set(path)) < len(path):
+            continue  # the routes to and from the controller share a node
+        simple = True
         budget = sum(allocate_retry_vector(network.path_pdrs(path), required_pdr))
         if budget > period:
             continue  # cannot host the reliable budget inside one period

@@ -91,6 +91,22 @@ class DisturbanceEvent:
         p = self.nominal_period
         return self.phase + ((t - self.phase) // p + 1) * p
 
+    def received_by(self, schedule: Schedule, path: Sequence[str], node: str) -> Optional[int]:
+        """Slot by whose end ``node`` of the disturbed route ``path`` holds the
+        disturbance information, in the worst case of the static schedule:
+        the detection slot at the route's sensor, else the detecting packet's
+        last slot on the hop into ``node`` (any of its slots under PBS, which
+        labels every slot hop 0).  None when the packet has no such slot."""
+        if node == path[0]:
+            return self.detect_slot
+        hop_in = path.index(node)  # 1-based hop delivering to this node
+        slots = schedule.packet_slots(
+            self.task_id, self.detect_slot, until=self.detect_slot + self.nominal_deadline
+        )
+        hops = schedule.hop_at[slots]
+        inbound = slots[(hops == 0) | (hops == hop_in)]
+        return int(inbound[-1]) if inbound.size else None
+
 
 @dataclass(frozen=True)
 class RhythmicWindow:
@@ -124,6 +140,12 @@ class RhythmicDemand:
     @property
     def window(self) -> tuple[int, int]:
         return self.release, self.deadline
+
+
+def resolved_demand(entry: RhythmicDemand, full_demand: int) -> int:
+    """Slots the dynamic schedule owes ``entry``: its truncated demand, or
+    ``full_demand``, the retry budget of a whole packet."""
+    return entry.fixed_demand if entry.fixed_demand is not None else full_demand
 
 
 @dataclass(frozen=True)
@@ -314,14 +336,15 @@ def build_active_sets(
             raise CandidateInfeasible(
                 f"packet released at {release} has an empty service window for end point {candidate}"
             )
-        demand = fixed if fixed is not None else full_demand
+        entry = RhythmicDemand(seq=seq, release=release, deadline=deadline,
+                               fixed_demand=fixed, tail_slots=tail, prefix_hops=prefix)
+        demand = resolved_demand(entry, full_demand)
         if demand > deadline - release:
             raise CandidateInfeasible(
                 f"packet released at {release} needs {demand} slots in a "
                 f"{deadline - release}-slot window"
             )
-        demands.append(RhythmicDemand(seq=seq, release=release, deadline=deadline,
-                                      fixed_demand=fixed, tail_slots=tail, prefix_hops=prefix))
+        demands.append(entry)
 
     # Periodic packets owning at least one static slot inside the window.  A
     # packet's slots come in runs, so only the first slot of each run is read.
@@ -376,20 +399,9 @@ def find_idle_slot(
         return node in entry_task.path  # PBS: the node may act in any of its slots
 
     # t1: worst-case arrival of the detecting packet at the node.
-    if node == task.path[0]:
-        t1 = event.detect_slot
-    else:
-        hop_in = task.path.index(node)  # 1-based hop delivering to this node
-        slots = [
-            int(s)
-            for s in schedule.packet_slots(
-                event.task_id, event.detect_slot, until=event.detect_slot + event.nominal_deadline
-            )
-            if int(schedule.hop_at[s]) in (0, hop_in)  # PBS slots carry hop 0
-        ]
-        if not slots:
-            raise ValueError("detecting packet has no slots delivering to the node")
-        t1 = max(slots)
+    t1 = event.received_by(schedule, task.path, node)
+    if t1 is None:
+        raise ValueError("detecting packet has no slots delivering to the node")
 
     # t2: the node's first involvement in the disturbed task at/after the
     # rhythmic state entry (the next instance's static position).

@@ -316,26 +316,19 @@ def baseline_drt(config: SimConfig, static: StaticScheduleResult) -> int:
     """Response latency of the centralized baseline, in slots.
 
     Sum of: detection packet reaching the controller under the static
-    schedule (worst case, its last slot on the inbound hop), waiting for the
-    next broadcast-task instance, ``depth`` flood slots, and alignment to the
+    schedule (worst case, its last slot on the inbound hop; the detection
+    slot when the controller is the route's sensor), waiting for the next
+    broadcast-task instance, ``depth`` flood slots, and alignment to the
     disturbed task's next release.  Always at least one nominal period.
     """
     event = config.event()
     if event is None:
         raise ValueError("baseline latency needs a disturbance")
     task = config._disturbed_task()
-    sched = static.schedule
-    slots = sched.packet_slots(
-        task.id, event.detect_slot, until=event.detect_slot + task.deadline
-    )
-    if slots.size == 0:
-        raise ScheduleInfeasible("detection packet has no static slots inside the horizon")
-    ctrl_hop = task.path.index(config.network.controller)
-    if sched.mode is SchedulingMode.TBS:
-        inbound = [int(s) for s in slots if int(sched.hop_at[s]) == ctrl_hop]
-    else:
-        inbound = [int(s) for s in slots]
-    arrival = max(inbound) + 1
+    received = event.received_by(static.schedule, task.path, config.network.controller)
+    if received is None:
+        raise ScheduleInfeasible("detection packet has no static slot to the controller inside the horizon")
+    arrival = received + 1
 
     period_b = config.baseline.broadcast_period
     if period_b is None:
@@ -363,11 +356,15 @@ class Plan:
     dhl: int = 0
     periodic_in_window: int = 0
     dr: float = 0.0
-    success: bool = True
 
     @property
     def decision(self) -> Optional[DropDecision]:
         return self.dynamic.decision if self.dynamic is not None else None
+
+    def meets(self, alpha_slots: Optional[int]) -> bool:
+        """The success rule: a feasible response within ``alpha_slots``.  A
+        plan without a disturbance has nothing to respond to and succeeds."""
+        return self.event is None or (self.feasible_dynamic and self.drt <= alpha_slots)
 
 
 def _horizon(config: SimConfig) -> int:
@@ -420,8 +417,7 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
     if event is None:
         return Plan(static, None)
     if config.framework is Framework.BASELINE_BROADCAST:
-        drt = baseline_drt(config, static)
-        return Plan(static, event, drt=drt, success=drt <= config.alpha_slots())
+        return Plan(static, event, drt=baseline_drt(config, static))
 
     drt = event.enter_slot - event.detect_slot  # one nominal period
     try:
@@ -435,7 +431,7 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
             level="packet" if config.framework is Framework.FDPAS_PACKET else "transmission",
         )
     except DisturbanceInfeasible:
-        return Plan(static, event, feasible_dynamic=False, drt=drt, success=False)
+        return Plan(static, event, feasible_dynamic=False, drt=drt)
     periodic = len(periodic_packets_in_window(dynamic, config.tasks))
     return Plan(
         static,
@@ -445,7 +441,6 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
         dhl=dynamic.end_point - event.enter_slot,
         periodic_in_window=periodic,
         dr=degradation_rate(dynamic.decision, periodic),
-        success=drt <= config.alpha_slots(),
     )
 
 
@@ -716,7 +711,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     decision = planned.decision
     metrics = Metrics(
         framework=config.framework,
-        success=planned.success,
+        success=planned.meets(config.alpha_slots()),
         drt_slots=planned.drt,
         dhl_slots=planned.dhl,
         degradation_rate=planned.dr,

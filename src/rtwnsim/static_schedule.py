@@ -74,14 +74,6 @@ class Schedule:
             np.zeros(horizon, dtype=np.int16),
         )
 
-    def entry(self, t: int) -> Optional[SlotAssignment]:
-        if not (0 <= t < self.horizon):
-            return None
-        task = int(self.task_at[t])
-        if task < 0:
-            return None
-        return SlotAssignment(task=task, release=int(self.release_at[t]), hop=int(self.hop_at[t]))
-
     def packet_slots(self, task: int, release: int, until: Optional[int] = None) -> np.ndarray:
         """Slots assigned to one packet; ``until`` bounds the scan (a packet's
         slots always lie in [release, deadline))."""
@@ -227,10 +219,6 @@ def build_static_schedule(
     for deadline, task_id, release, idx in heap:
         if jobs[idx][3] > 0:
             missed.append((deadline, task_id, release))
-    while i < n:  # never became ready before the horizon ended
-        if jobs[i][1] <= horizon:
-            missed.append((jobs[i][1], jobs[i][2], jobs[i][0]))
-        i += 1
 
     sched = Schedule.empty(mode, horizon)
     runs = np.array(seg_run, dtype=np.int64)

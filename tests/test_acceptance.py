@@ -36,14 +36,14 @@ from rtwnsim.dropping import (
     build_demand_vector,
     build_periodic_state,
     build_transmission_vectors,
-    from_set_cover,
     generate_dynamic_schedule,
     greedy_drop_packets,
-    optimal_drop_oracle,
 )
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
 from rtwnsim.experiments import evaluate_trial, make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
+
+from dropping_reference import from_set_cover, optimal_drop_oracle
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:

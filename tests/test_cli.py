@@ -202,6 +202,30 @@ def test_generate_unreachable_utilization_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_without_simple_path_exit_code(tmp_path, capsys):
+    # V1 relays both ways, so every sensor-to-actuator route through the
+    # controller turns back through V1: no candidate path is simple.
+    network = tmp_path / "net.yaml"
+    network.write_text(
+        "network:\n"
+        "  controller: Vc\n"
+        "  nodes: [V0, V1, Vc]\n"
+        "  links:\n"
+        "    - {from: V0, to: V1, pdr: 0.9}\n"
+        "    - {from: V1, to: V0, pdr: 0.9}\n"
+        "    - {from: V1, to: Vc, pdr: 0.9}\n"
+        "    - {from: Vc, to: V1, pdr: 0.9}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.yaml"
+    rc = main(["generate", "--seed", "1", "--util", "0.3", "--network", str(network), "--out", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no simple sensor-to-actuator path" in err
+    assert not out.exists()
+
+
 def test_simulate_testbed_produces_preemptions(tmp_path):
     trace = tmp_path / "trace.txt"
     metrics = tmp_path / "metrics.csv"
@@ -246,6 +270,63 @@ def test_simulate_infeasible_static_exit_code(tmp_path):
     )
     rc = main(["simulate", "--scenario", str(bad)])
     assert rc == EXIT_INFEASIBLE
+
+
+def _controller_first_baseline(tmp_path, mode, baseline=""):
+    """The testbed with task 1 routed Vc -> V3 -> V4, so the controller is
+    its sensor, and disturbed under the centralized baseline."""
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    for old, new in [
+        ("path: [V2, Vc, V3]\n    period: 30\n    deadline: 30\n    slot_budget: 6\n    phase: 1\n",
+         "path: [Vc, V3, V4]\n    period: 30\n    deadline: 30\n    slot_budget: 6\n    phase: 1\n"
+         "    rhythmic: {periods: [24, 24]}\n"),
+        ("  task: 0\n", "  task: 1\n"),
+        ("alpha: 15", "alpha: 30"),
+        ("mode: TBS", f"mode: {mode}"),
+        ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST"),
+        ("mac:\n", f"{baseline}mac:\n"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    scenario = tmp_path / f"controller_first_{mode}.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    metrics = tmp_path / "metrics.csv"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(tmp_path / "trace.txt"),
+               "--csv-out", str(metrics)])
+    assert rc == EXIT_OK
+    with open(metrics, newline="") as fh:
+        return next(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("mode", ["TBS", "PBS"])
+def test_simulate_baseline_with_the_controller_as_sensor(tmp_path, mode):
+    # The controller knows of a disturbance on its own route at the detection
+    # slot 91: the broadcast at 120 floods by 122 and task 1 next releases
+    # at 151, 60 slots after detection, in either mode.
+    row = _controller_first_baseline(tmp_path, mode)
+    assert (row["drt"], row["success"]) == ("60", "0")
+    # With the broadcast task released at 40 + 60k, the instance at 100
+    # already carries the news: flood done at 102, next release at 121.
+    # Waiting for the detecting packet's last slot (104) instead would miss
+    # it and answer at 181, 90 slots after detection.
+    row = _controller_first_baseline(tmp_path, mode, baseline="baseline: {offset: 40}\n")
+    assert (row["drt"], row["success"]) == ("30", "1")
+
+
+def test_simulate_with_no_packet_writes_an_empty_trace(tmp_path):
+    # Every task's first release is at the explicit horizon, and no
+    # disturbance is set: the run has no event, and the trace is one newline.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    assert text.count("phase: 1\n") == 3 and "disturbance:\n  task: 0\n  instance: 3\n" in text
+    text = text.replace("phase: 1\n", "phase: 260\n")
+    text = text.replace("disturbance:\n  task: 0\n  instance: 3\n", "")
+    scenario = tmp_path / "idle.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
+               "--csv-out", str(tmp_path / "metrics.csv")])
+    assert rc == EXIT_OK
+    assert trace.read_bytes() == b"\n"
 
 
 @pytest.mark.parametrize("framework", ["FDPAS_PACKET", "FDPAS_TRANSMISSION"])

@@ -30,11 +30,11 @@ from rtwnsim.dropping import (
     build_periodic_state,
     build_transmission_vectors,
     drop_transmissions,
-    from_set_cover,
     generate_dynamic_schedule,
     greedy_drop_packets,
-    optimal_drop_oracle,
 )
+
+from dropping_reference import from_set_cover, optimal_drop_oracle
 
 
 def _testbed():

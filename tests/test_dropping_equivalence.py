@@ -43,7 +43,6 @@ from rtwnsim.dropping import (
     drop_transmissions,
     generate_dynamic_schedule,
     greedy_drop_packets,
-    resolved_demand,
 )
 from rtwnsim.experiments import make_trial
 from rtwnsim.model import (
@@ -62,6 +61,7 @@ from rtwnsim.rhythmic import (
     earliest_last_finish,
     end_point_candidates,
     end_point_upper_bound,
+    resolved_demand,
 )
 from rtwnsim.static_schedule import SlotAssignment, build_static_schedule, hop_expansion
 

@@ -300,7 +300,7 @@ def _plan_outcome(cfg):
         p = plan(cfg)
     except ValueError as exc:  # the known PBS rounding defect; it must not depend on the horizon
         return repr(exc)
-    return (p.drt, p.dhl, p.success, p.feasible_dynamic, p.dr, p.decision)
+    return (p.drt, p.dhl, p.meets(cfg.alpha_slots()), p.feasible_dynamic, p.dr, p.decision)
 
 
 @settings(max_examples=40, deadline=None)

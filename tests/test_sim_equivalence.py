@@ -335,7 +335,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
     decision = planned.decision
     metrics = Metrics(
         framework=config.framework,
-        success=planned.success,
+        success=planned.meets(config.alpha_slots()),
         drt_slots=planned.drt,
         dhl_slots=planned.dhl,
         degradation_rate=planned.dr,

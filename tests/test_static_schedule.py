@@ -109,6 +109,54 @@ def test_verify_flags_hop_order_violation():
     assert "hop ordering" in " ".join(verdict.violations)
 
 
+def _move_last_slot_out_of_window(sched, slots):
+    """Hand the packet's last slot to the first idle slot past its deadline
+    (slot 31 for task 1's packet released at 1)."""
+    idle = int(np.nonzero(sched.task_at[31:] == -1)[0][0]) + 31
+    last = int(slots[-1])
+    for arr, free in ((sched.task_at, -1), (sched.release_at, -1), (sched.hop_at, 0)):
+        arr[idle], arr[last] = arr[last], free
+
+
+def _drop_first_slot(sched, slots):
+    sched.task_at[int(slots[0])] = -1
+
+
+def _relabel_last_first_hop_slot(sched, slots):
+    # Labels 1,1,1,2,2,2 become 1,1,2,2,2,2: still ordered, wrong per hop.
+    sched.hop_at[int(slots[2])] = 2
+
+
+@pytest.mark.parametrize("mode, fault, violation", [
+    (SchedulingMode.TBS, _move_last_slot_out_of_window, "task 1 release 1: slot outside [release, deadline)"),
+    (SchedulingMode.PBS, _move_last_slot_out_of_window, "task 1 release 1: slot outside [release, deadline)"),
+    (SchedulingMode.PBS, _drop_first_slot, "task 1 release 1: 5 slots assigned, budget 6"),
+    (SchedulingMode.TBS, _relabel_last_first_hop_slot, "task 1 release 1: per-hop counts != retry vector"),
+], ids=["outside_window_tbs", "outside_window_pbs", "count_pbs", "hop_counts"])
+def test_verify_names_each_injected_fault(mode, fault, violation):
+    # Each fault breaks one rule for task 1's packet released at slot 1
+    # (window [1, 31), retry vector (3, 3)); the verifier names exactly it.
+    # The TBS slot-count and hop-ordering faults are the two tests above.
+    net, tasks = _testbed()
+    result = build_static_schedule(tasks, net, mode, 0.95, horizon=240)
+    assert verify_schedulable(result, tasks, net, 0.95).ok
+    fault(result.schedule, result.schedule.packet_slots(1, 1))
+    assert verify_schedulable(result, tasks, net, 0.95).violations == (violation,)
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_verify_names_a_reliability_shortfall(mode):
+    # The budgets were sized for links of pdr 0.9; over links of pdr 0.5
+    # every task misses the requirement, and each is named once.
+    net, tasks = _testbed()
+    result = build_static_schedule(tasks, net, mode, 0.95, horizon=240)
+    lossy = NetworkModel(nodes=net.nodes, controller=net.controller,
+                         links=tuple(Link(l.src, l.dst, 0.5) for l in net.links))
+    violations = verify_schedulable(result, tasks, lossy, 0.95).violations
+    assert [v.split(":")[0] for v in violations] == ["task 0", "task 1", "task 2"]
+    assert all("below requirement 0.95" in v for v in violations)
+
+
 def test_determinism():
     net = random_chain_network(3)
     tasks = tuple(generate_taskset(3, 0.5, net, max_period=60))
