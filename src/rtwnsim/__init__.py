@@ -52,6 +52,8 @@ from .rhythmic import (
     find_idle_slot,
 )
 from .dropping import (
+    CandidateInputs,
+    CandidateTable,
     DemandVector,
     DropDecision,
     DynamicPlan,

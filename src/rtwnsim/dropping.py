@@ -5,17 +5,20 @@ and disturbed-task slots of the static schedule can absorb, some periodic
 traffic must yield.  This module provides the greedy packet-dropping
 heuristic, the minimum-degradation transmission-dropping heuristic, and
 the candidate sweep that turns a drop decision into the dynamic slot table.
-The dropping problem is NP-hard, so planning uses the two heuristics only;
-the set-cover embedding and the exhaustive optimum that bound them live
-with the tests, in ``tests/dropping_reference.py``.
+The level-independent inputs of each end-point candidate are built once per
+trial, in a ``CandidateTable``, and both levels derive their solver inputs
+from it.  The dropping problem is NP-hard, so planning uses the two
+heuristics only; the set-cover embedding and the exhaustive optimum that
+bound them live with the tests, in ``tests/dropping_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import islice
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +51,8 @@ __all__ = [
     "DemandVector",
     "DropDecision",
     "PeriodicPacketState",
+    "CandidateInputs",
+    "CandidateTable",
     "DynamicPlan",
     "build_transmission_vectors",
     "build_demand_vector",
@@ -196,38 +201,6 @@ class PeriodicPacketState:
 PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
 
 
-def build_transmission_vectors(
-    sets: ActivePacketSets, static: Schedule
-) -> list[TransmissionVector]:
-    """Count, for every periodic packet, its slots inside each rhythmic window.
-
-    One pass over the candidate window suffices: the rhythmic windows are
-    disjoint and contained in it, so each slot feeds at most one count.
-    """
-    n = len(sets.rhythmic)
-    starts = np.array([d.release for d in sets.rhythmic])
-    ends = np.array([d.deadline for d in sets.rhythmic])
-    counts: dict[PacketKey, list[int]] = {key: [0] * n for key in sets.periodic}
-    lo, hi = sets.start, sets.candidate
-    tasks_w = static.task_at[lo:hi]
-    rel_w = static.release_at[lo:hi]
-    slots = np.arange(lo, hi)
-    widx = np.searchsorted(starts, slots, side="right") - 1
-    in_window = (widx >= 0) & (slots < ends[np.clip(widx, 0, n - 1)])
-    periodic_mask = (tasks_w >= 0) & (tasks_w != sets.task_id) & in_window
-    for t, task_id, release, w in zip(
-        slots[periodic_mask].tolist(),
-        tasks_w[periodic_mask].tolist(),
-        rel_w[periodic_mask].tolist(),
-        widx[periodic_mask].tolist(),
-    ):
-        counts[(task_id, release)][w] += 1
-    return [
-        TransmissionVector(packet=key, replaceable=tuple(counts[key]))
-        for key in sets.periodic
-    ]
-
-
 def build_demand_vector(sets: ActivePacketSets, static: Schedule, full_demand: int) -> DemandVector:
     """Per rhythmic packet: slots demanded (``full_demand``, the retry budget
     of a whole packet, or the boundary truncation) and slots already
@@ -242,37 +215,103 @@ def build_demand_vector(sets: ActivePacketSets, static: Schedule, full_demand: i
     return DemandVector(required=tuple(required), available=tuple(available))
 
 
+class CandidateInputs:
+    """The solver inputs of one end-point candidate that do not depend on
+    the dropping level: its active packet ``sets``, its ``demand`` vector
+    and, in ``slot_groups``, the static slots of its periodic packets.
+
+    ``slot_groups`` is built at first use, so a candidate whose demand is
+    already met, which no solver sees, never builds it.
+    """
+
+    def __init__(
+        self, sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec], full_demand: int
+    ) -> None:
+        self.sets = sets
+        self.demand = build_demand_vector(sets, static, full_demand)
+        self._static, self._tasks = static, tasks
+
+    @cached_property
+    def slot_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, slots, hops, windows)``: the static slots of the periodic
+        packets, grouped by packet in ``sets.periodic`` order and in slot
+        order within a packet.  ``owner`` is the packet's index in
+        ``sets.periodic``, ``hops`` the slot's hop label and ``windows`` the
+        index of the rhythmic window holding the slot, or -1 when none does.
+
+        One pass over the slots the periodic packets can own finds them all:
+        a slot belongs to the packet whose packed (release, task) key it
+        carries, if it lies in that packet's [release, release + deadline).
+        ``sets.periodic`` is in (release, task) order, so the packed keys are
+        sorted and one ``searchsorted`` matches every slot; one more finds
+        each slot's window, since the windows are sorted and disjoint.
+        """
+        sets, static = self.sets, self._static
+        if not sets.periodic:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        deadline = {t.id: t.deadline for t in self._tasks}
+        task_ids = np.array([task for task, _ in sets.periodic], dtype=np.int64)
+        releases = np.array([release for _, release in sets.periodic], dtype=np.int64)
+        ends = releases + np.array([deadline[task] for task, _ in sets.periodic], dtype=np.int64)
+        lo, hi = max(0, int(releases[0])), min(static.horizon, int(ends.max()))
+        owners = static.task_at[lo:hi]
+        width = max(int(owners.max(initial=-1)), 0) + 1  # above every task id in range
+        keys = releases * width + task_ids
+        slot_keys = static.release_at[lo:hi] * width + owners  # negative on idle slots
+        idx = np.minimum(np.searchsorted(keys, slot_keys), len(keys) - 1)
+        slots = np.arange(lo, hi)
+        match = (keys[idx] == slot_keys) & (slots >= releases[idx]) & (slots < ends[idx])
+        owner = idx[match]
+        order = np.argsort(owner, kind="stable")
+        owner, slots = owner[order], slots[match][order]
+        starts = np.array([d.release for d in sets.rhythmic])
+        stops = np.array([d.deadline for d in sets.rhythmic])
+        w = np.searchsorted(starts, slots, side="right") - 1
+        windows = np.where((w >= 0) & (slots < stops[np.maximum(w, 0)]), w, -1)
+        return owner, slots, static.hop_at[slots], windows
+
+
+def build_transmission_vectors(inputs: CandidateInputs) -> list[TransmissionVector]:
+    """Count, for every periodic packet, its slots inside each rhythmic window."""
+    sets = inputs.sets
+    n = len(sets.rhythmic)
+    owner, _, _, windows = inputs.slot_groups
+    inside = windows >= 0
+    counts = np.bincount(owner[inside] * n + windows[inside], minlength=len(sets.periodic) * n)
+    return [
+        TransmissionVector(packet=key, replaceable=tuple(row))
+        for key, row in zip(sets.periodic, counts.reshape(-1, n).tolist())
+    ]
+
+
 def build_periodic_state(
-    sets: ActivePacketSets,
-    static: Schedule,
-    tasks: Sequence[TaskSpec],
-    network: NetworkModel,
+    inputs: CandidateInputs, tasks: Sequence[TaskSpec], network: NetworkModel
 ) -> list[PeriodicPacketState]:
+    """One fresh ``PeriodicPacketState`` per periodic packet of ``inputs``,
+    sliced from its slot groups."""
     by_id = {t.id: t for t in tasks}
-    # The rhythmic windows are sorted and disjoint, so a slot lies in the
-    # last window starting at or before it, or in none.
-    starts = [d.release for d in sets.rhythmic]
-    ends = [d.deadline for d in sets.rhythmic]
+    periodic = inputs.sets.periodic
+    owner, slots, hops, windows = inputs.slot_groups
+    inside = windows >= 0
+    packets = np.arange(len(periodic) + 1)
+    bounds = np.searchsorted(owner, packets).tolist()
+    in_bounds = np.searchsorted(owner[inside], packets).tolist()
+    slots_all, hops_all = slots.tolist(), hops.tolist()
+    slots_in, windows_in = slots[inside].tolist(), windows[inside].tolist()
     path_pdrs: dict[int, tuple[float, ...]] = {}
     state: list[PeriodicPacketState] = []
-    for task_id, release in sets.periodic:
-        task = by_id[task_id]
+    for i, (task_id, release) in enumerate(periodic):
         if task_id not in path_pdrs:
-            path_pdrs[task_id] = tuple(network.path_pdrs(task.path))
-        found = static.packet_slots(task_id, release, until=release + task.deadline)
-        slots = found.tolist()
-        window_of: dict[int, int] = {}
-        for slot in slots:
-            i = bisect_right(starts, slot) - 1
-            if i >= 0 and slot < ends[i]:
-                window_of[slot] = i
+            path_pdrs[task_id] = tuple(network.path_pdrs(by_id[task_id].path))
+        lo, hi, in_lo, in_hi = bounds[i], bounds[i + 1], in_bounds[i], in_bounds[i + 1]
         state.append(
             PeriodicPacketState(
                 packet=(task_id, release),
                 path_pdrs=path_pdrs[task_id],
-                slots=slots,
-                hops=static.hop_at[found].tolist(),
-                window_of=window_of,
+                slots=slots_all[lo:hi],
+                hops=hops_all[lo:hi],
+                window_of=dict(zip(slots_in[in_lo:in_hi], windows_in[in_lo:in_hi])),
             )
         )
     return state
@@ -467,6 +506,54 @@ class DynamicPlan:
         return self.window.end
 
 
+class CandidateTable:
+    """Per-trial table: each end-point candidate of one disturbance maps to
+    its ``CandidateInputs``, or to the ``CandidateInfeasible`` that
+    ``build_active_sets`` raised for it.
+
+    Filled lazily, one candidate at a time, by ``generate_dynamic_schedule``,
+    so the packet-level and transmission-level plans of a trial build each
+    candidate's inputs once between them.  A table serves only the event,
+    static schedule, tasks, network, required pdr and beta it was made for,
+    and is dropped with its trial: nothing it holds reaches another trial.
+    """
+
+    def __init__(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
+                 network: NetworkModel, required_pdr: float, beta: int) -> None:
+        self.event, self.static, self.tasks, self.network = event, static, tasks, network
+        self.required_pdr, self.beta = required_pdr, beta
+        self.task = {t.id: t for t in tasks}[event.task_id]
+        # Per-hop budget of each full-demand rhythmic packet, and its sum.
+        self.retry_vector = allocate_retry_vector(network.path_pdrs(self.task.path), required_pdr)
+        self.full_demand = sum(self.retry_vector)
+        self._entries: dict[int, Union[CandidateInputs, CandidateInfeasible]] = {}
+
+    def check(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
+              network: NetworkModel, required_pdr: float, beta: int) -> None:
+        """Raise ValueError unless this table was made for these arguments."""
+        if not (
+            static is self.static and tasks is self.tasks and network is self.network
+            and event == self.event and required_pdr == self.required_pdr and beta == self.beta
+        ):
+            raise ValueError(
+                "the candidate table was made for another event, schedule, task set, "
+                "network, required pdr or beta"
+            )
+
+    def inputs(self, candidate: int) -> Union[CandidateInputs, CandidateInfeasible]:
+        """The entry of ``candidate``, built at its first lookup."""
+        entry = self._entries.get(candidate)
+        if entry is None:
+            try:
+                sets = build_active_sets(candidate, self.event, self.static, self.tasks, self.full_demand)
+            except CandidateInfeasible as exc:
+                entry = exc.with_traceback(None)  # keeps no frame of this call alive
+            else:
+                entry = CandidateInputs(sets, self.static, self.tasks, self.full_demand)
+            self._entries[candidate] = entry
+        return entry
+
+
 def generate_dynamic_schedule(
     event: DisturbanceEvent,
     static: Schedule,
@@ -475,6 +562,7 @@ def generate_dynamic_schedule(
     required_pdr: float,
     beta: int = 4,
     level: str = "packet",
+    table: Optional[CandidateTable] = None,
 ) -> DynamicPlan:
     """Evaluate every end-point candidate, pick the cheapest feasible one and
     lay the rhythmic transmissions into the freed slots.
@@ -488,44 +576,54 @@ def generate_dynamic_schedule(
     point).  Rhythmic packets then claim the earliest usable slots in their
     windows, hop-ordered under TBS, where usable means idle, owned by the
     disturbed task, or freed by the decision.
+
+    Each candidate's active sets, demand vector and grouped periodic slots
+    come from ``table``: the packet level counts transmission vectors from
+    them and the transmission level slices packet states.  A trial's two
+    FD-PaS plans share one table, made for the same arguments (ValueError
+    otherwise); without one, this plan makes its own.  No table outlives
+    its trial.
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
-    by_id = {t.id: t for t in tasks}
-    task = by_id[event.task_id]
-    retry_vector = allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
-    full_demand = sum(retry_vector)  # slots of a whole rhythmic packet
+    if table is None:
+        table = CandidateTable(event, static, tasks, network, required_pdr, beta)
+    else:
+        table.check(event, static, tasks, network, required_pdr, beta)
+    retry_vector, full_demand = table.retry_vector, table.full_demand
 
-    f_last = earliest_last_finish(event, task.hops)
+    f_last = earliest_last_finish(event, table.task.hops)
     upper = end_point_upper_bound(event, beta)
     evaluations: list[tuple[int, Optional[float]]] = []
-    best: Optional[tuple[float, int, ActivePacketSets, DemandVector, DropDecision]] = None
-    table: PdrTable = {}  # shared by this plan's candidates only
+    best: Optional[tuple[float, int, ActivePacketSets, DropDecision]] = None
+    pdrs: PdrTable = {}  # shared by this plan's candidates only
     for candidate in end_point_candidates(event, f_last, beta):
+        inputs = table.inputs(candidate)
+        if isinstance(inputs, CandidateInfeasible):
+            evaluations.append((candidate, None))
+            continue
+        demand = inputs.demand
         try:
-            sets = build_active_sets(candidate, event, static, tasks, full_demand)
-            demand = build_demand_vector(sets, static, full_demand)
             if demand.satisfied:
                 decision = DropDecision(level=level)
             elif level == "packet":
-                vectors = build_transmission_vectors(sets, static)
-                decision = greedy_drop_packets(demand, vectors, required_pdr)
+                decision = greedy_drop_packets(demand, build_transmission_vectors(inputs), required_pdr)
             else:
-                state = build_periodic_state(sets, static, tasks, network)
-                decision = drop_transmissions(demand, state, required_pdr, static.mode, table)
+                state = build_periodic_state(inputs, tasks, network)
+                decision = drop_transmissions(demand, state, required_pdr, static.mode, pdrs)
         except CandidateInfeasible:
             evaluations.append((candidate, None))
             continue
         cost = decision.cost()
         evaluations.append((candidate, cost))
         if best is None or cost < best[0] - 1e-15:
-            best = (cost, candidate, sets, demand, decision)
+            best = (cost, candidate, inputs.sets, decision)
 
     if best is None:
         raise DisturbanceInfeasible(
             f"no feasible end point for the disturbance at slot {event.detect_slot}"
         )
-    _, end_point, sets, demand, decision = best
+    _, end_point, sets, decision = best
 
     overlay: dict[int, SlotAssignment] = {}
     freed = decision.freed_slots(static)
@@ -533,15 +631,15 @@ def generate_dynamic_schedule(
     for entry in sets.rhythmic:
         need = resolved_demand(entry, full_demand)
         lo, hi = entry.window
-        usable = [
-            t
-            for t, owner in enumerate(static.task_at[lo:hi].tolist(), lo)
-            if owner == -1 or owner == event.task_id or t in freed
-        ]
-        if len(usable) < need:
+        chosen = list(islice(
+            (t for t, owner in enumerate(static.task_at[lo:hi].tolist(), lo)
+             if owner == -1 or owner == event.task_id or t in freed),
+            need,
+        ))
+        if len(chosen) < need:
             raise PlanInvariantError(
                 f"the drop decision left the rhythmic packet released at {entry.release} "
-                f"{len(usable)} usable slots for a demand of {need}"
+                f"{len(chosen)} usable slots for a demand of {need}"
             )
         if static.mode is not SchedulingMode.TBS:
             labels = [0] * need
@@ -549,7 +647,6 @@ def generate_dynamic_schedule(
             labels = list(entry.prefix_hops)  # truncated packet continues a static instance
         else:
             labels = hop_expansion(retry_vector)[:need]
-        chosen = usable[:need]
         for slot, hop in zip(chosen, labels):
             overlay[slot] = SlotAssignment(task=event.task_id, release=entry.release, hop=hop)
         # The last stepped-state packet must finish inside the window it was

@@ -28,6 +28,7 @@ from .model import (
     generate_taskset,
     random_chain_network,
 )
+from .dropping import CandidateTable
 from .static_schedule import StaticScheduleResult
 from .sim import DisturbanceSpec, Framework, Plan, SimConfig, build_static, plan
 
@@ -297,7 +298,11 @@ def _trial_seed(base_seed: int, util: float, r_steps: int, tick: int, index: int
 
 def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list[RunRecord]:
     """All records of one (util, r, tick) cell: each trial planned once per
-    framework, and that plan recorded at every bound of the alpha axis."""
+    framework, and that plan recorded at every bound of the alpha axis.
+
+    A trial's frameworks share its static schedule and one candidate table,
+    so its two FD-PaS plans build each end-point candidate's inputs once;
+    both are dropped before the next trial."""
     records: list[RunRecord] = []
     for index in range(spec.trials):
         seed = _trial_seed(spec.base_seed, util, r_steps, tick, index)
@@ -309,8 +314,10 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
             static = build_static(config)
         except ScheduleInfeasible as exc:
             raise ScheduleInfeasible(f"trial seed {seed}: {exc}") from exc
+        table = CandidateTable(config.event(), static.schedule, config.tasks, config.network,
+                               config.required_pdr, config.beta)
         for framework in spec.frameworks:
-            planned = plan(dataclasses.replace(config, framework=framework), static)
+            planned = plan(dataclasses.replace(config, framework=framework), static, table)
             records.extend(_record(trial, framework, planned, mult, tick) for mult in spec.alphas)
     return records
 

@@ -154,7 +154,8 @@ class ActivePacketSets:
 
     ``rhythmic`` holds the disturbed task's packets to place dynamically, with
     pairwise-disjoint service windows inside [start, candidate).  ``periodic``
-    lists every other packet owning at least one static slot in that range.
+    lists every other packet owning at least one static slot in that range,
+    in (release, task) order.
     ``resume_release`` is the first release of the disturbed task served by
     the static schedule again; nominal instances released in
     [start, resume_release) are superseded by the dynamic packets.

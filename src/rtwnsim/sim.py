@@ -35,7 +35,7 @@ from .static_schedule import (
     hyperperiod,
 )
 from . import mac as mac_model
-from .dropping import DropDecision, DynamicPlan, generate_dynamic_schedule
+from .dropping import CandidateTable, DropDecision, DynamicPlan, generate_dynamic_schedule
 
 __all__ = [
     "HorizonTooShort",
@@ -398,13 +398,22 @@ def build_static(config: SimConfig) -> StaticScheduleResult:
     return static
 
 
-def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Plan:
+def plan(
+    config: SimConfig,
+    static: Optional[StaticScheduleResult] = None,
+    table: Optional[CandidateTable] = None,
+) -> Plan:
     """Plan one scenario's disturbance handling without running any slot.
 
     The static schedule is ``build_static(config)`` unless ``static``, built
-    that way over the same horizon, is passed in.  The distributed frameworks
-    respond one nominal period after detection, whether or not a feasible
-    window exists; the baseline's latency follows its broadcast timing model.
+    that way over the same horizon, is passed in.  ``table`` is the trial's
+    candidate table (see ``generate_dynamic_schedule``), made for this
+    config's event, tasks, network, required pdr and beta over ``static``'s
+    schedule: a trial's two FD-PaS plans share it, and no table outlives its
+    trial.  Without one, an FD-PaS plan makes its own.  The distributed
+    frameworks respond one nominal period after detection, whether or not a
+    feasible window exists; the baseline's latency follows its broadcast
+    timing model.
     """
     if static is None:
         static = build_static(config)
@@ -429,6 +438,7 @@ def plan(config: SimConfig, static: Optional[StaticScheduleResult] = None) -> Pl
             config.required_pdr,
             beta=config.beta,
             level="packet" if config.framework is Framework.FDPAS_PACKET else "transmission",
+            table=table,
         )
     except DisturbanceInfeasible:
         return Plan(static, event, feasible_dynamic=False, drt=drt)

@@ -31,6 +31,7 @@ from rtwnsim.model import (
 from rtwnsim.static_schedule import build_static_schedule, plan_retry_vectors
 from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound, find_idle_slot
 from rtwnsim.dropping import (
+    CandidateInputs,
     DemandVector,
     TransmissionVector,
     build_demand_vector,
@@ -103,14 +104,17 @@ def test_a1_bench_scenario_dropping():
     assert tx.decision.total_degradation <= pkt.decision.total_degradation + 1e-12
     pkt_demand = build_demand_vector(pkt.sets, static.schedule, sum(pkt.retry_vector))
     pkt_oracle = optimal_drop_oracle(
-        pkt_demand, vectors=build_transmission_vectors(pkt.sets, static.schedule),
+        pkt_demand, vectors=build_transmission_vectors(
+            CandidateInputs(pkt.sets, static.schedule, tasks, sum(pkt.retry_vector))),
         level="packet", required_pdr=0.95,
     )
     assert pkt_oracle.packet_count <= pkt.decision.packet_count
     tx_demand = build_demand_vector(tx.sets, static.schedule, sum(tx.retry_vector))
     tx_oracle = optimal_drop_oracle(
         tx_demand, level="transmission",
-        state=build_periodic_state(tx.sets, static.schedule, tasks, net), required_pdr=0.95,
+        state=build_periodic_state(
+            CandidateInputs(tx.sets, static.schedule, tasks, sum(tx.retry_vector)), tasks, net),
+        required_pdr=0.95,
     )
     assert tx_oracle.total_degradation <= tx.decision.total_degradation + 1e-12
 

@@ -22,9 +22,14 @@ from rtwnsim.model import (
 )
 from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_candidates
 from rtwnsim.static_schedule import Schedule, build_static_schedule
+import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
+    CandidateInputs,
+    CandidateTable,
     DemandVector,
+    DropDecision,
     PeriodicPacketState,
+    PlanInvariantError,
     TransmissionVector,
     build_demand_vector,
     build_periodic_state,
@@ -72,7 +77,7 @@ def test_vectors_empty_when_no_periodic_packets():
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
-    assert build_transmission_vectors(sets, result.schedule) == []
+    assert build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,), 2)) == []
 
 
 def test_vectors_count_slots_inside_one_window():
@@ -89,7 +94,7 @@ def test_vectors_count_slots_inside_one_window():
         sched.hop_at[slot] = hop
     sets = build_active_sets(24, event, sched, (task0, task1), full_demand=2)
     assert [d.window for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
-    vectors = build_transmission_vectors(sets, sched)
+    vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1), 2))
     assert vectors == [TransmissionVector(packet=(1, 0), replaceable=(0, 3, 0))]
 
 
@@ -97,7 +102,8 @@ def test_vectors_match_naive_double_loop():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
-    vectors = {v.packet: v.replaceable for v in build_transmission_vectors(sets, sched)}
+    inputs = CandidateInputs(sets, sched, tasks, 8)
+    vectors = {v.packet: v.replaceable for v in build_transmission_vectors(inputs)}
     # Independent route: scan every slot of every periodic packet against
     # every window.
     for tid, rel in sets.periodic:
@@ -547,6 +553,40 @@ def test_dynamic_schedule_constraints_hold():
         last_stepped = event.enter_slot + sum(event.periods[:-1])
         finish = max(t for t, a in plan.overlay.items() if a.release == last_stepped) + 1
         assert finish <= plan.end_point <= plan.window.end_upper_bound
+
+
+def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
+    # Fault injection: a packet solver that frees nothing while the demand is
+    # unmet leaves a rhythmic packet fewer usable slots than it needs.
+    net, tasks = _testbed()
+    event = DisturbanceEvent.from_task(tasks[0], 3)
+    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
+    monkeypatch.setattr(dropping, "greedy_drop_packets",
+                        lambda demand, vectors, required_pdr: DropDecision(level="packet"))
+    with pytest.raises(PlanInvariantError, match=r"usable slots for a demand of 8$"):
+        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="packet")
+
+
+def test_candidate_table_serves_only_the_plan_it_was_made_for():
+    net, tasks = _testbed()
+    event = DisturbanceEvent.from_task(tasks[0], 3)
+    schedule = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260).schedule
+    table = CandidateTable(event, schedule, tasks, net, 0.95, beta=4)
+    alone = generate_dynamic_schedule(event, schedule, tasks, net, 0.95, beta=4, level="transmission")
+    assert generate_dynamic_schedule(event, schedule, tasks, net, 0.95, beta=4, level="transmission",
+                                     table=table) == alone
+    rebuilt = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260).schedule
+    for other in [
+        (DisturbanceEvent.from_task(tasks[0], 4), schedule, 0.95, 4),
+        (event, rebuilt, 0.95, 4),
+        (event, schedule, 0.9, 4),
+        (event, schedule, 0.95, 3),
+    ]:
+        other_event, other_schedule, required_pdr, beta = other
+        for level in ("packet", "transmission"):
+            with pytest.raises(ValueError, match="candidate table was made for another"):
+                generate_dynamic_schedule(other_event, other_schedule, tasks, net, required_pdr,
+                                          beta=beta, level=level, table=table)
 
 
 def test_transmission_level_never_worse_than_packet_level():

@@ -11,17 +11,22 @@ and share none of its packet-state, periodic-set or solver code:
   library solver keeps one lazy heap key per (packet, hop label) and reads
   delivery probabilities and deltas from a table that every candidate of a
   plan shares.
-* ``frozen_periodic_keys`` and ``frozen_build_periodic_state`` are the
-  per-candidate builders as they were before they shared per-plan work:
-  a Python loop over the window for the periodic set, one ``packet_slots``
-  mask per packet and a scan of the window list per slot.
+* ``frozen_periodic_keys``, ``frozen_build_periodic_state`` and
+  ``frozen_build_transmission_vectors`` are the per-candidate builders as
+  they were before they shared per-plan or per-trial work: a Python loop
+  over the window for the periodic set, one ``packet_slots`` mask per packet
+  and a scan of the window list per slot, and a per-slot counting loop over
+  the candidate window.  The library builds both solver inputs from one
+  grouped pass over a candidate's periodic packets.
 * ``reference_plan`` is ``generate_dynamic_schedule`` assembled from those
   references, with the slot-by-slot scan for usable overlay slots.
 
 Each must agree with the library exactly (same floats, same orders, same
 exceptions) on every end-point candidate of seeded sweep-style and
 constraint-suite trials, under TBS and PBS.  The solver must also decide the
-same with a table shared by a plan's candidates as with a fresh one per call.
+same with a table shared by a plan's candidates as with a fresh one per call,
+and the two FD-PaS levels planned through one per-trial candidate table must
+give the plans each level gives with a table of its own.
 """
 
 import dataclasses
@@ -29,14 +34,19 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtwnsim.dropping import (
+    CandidateInputs,
+    CandidateTable,
     DropDecision,
+    DynamicPlan,
     PeriodicPacketState,
     PlanInvariantError,
+    TransmissionVector,
     build_demand_vector,
     build_periodic_state,
     build_transmission_vectors,
@@ -44,7 +54,7 @@ from rtwnsim.dropping import (
     generate_dynamic_schedule,
     greedy_drop_packets,
 )
-from rtwnsim.experiments import make_trial
+from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell
 from rtwnsim.model import (
     CandidateInfeasible,
     DisturbanceInfeasible,
@@ -63,6 +73,7 @@ from rtwnsim.rhythmic import (
     end_point_upper_bound,
     resolved_demand,
 )
+from rtwnsim.sim import Framework
 from rtwnsim.static_schedule import SlotAssignment, build_static_schedule, hop_expansion
 
 REQUIRED_PDR = 0.99
@@ -143,6 +154,30 @@ def frozen_build_periodic_state(sets, static, tasks, network):
         state.append(FrozenPacketState((task_id, release), tuple(network.path_pdrs(task.path)),
                                        slots, hops, window_of))
     return state
+
+
+def frozen_build_transmission_vectors(sets, static):
+    """Per periodic packet, its slots inside each rhythmic window, counted by
+    one Python loop over the in-window periodic slots of the candidate window."""
+    n = len(sets.rhythmic)
+    starts = np.array([d.release for d in sets.rhythmic])
+    ends = np.array([d.deadline for d in sets.rhythmic])
+    counts = {key: [0] * n for key in sets.periodic}
+    lo, hi = sets.start, sets.candidate
+    tasks_w = static.task_at[lo:hi]
+    rel_w = static.release_at[lo:hi]
+    slots = np.arange(lo, hi)
+    widx = np.searchsorted(starts, slots, side="right") - 1
+    in_window = (widx >= 0) & (slots < ends[np.clip(widx, 0, n - 1)])
+    periodic_mask = (tasks_w >= 0) & (tasks_w != sets.task_id) & in_window
+    for t, task_id, release, w in zip(
+        slots[periodic_mask].tolist(),
+        tasks_w[periodic_mask].tolist(),
+        rel_w[periodic_mask].tolist(),
+        widx[periodic_mask].tolist(),
+    ):
+        counts[(task_id, release)][w] += 1
+    return [TransmissionVector(packet=key, replaceable=tuple(counts[key])) for key in sets.periodic]
 
 
 def reference_drop_transmissions(demand, state, required_pdr, mode=SchedulingMode.TBS):
@@ -234,7 +269,7 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
             if demand.satisfied:
                 decision = DropDecision(level=level)
             elif level == "packet":
-                decision = greedy_drop_packets(demand, build_transmission_vectors(sets, static), required_pdr)
+                decision = greedy_drop_packets(demand, frozen_build_transmission_vectors(sets, static), required_pdr)
             else:
                 state = frozen_build_periodic_state(sets, static, tasks, network)
                 decision = reference_drop_transmissions(demand, state, required_pdr, mode=static.mode)
@@ -370,10 +405,14 @@ def _compare_trial(trial, mode, horizon):
         except CandidateInfeasible:
             continue
         assert sets.periodic == frozen_periodic_keys(sets.start, candidate, schedule, event.task_id), where
-        state = build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
+        assert build_transmission_vectors(inputs) == frozen_build_transmission_vectors(sets, schedule), \
+            f"{where}, candidate {candidate}"
+        state = build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         assert [_fields(p) for p in state] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
         demand = build_demand_vector(sets, schedule, full_demand)
+        assert inputs.demand == demand
         if demand.satisfied:
             continue
         expected = _outcome(reference_drop_transmissions, demand, frozen, mode)
@@ -417,6 +456,50 @@ def test_matches_reference_on_constraint_suite_trials(mode):
     assert compared > 50
 
 
+def _planned(event, schedule, trial, level, table=None):
+    try:
+        return generate_dynamic_schedule(event, schedule, trial.tasks, trial.network, REQUIRED_PDR,
+                                         BETA, level, table=table)
+    except (DisturbanceInfeasible, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_levels_planned_through_one_table_match_levels_planned_alone(mode):
+    # The A2 trials: both levels through one candidate table, in either
+    # order, give the plan (end point, decision, overlay, evaluations, sets)
+    # that each level gives with a table of its own.
+    planned = 0
+    for i in range(30):
+        trial = make_trial(100_000 + i, 0.5, 8)
+        task = next(t for t in trial.tasks if t.id == trial.rhythmic_task)
+        event = DisturbanceEvent.from_task(task, trial.instance, trial.spec)
+        horizon = end_point_upper_bound(event, BETA) + 2 * max(t.period for t in trial.tasks) + 1
+        schedule = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR,
+                                         horizon=horizon).schedule
+        alone = {level: _planned(event, schedule, trial, level) for level in ("packet", "transmission")}
+        for order in (("packet", "transmission"), ("transmission", "packet")):
+            table = CandidateTable(event, schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
+            for level in order:
+                shared = _planned(event, schedule, trial, level, table)
+                assert shared == alone[level], f"seed {trial.seed}, {mode.value}, {level} after {order}"
+                planned += isinstance(shared, DynamicPlan)
+    assert planned > 100
+
+
+def test_run_cell_with_shared_tables_matches_standalone_evaluations():
+    # run_cell plans each trial's FD-PaS levels through one candidate table;
+    # evaluate_trial plans each (trial, framework) alone.
+    spec = ExperimentSpec(utils=(0.5,), r_steps=(8,), alphas=(1, 2), trials=30, base_seed=7)
+    records = run_cell(spec, 0.5, 8, 60)
+    assert len(records) == spec.trials * len(spec.frameworks) * len(spec.alphas)
+    for record in records:
+        trial = make_trial(record.seed, 0.5, 8, gamma=spec.gamma, required_pdr=spec.required_pdr)
+        alone = evaluate_trial(trial, Framework(record.framework), alpha_mult=record.alpha_mult,
+                               beta=spec.beta, required_pdr=spec.required_pdr, tick=60)
+        assert record == alone
+
+
 def _exact(outcome):
     """An ``_outcome`` with each float as its hex string, so that equal
     outcomes carry the same floats bit for bit."""
@@ -456,10 +539,11 @@ def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style
             sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
-        demand = build_demand_vector(sets, schedule, full_demand)
+        inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
+        demand = inputs.demand
         if demand.satisfied:
             continue
-        state = build_periodic_state(sets, schedule, trial.tasks, trial.network)
+        state = build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         shared = _exact(_outcome(shared_solver, demand, state, mode))
         assert shared == _exact(_outcome(drop_transmissions, demand, state, mode)), candidate

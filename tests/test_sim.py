@@ -25,7 +25,7 @@ from rtwnsim.sim import (
     plan,
     run,
 )
-from rtwnsim.dropping import DropDecision
+from rtwnsim.dropping import CandidateTable, DropDecision
 from rtwnsim import sim as sim_mod
 
 
@@ -247,6 +247,19 @@ def test_plan_rejects_a_static_schedule_over_another_horizon():
     with pytest.raises(ValueError, match="covers 260 slots, the config's horizon is 300"):
         plan(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300,
                        disturbance=DisturbanceSpec(0, 3)), static)
+
+
+def test_plan_shares_a_candidate_table_between_the_fdpas_levels():
+    net, tasks = _testbed()
+    cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
+                    disturbance=DisturbanceSpec(0, 3))
+    static = plan(cfg).static
+    table = CandidateTable(cfg.event(), static.schedule, tasks, net, 0.95, cfg.beta)
+    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
+        framed = dataclasses.replace(cfg, framework=framework)
+        assert plan(framed, static, table) == plan(framed, static)
+        with pytest.raises(ValueError, match="candidate table was made for another"):
+            plan(dataclasses.replace(framed, beta=cfg.beta + 1), static, table)
 
 
 def test_infeasible_disturbance_reports_failure():
