@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import io
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, TextIO
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -30,12 +30,13 @@ from .model import (
 )
 from .rhythmic import DisturbanceEvent, disturbance_recipients, end_point_upper_bound
 from .static_schedule import (
+    Schedule,
     StaticScheduleResult,
     build_static_schedule,
     hyperperiod,
 )
 from . import mac as mac_model
-from .dropping import CandidateTable, DropDecision, DynamicPlan, generate_dynamic_schedule
+from .dropping import CandidateTable, DropDecision, DynamicPlan, PlanInvariantError, generate_dynamic_schedule
 
 __all__ = [
     "HorizonTooShort",
@@ -275,16 +276,17 @@ class Metrics:
 
 
 class _Packet:
-    __slots__ = ("task", "release", "expiry", "hops", "progress", "terminal", "decided_drop")
+    """A window packet as the slot loop sees it."""
 
-    def __init__(self, task: TaskSpec, release: int, expiry: int):
-        self.task = task.id
+    __slots__ = ("index", "task", "release", "expiry", "hops", "progress")
+
+    def __init__(self, index: int, task: int, release: int, expiry: int, hops: int):
+        self.index = index  # its packet-table row
+        self.task = task
         self.release = release
-        self.expiry = expiry  # last slot bound the packet may still transmit in
-        self.hops = task.hops
+        self.expiry = expiry  # it sends only before this slot
+        self.hops = hops
         self.progress = 0  # completed hops
-        self.terminal: Optional[str] = None
-        self.decided_drop = False
 
 
 def periodic_packets_in_window(dynamic: DynamicPlan, tasks: Sequence[TaskSpec]) -> list[tuple[int, int]]:
@@ -455,29 +457,33 @@ def plan(
 
 
 def _link_draws(
-    network: NetworkModel, used: set[tuple[str, str]], seed: int, horizon: int, stream: int
+    network: NetworkModel, used: set[tuple[str, str]], seed: int, horizon: int, stream: int,
+    successes: bool = False,
 ) -> dict[tuple[str, str], np.ndarray]:
     """One uniform draw per (link, slot) for each link in ``used``,
     independent of consumption order.  A link's stream index is its position
     among all of the network's links in (src, dst) order, so its draws do not
-    depend on which other links are used."""
+    depend on which other links are used.  With ``successes``, each link
+    keeps only whether its draws fall below its pdr: a byte per slot, not
+    eight, and one link's draws held at a time."""
     draws = {}
     for idx, link in enumerate(sorted(network.links, key=lambda l: (l.src, l.dst))):
         if (link.src, link.dst) in used:
             rng = np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
-            draws[(link.src, link.dst)] = rng.random(horizon)
+            draw = rng.random(horizon)
+            draws[(link.src, link.dst)] = draw < link.pdr if successes else draw
     return draws
 
 
 def _contend(candidates: list[tuple], t: int, mac: MacParams, per_draws: Optional[dict]) -> list[mac_model.TxOutcome]:
     """Outcomes of a slot with two or more senders ``(sender, receiver, link
-    draws, link pdr, packet, hop, priority)``: priority arbitration over
-    their link draws, then, below a 60 us tick, the preemption-error draw of
-    the winner."""
+    successes, packet, hop, priority)``: priority arbitration over their
+    link draws, then, below a 60 us tick, the preemption-error draw of the
+    winner."""
     contenders = [
         mac_model.ContendingTx(sender=s, receiver=r, priority=prio) for s, r, *_, prio in candidates
     ]
-    link_success = [bool(draw[t] < pdr) for _, _, draw, pdr, *_ in candidates]
+    link_success = [bool(up[t]) for _, _, up, *_ in candidates]
     outcomes = mac_model.arbitrate_slot(contenders, mac.timing, link_success)
     if per_draws is not None:
         prios = sorted(c.priority for c in contenders)
@@ -494,52 +500,45 @@ def _contend(candidates: list[tuple], t: int, mac: MacParams, per_draws: Optiona
     return outcomes
 
 
-def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
-    """Execute one scenario and return its trace and metrics.
+# The tail alias: from its slot on, the static slots of the first key carry
+# the packet of the second (static key, from slot, packet key).
+_Alias = tuple[tuple[int, int], int, tuple[int, int]]
 
-    ``plan`` decides the disturbance handling; then nodes on the disturbed
-    route follow the dynamic overlay inside the chosen window and everyone
-    else follows the static schedule throughout.  Conflicting transmissions
-    contend through the priority MAC (window transmissions of the disturbed
-    task at the high priority), deferred senders do not consume their trial,
-    and a winning transmission is received only if its receiver's own
-    operative schedule expects it.  A slot without an overlay entry has at
-    most one sender, the holder of its static entry, whose receiver expects
-    it; only overlay slots build a candidate list and contend.
-    """
-    planned = plan(config)
-    sched = planned.static.schedule
-    horizon = sched.horizon
-    dynamic = planned.dynamic
-    by_id = {t.id: t for t in config.tasks}
-    trace = SimTrace()
 
-    vrhy: frozenset[str] = frozenset()
-    dynamic_at: list = [None] * horizon  # the overlay entry of each slot inside the window
+class _PacketTable(NamedTuple):
+    """Every packet a run releases, one row each, in the order of their
+    ``released`` records: ``config.tasks`` order, then the rhythmic packets."""
+
+    task: np.ndarray  # task id
+    release: np.ndarray
+    expiry: np.ndarray  # slot of its missed or dropped mark; it sends only before it
+    hops: np.ndarray
+    dropped: np.ndarray  # bool: the packet-level decision dropped it
+
+
+def _packet_table(
+    config: SimConfig, dynamic: Optional[DynamicPlan], horizon: int
+) -> tuple[_PacketTable, Optional[_Alias]]:
+    """The run's packet table and its tail alias, if any.  The disturbed
+    task's nominal instances inside [window start, resume release) are
+    superseded by the dynamic packets; packets that expire past the horizon
+    are left out."""
+    tasks, releases, expiries, hops = [], [], [], []
+    for task in config.tasks:
+        release = task.phase + task.period * np.arange(
+            max(0, (horizon - task.deadline - task.phase) // task.period + 1), dtype=np.int64
+        )
+        if dynamic is not None and task.id == dynamic.event.task_id:
+            release = release[(release < dynamic.event.enter_slot) | (release >= dynamic.sets.resume_release)]
+        tasks.append(np.full(len(release), task.id, dtype=np.int64))
+        releases.append(release)
+        expiries.append(release + task.deadline)
+        hops.append(np.full(len(release), task.hops, dtype=np.int64))
+    alias = None
+    dropped: Sequence[tuple[int, int]] = ()
     if dynamic is not None:
         event = dynamic.event
-        vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
-        for slot, entry in dynamic.overlay.items():
-            if event.enter_slot <= slot < dynamic.end_point:
-                dynamic_at[slot] = entry
-
-    # Packet table.  The disturbed task's nominal instances inside
-    # [window start, resume release) are superseded by the dynamic packets.
-    packets: dict[tuple[int, int], _Packet] = {}
-    alias: Optional[tuple[tuple[int, int], int, tuple[int, int]]] = None  # (static key, from slot, packet key)
-    for task in config.tasks:
-        skip_lo = skip_hi = None
-        if dynamic is not None and task.id == event.task_id:
-            skip_lo, skip_hi = event.enter_slot, dynamic.sets.resume_release
-        k = 0
-        while (expiry := task.nominal_deadline(k)) <= horizon:
-            release = task.release(k)
-            k += 1
-            if skip_lo is not None and skip_lo <= release < skip_hi:
-                continue
-            packets[(task.id, release)] = _Packet(task, release, expiry)
-    if dynamic is not None:
-        task = by_id[event.task_id]
+        rhythmic = []
         for entry in dynamic.sets.rhythmic:
             expiry = entry.deadline
             if entry.tail_slots:
@@ -547,22 +546,276 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                 expiry = prev_release + event.nominal_deadline
                 alias = ((event.task_id, prev_release), dynamic.end_point, (event.task_id, entry.release))
             if expiry <= horizon:
-                packets[(event.task_id, entry.release)] = _Packet(task, entry.release, expiry)
+                rhythmic.append((entry.release, expiry))
+        hop_count = next(t.hops for t in config.tasks if t.id == event.task_id)
+        tasks.append(np.full(len(rhythmic), event.task_id, dtype=np.int64))
+        releases.append(np.array([r for r, _ in rhythmic], dtype=np.int64))
+        expiries.append(np.array([e for _, e in rhythmic], dtype=np.int64))
+        hops.append(np.full(len(rhythmic), hop_count, dtype=np.int64))
+        if dynamic.decision.level == "packet":
+            dropped = dynamic.decision.dropped_packets
+    task, release = np.concatenate(tasks), np.concatenate(releases)
+    drop_set = set(dropped)
+    table = _PacketTable(
+        task=task,
+        release=release,
+        expiry=np.concatenate(expiries),
+        hops=np.concatenate(hops),
+        dropped=np.array([key in drop_set for key in zip(task.tolist(), release.tolist())], dtype=bool)
+        if drop_set else np.zeros(len(task), dtype=bool),
+    )
+    return table, alias
 
-    if dynamic is not None and dynamic.decision.level == "packet":
-        for key in dynamic.decision.dropped_packets:
-            if key in packets:
-                packets[key].decided_drop = True
 
-    # Per-run tables the slot loop reads instead of repeating lookups.  Hop
-    # ``h`` of task ``tid`` is ``links[tid][h]``: (sender, receiver, the
-    # link's draws, its pdr); a memoryview reads a draw as a Python float.
-    # Only links on some task's path are drawn: no other link ever sends.
-    used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
-    draws = _link_draws(config.network, used, config.seed, horizon, stream=0)
+class _Split(NamedTuple):
+    """Where a run's static slots go.  The slot loop visits ``loop_slots``:
+    the window packets' static slots and the overlay slots.  Every other
+    static slot is listed, ascending, with its entry, the packet-table row
+    it carries and the position of that row's task in ``config.tasks``; both
+    are -1 for a key outside the table."""
+
+    loop_slots: np.ndarray
+    window_rows: np.ndarray  # packet-table rows of the window packets
+    overlay: dict  # the overlay entry of each slot inside the window
+    vrhy: frozenset[str]  # the disturbed route's nodes, which follow the overlay
+    slot: np.ndarray
+    task: np.ndarray
+    release: np.ndarray
+    hop: np.ndarray
+    row: np.ndarray
+    position: np.ndarray
+
+
+def _split(
+    config: SimConfig,
+    sched: Schedule,
+    table: _PacketTable,
+    dynamic: Optional[DynamicPlan],
+    alias: Optional[_Alias],
+) -> _Split:
+    """Split the static slots between the slot loop and the walk.  Window
+    packets are the rhythmic ones, both keys of the tail alias, the
+    packet-level drops and every packet with a static slot in the window
+    [enter, end point)."""
+    # A packet key packs (task, release) into release * task count + the
+    # rank of the task id; positions[k] is the position in config.tasks of
+    # the task whose id ranks k.
+    positions = np.argsort([t.id for t in config.tasks])
+    ids = np.array([config.tasks[i].id for i in positions], dtype=np.int64)
+
+    def pack(task, release) -> np.ndarray:
+        return np.asarray(release, dtype=np.int64) * len(ids) + np.searchsorted(ids, task)
+
+    keys = pack(table.task, table.release)
+    sorter = np.argsort(keys)
+
+    def row_of(packed: np.ndarray) -> np.ndarray:
+        """The packet-table row of each packed key, -1 where it has none."""
+        if not len(keys):
+            return np.full(len(packed), -1, dtype=np.int64)
+        rows = sorter[np.minimum(np.searchsorted(keys, packed, sorter=sorter), len(keys) - 1)]
+        return np.where(keys[rows] == packed, rows, -1)
+
+    slots = np.flatnonzero(sched.task_at >= 0)
+    key = pack(sched.task_at[slots], sched.release_at[slots])
+    vrhy: frozenset[str] = frozenset()
+    overlay: dict = {}
+    outside = np.ones(len(slots), dtype=bool)
+    window_rows = np.empty(0, dtype=np.int64)
+    if dynamic is not None:
+        event = dynamic.event
+        route = next(t for t in config.tasks if t.id == event.task_id)
+        vrhy = frozenset(disturbance_recipients(route))
+        lo, hi = event.enter_slot, dynamic.end_point
+        overlay = {slot: entry for slot, entry in dynamic.overlay.items() if lo <= slot < hi}
+        named = [(event.task_id, entry.release) for entry in dynamic.sets.rhythmic]
+        named += [*dynamic.decision.dropped_packets, *((alias[0], alias[2]) if alias else ())]
+        a, b = np.searchsorted(slots, (lo, hi))
+        window_keys = _distinct(np.concatenate([key[a:b], pack(*zip(*named))]))
+        at = np.minimum(np.searchsorted(window_keys, key), len(window_keys) - 1)
+        outside = window_keys[at] != key
+        window_rows = row_of(window_keys)
+        window_rows = window_rows[window_rows >= 0]
+    loop_slots = _distinct(np.concatenate([slots[~outside], np.fromiter(overlay, dtype=np.int64, count=len(overlay))]))
+    slot = slots[outside]
+    task = sched.task_at[slot]
+    row = row_of(key[outside])
+    return _Split(loop_slots, window_rows, overlay, vrhy, slot, task, sched.release_at[slot], sched.hop_at[slot],
+                  row, np.where(row >= 0, positions[np.searchsorted(ids, task)], -1))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.  (``np.unique`` would import
+    ``numpy.ma`` in the middle of a first run.)"""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+class _Walk(NamedTuple):
+    """The walk's transmissions, in no particular order: slot, packet-table
+    row, hop and whether the link draw succeeded; and the rows and slots of
+    the packets their last hop delivered."""
+
+    slot: np.ndarray
+    row: np.ndarray
+    hop: np.ndarray
+    ok: np.ndarray
+    done_row: np.ndarray
+    done_slot: np.ndarray
+
+
+def _independent_walk(
+    split: _Split,
+    table: _PacketTable,
+    config: SimConfig,
+    budgets: dict[int, int],
+    up: dict[tuple[str, str], np.ndarray],
+) -> _Walk:
+    """Transmissions of the packets no overlay slot can touch: those whose
+    packet-table row a static slot outside the loop carries (see
+    ``_Split``).  ``budgets`` maps each task id to the number of static
+    slots each of its packets holds, and ``up`` each link to whether its
+    draws succeed.
+
+    Hop h of a packet is sent in its eligible slots after its hop h - 1
+    success, up to and including the first whose link draw succeeds.  Under
+    TBS a slot is eligible for hop h when it is labelled h; under PBS every
+    slot is, so a slot's hop is 1 + the successes before it.
+
+    Raises PlanInvariantError when the slots do not form one block of
+    ``budgets`` slots per packet, or under TBS when a packet's hop labels
+    decrease along its slots or name no hop of its path."""
+    tbs = config.mode is SchedulingMode.TBS
+    walks: list[_Walk] = []
+    blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]] = []  # PBS: (task, rows, slots per row)
+    for i, task in enumerate(config.tasks):
+        mine = np.flatnonzero(split.position == i)
+        if not mine.size:
+            continue
+        # A packet's slots lie in [release, expiry) and a deadline is at most
+        # the period, so each packet of the task holds one block of its slots.
+        budget = budgets[task.id]
+        packets = len(mine) // budget
+        rows = split.row[mine[::budget]]
+        if (packets * budget != len(mine) or np.any(rows[1:] <= rows[:-1])
+                or np.any(split.row[mine] != np.repeat(rows, budget))):
+            raise PlanInvariantError(f"task {task.id}: a packet does not hold {budget} consecutive static slots")
+        if tbs:
+            walks.append(_tbs_walk(task, rows, split.slot[mine], split.hop[mine], budget, table, up))
+        else:
+            blocks.append((task, rows, split.slot[mine].reshape(packets, budget)))
+    if blocks:
+        walks.append(_pbs_walk(blocks, up))
+    if not walks:
+        empty = np.empty(0, dtype=np.int64)
+        return _Walk(empty, empty, empty, empty.astype(bool), empty, empty)
+    return _Walk(*[np.concatenate(column) for column in zip(*walks)])
+
+
+def _tbs_walk(
+    task: TaskSpec, rows: np.ndarray, slots: np.ndarray, labels: np.ndarray, budget: int,
+    table: _PacketTable, up: dict[tuple[str, str], np.ndarray],
+) -> _Walk:
+    """One TBS task's walk: a slot's hop is its label.  ``slots`` holds each
+    packet's ``budget`` slots in turn, ``labels`` their hop labels."""
+    hops, packets = task.hops, len(rows)
+    stride = hops + 1
+    owner = np.arange(len(slots)) // budget  # each slot's packet
+    # Packet p's slots labelled h are the run key == p * stride + h; the walk
+    # needs each run to follow the run labelled h - 1.
+    key = owner * stride + labels
+    broken = (labels < 1) | (labels > hops)
+    broken[1:] |= key[1:] < key[:-1]
+    if broken.any():
+        r = rows[owner[broken.argmax()]]
+        raise PlanInvariantError(
+            f"static slots of packet (task, release) {(task.id, int(table.release[r]))} "
+            "carry hop labels that decrease or name no hop of its path"
+        )
+    success = np.empty(len(slots), dtype=bool)
+    for h in range(1, hops + 1):
+        mask = labels == h
+        success[mask] = up[task.hop_link(h)][slots[mask]]
+    hits = np.flatnonzero(success)
+    hits = hits[np.diff(key[hits], prepend=-1) != 0]  # the first success of each run
+    first = np.full(packets * stride, len(slots))
+    first[key[hits]] = hits
+    passed = np.zeros(packets * stride, dtype=bool)
+    passed[key[hits]] = True
+    # Hops passed in a row from hop 1: the packet's final progress.
+    progress = np.cumprod(passed.reshape(packets, stride)[:, 1:], axis=1).sum(axis=1)
+    bound = first[key]
+    sent = np.flatnonzero((labels <= progress[owner] + 1) & (np.arange(len(slots)) <= bound))
+    done = progress == hops
+    return _Walk(slots[sent], rows[owner[sent]], labels[sent], sent == bound[sent],
+                 rows[done], slots[first.reshape(packets, stride)[done, hops]])
+
+
+def _pbs_walk(blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]], up: dict[tuple[str, str], np.ndarray]) -> _Walk:
+    """The PBS walk of all tasks at once: a slot's hop is 1 + the packet's
+    successes before it.  Each block holds a task, its packets' rows and
+    one row of slots per packet; shorter rows are padded."""
+    width = max(slots.shape[1] for _, _, slots in blocks)
+    count = sum(len(rows) for _, rows, _ in blocks)
+    most = max(task.hops for task, _, _ in blocks)
+    slots = np.zeros((count, width), dtype=np.int64)
+    end = np.empty(count, dtype=np.int64)  # column of each packet's last slot
+    hops = np.empty(count, dtype=np.int64)
+    rows = np.empty(count, dtype=np.int64)
+    success = np.zeros((most + 1, count, width), dtype=bool)  # per hop; hop 0 unused
+    at = 0
+    for task, task_rows, task_slots in blocks:
+        block, used = slice(at, at + len(task_rows)), slice(0, task_slots.shape[1])
+        slots[block, used] = task_slots
+        end[block], hops[block], rows[block] = task_slots.shape[1] - 1, task.hops, task_rows
+        for h in range(1, task.hops + 1):
+            success[h, block, used] = up[task.hop_link(h)][task_slots]
+        at += len(task_rows)
+    col = np.arange(width)
+    marks = np.zeros((count, width), dtype=bool)  # the successes: one per hop passed
+    stop = end.copy()  # each packet's last sent slot: its last hop's success, or its last slot
+    delivered = np.zeros(count, dtype=bool)
+    last = np.full(count, -1)  # column of the latest success; width once delivered or stuck
+    for h in range(1, most + 1):
+        hit = success[h] & (col > last[:, None])
+        found = hit.any(axis=1)
+        first = hit.argmax(axis=1)
+        packet = np.flatnonzero(found)
+        marks[packet, first[packet]] = True
+        arrived = packet[hops[packet] == h]
+        stop[arrived], delivered[arrived] = first[arrived], True
+        last = np.where(found & (hops > h), first, width)
+        if (last == width).all():
+            break
+    # A sent slot's hop is 1 + the packet's successes before it.
+    packet, column = np.nonzero(col <= stop[:, None])
+    hop = (np.cumsum(marks, axis=1) - marks + 1)[packet, column]
+    done = np.flatnonzero(delivered)
+    return _Walk(slots[packet, column], rows[packet], hop, marks[packet, column], rows[done], slots[done, stop[done]])
+
+
+def _window_loop(
+    config: SimConfig,
+    sched: Schedule,
+    split: _Split,
+    packets: dict[tuple[int, int], _Packet],
+    alias: Optional[_Alias],
+    up: dict[tuple[str, str], np.ndarray],
+    used: set[tuple[str, str]],
+) -> list[tuple]:
+    """The records of the slots in ``split.loop_slots``, in slot order.
+    ``packets`` holds the window packets by key; the loop advances their
+    progress.  Conflicting transmissions contend through the priority MAC; a
+    slot without an overlay entry has at most one sender, the holder of its
+    static entry, whose receiver expects it."""
+    horizon = sched.horizon
+    loop_slots, overlay, vrhy = split.loop_slots, split.overlay, split.vrhy
+    # Hop ``h`` of task ``tid`` is ``links[tid][h]``: (sender, receiver, the
+    # link's successes); a memoryview reads a success as a Python bool.
     links = {
-        t.id: (None, *[(s, r, memoryview(draws[(s, r)]), config.network.link_pdr(s, r))
-                       for s, r in zip(t.path, t.path[1:])])
+        t.id: (None, *[(s, r, memoryview(up[(s, r)])) for s, r in zip(t.path, t.path[1:])])
         for t in config.tasks
     }
     tbs = config.mode is SchedulingMode.TBS
@@ -579,44 +832,13 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     preempt_errors = config.mac.timing.priority_tick_us < 60
     per_draws = None
 
-    # The slot timeline: ``marks[t]`` lists the packets that expire at slot t,
-    # in (expiry, task, release) order, then the ``released`` records of the
-    # packets released at t, in packet-table order.  No packet expires past
-    # the horizon.
-    timeline: dict[int, list] = defaultdict(list)
-    for pkt in sorted(packets.values(), key=lambda p: (p.expiry, p.task, p.release)):
-        timeline[pkt.expiry].append(pkt)
-    for pkt in packets.values():
-        timeline[pkt.release].append((pkt.release, "state", pkt.task, pkt.release, "released"))
-    marks: list = [None] * (horizon + 1)
-    for slot, mark in timeline.items():
-        marks[slot] = mark
-    release_at = sched.release_at.tolist()
-    hop_at = sched.hop_at.tolist()
+    loop_records: list[tuple] = []
+    add = loop_records.append
 
-    stats = {t.id: TaskStats() for t in config.tasks}
-    add = trace.events.append
-
-    def finalize(pkt: _Packet, slot: int) -> None:
-        if pkt.terminal is not None:
-            return
-        if pkt.decided_drop:
-            pkt.terminal = "dropped"
-            stats[pkt.task].dropped += 1
-        else:
-            pkt.terminal = "missed"
-            stats[pkt.task].missed += 1
-        add((slot, "state", pkt.task, pkt.release, pkt.terminal))
-
-    def deliver(pkt: _Packet, slot: int) -> None:
-        pkt.terminal = "delivered"
-        stats[pkt.task].delivered += 1
-        add((slot, "state", pkt.task, pkt.release, "delivered"))
-
-    def tx_for(entry: tuple[int, int, int], prio: int) -> Optional[tuple]:
+    def tx_for(entry: tuple[int, int, int], prio: int, t: int) -> Optional[tuple]:
         tid, rel, hop = entry
         pkt = packets.get((tid, rel))
-        if pkt is None or pkt.terminal is not None:
+        if pkt is None or pkt.progress == pkt.hops or t >= pkt.expiry:
             return None
         if tbs and hop > 0:
             if pkt.progress != hop - 1:
@@ -625,45 +847,38 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
             hop = pkt.progress + 1
         return (*links[tid][hop], pkt, hop, prio)
 
-    alias_from = alias[1] if alias is not None else -1
+    alias_from = alias[1] if alias is not None else horizon
 
-    # A packet whose expiry mark has passed is terminal, and so is one whose
-    # last hop was delivered: the terminal check alone keeps both off the air.
-    for t, tid, mark, dyn in zip(range(horizon), sched.task_at.tolist(), marks, dynamic_at):
-        if t == alias_from:
+    # A packet is off the air once its last hop is delivered or its expiry
+    # slot has come.
+    for t, tid, rel, hop in zip(loop_slots.tolist(), sched.task_at[loop_slots].tolist(),
+                                sched.release_at[loop_slots].tolist(), sched.hop_at[loop_slots].tolist()):
+        if t >= alias_from:
             # From here on the static slots of the superseded instance carry
             # the tail of the last rhythmic packet.
             packets[alias[0]] = packets.get(alias[2])  # None if it expires past the horizon
-        if mark is not None:
-            for item in mark:
-                if isinstance(item, tuple):  # a release record
-                    stats[item[2]].released += 1
-                    add(item)
-                else:
-                    finalize(item, t)
+            alias_from = horizon
+        dyn = overlay.get(t)
 
         if dyn is None:
             # Lone sender: only the static entry's current holder can send,
             # and its receiver listens per that same entry, so delivery
             # follows the link draw alone.
-            if tid < 0:
-                continue
-            rel, hop = release_at[t], hop_at[t]
             add((t, "sched", "static", tid, rel, hop))
             pkt = packets.get((tid, rel))
-            if pkt is None or pkt.terminal is not None:
+            if pkt is None or pkt.progress == pkt.hops or t >= pkt.expiry:
                 continue
             if tbs and hop > 0:
                 if pkt.progress != hop - 1:
                     continue
             else:  # PBS: the current holder forwards
                 hop = pkt.progress + 1
-            sender, receiver, link_draws, link_pdr = links[tid][hop]
+            sender, receiver, link_up = links[tid][hop]
             add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, periodic_prio))
-            if link_draws[t] < link_pdr:
+            if link_up[t]:
                 pkt.progress += 1
                 if pkt.progress == pkt.hops:
-                    deliver(pkt, t)
+                    add((t, "state", pkt.task, pkt.release, "delivered"))
                 result = "delivered"
             else:
                 result = "lost"
@@ -672,16 +887,16 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
 
         # Overlay slot: the dynamic entry and the static one may both send.
         dyn_entry = (dyn.task, dyn.release, dyn.hop)
-        stat_entry = (tid, release_at[t], hop_at[t]) if tid >= 0 else None
+        stat_entry = (tid, rel, hop) if tid >= 0 else None
         if stat_entry is not None:
             add((t, "sched", "static", *stat_entry))
         add((t, "sched", "dynamic", *dyn_entry))
         candidates: list[tuple] = []
-        tx = tx_for(dyn_entry, rhythmic_prio)
+        tx = tx_for(dyn_entry, rhythmic_prio, t)
         if tx is not None:
             candidates.append(tx)
         if stat_entry is not None:
-            tx = tx_for(stat_entry, periodic_prio)
+            tx = tx_for(stat_entry, periodic_prio, t)
             # A route node inside the window follows the overlay; its static
             # entry executes only where the overlay kept the slot.
             if tx is not None and tx[0] not in vrhy:
@@ -689,17 +904,16 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
 
         if not candidates:
             continue
-        for sender, receiver, _, _, pkt, hop, prio in candidates:
+        for sender, receiver, _, pkt, hop, prio in candidates:
             add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, prio))
         if len(candidates) == 1:
-            _, _, link_draws, link_pdr, *_ = candidates[0]
-            outcomes = [won if link_draws[t] < link_pdr else lost]
+            outcomes = [won if candidates[0][2][t] else lost]
         else:
             if preempt_errors and per_draws is None:
                 per_draws = _link_draws(config.network, used, config.seed, horizon, stream=1)
             outcomes = _contend(candidates, t, config.mac, per_draws)
 
-        for (sender, receiver, _, _, pkt, hop, _), outcome in zip(candidates, outcomes):
+        for (sender, receiver, _, pkt, hop, _), outcome in zip(candidates, outcomes):
             if outcome is won:
                 # Delivery additionally needs the receiver to be listening per
                 # its own operative schedule.
@@ -708,16 +922,158 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
                     pkt.progress += 1
                     result = "delivered"
                     if pkt.progress == pkt.hops:
-                        deliver(pkt, t)
+                        add((t, "state", pkt.task, pkt.release, "delivered"))
                 else:
                     result = "no_listener"
             else:
                 result = results[outcome]
             add((t, "outcome", sender, pkt.task, pkt.release, hop, result))
 
-    for pkt in marks[horizon] or ():  # nothing is released at the horizon
-        finalize(pkt, horizon)
+    return loop_records
 
+
+# Merge ranks: within a slot, v1 records come in this order.  Records of a
+# loop slot keep the order the loop emitted them in.
+_EXPIRED, _RELEASED, _LOOP, _SCHED, _TX, _DELIVERED, _OUTCOME = range(7)
+_RANKS = 7
+_MERGE_SLOTS = 8192  # slots whose records are built and merged at a time; their keys fit 16 bits
+_RESULT = np.array(["lost", "delivered"], dtype=object)
+_MARK = np.array(["missed", "dropped"], dtype=object)
+
+# Records of one kind: their slots, ascending, the kind's merge rank and
+# either the records themselves, a list, or the record's values, each an
+# array with one entry per record or a single value every record shares.
+_Part = tuple[np.ndarray, int, Union[list, tuple]]
+
+
+def _merge(parts: list[_Part], horizon: int) -> list[tuple]:
+    """The records of ``parts`` in v1 order: by slot, then by rank, then in
+    their order within the part.  The records are built and merged
+    ``_MERGE_SLOTS`` slots at a time, so no temporary spans the run."""
+    edges = np.arange(0, horizon + _MERGE_SLOTS + 1, _MERGE_SLOTS)  # the last window holds the horizon
+    cuts = [np.searchsorted(slot, edges).tolist() for slot, _, _ in parts]
+    events: list[tuple] = []
+    for w in range(len(edges) - 1):
+        runs, keys = [], []
+        for (slot, rank, values), cut in zip(parts, cuts):
+            lo, hi = cut[w], cut[w + 1]
+            if lo < hi:
+                records = values[lo:hi] if isinstance(values, list) else zip(*[_column(v, lo, hi) for v in values])
+                runs.append(np.fromiter(records, dtype=object, count=hi - lo))
+                keys.append((slot[lo:hi] - edges[w]) * _RANKS + rank)
+        if runs:
+            # A window's keys fit 16 bits, which numpy sorts stably by radix.
+            order = np.argsort(np.concatenate(keys).astype(np.uint16), kind="stable")
+            events += np.concatenate(runs)[order].tolist()
+    return events
+
+
+def _column(values, lo: int, hi: int) -> Iterable:
+    """Entries lo..hi of a record value: ints from an int array, objects
+    from an object array, or the one shared value repeated."""
+    if isinstance(values, np.ndarray):
+        return values[lo:hi] if values.dtype == object else memoryview(values[lo:hi])
+    return repeat(values, hi - lo)
+
+
+def _records(
+    config: SimConfig,
+    horizon: int,
+    table: _PacketTable,
+    split: _Split,
+    delivered: np.ndarray,
+    loop_records: list[tuple],
+    walk: _Walk,
+) -> list[tuple]:
+    """The run's trace records in v1 order: the packet table's marks, the
+    loop's records, the ``sched`` records of the other static slots, and
+    the walk's transmissions and deliveries."""
+    # Every slot or release a record names is the same int object as in any
+    # other record naming that number.
+    number = np.arange(horizon + 1).astype(object)
+    marked = np.flatnonzero(~delivered)
+    marked = marked[np.lexsort((table.release[marked], table.task[marked], table.expiry[marked]))]
+    by_release = np.argsort(table.release, kind="stable")
+    by_slot = np.argsort(walk.slot)
+    at, row, hop = walk.slot[by_slot], walk.row[by_slot], walk.hop[by_slot]
+    at_number, task, release_number = number[at], table.task[row], number[table.release[row]]
+    # senders[k, h] and receivers[k, h] serve hop h of the task whose id ranks k.
+    ids = sorted(t.id for t in config.tasks)
+    by_id = {t.id: t for t in config.tasks}
+    most = max(t.hops for t in config.tasks)
+    rank = np.searchsorted(ids, task)
+    senders = np.array([[None, *by_id[i].path[:-1]] + [None] * (most - by_id[i].hops) for i in ids], dtype=object)
+    receivers = np.array([[None, *by_id[i].path[1:]] + [None] * (most - by_id[i].hops) for i in ids], dtype=object)
+    sender, receiver = senders[rank, hop], receivers[rank, hop]
+    done = np.argsort(walk.done_slot)
+    done_slot, done_row = walk.done_slot[done], walk.done_row[done]
+    return _merge([
+        (table.expiry[marked], _EXPIRED, (number[table.expiry[marked]], "state", table.task[marked],
+                                          number[table.release[marked]], _MARK[table.dropped[marked].astype(np.intp)])),
+        (table.release[by_release], _RELEASED, (number[table.release[by_release]], "state", table.task[by_release],
+                                                number[table.release[by_release]], "released")),
+        (np.array([r[0] for r in loop_records], dtype=np.int64), _LOOP, loop_records),
+        (split.slot, _SCHED, (number[split.slot], "sched", "static", split.task, number[split.release], split.hop)),
+        (at, _TX, (at_number, "tx", sender, receiver, task, release_number, hop, config.mac.periodic_priority)),
+        (done_slot, _DELIVERED, (number[done_slot], "state", table.task[done_row], number[table.release[done_row]],
+                                 "delivered")),
+        (at, _OUTCOME, (at_number, "outcome", sender, task, release_number, hop,
+                        _RESULT[walk.ok[by_slot].astype(np.intp)])),
+    ], horizon)
+
+
+def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
+    """Execute one scenario and return its trace and metrics.
+
+    ``plan`` decides the disturbance handling; then nodes on the disturbed
+    route follow the dynamic overlay inside the chosen window [enter, end
+    point) and everyone else follows the static schedule throughout.
+    Conflicting transmissions contend through the priority MAC (window
+    transmissions of the disturbed task at the high priority), deferred
+    senders do not consume their trial, and a winning transmission is
+    received only if its receiver's own operative schedule expects it.
+
+    The engine works packet by packet.  Window packets -- the rhythmic ones,
+    both keys of the tail alias, every packet with a static slot in the
+    window and every dropped one -- go through a slot loop over their static
+    slots and the overlay slots.  Every other packet is the lone sender of
+    its static slots, none of which has an overlay entry, and its receivers
+    expect it, so its transmissions follow from its link draws alone:
+    ``_independent_walk`` finds them with numpy.  The loop's records, the
+    walk's and the packet table's ``released``, ``missed`` and ``dropped``
+    marks are merged by slot into the v1 order.
+    """
+    planned = plan(config)
+    sched = planned.static.schedule
+    horizon = sched.horizon
+    dynamic = planned.dynamic
+    table, alias = _packet_table(config, dynamic, horizon)
+    split = _split(config, sched, table, dynamic, alias)
+
+    packets: dict[tuple[int, int], _Packet] = {}
+    for row in split.window_rows.tolist():
+        pkt = _Packet(row, int(table.task[row]), int(table.release[row]),
+                      int(table.expiry[row]), int(table.hops[row]))
+        packets[(pkt.task, pkt.release)] = pkt
+    window_packets = list(packets.values())  # the loop re-keys the tail alias
+    # Only links on some task's path are drawn: no other link ever sends.  A
+    # stream-0 draw is read only against its link's pdr.
+    used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
+    up = _link_draws(config.network, used, config.seed, horizon, stream=0, successes=True)
+    loop_records = _window_loop(config, sched, split, packets, alias, up, used)
+    walk = _independent_walk(
+        split, table, config, {tid: sum(rv) for tid, rv in planned.static.retry_vectors.items()}, up
+    )
+    del up  # freed before the records are built
+    delivered = np.zeros(len(table.task), dtype=bool)
+    delivered[walk.done_row] = True
+    delivered[[pkt.index for pkt in window_packets if pkt.progress == pkt.hops]] = True
+    trace = SimTrace(_records(config, horizon, table, split, delivered, loop_records, walk))
+
+    ids = sorted(t.id for t in config.tasks)
+    rank = np.searchsorted(ids, table.task)
+    counts = [np.bincount(rank[mask], minlength=len(ids)).tolist() for mask in (
+        np.ones(len(rank), dtype=bool), delivered, ~delivered & ~table.dropped, ~delivered & table.dropped)]
     decision = planned.decision
     metrics = Metrics(
         framework=config.framework,
@@ -730,7 +1086,8 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         dropped_transmissions=decision.slot_count if decision else 0,
         endpoint=dynamic.end_point if dynamic else None,
         periodic_in_window=planned.periodic_in_window,
-        per_task={tid: stats[tid] for tid in sorted(stats)},
+        per_task={tid: TaskStats(*c) for tid, *c in zip(ids, *counts)},
         feasible_dynamic=planned.feasible_dynamic,
     )
     return trace, metrics
+

@@ -25,7 +25,7 @@ from rtwnsim.sim import (
     plan,
     run,
 )
-from rtwnsim.dropping import CandidateTable, DropDecision
+from rtwnsim.dropping import CandidateTable, DropDecision, PlanInvariantError
 from rtwnsim import sim as sim_mod
 
 
@@ -155,9 +155,9 @@ def _count_link_draws(monkeypatch) -> list[int]:
     streams: list[int] = []
     real = sim_mod._link_draws
 
-    def counting(network, used, seed, horizon, stream):
+    def counting(network, used, seed, horizon, stream, **kwargs):
         streams.append(stream)
-        return real(network, used, seed, horizon, stream)
+        return real(network, used, seed, horizon, stream, **kwargs)
 
     monkeypatch.setattr(sim_mod, "_link_draws", counting)
     return streams
@@ -458,3 +458,38 @@ def test_empirical_delivery_tracks_reliability_math():
         stats = metrics.per_task[task.id]
         sigma = (expected * (1 - expected) / stats.released) ** 0.5
         assert stats.delivered / stats.released >= expected - 4 * sigma
+
+
+def _swap_first_labels(sched) -> None:
+    """Swap the hop labels of the first packet's first and last slots."""
+    first = int(np.flatnonzero(sched.task_at >= 0)[0])
+    slots = sched.packet_slots(int(sched.task_at[first]), int(sched.release_at[first]))
+    sched.hop_at[[slots[0], slots[-1]]] = sched.hop_at[[slots[-1], slots[0]]]
+
+
+def _move_first_slot(sched) -> None:
+    """Hand the first packet's first slot to the task's next packet."""
+    first = int(np.flatnonzero(sched.task_at >= 0)[0])
+    task = next(t for t in _testbed()[1] if t.id == sched.task_at[first])
+    sched.release_at[first] += task.period
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_first_labels, "hop labels that decrease"),
+    (_move_first_slot, "consecutive static slots"),
+], ids=["decreasing-labels", "moved-slot"])
+def test_walk_rejects_a_corrupted_static_schedule(corrupt, message, monkeypatch):
+    # The packet-wise engine reads each packet's static slots as one block,
+    # hop labels rising under TBS; a schedule that breaks either raises a
+    # typed error, not an assert that python -O strips.
+    real = sim_mod.build_static_schedule
+
+    def corrupted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        corrupt(result.schedule)
+        return result
+
+    monkeypatch.setattr(sim_mod, "build_static_schedule", corrupted)
+    net, tasks = _testbed()
+    with pytest.raises(PlanInvariantError, match=message):
+        run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300))

@@ -35,7 +35,7 @@ from rtwnsim.config import parse_scenario
 from rtwnsim.experiments import _trial_seed, make_trial
 from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
-from rtwnsim.rhythmic import disturbance_recipients
+from rtwnsim.rhythmic import disturbance_recipients, end_point_upper_bound
 from rtwnsim.sim import (
     EVENT_FIELDS,
     DisturbanceSpec,
@@ -46,6 +46,7 @@ from rtwnsim.sim import (
     SimTrace,
     TaskStats,
     _WRITE_CHUNK,
+    default_horizon,
     plan,
     run,
 )
@@ -455,22 +456,45 @@ def test_tail_takeover_matches_reference(case, framework, seed):
     assert any(slot >= dynamic.end_point for slot, _, _ in log)
 
 
+def test_marks_on_one_slot_order_by_task_id_and_table():
+    # The tasks are listed in reverse id order, with loops 1 and 2 on one
+    # release grid: their packets are released on the same slots, in table
+    # order, and the radio seed leaves one of each unserved at slot 122,
+    # where the missed marks come by task id.
+    config = _testbed_config(SchedulingMode.TBS, 20, (12, 16), 1, 40, 2, 40, 2, 2, 2, pdr=0.7, seed=118)
+    config = dataclasses.replace(config, tasks=tuple(reversed(config.tasks)))
+    trace = _assert_same_run(config)
+    marks = [(r[0], r[2], r[4]) for r in trace.events if r[1] == "state" and r[0] in (82, 122)]
+    assert [(task, event) for slot, task, event in marks if slot == 82] == [(2, "released"), (1, "released")]
+    assert [(task, event) for slot, task, event in marks if slot == 122 and event == "missed"] == [(1, "missed"), (2, "missed")]
+
+
 @st.composite
 def _small_scenarios(draw):
     """The testbed's three loops with drawn periods, phases, ramp, link
     quality, disturbance instance and engine settings.  Some carry no
-    disturbance, so that no slot of the run has an overlay entry."""
+    disturbance, so that no slot of the run has an overlay entry.  The tasks
+    are listed in a drawn order, and loops 1 and 2 may share one release
+    grid, so that packets listed out of id order are released and expire on
+    the same slots.  Some runs set an explicit horizon, from the latest end
+    point to past the default, so that packets are cut off by it or expire
+    exactly at it."""
     period = draw(st.integers(8, 20))
     ramp = tuple(sorted(draw(st.lists(st.integers(max(4, period // 2), period - 1), min_size=1, max_size=4))))
+    p1, phase1 = draw(st.sampled_from([20, 30, 40])), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        p2, phase2 = p1, phase1
+    else:
+        p2, phase2 = draw(st.sampled_from([20, 24, 40])), draw(st.integers(0, 5))
     config = _testbed_config(
         draw(st.sampled_from(list(SchedulingMode))),
         period,
         ramp,
         draw(st.integers(0, 3)),
-        draw(st.sampled_from([20, 30, 40])),
-        draw(st.integers(0, 5)),
-        draw(st.sampled_from([20, 24, 40])),
-        draw(st.integers(0, 5)),
+        p1,
+        phase1,
+        p2,
+        phase2,
         draw(st.integers(1, 4)),
         draw(st.integers(1, 4)),
         framework=draw(st.sampled_from(list(Framework))),
@@ -478,13 +502,54 @@ def _small_scenarios(draw):
         pdr=draw(st.sampled_from([1.0, 0.9, 0.7])),
         seed=draw(st.integers(0, 1000)),
     )
-    return config if draw(st.integers(0, 2)) else dataclasses.replace(config, disturbance=None)
+    if not draw(st.integers(0, 2)):
+        config = dataclasses.replace(config, disturbance=None)
+    config = dataclasses.replace(config, tasks=tuple(draw(st.permutations(config.tasks))))
+    if draw(st.booleans()):
+        event = config.event()
+        lowest = end_point_upper_bound(event, config.beta) if event is not None else 1
+        highest = default_horizon(config) + 2 * max(t.period for t in config.tasks)
+        config = dataclasses.replace(config, horizon=draw(st.integers(lowest, highest)))
+    return config
 
 
 @settings(max_examples=90, deadline=None)
 @given(_small_scenarios())
 def test_small_scenarios_match_reference(config):
     _assert_same_run(config)
+
+
+def _long_config(mode: SchedulingMode, framework: Framework, link_scale: float, required_pdr: float) -> SimConfig:
+    """The long simulate scenario, ``make_trial(0, 0.7, 8)``, over 20,000
+    slots, its link pdrs scaled by ``link_scale``."""
+    trial = make_trial(0, 0.7, 8)
+    links = tuple(dataclasses.replace(link, pdr=link.pdr * link_scale) for link in trial.network.links)
+    return SimConfig(
+        network=dataclasses.replace(trial.network, links=links),
+        tasks=trial.tasks,
+        mode=mode,
+        required_pdr=required_pdr,
+        horizon=20_000,
+        disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+        framework=framework,
+        mac=MacParams(timing=SlotTiming(priority_tick_us=60)),
+    )
+
+
+@pytest.mark.parametrize("mode, framework, link_scale, required_pdr", [
+    (SchedulingMode.TBS, Framework.FDPAS_PACKET, 1.0, 0.99),
+    (SchedulingMode.PBS, Framework.FDPAS_TRANSMISSION, 1.0, 0.99),
+    (SchedulingMode.TBS, Framework.FDPAS_PACKET, 0.7, 0.6),
+], ids=["TBS-packet", "PBS-transmission", "TBS-low-pdr"])
+def test_long_run_matches_reference(mode, framework, link_scale, required_pdr):
+    # Thousands of packets outside the window go through the packet-wise
+    # walk; with weak links and a low target, hops fail repeatedly and
+    # packets miss.
+    trace = _assert_same_run(_long_config(mode, framework, link_scale, required_pdr))
+    results = {r[-1] for r in trace.events if r[1] in ("outcome", "state")}
+    assert {"delivered", "lost", "released"} <= results
+    if link_scale < 1:
+        assert "missed" in results
 
 
 @pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
@@ -494,8 +559,8 @@ def test_unused_link_is_never_drawn(mode, monkeypatch):
     drawn: list[tuple[int, set]] = []
     real = sim_mod._link_draws
 
-    def recording(network, used, seed, horizon, stream):
-        draws = real(network, used, seed, horizon, stream)
+    def recording(network, used, seed, horizon, stream, **kwargs):
+        draws = real(network, used, seed, horizon, stream, **kwargs)
         drawn.append((stream, set(draws)))
         return draws
 
