@@ -8,6 +8,7 @@ Modules:
     dropping         packet/transmission dropping heuristics, dynamic schedules
     mac              priority-offset MAC arbitration model
     sim              disturbance planning, slot-driven simulator, metrics
+    trace            v1 trace records as columns: text renderer, flat records
     experiments      seeded trial generation and sweep aggregation
     config           YAML scenario/experiment files
     cli              generate / simulate / sweep commands

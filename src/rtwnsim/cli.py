@@ -5,8 +5,9 @@
     rtwnsim sweep --spec sweep.yaml [--out-dir DIR] [--parallel N]
 
 Exit codes: 0 on success (a run that misses its latency bound included), 2
-for a configuration or parse error, 3 for infeasible requirements; README.md
-lists each case, and every error prints one ``error:`` line to stderr.
+for a configuration or parse error or an output path that cannot be written,
+3 for infeasible requirements; README.md lists each case, and every error
+prints one ``error:`` line to stderr.
 RTWNSIM_OUT sets the default output directory.
 """
 
@@ -61,7 +62,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "tasks": len(tasks),
     }
     text = config_mod.dump_taskset(tasks, meta=meta)
-    Path(args.out).write_text(text, encoding="utf-8")
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return EXIT_OK
 
@@ -97,15 +102,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         dropped_packets=metrics.dropped_packets,
         dropped_transmissions=metrics.dropped_transmissions,
     )
-    out = _out_dir(None)
-    trace_path = Path(args.trace_out) if args.trace_out else out / "trace.txt"
-    csv_path = Path(args.csv_out) if args.csv_out else out / "metrics.csv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        trace.write(fh)
-    with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerow(record_row(record))
+    try:
+        trace_path = Path(args.trace_out) if args.trace_out else _out_dir(None) / "trace.txt"
+        csv_path = Path(args.csv_out) if args.csv_out else _out_dir(None) / "metrics.csv"
+        with open(trace_path, "w", encoding="utf-8") as fh:
+            trace.write(fh)
+        with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RECORD_COLUMNS)
+            writer.writerow(record_row(record))
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(
         f"simulated {cfg.framework.value}: success={int(metrics.success)} "
         f"drt={metrics.drt_slots} dhl={metrics.dhl_slots} dr={metrics.degradation_rate:.6f}"
@@ -126,21 +134,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = _out_dir(args.out_dir)
-    records_path = out / "records.csv"
-    agg_path = out / "aggregate.csv"
-    with open(records_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(record_row(r))
-    with open(agg_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_COLUMNS)
-        for framework, util, r_steps, alpha_mult, tick, n, sr, mean_dr in aggregate(records):
-            writer.writerow(
-                [framework, f"{util:.3f}", r_steps, alpha_mult, tick, n, f"{sr:.6f}", f"{mean_dr:.6f}"]
-            )
+    try:
+        out = _out_dir(args.out_dir)
+        records_path = out / "records.csv"
+        agg_path = out / "aggregate.csv"
+        with open(records_path, "w", newline="\n", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RECORD_COLUMNS)
+            for r in records:
+                writer.writerow(record_row(r))
+        with open(agg_path, "w", newline="\n", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(AGGREGATE_COLUMNS)
+            for framework, util, r_steps, alpha_mult, tick, n, sr, mean_dr in aggregate(records):
+                writer.writerow(
+                    [framework, f"{util:.3f}", r_steps, alpha_mult, tick, n, f"{sr:.6f}", f"{mean_dr:.6f}"]
+                )
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{len(records)} records -> {records_path}")
     print(f"aggregates -> {agg_path}")
     return EXIT_OK

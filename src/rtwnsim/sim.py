@@ -10,12 +10,10 @@ an undisturbed run.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from .static_schedule import (
 )
 from . import mac as mac_model
 from .dropping import CandidateTable, DropDecision, DynamicPlan, PlanInvariantError, generate_dynamic_schedule
+from .trace import EVENT_FIELDS, WORDS, Part, SimTrace
 
 __all__ = [
     "HorizonTooShort",
@@ -193,62 +192,6 @@ def default_horizon(config: SimConfig) -> int:
     event = config.event()
     start = end_point_upper_bound(event, config.beta) if event else max(t.phase for t in config.tasks)
     return start + slack
-
-
-# Value names of each trace event kind, in v1 line order.  A record is the
-# flat tuple ``(slot, kind, *values)`` of ints and strings only, which the
-# cyclic garbage collector untracks after its first pass over it.
-EVENT_FIELDS: dict[str, tuple[str, ...]] = {
-    "state": ("task", "release", "event"),
-    "sched": ("src", "task", "release", "hop"),
-    "tx": ("sender", "receiver", "task", "release", "hop", "prio"),
-    "outcome": ("sender", "task", "release", "hop", "result"),
-}
-# v1 line template of each kind, filled by ``%`` from a whole record.
-_LINE = {
-    kind: " ".join(["slot=%s", "kind=%s", *[f"{name}=%s" for name in names]])
-    for kind, names in EVENT_FIELDS.items()
-}
-_WRITE_CHUNK = 4096  # trace lines joined per write call
-
-
-@dataclass
-class SimTrace:
-    events: list[tuple] = field(default_factory=list)  # (slot, kind, *values)
-
-    def write(self, fh: TextIO) -> None:
-        """Write the v1 text form (one line per event) to ``fh`` in chunks,
-        without building the whole text in memory."""
-        events = self.events
-        if not events:
-            fh.write("\n")
-        for start in range(0, len(events), _WRITE_CHUNK):
-            fh.write("\n".join([_LINE[r[1]] % r for r in events[start : start + _WRITE_CHUNK]]) + "\n")
-
-    def text(self) -> str:
-        out = io.StringIO()
-        self.write(out)
-        return out.getvalue()
-
-    def packets_from(self, slot: int) -> dict[tuple[int, int], tuple]:
-        """Per-packet outcome records for packets released at/after ``slot``
-        (the post-window comparison set for resumption checks), read from
-        the events: each transmitted packet maps to its ``(slot, hop,
-        result)`` outcomes in order and its terminal ``(event, finish)``,
-        where finish is the slot after delivery and -1 otherwise."""
-        logs: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
-        terminal_of: dict[tuple[int, int], tuple[str, int]] = {}
-        for record in self.events:
-            kind = record[1]
-            if kind == "outcome":
-                t, _, _, task, release, hop, result = record
-                if release >= slot:
-                    logs.setdefault((task, release), []).append((t, hop, result))
-            elif kind == "state":
-                t, _, task, release, event = record
-                if release >= slot and event != "released":
-                    terminal_of[(task, release)] = (event, t + 1 if event == "delivered" else -1)
-        return {key: (tuple(log), terminal_of.get(key)) for key, log in logs.items()}
 
 
 @dataclass
@@ -935,45 +878,7 @@ def _window_loop(
 # Merge ranks: within a slot, v1 records come in this order.  Records of a
 # loop slot keep the order the loop emitted them in.
 _EXPIRED, _RELEASED, _LOOP, _SCHED, _TX, _DELIVERED, _OUTCOME = range(7)
-_RANKS = 7
-_MERGE_SLOTS = 8192  # slots whose records are built and merged at a time; their keys fit 16 bits
-_RESULT = np.array(["lost", "delivered"], dtype=object)
-_MARK = np.array(["missed", "dropped"], dtype=object)
-
-# Records of one kind: their slots, ascending, the kind's merge rank and
-# either the records themselves, a list, or the record's values, each an
-# array with one entry per record or a single value every record shares.
-_Part = tuple[np.ndarray, int, Union[list, tuple]]
-
-
-def _merge(parts: list[_Part], horizon: int) -> list[tuple]:
-    """The records of ``parts`` in v1 order: by slot, then by rank, then in
-    their order within the part.  The records are built and merged
-    ``_MERGE_SLOTS`` slots at a time, so no temporary spans the run."""
-    edges = np.arange(0, horizon + _MERGE_SLOTS + 1, _MERGE_SLOTS)  # the last window holds the horizon
-    cuts = [np.searchsorted(slot, edges).tolist() for slot, _, _ in parts]
-    events: list[tuple] = []
-    for w in range(len(edges) - 1):
-        runs, keys = [], []
-        for (slot, rank, values), cut in zip(parts, cuts):
-            lo, hi = cut[w], cut[w + 1]
-            if lo < hi:
-                records = values[lo:hi] if isinstance(values, list) else zip(*[_column(v, lo, hi) for v in values])
-                runs.append(np.fromiter(records, dtype=object, count=hi - lo))
-                keys.append((slot[lo:hi] - edges[w]) * _RANKS + rank)
-        if runs:
-            # A window's keys fit 16 bits, which numpy sorts stably by radix.
-            order = np.argsort(np.concatenate(keys).astype(np.uint16), kind="stable")
-            events += np.concatenate(runs)[order].tolist()
-    return events
-
-
-def _column(values, lo: int, hi: int) -> Iterable:
-    """Entries lo..hi of a record value: ints from an int array, objects
-    from an object array, or the one shared value repeated."""
-    if isinstance(values, np.ndarray):
-        return values[lo:hi] if values.dtype == object else memoryview(values[lo:hi])
-    return repeat(values, hi - lo)
+_MISSED = WORDS.index("missed")
 
 
 def _records(
@@ -984,42 +889,42 @@ def _records(
     delivered: np.ndarray,
     loop_records: list[tuple],
     walk: _Walk,
-) -> list[tuple]:
-    """The run's trace records in v1 order: the packet table's marks, the
-    loop's records, the ``sched`` records of the other static slots, and
-    the walk's transmissions and deliveries."""
-    # Every slot or release a record names is the same int object as in any
-    # other record naming that number.
-    number = np.arange(horizon + 1).astype(object)
+) -> SimTrace:
+    """The run's trace: the packet table's marks, the loop's records, the
+    ``sched`` records of the other static slots, and the walk's
+    transmissions and deliveries."""
+    nodes = sorted({node for t in config.tasks for node in t.path})
+    vocab = (*WORDS, *nodes)
+    word = {w: i for i, w in enumerate(vocab)}
     marked = np.flatnonzero(~delivered)
     marked = marked[np.lexsort((table.release[marked], table.task[marked], table.expiry[marked]))]
     by_release = np.argsort(table.release, kind="stable")
+    released = table.release[by_release]
     by_slot = np.argsort(walk.slot)
     at, row, hop = walk.slot[by_slot], walk.row[by_slot], walk.hop[by_slot]
-    at_number, task, release_number = number[at], table.task[row], number[table.release[row]]
-    # senders[k, h] and receivers[k, h] serve hop h of the task whose id ranks k.
+    task, release = table.task[row], table.release[row]
+    # senders[k, h] and receivers[k, h] are the ids of hop h's nodes of the
+    # task whose id ranks k.
     ids = sorted(t.id for t in config.tasks)
     by_id = {t.id: t for t in config.tasks}
     most = max(t.hops for t in config.tasks)
     rank = np.searchsorted(ids, task)
-    senders = np.array([[None, *by_id[i].path[:-1]] + [None] * (most - by_id[i].hops) for i in ids], dtype=object)
-    receivers = np.array([[None, *by_id[i].path[1:]] + [None] * (most - by_id[i].hops) for i in ids], dtype=object)
+    pad = [[-1] * (most - by_id[i].hops) for i in ids]
+    senders = np.array([[-1, *[word[n] for n in by_id[i].path[:-1]], *p] for i, p in zip(ids, pad)], dtype=np.intp)
+    receivers = np.array([[-1, *[word[n] for n in by_id[i].path[1:]], *p] for i, p in zip(ids, pad)], dtype=np.intp)
     sender, receiver = senders[rank, hop], receivers[rank, hop]
     done = np.argsort(walk.done_slot)
     done_slot, done_row = walk.done_slot[done], walk.done_row[done]
-    return _merge([
-        (table.expiry[marked], _EXPIRED, (number[table.expiry[marked]], "state", table.task[marked],
-                                          number[table.release[marked]], _MARK[table.dropped[marked].astype(np.intp)])),
-        (table.release[by_release], _RELEASED, (number[table.release[by_release]], "state", table.task[by_release],
-                                                number[table.release[by_release]], "released")),
-        (np.array([r[0] for r in loop_records], dtype=np.int64), _LOOP, loop_records),
-        (split.slot, _SCHED, (number[split.slot], "sched", "static", split.task, number[split.release], split.hop)),
-        (at, _TX, (at_number, "tx", sender, receiver, task, release_number, hop, config.mac.periodic_priority)),
-        (done_slot, _DELIVERED, (number[done_slot], "state", table.task[done_row], number[table.release[done_row]],
-                                 "delivered")),
-        (at, _OUTCOME, (at_number, "outcome", sender, task, release_number, hop,
-                        _RESULT[walk.ok[by_slot].astype(np.intp)])),
-    ], horizon)
+    return SimTrace([
+        Part(table.expiry[marked], _EXPIRED, "state",
+              (table.task[marked], table.release[marked], table.dropped[marked].astype(np.intp) + _MISSED)),
+        Part(released, _RELEASED, "state", (table.task[by_release], released, "released")),
+        Part(np.array([r[0] for r in loop_records], dtype=np.int64), _LOOP, None, loop_records),
+        Part(split.slot, _SCHED, "sched", ("static", split.task, split.release, split.hop)),
+        Part(at, _TX, "tx", (sender, receiver, task, release, hop, config.mac.periodic_priority)),
+        Part(done_slot, _DELIVERED, "state", (table.task[done_row], table.release[done_row], "delivered")),
+        Part(at, _OUTCOME, "outcome", (sender, task, release, hop, walk.ok[by_slot].astype(np.intp))),
+    ], vocab, horizon)
 
 
 def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
@@ -1041,7 +946,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     expect it, so its transmissions follow from its link draws alone:
     ``_independent_walk`` finds them with numpy.  The loop's records, the
     walk's and the packet table's ``released``, ``missed`` and ``dropped``
-    marks are merged by slot into the v1 order.
+    marks stay columns in the returned ``SimTrace``, which writes them in
+    the v1 order and merges them into flat records only when its
+    ``events`` are read.
     """
     planned = plan(config)
     sched = planned.static.schedule
@@ -1068,7 +975,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     delivered = np.zeros(len(table.task), dtype=bool)
     delivered[walk.done_row] = True
     delivered[[pkt.index for pkt in window_packets if pkt.progress == pkt.hops]] = True
-    trace = SimTrace(_records(config, horizon, table, split, delivered, loop_records, walk))
+    trace = _records(config, horizon, table, split, delivered, loop_records, walk)
 
     ids = sorted(t.id for t in config.tasks)
     rank = np.searchsorted(ids, table.task)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rtwnsim import trace as trace_mod
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
 from rtwnsim.mac import SlotTiming, priority_levels
@@ -631,6 +632,87 @@ def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     assert (out / "trace.txt").exists()
     assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--csv-out"])
+def test_simulate_unwritable_output_exit_code(tmp_path, capsys, flag):
+    # An output file in a directory that does not exist cannot be opened.
+    paths = {"--trace-out": tmp_path / "trace.txt", "--csv-out": tmp_path / "metrics.csv"}
+    paths[flag] = tmp_path / "missing" / "out.txt"
+    argv = ["simulate", "--scenario", str(SCENARIOS / "testbed.yaml")]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(paths[flag]) in err
+
+
+_SMALL_SWEEP = "utils: [0.4]\nr_steps: [4]\nalphas: [1]\ntrials: 1\nbase_seed: 5\nframeworks: [FDPAS_PACKET]\n"
+
+
+@pytest.mark.parametrize("command, via", [
+    ("simulate", "RTWNSIM_OUT"), ("sweep", "RTWNSIM_OUT"), ("sweep", "--out-dir"),
+])
+def test_output_directory_naming_a_file_exit_code(tmp_path, capsys, monkeypatch, command, via):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(SCENARIOS / "testbed.yaml")]
+    else:
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(_SMALL_SWEEP, encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec)]
+    if via == "RTWNSIM_OUT":
+        monkeypatch.setenv("RTWNSIM_OUT", str(taken))
+    else:
+        argv += ["--out-dir", str(taken)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(taken) in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_simulate_explicit_outputs_ignore_the_default_directory(tmp_path, monkeypatch):
+    # With both output paths given, RTWNSIM_OUT is never created or read.
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    monkeypatch.setenv("RTWNSIM_OUT", str(taken))
+    assert main(["simulate", "--scenario", str(SCENARIOS / "testbed.yaml"), "--trace-out",
+                 str(tmp_path / "trace.txt"), "--csv-out", str(tmp_path / "metrics.csv")]) == EXIT_OK
+
+
+def test_generate_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "tasks.yaml"
+    rc = main(["generate", "--seed", "1", "--util", "0.3", "--network", str(SCENARIOS / "network7.yaml"),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_simulate_builds_no_record_tuples(tmp_path, monkeypatch, mode):
+    # simulate renders its trace from the engine's record columns: with the
+    # record merge broken it still exits 0 and writes the same bytes.
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(dump_scenario(dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode)),
+                        encoding="utf-8")
+
+    def simulate(tag: str) -> bytes:
+        trace = tmp_path / f"{tag}.txt"
+        assert main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
+                     "--csv-out", str(tmp_path / f"{tag}.csv")]) == EXIT_OK
+        return trace.read_bytes()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulate built record tuples")
+
+    plain = simulate("plain")
+    monkeypatch.setattr(trace_mod, "_merge", broken)
+    assert simulate("unmerged") == plain and plain.count(b"\n") > 100
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

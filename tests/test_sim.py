@@ -143,8 +143,9 @@ def test_trace_records_stay_untracked_by_the_cyclic_gc(mode, framework):
     cfg = SimConfig(network=net, tasks=tasks, mode=mode, required_pdr=0.95, seed=7, horizon=260,
                     disturbance=DisturbanceSpec(0, 3), framework=framework)
     trace, _ = run(cfg)
+    events = trace.events  # built on first read
     gc.collect()
-    assert trace.events and not any(gc.is_tracked(e) for e in trace.events)
+    assert events and not any(gc.is_tracked(e) for e in events)
     assert all(type(v) in (int, str) for e in trace.events for v in e)
     if mode is SchedulingMode.TBS and framework is Framework.FDPAS_PACKET:
         assert {e[1] for e in trace.events} == set(EVENT_FIELDS)

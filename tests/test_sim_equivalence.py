@@ -1,4 +1,5 @@
-"""The slot engine against a frozen copy of the loop it replaced.
+"""The slot engine and trace renderer against frozen copies of the loop
+and the writer they replaced.
 
 ``reference_run`` below records every event through a keyword-argument
 helper into a frozen copy of the old ``TraceEvent`` (``(slot, kind,
@@ -6,10 +7,12 @@ fields)`` with ``(name, value)`` pairs, rendered by its own f-string
 ``line``), builds a ``ContendingTx`` and calls ``mac.arbitrate_slot`` on
 every busy slot, and resolves the tail alias on each packet lookup.  The
 library engine resolves lone-sender slots from the link draw alone and
-appends flat ``(slot, kind, *values)`` tuples; decoded through
-``EVENT_FIELDS`` they must equal the reference events, and both must
-produce the same trace bytes (through ``text()`` and ``write()``) and
-metrics, and raise the same exceptions; ``packets_from(0)``, which the
+keeps its records as columns; its flat ``(slot, kind, *values)`` records,
+decoded through ``EVENT_FIELDS``, must equal the reference events, and both must
+produce the same metrics and raise the same exceptions.  The trace text,
+rendered from the engine's record columns before its records are ever
+built, must equal the reference's and the old ``%`` writer's text of the
+records (``_reference_text``); ``packets_from(0)``, which the
 library reads off the events, must equal the per-packet logs and terminal
 records the reference keeps as it runs -- on sweep trials in both modes
 under all three frameworks, on the contended testbed window at
@@ -27,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtwnsim import mac as mac_model
 from rtwnsim import sim as sim_mod
@@ -45,11 +48,11 @@ from rtwnsim.sim import (
     SimConfig,
     SimTrace,
     TaskStats,
-    _WRITE_CHUNK,
     default_horizon,
     plan,
     run,
 )
+from rtwnsim.trace import _WINDOW_SLOTS, _decimal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -70,8 +73,20 @@ def _add(events: list[TraceEvent], slot: int, kind: str, **fields: object) -> No
     events.append(TraceEvent(slot, kind, tuple(fields.items())))
 
 
-def _reference_text(events: list[TraceEvent]) -> str:
+def _frozen_text(events: list[TraceEvent]) -> str:
     return "\n".join(e.line() for e in events) + "\n"
+
+
+# The library's old trace writer, the oracle of its renderer: each kind's v1
+# line template, filled by ``%`` from a whole flat record.
+_LINE = {
+    kind: " ".join(["slot=%s", "kind=%s", *[f"{name}=%s" for name in names]])
+    for kind, names in EVENT_FIELDS.items()
+}
+
+
+def _reference_text(records: list[tuple]) -> str:
+    return "\n".join([_LINE[r[1]] % r for r in records]) + "\n"
 
 
 def _decoded(trace: SimTrace) -> list[tuple]:
@@ -360,10 +375,14 @@ def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
             run(config)
         return None
     trace, metrics = run(config)
+    # The text comes first, as ``simulate`` writes it: from the record
+    # columns, with no record tuple built.
+    text = trace.text()
+    assert "events" not in vars(trace)
+    assert text == _reference_text(trace.events)
     assert all(type(e) is tuple and len(e) == 2 + len(EVENT_FIELDS[e[1]]) for e in trace.events)
     assert _decoded(trace) == ref_events
-    text = trace.text()
-    assert text == _reference_text(ref_events)
+    assert text == _frozen_text(ref_events)
     out = io.StringIO()
     trace.write(out)
     assert out.getvalue() == text
@@ -389,9 +408,11 @@ def _sweep_config(index: int, mode: SchedulingMode, framework: Framework, tick: 
 @pytest.mark.parametrize("framework", list(Framework), ids=lambda f: f.value)
 @pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
 def test_sweep_trials_match_reference(mode, framework, tick):
-    ran = [_assert_same_run(_sweep_config(index, mode, framework, tick)) for index in range(3)]
-    # Runs long enough to span more than one write chunk.
-    assert any(t is not None and len(t.events) > _WRITE_CHUNK for t in ran)
+    configs = [_sweep_config(index, mode, framework, tick) for index in range(3)]
+    # The last run is stretched over two render windows.
+    configs[-1] = dataclasses.replace(configs[-1], horizon=2 * _WINDOW_SLOTS)
+    ran = [_assert_same_run(config) for config in configs]
+    assert ran[-1] is not None and ran[-1].events[-1][0] >= _WINDOW_SLOTS
 
 
 @pytest.mark.parametrize("tick", [30, 50, 60])
@@ -571,3 +592,60 @@ def test_unused_link_is_never_drawn(mode, monkeypatch):
     assert _assert_same_run(dataclasses.replace(base, network=network)) is not None
     assert [stream for stream, _ in drawn] == [0, 1]
     assert all(("V0", "V2") not in links and len(links) == 6 for _, links in drawn)
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_EDGES = [0, -1, 2**31 - 1, 2**31, -2**31 - 1, 2**32, 2**63 - 1, -2**63,
+          *[sign * 10**k + d for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_INT64, st.sampled_from(_EDGES)), max_size=40))
+@example(_EDGES)
+@example([])
+def test_decimal_renders_every_int64_as_str(values):
+    digits, length = _decimal(np.array(values, dtype=np.int64))
+    assert digits.dtype == np.uint8 and digits.shape[1] == len(values) and len(digits) >= length.max(initial=0)
+    assert [bytes(digits[len(digits) - n:, i]).decode() for i, n in enumerate(length.tolist())] == \
+        [str(v) for v in values]
+
+
+def _renamed(config: SimConfig, names: dict[str, str]) -> SimConfig:
+    """``config`` with every node renamed through ``names``."""
+    network = config.network
+    links = tuple(dataclasses.replace(link, src=names[link.src], dst=names[link.dst]) for link in network.links)
+    network = NetworkModel(nodes=tuple(names[n] for n in network.nodes), controller=names[network.controller],
+                           links=links)
+    tasks = tuple(dataclasses.replace(t, path=tuple(names[n] for n in t.path)) for t in config.tasks)
+    return dataclasses.replace(config, network=network, tasks=tasks)
+
+
+_NODE_NAMES = st.lists(st.text(min_size=1, max_size=6), min_size=7, max_size=7, unique=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_NODE_NAMES, st.sampled_from(list(SchedulingMode)))
+@example(["V 0", "Vé1", "V\x002", "ν3", "V4 ", "\x00", "控制"], SchedulingMode.TBS)
+@example(["V 0", "Vé1", "V\x002", "ν3", "V4 ", "\x00", "\ud800"], SchedulingMode.PBS)
+def test_any_node_name_writes_the_reference_bytes(names, mode):
+    # Spaces, non-ASCII characters, NUL bytes and a lone surrogate in node
+    # names: the renderer keeps each byte by its field's length, never by
+    # its value.
+    base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode)
+    config = _renamed(base, dict(zip(base.network.nodes, names)))
+    trace, _ = run(config)
+    text = trace.text()
+    assert text == _reference_text(trace.events)
+    assert any(name in text for name in names if "=" not in name)
+
+
+def test_a_trace_without_records_is_one_newline():
+    # Every task's first release is at the horizon, and no disturbance is set.
+    base = parse_scenario(SCENARIOS / "testbed.yaml")
+    config = dataclasses.replace(
+        base, disturbance=None, horizon=260,
+        tasks=tuple(dataclasses.replace(t, phase=260) for t in base.tasks),
+    )
+    trace, _ = run(config)
+    assert trace.text() == "\n" == _reference_text(trace.events)
+    assert trace.events == []
