@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -37,6 +38,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# glibc keeps freed heap pages resident while any small live block -- one of
+# numpy's cached small-array buffers, say -- lies above them, so a command's
+# transient peak would stay resident in an in-process caller by an amount
+# that depends on where those blocks happened to land.  ``main`` hands such
+# pages back after each command through glibc's malloc_trim, where it exists.
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+
 
 def _out_dir(explicit: str | None) -> Path:
     path = Path(explicit or os.environ.get("RTWNSIM_OUT", "."))
@@ -45,6 +53,15 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # The sweep spec's rules for base_seed, utils and required_pdr.
+    for bad, message in (
+        (args.seed < 0, f"--seed must be >= 0, got {args.seed}"),
+        (not 0 <= args.util <= 1, f"--util must lie in [0, 1], got {args.util}"),
+        (not 0 < args.required_pdr < 1, f"--required-pdr must be in (0, 1), got {args.required_pdr}"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         doc = config_mod.load_document(args.network)
         network = config_mod.parse_network(doc)
@@ -188,7 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    code = args.func(args)
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+    return code
 
 
 if __name__ == "__main__":

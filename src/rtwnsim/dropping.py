@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -50,7 +49,7 @@ __all__ = [
     "TransmissionVector",
     "DemandVector",
     "DropDecision",
-    "PeriodicPacketState",
+    "PeriodicState",
     "CandidateInputs",
     "CandidateTable",
     "DynamicPlan",
@@ -134,66 +133,57 @@ class DropDecision:
         return {slot for _, _, slot in self.dropped_slots}
 
 
-@dataclass
-class PeriodicPacketState:
-    """Mutable per-packet view used by the transmission-dropping heuristic.
+class PeriodicState:
+    """The transmission-dropping solver's view of one candidate's periodic
+    packets.
 
-    ``counts[h]`` is the number of remaining slots labelled hop ``h``; index 0
-    counts PBS slots.  It is set up from ``hops`` once and kept in step by
-    ``remove``, the only mutator, so a delivery probability costs O(hops).
+    Per packet (in ``packets`` order): its key, its path PDRs, ``counts[i][h]``,
+    the number of its slots labelled hop ``h`` (index 0 counts PBS slots), and
+    ``totals[i]``, its slot count.  Per (packet, hop label) group with a slot
+    inside some rhythmic window: its packet, its label, and its in-window
+    slots in ascending order with their window indexes, stored flat as
+    ``slots[bounds[g]:bounds[g + 1]]`` and ``windows[...]``.  The groups of
+    packet ``i`` are ``first_group[i]:first_group[i + 1]``.
+
+    Built from slot columns grouped by packet, in slot order within a
+    packet, as ``CandidateInputs.slot_groups`` holds them.  A hop label
+    outside ``0..hops`` of its packet raises ValueError.
     """
 
-    packet: PacketKey
-    path_pdrs: tuple[float, ...]
-    slots: list[int]
-    hops: list[int]  # hop label per remaining slot; 0 under PBS
-    window_of: dict[int, int]  # slot -> rhythmic window index, in-window slots only
-    counts: list[int] = field(init=False, repr=False, compare=False)
+    def __init__(self, packets: Sequence[PacketKey], path_pdrs: Sequence[tuple[float, ...]],
+                 owner: np.ndarray, slots: np.ndarray, hops: np.ndarray, windows: np.ndarray) -> None:
+        n = len(packets)
+        last = np.array([len(p) for p in path_pdrs], dtype=np.int64)  # the highest label per packet
+        bad = np.flatnonzero((hops < 0) | (hops > last[owner]))
+        if len(bad):
+            raise ValueError(f"hop labels must lie in 0..{last[owner[bad[0]]]}")
+        width = int(last.max(initial=0)) + 1
+        group = owner * width + hops
+        counts = np.bincount(group, minlength=n * width).reshape(n, width).tolist()
+        self.packets, self.path_pdrs = list(packets), list(path_pdrs)
+        self.counts = [row[:k + 1] for row, k in zip(counts, last.tolist())]
+        self.totals = np.bincount(owner, minlength=n).tolist()
+        inside = windows >= 0
+        order = np.argsort(group[inside], kind="stable")  # slots stay ascending in a group
+        group = group[inside][order]
+        self.slots, self.windows = slots[inside][order].tolist(), windows[inside][order].tolist()
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        self.bounds = [*starts.tolist(), len(group)]
+        packet, hop = np.divmod(group[starts], width)
+        self.group_packet, self.group_hop = packet.tolist(), hop.tolist()
+        self.first_group = np.searchsorted(packet, np.arange(n + 1)).tolist()
 
-    def __post_init__(self) -> None:
-        last = len(self.path_pdrs)  # the highest hop label
-        if self.hops and not 0 <= min(self.hops) <= max(self.hops) <= last:
-            raise ValueError(f"hop labels must lie in 0..{last}")
-        counts = [0] * (last + 1)
-        for h in self.hops:
-            counts[h] += 1
-        self.counts = counts
 
-    def _pdr(self, slot_count: int) -> float:
-        """Delivery probability of ``slot_count`` slots labelled as ``counts``."""
-        if not slot_count or slot_count < len(self.path_pdrs):
-            return 0.0
-        if self.counts[0]:
-            return packet_pdr_flexible(self.path_pdrs, slot_count)
-        per_hop = self.counts[1:]
-        if 0 in per_hop:
-            return 0.0
-        return packet_pdr(self.path_pdrs, per_hop)
-
-    def delivery_pdr(self) -> float:
-        return self._pdr(len(self.slots))
-
-    def pdr_without(self, ordinal: int) -> float:
-        hop = self.hops[ordinal]
-        self.counts[hop] -= 1
-        try:
-            return self._pdr(len(self.slots) - 1)
-        finally:
-            self.counts[hop] += 1
-
-    def remove(self, ordinal: int) -> int:
-        slot = self.slots.pop(ordinal)
-        self.counts[self.hops.pop(ordinal)] -= 1
-        return slot
-
-    def copy(self) -> PeriodicPacketState:
-        """A copy with its own slot, label and count lists.  It skips
-        ``__post_init__``: the labels were checked when this state was made,
-        and ``remove`` keeps ``counts`` in step with them."""
-        clone = object.__new__(PeriodicPacketState)
-        clone.packet, clone.path_pdrs, clone.window_of = self.packet, self.path_pdrs, self.window_of
-        clone.slots, clone.hops, clone.counts = self.slots[:], self.hops[:], self.counts[:]
-        return clone
+def _delivery_pdr(path_pdrs: tuple[float, ...], counts: list[int], slot_count: int) -> float:
+    """Delivery probability of ``slot_count`` slots labelled as ``counts``."""
+    if not slot_count or slot_count < len(path_pdrs):
+        return 0.0
+    if counts[0]:
+        return packet_pdr_flexible(path_pdrs, slot_count)
+    per_hop = counts[1:]
+    if 0 in per_hop:
+        return 0.0
+    return packet_pdr(path_pdrs, per_hop)
 
 
 # Per-plan table of delivery probabilities: (path PDRs, per-hop counts) ->
@@ -287,34 +277,12 @@ def build_transmission_vectors(inputs: CandidateInputs) -> list[TransmissionVect
 
 def build_periodic_state(
     inputs: CandidateInputs, tasks: Sequence[TaskSpec], network: NetworkModel
-) -> list[PeriodicPacketState]:
-    """One fresh ``PeriodicPacketState`` per periodic packet of ``inputs``,
-    sliced from its slot groups."""
-    by_id = {t.id: t for t in tasks}
-    periodic = inputs.sets.periodic
-    owner, slots, hops, windows = inputs.slot_groups
-    inside = windows >= 0
-    packets = np.arange(len(periodic) + 1)
-    bounds = np.searchsorted(owner, packets).tolist()
-    in_bounds = np.searchsorted(owner[inside], packets).tolist()
-    slots_all, hops_all = slots.tolist(), hops.tolist()
-    slots_in, windows_in = slots[inside].tolist(), windows[inside].tolist()
-    path_pdrs: dict[int, tuple[float, ...]] = {}
-    state: list[PeriodicPacketState] = []
-    for i, (task_id, release) in enumerate(periodic):
-        if task_id not in path_pdrs:
-            path_pdrs[task_id] = tuple(network.path_pdrs(by_id[task_id].path))
-        lo, hi, in_lo, in_hi = bounds[i], bounds[i + 1], in_bounds[i], in_bounds[i + 1]
-        state.append(
-            PeriodicPacketState(
-                packet=(task_id, release),
-                path_pdrs=path_pdrs[task_id],
-                slots=slots_all[lo:hi],
-                hops=hops_all[lo:hi],
-                window_of=dict(zip(slots_in[in_lo:in_hi], windows_in[in_lo:in_hi])),
-            )
-        )
-    return state
+) -> PeriodicState:
+    """The grouped ``PeriodicState`` of the periodic packets of ``inputs``,
+    built from its slot groups."""
+    periodic, paths = inputs.sets.periodic, {t.id: t.path for t in tasks}
+    path_pdrs = {task_id: tuple(network.path_pdrs(paths[task_id])) for task_id in {t for t, _ in periodic}}
+    return PeriodicState(periodic, [path_pdrs[task_id] for task_id, _ in periodic], *inputs.slot_groups)
 
 
 def greedy_drop_packets(
@@ -367,7 +335,7 @@ def greedy_drop_packets(
 
 def drop_transmissions(
     demand: DemandVector,
-    state: Sequence[PeriodicPacketState],
+    state: PeriodicState,
     required_pdr: float,
     mode: SchedulingMode = SchedulingMode.TBS,
     table: Optional[PdrTable] = None,
@@ -376,23 +344,25 @@ def drop_transmissions(
 
     A candidate is a still-assigned periodic slot inside the window of a
     rhythmic packet that still needs slots.  Its key is ``(delta, release,
-    task, slot)``, where ``delta = delivery_pdr() - pdr_without(ordinal)`` is
-    the drop in its packet's delivery probability were it removed; the
-    slots of one packet and hop label share a delta.  Under PBS a packet's
-    slots are interchangeable (hop label 0 on every slot; any other label
-    raises ``ValueError``).  Each round drops the smallest key's slot and
-    decrements its window's residual demand, until no residual is left.
+    task, slot)``, where ``delta`` is the drop in its packet's delivery
+    probability were it removed; the slots of one packet and hop label share
+    a delta.  Under PBS a packet's slots are interchangeable (hop label 0 on
+    every slot; any other label raises ``ValueError``).  Each round drops
+    the smallest key's slot and decrements its window's residual demand,
+    until no residual is left.
 
-    The heap holds one key per (packet, hop label) group: the group's delta
-    and its earliest slot in a needy window.  A drop changes only its own
-    packet: that packet's version is bumped and its groups are pushed with
-    fresh deltas, and every other key stays exact.  A popped entry is
-    discarded when its packet's version is stale.  When its window's
-    residual is already 0, the group's earliest needy slot has moved later
-    (residuals only decrease, so a satisfied window never needs slots
-    again), and the group is pushed again with the same delta and its next
-    needy slot, if any.  Keys only grow, so the lazy heap pops the same
-    minimum a full rescan of every slot of every packet would.
+    Each (packet, hop label) group keeps a cursor on its in-window slots
+    and has one key on the heap: its delta and the slot under the cursor,
+    its earliest slot in a needy window.  Residuals only decrease, so a
+    satisfied window never needs slots again and a cursor only moves on.
+    A drop changes only its own packet: the dropped slot is its group's
+    cursor slot, the packet's version is bumped and its groups are pushed
+    with fresh deltas, and every other key stays exact.  A popped entry is
+    discarded when its packet's version is stale; when its window is
+    already satisfied, the group's cursor moves on to its next needy slot,
+    if any, which is pushed with the same delta.  Keys only grow, so the
+    lazy heap pops the same minimum a full rescan of every slot of every
+    packet would.  ``state`` is left as it was.
 
     Delivery probabilities and deltas come from ``table``, keyed by a
     packet's ``(path_pdrs, counts)``: each entry holds the delivery PDR and,
@@ -410,65 +380,73 @@ def drop_transmissions(
     if needed == 0:
         return DropDecision(level="transmission")
 
-    if mode is SchedulingMode.PBS and any(p.counts[0] != len(p.hops) for p in state):
+    if mode is SchedulingMode.PBS and any(c[0] != n for c, n in zip(state.counts, state.totals)):
         raise ValueError("PBS packet states carry hop label 0 on every slot")
     if table is None:
         table = {}
-    packets = [p.copy() for p in state]
+    packets, path_pdrs = state.packets, state.path_pdrs
+    counts, totals = [c[:] for c in state.counts], state.totals[:]
+    bounds, slots, windows = state.bounds, state.slots, state.windows
+    cursor = bounds[:-1]  # each group's earliest slot that may be needy
+    group_packet, group_hop, first_group = state.group_packet, state.group_hop, state.first_group
     version = [0] * len(packets)
-    # (delta, release, task, slot, packet index, version, ordinal, window)
-    heap: list[tuple[float, int, int, int, int, int, int, int]] = []
+    heap: list[tuple[float, int, int, int, int, int]] = []  # (delta, release, task, slot, group, version)
 
-    def lookup(packet: PeriodicPacketState) -> tuple[float, dict[int, float]]:
-        key = (packet.path_pdrs, tuple(packet.counts))
+    def lookup(idx: int) -> tuple[float, dict[int, float]]:
+        key = (path_pdrs[idx], tuple(counts[idx]))
         found = table.get(key)
         if found is None:
-            found = table[key] = (packet.delivery_pdr(), {})
+            found = table[key] = (_delivery_pdr(path_pdrs[idx], counts[idx], totals[idx]), {})
         return found
 
-    def push_groups(idx: int, only: Optional[int] = None, delta: float = 0.0) -> None:
-        """Push each hop group of packet ``idx`` on its earliest needy slot,
-        or only group ``only``, whose delta is already known."""
-        packet = packets[idx]
-        window_of, hops = packet.window_of, packet.hops
-        earliest: dict[int, tuple[int, int, int]] = {}  # hop -> (slot, ordinal, window)
-        for ordinal, slot in enumerate(packet.slots):
-            w = window_of.get(slot)
-            if w is None or residual[w] == 0:
+    def push_groups(idx: int) -> None:
+        """Push each group of packet ``idx`` on its earliest needy slot, if
+        it has one left."""
+        deltas = None
+        task, release = packets[idx]
+        for g in range(first_group[idx], first_group[idx + 1]):
+            c, end = cursor[g], bounds[g + 1]
+            while c < end and not residual[windows[c]]:
+                c += 1
+            cursor[g] = c
+            if c == end:
                 continue
-            hop = hops[ordinal]
-            if (only is None or hop == only) and (hop not in earliest or slot < earliest[hop][0]):
-                earliest[hop] = (slot, ordinal, w)
-        if not earliest:
-            return
-        task, release = packet.packet
-        if only is not None:
-            slot, ordinal, w = earliest[only]
-            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
-            return
-        current, deltas = lookup(packet)
-        for hop, (slot, ordinal, w) in earliest.items():
+            if deltas is None:
+                current, deltas = lookup(idx)
+            hop = group_hop[g]
             delta = deltas.get(hop)
             if delta is None:
-                delta = deltas[hop] = current - packet.pdr_without(ordinal)
-            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
+                held = counts[idx]
+                held[hop] -= 1
+                delta = deltas[hop] = current - _delivery_pdr(path_pdrs[idx], held, totals[idx] - 1)
+                held[hop] += 1
+            heapq.heappush(heap, (delta, release, task, slots[c], g, version[idx]))
 
     for idx in range(len(packets)):
         push_groups(idx)
     dropped: list[tuple[int, int, int]] = []
-    touched: set[PacketKey] = set()
+    touched: set[int] = set()
     while True:
         if not heap:
             raise CandidateInfeasible("no periodic transmission can cover the remaining demand")
-        delta, release, task, slot, idx, ver, ordinal, window = heapq.heappop(heap)
+        delta, release, task, slot, g, ver = heapq.heappop(heap)
+        idx = group_packet[g]
         if ver != version[idx]:
             continue
-        if residual[window] == 0:
-            push_groups(idx, packets[idx].hops[ordinal], delta)
+        c, end = cursor[g], bounds[g + 1]
+        window = windows[c]
+        if residual[window] == 0:  # move on to the group's next needy slot, if any
+            while c < end and not residual[windows[c]]:
+                c += 1
+            cursor[g] = c
+            if c < end:
+                heapq.heappush(heap, (delta, release, task, slots[c], g, ver))
             continue
-        packets[idx].remove(ordinal)
+        cursor[g] = c + 1
+        counts[idx][group_hop[g]] -= 1
+        totals[idx] -= 1
         dropped.append((task, release, slot))
-        touched.add((task, release))
+        touched.add(idx)
         residual[window] -= 1
         needed -= 1
         if needed == 0:
@@ -476,10 +454,9 @@ def drop_transmissions(
         version[idx] += 1
         push_groups(idx)
 
-    final = {p.packet: p for p in packets}
     degradations = tuple(
-        (key, pdr_degradation(required_pdr, lookup(final[key])[0]))
-        for key in sorted(touched, key=lambda k: (k[1], k[0]))
+        (packets[idx], pdr_degradation(required_pdr, lookup(idx)[0]))
+        for idx in sorted(touched, key=lambda i: (packets[i][1], packets[i][0]))
     )
     return DropDecision(
         level="transmission",
@@ -491,19 +468,34 @@ def drop_transmissions(
 
 @dataclass
 class DynamicPlan:
-    """Chosen end point, drop decision and the dynamic slot overlay."""
+    """Chosen end point, drop decision and the dynamic slot overlay.
+
+    The overlay is three arrays, ascending by slot: each overlay slot, the
+    release of the rhythmic packet it carries and its hop label (the rows of
+    one int64 block); every entry belongs to the disturbed task.  Plans
+    compare without them: the overlay follows from the other fields and the
+    static schedule.
+    """
 
     event: DisturbanceEvent
     window: RhythmicWindow
     sets: ActivePacketSets
     decision: DropDecision
-    overlay: dict[int, SlotAssignment]
+    overlay_slots: np.ndarray = field(compare=False)
+    overlay_releases: np.ndarray = field(compare=False)
+    overlay_hops: np.ndarray = field(compare=False)
     evaluations: tuple[tuple[int, Optional[float]], ...]
     retry_vector: tuple[int, ...]  # per-hop budget of each full-demand rhythmic packet
 
     @property
     def end_point(self) -> int:
         return self.window.end
+
+    @cached_property
+    def overlay(self) -> dict[int, SlotAssignment]:
+        """The overlay as ``{slot: SlotAssignment}``, built at first read."""
+        columns = (self.overlay_slots.tolist(), self.overlay_releases.tolist(), self.overlay_hops.tolist())
+        return {slot: SlotAssignment(self.event.task_id, release, hop) for slot, release, hop in zip(*columns)}
 
 
 class CandidateTable:
@@ -579,10 +571,11 @@ def generate_dynamic_schedule(
 
     Each candidate's active sets, demand vector and grouped periodic slots
     come from ``table``: the packet level counts transmission vectors from
-    them and the transmission level slices packet states.  A trial's two
-    FD-PaS plans share one table, made for the same arguments (ValueError
-    otherwise); without one, this plan makes its own.  No table outlives
-    its trial.
+    them and the transmission level groups them into a ``PeriodicState``.  A
+    trial's two FD-PaS plans share one table, made for the same arguments
+    (ValueError otherwise); without one, this plan makes its own.  No table
+    outlives its trial.  The overlay is stored as slot arrays; no command
+    reads ``DynamicPlan.overlay``.
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
@@ -625,47 +618,48 @@ def generate_dynamic_schedule(
         )
     _, end_point, sets, decision = best
 
-    overlay: dict[int, SlotAssignment] = {}
-    freed = decision.freed_slots(static)
+    # Each rhythmic packet takes the first ``need`` usable slots of its
+    # window; the windows are sorted and disjoint, so one ascending list of
+    # the usable slots of their span serves them all.
+    rhythmic = sets.rhythmic
+    lo, hi = rhythmic[0].release, rhythmic[-1].deadline
+    span = static.task_at[lo:hi]
+    usable = (span == -1) | (span == event.task_id)
+    freed = np.fromiter(decision.freed_slots(static), dtype=np.int64)
+    usable[freed[(freed >= lo) & (freed < hi)] - lo] = True
+    usable = np.flatnonzero(usable) + lo
+    edges = np.searchsorted(usable, [t for entry in rhythmic for t in entry.window]).tolist()
     last_stepped = event.enter_slot + sum(event.periods[:-1])
-    for entry in sets.rhythmic:
+    picks, needs, labels = [], [], []  # positions in ``usable``, demands, hop labels
+    for entry, first, stop in zip(rhythmic, edges[::2], edges[1::2]):
         need = resolved_demand(entry, full_demand)
-        lo, hi = entry.window
-        chosen = list(islice(
-            (t for t, owner in enumerate(static.task_at[lo:hi].tolist(), lo)
-             if owner == -1 or owner == event.task_id or t in freed),
-            need,
-        ))
-        if len(chosen) < need:
+        if stop - first < need:
             raise PlanInvariantError(
                 f"the drop decision left the rhythmic packet released at {entry.release} "
-                f"{len(chosen)} usable slots for a demand of {need}"
+                f"{stop - first} usable slots for a demand of {need}"
             )
+        picks.extend(range(first, first + need))
+        needs.append(need)
         if static.mode is not SchedulingMode.TBS:
-            labels = [0] * need
+            labels.extend([0] * need)
         elif entry.fixed_demand is not None:
-            labels = list(entry.prefix_hops)  # truncated packet continues a static instance
+            labels.extend(entry.prefix_hops)  # truncated packet continues a static instance
         else:
-            labels = hop_expansion(retry_vector)[:need]
-        for slot, hop in zip(chosen, labels):
-            overlay[slot] = SlotAssignment(task=event.task_id, release=entry.release, hop=hop)
+            labels.extend(hop_expansion(retry_vector)[:need])
         # The last stepped-state packet must finish inside the window it was
         # granted; its final assigned slot realizes that finish time.
-        if entry.release == last_stepped and chosen:
-            realized_finish = chosen[-1] + 1
+        if entry.release == last_stepped and need:
+            realized_finish = int(usable[first + need - 1]) + 1
             if not (realized_finish <= end_point <= upper):
                 raise PlanInvariantError(
                     f"end point {end_point} violates the completion constraint: the last "
                     f"stepped packet finishes at {realized_finish}, the bound is {upper}"
                 )
 
-    window = RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper)
+    releases = np.repeat([entry.release for entry in rhythmic], needs)
+    overlay = np.stack([usable[picks], releases, np.array(labels, dtype=np.int64)])
     return DynamicPlan(
-        event=event,
-        window=window,
-        sets=sets,
-        decision=decision,
-        overlay=overlay,
-        evaluations=tuple(evaluations),
-        retry_vector=retry_vector,
+        event=event, window=RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper),
+        sets=sets, decision=decision, overlay_slots=overlay[0], overlay_releases=overlay[1], overlay_hops=overlay[2],
+        evaluations=tuple(evaluations), retry_vector=retry_vector,
     )

@@ -519,7 +519,7 @@ class _Split(NamedTuple):
 
     loop_slots: np.ndarray
     window_rows: np.ndarray  # packet-table rows of the window packets
-    overlay: dict  # the overlay entry of each slot inside the window
+    overlay: dict  # the overlay entry (task, release, hop) of each slot inside the window
     vrhy: frozenset[str]  # the disturbed route's nodes, which follow the overlay
     slot: np.ndarray
     task: np.ndarray
@@ -563,6 +563,7 @@ def _split(
     key = pack(sched.task_at[slots], sched.release_at[slots])
     vrhy: frozenset[str] = frozenset()
     overlay: dict = {}
+    overlay_slots = np.empty(0, dtype=np.int64)
     outside = np.ones(len(slots), dtype=bool)
     window_rows = np.empty(0, dtype=np.int64)
     if dynamic is not None:
@@ -570,7 +571,11 @@ def _split(
         route = next(t for t in config.tasks if t.id == event.task_id)
         vrhy = frozenset(disturbance_recipients(route))
         lo, hi = event.enter_slot, dynamic.end_point
-        overlay = {slot: entry for slot, entry in dynamic.overlay.items() if lo <= slot < hi}
+        first, stop = np.searchsorted(dynamic.overlay_slots, (lo, hi))
+        overlay_slots = dynamic.overlay_slots[first:stop]
+        overlay = {slot: (event.task_id, release, hop) for slot, release, hop in zip(
+            overlay_slots.tolist(), dynamic.overlay_releases[first:stop].tolist(),
+            dynamic.overlay_hops[first:stop].tolist())}
         named = [(event.task_id, entry.release) for entry in dynamic.sets.rhythmic]
         named += [*dynamic.decision.dropped_packets, *((alias[0], alias[2]) if alias else ())]
         a, b = np.searchsorted(slots, (lo, hi))
@@ -579,7 +584,7 @@ def _split(
         outside = window_keys[at] != key
         window_rows = row_of(window_keys)
         window_rows = window_rows[window_rows >= 0]
-    loop_slots = _distinct(np.concatenate([slots[~outside], np.fromiter(overlay, dtype=np.int64, count=len(overlay))]))
+    loop_slots = _distinct(np.concatenate([slots[~outside], overlay_slots]))
     slot = slots[outside]
     task = sched.task_at[slot]
     row = row_of(key[outside])
@@ -801,9 +806,9 @@ def _window_loop(
             # the tail of the last rhythmic packet.
             packets[alias[0]] = packets.get(alias[2])  # None if it expires past the horizon
             alias_from = horizon
-        dyn = overlay.get(t)
+        dyn_entry = overlay.get(t)
 
-        if dyn is None:
+        if dyn_entry is None:
             # Lone sender: only the static entry's current holder can send,
             # and its receiver listens per that same entry, so delivery
             # follows the link draw alone.
@@ -829,7 +834,6 @@ def _window_loop(
             continue
 
         # Overlay slot: the dynamic entry and the static one may both send.
-        dyn_entry = (dyn.task, dyn.release, dyn.hop)
         stat_entry = (tid, rel, hop) if tid >= 0 else None
         if stat_entry is not None:
             add((t, "sched", "static", *stat_entry))

@@ -1,28 +1,280 @@
-"""Exhaustive references for the dropping heuristics.
+"""Frozen references for the dropping heuristics.
 
 The paper argues that dropping is NP-hard by embedding set cover into it,
 and it bounds the two greedy heuristics by the exhaustive optimum.  Neither
 is part of the framework, which plans with the heuristics alone, so both live
 here, next to the tests that hold the heuristics to them.
+
+``PeriodicPacketState``, ``build_periodic_state`` and ``drop_transmissions``
+are the transmission-level solver as it was before it worked on grouped
+slot arrays: one mutable state object per periodic packet, and a heap whose
+groups rescan their packet's slots for the earliest needy one.  The library
+solver must decide exactly as they do; ``to_periodic_state`` turns a list of
+hand-built packet states into the library's ``PeriodicState``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from rtwnsim.dropping import (
+    CandidateInputs,
     DemandVector,
     DropDecision,
-    PeriodicPacketState,
+    PdrTable,
+    PeriodicState,
     PlanInvariantError,
     TransmissionVector,
 )
-from rtwnsim.model import CandidateInfeasible, pdr_degradation
+from rtwnsim.model import (
+    CandidateInfeasible,
+    NetworkModel,
+    SchedulingMode,
+    TaskSpec,
+    packet_pdr,
+    packet_pdr_flexible,
+    pdr_degradation,
+)
+
+PacketKey = tuple[int, int]  # (task id, release slot)
 
 ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
+
+
+@dataclass
+class PeriodicPacketState:
+    """Mutable per-packet view used by the transmission-dropping heuristic.
+
+    ``counts[h]`` is the number of remaining slots labelled hop ``h``; index 0
+    counts PBS slots.  It is set up from ``hops`` once and kept in step by
+    ``remove``, the only mutator, so a delivery probability costs O(hops).
+    """
+
+    packet: PacketKey
+    path_pdrs: tuple[float, ...]
+    slots: list[int]
+    hops: list[int]  # hop label per remaining slot; 0 under PBS
+    window_of: dict[int, int]  # slot -> rhythmic window index, in-window slots only
+    counts: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        last = len(self.path_pdrs)  # the highest hop label
+        if self.hops and not 0 <= min(self.hops) <= max(self.hops) <= last:
+            raise ValueError(f"hop labels must lie in 0..{last}")
+        counts = [0] * (last + 1)
+        for h in self.hops:
+            counts[h] += 1
+        self.counts = counts
+
+    def _pdr(self, slot_count: int) -> float:
+        """Delivery probability of ``slot_count`` slots labelled as ``counts``."""
+        if not slot_count or slot_count < len(self.path_pdrs):
+            return 0.0
+        if self.counts[0]:
+            return packet_pdr_flexible(self.path_pdrs, slot_count)
+        per_hop = self.counts[1:]
+        if 0 in per_hop:
+            return 0.0
+        return packet_pdr(self.path_pdrs, per_hop)
+
+    def delivery_pdr(self) -> float:
+        return self._pdr(len(self.slots))
+
+    def pdr_without(self, ordinal: int) -> float:
+        hop = self.hops[ordinal]
+        self.counts[hop] -= 1
+        try:
+            return self._pdr(len(self.slots) - 1)
+        finally:
+            self.counts[hop] += 1
+
+    def remove(self, ordinal: int) -> int:
+        slot = self.slots.pop(ordinal)
+        self.counts[self.hops.pop(ordinal)] -= 1
+        return slot
+
+    def copy(self) -> PeriodicPacketState:
+        """A copy with its own slot, label and count lists.  It skips
+        ``__post_init__``: the labels were checked when this state was made,
+        and ``remove`` keeps ``counts`` in step with them."""
+        clone = object.__new__(PeriodicPacketState)
+        clone.packet, clone.path_pdrs, clone.window_of = self.packet, self.path_pdrs, self.window_of
+        clone.slots, clone.hops, clone.counts = self.slots[:], self.hops[:], self.counts[:]
+        return clone
+
+
+def build_periodic_state(
+    inputs: CandidateInputs, tasks: Sequence[TaskSpec], network: NetworkModel
+) -> list[PeriodicPacketState]:
+    """One fresh ``PeriodicPacketState`` per periodic packet of ``inputs``,
+    sliced from its slot groups."""
+    by_id = {t.id: t for t in tasks}
+    periodic = inputs.sets.periodic
+    owner, slots, hops, windows = inputs.slot_groups
+    inside = windows >= 0
+    packets = np.arange(len(periodic) + 1)
+    bounds = np.searchsorted(owner, packets).tolist()
+    in_bounds = np.searchsorted(owner[inside], packets).tolist()
+    slots_all, hops_all = slots.tolist(), hops.tolist()
+    slots_in, windows_in = slots[inside].tolist(), windows[inside].tolist()
+    path_pdrs: dict[int, tuple[float, ...]] = {}
+    state: list[PeriodicPacketState] = []
+    for i, (task_id, release) in enumerate(periodic):
+        if task_id not in path_pdrs:
+            path_pdrs[task_id] = tuple(network.path_pdrs(by_id[task_id].path))
+        lo, hi, in_lo, in_hi = bounds[i], bounds[i + 1], in_bounds[i], in_bounds[i + 1]
+        state.append(
+            PeriodicPacketState(
+                packet=(task_id, release),
+                path_pdrs=path_pdrs[task_id],
+                slots=slots_all[lo:hi],
+                hops=hops_all[lo:hi],
+                window_of=dict(zip(slots_in[in_lo:in_hi], windows_in[in_lo:in_hi])),
+            )
+        )
+    return state
+
+
+def drop_transmissions(
+    demand: DemandVector,
+    state: Sequence[PeriodicPacketState],
+    required_pdr: float,
+    mode: SchedulingMode = SchedulingMode.TBS,
+    table: Optional[PdrTable] = None,
+) -> DropDecision:
+    """Surrender individual periodic slots, cheapest reliability loss first.
+
+    A candidate is a still-assigned periodic slot inside the window of a
+    rhythmic packet that still needs slots.  Its key is ``(delta, release,
+    task, slot)``, where ``delta = delivery_pdr() - pdr_without(ordinal)`` is
+    the drop in its packet's delivery probability were it removed; the
+    slots of one packet and hop label share a delta.  Under PBS a packet's
+    slots are interchangeable (hop label 0 on every slot; any other label
+    raises ``ValueError``).  Each round drops the smallest key's slot and
+    decrements its window's residual demand, until no residual is left.
+
+    The heap holds one key per (packet, hop label) group: the group's delta
+    and its earliest slot in a needy window.  A drop changes only its own
+    packet: that packet's version is bumped and its groups are pushed with
+    fresh deltas, and every other key stays exact.  A popped entry is
+    discarded when its packet's version is stale.  When its window's
+    residual is already 0, the group's earliest needy slot has moved later
+    (residuals only decrease, so a satisfied window never needs slots
+    again), and the group is pushed again with the same delta and its next
+    needy slot, if any.  Keys only grow, so the lazy heap pops the same
+    minimum a full rescan of every slot of every packet would.
+
+    Delivery probabilities and deltas come from ``table``, keyed by a
+    packet's ``(path_pdrs, counts)``: each entry holds the delivery PDR and,
+    filled as groups ask for them, the per-label deltas.  Both are pure
+    functions of that key (PBS counts every slot at index 0, so the key also
+    fixes the slot count), so a table entry is the same float a fresh
+    evaluation gives.  ``generate_dynamic_schedule`` passes one table to
+    every candidate of a plan, where packets reach the same states again;
+    without one, each call makes its own.  A table is never kept across
+    plans: then the PDR evaluations a plan makes would depend on what ran
+    before it.
+    """
+    residual = list(demand.residual)
+    needed = sum(residual)
+    if needed == 0:
+        return DropDecision(level="transmission")
+
+    if mode is SchedulingMode.PBS and any(p.counts[0] != len(p.hops) for p in state):
+        raise ValueError("PBS packet states carry hop label 0 on every slot")
+    if table is None:
+        table = {}
+    packets = [p.copy() for p in state]
+    version = [0] * len(packets)
+    # (delta, release, task, slot, packet index, version, ordinal, window)
+    heap: list[tuple[float, int, int, int, int, int, int, int]] = []
+
+    def lookup(packet: PeriodicPacketState) -> tuple[float, dict[int, float]]:
+        key = (packet.path_pdrs, tuple(packet.counts))
+        found = table.get(key)
+        if found is None:
+            found = table[key] = (packet.delivery_pdr(), {})
+        return found
+
+    def push_groups(idx: int, only: Optional[int] = None, delta: float = 0.0) -> None:
+        """Push each hop group of packet ``idx`` on its earliest needy slot,
+        or only group ``only``, whose delta is already known."""
+        packet = packets[idx]
+        window_of, hops = packet.window_of, packet.hops
+        earliest: dict[int, tuple[int, int, int]] = {}  # hop -> (slot, ordinal, window)
+        for ordinal, slot in enumerate(packet.slots):
+            w = window_of.get(slot)
+            if w is None or residual[w] == 0:
+                continue
+            hop = hops[ordinal]
+            if (only is None or hop == only) and (hop not in earliest or slot < earliest[hop][0]):
+                earliest[hop] = (slot, ordinal, w)
+        if not earliest:
+            return
+        task, release = packet.packet
+        if only is not None:
+            slot, ordinal, w = earliest[only]
+            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
+            return
+        current, deltas = lookup(packet)
+        for hop, (slot, ordinal, w) in earliest.items():
+            delta = deltas.get(hop)
+            if delta is None:
+                delta = deltas[hop] = current - packet.pdr_without(ordinal)
+            heapq.heappush(heap, (delta, release, task, slot, idx, version[idx], ordinal, w))
+
+    for idx in range(len(packets)):
+        push_groups(idx)
+    dropped: list[tuple[int, int, int]] = []
+    touched: set[PacketKey] = set()
+    while True:
+        if not heap:
+            raise CandidateInfeasible("no periodic transmission can cover the remaining demand")
+        delta, release, task, slot, idx, ver, ordinal, window = heapq.heappop(heap)
+        if ver != version[idx]:
+            continue
+        if residual[window] == 0:
+            push_groups(idx, packets[idx].hops[ordinal], delta)
+            continue
+        packets[idx].remove(ordinal)
+        dropped.append((task, release, slot))
+        touched.add((task, release))
+        residual[window] -= 1
+        needed -= 1
+        if needed == 0:
+            break
+        version[idx] += 1
+        push_groups(idx)
+
+    final = {p.packet: p for p in packets}
+    degradations = tuple(
+        (key, pdr_degradation(required_pdr, lookup(final[key])[0]))
+        for key in sorted(touched, key=lambda k: (k[1], k[0]))
+    )
+    return DropDecision(
+        level="transmission",
+        dropped_slots=tuple(dropped),
+        degradations=degradations,
+        total_degradation=float(sum(d for _, d in degradations)),
+    )
+
+
+def to_periodic_state(state: Sequence[PeriodicPacketState]) -> PeriodicState:
+    """The library's grouped state of the packet states ``state``, each
+    packet's slots taken in ascending order."""
+    columns = np.array([
+        (idx, slot, hop, packet.window_of.get(slot, -1))
+        for idx, packet in enumerate(state)
+        for slot, hop in sorted(zip(packet.slots, packet.hops))
+    ], dtype=np.int64).reshape(-1, 4)
+    return PeriodicState([p.packet for p in state], [p.path_pdrs for p in state], *columns.T)
 
 
 def optimal_drop_oracle(

@@ -35,7 +35,6 @@ from rtwnsim.dropping import (
     DemandVector,
     TransmissionVector,
     build_demand_vector,
-    build_periodic_state,
     build_transmission_vectors,
     generate_dynamic_schedule,
     greedy_drop_packets,
@@ -44,7 +43,7 @@ from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_leve
 from rtwnsim.experiments import evaluate_trial, make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
-from dropping_reference import from_set_cover, optimal_drop_oracle
+from dropping_reference import build_periodic_state, from_set_cover, optimal_drop_oracle
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rtwnsim import cli as cli_mod, dropping, static_schedule
 from rtwnsim import trace as trace_mod
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
@@ -200,6 +202,24 @@ def test_generate_unreachable_utilization_exit_code(tmp_path, capsys):
     assert rc == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ("--util", "5", "--util must lie in [0, 1], got 5.0"),
+    ("--util", "-0.5", "--util must lie in [0, 1], got -0.5"),
+    ("--required-pdr", "0", "--required-pdr must be in (0, 1), got 0.0"),
+    ("--required-pdr", "1", "--required-pdr must be in (0, 1), got 1.0"),
+], ids=["seed_negative", "util_5", "util_negative", "required_pdr_0", "required_pdr_1"])
+def test_generate_out_of_range_argument_exit_code(tmp_path, capsys, flag, value, message):
+    # The sweep spec's rules: base_seed >= 0, utils in [0, 1], required_pdr in (0, 1).
+    args = {"--seed": "1", "--util": "0.3", "--required-pdr": "0.99", flag: value}
+    out = tmp_path / "o.yaml"
+    rc = main(["generate", *(x for pair in args.items() for x in pair),
+               "--network", str(SCENARIOS / "network7.yaml"), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -713,6 +733,66 @@ def test_simulate_builds_no_record_tuples(tmp_path, monkeypatch, mode):
     plain = simulate("plain")
     monkeypatch.setattr(trace_mod, "_merge", broken)
     assert simulate("unmerged") == plain and plain.count(b"\n") > 100
+
+
+@pytest.mark.parametrize("libc", ["glibc", "other"])
+def test_main_trims_the_heap_after_each_command(tmp_path, monkeypatch, libc):
+    # main hands freed heap pages back after every command that returns,
+    # failed ones included; a C library without malloc_trim is left alone.
+    calls = []
+    fake = types.SimpleNamespace(malloc_trim=calls.append) if libc == "glibc" else types.SimpleNamespace()
+    monkeypatch.setattr(cli_mod, "_LIBC", fake)
+    assert main(["simulate", "--scenario", str(SCENARIOS / "testbed.yaml"), "--trace-out",
+                 str(tmp_path / "t.txt"), "--csv-out", str(tmp_path / "m.csv")]) == EXIT_OK
+    assert main(["generate", "--seed", "-1", "--util", "0.5", "--network", str(SCENARIOS / "testbed.yaml"),
+                 "--out", str(tmp_path / "o.yaml")]) == EXIT_CONFIG
+    assert calls == ([0, 0] if libc == "glibc" else [])
+
+
+def _refuse_slot_assignments(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a command built a SlotAssignment")
+
+    monkeypatch.setattr(static_schedule, "SlotAssignment", refuse)
+    monkeypatch.setattr(dropping, "SlotAssignment", refuse)
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("framework", ["FDPAS_PACKET", "FDPAS_TRANSMISSION"])
+def test_simulate_builds_no_overlay_objects(tmp_path, monkeypatch, mode, framework):
+    # The planner stores its dynamic overlay as slot arrays and the engine
+    # reads them: with SlotAssignment refusing to build, simulate still exits
+    # 0 and writes the same bytes.
+    config = parse_scenario(SCENARIOS / "testbed.yaml")
+    config = dataclasses.replace(config, mode=mode, framework=Framework(framework))
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(dump_scenario(config), encoding="utf-8")
+
+    def simulate(tag: str) -> tuple[bytes, bytes]:
+        trace, metrics = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
+                     "--csv-out", str(metrics)]) == EXIT_OK
+        return trace.read_bytes(), metrics.read_bytes()
+
+    plain = simulate("plain")
+    _refuse_slot_assignments(monkeypatch)
+    assert simulate("refused") == plain and b"src=dynamic" in plain[0]
+
+
+def test_sweep_builds_no_overlay_objects(tmp_path, monkeypatch):
+    # Both FD-PaS levels plan every trial; with SlotAssignment refusing to
+    # build, sweep still exits 0 and writes the same bytes.
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text("utils: [0.5]\nr_steps: [8]\nalphas: [1, 2]\ntrials: 4\nbase_seed: 0\n", encoding="utf-8")
+
+    def sweep(tag: str) -> tuple[bytes, bytes]:
+        out = tmp_path / tag
+        assert main(["sweep", "--spec", str(spec), "--out-dir", str(out)]) == EXIT_OK
+        return (out / "records.csv").read_bytes(), (out / "aggregate.csv").read_bytes()
+
+    plain = sweep("plain")
+    _refuse_slot_assignments(monkeypatch)
+    assert sweep("refused") == plain and b"FDPAS_TRANSMISSION" in plain[0]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -28,7 +28,6 @@ from rtwnsim.dropping import (
     CandidateTable,
     DemandVector,
     DropDecision,
-    PeriodicPacketState,
     PlanInvariantError,
     TransmissionVector,
     build_demand_vector,
@@ -39,7 +38,7 @@ from rtwnsim.dropping import (
     greedy_drop_packets,
 )
 
-from dropping_reference import from_set_cover, optimal_drop_oracle
+from dropping_reference import PeriodicPacketState, from_set_cover, optimal_drop_oracle, to_periodic_state
 
 
 def _testbed():
@@ -246,7 +245,7 @@ def _single_hop_state(key, pdr, slots, window_of):
 
 def test_drop_transmissions_empty_when_satisfied():
     dv = DemandVector(required=(1,), available=(1,))
-    assert drop_transmissions(dv, [], required_pdr=0.99).dropped_slots == ()
+    assert drop_transmissions(dv, to_periodic_state([]), required_pdr=0.99).dropped_slots == ()
 
 
 def test_drop_transmissions_single_retry_surrendered():
@@ -254,7 +253,7 @@ def test_drop_transmissions_single_retry_surrendered():
     # at 0.9, degrading by 0.09 instead of the full 0.99 of a packet drop.
     dv = DemandVector(required=(1,), available=(0,))
     state = [_single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0})]
-    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
     assert len(decision.dropped_slots) == 1
     assert decision.total_degradation == pytest.approx(0.09)
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.09)
@@ -269,7 +268,7 @@ def test_drop_transmissions_picks_cheapest_first():
         _single_hop_state((2, 0), 0.9, [11, 12], {11: 0, 12: 0}),
     ]
     # dropping (1,0)'s only slot kills it entirely (delta 0.8 > 0.09)
-    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
     assert decision.dropped_slots[0][0] == 2
     assert decision.total_degradation == pytest.approx(0.09)
 
@@ -281,7 +280,7 @@ def test_drop_transmissions_unselectable_slots_are_skipped():
         _single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0}),  # window 0: satisfied
         _single_hop_state((2, 0), 0.7, [20, 21], {20: 1, 21: 1}),
     ]
-    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
     assert all(slot in (20, 21) for _, _, slot in decision.dropped_slots)
 
 
@@ -293,7 +292,7 @@ def test_drop_transmissions_timing_violation_degrades_fully():
         PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11],
                             hops=[1, 2], window_of={10: 0, 11: 0}),
     ]
-    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
     assert len(decision.dropped_slots) == 2
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99)
 
@@ -302,7 +301,7 @@ def test_drop_transmissions_infeasible():
     dv = DemandVector(required=(2,), available=(0,))
     state = [_single_hop_state((1, 0), 0.9, [10], {10: 0})]
     with pytest.raises(CandidateInfeasible):
-        drop_transmissions(dv, state, required_pdr=0.99)
+        drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
 
 
 def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
@@ -314,7 +313,7 @@ def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
     two_hop = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.5, 0.5), slots=[10, 11, 20, 21],
                                   hops=[1, 2, 1, 2], window_of={10: 0, 11: 0, 20: 1, 21: 1})
     state = [two_hop, _single_hop_state((2, 0), 0.9, [5, 6], {5: 0, 6: 0})]
-    decision = drop_transmissions(dv, state, required_pdr=0.99)
+    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
     assert decision.dropped_slots == ((2, 0, 5), (1, 0, 20))
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99 - 0.5 * 0.75)
 
@@ -326,7 +325,7 @@ def test_drop_transmissions_pbs_selects_packet_granularity():
                             hops=[0, 0, 0], window_of={10: 0, 11: 0, 12: 0})
     b = PeriodicPacketState(packet=(2, 0), path_pdrs=(0.6, 0.6), slots=[13, 14, 15],
                             hops=[0, 0, 0], window_of={13: 0, 14: 0, 15: 0})
-    decision = drop_transmissions(dv, [a, b], required_pdr=0.99, mode=SchedulingMode.PBS)
+    decision = drop_transmissions(dv, to_periodic_state([a, b]), required_pdr=0.99, mode=SchedulingMode.PBS)
     # the sturdier packet loses a slot more cheaply
     assert decision.dropped_slots == ((1, 0, 10),)
 
@@ -337,7 +336,7 @@ def test_drop_transmissions_pbs_rejects_hop_labels():
     state = [PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
                                  hops=[1, 1, 2], window_of={10: 0, 11: 0, 12: 0})]
     with pytest.raises(ValueError, match="hop label 0"):
-        drop_transmissions(dv, state, required_pdr=0.99, mode=SchedulingMode.PBS)
+        drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99, mode=SchedulingMode.PBS)
 
 
 @st.composite
@@ -368,14 +367,15 @@ def _small_transmission_instances(draw, mode):
 
 
 def _check_against_transmission_oracle(demand, state, mode):
-    before = [(list(p.slots), list(p.hops)) for p in state]
+    grouped = to_periodic_state(state)
+    before = {k: repr(v) for k, v in vars(grouped).items()}
     try:
-        decision = drop_transmissions(demand, state, required_pdr=0.99, mode=mode)
+        decision = drop_transmissions(demand, grouped, required_pdr=0.99, mode=mode)
     except CandidateInfeasible:
         with pytest.raises(CandidateInfeasible):
             optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99)
         return
-    assert [(p.slots, p.hops) for p in state] == before  # the input is left as it was
+    assert {k: repr(v) for k, v in vars(grouped).items()} == before  # the input is left as it was
     window_of = {(p.packet, s): w for p in state for s, w in p.window_of.items()}
     covered = Counter(window_of[((task, release), s)] for task, release, s in decision.dropped_slots)
     assert [covered[w] for w in range(len(demand.residual))] == list(demand.residual)
@@ -565,6 +565,21 @@ def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
                         lambda demand, vectors, required_pdr: DropDecision(level="packet"))
     with pytest.raises(PlanInvariantError, match=r"usable slots for a demand of 8$"):
         generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="packet")
+
+
+@pytest.mark.parametrize("level", ["packet", "transmission"])
+def test_overlay_rejects_a_plan_that_breaks_the_completion_bound(monkeypatch, level):
+    # Fault injection: with the latency bound moved to the window's start,
+    # the chosen end point and the last stepped packet's realized finish
+    # both lie past it.
+    net, tasks = _testbed()
+    event = DisturbanceEvent.from_task(tasks[0], 3)
+    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
+    monkeypatch.setattr(dropping, "end_point_upper_bound", lambda event, beta: event.enter_slot)
+    message = (rf"^end point \d+ violates the completion constraint: the last stepped packet "
+               rf"finishes at \d+, the bound is {event.enter_slot}$")
+    with pytest.raises(PlanInvariantError, match=message):
+        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level=level)
 
 
 def test_candidate_table_serves_only_the_plan_it_was_made_for():

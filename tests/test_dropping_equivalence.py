@@ -4,13 +4,16 @@ The references below are kept verbatim from earlier versions of the library
 and share none of its packet-state, periodic-set or solver code:
 
 * ``FrozenPacketState`` recounts hop labels on every delivery probability and
-  builds a probe object per ``pdr_without``; the library's
+  builds a probe object per ``pdr_without``; ``dropping_reference``'s
   ``PeriodicPacketState`` keeps per-hop counts instead.
 * ``reference_drop_transmissions`` recomputes every periodic packet's delivery
-  probability and per-hop deltas on every round, on frozen packet states; the
-  library solver keeps one lazy heap key per (packet, hop label) and reads
-  delivery probabilities and deltas from a table that every candidate of a
-  plan shares.
+  probability and per-hop deltas on every round, on frozen packet states.
+  ``dropping_reference.drop_transmissions``, the oracle of the grouped
+  solver, keeps one lazy heap key per (packet, hop label) on per-packet
+  states and rescans a packet's slots for a group's earliest needy one; the
+  library solver keeps one cursor per group on grouped slot arrays.  Both
+  read delivery probabilities and deltas from a table that every candidate
+  of a plan shares.
 * ``frozen_periodic_keys``, ``frozen_build_periodic_state`` and
   ``frozen_build_transmission_vectors`` are the per-candidate builders as
   they were before they shared per-plan or per-trial work: a Python loop
@@ -19,16 +22,19 @@ and share none of its packet-state, periodic-set or solver code:
   the candidate window.  The library builds both solver inputs from one
   grouped pass over a candidate's periodic packets.
 * ``reference_plan`` is ``generate_dynamic_schedule`` assembled from those
-  references, with the slot-by-slot scan for usable overlay slots.
+  references, with the slot-by-slot scan for usable overlay slots and the
+  overlay built as ``SlotAssignment`` objects.
 
 Each must agree with the library exactly (same floats, same orders, same
 exceptions) on every end-point candidate of seeded sweep-style and
 constraint-suite trials, under TBS and PBS.  The solver must also decide the
 same with a table shared by a plan's candidates as with a fresh one per call,
 and the two FD-PaS levels planned through one per-trial candidate table must
-give the plans each level gives with a table of its own.
+give the plans each level gives with a table of its own.  Against its oracle,
+the grouped solver must also fill the same table with the same number of
+delivery-probability evaluations.
 """
-
+import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -39,12 +45,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rtwnsim import dropping
 from rtwnsim.dropping import (
     CandidateInputs,
     CandidateTable,
+    DemandVector,
     DropDecision,
     DynamicPlan,
-    PeriodicPacketState,
+    PeriodicState,
     PlanInvariantError,
     TransmissionVector,
     build_demand_vector,
@@ -54,7 +62,7 @@ from rtwnsim.dropping import (
     generate_dynamic_schedule,
     greedy_drop_packets,
 )
-from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell
+from rtwnsim.experiments import ExperimentSpec, _trial_seed, evaluate_trial, make_trial, run_cell
 from rtwnsim.model import (
     CandidateInfeasible,
     DisturbanceInfeasible,
@@ -73,8 +81,11 @@ from rtwnsim.rhythmic import (
     end_point_upper_bound,
     resolved_demand,
 )
-from rtwnsim.sim import Framework
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, build_static
 from rtwnsim.static_schedule import SlotAssignment, build_static_schedule, hop_expansion
+
+import dropping_reference as oracle
+from dropping_reference import PeriodicPacketState, to_periodic_state
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -376,6 +387,7 @@ def _plan_outcome(event, static, trial, level):
     args = (event, static, trial.tasks, trial.network, REQUIRED_PDR, BETA, level)
     try:
         plan = generate_dynamic_schedule(*args)
+        assert (np.diff(plan.overlay_slots) > 0).all()  # ascending, as the engine's split reads them
         got = ("ok", plan.evaluations, plan.decision, plan.overlay)
     except (DisturbanceInfeasible, PlanInvariantError, ValueError) as exc:
         got = ("raised", type(exc), str(exc))
@@ -408,14 +420,17 @@ def _compare_trial(trial, mode, horizon):
         inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
         assert build_transmission_vectors(inputs) == frozen_build_transmission_vectors(sets, schedule), \
             f"{where}, candidate {candidate}"
-        state = build_periodic_state(inputs, trial.tasks, trial.network)
+        packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
-        assert [_fields(p) for p in state] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
+        assert [_fields(p) for p in packets] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
+        state = build_periodic_state(inputs, trial.tasks, trial.network)
+        assert vars(state) == vars(to_periodic_state(packets)), f"{where}, candidate {candidate}"
         demand = build_demand_vector(sets, schedule, full_demand)
         assert inputs.demand == demand
         if demand.satisfied:
             continue
         expected = _outcome(reference_drop_transmissions, demand, frozen, mode)
+        assert _outcome(oracle.drop_transmissions, demand, packets, mode) == expected
         got = _outcome(drop_transmissions, demand, state, mode)
         assert got == expected, f"{where}, candidate {candidate}"
         compared += 1
@@ -458,10 +473,11 @@ def test_matches_reference_on_constraint_suite_trials(mode):
 
 def _planned(event, schedule, trial, level, table=None):
     try:
-        return generate_dynamic_schedule(event, schedule, trial.tasks, trial.network, REQUIRED_PDR,
+        plan = generate_dynamic_schedule(event, schedule, trial.tasks, trial.network, REQUIRED_PDR,
                                          BETA, level, table=table)
     except (DisturbanceInfeasible, ValueError) as exc:
         return ("raised", type(exc), str(exc))
+    return plan, plan.overlay  # plans compare without their overlay arrays
 
 
 @pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
@@ -483,7 +499,7 @@ def test_levels_planned_through_one_table_match_levels_planned_alone(mode):
             for level in order:
                 shared = _planned(event, schedule, trial, level, table)
                 assert shared == alone[level], f"seed {trial.seed}, {mode.value}, {level} after {order}"
-                planned += isinstance(shared, DynamicPlan)
+                planned += isinstance(shared[0], DynamicPlan)
     assert planned > 100
 
 
@@ -562,8 +578,7 @@ def test_matches_reference_on_known_pbs_rounding_error():
     # under PBS with the simulator's default horizon: packet_pdr_flexible
     # returns 1.0000000000000002 for a touched packet and pdr_degradation
     # raises.  The library must raise the same error.
-    from rtwnsim.experiments import _trial_seed
-    from rtwnsim.sim import DisturbanceSpec, SimConfig, default_horizon
+    from rtwnsim.sim import default_horizon
 
     raised = 0
     for i in (20, 31):
@@ -572,3 +587,161 @@ def test_matches_reference_on_known_pbs_rounding_error():
                            disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
         raised += _compare_trial(trial, SchedulingMode.PBS, default_horizon(config))[1]
     assert raised > 0
+
+
+# ------------------------------------------------ grouped solver vs its oracle
+
+@contextlib.contextmanager
+def _counted_pdr_calls():
+    """Count the delivery-probability evaluations of the library solver and
+    of its oracle, each through its own module's bindings."""
+    calls = {"library": 0, "oracle": 0}
+    saved = []
+    for module, side in ((dropping, "library"), (oracle, "oracle")):
+        for name in ("packet_pdr", "packet_pdr_flexible"):
+            fn = getattr(module, name)
+            saved.append((module, name, fn))
+
+            def counted(*args, _fn=fn, _side=side):
+                calls[_side] += 1
+                return _fn(*args)
+
+            setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
+def _solve_both(demand, packets, state, mode, library, reference):
+    """The outcomes of the library solver on ``state`` and of its oracle on
+    ``packets``, each with its own table."""
+    got = _outcome(functools.partial(drop_transmissions, table=library), demand, state, mode)
+    expected = _outcome(functools.partial(oracle.drop_transmissions, table=reference), demand, packets, mode)
+    return got, expected
+
+
+def compare_sweep_cell_with_oracle(base_seed, trials, mode):
+    """Plan the first ``trials`` trials of the sweep cell (util 0.5, eight
+    ramp steps, tick 60) at ``base_seed`` at the transmission level over the
+    sweep's horizon.  Each unsatisfied end-point candidate is solved by the
+    library solver and by its oracle, each with one table per plan as the
+    planner keeps it: both must give the same decision or exception, fill
+    the same table and evaluate as many delivery probabilities.  The plan
+    must then report the oracle's cost for every candidate and choose the
+    oracle's decision at its end point, or raise as the oracle did.  Returns
+    how many candidates were compared."""
+    compared = 0
+    for index in range(trials):
+        trial = make_trial(_trial_seed(base_seed, 0.5, 8, 60, index), 0.5, 8, required_pdr=REQUIRED_PDR)
+        config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, required_pdr=REQUIRED_PDR,
+                           beta=BETA, framework=Framework.FDPAS_TRANSMISSION,
+                           disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
+        event, schedule = config.event(), build_static(config).schedule
+        table = CandidateTable(event, schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
+        where = f"base seed {base_seed}, trial {index}, {mode.value}"
+        library, reference = {}, {}
+        evaluations, decisions, error = [], {}, None
+        with _counted_pdr_calls() as calls:
+            for candidate in end_point_candidates(event, earliest_last_finish(event, table.task.hops), BETA):
+                inputs = table.inputs(candidate)
+                if isinstance(inputs, CandidateInfeasible):
+                    evaluations.append((candidate, None))
+                    continue
+                if inputs.demand.satisfied:
+                    evaluations.append((candidate, 0.0))
+                    continue
+                packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
+                got, expected = _solve_both(inputs.demand, packets,
+                                            build_periodic_state(inputs, trial.tasks, trial.network),
+                                            mode, library, reference)
+                assert _exact(got) == _exact(expected), f"{where}, candidate {candidate}"
+                assert _table_snapshot(library) == _table_snapshot(reference), f"{where}, candidate {candidate}"
+                assert calls["library"] == calls["oracle"], f"{where}, candidate {candidate}"
+                compared += 1
+                if expected[:2] == ("raised", ValueError):
+                    error = expected
+                    break
+                if expected[0] == "ok":
+                    decisions[candidate] = DropDecision("transmission", (), *expected[1:])
+                evaluations.append((candidate, expected[3] if expected[0] == "ok" else None))
+        planned = _planned(event, schedule, trial, "transmission", table)
+        if error is not None:
+            assert planned == error, where
+        elif all(cost is None for _, cost in evaluations):
+            assert planned[:2] == ("raised", DisturbanceInfeasible), where
+        else:
+            plan = planned[0]
+            assert plan.evaluations == tuple(evaluations), where
+            if plan.end_point in decisions:
+                assert plan.decision == decisions[plan.end_point], where
+    return compared
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_grouped_solver_matches_oracle_on_sweep_cell_trials(mode):
+    # The first 30 trials of the benchmark's sweep cell at base seed 0; CI
+    # runs all 100 at base seeds 0-2.
+    assert compare_sweep_cell_with_oracle(0, 30, mode) > 40
+
+
+@st.composite
+def _tied_instances(draw):
+    """Up to five periodic packets over up to three rhythmic windows, with
+    path PDRs from a pool of three so that deltas tie across packets; TBS
+    labels over up to three hops, or PBS labels; slots unique and
+    interleaved across packets."""
+    mode = draw(st.sampled_from(list(SchedulingMode)))
+    windows = draw(st.integers(1, 3))
+    demand = DemandVector(
+        required=tuple(draw(st.lists(st.integers(0, 4), min_size=windows, max_size=windows))),
+        available=tuple(draw(st.lists(st.integers(0, 1), min_size=windows, max_size=windows))),
+    )
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    slots = draw(st.lists(st.integers(0, 60), min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    state = []
+    for j, n in enumerate(sizes):
+        hop_count = draw(st.integers(1, 3))
+        pdrs = tuple(draw(st.lists(st.sampled_from([0.5, 0.7, 0.9]), min_size=hop_count, max_size=hop_count)))
+        mine, slots = sorted(slots[:n]), slots[n:]
+        low = 0 if mode is SchedulingMode.PBS else 1
+        hops = draw(st.lists(st.integers(low, low * hop_count), min_size=n, max_size=n))
+        placement = draw(st.lists(st.integers(-1, windows - 1), min_size=n, max_size=n))
+        window_of = {s: w for s, w in zip(mine, placement) if w >= 0}
+        state.append(PeriodicPacketState((j % 2 + 1, 10 * (j // 2)), pdrs, mine, hops, window_of))
+    return demand, state, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_instances())
+def test_grouped_solver_matches_oracle_on_hand_built_states(instance):
+    # The same decision or exception, the same table and as many delivery
+    # probability evaluations, solved once with fresh tables and again with
+    # the tables the first solve filled.
+    demand, packets, mode = instance
+    state = to_periodic_state(packets)
+    library, reference = {}, {}
+    for _ in range(2):
+        with _counted_pdr_calls() as calls:
+            got, expected = _solve_both(demand, packets, state, mode, library, reference)
+        assert _exact(got) == _exact(expected)
+        assert _table_snapshot(library) == _table_snapshot(reference)
+        assert calls["library"] == calls["oracle"]
+
+
+@pytest.mark.parametrize("hops", [[1, 3, 2], [-1, 1, 2]])
+def test_grouped_state_rejects_hop_labels_outside_the_path_as_the_oracle_does(hops):
+    message = r"^hop labels must lie in 0\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        PeriodicPacketState((1, 0), (0.9, 0.9), [10, 11, 12], list(hops), {})
+    with pytest.raises(ValueError, match=message):
+        PeriodicState([(1, 0)], [(0.9, 0.9)], np.zeros(3, dtype=np.int64), np.array([10, 11, 12]),
+                      np.array(hops), np.zeros(3, dtype=np.int64))
+
+
+def test_grouped_solver_rejects_pbs_hop_labels_as_the_oracle_does():
+    demand = DemandVector(required=(1,), available=(0,))
+    packets = [PeriodicPacketState((1, 0), (0.9, 0.9), [10, 11, 12], [0, 1, 0], {10: 0, 11: 0, 12: 0})]
+    got, expected = _solve_both(demand, packets, to_periodic_state(packets), SchedulingMode.PBS, {}, {})
+    assert got == expected == ("raised", ValueError, "PBS packet states carry hop label 0 on every slot")
