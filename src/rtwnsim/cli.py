@@ -122,7 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         trace_path = Path(args.trace_out) if args.trace_out else _out_dir(None) / "trace.txt"
         csv_path = Path(args.csv_out) if args.csv_out else _out_dir(None) / "metrics.csv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with open(trace_path, "wb") as fh:
             trace.write(fh)
         with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

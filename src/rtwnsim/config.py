@@ -214,6 +214,11 @@ def _flat(obj: Any, *skip: str) -> dict[str, Any]:
 def parse_network(doc: dict) -> NetworkModel:
     section = _require(doc, "network", "document")
     nodes = tuple(str(n) for n in _require_list(section, "nodes", "network"))
+    for i, node in enumerate(nodes):  # traces are UTF-8; a lone surrogate has no encoding
+        try:
+            node.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"network.nodes[{i}]: node name {node!r} is not valid UTF-8 text") from None
     controller = str(_require(section, "controller", "network"))
     links = []
     for i, raw in enumerate(_require_list(section, "links", "network")):

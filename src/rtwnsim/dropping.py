@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -275,13 +275,11 @@ def build_transmission_vectors(inputs: CandidateInputs) -> list[TransmissionVect
     ]
 
 
-def build_periodic_state(
-    inputs: CandidateInputs, tasks: Sequence[TaskSpec], network: NetworkModel
-) -> PeriodicState:
+def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
     """The grouped ``PeriodicState`` of the periodic packets of ``inputs``,
-    built from its slot groups."""
-    periodic, paths = inputs.sets.periodic, {t.id: t.path for t in tasks}
-    path_pdrs = {task_id: tuple(network.path_pdrs(paths[task_id])) for task_id in {t for t, _ in periodic}}
+    built from its slot groups and each task's path PDRs
+    (``CandidateTable.path_pdrs``)."""
+    periodic = inputs.sets.periodic
     return PeriodicState(periodic, [path_pdrs[task_id] for task_id, _ in periodic], *inputs.slot_groups)
 
 
@@ -520,6 +518,11 @@ class CandidateTable:
         self.full_demand = sum(self.retry_vector)
         self._entries: dict[int, Union[CandidateInputs, CandidateInfeasible]] = {}
 
+    @cached_property
+    def path_pdrs(self) -> dict[int, tuple[float, ...]]:
+        """Each task's path PDRs, which every transmission-level candidate reads."""
+        return {t.id: tuple(self.network.path_pdrs(t.path)) for t in self.tasks}
+
     def check(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
               network: NetworkModel, required_pdr: float, beta: int) -> None:
         """Raise ValueError unless this table was made for these arguments."""
@@ -602,7 +605,7 @@ def generate_dynamic_schedule(
             elif level == "packet":
                 decision = greedy_drop_packets(demand, build_transmission_vectors(inputs), required_pdr)
             else:
-                state = build_periodic_state(inputs, tasks, network)
+                state = build_periodic_state(inputs, table.path_pdrs)
                 decision = drop_transmissions(demand, state, required_pdr, static.mode, pdrs)
         except CandidateInfeasible:
             evaluations.append((candidate, None))

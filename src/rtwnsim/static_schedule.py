@@ -203,10 +203,18 @@ def build_static_schedule(
         if deadline <= t:
             missed.append((deadline, task_id, release))
             continue
-        limit = horizon
-        if i < n:
-            limit = min(limit, jobs[i][0])
-        run = min(remaining, deadline - t, limit - t)
+        # The job runs on through every release whose key is larger than
+        # its own, and those releases wait in the heap; a release with a
+        # smaller key preempts it there.
+        end = min(t + remaining, deadline, horizon)
+        while i < n and jobs[i][0] < end:
+            r, d, tid, _ = jobs[i]
+            if (d, tid, r) < (deadline, task_id, release):
+                end = r
+                break
+            heapq.heappush(heap, (d, tid, r, i))
+            i += 1
+        run = end - t
         seg_start.append(t)
         seg_run.append(run)
         seg_task.append(task_id)

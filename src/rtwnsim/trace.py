@@ -1,10 +1,11 @@
 """The v1 trace of a run, kept as record columns.
 
 The slot engine hands over its records as columns, one ``Part`` per kind
-of record and source.  ``SimTrace.write`` renders the v1 text straight from
-them with numpy; ``SimTrace.events`` merges them into flat ``(slot, kind,
-*values)`` tuples on first read.  Both put the records in the same order:
-by slot, then by the rank of their part, then in emitted order.
+of record and source.  ``SimTrace.write`` renders the v1 text's UTF-8 bytes
+straight from them with numpy; ``SimTrace.events`` merges them into flat
+``(slot, kind, *values)`` tuples on first read.  Both put the records in
+the same order: by slot, then by the rank of their part, then in emitted
+order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import io
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ _TEXT_FIELDS = frozenset({"src", "sender", "receiver", "event", "result"})  # ev
 WORDS = ("lost", "delivered", "missed", "dropped", "static", "dynamic", "deferred", "collided", "no_listener")
 _WINDOW_SLOTS = 8192  # slots whose records are merged or written at a time
 _POWERS = 10 ** np.arange(20, dtype=np.uint64)  # no uint64 has more than 20 digits
+_PAD = 0xFF  # pads every field to its block's height; no UTF-8 text holds it, surrogatepass included
 
 
 class Part(NamedTuple):
@@ -69,15 +71,16 @@ class SimTrace:
     def events(self) -> list[tuple]:
         return _merge(self._parts, self._vocab, self._horizon)
 
-    def write(self, fh: TextIO) -> None:
+    def write(self, fh: BinaryIO) -> None:
         """Write the v1 text form (one line per event, a lone newline for no
-        event) to ``fh``, one write per window of ``_WINDOW_SLOTS`` slots."""
+        event) to the binary ``fh`` as UTF-8, one write per window of
+        ``_WINDOW_SLOTS`` slots."""
         _render(self._parts, self._vocab, self._horizon, fh)
 
     def text(self) -> str:
-        out = io.StringIO()
+        out = io.BytesIO()
         self.write(out)
-        return out.getvalue()
+        return out.getvalue().decode("utf-8", "surrogatepass")
 
     def packets_from(self, slot: int) -> dict[tuple[int, int], tuple]:
         """Per-packet outcome records for packets released at/after ``slot``
@@ -167,45 +170,43 @@ def _merge(parts: Sequence[Part], vocab: Sequence[str], horizon: int) -> list[tu
     return events
 
 
-def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimal(values: np.ndarray) -> np.ndarray:
     """``str(v)`` of each int ``v`` as ASCII, in the columns of a uint8
-    matrix as tall as the longest, each aligned to its bottom; and each
-    one's length."""
+    matrix as tall as the longest, each aligned to its bottom above ``_PAD``."""
     values = np.asarray(values, dtype=np.int64)
-    negative = values < 0
+    negative = np.flatnonzero(values < 0)
     magnitude = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to itself, which reads as 2**63
     top = int(magnitude.max(initial=0))
     if top < 2**32:
         magnitude = magnitude.astype(np.uint32)  # narrower division, same digits
     digits = len(str(top))
-    length = np.searchsorted(_POWERS[1:digits].astype(magnitude.dtype), magnitude, side="right") + 1
-    height = digits
-    if negative.any():
-        length += negative
-        height += 1
-    out = np.empty((height, len(values)), dtype=np.uint8)
-    for row in range(height - 1, height - 1 - digits, -1):
+    # Row j of the digits stands for 10**(digits - 1 - j); it leads a number below that power.
+    leading = magnitude < _POWERS[digits - 1:0:-1, None].astype(magnitude.dtype)
+    out = np.empty((digits + bool(len(negative)), len(values)), dtype=np.uint8)
+    for row in range(len(out) - 1, len(out) - 1 - digits, -1):
         quotient = magnitude // 10
         out[row] = magnitude - quotient * 10
         magnitude = quotient
     out += ord("0")
-    if height > digits:
-        out[height - length[negative], np.flatnonzero(negative)] = ord("-")
-    return out, length
+    np.copyto(out[len(out) - digits:-1], _PAD, where=leading)
+    if len(negative):
+        out[0] = _PAD
+        out[leading[:, negative].sum(axis=0), negative] = ord("-")
+    return out
 
 
-def _render(parts: Sequence[Part], vocab: Sequence[str], horizon: int, fh: TextIO) -> None:
-    """Write the v1 lines of ``parts`` to ``fh``, one window at a time.  A
-    window's lines are filled part by part into the columns of one uint8
-    matrix, each field in a block of rows as tall as its longest entry and
-    aligned to its bottom: literal text is broadcast, ints come from
-    ``_decimal`` and text values are columns of the vocabulary's byte
-    matrix.  The lines are put into v1 order, and a byte is kept by its
-    field's length, never by its value, so any text round-trips.  A trace
-    without records is a lone newline."""
+def _render(parts: Sequence[Part], vocab: Sequence[str], horizon: int, fh: BinaryIO) -> None:
+    """Write the v1 lines of ``parts`` to ``fh`` as UTF-8, one window at a
+    time.  A window's lines are filled part by part into the columns of one
+    uint8 matrix, each field in a block of rows as tall as its longest entry
+    and aligned to its bottom above ``_PAD``: literal text is broadcast, ints
+    come from ``_decimal`` and text values are columns of the vocabulary's
+    byte matrix.  The matrix is turned into one row per line, the rows are
+    put into v1 order, and every byte but ``_PAD``, which no UTF-8 text
+    holds, is kept, so any text round-trips.  A trace without records is a
+    lone newline."""
     encoded = [word.encode("utf-8", "surrogatepass") for word in vocab]
-    word_length = np.array([len(word) for word in encoded], dtype=np.int64)
-    word_bytes = np.zeros((int(word_length.max(initial=0)), len(encoded)), dtype=np.uint8)
+    word_bytes = np.full((max(map(len, encoded), default=0), len(encoded)), _PAD, dtype=np.uint8)
     for column, word in zip(word_bytes.T, encoded):
         column[len(column) - len(word):] = np.frombuffer(word, dtype=np.uint8)
     word_id = {w: i for i, w in enumerate(vocab)}
@@ -214,37 +215,35 @@ def _render(parts: Sequence[Part], vocab: Sequence[str], horizon: int, fh: TextI
     layouts = [_layout(part) for part in parts]
     written = False
     for spans, order in _windows(parts, horizon):
-        filled = []  # per span: its blocks, each with its entries' lengths or None for a literal
-        columns: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}  # parts share some
+        filled = []  # per span: its blocks of rows
+        columns: dict[tuple[int, int, int], np.ndarray] = {}  # parts share some
         for index, lo, hi in spans:
             blocks = []
             for segment in layouts[index]:
                 if isinstance(segment, np.ndarray):
-                    blocks.append((segment[:, None], None))
+                    blocks.append(segment[:, None])
                     continue
                 values, is_text = segment
                 key = (id(values), lo, hi)
                 if key not in columns:
                     ids = values[lo:hi]
-                    columns[key] = (word_bytes[:, ids], word_length[ids]) if is_text else _decimal(ids)
+                    columns[key] = word_bytes[:, ids] if is_text else _decimal(ids)
                 blocks.append(columns[key])
             filled.append(blocks)
-        height = max(sum(len(block) for block, _ in blocks) for blocks in filled)
-        text = np.empty((height, len(order)), dtype=np.uint8)
-        keep = np.zeros((height, len(order)), dtype=bool)
+        text = np.empty((max(sum(map(len, blocks)) for blocks in filled), len(order)), dtype=np.uint8)
         col = 0
         for (_, lo, hi), blocks in zip(spans, filled):
             cols, row = slice(col, col + hi - lo), 0
-            for block, length in blocks:
-                end = row + len(block)
-                text[row:end, cols] = block
-                keep[row:end, cols] = True if length is None else np.arange(len(block))[:, None] >= len(block) - length
-                row = end
+            for block in blocks:
+                text[row:row + len(block), cols] = block
+                row += len(block)
+            text[row:, cols] = _PAD
             col += hi - lo
-        fh.write(text.T[order][keep.T[order]].tobytes().decode("utf-8", "surrogatepass"))
+        lines = np.take(np.ascontiguousarray(text.T), order, axis=0).ravel()
+        fh.write(lines[lines != _PAD])
         written = True
     if not written:
-        fh.write("\n")
+        fh.write(b"\n")
 
 
 def _layout(part: Part) -> list:

@@ -10,7 +10,8 @@ are the transmission-level solver as it was before it worked on grouped
 slot arrays: one mutable state object per periodic packet, and a heap whose
 groups rescan their packet's slots for the earliest needy one.  The library
 solver must decide exactly as they do; ``to_periodic_state`` turns a list of
-hand-built packet states into the library's ``PeriodicState``.
+hand-built packet states into the library's ``PeriodicState``, and
+``task_path_pdrs`` gives the path PDRs a candidate table would hold.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
 
+
+
+def task_path_pdrs(tasks: Sequence[TaskSpec], network: NetworkModel) -> dict[int, tuple[float, ...]]:
+    """Each task's path PDRs, as ``CandidateTable.path_pdrs`` holds them."""
+    return {t.id: tuple(network.path_pdrs(t.path)) for t in tasks}
 
 @dataclass
 class PeriodicPacketState:

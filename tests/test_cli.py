@@ -632,6 +632,20 @@ def test_non_list_entry_exit_code(tmp_path, capsys, old, new, message):
     assert not trace.exists()
 
 
+def test_simulate_node_name_not_utf8_exit_code(tmp_path, capsys):
+    # A YAML escape for a lone surrogate names a node no UTF-8 trace can hold.
+    assert "V2" in _TESTBED
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(_TESTBED.replace("V2", '"V\\ud800"'), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: network.nodes[2]: node name 'V\\ud800' is not valid UTF-8 text\n"
+    assert "Traceback" not in err
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.

@@ -423,7 +423,7 @@ def _compare_trial(trial, mode, horizon):
         packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         assert [_fields(p) for p in packets] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
-        state = build_periodic_state(inputs, trial.tasks, trial.network)
+        state = build_periodic_state(inputs, oracle.task_path_pdrs(trial.tasks, trial.network))
         assert vars(state) == vars(to_periodic_state(packets)), f"{where}, candidate {candidate}"
         demand = build_demand_vector(sets, schedule, full_demand)
         assert inputs.demand == demand
@@ -559,7 +559,7 @@ def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style
         demand = inputs.demand
         if demand.satisfied:
             continue
-        state = build_periodic_state(inputs, trial.tasks, trial.network)
+        state = build_periodic_state(inputs, oracle.task_path_pdrs(trial.tasks, trial.network))
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         shared = _exact(_outcome(shared_solver, demand, state, mode))
         assert shared == _exact(_outcome(drop_transmissions, demand, state, mode)), candidate
@@ -654,7 +654,7 @@ def compare_sweep_cell_with_oracle(base_seed, trials, mode):
                     continue
                 packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
                 got, expected = _solve_both(inputs.demand, packets,
-                                            build_periodic_state(inputs, trial.tasks, trial.network),
+                                            build_periodic_state(inputs, table.path_pdrs),
                                             mode, library, reference)
                 assert _exact(got) == _exact(expected), f"{where}, candidate {candidate}"
                 assert _table_snapshot(library) == _table_snapshot(reference), f"{where}, candidate {candidate}"

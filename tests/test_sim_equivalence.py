@@ -52,7 +52,7 @@ from rtwnsim.sim import (
     plan,
     run,
 )
-from rtwnsim.trace import _WINDOW_SLOTS, _decimal
+from rtwnsim.trace import _PAD, _WINDOW_SLOTS, _decimal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -383,9 +383,9 @@ def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
     assert all(type(e) is tuple and len(e) == 2 + len(EVENT_FIELDS[e[1]]) for e in trace.events)
     assert _decoded(trace) == ref_events
     assert text == _frozen_text(ref_events)
-    out = io.StringIO()
+    out = io.BytesIO()
     trace.write(out)
-    assert out.getvalue() == text
+    assert out.getvalue() == text.encode("utf-8", "surrogatepass")
     assert list(trace.packets_from(0).items()) == list(ref_records.items())
     assert metrics == ref_metrics
     return trace
@@ -604,10 +604,18 @@ _EDGES = [0, -1, 2**31 - 1, 2**31, -2**31 - 1, 2**32, 2**63 - 1, -2**63,
 @example(_EDGES)
 @example([])
 def test_decimal_renders_every_int64_as_str(values):
-    digits, length = _decimal(np.array(values, dtype=np.int64))
-    assert digits.dtype == np.uint8 and digits.shape[1] == len(values) and len(digits) >= length.max(initial=0)
-    assert [bytes(digits[len(digits) - n:, i]).decode() for i, n in enumerate(length.tolist())] == \
-        [str(v) for v in values]
+    digits = _decimal(np.array(values, dtype=np.int64))
+    assert digits.dtype == np.uint8 and digits.shape[1] == len(values)
+    assert [bytes(column[column != _PAD]).decode() for column in digits.T] == [str(v) for v in values]
+    # The pad bytes only lead: each number is one run of digits at the bottom.
+    assert all(column[len(column) - len(str(v)):].tobytes() == str(v).encode() for column, v in zip(digits.T, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("\ud800\udfff\U0010ffff\x00\x7f\x80\xff")
+def test_the_pad_byte_is_in_no_utf8_text(text):
+    assert _PAD not in text.encode("utf-8", "surrogatepass")
 
 
 def _renamed(config: SimConfig, names: dict[str, str]) -> SimConfig:
@@ -629,14 +637,16 @@ _NODE_NAMES = st.lists(st.text(min_size=1, max_size=6), min_size=7, max_size=7, 
 @example(["V 0", "Vé1", "V\x002", "ν3", "V4 ", "\x00", "\ud800"], SchedulingMode.PBS)
 def test_any_node_name_writes_the_reference_bytes(names, mode):
     # Spaces, non-ASCII characters, NUL bytes and a lone surrogate in node
-    # names: the renderer keeps each byte by its field's length, never by
-    # its value.
+    # names: the renderer drops only the pad byte, which no UTF-8 text holds.
     base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode)
     config = _renamed(base, dict(zip(base.network.nodes, names)))
     trace, _ = run(config)
     text = trace.text()
     assert text == _reference_text(trace.events)
     assert any(name in text for name in names if "=" not in name)
+    out = io.BytesIO()
+    trace.write(out)
+    assert out.getvalue() == text.encode("utf-8", "surrogatepass")
 
 
 def test_a_trace_without_records_is_one_newline():

@@ -7,16 +7,20 @@ writes the TBS hop labels one slot at a time after the EDF pass.  The library
 builder records each EDF segment and fills every slot array with one scatter
 after the pass; both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
 same feasibility verdict, under TBS and PBS, over the sweep's default
-horizons, over one hyperperiod and over short explicit horizons.
+horizons, over one hyperperiod and over short explicit horizons.  Since the
+library's EDF segments run on through releases that cannot preempt them,
+hand-made cases pin where a segment must still end (a release with a smaller
+key, the job's deadline, the horizon) and how many heap pops it takes.
 """
 
 import dataclasses
 import heapq
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtwnsim import experiments, sim
+from rtwnsim import experiments, sim, static_schedule
 from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.model import (
@@ -187,6 +191,111 @@ def test_small_tasksets_match_reference(case, mode):
             build_static_schedule(tasks, network, mode, 0.95, horizon=horizon)
         return
     _assert_same_build(tasks, network, mode, horizon=horizon, required_pdr=0.95)
+
+
+# ------------------------------------------------------------ EDF segment edges
+
+_CHAIN = chain_network(2, 2, pdr=1.0)
+_MODES = pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS], ids=lambda m: m.value)
+
+
+def _task(tid, phase, period, deadline, budget, path=("S1", "C", "A1")):
+    return TaskSpec(id=tid, path=path, period=period, deadline=deadline, slot_budget=budget, phase=phase)
+
+
+def _owners(tasks, mode, horizon):
+    """The task id of every slot, as the reference builds it, after checking
+    that the library builds the same schedule."""
+    _assert_same_build(tasks, _CHAIN, mode, horizon)
+    return reference_build(tasks, _CHAIN, mode, REQUIRED_PDR, horizon).schedule.task_at.tolist()
+
+
+def _pops(monkeypatch, tasks, mode, horizon):
+    """Heap pops of one library build."""
+    count = [0]
+
+    def heappop(heap):
+        count[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(static_schedule, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    build_static_schedule(tasks, _CHAIN, mode, REQUIRED_PDR, horizon=horizon)
+    return count[0]
+
+
+@_MODES
+def test_a_release_with_the_same_deadline_and_a_lower_task_id_preempts(mode):
+    # Task 1 runs from slot 0 toward its deadline 10; task 0, released at 2,
+    # has the same deadline and a lower id, so its key is smaller.
+    tasks = (_task(1, 0, 20, 10, 6), _task(0, 2, 20, 8, 3))
+    assert _owners(tasks, mode, 20)[:10] == [1, 1, 0, 0, 0, 1, 1, 1, 1, -1]
+
+
+@_MODES
+def test_a_release_with_the_same_deadline_and_a_higher_task_id_waits(mode, monkeypatch):
+    tasks = (_task(0, 0, 20, 10, 6), _task(1, 2, 20, 8, 3))
+    assert _owners(tasks, mode, 20)[:10] == [0] * 6 + [1] * 3 + [-1]
+    assert _pops(monkeypatch, tasks, mode, 20) == 2  # one segment per job
+
+
+@_MODES
+@pytest.mark.parametrize("deadline", [6, 30])
+def test_a_release_exactly_at_the_segment_end(mode, deadline):
+    # Task 0 needs slots 0..3 and task 1 is released at 4, whether or not
+    # its key is smaller than task 0's.
+    tasks = (_task(0, 0, 40, 20, 4), _task(1, 4, 40, deadline, 2))
+    assert _owners(tasks, mode, 40)[:6] == [0] * 4 + [1] * 2
+
+
+@_MODES
+def test_deadlines_below_the_period_end_and_preempt_segments(mode, monkeypatch):
+    # Task 0 (deadline 5 < period 12) preempts task 1 at each release;
+    # task 2's releases (deadline 11 < period 12) wait.
+    tasks = (_task(1, 0, 12, 12, 5), _task(0, 3, 12, 5, 3), _task(2, 1, 12, 11, 2, ("S2", "S1", "C")))
+    assert _owners(tasks, mode, 24)[:12] == [1, 1, 1, 0, 0, 0, 1, 1, 2, 2, -1, -1]
+    assert _pops(monkeypatch, tasks, mode, 24) == 8
+
+
+@_MODES
+def test_an_overloaded_job_stops_at_its_deadline(mode):
+    # Task 0 cannot finish by 4; its segment ends there and it is missed,
+    # and task 1's release at 2, with a larger key, waits until then.
+    tasks = (_task(0, 0, 20, 4, 6), _task(1, 2, 20, 10, 3))
+    assert _owners(tasks, mode, 20)[:8] == [0, 0, 0, 0, 1, 1, 1, -1]
+    built = build_static_schedule(tasks, _CHAIN, mode, REQUIRED_PDR, horizon=20)
+    assert not built.feasible and built.first_failure == (0, 0)
+
+
+@_MODES
+@pytest.mark.parametrize("horizon", [3, 5, 7])
+def test_a_horizon_that_cuts_a_segment(mode, horizon):
+    # The horizon falls inside task 0's segment, before or after task 1's
+    # non-preempting release at 4.
+    tasks = (_task(0, 0, 20, 20, 8), _task(1, 4, 20, 16, 2))
+    assert _owners(tasks, mode, horizon) == [0] * horizon
+
+
+@st.composite
+def _tied_tasksets(draw):
+    """Two to five tasks on one period with few distinct deadlines, phases
+    and budgets, and ids in any order: many releases tie with the running
+    job on deadline, and many fall inside its segment."""
+    period = draw(st.sampled_from([6, 8, 12]))
+    ids = draw(st.permutations(range(draw(st.integers(2, 5)))))
+    tasks = tuple(
+        _task(tid, draw(st.integers(0, 3)), period, draw(st.sampled_from([period, period - 2, 4])),
+              draw(st.integers(2, 5)))
+        for tid in ids
+    )
+    horizon = draw(st.one_of(st.just(_one_hyperperiod(tasks)), st.integers(1, 60)))
+    return tasks, horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_tasksets(), st.sampled_from([SchedulingMode.TBS, SchedulingMode.PBS]))
+def test_tied_tasksets_match_reference(case, mode):
+    tasks, horizon = case
+    _assert_same_build(tasks, _CHAIN, mode, horizon=horizon)
 
 
 # ------------------------------------------------------------ one build per trial
