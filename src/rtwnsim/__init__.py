@@ -37,7 +37,6 @@ from .model import (
 from .static_schedule import (
     Schedule,
     ScheduleVerdict,
-    SlotAssignment,
     StaticScheduleResult,
     build_static_schedule,
     verify_schedulable,

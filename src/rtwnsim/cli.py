@@ -5,9 +5,10 @@
     rtwnsim sweep --spec sweep.yaml [--out-dir DIR] [--parallel N]
 
 Exit codes: 0 on success (a run that misses its latency bound included), 2
-for a configuration or parse error or an output path that cannot be written,
-3 for infeasible requirements; README.md lists each case, and every error
-prints one ``error:`` line to stderr.
+for a configuration or parse error, an input file that cannot be read as
+UTF-8 text or an output path that cannot be written, 3 for infeasible
+requirements; README.md lists each case.  ``main`` maps each error class to
+its code and prints one ``error:`` line to stderr; the commands only raise.
 RTWNSIM_OUT sets the default output directory.
 """
 
@@ -19,6 +20,7 @@ import ctypes
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .model import InfeasibleError, generate_taskset
 from . import config as config_mod
@@ -52,6 +54,13 @@ def _out_dir(explicit: str | None) -> Path:
     return path
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     # The sweep spec's rules for base_seed, utils and required_pdr.
     for bad, message in (
@@ -60,49 +69,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
         (not 0 < args.required_pdr < 1, f"--required-pdr must be in (0, 1), got {args.required_pdr}"),
     ):
         if bad:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        doc = config_mod.load_document(args.network)
-        network = config_mod.parse_network(doc)
-        tasks = tuple(generate_taskset(args.seed, args.util, network, required_pdr=args.required_pdr))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    meta = {
-        "seed": args.seed,
-        "target_utilization": args.util,
-        "required_pdr": args.required_pdr,
-        "tasks": len(tasks),
-    }
-    text = config_mod.dump_taskset(tasks, meta=meta)
-    try:
-        Path(args.out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            raise ConfigError(message)
+    network = config_mod.parse_network(config_mod.load_document(args.network))
+    tasks = tuple(generate_taskset(args.seed, args.util, network, required_pdr=args.required_pdr))
+    meta = {"seed": args.seed, "target_utilization": args.util, "required_pdr": args.required_pdr,
+            "tasks": len(tasks)}
+    Path(args.out).write_text(config_mod.dump_taskset(tasks, meta=meta), encoding="utf-8")
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = config_mod.parse_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        trace, metrics = run(cfg)
-    except HorizonTooShort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
+    cfg = config_mod.parse_scenario(args.scenario)
+    trace, metrics = run(cfg)
     vectors = plan_retry_vectors(cfg.tasks, cfg.network, cfg.required_pdr)
     event = cfg.event()
     record = RunRecord(
@@ -119,18 +98,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         dropped_packets=metrics.dropped_packets,
         dropped_transmissions=metrics.dropped_transmissions,
     )
-    try:
-        trace_path = Path(args.trace_out) if args.trace_out else _out_dir(None) / "trace.txt"
-        csv_path = Path(args.csv_out) if args.csv_out else _out_dir(None) / "metrics.csv"
-        with open(trace_path, "wb") as fh:
-            trace.write(fh)
-        with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RECORD_COLUMNS)
-            writer.writerow(record_row(record))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    trace_path = Path(args.trace_out) if args.trace_out else _out_dir(None) / "trace.txt"
+    csv_path = Path(args.csv_out) if args.csv_out else _out_dir(None) / "metrics.csv"
+    with open(trace_path, "wb") as fh:
+        trace.write(fh)
+    _write_csv(csv_path, RECORD_COLUMNS, [record_row(record)])
     print(
         f"simulated {cfg.framework.value}: success={int(metrics.success)} "
         f"drt={metrics.drt_slots} dhl={metrics.dhl_slots} dr={metrics.degradation_rate:.6f}"
@@ -141,35 +113,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = config_mod.parse_experiment(args.spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = run_sweep(spec, parallel=args.parallel)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        out = _out_dir(args.out_dir)
-        records_path = out / "records.csv"
-        agg_path = out / "aggregate.csv"
-        with open(records_path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RECORD_COLUMNS)
-            for r in records:
-                writer.writerow(record_row(r))
-        with open(agg_path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(AGGREGATE_COLUMNS)
-            for framework, util, r_steps, alpha_mult, tick, n, sr, mean_dr in aggregate(records):
-                writer.writerow(
-                    [framework, f"{util:.3f}", r_steps, alpha_mult, tick, n, f"{sr:.6f}", f"{mean_dr:.6f}"]
-                )
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = config_mod.parse_experiment(args.spec)
+    records = run_sweep(spec, parallel=args.parallel)
+    out = _out_dir(args.out_dir)
+    records_path = out / "records.csv"
+    agg_path = out / "aggregate.csv"
+    _write_csv(records_path, RECORD_COLUMNS, map(record_row, records))
+    _write_csv(agg_path, AGGREGATE_COLUMNS, (
+        [framework, f"{util:.3f}", r_steps, alpha_mult, tick, n, f"{sr:.6f}", f"{mean_dr:.6f}"]
+        for framework, util, r_steps, alpha_mult, tick, n, sr, mean_dr in aggregate(records)
+    ))
     print(f"{len(records)} records -> {records_path}")
     print(f"aggregates -> {agg_path}")
     return EXIT_OK
@@ -202,14 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code = args.func(args)
-    trim = getattr(_LIBC, "malloc_trim", None)
-    if trim is not None:
-        trim(0)
+def _fail(code: int, message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # Every input is read through config.load_document, which raises
+    # ConfigError, so an OSError here comes from writing an output.  Any
+    # other exception is a bug and keeps its traceback.
+    try:
+        return args.func(args)
+    except (ConfigError, HorizonTooShort) as exc:
+        return _fail(EXIT_CONFIG, exc)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot write output: {exc}")
+    except InfeasibleError as exc:
+        return _fail(EXIT_INFEASIBLE, exc)
+    finally:
+        trim = getattr(_LIBC, "malloc_trim", None)
+        if trim is not None:
+            trim(0)
 
 
 if __name__ == "__main__":

@@ -82,7 +82,11 @@ class ConfigError(ValueError):
 
 
 def load_document(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    """The YAML mapping in ``path``; every command reads its input files here."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -214,11 +218,13 @@ def _flat(obj: Any, *skip: str) -> dict[str, Any]:
 def parse_network(doc: dict) -> NetworkModel:
     section = _require(doc, "network", "document")
     nodes = tuple(str(n) for n in _require_list(section, "nodes", "network"))
-    for i, node in enumerate(nodes):  # traces are UTF-8; a lone surrogate has no encoding
+    for i, node in enumerate(nodes):  # a trace line is UTF-8 text of space-separated name=value fields
         try:
             node.encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError(f"network.nodes[{i}]: node name {node!r} is not valid UTF-8 text") from None
+        if not node or "=" in node or any(c.isspace() for c in node):
+            raise ConfigError(f"network.nodes[{i}]: node name {node!r} must be non-empty, without whitespace or '='")
     controller = str(_require(section, "controller", "network"))
     links = []
     for i, raw in enumerate(_require_list(section, "links", "network")):

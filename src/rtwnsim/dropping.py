@@ -42,7 +42,7 @@ from .rhythmic import (
     end_point_upper_bound,
     resolved_demand,
 )
-from .static_schedule import Schedule, SlotAssignment, hop_expansion
+from .static_schedule import Schedule, hop_expansion
 
 __all__ = [
     "PlanInvariantError",
@@ -489,12 +489,6 @@ class DynamicPlan:
     def end_point(self) -> int:
         return self.window.end
 
-    @cached_property
-    def overlay(self) -> dict[int, SlotAssignment]:
-        """The overlay as ``{slot: SlotAssignment}``, built at first read."""
-        columns = (self.overlay_slots.tolist(), self.overlay_releases.tolist(), self.overlay_hops.tolist())
-        return {slot: SlotAssignment(self.event.task_id, release, hop) for slot, release, hop in zip(*columns)}
-
 
 class CandidateTable:
     """Per-trial table: each end-point candidate of one disturbance maps to
@@ -577,8 +571,7 @@ def generate_dynamic_schedule(
     them and the transmission level groups them into a ``PeriodicState``.  A
     trial's two FD-PaS plans share one table, made for the same arguments
     (ValueError otherwise); without one, this plan makes its own.  No table
-    outlives its trial.  The overlay is stored as slot arrays; no command
-    reads ``DynamicPlan.overlay``.
+    outlives its trial.  The overlay is stored as slot arrays.
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")

@@ -123,7 +123,6 @@ def make_trial(
     required_pdr: float = 0.99,
     in_depth: int = 8,
     out_depth: int = 8,
-    pdr_range: tuple[float, float] = (0.9, 0.999),
     max_instance: int = 20,
     max_period: int = 500,
     hop_range: tuple[int, int] = (2, 16),
@@ -139,9 +138,7 @@ def make_trial(
     """
     for attempt in range(64):
         rng = np.random.default_rng([seed, attempt, 0xE1])
-        network = random_chain_network(
-            int(rng.integers(2**31)), in_depth, out_depth, pdr_range=pdr_range
-        )
+        network = random_chain_network(int(rng.integers(2**31)), in_depth, out_depth)
         tasks = generate_taskset(
             int(rng.integers(2**31)), util, network, required_pdr,
             hop_range=hop_range, max_period=max_period,

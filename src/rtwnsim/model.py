@@ -458,19 +458,15 @@ def chain_network(
     return NetworkModel(nodes=tuple(s_nodes + [controller] + a_nodes), controller=controller, links=tuple(links))
 
 
-def random_chain_network(
-    seed: int,
-    in_depth: int = 8,
-    out_depth: int = 8,
-    pdr_range: tuple[float, float] = (0.9, 0.999),
-) -> NetworkModel:
-    """Chain network with per-link delivery ratios drawn uniformly from ``pdr_range``."""
+# The interval a random chain network draws each link's delivery ratio from.
+CHAIN_PDR_RANGE = (0.9, 0.999)
+
+
+def random_chain_network(seed: int, in_depth: int = 8, out_depth: int = 8) -> NetworkModel:
+    """Chain network with per-link delivery ratios drawn uniformly from ``CHAIN_PDR_RANGE``."""
     rng = np.random.default_rng(seed)
     base = chain_network(in_depth, out_depth, pdr=1.0)
-    lo, hi = pdr_range
-    links = tuple(
-        Link(l.src, l.dst, float(rng.uniform(lo, hi))) for l in base.links
-    )
+    links = tuple(Link(l.src, l.dst, float(rng.uniform(*CHAIN_PDR_RANGE))) for l in base.links)
     return NetworkModel(nodes=base.nodes, controller=base.controller, links=links)
 
 

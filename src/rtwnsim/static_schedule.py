@@ -27,7 +27,6 @@ from .model import (
 
 __all__ = [
     "Schedule",
-    "SlotAssignment",
     "StaticScheduleResult",
     "ScheduleVerdict",
     "allocate_retry_vector",
@@ -37,13 +36,6 @@ __all__ = [
     "build_static_schedule",
     "verify_schedulable",
 ]
-
-
-@dataclass(frozen=True)
-class SlotAssignment:
-    task: int
-    release: int  # release slot of the owning packet (unique packet key)
-    hop: int  # 1-based hop under TBS; 0 under PBS
 
 
 class Schedule:

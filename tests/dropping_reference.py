@@ -12,6 +12,8 @@ groups rescan their packet's slots for the earliest needy one.  The library
 solver must decide exactly as they do; ``to_periodic_state`` turns a list of
 hand-built packet states into the library's ``PeriodicState``, and
 ``task_path_pdrs`` gives the path PDRs a candidate table would hold.
+``overlay_of`` reads a ``DynamicPlan``'s overlay arrays as ``{slot:
+SlotAssignment}``, the form the tests and the reference plan compare.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from rtwnsim.dropping import (
     CandidateInputs,
     DemandVector,
     DropDecision,
+    DynamicPlan,
     PdrTable,
     PeriodicState,
     PlanInvariantError,
@@ -48,6 +51,19 @@ ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
 
+
+class SlotAssignment(NamedTuple):
+    """The packet one overlay slot carries."""
+
+    task: int
+    release: int  # release slot of the owning packet (unique packet key)
+    hop: int  # 1-based hop under TBS; 0 under PBS
+
+
+def overlay_of(plan: DynamicPlan) -> dict[int, SlotAssignment]:
+    """``plan``'s overlay arrays as ``{slot: SlotAssignment}``."""
+    columns = (plan.overlay_slots.tolist(), plan.overlay_releases.tolist(), plan.overlay_hops.tolist())
+    return {slot: SlotAssignment(plan.event.task_id, release, hop) for slot, release, hop in zip(*columns)}
 
 
 def task_path_pdrs(tasks: Sequence[TaskSpec], network: NetworkModel) -> dict[int, tuple[float, ...]]:

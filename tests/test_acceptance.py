@@ -43,7 +43,7 @@ from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_leve
 from rtwnsim.experiments import evaluate_trial, make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
-from dropping_reference import build_periodic_state, from_set_cover, optimal_drop_oracle
+from dropping_reference import build_periodic_state, from_set_cover, optimal_drop_oracle, overlay_of
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:
@@ -91,7 +91,7 @@ def test_a1_bench_scenario_dropping():
         assert len(plan.sets.rhythmic) == 5
         for entry in plan.sets.rhythmic:
             need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
-            slots = [s for s, a in plan.overlay.items() if a.release == entry.release]
+            slots = [s for s, a in overlay_of(plan).items() if a.release == entry.release]
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s in slots)
 
@@ -302,14 +302,14 @@ def test_a7_constraint_suite():
         # Constraint 1: the last stepped packet finishes inside the window and
         # the end point respects the latency bound.
         last_stepped = event.enter_slot + sum(event.periods[:-1])
-        finish = max(s for s, a in plan.overlay.items() if a.release == last_stepped) + 1
+        finish = max(s for s, a in overlay_of(plan).items() if a.release == last_stepped) + 1
         assert finish <= plan.end_point <= plan.window.end_upper_bound
 
         # Constraint 4: the overlay lies inside the window and takes only
         # idle slots, the disturbed task's own slots, or slots the drop
         # decision freed.
         freed = plan.decision.freed_slots(static.schedule)
-        for s in plan.overlay:
+        for s in overlay_of(plan):
             assert event.enter_slot <= s < plan.end_point
             assert static.schedule.task_at[s] in (-1, task.id) or s in freed, f"seed {seed}: slot {s}"
 

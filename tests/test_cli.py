@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rtwnsim import cli as cli_mod, dropping, static_schedule
+from rtwnsim import cli as cli_mod
 from rtwnsim import trace as trace_mod
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
@@ -646,6 +647,41 @@ def test_simulate_node_name_not_utf8_exit_code(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("name", ["V\n2", "V 2", "V\t2", "V=2", ""],
+                         ids=["newline", "space", "tab", "equals", "empty"])
+def test_simulate_node_name_that_breaks_a_trace_line_exit_code(tmp_path, capsys, name):
+    # A trace line is one line of space-separated name=value fields.
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(_TESTBED.replace("V2", json.dumps(name)), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: network.nodes[2]: node name {name!r} must be non-empty, without whitespace or '='\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["generate", "simulate", "sweep"])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
+    source = tmp_path / "input.yaml"
+    if kind == "directory":
+        source.mkdir()
+    elif kind == "not_utf8":
+        source.write_bytes(b"utils: [0.5]\n# \xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--seed", "1", "--util", "0.3", "--network", str(source), "--out", str(out)],
+        "simulate": ["simulate", "--scenario", str(source), "--trace-out", str(out), "--csv-out", str(out)],
+        "sweep": ["sweep", "--spec", str(source), "--out-dir", str(out)],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {source}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_without_admissible_disturbance_exit_code(tmp_path, capsys, parallel):
     # At utilization 0 no task is generated, so no trial can host a disturbance.
@@ -761,52 +797,6 @@ def test_main_trims_the_heap_after_each_command(tmp_path, monkeypatch, libc):
     assert main(["generate", "--seed", "-1", "--util", "0.5", "--network", str(SCENARIOS / "testbed.yaml"),
                  "--out", str(tmp_path / "o.yaml")]) == EXIT_CONFIG
     assert calls == ([0, 0] if libc == "glibc" else [])
-
-
-def _refuse_slot_assignments(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("a command built a SlotAssignment")
-
-    monkeypatch.setattr(static_schedule, "SlotAssignment", refuse)
-    monkeypatch.setattr(dropping, "SlotAssignment", refuse)
-
-
-@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("framework", ["FDPAS_PACKET", "FDPAS_TRANSMISSION"])
-def test_simulate_builds_no_overlay_objects(tmp_path, monkeypatch, mode, framework):
-    # The planner stores its dynamic overlay as slot arrays and the engine
-    # reads them: with SlotAssignment refusing to build, simulate still exits
-    # 0 and writes the same bytes.
-    config = parse_scenario(SCENARIOS / "testbed.yaml")
-    config = dataclasses.replace(config, mode=mode, framework=Framework(framework))
-    scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(dump_scenario(config), encoding="utf-8")
-
-    def simulate(tag: str) -> tuple[bytes, bytes]:
-        trace, metrics = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.csv"
-        assert main(["simulate", "--scenario", str(scenario), "--trace-out", str(trace),
-                     "--csv-out", str(metrics)]) == EXIT_OK
-        return trace.read_bytes(), metrics.read_bytes()
-
-    plain = simulate("plain")
-    _refuse_slot_assignments(monkeypatch)
-    assert simulate("refused") == plain and b"src=dynamic" in plain[0]
-
-
-def test_sweep_builds_no_overlay_objects(tmp_path, monkeypatch):
-    # Both FD-PaS levels plan every trial; with SlotAssignment refusing to
-    # build, sweep still exits 0 and writes the same bytes.
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text("utils: [0.5]\nr_steps: [8]\nalphas: [1, 2]\ntrials: 4\nbase_seed: 0\n", encoding="utf-8")
-
-    def sweep(tag: str) -> tuple[bytes, bytes]:
-        out = tmp_path / tag
-        assert main(["sweep", "--spec", str(spec), "--out-dir", str(out)]) == EXIT_OK
-        return (out / "records.csv").read_bytes(), (out / "aggregate.csv").read_bytes()
-
-    plain = sweep("plain")
-    _refuse_slot_assignments(monkeypatch)
-    assert sweep("refused") == plain and b"FDPAS_TRANSMISSION" in plain[0]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

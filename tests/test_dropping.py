@@ -38,7 +38,7 @@ from rtwnsim.dropping import (
     greedy_drop_packets,
 )
 
-from dropping_reference import PeriodicPacketState, from_set_cover, optimal_drop_oracle, to_periodic_state
+from dropping_reference import PeriodicPacketState, from_set_cover, optimal_drop_oracle, overlay_of, to_periodic_state
 
 
 def _testbed():
@@ -508,7 +508,7 @@ def test_dynamic_schedule_zero_drop_when_workload_fits():
     assert plan.decision.packet_count == 0
     assert plan.decision.total_degradation == 0.0
     # overlay touches only idle or disturbed-task slots
-    for slot in plan.overlay:
+    for slot in overlay_of(plan):
         assert result.schedule.task_at[slot] in (-1, 0)
 
 
@@ -538,20 +538,20 @@ def test_dynamic_schedule_constraints_hold():
         plan = generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level=level)
         # the overlay stays in the window and takes only idle, own or freed slots
         freed = plan.decision.freed_slots(result.schedule)
-        for t in plan.overlay:
+        for t in overlay_of(plan):
             assert event.enter_slot <= t < plan.end_point
             assert result.schedule.task_at[t] in (-1, 0) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:
             need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
-            slots = sorted((t, a.hop) for t, a in plan.overlay.items() if a.release == entry.release)
+            slots = sorted((t, a.hop) for t, a in overlay_of(plan).items() if a.release == entry.release)
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s, _ in slots)
             hops = [h for _, h in slots]
             assert hops == sorted(hops)
         # completion constraint for the chosen end point
         last_stepped = event.enter_slot + sum(event.periods[:-1])
-        finish = max(t for t, a in plan.overlay.items() if a.release == last_stepped) + 1
+        finish = max(t for t, a in overlay_of(plan).items() if a.release == last_stepped) + 1
         assert finish <= plan.end_point <= plan.window.end_upper_bound
 
 

@@ -82,10 +82,10 @@ from rtwnsim.rhythmic import (
     resolved_demand,
 )
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, build_static
-from rtwnsim.static_schedule import SlotAssignment, build_static_schedule, hop_expansion
+from rtwnsim.static_schedule import build_static_schedule, hop_expansion
 
 import dropping_reference as oracle
-from dropping_reference import PeriodicPacketState, to_periodic_state
+from dropping_reference import PeriodicPacketState, SlotAssignment, overlay_of, to_periodic_state
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -388,7 +388,7 @@ def _plan_outcome(event, static, trial, level):
     try:
         plan = generate_dynamic_schedule(*args)
         assert (np.diff(plan.overlay_slots) > 0).all()  # ascending, as the engine's split reads them
-        got = ("ok", plan.evaluations, plan.decision, plan.overlay)
+        got = ("ok", plan.evaluations, plan.decision, overlay_of(plan))
     except (DisturbanceInfeasible, PlanInvariantError, ValueError) as exc:
         got = ("raised", type(exc), str(exc))
     try:
@@ -477,7 +477,7 @@ def _planned(event, schedule, trial, level, table=None):
                                          BETA, level, table=table)
     except (DisturbanceInfeasible, ValueError) as exc:
         return ("raised", type(exc), str(exc))
-    return plan, plan.overlay  # plans compare without their overlay arrays
+    return plan, overlay_of(plan)  # plans compare without their overlay arrays
 
 
 @pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])

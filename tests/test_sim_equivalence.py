@@ -54,6 +54,8 @@ from rtwnsim.sim import (
 )
 from rtwnsim.trace import _PAD, _WINDOW_SLOTS, _decimal
 
+from dropping_reference import overlay_of
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -145,7 +147,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
     if dynamic is not None:
         event = dynamic.event
         vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
-        overlay = dynamic.overlay
+        overlay = overlay_of(dynamic)
         window_start, window_end = event.enter_slot, dynamic.end_point
 
     # Packet table.  The disturbed task's nominal instances inside
