@@ -10,6 +10,7 @@ preempted periodic transmissions are visible.
 
 from rtwnsim import (
     EVENT_FIELDS,
+    CandidateTable,
     DisturbanceEvent,
     DisturbanceSpec,
     Framework,
@@ -50,9 +51,11 @@ print(f"notified nodes: {disturbance_recipients(tasks[0])}")
 
 static = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
+# Every node on the route derives the plans from the same inputs, which one
+# candidate table holds; both dropping levels read it.
+table = CandidateTable(event, static.schedule, tasks, net, 0.95, beta=4)
 for level in ("packet", "transmission"):
-    plan = generate_dynamic_schedule(event, static.schedule, tasks, net, 0.95,
-                                     beta=4, level=level)
+    plan = generate_dynamic_schedule(table, level)
     print(f"\n== {level}-level dropping ==")
     print(f"candidates evaluated: {plan.evaluations}")
     print(f"chosen end point: {plan.end_point} "

@@ -88,6 +88,7 @@ from .sim import (
     baseline_drt,
     degradation_rate,
     plan,
+    plan_frameworks,
     run,
 )
 

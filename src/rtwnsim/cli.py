@@ -113,6 +113,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     spec = config_mod.parse_experiment(args.spec)
     records = run_sweep(spec, parallel=args.parallel)
     out = _out_dir(args.out_dir)
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run an experiment grid")
     sw.add_argument("--spec", required=True, help="experiment-spec YAML")
     sw.add_argument("--out-dir", default=None)
-    sw.add_argument("--parallel", type=int, default=1)
+    sw.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per cell")
     sw.set_defaults(func=cmd_sweep)
     return parser
 

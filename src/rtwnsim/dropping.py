@@ -497,9 +497,10 @@ class CandidateTable:
 
     Filled lazily, one candidate at a time, by ``generate_dynamic_schedule``,
     so the packet-level and transmission-level plans of a trial build each
-    candidate's inputs once between them.  A table serves only the event,
-    static schedule, tasks, network, required pdr and beta it was made for,
-    and is dropped with its trial: nothing it holds reaches another trial.
+    candidate's inputs once between them.  It holds every planning input:
+    the event, static schedule, tasks, network, required pdr and beta.
+    ``sim.plan_frameworks`` makes one per scenario and drops it with the
+    call, so nothing it holds reaches another trial.
     """
 
     def __init__(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
@@ -517,18 +518,6 @@ class CandidateTable:
         """Each task's path PDRs, which every transmission-level candidate reads."""
         return {t.id: tuple(self.network.path_pdrs(t.path)) for t in self.tasks}
 
-    def check(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
-              network: NetworkModel, required_pdr: float, beta: int) -> None:
-        """Raise ValueError unless this table was made for these arguments."""
-        if not (
-            static is self.static and tasks is self.tasks and network is self.network
-            and event == self.event and required_pdr == self.required_pdr and beta == self.beta
-        ):
-            raise ValueError(
-                "the candidate table was made for another event, schedule, task set, "
-                "network, required pdr or beta"
-            )
-
     def inputs(self, candidate: int) -> Union[CandidateInputs, CandidateInfeasible]:
         """The entry of ``candidate``, built at its first lookup."""
         entry = self._entries.get(candidate)
@@ -543,50 +532,41 @@ class CandidateTable:
         return entry
 
 
-def generate_dynamic_schedule(
-    event: DisturbanceEvent,
-    static: Schedule,
-    tasks: Sequence[TaskSpec],
-    network: NetworkModel,
-    required_pdr: float,
-    beta: int = 4,
-    level: str = "packet",
-    table: Optional[CandidateTable] = None,
-) -> DynamicPlan:
-    """Evaluate every end-point candidate, pick the cheapest feasible one and
-    lay the rhythmic transmissions into the freed slots.
+def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
+    """Evaluate every end-point candidate of ``table``'s disturbance, pick
+    the cheapest feasible one and lay the rhythmic transmissions into the
+    freed slots.  The event, static schedule, tasks, required pdr and beta
+    are the table's.
 
     Candidates are the disturbed task's release instants between the earliest
     finish of its last stepped packet and the latency bound.  Per candidate
     the demand vector is built and solved at the requested granularity
-    (``level``) with the matching greedy heuristic; infeasible candidates
-    are skipped.  The cheapest decision wins (drop count at packet
-    level, total degradation at transmission level; ties to the earliest end
-    point).  Rhythmic packets then claim the earliest usable slots in their
-    windows, hop-ordered under TBS, where usable means idle, owned by the
-    disturbed task, or freed by the decision.
+    (``level``) with the matching greedy heuristic; a candidate whose active
+    sets cannot be built is skipped.  The cheapest decision wins (drop count
+    at packet level, total degradation at transmission level; ties to the
+    earliest end point).  Rhythmic packets then claim the earliest usable
+    slots in their windows, hop-ordered under TBS, where usable means idle,
+    owned by the disturbed task, or freed by the decision.
 
     Each candidate's active sets, demand vector and grouped periodic slots
     come from ``table``: the packet level counts transmission vectors from
-    them and the transmission level groups them into a ``PeriodicState``.  A
-    trial's two FD-PaS plans share one table, made for the same arguments
-    (ValueError otherwise); without one, this plan makes its own.  No table
-    outlives its trial.  The overlay is stored as slot arrays.
+    them and the transmission level groups them into a ``PeriodicState``.
+    Every other-task slot in a rhythmic window belongs to a periodic packet
+    and each demand is bounded by its window, so a solver covers every
+    candidate the table accepted; PlanInvariantError names the candidate
+    where it does not.  The overlay is stored as slot arrays.
     """
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
-    if table is None:
-        table = CandidateTable(event, static, tasks, network, required_pdr, beta)
-    else:
-        table.check(event, static, tasks, network, required_pdr, beta)
+    event, static, required_pdr = table.event, table.static, table.required_pdr
     retry_vector, full_demand = table.retry_vector, table.full_demand
 
     f_last = earliest_last_finish(event, table.task.hops)
-    upper = end_point_upper_bound(event, beta)
+    upper = end_point_upper_bound(event, table.beta)
     evaluations: list[tuple[int, Optional[float]]] = []
     best: Optional[tuple[float, int, ActivePacketSets, DropDecision]] = None
     pdrs: PdrTable = {}  # shared by this plan's candidates only
-    for candidate in end_point_candidates(event, f_last, beta):
+    for candidate in end_point_candidates(event, f_last, table.beta):
         inputs = table.inputs(candidate)
         if isinstance(inputs, CandidateInfeasible):
             evaluations.append((candidate, None))
@@ -600,9 +580,10 @@ def generate_dynamic_schedule(
             else:
                 state = build_periodic_state(inputs, table.path_pdrs)
                 decision = drop_transmissions(demand, state, required_pdr, static.mode, pdrs)
-        except CandidateInfeasible:
-            evaluations.append((candidate, None))
-            continue
+        except CandidateInfeasible as exc:
+            raise PlanInvariantError(
+                f"the {level}-level solver left end-point candidate {candidate} uncovered: {exc}"
+            ) from exc
         cost = decision.cost()
         evaluations.append((candidate, cost))
         if best is None or cost < best[0] - 1e-15:

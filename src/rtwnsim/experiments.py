@@ -8,11 +8,10 @@ engine.  Every trial is a pure function of its seed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,16 +27,13 @@ from .model import (
     generate_taskset,
     random_chain_network,
 )
-from .dropping import CandidateTable
-from .static_schedule import StaticScheduleResult
-from .sim import DisturbanceSpec, Framework, Plan, SimConfig, build_static, plan
+from .sim import DisturbanceSpec, Framework, Plan, SimConfig, plan_frameworks
 
 __all__ = [
     "Trial",
     "RunRecord",
     "ExperimentSpec",
     "make_trial",
-    "evaluate_trial",
     "run_cell",
     "run_sweep",
     "aggregate",
@@ -178,22 +174,6 @@ def _disturbed_task(trial: Trial) -> TaskSpec:
     return next(t for t in trial.tasks if t.id == trial.rhythmic_task)
 
 
-def _trial_config(
-    trial: Trial, framework: Framework, alpha_mult: int, beta: int, required_pdr: float
-) -> SimConfig:
-    """The TBS scenario of one trial over the default horizon."""
-    task = _disturbed_task(trial)
-    return SimConfig(
-        network=trial.network,
-        tasks=trial.tasks,
-        required_pdr=required_pdr,
-        disturbance=DisturbanceSpec(task.id, trial.instance, trial.spec),
-        alpha=alpha_mult * task.period,
-        beta=beta,
-        framework=framework,
-    )
-
-
 def _record(trial: Trial, framework: Framework, planned: Plan, alpha_mult: int, tick: int) -> RunRecord:
     """The record of one planned (trial, framework) pair at alpha = alpha_mult
     nominal periods."""
@@ -215,28 +195,6 @@ def _record(trial: Trial, framework: Framework, planned: Plan, alpha_mult: int, 
         tick=tick,
         alpha_mult=alpha_mult,
     )
-
-
-def evaluate_trial(
-    trial: Trial,
-    framework: Framework,
-    alpha_mult: int = 1,
-    beta: int = 4,
-    required_pdr: float = 0.99,
-    tick: int = 60,
-    static: Optional[StaticScheduleResult] = None,
-) -> RunRecord:
-    """Schedule-level evaluation of one (trial, framework) pair at one latency
-    bound.  Returns the record at alpha = alpha_mult nominal periods.
-
-    ``static`` is the trial's schedule as ``run_cell`` builds it once for all
-    frameworks (same beta and required pdr); without it the schedule is
-    built here.  ``run_cell`` writes the same record from the same plan.
-    Raises ScheduleInfeasible when the task set misses a deadline in its
-    static schedule.
-    """
-    config = _trial_config(trial, framework, alpha_mult, beta, required_pdr)
-    return _record(trial, framework, plan(config, static), alpha_mult, tick)
 
 
 @dataclass(frozen=True)
@@ -295,26 +253,23 @@ def _trial_seed(base_seed: int, util: float, r_steps: int, tick: int, index: int
 
 def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list[RunRecord]:
     """All records of one (util, r, tick) cell: each trial planned once per
-    framework, and that plan recorded at every bound of the alpha axis.
-
-    A trial's frameworks share its static schedule and one candidate table,
-    so its two FD-PaS plans build each end-point candidate's inputs once;
-    both are dropped before the next trial."""
+    framework, by one ``plan_frameworks`` call, and each plan recorded at
+    every bound of the alpha axis."""
     records: list[RunRecord] = []
     for index in range(spec.trials):
         seed = _trial_seed(spec.base_seed, util, r_steps, tick, index)
         trial = make_trial(
             seed, util, r_steps, gamma=spec.gamma, required_pdr=spec.required_pdr
         )
-        config = _trial_config(trial, spec.frameworks[0], spec.alphas[0], spec.beta, spec.required_pdr)
+        config = SimConfig(  # TBS over the default horizon
+            network=trial.network, tasks=trial.tasks, required_pdr=spec.required_pdr, beta=spec.beta,
+            disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+        )
         try:
-            static = build_static(config)
+            plans = plan_frameworks(config, spec.frameworks)
         except ScheduleInfeasible as exc:
             raise ScheduleInfeasible(f"trial seed {seed}: {exc}") from exc
-        table = CandidateTable(config.event(), static.schedule, config.tasks, config.network,
-                               config.required_pdr, config.beta)
-        for framework in spec.frameworks:
-            planned = plan(dataclasses.replace(config, framework=framework), static, table)
+        for framework, planned in zip(spec.frameworks, plans):
             records.extend(_record(trial, framework, planned, mult, tick) for mult in spec.alphas)
     return records
 
@@ -324,11 +279,13 @@ def _run_cell_star(args) -> list[RunRecord]:
 
 
 def run_sweep(spec: ExperimentSpec, parallel: int = 1) -> list[RunRecord]:
-    """Execute the whole grid; cell dispatch may be parallel, output order is
+    """Execute the whole grid; cells go to at most ``parallel`` worker
+    processes, never more than there are cells, and the output order is
     canonical either way."""
     cells = spec.cells()
-    if parallel > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell_star, [(spec, *cell) for cell in cells]))
     else:
         chunks = [run_cell(spec, *cell) for cell in cells]

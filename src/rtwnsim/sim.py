@@ -49,7 +49,7 @@ __all__ = [
     "TaskStats",
     "Metrics",
     "Plan",
-    "build_static",
+    "plan_frameworks",
     "plan",
     "run",
     "baseline_drt",
@@ -312,91 +312,69 @@ class Plan:
         return self.event is None or (self.feasible_dynamic and self.drt <= alpha_slots)
 
 
-def _horizon(config: SimConfig) -> int:
-    """The config's ``horizon``, or ``default_horizon`` when it is unset.
-    Raises HorizonTooShort when an explicit horizon cannot hold the
-    disturbance's window under a distributed framework."""
-    if config.horizon is None:
-        return default_horizon(config)
+def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple[Plan, ...]:
+    """Plan one scenario's disturbance handling under each of ``frameworks``,
+    in order, without running any slot; ``config.framework`` is not read.
+
+    The plans share one EDF static schedule over ``config.horizon``, or over
+    ``default_horizon`` when it is unset, and the FD-PaS plans share one
+    ``CandidateTable``, made at the first of them and dropped with the call.
+    Raises HorizonTooShort when an explicit horizon ends before the
+    disturbance's latest end point and some framework is FD-PaS, and
+    ScheduleInfeasible when the static schedule misses a deadline inside the
+    horizon.  The distributed frameworks respond one nominal period after
+    detection, whether or not a feasible window exists; the baseline's
+    latency follows its broadcast timing model.
+    """
     event = config.event()
-    if event is not None and config.framework is not Framework.BASELINE_BROADCAST:
+    horizon = config.horizon
+    if horizon is None:
+        horizon = default_horizon(config)
+    elif event is not None and any(f is not Framework.BASELINE_BROADCAST for f in frameworks):
         upper = end_point_upper_bound(event, config.beta)
-        if config.horizon < upper:
+        if horizon < upper:
             raise HorizonTooShort(
-                f"sim.horizon {config.horizon} ends before the disturbance's latest end point "
+                f"sim.horizon {horizon} ends before the disturbance's latest end point "
                 f"{upper}; set it to at least {upper} or leave it unset"
             )
-    return config.horizon
-
-
-def build_static(config: SimConfig) -> StaticScheduleResult:
-    """The config's EDF static schedule over its resolved horizon.  Raises
-    HorizonTooShort (see ``_horizon``) and ScheduleInfeasible when the
-    schedule misses a deadline inside the horizon."""
-    static = build_static_schedule(
-        config.tasks, config.network, config.mode, config.required_pdr, horizon=_horizon(config)
-    )
+    static = build_static_schedule(config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon)
     if not static.feasible:
-        raise ScheduleInfeasible(
-            f"static schedule misses packet (task, release) {static.first_failure}"
-        )
-    return static
-
-
-def plan(
-    config: SimConfig,
-    static: Optional[StaticScheduleResult] = None,
-    table: Optional[CandidateTable] = None,
-) -> Plan:
-    """Plan one scenario's disturbance handling without running any slot.
-
-    The static schedule is ``build_static(config)`` unless ``static``, built
-    that way over the same horizon, is passed in.  ``table`` is the trial's
-    candidate table (see ``generate_dynamic_schedule``), made for this
-    config's event, tasks, network, required pdr and beta over ``static``'s
-    schedule: a trial's two FD-PaS plans share it, and no table outlives its
-    trial.  Without one, an FD-PaS plan makes its own.  The distributed
-    frameworks respond one nominal period after detection, whether or not a
-    feasible window exists; the baseline's latency follows its broadcast
-    timing model.
-    """
-    if static is None:
-        static = build_static(config)
-    elif static.schedule.horizon != _horizon(config):
-        raise ValueError(
-            f"static schedule covers {static.schedule.horizon} slots, "
-            f"the config's horizon is {_horizon(config)}"
-        )
-    event = config.event()
+        raise ScheduleInfeasible(f"static schedule misses packet (task, release) {static.first_failure}")
     if event is None:
-        return Plan(static, None)
-    if config.framework is Framework.BASELINE_BROADCAST:
-        return Plan(static, event, drt=baseline_drt(config, static))
-
-    drt = event.enter_slot - event.detect_slot  # one nominal period
-    try:
-        dynamic = generate_dynamic_schedule(
+        return tuple(Plan(static, None) for _ in frameworks)
+    drt = event.enter_slot - event.detect_slot  # FD-PaS responds one nominal period on
+    table: Optional[CandidateTable] = None
+    plans = []
+    for framework in frameworks:
+        if framework is Framework.BASELINE_BROADCAST:
+            plans.append(Plan(static, event, drt=baseline_drt(config, static)))
+            continue
+        if table is None:
+            table = CandidateTable(event, static.schedule, config.tasks, config.network,
+                                   config.required_pdr, config.beta)
+        try:
+            dynamic = generate_dynamic_schedule(
+                table, "packet" if framework is Framework.FDPAS_PACKET else "transmission"
+            )
+        except DisturbanceInfeasible:
+            plans.append(Plan(static, event, feasible_dynamic=False, drt=drt))
+            continue
+        periodic = len(periodic_packets_in_window(dynamic, config.tasks))
+        plans.append(Plan(
+            static,
             event,
-            static.schedule,
-            config.tasks,
-            config.network,
-            config.required_pdr,
-            beta=config.beta,
-            level="packet" if config.framework is Framework.FDPAS_PACKET else "transmission",
-            table=table,
-        )
-    except DisturbanceInfeasible:
-        return Plan(static, event, feasible_dynamic=False, drt=drt)
-    periodic = len(periodic_packets_in_window(dynamic, config.tasks))
-    return Plan(
-        static,
-        event,
-        dynamic=dynamic,
-        drt=drt,
-        dhl=dynamic.end_point - event.enter_slot,
-        periodic_in_window=periodic,
-        dr=degradation_rate(dynamic.decision, periodic),
-    )
+            dynamic=dynamic,
+            drt=drt,
+            dhl=dynamic.end_point - event.enter_slot,
+            periodic_in_window=periodic,
+            dr=degradation_rate(dynamic.decision, periodic),
+        ))
+    return tuple(plans)
+
+
+def plan(config: SimConfig) -> Plan:
+    """The plan of ``config.framework``: see ``plan_frameworks``."""
+    return plan_frameworks(config, (config.framework,))[0]
 
 
 def _link_draws(

@@ -10,7 +10,6 @@ order.
 
 from __future__ import annotations
 
-import io
 from functools import cached_property
 from itertools import repeat
 from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence, Union
@@ -76,11 +75,6 @@ class SimTrace:
         event) to the binary ``fh`` as UTF-8, one write per window of
         ``_WINDOW_SLOTS`` slots."""
         _render(self._parts, self._vocab, self._horizon, fh)
-
-    def text(self) -> str:
-        out = io.BytesIO()
-        self.write(out)
-        return out.getvalue().decode("utf-8", "surrogatepass")
 
     def packets_from(self, slot: int) -> dict[tuple[int, int], tuple]:
         """Per-packet outcome records for packets released at/after ``slot``

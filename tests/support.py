@@ -1,0 +1,40 @@
+"""Small helpers the tests share, none of which a command needs.
+
+``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``dynamic_plan``
+plans one dropping level over a candidate table of its own, made from the
+six planning inputs.  ``standalone_record`` is the sweep's record of one
+(trial, framework) pair planned alone, through ``sim.plan``, the reference a
+sweep cell's shared plans are held to.
+"""
+
+from __future__ import annotations
+
+import io
+
+from rtwnsim.dropping import CandidateTable, DynamicPlan, generate_dynamic_schedule
+from rtwnsim.experiments import RunRecord, Trial, _record
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
+from rtwnsim.trace import SimTrace
+
+
+def trace_text(trace: SimTrace) -> str:
+    """The v1 text of ``trace``, as ``SimTrace.write`` writes it."""
+    out = io.BytesIO()
+    trace.write(out)
+    return out.getvalue().decode("utf-8", "surrogatepass")
+
+
+def dynamic_plan(event, static, tasks, network, required_pdr, beta=4, level="packet") -> DynamicPlan:
+    """``generate_dynamic_schedule`` at ``level`` over a fresh candidate table."""
+    return generate_dynamic_schedule(CandidateTable(event, static, tasks, network, required_pdr, beta), level)
+
+
+def standalone_record(trial: Trial, framework: Framework, alpha_mult: int = 1, beta: int = 4,
+                      required_pdr: float = 0.99, tick: int = 60) -> RunRecord:
+    """The record ``run_cell`` writes for ``trial`` under ``framework`` at
+    alpha = ``alpha_mult`` nominal periods, from a plan made alone."""
+    config = SimConfig(
+        network=trial.network, tasks=trial.tasks, required_pdr=required_pdr, beta=beta,
+        disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec), framework=framework,
+    )
+    return _record(trial, framework, plan(config), alpha_mult, tick)

@@ -36,14 +36,14 @@ from rtwnsim.dropping import (
     TransmissionVector,
     build_demand_vector,
     build_transmission_vectors,
-    generate_dynamic_schedule,
     greedy_drop_packets,
 )
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
-from rtwnsim.experiments import evaluate_trial, make_trial
+from rtwnsim.experiments import make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
 from dropping_reference import build_periodic_state, from_set_cover, optimal_drop_oracle, overlay_of
+from support import dynamic_plan, standalone_record
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:
@@ -80,9 +80,7 @@ def test_a1_bench_scenario_dropping():
 
     plans = {}
     for level in ("packet", "transmission"):
-        plans[level] = generate_dynamic_schedule(
-            event, static.schedule, tasks, net, 0.95, beta=4, level=level
-        )
+        plans[level] = dynamic_plan(event, static.schedule, tasks, net, 0.95, beta=4, level=level)
 
     # (a) every packet released in the window receives its full demand inside
     # its service window, before its deadline.
@@ -139,7 +137,7 @@ def test_a2_distributed_success_ratio():
     failures = []
     for i in range(1000):
         trial = make_trial(100_000 + i, 0.5, 8)
-        rec = evaluate_trial(trial, Framework.FDPAS_PACKET, alpha_mult=1)
+        rec = standalone_record(trial, Framework.FDPAS_PACKET, alpha_mult=1)
         if not rec.success:
             failures.append(trial.seed)
     elapsed = time.perf_counter() - start
@@ -154,7 +152,7 @@ def test_a3_baseline_latency_trend():
     for mult in range(1, 7):
         ok = 0
         for trial in trials:
-            rec = evaluate_trial(trial, Framework.BASELINE_BROADCAST, alpha_mult=mult)
+            rec = standalone_record(trial, Framework.BASELINE_BROADCAST, alpha_mult=mult)
             ok += rec.success
         ratios.append(ok / len(trials))
     monotone = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -296,8 +294,7 @@ def test_a7_constraint_suite():
         static = build_static_schedule(trial.tasks, trial.network, SchedulingMode.TBS,
                                        0.99, horizon=horizon)
         assert static.feasible
-        plan = generate_dynamic_schedule(event, static.schedule, trial.tasks,
-                                         trial.network, 0.99, beta=4, level="packet")
+        plan = dynamic_plan(event, static.schedule, trial.tasks, trial.network, 0.99, beta=4, level="packet")
 
         # Constraint 1: the last stepped packet finishes inside the window and
         # the end point respects the latency bound.

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rtwnsim import cli as cli_mod
+from rtwnsim import experiments
 from rtwnsim import trace as trace_mod
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
@@ -512,6 +513,13 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
      "mac: per_table priority distance 0 must be >= 1"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: [0.5]", "mac: per_table: expected a mapping, got list"),
+    ("  task: 0\n", "  task: 9\n", "disturbance: unknown task 9"),
+    ("  task: 0\n", "  task: 1\n", "disturbance: task has no rhythmic specification"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {steps: 3}",
+     "tasks[0].rhythmic: rhythmic needs either 'periods' or 'ratio'+'steps'"),
+    ("  controller: Vc\n", "  controller: Vz\n", "network: controller 'Vz' is not a declared node"),
+    ("nodes: [V0, V1, V2, V3, V4, V5, Vc]", "nodes: [V0, V1, V2, V3, V4, V5, Vc, V1]",
+     "network: duplicate node identifiers"),
     # A string or a mapping is iterable, but is not a list of periods.
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", 'rhythmic: {periods: "12"}',
      "tasks[0].rhythmic: periods must be a list, got str"),
@@ -527,7 +535,9 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
         "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
         "disturbance_rhythmic_typo", "duplicate_task_id", "per_table_rate", "per_table_distance", "per_table_list",
-        "string_rhythmic_periods", "mapping_rhythmic_deadlines"])
+        "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
+        "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
+        "duplicate_node"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -661,14 +671,16 @@ def test_simulate_node_name_that_breaks_a_trace_line_exit_code(tmp_path, capsys,
     assert not trace.exists()
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "list", "scalar", "empty"])
 @pytest.mark.parametrize("command", ["generate", "simulate", "sweep"])
 def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
+    # A file that cannot be read as text, or whose top level is no mapping.
     source = tmp_path / "input.yaml"
     if kind == "directory":
         source.mkdir()
-    elif kind == "not_utf8":
-        source.write_bytes(b"utils: [0.5]\n# \xff\n")
+    elif kind != "missing":
+        source.write_bytes({"not_utf8": b"utils: [0.5]\n# \xff\n", "list": b"- utils\n- [0.5]\n",
+                            "scalar": b"0.5\n", "empty": b""}[kind])
     out = tmp_path / "out"
     argv = {
         "generate": ["generate", "--seed", "1", "--util", "0.3", "--network", str(source), "--out", str(out)],
@@ -677,7 +689,10 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
     }[command]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {source}: ") and err.count("\n") == 1
+    if kind in ("list", "scalar", "empty"):
+        assert err == f"error: {source}: expected a mapping at the top level\n"
+    else:
+        assert err.startswith(f"error: cannot read {source}: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -812,6 +827,55 @@ def test_sweep_parallel_matches_serial(tmp_path):
                  "--parallel", "2"]) == EXIT_OK
     assert (serial / "records.csv").read_bytes() == (parallel / "records.csv").read_bytes()
     assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for ``ProcessPoolExecutor`` with a pool that maps in this
+    process, so no test starts a worker; returns each pool's ``max_workers``."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("utils, parallel, workers", [
+    ("[0.4, 0.6]", "64", [2]),
+    ("[0.4, 0.5, 0.6]", "2", [2]),
+    ("[0.4, 0.6]", "1", []),
+    ("[0.4]", "8", []),
+], ids=["capped_at_two_cells", "fewer_workers_than_cells", "serial", "one_cell"])
+def test_sweep_parallel_starts_at_most_one_worker_per_cell(tmp_path, serial_pool, utils, parallel, workers):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(f"utils: {utils}\nr_steps: [4]\nalphas: [1]\ntrials: 1\nbase_seed: 3\n"
+                    "frameworks: [FDPAS_PACKET]\n", encoding="utf-8")
+    assert main(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out"),
+                 "--parallel", parallel]) == EXIT_OK
+    assert serial_pool == workers
+    assert len((tmp_path / "out" / "records.csv").read_text().splitlines()) == 1 + utils.count(",") + 1
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_sweep_parallel_below_one_exit_code(tmp_path, capsys, serial_pool, parallel):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text("utils: [0.4, 0.6]\nr_steps: [4]\nalphas: [1]\ntrials: 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out-dir", str(out), "--parallel", parallel]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --parallel must be >= 1, got {parallel}\n"
+    assert serial_pool == [] and not out.exists()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -1,6 +1,7 @@
 """Dropping solvers: greedy heuristics, exhaustive oracle, set-cover embedding
 and full dynamic schedule generation."""
 
+import dataclasses
 import itertools
 import time
 from collections import Counter
@@ -37,8 +38,11 @@ from rtwnsim.dropping import (
     generate_dynamic_schedule,
     greedy_drop_packets,
 )
+from rtwnsim.experiments import _trial_seed, make_trial
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan_frameworks
 
 from dropping_reference import PeriodicPacketState, from_set_cover, optimal_drop_oracle, overlay_of, to_periodic_state
+from support import dynamic_plan
 
 
 def _testbed():
@@ -504,7 +508,7 @@ def test_dynamic_schedule_zero_drop_when_workload_fits():
     other = TaskSpec(id=1, path=("S1", "C", "A1"), period=40, deadline=40)
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task, other), net, SchedulingMode.TBS, 0.9, horizon=120)
-    plan = generate_dynamic_schedule(event, result.schedule, (task, other), net, 0.9)
+    plan = dynamic_plan(event, result.schedule, (task, other), net, 0.9)
     assert plan.decision.packet_count == 0
     assert plan.decision.total_degradation == 0.0
     # overlay touches only idle or disturbed-task slots
@@ -516,7 +520,7 @@ def test_dynamic_schedule_testbed_packet_level():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
-    plan = generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="packet")
+    plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
     # both packets of the 30-slot task released inside the window are dropped
     assert plan.end_point == 121
     assert plan.decision.dropped_packets == ((1, 61), (1, 91))
@@ -527,7 +531,7 @@ def test_dynamic_schedule_rejects_an_unknown_level():
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     with pytest.raises(ValueError, match="level must be 'packet' or 'transmission'"):
-        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="slot")
+        dynamic_plan(event, result.schedule, tasks, net, 0.95, level="slot")
 
 
 def test_dynamic_schedule_constraints_hold():
@@ -535,7 +539,7 @@ def test_dynamic_schedule_constraints_hold():
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     for level in ("packet", "transmission"):
-        plan = generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level=level)
+        plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
         # the overlay stays in the window and takes only idle, own or freed slots
         freed = plan.decision.freed_slots(result.schedule)
         for t in overlay_of(plan):
@@ -564,7 +568,7 @@ def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
     monkeypatch.setattr(dropping, "greedy_drop_packets",
                         lambda demand, vectors, required_pdr: DropDecision(level="packet"))
     with pytest.raises(PlanInvariantError, match=r"usable slots for a demand of 8$"):
-        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level="packet")
+        dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
 
 
 @pytest.mark.parametrize("level", ["packet", "transmission"])
@@ -579,29 +583,66 @@ def test_overlay_rejects_a_plan_that_breaks_the_completion_bound(monkeypatch, le
     message = (rf"^end point \d+ violates the completion constraint: the last stepped packet "
                rf"finishes at \d+, the bound is {event.enter_slot}$")
     with pytest.raises(PlanInvariantError, match=message):
-        generate_dynamic_schedule(event, result.schedule, tasks, net, 0.95, level=level)
+        dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
+
+
+def test_overlay_rejects_a_solver_that_leaves_an_accepted_candidate_uncovered(monkeypatch):
+    # Fault injection: a packet solver that finds no cover for a candidate
+    # whose active sets were built.  The planner names the candidate instead
+    # of skipping it.
+    net, tasks = _testbed()
+    event = DisturbanceEvent.from_task(tasks[0], 3)
+    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
+
+    def uncovered(demand, vectors, required_pdr):
+        raise CandidateInfeasible("periodic packets cannot cover the rhythmic demand")
+
+    monkeypatch.setattr(dropping, "greedy_drop_packets", uncovered)
+    message = (r"^the packet-level solver left end-point candidate 121 uncovered: "
+               r"periodic packets cannot cover the rhythmic demand$")
+    with pytest.raises(PlanInvariantError, match=message):
+        dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    index=st.integers(0, 199),
+    base_seed=st.integers(0, 3),
+    cell=st.sampled_from([(0.3, 3), (0.5, 8), (0.7, 8)]),
+    mode=st.sampled_from(list(SchedulingMode)),
+)
+def test_no_sweep_candidate_leaves_a_solver_uncovered(index, base_seed, cell, mode):
+    # Every other-task slot of a rhythmic window belongs to a periodic
+    # packet and each demand fits its window, so both solvers cover every
+    # candidate whose active sets were built: planning a sweep trial at
+    # either level never raises PlanInvariantError.  The known PBS rounding
+    # defect (a delivery probability just above 1) may end a plan first.
+    util, r_steps = cell
+    trial = make_trial(_trial_seed(base_seed, util, r_steps, 60, index), util, r_steps)
+    config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode,
+                       disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
+    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
+        try:
+            plan_frameworks(config, (framework,))
+        except ValueError as exc:
+            assert mode is SchedulingMode.PBS and "pdr values must lie in [0, 1]" in str(exc)
 
 
 def test_candidate_table_serves_only_the_plan_it_was_made_for():
+    # A plan reads every input from its table: the event, schedule, required
+    # pdr and beta a table was made for give the plan that a config with
+    # those inputs gets from plan_frameworks.
     net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
-    schedule = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260).schedule
-    table = CandidateTable(event, schedule, tasks, net, 0.95, beta=4)
-    alone = generate_dynamic_schedule(event, schedule, tasks, net, 0.95, beta=4, level="transmission")
-    assert generate_dynamic_schedule(event, schedule, tasks, net, 0.95, beta=4, level="transmission",
-                                     table=table) == alone
-    rebuilt = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260).schedule
-    for other in [
-        (DisturbanceEvent.from_task(tasks[0], 4), schedule, 0.95, 4),
-        (event, rebuilt, 0.95, 4),
-        (event, schedule, 0.9, 4),
-        (event, schedule, 0.95, 3),
-    ]:
-        other_event, other_schedule, required_pdr, beta = other
-        for level in ("packet", "transmission"):
-            with pytest.raises(ValueError, match="candidate table was made for another"):
-                generate_dynamic_schedule(other_event, other_schedule, tasks, net, required_pdr,
-                                          beta=beta, level=level, table=table)
+    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, horizon=260, disturbance=DisturbanceSpec(0, 3))
+    for config in [base, dataclasses.replace(base, disturbance=DisturbanceSpec(0, 4)),
+                   dataclasses.replace(base, required_pdr=0.9), dataclasses.replace(base, beta=3)]:
+        schedule = build_static_schedule(tasks, net, SchedulingMode.TBS, config.required_pdr, horizon=260).schedule
+        table = CandidateTable(config.event(), schedule, tasks, net, config.required_pdr, config.beta)
+        for level, framework in (("transmission", Framework.FDPAS_TRANSMISSION), ("packet", Framework.FDPAS_PACKET)):
+            planned = generate_dynamic_schedule(table, level)
+            (expected,) = plan_frameworks(config, (framework,))
+            assert planned == expected.dynamic, (config, level)
+            assert overlay_of(planned) == overlay_of(expected.dynamic), (config, level)
 
 
 def test_transmission_level_never_worse_than_packet_level():

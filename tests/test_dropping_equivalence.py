@@ -62,7 +62,7 @@ from rtwnsim.dropping import (
     generate_dynamic_schedule,
     greedy_drop_packets,
 )
-from rtwnsim.experiments import ExperimentSpec, _trial_seed, evaluate_trial, make_trial, run_cell
+from rtwnsim.experiments import ExperimentSpec, _trial_seed, make_trial, run_cell
 from rtwnsim.model import (
     CandidateInfeasible,
     DisturbanceInfeasible,
@@ -81,11 +81,12 @@ from rtwnsim.rhythmic import (
     end_point_upper_bound,
     resolved_demand,
 )
-from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, build_static
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.static_schedule import build_static_schedule, hop_expansion
 
 import dropping_reference as oracle
 from dropping_reference import PeriodicPacketState, SlotAssignment, overlay_of, to_periodic_state
+from support import dynamic_plan, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -386,7 +387,7 @@ def _outcome(solver, demand, state, mode):
 def _plan_outcome(event, static, trial, level):
     args = (event, static, trial.tasks, trial.network, REQUIRED_PDR, BETA, level)
     try:
-        plan = generate_dynamic_schedule(*args)
+        plan = dynamic_plan(*args)
         assert (np.diff(plan.overlay_slots) > 0).all()  # ascending, as the engine's split reads them
         got = ("ok", plan.evaluations, plan.decision, overlay_of(plan))
     except (DisturbanceInfeasible, PlanInvariantError, ValueError) as exc:
@@ -472,9 +473,10 @@ def test_matches_reference_on_constraint_suite_trials(mode):
 
 
 def _planned(event, schedule, trial, level, table=None):
+    if table is None:
+        table = CandidateTable(event, schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
     try:
-        plan = generate_dynamic_schedule(event, schedule, trial.tasks, trial.network, REQUIRED_PDR,
-                                         BETA, level, table=table)
+        plan = generate_dynamic_schedule(table, level)
     except (DisturbanceInfeasible, ValueError) as exc:
         return ("raised", type(exc), str(exc))
     return plan, overlay_of(plan)  # plans compare without their overlay arrays
@@ -505,14 +507,14 @@ def test_levels_planned_through_one_table_match_levels_planned_alone(mode):
 
 def test_run_cell_with_shared_tables_matches_standalone_evaluations():
     # run_cell plans each trial's FD-PaS levels through one candidate table;
-    # evaluate_trial plans each (trial, framework) alone.
+    # standalone_record plans each (trial, framework) alone, through sim.plan.
     spec = ExperimentSpec(utils=(0.5,), r_steps=(8,), alphas=(1, 2), trials=30, base_seed=7)
     records = run_cell(spec, 0.5, 8, 60)
     assert len(records) == spec.trials * len(spec.frameworks) * len(spec.alphas)
     for record in records:
         trial = make_trial(record.seed, 0.5, 8, gamma=spec.gamma, required_pdr=spec.required_pdr)
-        alone = evaluate_trial(trial, Framework(record.framework), alpha_mult=record.alpha_mult,
-                               beta=spec.beta, required_pdr=spec.required_pdr, tick=60)
+        alone = standalone_record(trial, Framework(record.framework), alpha_mult=record.alpha_mult,
+                                  beta=spec.beta, required_pdr=spec.required_pdr, tick=60)
         assert record == alone
 
 
@@ -638,7 +640,9 @@ def compare_sweep_cell_with_oracle(base_seed, trials, mode):
         config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, required_pdr=REQUIRED_PDR,
                            beta=BETA, framework=Framework.FDPAS_TRANSMISSION,
                            disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
-        event, schedule = config.event(), build_static(config).schedule
+        event = config.event()
+        schedule = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR,
+                                         horizon=default_horizon(config)).schedule
         table = CandidateTable(event, schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
         where = f"base seed {base_seed}, trial {index}, {mode.value}"
         library, reference = {}, {}

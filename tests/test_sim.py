@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
-from rtwnsim.experiments import Trial, _trial_seed, evaluate_trial, make_trial
+from rtwnsim.experiments import ExperimentSpec, _trial_seed, make_trial, run_cell
 from rtwnsim.sim import (
     EVENT_FIELDS,
     BaselineParams,
@@ -23,10 +23,13 @@ from rtwnsim.sim import (
     default_horizon,
     degradation_rate,
     plan,
+    plan_frameworks,
     run,
 )
-from rtwnsim.dropping import CandidateTable, DropDecision, PlanInvariantError
+from rtwnsim.dropping import DropDecision, PlanInvariantError
 from rtwnsim import sim as sim_mod
+
+from support import standalone_record, trace_text
 
 
 def _testbed(pdr=0.9):
@@ -75,7 +78,7 @@ def test_trace_is_deterministic():
                     disturbance=DisturbanceSpec(0, 3))
     a, _ = run(cfg)
     b, _ = run(cfg)
-    assert a.text() == b.text()
+    assert trace_text(a) == trace_text(b)
 
 
 def test_conservation_of_packets():
@@ -238,29 +241,53 @@ def test_horizon_must_reach_latest_end_point():
     assert metrics.drt_slots == 30
 
 
-def test_plan_rejects_a_static_schedule_over_another_horizon():
+def test_plan_frameworks_checks_the_horizon_for_any_fdpas_framework():
+    # The latest end point is slot 166 (see above).  A short horizon is
+    # rejected as soon as one of the frameworks plans a window, whichever
+    # framework the config names.
+    net, tasks = _testbed()
+    cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=165,
+                    disturbance=DisturbanceSpec(0, 3), framework=Framework.BASELINE_BROADCAST)
+    (baseline,) = plan_frameworks(cfg, (Framework.BASELINE_BROADCAST,))
+    assert baseline.static.schedule.horizon == 165 and baseline.drt == plan(cfg).drt
+    for frameworks in ((Framework.BASELINE_BROADCAST, Framework.FDPAS_PACKET), (Framework.FDPAS_TRANSMISSION,)):
+        with pytest.raises(HorizonTooShort, match="166"):
+            plan_frameworks(cfg, frameworks)
+
+
+def _counting(monkeypatch, name) -> list:
+    """Record each call of the ``sim`` module's ``name`` from here on."""
+    calls, real = [], getattr(sim_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, name, counted)
+    return calls
+
+
+def test_plan_shares_a_candidate_table_between_the_fdpas_levels(monkeypatch):
+    # One plan_frameworks call builds one static schedule and, at its first
+    # FD-PaS framework, one candidate table; each plan equals the plan of
+    # its framework made alone.
     net, tasks = _testbed()
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
                     disturbance=DisturbanceSpec(0, 3))
-    static = plan(cfg).static
-    assert static.schedule.horizon == 260
-    assert plan(cfg, static).dhl == run(cfg)[1].dhl_slots
-    with pytest.raises(ValueError, match="covers 260 slots, the config's horizon is 300"):
-        plan(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300,
-                       disturbance=DisturbanceSpec(0, 3)), static)
-
-
-def test_plan_shares_a_candidate_table_between_the_fdpas_levels():
-    net, tasks = _testbed()
-    cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3))
-    static = plan(cfg).static
-    table = CandidateTable(cfg.event(), static.schedule, tasks, net, 0.95, cfg.beta)
-    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
-        framed = dataclasses.replace(cfg, framework=framework)
-        assert plan(framed, static, table) == plan(framed, static)
-        with pytest.raises(ValueError, match="candidate table was made for another"):
-            plan(dataclasses.replace(framed, beta=cfg.beta + 1), static, table)
+    frameworks = (Framework.BASELINE_BROADCAST, Framework.FDPAS_TRANSMISSION, Framework.FDPAS_PACKET)
+    alone = [plan(dataclasses.replace(cfg, framework=f)) for f in frameworks]
+    builds, tables = _counting(monkeypatch, "build_static_schedule"), _counting(monkeypatch, "CandidateTable")
+    planned = plan_frameworks(cfg, frameworks)
+    assert (len(builds), len(tables)) == (1, 1)
+    assert all(p.static is planned[0].static for p in planned)
+    # A Schedule has no equality of its own; each plan compares without it.
+    assert [dataclasses.replace(p, static=None) for p in planned] == [
+        dataclasses.replace(p, static=None) for p in alone]
+    assert planned[0].static.schedule.horizon == 260
+    # No table without an FD-PaS framework or without a disturbance.
+    plan_frameworks(cfg, (Framework.BASELINE_BROADCAST,))
+    plan_frameworks(dataclasses.replace(cfg, disturbance=None), frameworks)
+    assert (len(builds), len(tables)) == (3, 1)
 
 
 def test_infeasible_disturbance_reports_failure():
@@ -277,36 +304,32 @@ def test_infeasible_disturbance_reports_failure():
     assert metrics.drt_slots == 10  # the response still starts one nominal period on
 
 
-def test_evaluate_trial_reports_an_infeasible_disturbance_like_run():
-    # The same ramp as above, evaluated the sweep's way on its own trial.
+def test_plan_frameworks_reports_an_infeasible_disturbance_like_run():
+    # The same ramp as above, planned the sweep's way, both levels in one call.
     net = chain_network(2, 2, pdr=1.0)
-    spec = RhythmicSpec((3, 3, 3), (3, 3, 3))
-    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10, rhythmic=spec)
-    trial = Trial(seed=1, util=0.4, r_steps=3, network=net, tasks=(task,), rhythmic_task=0,
-                  instance=1, spec=spec)
-    for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
-        rec = evaluate_trial(trial, framework, beta=1, required_pdr=0.9)
-        assert not rec.feasible_dynamic and not rec.success
-        assert rec.drt_slots == 10 and rec.dhl_slots == 0 and rec.dr == 0.0
+    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10,
+                    rhythmic=RhythmicSpec((3, 3, 3), (3, 3, 3)))
+    cfg = SimConfig(network=net, tasks=(task,), required_pdr=0.9, disturbance=DisturbanceSpec(0, 1), beta=1)
+    for planned in plan_frameworks(cfg, (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION)):
+        assert not planned.feasible_dynamic and not planned.meets(cfg.alpha_slots())
+        assert planned.drt == 10 and planned.dhl == 0 and planned.dr == 0.0
 
 
-def test_evaluate_trial_matches_run_on_sweep_trials():
-    # The sweep plans against its shared static schedule; a full run plans
-    # against its own build over the same default horizon.  Both must agree.
-    for index in range(30):
-        trial = make_trial(_trial_seed(0, 0.5, 8, 60, index), 0.5, 8)
-        period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
-        for framework in Framework:
-            rec = evaluate_trial(trial, framework)
-            _, m = run(SimConfig(
-                network=trial.network, tasks=trial.tasks,
-                disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
-                alpha=period, framework=framework,
-            ))
-            assert (rec.drt_slots, rec.dhl_slots, rec.success, rec.feasible_dynamic, rec.dr,
-                    rec.dropped_packets, rec.dropped_transmissions) == (
-                m.drt_slots, m.dhl_slots, m.success, m.feasible_dynamic, m.degradation_rate,
-                m.dropped_packets, m.dropped_transmissions), (index, framework)
+def test_run_cell_matches_run_on_sweep_trials():
+    # The sweep plans a trial's frameworks in one call; a full run plans its
+    # own framework over the same default horizon.  Both must agree.
+    spec = ExperimentSpec(trials=30)
+    for rec in run_cell(spec, 0.5, 8, 60):
+        trial = make_trial(rec.seed, 0.5, 8)
+        _, m = run(SimConfig(
+            network=trial.network, tasks=trial.tasks,
+            disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+            alpha=rec.alpha_slots, framework=Framework(rec.framework),
+        ))
+        assert (rec.drt_slots, rec.dhl_slots, rec.success, rec.feasible_dynamic, rec.dr,
+                rec.dropped_packets, rec.dropped_transmissions) == (
+            m.drt_slots, m.dhl_slots, m.success, m.feasible_dynamic, m.degradation_rate,
+            m.dropped_packets, m.dropped_transmissions), (rec.seed, rec.framework)
 
 
 def _plan_outcome(cfg):
@@ -396,7 +419,7 @@ def test_baseline_and_disturbed_task_need_a_disturbance():
 def test_baseline_always_slower_than_distributed_response():
     for i in range(500):
         trial = make_trial(40_000 + i, 0.5, 6)
-        rec = evaluate_trial(trial, Framework.BASELINE_BROADCAST, alpha_mult=6)
+        rec = standalone_record(trial, Framework.BASELINE_BROADCAST, alpha_mult=6)
         period = next(t.period for t in trial.tasks if t.id == trial.rhythmic_task)
         assert rec.drt_slots > period  # distributed handling starts at one period
 
@@ -405,7 +428,7 @@ def test_baseline_success_monotone_in_alpha():
     trial = make_trial(123, 0.5, 8)
     succ = []
     for mult in range(1, 7):
-        rec = evaluate_trial(trial, Framework.BASELINE_BROADCAST, alpha_mult=mult)
+        rec = standalone_record(trial, Framework.BASELINE_BROADCAST, alpha_mult=mult)
         succ.append(rec.success)
     assert succ == sorted(succ)  # False before True
 

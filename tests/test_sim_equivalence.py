@@ -55,6 +55,7 @@ from rtwnsim.sim import (
 from rtwnsim.trace import _PAD, _WINDOW_SLOTS, _decimal
 
 from dropping_reference import overlay_of
+from support import trace_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -379,7 +380,7 @@ def _assert_same_run(config: SimConfig) -> Optional[SimTrace]:
     trace, metrics = run(config)
     # The text comes first, as ``simulate`` writes it: from the record
     # columns, with no record tuple built.
-    text = trace.text()
+    text = trace_text(trace)
     assert "events" not in vars(trace)
     assert text == _reference_text(trace.events)
     assert all(type(e) is tuple and len(e) == 2 + len(EVENT_FIELDS[e[1]]) for e in trace.events)
@@ -643,7 +644,7 @@ def test_any_node_name_writes_the_reference_bytes(names, mode):
     base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode)
     config = _renamed(base, dict(zip(base.network.nodes, names)))
     trace, _ = run(config)
-    text = trace.text()
+    text = trace_text(trace)
     assert text == _reference_text(trace.events)
     assert any(name in text for name in names if "=" not in name)
     out = io.BytesIO()
@@ -659,5 +660,5 @@ def test_a_trace_without_records_is_one_newline():
         tasks=tuple(dataclasses.replace(t, phase=260) for t in base.tasks),
     )
     trace, _ = run(config)
-    assert trace.text() == "\n" == _reference_text(trace.events)
+    assert trace_text(trace) == "\n" == _reference_text(trace.events)
     assert trace.events == []

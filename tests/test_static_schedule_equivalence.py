@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtwnsim import experiments, sim, static_schedule
-from rtwnsim.experiments import ExperimentSpec, evaluate_trial, make_trial, run_cell
+from rtwnsim.experiments import ExperimentSpec, make_trial, run_cell
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.model import (
     InfeasibleError,
@@ -39,6 +39,8 @@ from rtwnsim.static_schedule import (
     hyperperiod,
     plan_retry_vectors,
 )
+
+from support import standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -330,19 +332,19 @@ def test_run_cell_matches_standalone_evaluations():
         trial = make_trial(seed, 0.5, 8, gamma=SPEC.gamma, required_pdr=SPEC.required_pdr)
         for framework in SPEC.frameworks:
             for mult in SPEC.alphas:
-                alone = evaluate_trial(trial, framework, alpha_mult=mult, beta=SPEC.beta,
-                                       required_pdr=SPEC.required_pdr, tick=60)
+                alone = standalone_record(trial, framework, alpha_mult=mult, beta=SPEC.beta,
+                                          required_pdr=SPEC.required_pdr, tick=60)
                 assert by_key[(framework.value, seed, mult)] == alone
 
 
-def test_evaluate_trial_raises_on_an_infeasible_static_schedule():
+def test_plan_raises_on_an_infeasible_static_schedule():
     trial = make_trial(3, 0.5, 8)
     host = next(t for t in trial.tasks if t.id != trial.rhythmic_task)
     hog = TaskSpec(id=max(t.id for t in trial.tasks) + 1, path=host.path,
                    period=host.hops, deadline=host.hops)
     overloaded = dataclasses.replace(trial, tasks=trial.tasks + (hog,))
     with pytest.raises(ScheduleInfeasible, match=r"misses packet \(task, release\)"):
-        evaluate_trial(overloaded, Framework.FDPAS_PACKET)
+        standalone_record(overloaded, Framework.FDPAS_PACKET)
 
 
 def test_run_cell_names_the_trial_seed_of_an_infeasible_static_schedule(monkeypatch):
