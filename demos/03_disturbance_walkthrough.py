@@ -21,10 +21,10 @@ from rtwnsim import (
     SimConfig,
     TaskSpec,
     build_static_schedule,
-    disturbance_recipients,
     generate_dynamic_schedule,
     run,
 )
+from rtwnsim.rhythmic import end_point_upper_bound
 
 net = NetworkModel(
     nodes=("V0", "V1", "V2", "V3", "V4", "V5", "Vc"),
@@ -47,7 +47,7 @@ tasks = (
 event = DisturbanceEvent.from_task(tasks[0], 3)
 print(f"detected at slot {event.detect_slot}; short-period state "
       f"[{event.enter_slot}, {event.exit_slot})")
-print(f"notified nodes: {disturbance_recipients(tasks[0])}")
+print(f"notified nodes: {tasks[0].path}")
 
 static = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
@@ -59,7 +59,7 @@ for level in ("packet", "transmission"):
     print(f"\n== {level}-level dropping ==")
     print(f"candidates evaluated: {plan.evaluations}")
     print(f"chosen end point: {plan.end_point} "
-          f"(bound {plan.window.end_upper_bound})")
+          f"(bound {end_point_upper_bound(event, table.beta)})")
     if level == "packet":
         print(f"dropped packets: {plan.decision.dropped_packets}")
     else:

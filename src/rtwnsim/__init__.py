@@ -45,9 +45,7 @@ from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
     RhythmicDemand,
-    RhythmicWindow,
     build_active_sets,
-    disturbance_recipients,
     end_point_candidates,
     find_idle_slot,
 )
@@ -58,7 +56,6 @@ from .dropping import (
     DropDecision,
     DynamicPlan,
     PlanInvariantError,
-    TransmissionVector,
     build_demand_vector,
     build_transmission_vectors,
     drop_transmissions,

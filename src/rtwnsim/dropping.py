@@ -35,7 +35,6 @@ from .model import (
 from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
-    RhythmicWindow,
     build_active_sets,
     earliest_last_finish,
     end_point_candidates,
@@ -46,7 +45,6 @@ from .static_schedule import Schedule, hop_expansion
 
 __all__ = [
     "PlanInvariantError",
-    "TransmissionVector",
     "DemandVector",
     "DropDecision",
     "PeriodicState",
@@ -67,15 +65,6 @@ PacketKey = tuple[int, int]  # (task id, release slot)
 class PlanInvariantError(RuntimeError):
     """A chosen dynamic plan breaks a guarantee the heuristics must uphold; this
     signals a bug in the planner, never a property of the input."""
-
-
-@dataclass(frozen=True)
-class TransmissionVector:
-    """Per rhythmic packet, how many of this periodic packet's static slots
-    could be handed over (slots falling inside that rhythmic packet's window)."""
-
-    packet: PacketKey
-    replaceable: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -262,17 +251,16 @@ class CandidateInputs:
         return owner, slots, static.hop_at[slots], windows
 
 
-def build_transmission_vectors(inputs: CandidateInputs) -> list[TransmissionVector]:
-    """Count, for every periodic packet, its slots inside each rhythmic window."""
+def build_transmission_vectors(inputs: CandidateInputs) -> np.ndarray:
+    """The transmission vectors of ``inputs``: row i counts the slots of
+    periodic packet ``sets.periodic[i]`` inside each rhythmic window, the
+    slots it could hand over to that window's packet."""
     sets = inputs.sets
     n = len(sets.rhythmic)
     owner, _, _, windows = inputs.slot_groups
     inside = windows >= 0
     counts = np.bincount(owner[inside] * n + windows[inside], minlength=len(sets.periodic) * n)
-    return [
-        TransmissionVector(packet=key, replaceable=tuple(row))
-        for key, row in zip(sets.periodic, counts.reshape(-1, n).tolist())
-    ]
+    return counts.reshape(len(sets.periodic), n)
 
 
 def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
@@ -284,43 +272,38 @@ def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[
 
 
 def greedy_drop_packets(
-    demand: DemandVector, vectors: Sequence[TransmissionVector], required_pdr: float
+    demand: DemandVector, packets: Sequence[PacketKey], counts: np.ndarray, required_pdr: float
 ) -> DropDecision:
     """Drop whole periodic packets until every rhythmic packet is covered.
 
-    Each round removes the packet contributing the most replaceable slots
-    (ties to the lowest release, then task id), subtracts its contribution
-    from the residual demand, and re-clips the remaining vectors: entries for
-    satisfied rhythmic packets go to zero and entries exceeding the residual
-    are reduced to it, so later rounds rank packets by *useful* contribution.
+    ``counts`` holds one transmission vector per packet of ``packets``, as
+    ``build_transmission_vectors`` counts them.  Each round removes the
+    packet contributing the most replaceable slots (ties to the lowest
+    release, then task id), subtracts its contribution from the residual
+    demand, and re-clips the remaining vectors: entries for satisfied
+    rhythmic packets go to zero and entries exceeding the residual are
+    reduced to it, so later rounds rank packets by *useful* contribution.
     """
-    residual = list(demand.residual)
-    if all(v == 0 for v in residual):
+    residual = np.array(demand.residual, dtype=np.int64)
+    if not residual.any():
         return DropDecision(level="packet")
 
-    live: dict[PacketKey, list[int]] = {v.packet: list(v.replaceable) for v in vectors}
+    # Rows in (release, task) order, so that argmax breaks ties as ranked;
+    # indexing by ``order`` copies, so ``counts`` is left as it was.
+    order = sorted(range(len(packets)), key=lambda i: (packets[i][1], packets[i][0]))
+    live = np.asarray(counts, dtype=np.int64).reshape(len(packets), len(residual))[order]
     dropped: list[PacketKey] = []
     while True:
-        best_key = None
-        best_sum = -1
-        for key in live:
-            s = sum(live[key])
-            if s > best_sum or (s == best_sum and (key[1], key[0]) < (best_key[1], best_key[0])):
-                best_key, best_sum = key, s
-        if best_key is None or best_sum == 0:
+        sums = live.sum(axis=1)
+        if not sums.any():
             raise CandidateInfeasible("periodic packets cannot cover the rhythmic demand")
-        contribution = live.pop(best_key)
-        dropped.append(best_key)
-        for i in range(len(residual)):
-            residual[i] = max(0, residual[i] - contribution[i])
-        if all(v == 0 for v in residual):
+        best = int(sums.argmax())
+        dropped.append(packets[order[best]])
+        residual = np.maximum(residual - live[best], 0)
+        if not residual.any():
             break
-        for eps in live.values():
-            for i in range(len(residual)):
-                if residual[i] == 0:
-                    eps[i] = 0
-                elif eps[i] > residual[i]:
-                    eps[i] = residual[i]
+        live[best] = 0
+        np.minimum(live, residual, out=live)
 
     degradations = tuple((key, required_pdr) for key in sorted(dropped, key=lambda k: (k[1], k[0])))
     return DropDecision(
@@ -476,18 +459,13 @@ class DynamicPlan:
     """
 
     event: DisturbanceEvent
-    window: RhythmicWindow
+    end_point: int
     sets: ActivePacketSets
     decision: DropDecision
     overlay_slots: np.ndarray = field(compare=False)
     overlay_releases: np.ndarray = field(compare=False)
     overlay_hops: np.ndarray = field(compare=False)
     evaluations: tuple[tuple[int, Optional[float]], ...]
-    retry_vector: tuple[int, ...]  # per-hop budget of each full-demand rhythmic packet
-
-    @property
-    def end_point(self) -> int:
-        return self.window.end
 
 
 class CandidateTable:
@@ -576,7 +554,8 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
             if demand.satisfied:
                 decision = DropDecision(level=level)
             elif level == "packet":
-                decision = greedy_drop_packets(demand, build_transmission_vectors(inputs), required_pdr)
+                counts = build_transmission_vectors(inputs)
+                decision = greedy_drop_packets(demand, inputs.sets.periodic, counts, required_pdr)
             else:
                 state = build_periodic_state(inputs, table.path_pdrs)
                 decision = drop_transmissions(demand, state, required_pdr, static.mode, pdrs)
@@ -636,7 +615,7 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     releases = np.repeat([entry.release for entry in rhythmic], needs)
     overlay = np.stack([usable[picks], releases, np.array(labels, dtype=np.int64)])
     return DynamicPlan(
-        event=event, window=RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper),
-        sets=sets, decision=decision, overlay_slots=overlay[0], overlay_releases=overlay[1], overlay_hops=overlay[2],
-        evaluations=tuple(evaluations), retry_vector=retry_vector,
+        event=event, end_point=end_point, sets=sets, decision=decision,
+        overlay_slots=overlay[0], overlay_releases=overlay[1], overlay_hops=overlay[2],
+        evaluations=tuple(evaluations),
     )

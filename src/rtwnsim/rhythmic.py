@@ -1,6 +1,6 @@
-"""Disturbance-mode machinery: recipient node sets, the shortened release
-sequence of a disturbed task, end-point candidate selection, and construction
-of the active packet sets a candidate implies.
+"""Disturbance-mode machinery: the shortened release sequence of a disturbed
+task, end-point candidate selection, and construction of the active packet
+sets a candidate implies.
 
 A disturbance detected at one release makes the task enter a stepped
 short-period state one nominal period later.  Only the nodes on that task's
@@ -26,11 +26,9 @@ from .static_schedule import Schedule
 
 __all__ = [
     "DisturbanceEvent",
-    "RhythmicWindow",
     "RhythmicDemand",
     "ActivePacketSets",
     "IdleSlotWitness",
-    "disturbance_recipients",
     "actual_releases",
     "end_point_upper_bound",
     "end_point_candidates",
@@ -52,19 +50,19 @@ class DisturbanceEvent:
     task_id: int
     instance: int  # index of the detecting release
     detect_slot: int
-    enter_slot: int
-    exit_slot: int
     periods: tuple[int, ...]
     deadlines: tuple[int, ...]
     nominal_period: int
     nominal_deadline: int
     phase: int
 
-    def __post_init__(self) -> None:
-        if self.enter_slot != self.detect_slot + self.nominal_period:
-            raise ValueError("the rhythmic state must start one nominal period after detection")
-        if self.exit_slot - self.enter_slot != sum(self.periods):
-            raise ValueError("exit slot must equal enter slot plus the stepped periods")
+    @property
+    def enter_slot(self) -> int:
+        return self.detect_slot + self.nominal_period
+
+    @property
+    def exit_slot(self) -> int:
+        return self.enter_slot + int(sum(self.periods))
 
     @classmethod
     def from_task(cls, task: TaskSpec, instance: int,
@@ -72,13 +70,10 @@ class DisturbanceEvent:
         spec = spec or task.rhythmic
         if spec is None:
             raise ValueError(f"task {task.id} has no rhythmic specification")
-        detect = task.release(instance)
         return cls(
             task_id=task.id,
             instance=instance,
-            detect_slot=detect,
-            enter_slot=detect + task.period,
-            exit_slot=detect + task.period + spec.total,
+            detect_slot=task.release(instance),
             periods=spec.periods,
             deadlines=spec.deadlines,
             nominal_period=task.period,
@@ -109,19 +104,6 @@ class DisturbanceEvent:
 
 
 @dataclass(frozen=True)
-class RhythmicWindow:
-    """The dynamic-schedule window finally chosen for a disturbance."""
-
-    start: int  # enter_slot
-    end: int  # chosen end point
-    end_upper_bound: int
-
-    def __post_init__(self) -> None:
-        if not (self.start < self.end <= self.end_upper_bound):
-            raise ValueError("window must satisfy start < end <= upper bound")
-
-
-@dataclass(frozen=True)
 class RhythmicDemand:
     """One packet the dynamic schedule must serve.
 
@@ -130,7 +112,6 @@ class RhythmicDemand:
     the static-schedule tail slots that complete it after the window closes.
     """
 
-    seq: int
     release: int
     deadline: int
     fixed_demand: Optional[int] = None
@@ -153,16 +134,15 @@ class ActivePacketSets:
     """Packets touched by one end-point candidate.
 
     ``rhythmic`` holds the disturbed task's packets to place dynamically, with
-    pairwise-disjoint service windows inside [start, candidate).  ``periodic``
-    lists every other packet owning at least one static slot in that range,
-    in (release, task) order.
+    pairwise-disjoint service windows inside [enter_slot, candidate) of the
+    event.  ``periodic`` lists every other packet owning at least one static
+    slot in that range, in (release, task) order.
     ``resume_release`` is the first release of the disturbed task served by
     the static schedule again; nominal instances released in
-    [start, resume_release) are superseded by the dynamic packets.
+    [enter_slot, resume_release) are superseded by the dynamic packets.
     """
 
     candidate: int
-    start: int
     task_id: int  # the disturbed task
     rhythmic: tuple[RhythmicDemand, ...]
     periodic: tuple[tuple[int, int], ...]  # (task, release) keys
@@ -177,11 +157,6 @@ class IdleSlotWitness:
     received_by: int  # t1: slot by which the node holds the disturbance info
     busy_from: int  # t2: the node's first involvement in the next instance
     idle_slot: Optional[int] = None
-
-
-def disturbance_recipients(task: TaskSpec) -> tuple[str, ...]:
-    """Nodes that must learn about a disturbance: exactly the task's route."""
-    return task.path
 
 
 def actual_releases(event: DisturbanceEvent, until: int) -> list[int]:
@@ -277,8 +252,6 @@ def build_active_sets(
     if candidate <= start:
         raise CandidateInfeasible("end point must lie after the window start")
     releases = [r for r in actual_releases(event, candidate - 1) if r < candidate]
-    if not releases:
-        raise CandidateInfeasible("no packet released inside the window")
 
     demands: list[RhythmicDemand] = []
     p0 = event.nominal_period
@@ -333,11 +306,7 @@ def build_active_sets(
                     deadline = min(candidate, first_static)
             else:
                 deadline = min(deadline, candidate)
-        if deadline <= release:
-            raise CandidateInfeasible(
-                f"packet released at {release} has an empty service window for end point {candidate}"
-            )
-        entry = RhythmicDemand(seq=seq, release=release, deadline=deadline,
+        entry = RhythmicDemand(release=release, deadline=deadline,
                                fixed_demand=fixed, tail_slots=tail, prefix_hops=prefix)
         demand = resolved_demand(entry, full_demand)
         if demand > deadline - release:
@@ -359,7 +328,6 @@ def build_active_sets(
 
     return ActivePacketSets(
         candidate=candidate,
-        start=start,
         task_id=event.task_id,
         rhythmic=tuple(demands),
         periodic=tuple(periodic),

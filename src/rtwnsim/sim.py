@@ -26,7 +26,7 @@ from .model import (
     SchedulingMode,
     TaskSpec,
 )
-from .rhythmic import DisturbanceEvent, disturbance_recipients, end_point_upper_bound
+from .rhythmic import DisturbanceEvent, end_point_upper_bound
 from .static_schedule import (
     Schedule,
     StaticScheduleResult,
@@ -237,7 +237,7 @@ def periodic_packets_in_window(dynamic: DynamicPlan, tasks: Sequence[TaskSpec]) 
     owning a static slot in the plan's window (its active periodic set) plus
     those released inside it."""
     keys = set(dynamic.sets.periodic)
-    rhythmic_task, start, end = dynamic.event.task_id, dynamic.window.start, dynamic.end_point
+    rhythmic_task, start, end = dynamic.event.task_id, dynamic.event.enter_slot, dynamic.end_point
     for task in tasks:
         if task.id == rhythmic_task:
             continue
@@ -547,7 +547,7 @@ def _split(
     if dynamic is not None:
         event = dynamic.event
         route = next(t for t in config.tasks if t.id == event.task_id)
-        vrhy = frozenset(disturbance_recipients(route))
+        vrhy = frozenset(route.path)  # only the disturbed task's route learns of the disturbance
         lo, hi = event.enter_slot, dynamic.end_point
         first, stop = np.searchsorted(dynamic.overlay_slots, (lo, hi))
         overlay_slots = dynamic.overlay_slots[first:stop]

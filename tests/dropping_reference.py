@@ -5,6 +5,14 @@ and it bounds the two greedy heuristics by the exhaustive optimum.  Neither
 is part of the framework, which plans with the heuristics alone, so both live
 here, next to the tests that hold the heuristics to them.
 
+``TransmissionVector`` is a periodic packet's transmission vector as one
+object, the form the set-cover embedding and the oracle take.
+``vectors_of`` reads a candidate's count matrix as such objects,
+``vector_matrix`` turns a list of them into the ``(packets, counts)`` pair
+the library's ``greedy_drop_packets`` reads, and ``greedy_drop_packets``
+here is that greedy as it was before it worked on the count matrix, with
+each vector a list in a dict, the library greedy's frozen reference.
+
 ``PeriodicPacketState``, ``build_periodic_state`` and ``drop_transmissions``
 are the transmission-level solver as it was before it worked on grouped
 slot arrays: one mutable state object per periodic packet, and a heap whose
@@ -33,7 +41,7 @@ from rtwnsim.dropping import (
     PdrTable,
     PeriodicState,
     PlanInvariantError,
-    TransmissionVector,
+    build_transmission_vectors,
 )
 from rtwnsim.model import (
     CandidateInfeasible,
@@ -50,6 +58,80 @@ PacketKey = tuple[int, int]  # (task id, release slot)
 ORACLE_PACKET_LIMIT = 20
 ORACLE_SLOT_LIMIT = 22
 ORACLE_COMBO_LIMIT = 2_000_000
+
+
+@dataclass(frozen=True)
+class TransmissionVector:
+    """Per rhythmic packet, how many of this periodic packet's static slots
+    could be handed over (slots falling inside that rhythmic packet's window)."""
+
+    packet: PacketKey
+    replaceable: tuple[int, ...]
+
+
+def vectors_of(inputs: CandidateInputs) -> list[TransmissionVector]:
+    """The transmission vectors the library counts for ``inputs``, one
+    object per periodic packet."""
+    rows = build_transmission_vectors(inputs).tolist()
+    return [TransmissionVector(key, tuple(row)) for key, row in zip(inputs.sets.periodic, rows)]
+
+
+def vector_matrix(
+    demand: DemandVector, vectors: Sequence[TransmissionVector]
+) -> tuple[list[PacketKey], np.ndarray]:
+    """``vectors`` as the packet keys and the (packet x rhythmic window)
+    count matrix the library's ``greedy_drop_packets`` reads; ``demand``
+    gives the window count when ``vectors`` is empty."""
+    counts = np.array([v.replaceable for v in vectors], dtype=np.int64)
+    return [v.packet for v in vectors], counts.reshape(len(vectors), len(demand.required))
+
+
+def greedy_drop_packets(
+    demand: DemandVector, vectors: Sequence[TransmissionVector], required_pdr: float
+) -> DropDecision:
+    """Drop whole periodic packets until every rhythmic packet is covered.
+
+    Each round removes the packet contributing the most replaceable slots
+    (ties to the lowest release, then task id), subtracts its contribution
+    from the residual demand, and re-clips the remaining vectors: entries for
+    satisfied rhythmic packets go to zero and entries exceeding the residual
+    are reduced to it, so later rounds rank packets by *useful* contribution.
+    """
+    residual = list(demand.residual)
+    if all(v == 0 for v in residual):
+        return DropDecision(level="packet")
+
+    live: dict[PacketKey, list[int]] = {v.packet: list(v.replaceable) for v in vectors}
+    dropped: list[PacketKey] = []
+    while True:
+        best_key = None
+        best_sum = -1
+        for key in live:
+            s = sum(live[key])
+            if s > best_sum or (s == best_sum and (key[1], key[0]) < (best_key[1], best_key[0])):
+                best_key, best_sum = key, s
+        if best_key is None or best_sum == 0:
+            raise CandidateInfeasible("periodic packets cannot cover the rhythmic demand")
+        contribution = live.pop(best_key)
+        dropped.append(best_key)
+        for i in range(len(residual)):
+            residual[i] = max(0, residual[i] - contribution[i])
+        if all(v == 0 for v in residual):
+            break
+        for eps in live.values():
+            for i in range(len(residual)):
+                if residual[i] == 0:
+                    eps[i] = 0
+                elif eps[i] > residual[i]:
+                    eps[i] = residual[i]
+
+    degradations = tuple((key, required_pdr) for key in sorted(dropped, key=lambda k: (k[1], k[0])))
+    return DropDecision(
+        level="packet",
+        dropped_packets=tuple(dropped),
+        degradations=degradations,
+        total_degradation=required_pdr * len(dropped),
+    )
 
 
 class SlotAssignment(NamedTuple):

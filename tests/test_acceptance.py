@@ -26,23 +26,25 @@ from rtwnsim.model import (
     RhythmicSpec,
     SchedulingMode,
     TaskSpec,
+    allocate_retry_vector,
     packet_pdr,
 )
 from rtwnsim.static_schedule import build_static_schedule, plan_retry_vectors
 from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound, find_idle_slot
-from rtwnsim.dropping import (
-    CandidateInputs,
-    DemandVector,
-    TransmissionVector,
-    build_demand_vector,
-    build_transmission_vectors,
-    greedy_drop_packets,
-)
+from rtwnsim.dropping import CandidateInputs, DemandVector, build_demand_vector, greedy_drop_packets
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
 from rtwnsim.experiments import make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
 
-from dropping_reference import build_periodic_state, from_set_cover, optimal_drop_oracle, overlay_of
+from dropping_reference import (
+    TransmissionVector,
+    build_periodic_state,
+    from_set_cover,
+    optimal_drop_oracle,
+    overlay_of,
+    vector_matrix,
+    vectors_of,
+)
 from support import dynamic_plan, standalone_record
 
 
@@ -78,6 +80,7 @@ def test_a1_bench_scenario_dropping():
     static = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     assert static.feasible
 
+    full_demand = sum(allocate_retry_vector(net.path_pdrs(tasks[0].path), 0.95))
     plans = {}
     for level in ("packet", "transmission"):
         plans[level] = dynamic_plan(event, static.schedule, tasks, net, 0.95, beta=4, level=level)
@@ -88,7 +91,7 @@ def test_a1_bench_scenario_dropping():
         plan = plans[level]
         assert len(plan.sets.rhythmic) == 5
         for entry in plan.sets.rhythmic:
-            need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
+            need = entry.fixed_demand if entry.fixed_demand is not None else full_demand
             slots = [s for s, a in overlay_of(plan).items() if a.release == entry.release]
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s in slots)
@@ -99,18 +102,16 @@ def test_a1_bench_scenario_dropping():
     # at the greedy end point, so this also bounds an oracle-planned window.
     pkt, tx = plans["packet"], plans["transmission"]
     assert tx.decision.total_degradation <= pkt.decision.total_degradation + 1e-12
-    pkt_demand = build_demand_vector(pkt.sets, static.schedule, sum(pkt.retry_vector))
+    pkt_demand = build_demand_vector(pkt.sets, static.schedule, full_demand)
     pkt_oracle = optimal_drop_oracle(
-        pkt_demand, vectors=build_transmission_vectors(
-            CandidateInputs(pkt.sets, static.schedule, tasks, sum(pkt.retry_vector))),
+        pkt_demand, vectors=vectors_of(CandidateInputs(pkt.sets, static.schedule, tasks, full_demand)),
         level="packet", required_pdr=0.95,
     )
     assert pkt_oracle.packet_count <= pkt.decision.packet_count
-    tx_demand = build_demand_vector(tx.sets, static.schedule, sum(tx.retry_vector))
+    tx_demand = build_demand_vector(tx.sets, static.schedule, full_demand)
     tx_oracle = optimal_drop_oracle(
         tx_demand, level="transmission",
-        state=build_periodic_state(
-            CandidateInputs(tx.sets, static.schedule, tasks, sum(tx.retry_vector)), tasks, net),
+        state=build_periodic_state(CandidateInputs(tx.sets, static.schedule, tasks, full_demand), tasks, net),
         required_pdr=0.95,
     )
     assert tx_oracle.total_degradation <= tx.decision.total_degradation + 1e-12
@@ -178,7 +179,7 @@ def test_a4_oracle_equivalence():
             available=tuple(int(x) for x in rng.integers(0, 2, n)),
         )
         try:
-            greedy = greedy_drop_packets(demand, vectors, required_pdr=0.99)
+            greedy = greedy_drop_packets(demand, *vector_matrix(demand, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             continue
         residual = list(demand.residual)
@@ -300,7 +301,7 @@ def test_a7_constraint_suite():
         # the end point respects the latency bound.
         last_stepped = event.enter_slot + sum(event.periods[:-1])
         finish = max(s for s, a in overlay_of(plan).items() if a.release == last_stepped) + 1
-        assert finish <= plan.end_point <= plan.window.end_upper_bound
+        assert finish <= plan.end_point <= end_point_upper_bound(event, 4)
 
         # Constraint 4: the overlay lies inside the window and takes only
         # idle slots, the disturbed task's own slots, or slots the drop

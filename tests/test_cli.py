@@ -275,7 +275,7 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_simulate_infeasible_static_exit_code(tmp_path):
+def test_simulate_infeasible_static_exit_code(tmp_path, capsys):
     # Two tasks demanding four slots per three-slot period: pigeonhole overload.
     bad = tmp_path / "overloaded.yaml"
     bad.write_text(
@@ -293,6 +293,23 @@ def test_simulate_infeasible_static_exit_code(tmp_path):
     )
     rc = main(["simulate", "--scenario", str(bad)])
     assert rc == EXIT_INFEASIBLE
+    capsys.readouterr()
+    # The testbed's detecting packet, released at 46, gets only its first hop
+    # (V0 -> V1) inside a 47-slot horizon, so the baseline's controller never
+    # hears of the disturbance.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    for old, new in [("horizon: 260", "horizon: 47"), ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST")]:
+        assert old in text
+        text = text.replace(old, new)
+    short = tmp_path / "short_baseline.yaml"
+    short.write_text(text, encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    rc = main(["simulate", "--scenario", str(short), "--trace-out", str(trace)])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "error: detection packet has no static slot to the controller inside the horizon\n"
+    )
+    assert not trace.exists()
 
 
 def _controller_first_baseline(tmp_path, mode, baseline=""):

@@ -21,7 +21,7 @@ from rtwnsim.model import (
     chain_network,
     packet_pdr,
 )
-from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_candidates
+from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_candidates, end_point_upper_bound
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
@@ -30,7 +30,6 @@ from rtwnsim.dropping import (
     DemandVector,
     DropDecision,
     PlanInvariantError,
-    TransmissionVector,
     build_demand_vector,
     build_periodic_state,
     build_transmission_vectors,
@@ -41,7 +40,15 @@ from rtwnsim.dropping import (
 from rtwnsim.experiments import _trial_seed, make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan_frameworks
 
-from dropping_reference import PeriodicPacketState, from_set_cover, optimal_drop_oracle, overlay_of, to_periodic_state
+from dropping_reference import (
+    PeriodicPacketState,
+    TransmissionVector,
+    from_set_cover,
+    optimal_drop_oracle,
+    overlay_of,
+    to_periodic_state,
+    vector_matrix,
+)
 from support import dynamic_plan
 
 
@@ -80,7 +87,8 @@ def test_vectors_empty_when_no_periodic_packets():
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
-    assert build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,), 2)) == []
+    counts = build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,), 2))
+    assert counts.shape == (0, len(sets.rhythmic))
 
 
 def test_vectors_count_slots_inside_one_window():
@@ -98,7 +106,7 @@ def test_vectors_count_slots_inside_one_window():
     sets = build_active_sets(24, event, sched, (task0, task1), full_demand=2)
     assert [d.window for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
     vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1), 2))
-    assert vectors == [TransmissionVector(packet=(1, 0), replaceable=(0, 3, 0))]
+    assert sets.periodic == ((1, 0),) and vectors.tolist() == [[0, 3, 0]]
 
 
 def test_vectors_match_naive_double_loop():
@@ -106,7 +114,7 @@ def test_vectors_match_naive_double_loop():
     event = DisturbanceEvent.from_task(tasks[0], 3)
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
     inputs = CandidateInputs(sets, sched, tasks, 8)
-    vectors = {v.packet: v.replaceable for v in build_transmission_vectors(inputs)}
+    vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(inputs).tolist())))
     # Independent route: scan every slot of every periodic packet against
     # every window.
     for tid, rel in sets.periodic:
@@ -196,7 +204,7 @@ def _brute_force_min_drop(demand, vectors):
 
 def test_greedy_returns_empty_when_satisfied():
     dv = DemandVector(required=(2, 2), available=(2, 5))
-    decision = greedy_drop_packets(dv, [_vec((1, 0), (1, 1))], required_pdr=0.99)
+    decision = greedy_drop_packets(dv, *vector_matrix(dv, [_vec((1, 0), (1, 1))]), required_pdr=0.99)
     assert decision.dropped_packets == ()
     assert decision.total_degradation == 0.0
 
@@ -204,7 +212,7 @@ def test_greedy_returns_empty_when_satisfied():
 def test_greedy_prefers_max_contribution():
     dv = DemandVector(required=(1, 1), available=(0, 0))
     vectors = [_vec((1, 0), (1, 0)), _vec((2, 0), (0, 1)), _vec((3, 0), (1, 1))]
-    decision = greedy_drop_packets(dv, vectors, required_pdr=0.99)
+    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
     assert decision.dropped_packets == ((3, 0),)
     assert _brute_force_min_drop(dv, vectors) == 1
     assert decision.total_degradation == pytest.approx(0.99)
@@ -213,7 +221,7 @@ def test_greedy_prefers_max_contribution():
 def test_greedy_tie_break_by_release_then_task():
     dv = DemandVector(required=(2,), available=(0,))
     vectors = [_vec((2, 5), (1,)), _vec((1, 5), (1,))]
-    decision = greedy_drop_packets(dv, vectors, required_pdr=0.99)
+    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
     # equal contributions: lowest release first, then lowest task id
     assert decision.dropped_packets == ((1, 5), (2, 5))
 
@@ -227,15 +235,22 @@ def test_greedy_reclips_vectors_between_rounds():
         _vec((2, 0), (2, 0)),  # large but useless once window 0 is covered
         _vec((3, 0), (0, 1)),
     ]
-    decision = greedy_drop_packets(dv, vectors, required_pdr=0.99)
+    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
     assert set(decision.dropped_packets) == {(1, 0), (3, 0)}
+    # Only later rounds see clipped vectors: packet 1's three slots outrank
+    # packet 2's two in round one, though one of them would cover window 0.
+    # Clipping first would rank packet 2 first and drop it alone.
+    dv = DemandVector(required=(1, 1), available=(0, 0))
+    vectors = [_vec((1, 0), (3, 0)), _vec((2, 0), (1, 1))]
+    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+    assert decision.dropped_packets == ((1, 0), (2, 0))
 
 
 def test_greedy_infeasible_when_uncoverable():
     dv = DemandVector(required=(1, 2), available=(0, 0))
     vectors = [_vec((1, 0), (1, 0))]
     with pytest.raises(CandidateInfeasible):
-        greedy_drop_packets(dv, vectors, required_pdr=0.99)
+        greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
 
 
 # ------------------------------------------------------- transmission dropping
@@ -426,7 +441,7 @@ def test_greedy_never_beats_oracle():
         dv = DemandVector(required=tuple(int(x) for x in required),
                           available=tuple(int(x) for x in available))
         try:
-            greedy = greedy_drop_packets(dv, vectors, required_pdr=0.99)
+            greedy = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             with pytest.raises(CandidateInfeasible):
                 optimal_drop_oracle(dv, vectors=vectors, level="packet")
@@ -538,6 +553,7 @@ def test_dynamic_schedule_constraints_hold():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
+    full_demand = sum(allocate_retry_vector(net.path_pdrs(tasks[0].path), 0.95))
     for level in ("packet", "transmission"):
         plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
         # the overlay stays in the window and takes only idle, own or freed slots
@@ -547,7 +563,7 @@ def test_dynamic_schedule_constraints_hold():
             assert result.schedule.task_at[t] in (-1, 0) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:
-            need = entry.fixed_demand if entry.fixed_demand is not None else sum(plan.retry_vector)
+            need = entry.fixed_demand if entry.fixed_demand is not None else full_demand
             slots = sorted((t, a.hop) for t, a in overlay_of(plan).items() if a.release == entry.release)
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s, _ in slots)
@@ -556,7 +572,7 @@ def test_dynamic_schedule_constraints_hold():
         # completion constraint for the chosen end point
         last_stepped = event.enter_slot + sum(event.periods[:-1])
         finish = max(t for t, a in overlay_of(plan).items() if a.release == last_stepped) + 1
-        assert finish <= plan.end_point <= plan.window.end_upper_bound
+        assert finish <= plan.end_point <= end_point_upper_bound(event, 4)
 
 
 def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
@@ -566,7 +582,7 @@ def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     monkeypatch.setattr(dropping, "greedy_drop_packets",
-                        lambda demand, vectors, required_pdr: DropDecision(level="packet"))
+                        lambda demand, packets, counts, required_pdr: DropDecision(level="packet"))
     with pytest.raises(PlanInvariantError, match=r"usable slots for a demand of 8$"):
         dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
 
@@ -594,7 +610,7 @@ def test_overlay_rejects_a_solver_that_leaves_an_accepted_candidate_uncovered(mo
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
-    def uncovered(demand, vectors, required_pdr):
+    def uncovered(demand, packets, counts, required_pdr):
         raise CandidateInfeasible("periodic packets cannot cover the rhythmic demand")
 
     monkeypatch.setattr(dropping, "greedy_drop_packets", uncovered)
@@ -701,7 +717,7 @@ def test_complexity_smoke():
         dv, vectors = build(n, m)
         start = time.perf_counter()
         try:
-            greedy_drop_packets(dv, vectors, required_pdr=0.99)
+            greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             pass
         return time.perf_counter() - start

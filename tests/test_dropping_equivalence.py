@@ -21,6 +21,9 @@ and share none of its packet-state, periodic-set or solver code:
   and a scan of the window list per slot, and a per-slot counting loop over
   the candidate window.  The library builds both solver inputs from one
   grouped pass over a candidate's periodic packets.
+* ``dropping_reference.greedy_drop_packets`` is the packet-level greedy as
+  it was before it read the (packet x window) count matrix: one list per
+  transmission vector in a dict, re-clipped entry by entry each round.
 * ``reference_plan`` is ``generate_dynamic_schedule`` assembled from those
   references, with the slot-by-slot scan for usable overlay slots and the
   overlay built as ``SlotAssignment`` objects.
@@ -54,10 +57,8 @@ from rtwnsim.dropping import (
     DynamicPlan,
     PeriodicState,
     PlanInvariantError,
-    TransmissionVector,
     build_demand_vector,
     build_periodic_state,
-    build_transmission_vectors,
     drop_transmissions,
     generate_dynamic_schedule,
     greedy_drop_packets,
@@ -74,7 +75,6 @@ from rtwnsim.model import (
 )
 from rtwnsim.rhythmic import (
     DisturbanceEvent,
-    RhythmicWindow,
     build_active_sets,
     earliest_last_finish,
     end_point_candidates,
@@ -85,7 +85,14 @@ from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.static_schedule import build_static_schedule, hop_expansion
 
 import dropping_reference as oracle
-from dropping_reference import PeriodicPacketState, SlotAssignment, overlay_of, to_periodic_state
+from dropping_reference import (
+    PeriodicPacketState,
+    SlotAssignment,
+    TransmissionVector,
+    overlay_of,
+    to_periodic_state,
+    vector_matrix,
+)
 from support import dynamic_plan, standalone_record
 
 REQUIRED_PDR = 0.99
@@ -168,14 +175,15 @@ def frozen_build_periodic_state(sets, static, tasks, network):
     return state
 
 
-def frozen_build_transmission_vectors(sets, static):
+def frozen_build_transmission_vectors(sets, static, start):
     """Per periodic packet, its slots inside each rhythmic window, counted by
-    one Python loop over the in-window periodic slots of the candidate window."""
+    one Python loop over the in-window periodic slots of the candidate window
+    [start, candidate)."""
     n = len(sets.rhythmic)
     starts = np.array([d.release for d in sets.rhythmic])
     ends = np.array([d.deadline for d in sets.rhythmic])
     counts = {key: [0] * n for key in sets.periodic}
-    lo, hi = sets.start, sets.candidate
+    lo, hi = start, sets.candidate
     tasks_w = static.task_at[lo:hi]
     rel_w = static.release_at[lo:hi]
     slots = np.arange(lo, hi)
@@ -276,12 +284,13 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
         try:
             sets = build_active_sets(candidate, event, static, tasks, full_demand)
             sets = dataclasses.replace(
-                sets, periodic=frozen_periodic_keys(sets.start, candidate, static, event.task_id))
+                sets, periodic=frozen_periodic_keys(event.enter_slot, candidate, static, event.task_id))
             demand = build_demand_vector(sets, static, full_demand)
             if demand.satisfied:
                 decision = DropDecision(level=level)
             elif level == "packet":
-                decision = greedy_drop_packets(demand, frozen_build_transmission_vectors(sets, static), required_pdr)
+                vectors = frozen_build_transmission_vectors(sets, static, event.enter_slot)
+                decision = oracle.greedy_drop_packets(demand, vectors, required_pdr)
             else:
                 state = frozen_build_periodic_state(sets, static, tasks, network)
                 decision = reference_drop_transmissions(demand, state, required_pdr, mode=static.mode)
@@ -328,7 +337,6 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
                     f"end point {end_point} violates the completion constraint: the last "
                     f"stepped packet finishes at {realized_finish}, the bound is {upper}"
                 )
-    RhythmicWindow(start=event.enter_slot, end=end_point, end_upper_bound=upper)  # validates as the library does
     return tuple(evaluations), decision, overlay
 
 
@@ -368,6 +376,39 @@ def test_packet_state_matches_frozen_copy(case):
             ordinal = removals[step] % len(frozen.slots)
             assert state.remove(ordinal) == frozen.remove(ordinal)
             assert (state.slots, state.hops) == (frozen.slots, frozen.hops)
+
+
+# ------------------------------------------------- packet greedy property
+
+@st.composite
+def _greedy_cases(draw):
+    """Up to seven periodic packets with distinct keys in no particular
+    order, over up to four rhythmic windows: small counts, so that sums tie
+    and rows are often zero, against residuals that are zero, coverable or
+    beyond what every packet together holds."""
+    windows = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=7, unique=True))
+    rows = [draw(st.lists(st.integers(0, 2), min_size=windows, max_size=windows)) for _ in keys]
+    required = draw(st.lists(st.integers(0, 5), min_size=windows, max_size=windows))
+    available = draw(st.lists(st.integers(0, 2), min_size=windows, max_size=windows))
+    demand = DemandVector(required=tuple(required), available=tuple(available))
+    return demand, [TransmissionVector(key, tuple(row)) for key, row in zip(keys, rows)]
+
+
+def _greedy_outcome(solve):
+    try:
+        return solve()
+    except CandidateInfeasible as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_greedy_cases())
+def test_packet_greedy_on_the_count_matrix_matches_frozen_greedy(case):
+    demand, vectors = case
+    got = _greedy_outcome(lambda: greedy_drop_packets(demand, *vector_matrix(demand, vectors), REQUIRED_PDR))
+    expected = _greedy_outcome(lambda: oracle.greedy_drop_packets(demand, vectors, REQUIRED_PDR))
+    assert got == expected
 
 
 # ---------------------------------------------------------- seeded trials
@@ -417,10 +458,10 @@ def _compare_trial(trial, mode, horizon):
             sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
-        assert sets.periodic == frozen_periodic_keys(sets.start, candidate, schedule, event.task_id), where
+        assert sets.periodic == frozen_periodic_keys(event.enter_slot, candidate, schedule, event.task_id), where
         inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
-        assert build_transmission_vectors(inputs) == frozen_build_transmission_vectors(sets, schedule), \
-            f"{where}, candidate {candidate}"
+        vectors = frozen_build_transmission_vectors(sets, schedule, event.enter_slot)
+        assert oracle.vectors_of(inputs) == vectors, f"{where}, candidate {candidate}"
         packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         assert [_fields(p) for p in packets] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"

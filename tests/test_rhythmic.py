@@ -1,9 +1,14 @@
-"""Disturbance windows, end-point candidates and active packet sets."""
+"""Disturbance windows, end-point candidates, active packet sets and the
+idle-slot witness."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtwnsim.config import parse_scenario
 from rtwnsim.model import (
+    CandidateInfeasible,
     DisturbanceInfeasible,
     Link,
     NetworkModel,
@@ -18,7 +23,6 @@ from rtwnsim.rhythmic import (
     DisturbanceEvent,
     actual_releases,
     build_active_sets,
-    disturbance_recipients,
     end_point_candidates,
     end_point_upper_bound,
     find_idle_slot,
@@ -36,19 +40,6 @@ def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
         phase=phase,
     )
     return task, DisturbanceEvent.from_task(task, instance)
-
-
-# ------------------------------------------------------------ recipient set
-
-def test_recipients_minimal_path():
-    task = TaskSpec(id=0, path=("V2", "Vc", "V5"), period=9, deadline=9)
-    assert disturbance_recipients(task) == ("V2", "Vc", "V5")
-
-
-def test_recipients_testbed_route():
-    task = TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15)
-    assert set(disturbance_recipients(task)) == {"V0", "V1", "Vc", "V3", "V4"}
-    assert "Vc" in disturbance_recipients(task)
 
 
 # ----------------------------------------------------------- release timing
@@ -167,7 +158,17 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
             arr = result.schedule
             for tid, rel in sets.periodic:
                 slots = arr.packet_slots(tid, rel)
-                assert ((slots >= sets.start) & (slots < cand)).any()
+                assert ((slots >= event.enter_slot) & (slots < cand)).any()
+
+
+def test_active_sets_reject_a_candidate_at_the_window_start():
+    # The window [enter, candidate) of a candidate at the enter slot is
+    # empty: no packet could be placed in it.
+    net = chain_network(1, 1, pdr=1.0)
+    task, event = _event(period=10, instance=1, periods=(10,))
+    result = _schedule_for((task,), net, 80)
+    with pytest.raises(CandidateInfeasible, match="^end point must lie after the window start$"):
+        build_active_sets(event.enter_slot, event, result.schedule, (task,), full_demand=2)
 
 
 def test_active_sets_case2_deadline_clipped_to_static_takeover():
@@ -294,3 +295,64 @@ def test_idle_slot_violation_on_dense_schedule():
         sched.hop_at[slot] = hop
     witness = find_idle_slot(sched, event, "S1", (task, filler))
     assert not witness.ok
+
+
+TESTBED = Path(__file__).resolve().parent.parent / "scenarios" / "testbed.yaml"
+
+
+def _testbed_witness(mode, node, horizon=260):
+    """The testbed's tasks, static schedule in ``mode`` and idle-slot
+    witness for ``node``."""
+    config = parse_scenario(TESTBED)
+    static = build_static_schedule(config.tasks, config.network, mode, config.required_pdr, horizon=horizon)
+    return config.tasks, static.schedule, find_idle_slot(static.schedule, config.event(), node, config.tasks)
+
+
+@pytest.mark.parametrize("mode, node, received_by, busy_from, idle_slot", [
+    (SchedulingMode.TBS, "V0", 46, 61, 48),
+    (SchedulingMode.TBS, "V1", 47, 61, 50),
+    (SchedulingMode.TBS, "Vc", 49, 63, 52),
+    (SchedulingMode.TBS, "V3", 51, 65, 54),
+    (SchedulingMode.TBS, "V4", 53, 67, 54),
+    # PBS labels every slot hop 0: a route node may act in any slot of a
+    # route packet, and hears of the disturbance by the detecting packet's
+    # last slot.
+    (SchedulingMode.PBS, "V0", 46, 61, 54),
+    (SchedulingMode.PBS, "V1", 53, 61, 57),
+    (SchedulingMode.PBS, "Vc", 53, 61, 57),
+    (SchedulingMode.PBS, "V3", 53, 61, 54),
+    (SchedulingMode.PBS, "V4", 53, 61, 54),
+], ids=lambda v: v.value if isinstance(v, SchedulingMode) else None)
+def test_idle_slot_witness_on_every_testbed_route_node(mode, node, received_by, busy_from, idle_slot):
+    # The testbed disturbance is detected at 46 and the rhythmic state
+    # enters at 61.
+    tasks, schedule, witness = _testbed_witness(mode, node)
+    assert witness.ok and witness.node == node
+    assert (witness.received_by, witness.busy_from, witness.idle_slot) == (received_by, busy_from, idle_slot)
+    # Independently: the node neither sends nor receives in the idle slot.
+    task_id = int(schedule.task_at[idle_slot])
+    if task_id >= 0:
+        task = next(t for t in tasks if t.id == task_id)
+        hop = int(schedule.hop_at[idle_slot])
+        assert node not in (task.hop_link(hop) if hop else task.path)
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_idle_slot_witness_ends_at_the_horizon(mode):
+    # A 60-slot schedule ends before the next instance of the disturbed task
+    # (released at 61), so each node stays free of it up to the horizon.
+    for node in ("V0", "V1", "Vc", "V3", "V4"):
+        _, _, witness = _testbed_witness(mode, node, horizon=60)
+        assert witness.ok and witness.busy_from == 60 and witness.received_by < witness.idle_slot < 60
+
+
+def test_idle_slot_rejects_a_node_off_the_route():
+    with pytest.raises(ValueError, match="^node 'V2' is not on the disturbed task's route$"):
+        _testbed_witness(SchedulingMode.TBS, "V2")
+
+
+def test_idle_slot_rejects_a_node_the_detecting_packet_never_reaches():
+    # With a 47-slot horizon the detecting packet, released at 46, has one
+    # slot: its first hop, V0 -> V1.  Nothing reaches the controller.
+    with pytest.raises(ValueError, match="^detecting packet has no slots delivering to the node$"):
+        _testbed_witness(SchedulingMode.TBS, "Vc", horizon=47)

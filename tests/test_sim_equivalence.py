@@ -38,7 +38,7 @@ from rtwnsim.config import parse_scenario
 from rtwnsim.experiments import _trial_seed, make_trial
 from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
-from rtwnsim.rhythmic import disturbance_recipients, end_point_upper_bound
+from rtwnsim.rhythmic import end_point_upper_bound
 from rtwnsim.sim import (
     EVENT_FIELDS,
     DisturbanceSpec,
@@ -147,7 +147,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
     window_start = window_end = None
     if dynamic is not None:
         event = dynamic.event
-        vrhy = frozenset(disturbance_recipients(by_id[event.task_id]))
+        vrhy = frozenset(by_id[event.task_id].path)  # the nodes that learn of the disturbance
         overlay = overlay_of(dynamic)
         window_start, window_end = event.enter_slot, dynamic.end_point
 
