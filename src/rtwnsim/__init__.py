@@ -52,11 +52,9 @@ from .rhythmic import (
 from .dropping import (
     CandidateInputs,
     CandidateTable,
-    DemandVector,
     DropDecision,
     DynamicPlan,
     PlanInvariantError,
-    build_demand_vector,
     build_transmission_vectors,
     drop_transmissions,
     generate_dynamic_schedule,

@@ -36,23 +36,19 @@ from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
     build_active_sets,
-    earliest_last_finish,
     end_point_candidates,
     end_point_upper_bound,
-    resolved_demand,
 )
 from .static_schedule import Schedule, hop_expansion
 
 __all__ = [
     "PlanInvariantError",
-    "DemandVector",
     "DropDecision",
     "PeriodicState",
     "CandidateInputs",
     "CandidateTable",
     "DynamicPlan",
     "build_transmission_vectors",
-    "build_demand_vector",
     "build_periodic_state",
     "greedy_drop_packets",
     "drop_transmissions",
@@ -65,23 +61,6 @@ PacketKey = tuple[int, int]  # (task id, release slot)
 class PlanInvariantError(RuntimeError):
     """A chosen dynamic plan breaks a guarantee the heuristics must uphold; this
     signals a bug in the planner, never a property of the input."""
-
-
-@dataclass(frozen=True)
-class DemandVector:
-    """Slot needs of the rhythmic packets versus what the static schedule
-    already offers them (idle slots plus the disturbed task's own slots)."""
-
-    required: tuple[int, ...]
-    available: tuple[int, ...]
-
-    @property
-    def residual(self) -> tuple[int, ...]:
-        return tuple(max(0, r - a) for r, a in zip(self.required, self.available))
-
-    @property
-    def satisfied(self) -> bool:
-        return all(x == 0 for x in self.residual)
 
 
 @dataclass(frozen=True)
@@ -180,34 +159,18 @@ def _delivery_pdr(path_pdrs: tuple[float, ...], counts: list[int], slot_count: i
 PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
 
 
-def build_demand_vector(sets: ActivePacketSets, static: Schedule, full_demand: int) -> DemandVector:
-    """Per rhythmic packet: slots demanded (``full_demand``, the retry budget
-    of a whole packet, or the boundary truncation) and slots already
-    available in its window (idle plus the disturbed task's)."""
-    required = []
-    available = []
-    for entry in sets.rhythmic:
-        required.append(resolved_demand(entry, full_demand))
-        lo, hi = entry.window
-        window = static.task_at[lo:hi]
-        available.append(int(((window == -1) | (window == sets.task_id)).sum()))
-    return DemandVector(required=tuple(required), available=tuple(available))
-
-
 class CandidateInputs:
     """The solver inputs of one end-point candidate that do not depend on
-    the dropping level: its active packet ``sets``, its ``demand`` vector
-    and, in ``slot_groups``, the static slots of its periodic packets.
+    the dropping level: its active packet ``sets``, which carry each
+    rhythmic packet's demand, and, in ``slot_groups``, the static slots of
+    its periodic packets.
 
     ``slot_groups`` is built at first use, so a candidate whose demand is
     already met, which no solver sees, never builds it.
     """
 
-    def __init__(
-        self, sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec], full_demand: int
-    ) -> None:
+    def __init__(self, sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec]) -> None:
         self.sets = sets
-        self.demand = build_demand_vector(sets, static, full_demand)
         self._static, self._tasks = static, tasks
 
     @cached_property
@@ -272,19 +235,21 @@ def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[
 
 
 def greedy_drop_packets(
-    demand: DemandVector, packets: Sequence[PacketKey], counts: np.ndarray, required_pdr: float
+    residual: Sequence[int], packets: Sequence[PacketKey], counts: np.ndarray, required_pdr: float
 ) -> DropDecision:
     """Drop whole periodic packets until every rhythmic packet is covered.
 
-    ``counts`` holds one transmission vector per packet of ``packets``, as
-    ``build_transmission_vectors`` counts them.  Each round removes the
-    packet contributing the most replaceable slots (ties to the lowest
-    release, then task id), subtracts its contribution from the residual
-    demand, and re-clips the remaining vectors: entries for satisfied
-    rhythmic packets go to zero and entries exceeding the residual are
-    reduced to it, so later rounds rank packets by *useful* contribution.
+    ``residual`` holds each rhythmic packet's unmet demand
+    (``ActivePacketSets.residual``) and ``counts`` one transmission vector
+    per packet of ``packets``, as ``build_transmission_vectors`` counts
+    them.  Each round removes the packet contributing the most replaceable
+    slots (ties to the lowest release, then task id), subtracts its
+    contribution from the residual demand, and re-clips the remaining
+    vectors: entries for satisfied rhythmic packets go to zero and entries
+    exceeding the residual are reduced to it, so later rounds rank packets
+    by *useful* contribution.
     """
-    residual = np.array(demand.residual, dtype=np.int64)
+    residual = np.array(residual, dtype=np.int64)
     if not residual.any():
         return DropDecision(level="packet")
 
@@ -315,7 +280,7 @@ def greedy_drop_packets(
 
 
 def drop_transmissions(
-    demand: DemandVector,
+    residual: Sequence[int],
     state: PeriodicState,
     required_pdr: float,
     mode: SchedulingMode = SchedulingMode.TBS,
@@ -330,7 +295,8 @@ def drop_transmissions(
     a delta.  Under PBS a packet's slots are interchangeable (hop label 0 on
     every slot; any other label raises ``ValueError``).  Each round drops
     the smallest key's slot and decrements its window's residual demand,
-    until no residual is left.
+    until no residual is left.  ``residual`` holds each rhythmic packet's
+    unmet demand, as ``ActivePacketSets.residual`` gives it.
 
     Each (packet, hop label) group keeps a cursor on its in-window slots
     and has one key on the heap: its delta and the slot under the cursor,
@@ -356,7 +322,7 @@ def drop_transmissions(
     plans: then the PDR evaluations a plan makes would depend on what ran
     before it.
     """
-    residual = list(demand.residual)
+    residual = list(residual)
     needed = sum(residual)
     if needed == 0:
         return DropDecision(level="transmission")
@@ -505,7 +471,7 @@ class CandidateTable:
             except CandidateInfeasible as exc:
                 entry = exc.with_traceback(None)  # keeps no frame of this call alive
             else:
-                entry = CandidateInputs(sets, self.static, self.tasks, self.full_demand)
+                entry = CandidateInputs(sets, self.static, self.tasks)
             self._entries[candidate] = entry
         return entry
 
@@ -518,17 +484,18 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
 
     Candidates are the disturbed task's release instants between the earliest
     finish of its last stepped packet and the latency bound.  Per candidate
-    the demand vector is built and solved at the requested granularity
-    (``level``) with the matching greedy heuristic; a candidate whose active
-    sets cannot be built is skipped.  The cheapest decision wins (drop count
-    at packet level, total degradation at transmission level; ties to the
-    earliest end point).  Rhythmic packets then claim the earliest usable
+    the residual demand of its active sets is solved at the requested
+    granularity (``level``) with the matching greedy heuristic; a candidate
+    whose active sets cannot be built is skipped.  The cheapest decision
+    wins (drop count at packet level, total degradation at transmission
+    level; ties to the earliest end point).  Rhythmic packets then claim the earliest usable
     slots in their windows, hop-ordered under TBS, where usable means idle,
     owned by the disturbed task, or freed by the decision.
 
-    Each candidate's active sets, demand vector and grouped periodic slots
-    come from ``table``: the packet level counts transmission vectors from
-    them and the transmission level groups them into a ``PeriodicState``.
+    Each candidate's active sets, with each rhythmic packet's demand, and
+    its grouped periodic slots come from ``table``: the packet level counts
+    transmission vectors from them and the transmission level groups them
+    into a ``PeriodicState``.
     Every other-task slot in a rhythmic window belongs to a periodic packet
     and each demand is bounded by its window, so a solver covers every
     candidate the table accepted; PlanInvariantError names the candidate
@@ -537,9 +504,12 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     if level not in ("packet", "transmission"):
         raise ValueError("level must be 'packet' or 'transmission'")
     event, static, required_pdr = table.event, table.static, table.required_pdr
-    retry_vector, full_demand = table.retry_vector, table.full_demand
+    retry_vector = table.retry_vector
 
-    f_last = earliest_last_finish(event, table.task.hops)
+    # Candidates start at the optimistic finish of the last stepped packet
+    # (its release plus its hop count); the overlay re-checks the realized one.
+    last_stepped = event.enter_slot + sum(event.periods[:-1])
+    f_last = last_stepped + table.task.hops
     upper = end_point_upper_bound(event, table.beta)
     evaluations: list[tuple[int, Optional[float]]] = []
     best: Optional[tuple[float, int, ActivePacketSets, DropDecision]] = None
@@ -549,16 +519,16 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
         if isinstance(inputs, CandidateInfeasible):
             evaluations.append((candidate, None))
             continue
-        demand = inputs.demand
+        residual = inputs.sets.residual
         try:
-            if demand.satisfied:
+            if not any(residual):
                 decision = DropDecision(level=level)
             elif level == "packet":
                 counts = build_transmission_vectors(inputs)
-                decision = greedy_drop_packets(demand, inputs.sets.periodic, counts, required_pdr)
+                decision = greedy_drop_packets(residual, inputs.sets.periodic, counts, required_pdr)
             else:
                 state = build_periodic_state(inputs, table.path_pdrs)
-                decision = drop_transmissions(demand, state, required_pdr, static.mode, pdrs)
+                decision = drop_transmissions(residual, state, required_pdr, static.mode, pdrs)
         except CandidateInfeasible as exc:
             raise PlanInvariantError(
                 f"the {level}-level solver left end-point candidate {candidate} uncovered: {exc}"
@@ -584,11 +554,10 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     freed = np.fromiter(decision.freed_slots(static), dtype=np.int64)
     usable[freed[(freed >= lo) & (freed < hi)] - lo] = True
     usable = np.flatnonzero(usable) + lo
-    edges = np.searchsorted(usable, [t for entry in rhythmic for t in entry.window]).tolist()
-    last_stepped = event.enter_slot + sum(event.periods[:-1])
+    edges = np.searchsorted(usable, [t for e in rhythmic for t in (e.release, e.deadline)]).tolist()
     picks, needs, labels = [], [], []  # positions in ``usable``, demands, hop labels
     for entry, first, stop in zip(rhythmic, edges[::2], edges[1::2]):
-        need = resolved_demand(entry, full_demand)
+        need = entry.demand
         if stop - first < need:
             raise PlanInvariantError(
                 f"the drop decision left the rhythmic packet released at {entry.release} "
@@ -598,7 +567,7 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
         needs.append(need)
         if static.mode is not SchedulingMode.TBS:
             labels.extend([0] * need)
-        elif entry.fixed_demand is not None:
+        elif entry.tail_slots:
             labels.extend(entry.prefix_hops)  # truncated packet continues a static instance
         else:
             labels.extend(hop_expansion(retry_vector)[:need])

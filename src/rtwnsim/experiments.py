@@ -241,6 +241,12 @@ class ExperimentSpec:
             raise ValueError("base_seed must be >= 0")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
+        # A repeated value would plan its cells twice and count their records
+        # twice.  Utils compare to 0.001, their seed key and CSV precision.
+        for name, axis in (("utils", [round(u * 1000) for u in self.utils]), ("r_steps", self.r_steps),
+                           ("alphas", self.alphas), ("ticks", self.ticks), ("frameworks", self.frameworks)):
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"{name} must not repeat a value")
 
     def cells(self) -> list[tuple[float, int, int]]:
         return list(itertools.product(self.utils, self.r_steps, self.ticks))

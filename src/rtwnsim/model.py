@@ -235,6 +235,8 @@ class TaskSpec:
     phase: int = 0  # slot of the first release
 
     def __post_init__(self) -> None:
+        if not 0 <= self.id <= 2**31 - 1:  # a schedule's int32 task column; -1 marks an idle slot
+            raise ValueError(f"task {self.id}: id must lie in 0..{2**31 - 1}")
         if len(self.path) < 3:
             raise ValueError(f"task {self.id}: path needs >= 2 hops (>= 3 nodes)")
         if len(set(self.path)) != len(self.path):

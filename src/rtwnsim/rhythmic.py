@@ -32,7 +32,6 @@ __all__ = [
     "actual_releases",
     "end_point_upper_bound",
     "end_point_candidates",
-    "earliest_last_finish",
     "build_active_sets",
     "find_idle_slot",
 ]
@@ -105,28 +104,22 @@ class DisturbanceEvent:
 
 @dataclass(frozen=True)
 class RhythmicDemand:
-    """One packet the dynamic schedule must serve.
+    """One packet the dynamic schedule must serve, in [release, deadline).
 
-    fixed_demand is None for packets needing their full per-mode slot budget;
-    the end-point boundary packet may instead carry a truncated demand plus
-    the static-schedule tail slots that complete it after the window closes.
+    ``demand`` is the slot count the dynamic schedule owes it: the full
+    per-mode retry budget, or fewer for the end-point boundary packet that
+    takes over a static instance's ``tail_slots`` after the window closes
+    (its in-window trials then follow that instance's ``prefix_hops``).
+    ``available`` counts the window's slots the static schedule already
+    leaves it: the idle ones and the disturbed task's own.
     """
 
     release: int
     deadline: int
-    fixed_demand: Optional[int] = None
+    demand: int
+    available: int
     tail_slots: tuple[int, ...] = ()
     prefix_hops: tuple[int, ...] = ()  # hop labels of the truncated in-window trials
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.release, self.deadline
-
-
-def resolved_demand(entry: RhythmicDemand, full_demand: int) -> int:
-    """Slots the dynamic schedule owes ``entry``: its truncated demand, or
-    ``full_demand``, the retry budget of a whole packet."""
-    return entry.fixed_demand if entry.fixed_demand is not None else full_demand
 
 
 @dataclass(frozen=True)
@@ -142,12 +135,16 @@ class ActivePacketSets:
     [enter_slot, resume_release) are superseded by the dynamic packets.
     """
 
-    candidate: int
-    task_id: int  # the disturbed task
     rhythmic: tuple[RhythmicDemand, ...]
     periodic: tuple[tuple[int, int], ...]  # (task, release) keys
     resume_release: int
     boundary_case: int  # 0 = no boundary adjustment, 1 or 2 = adjustment case
+
+    @property
+    def residual(self) -> tuple[int, ...]:
+        """Per rhythmic packet, the slots periodic packets must hand over:
+        its demand less the slots available to it, or 0."""
+        return tuple(max(0, d.demand - d.available) for d in self.rhythmic)
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,6 @@ def end_point_upper_bound(event: DisturbanceEvent, beta: int) -> int:
     if beta < 1:
         raise ValueError("beta must be >= 1")
     return event.exit_slot + (beta - 1) * event.nominal_period
-
-
-def earliest_last_finish(event: DisturbanceEvent, min_demand: int) -> int:
-    """Optimistic completion of the last stepped-state packet (release + its
-    hop count); the final window selection re-validates the realized finish."""
-    last_release = event.enter_slot + sum(event.periods[:-1])
-    return last_release + min_demand
 
 
 def end_point_candidates(event: DisturbanceEvent, f_last: int, beta: int) -> list[int]:
@@ -247,13 +237,15 @@ def build_active_sets(
       of that instance) and the full demand applies.
 
     Raises CandidateInfeasible when any window is shorter than its demand.
+    Once every window holds its demand, each packet's ``available`` count
+    is read off the static schedule.
     """
     start = event.enter_slot
     if candidate <= start:
         raise CandidateInfeasible("end point must lie after the window start")
     releases = [r for r in actual_releases(event, candidate - 1) if r < candidate]
 
-    demands: list[RhythmicDemand] = []
+    windows: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
     p0 = event.nominal_period
     on_grid = (candidate - event.phase) % p0 == 0
     boundary_case = 0
@@ -267,7 +259,7 @@ def build_active_sets(
         deadline = _release_step_deadline(event, seq, release)
         if seq + 1 < len(releases):
             deadline = min(deadline, releases[seq + 1])  # keep windows disjoint
-        fixed: Optional[int] = None
+        demand = full_demand
         tail: tuple[int, ...] = ()
         prefix: tuple[int, ...] = ()
         if seq == len(releases) - 1:
@@ -294,7 +286,7 @@ def build_active_sets(
                             )
                         ]
                         k0 = prev_slots.index(t_k0) + 1
-                        fixed = k0 - 1
+                        demand = k0 - 1
                         tail = tuple(prev_slots[k0 - 1:])
                         prefix = tuple(int(static.hop_at[s]) for s in prev_slots[: k0 - 1])
                 else:
@@ -306,15 +298,18 @@ def build_active_sets(
                     deadline = min(candidate, first_static)
             else:
                 deadline = min(deadline, candidate)
-        entry = RhythmicDemand(release=release, deadline=deadline,
-                               fixed_demand=fixed, tail_slots=tail, prefix_hops=prefix)
-        demand = resolved_demand(entry, full_demand)
         if demand > deadline - release:
             raise CandidateInfeasible(
                 f"packet released at {release} needs {demand} slots in a "
                 f"{deadline - release}-slot window"
             )
-        demands.append(entry)
+        windows.append((release, deadline, demand, tail, prefix))
+
+    rhythmic = []
+    for release, deadline, demand, tail, prefix in windows:
+        owners = static.task_at[release:deadline]
+        available = int(((owners == -1) | (owners == event.task_id)).sum())
+        rhythmic.append(RhythmicDemand(release, deadline, demand, available, tail, prefix))
 
     # Periodic packets owning at least one static slot inside the window.  A
     # packet's slots come in runs, so only the first slot of each run is read.
@@ -327,9 +322,7 @@ def build_active_sets(
     periodic = [(task_id, release) for release, task_id in sorted(keys)]
 
     return ActivePacketSets(
-        candidate=candidate,
-        task_id=event.task_id,
-        rhythmic=tuple(demands),
+        rhythmic=tuple(rhythmic),
         periodic=tuple(periodic),
         resume_release=resume_release,
         boundary_case=boundary_case,

@@ -12,6 +12,10 @@ object, the form the set-cover embedding and the oracle take.
 the library's ``greedy_drop_packets`` reads, and ``greedy_drop_packets``
 here is that greedy as it was before it worked on the count matrix, with
 each vector a list in a dict, the library greedy's frozen reference.
+Like the library solvers, every solver here takes ``residual``, each
+rhythmic packet's unmet demand.  ``build_demand_vector`` is the demand
+builder as it was before each rhythmic packet carried its own demand and
+available count; the tests hold those counts to it.
 
 ``PeriodicPacketState``, ``build_periodic_state`` and ``drop_transmissions``
 are the transmission-level solver as it was before it worked on grouped
@@ -35,7 +39,6 @@ import numpy as np
 
 from rtwnsim.dropping import (
     CandidateInputs,
-    DemandVector,
     DropDecision,
     DynamicPlan,
     PdrTable,
@@ -52,6 +55,8 @@ from rtwnsim.model import (
     packet_pdr_flexible,
     pdr_degradation,
 )
+from rtwnsim.rhythmic import ActivePacketSets
+from rtwnsim.static_schedule import Schedule
 
 PacketKey = tuple[int, int]  # (task id, release slot)
 
@@ -76,18 +81,40 @@ def vectors_of(inputs: CandidateInputs) -> list[TransmissionVector]:
     return [TransmissionVector(key, tuple(row)) for key, row in zip(inputs.sets.periodic, rows)]
 
 
+def build_demand_vector(
+    sets: ActivePacketSets, static: Schedule, task_id: int, full_demand: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(required, available)`` per rhythmic packet of ``sets``: the slots
+    demanded (``full_demand``, the retry budget of a whole packet, or, for
+    a boundary packet that takes over the static tail of an instance of the
+    disturbed task ``task_id``, that instance's slots before its tail) and
+    the slots already available in its window (idle plus ``task_id``'s)."""
+    required = []
+    available = []
+    for entry in sets.rhythmic:
+        if entry.tail_slots:
+            first = entry.tail_slots[0]
+            taken_over = static.packet_slots(task_id, int(static.release_at[first]))
+            required.append(int((taken_over < first).sum()))
+        else:
+            required.append(full_demand)
+        window = static.task_at[entry.release:entry.deadline]
+        available.append(int(((window == -1) | (window == task_id)).sum()))
+    return tuple(required), tuple(available)
+
+
 def vector_matrix(
-    demand: DemandVector, vectors: Sequence[TransmissionVector]
+    residual: Sequence[int], vectors: Sequence[TransmissionVector]
 ) -> tuple[list[PacketKey], np.ndarray]:
     """``vectors`` as the packet keys and the (packet x rhythmic window)
-    count matrix the library's ``greedy_drop_packets`` reads; ``demand``
+    count matrix the library's ``greedy_drop_packets`` reads; ``residual``
     gives the window count when ``vectors`` is empty."""
     counts = np.array([v.replaceable for v in vectors], dtype=np.int64)
-    return [v.packet for v in vectors], counts.reshape(len(vectors), len(demand.required))
+    return [v.packet for v in vectors], counts.reshape(len(vectors), len(residual))
 
 
 def greedy_drop_packets(
-    demand: DemandVector, vectors: Sequence[TransmissionVector], required_pdr: float
+    residual: Sequence[int], vectors: Sequence[TransmissionVector], required_pdr: float
 ) -> DropDecision:
     """Drop whole periodic packets until every rhythmic packet is covered.
 
@@ -97,7 +124,7 @@ def greedy_drop_packets(
     satisfied rhythmic packets go to zero and entries exceeding the residual
     are reduced to it, so later rounds rank packets by *useful* contribution.
     """
-    residual = list(demand.residual)
+    residual = list(residual)
     if all(v == 0 for v in residual):
         return DropDecision(level="packet")
 
@@ -247,7 +274,7 @@ def build_periodic_state(
 
 
 def drop_transmissions(
-    demand: DemandVector,
+    residual: Sequence[int],
     state: Sequence[PeriodicPacketState],
     required_pdr: float,
     mode: SchedulingMode = SchedulingMode.TBS,
@@ -286,7 +313,7 @@ def drop_transmissions(
     plans: then the PDR evaluations a plan makes would depend on what ran
     before it.
     """
-    residual = list(demand.residual)
+    residual = list(residual)
     needed = sum(residual)
     if needed == 0:
         return DropDecision(level="transmission")
@@ -382,7 +409,7 @@ def to_periodic_state(state: Sequence[PeriodicPacketState]) -> PeriodicState:
 
 
 def optimal_drop_oracle(
-    demand: DemandVector,
+    residual: Sequence[int],
     vectors: Optional[Sequence[TransmissionVector]] = None,
     level: str = "packet",
     state: Optional[Sequence[PeriodicPacketState]] = None,
@@ -395,7 +422,7 @@ def optimal_drop_oracle(
     the residual number of in-window slots per rhythmic packet, the selection
     with the smallest total reliability degradation.
     """
-    residual = list(demand.residual)
+    residual = list(residual)
     if all(v == 0 for v in residual):
         return DropDecision(level=level)
 
@@ -489,10 +516,11 @@ def optimal_drop_oracle(
 
 def from_set_cover(
     universe: int, collection: Sequence[Sequence[int]]
-) -> tuple[DemandVector, list[TransmissionVector]]:
-    """Embed a set-cover instance into packet-level dropping.
+) -> tuple[tuple[int, ...], list[TransmissionVector]]:
+    """Embed a set-cover instance into packet-level dropping, as the
+    residual demand and the transmission vectors.
 
-    Element i becomes a rhythmic packet demanding one slot; subset j becomes a
+    Element i becomes a rhythmic packet lacking one slot; subset j becomes a
     periodic packet whose vector has a 1 wherever it contains the element.
     The minimum drop count then equals the minimum cover size, which is what
     makes the dropping problem NP-hard.
@@ -516,5 +544,4 @@ def from_set_cover(
         )
     if union != set(range(universe)):
         raise ValueError("subsets do not cover the universe")
-    demand = DemandVector(required=tuple([1] * universe), available=tuple([0] * universe))
-    return demand, vectors
+    return (1,) * universe, vectors

@@ -17,7 +17,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from rtwnsim.model import (
     CandidateInfeasible,
@@ -29,9 +28,9 @@ from rtwnsim.model import (
     allocate_retry_vector,
     packet_pdr,
 )
-from rtwnsim.static_schedule import build_static_schedule, plan_retry_vectors
+from rtwnsim.static_schedule import build_static_schedule
 from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound, find_idle_slot
-from rtwnsim.dropping import CandidateInputs, DemandVector, build_demand_vector, greedy_drop_packets
+from rtwnsim.dropping import CandidateInputs, greedy_drop_packets
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
 from rtwnsim.experiments import make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
@@ -91,7 +90,8 @@ def test_a1_bench_scenario_dropping():
         plan = plans[level]
         assert len(plan.sets.rhythmic) == 5
         for entry in plan.sets.rhythmic:
-            need = entry.fixed_demand if entry.fixed_demand is not None else full_demand
+            need = entry.demand
+            assert need == full_demand or entry.tail_slots  # only a truncated packet owes less
             slots = [s for s, a in overlay_of(plan).items() if a.release == entry.release]
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s in slots)
@@ -102,16 +102,14 @@ def test_a1_bench_scenario_dropping():
     # at the greedy end point, so this also bounds an oracle-planned window.
     pkt, tx = plans["packet"], plans["transmission"]
     assert tx.decision.total_degradation <= pkt.decision.total_degradation + 1e-12
-    pkt_demand = build_demand_vector(pkt.sets, static.schedule, full_demand)
     pkt_oracle = optimal_drop_oracle(
-        pkt_demand, vectors=vectors_of(CandidateInputs(pkt.sets, static.schedule, tasks, full_demand)),
+        pkt.sets.residual, vectors=vectors_of(CandidateInputs(pkt.sets, static.schedule, tasks)),
         level="packet", required_pdr=0.95,
     )
     assert pkt_oracle.packet_count <= pkt.decision.packet_count
-    tx_demand = build_demand_vector(tx.sets, static.schedule, full_demand)
     tx_oracle = optimal_drop_oracle(
-        tx_demand, level="transmission",
-        state=build_periodic_state(CandidateInputs(tx.sets, static.schedule, tasks, full_demand), tasks, net),
+        tx.sets.residual, level="transmission",
+        state=build_periodic_state(CandidateInputs(tx.sets, static.schedule, tasks), tasks, net),
         required_pdr=0.95,
     )
     assert tx_oracle.total_degradation <= tx.decision.total_degradation + 1e-12
@@ -174,21 +172,18 @@ def test_a4_oracle_equivalence():
                                replaceable=tuple(int(x) for x in rng.integers(0, 3, n)))
             for j in range(m)
         ]
-        demand = DemandVector(
-            required=tuple(int(x) for x in rng.integers(0, 4, n)),
-            available=tuple(int(x) for x in rng.integers(0, 2, n)),
-        )
+        residual = tuple(np.maximum(rng.integers(0, 4, n) - rng.integers(0, 2, n), 0).tolist())
         try:
-            greedy = greedy_drop_packets(demand, *vector_matrix(demand, vectors), required_pdr=0.99)
+            greedy = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             continue
-        residual = list(demand.residual)
+        remaining = list(residual)
         for key in greedy.dropped_packets:
             eps = next(v.replaceable for v in vectors if v.packet == key)
             for i in range(n):
-                residual[i] = max(0, residual[i] - eps[i])
-        assert all(v == 0 for v in residual), "greedy result must cover the demand"
-        oracle = optimal_drop_oracle(demand, vectors=vectors, level="packet",
+                remaining[i] = max(0, remaining[i] - eps[i])
+        assert all(v == 0 for v in remaining), "greedy result must cover the demand"
+        oracle = optimal_drop_oracle(residual, vectors=vectors, level="packet",
                                      required_pdr=0.99)
         assert greedy.packet_count >= oracle.packet_count
         checked += 1
@@ -209,8 +204,8 @@ def test_a4_oracle_equivalence():
                                      replace=False).tolist()) for _ in range(m)]
         if set().union(*map(set, subsets)) != set(range(n)):
             continue
-        demand, vectors = from_set_cover(n, subsets)
-        oracle = optimal_drop_oracle(demand, vectors=vectors, level="packet")
+        residual, vectors = from_set_cover(n, subsets)
+        oracle = optimal_drop_oracle(residual, vectors=vectors, level="packet")
         assert oracle.packet_count == brute_cover(n, subsets)
         covers += 1
     elapsed = time.perf_counter() - start
@@ -335,7 +330,6 @@ def test_a7_constraint_suite():
 
 
 def test_a8_byte_identical_reruns(tmp_path):
-    import csv as csv_mod
     from rtwnsim.cli import main
 
     scenario = str((__import__("pathlib").Path(__file__).resolve().parent.parent

@@ -435,10 +435,16 @@ def test_sweep_smoke_grid(tmp_path):
     ("tick: [50]", "experiment spec: unknown key 'tick'"),
     ('r_steps: "48"', "experiment spec: r_steps must be a list, got str"),
     ("r_steps: {4: x}", "experiment spec: r_steps must be a list, got dict"),
+    # A repeated axis value would plan its cells twice and double their records.
+    ("alphas: [1, 1]", "experiment spec: alphas must not repeat a value"),
+    ("ticks: [50, 60, 50]", "experiment spec: ticks must not repeat a value"),
+    ("frameworks: [FDPAS_PACKET, FDPAS_PACKET]", "experiment spec: frameworks must not repeat a value"),
+    ("utils: [0.4, 0.4001]", "experiment spec: utils must not repeat a value"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
         "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed", "util_typo",
-        "tick_typo", "string_r_steps", "mapping_r_steps"])
+        "tick_typo", "string_r_steps", "mapping_r_steps", "repeated_alpha", "repeated_tick", "repeated_framework",
+        "utils_equal_to_0.001"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.yaml"
     spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
@@ -526,6 +532,9 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("  instance: 3\n", "  instance: 3\n  rhythmic: {periods: [12, 12], steps: 2, ratios: 0.8}\n",
      "disturbance.rhythmic: unknown key 'ratios'"),
     ("  - id: 2\n", "  - id: 1\n", "tasks[2]: duplicate task id 1"),
+    # A schedule keeps task ids in an int32 column and marks an idle slot -1.
+    ("  - id: 1\n", "  - id: -1\n", "tasks[1]: task -1: id must lie in 0..2147483647"),
+    ("  - id: 1\n", "  - id: 3000000000\n", "tasks[1]: task 3000000000: id must lie in 0..2147483647"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: 2.0}", "mac: per_table rate 2.0 must lie in [0, 1]"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
      "mac: per_table priority distance 0 must be >= 1"),
@@ -551,7 +560,8 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
         "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
         "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
-        "disturbance_rhythmic_typo", "duplicate_task_id", "per_table_rate", "per_table_distance", "per_table_list",
+        "disturbance_rhythmic_typo", "duplicate_task_id", "negative_task_id", "task_id_beyond_int32",
+        "per_table_rate", "per_table_distance", "per_table_list",
         "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
         "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
         "duplicate_node"])

@@ -19,19 +19,15 @@ from rtwnsim.model import (
     TaskSpec,
     allocate_retry_vector,
     chain_network,
-    packet_pdr,
 )
-from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_candidates, end_point_upper_bound
+from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_upper_bound
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
     CandidateInputs,
     CandidateTable,
-    DemandVector,
     DropDecision,
     PlanInvariantError,
-    build_demand_vector,
-    build_periodic_state,
     build_transmission_vectors,
     drop_transmissions,
     generate_dynamic_schedule,
@@ -87,7 +83,7 @@ def test_vectors_empty_when_no_periodic_packets():
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
-    counts = build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,), 2))
+    counts = build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,)))
     assert counts.shape == (0, len(sets.rhythmic))
 
 
@@ -104,8 +100,8 @@ def test_vectors_count_slots_inside_one_window():
         sched.release_at[slot] = 0
         sched.hop_at[slot] = hop
     sets = build_active_sets(24, event, sched, (task0, task1), full_demand=2)
-    assert [d.window for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
-    vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1), 2))
+    assert [(d.release, d.deadline) for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
+    vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1)))
     assert sets.periodic == ((1, 0),) and vectors.tolist() == [[0, 3, 0]]
 
 
@@ -113,7 +109,7 @@ def test_vectors_match_naive_double_loop():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
-    inputs = CandidateInputs(sets, sched, tasks, 8)
+    inputs = CandidateInputs(sets, sched, tasks)
     vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(inputs).tolist())))
     # Independent route: scan every slot of every periodic packet against
     # every window.
@@ -127,7 +123,7 @@ def test_vectors_match_naive_double_loop():
         assert sum(expected) <= 6  # never more than the packet's own budget
 
 
-# ------------------------------------------------------------- demand vector
+# ----------------------------------------------------------- rhythmic demand
 
 def test_demand_zero_when_idle_slots_suffice():
     net = chain_network(1, 1, pdr=1.0)
@@ -136,8 +132,8 @@ def test_demand_zero_when_idle_slots_suffice():
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
-    dv = build_demand_vector(sets, result.schedule, full_demand=2)  # one slot per hop
-    assert dv.satisfied
+    assert [d.demand for d in sets.rhythmic] == [2] * len(sets.rhythmic)  # one slot per hop
+    assert not any(sets.residual)
 
 
 def test_demand_reliable_subtraction():
@@ -157,10 +153,10 @@ def test_demand_reliable_subtraction():
         sched.release_at[slot] = 20
         sched.hop_at[slot] = hop
     sets = build_active_sets(15, event, sched, (task0,), full_demand=3)
-    dv = build_demand_vector(sets, sched, full_demand=3)  # one slot per hop
-    assert dv.required == (3,)
-    assert dv.available == (2,)  # slots 10 and 14
-    assert dv.residual == (1,)
+    (entry,) = sets.rhythmic
+    assert entry.demand == 3  # one slot per hop
+    assert entry.available == 2  # slots 10 and 14
+    assert sets.residual == (1,)
 
 
 def test_demand_lossy_uses_retry_budget():
@@ -180,10 +176,10 @@ def test_demand_lossy_uses_retry_budget():
     full_demand = sum(allocate_retry_vector([0.9], 0.99))
     assert full_demand == 2
     sets = build_active_sets(15, event, sched, (task0,), full_demand=full_demand)
-    dv = build_demand_vector(sets, sched, full_demand)
-    assert dv.required == (2,)
-    assert dv.available == (0,)
-    assert dv.residual == (2,)
+    (entry,) = sets.rhythmic
+    assert entry.demand == 2
+    assert entry.available == 0
+    assert sets.residual == (2,)
 
 
 # ------------------------------------------------------------ greedy packets
@@ -192,8 +188,7 @@ def _vec(key, eps):
     return TransmissionVector(packet=key, replaceable=tuple(eps))
 
 
-def _brute_force_min_drop(demand, vectors):
-    residual = demand.residual
+def _brute_force_min_drop(residual, vectors):
     for size in range(0, len(vectors) + 1):
         for combo in itertools.combinations(vectors, size):
             if all(sum(v.replaceable[i] for v in combo) >= residual[i]
@@ -203,25 +198,25 @@ def _brute_force_min_drop(demand, vectors):
 
 
 def test_greedy_returns_empty_when_satisfied():
-    dv = DemandVector(required=(2, 2), available=(2, 5))
-    decision = greedy_drop_packets(dv, *vector_matrix(dv, [_vec((1, 0), (1, 1))]), required_pdr=0.99)
+    residual = (0, 0)
+    decision = greedy_drop_packets(residual, *vector_matrix(residual, [_vec((1, 0), (1, 1))]), required_pdr=0.99)
     assert decision.dropped_packets == ()
     assert decision.total_degradation == 0.0
 
 
 def test_greedy_prefers_max_contribution():
-    dv = DemandVector(required=(1, 1), available=(0, 0))
+    residual = (1, 1)
     vectors = [_vec((1, 0), (1, 0)), _vec((2, 0), (0, 1)), _vec((3, 0), (1, 1))]
-    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+    decision = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
     assert decision.dropped_packets == ((3, 0),)
-    assert _brute_force_min_drop(dv, vectors) == 1
+    assert _brute_force_min_drop(residual, vectors) == 1
     assert decision.total_degradation == pytest.approx(0.99)
 
 
 def test_greedy_tie_break_by_release_then_task():
-    dv = DemandVector(required=(2,), available=(0,))
+    residual = (2,)
     vectors = [_vec((2, 5), (1,)), _vec((1, 5), (1,))]
-    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+    decision = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
     # equal contributions: lowest release first, then lowest task id
     assert decision.dropped_packets == ((1, 5), (2, 5))
 
@@ -229,28 +224,28 @@ def test_greedy_tie_break_by_release_then_task():
 def test_greedy_reclips_vectors_between_rounds():
     # After the first drop satisfies window 0, the packet whose value was
     # inflated by window 0 must not outrank a packet useful for window 1.
-    dv = DemandVector(required=(3, 1), available=(0, 0))
+    residual = (3, 1)
     vectors = [
         _vec((1, 0), (3, 0)),
         _vec((2, 0), (2, 0)),  # large but useless once window 0 is covered
         _vec((3, 0), (0, 1)),
     ]
-    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+    decision = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
     assert set(decision.dropped_packets) == {(1, 0), (3, 0)}
     # Only later rounds see clipped vectors: packet 1's three slots outrank
     # packet 2's two in round one, though one of them would cover window 0.
     # Clipping first would rank packet 2 first and drop it alone.
-    dv = DemandVector(required=(1, 1), available=(0, 0))
+    residual = (1, 1)
     vectors = [_vec((1, 0), (3, 0)), _vec((2, 0), (1, 1))]
-    decision = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+    decision = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
     assert decision.dropped_packets == ((1, 0), (2, 0))
 
 
 def test_greedy_infeasible_when_uncoverable():
-    dv = DemandVector(required=(1, 2), available=(0, 0))
+    residual = (1, 2)
     vectors = [_vec((1, 0), (1, 0))]
     with pytest.raises(CandidateInfeasible):
-        greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+        greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
 
 
 # ------------------------------------------------------- transmission dropping
@@ -263,16 +258,16 @@ def _single_hop_state(key, pdr, slots, window_of):
 
 
 def test_drop_transmissions_empty_when_satisfied():
-    dv = DemandVector(required=(1,), available=(1,))
-    assert drop_transmissions(dv, to_periodic_state([]), required_pdr=0.99).dropped_slots == ()
+    residual = (0,)
+    assert drop_transmissions(residual, to_periodic_state([]), required_pdr=0.99).dropped_slots == ()
 
 
 def test_drop_transmissions_single_retry_surrendered():
     # One packet on a 0.9 link with two trials; giving up one still delivers
     # at 0.9, degrading by 0.09 instead of the full 0.99 of a packet drop.
-    dv = DemandVector(required=(1,), available=(0,))
+    residual = (1,)
     state = [_single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0})]
-    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
     assert len(decision.dropped_slots) == 1
     assert decision.total_degradation == pytest.approx(0.09)
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.09)
@@ -281,46 +276,46 @@ def test_drop_transmissions_single_retry_surrendered():
 def test_drop_transmissions_picks_cheapest_first():
     # Hand-computed per-slot losses: 0.9 link with 2 trials loses
     # 0.99 - 0.9 = 0.09; 0.8 link with 2 trials loses 0.96 - 0.8 = 0.16.
-    dv = DemandVector(required=(1,), available=(0,))
+    residual = (1,)
     state = [
         _single_hop_state((1, 0), 0.8, [10], {10: 0}),
         _single_hop_state((2, 0), 0.9, [11, 12], {11: 0, 12: 0}),
     ]
     # dropping (1,0)'s only slot kills it entirely (delta 0.8 > 0.09)
-    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
     assert decision.dropped_slots[0][0] == 2
     assert decision.total_degradation == pytest.approx(0.09)
 
 
 def test_drop_transmissions_unselectable_slots_are_skipped():
     # The cheapest slot sits outside every needy window and must be ignored.
-    dv = DemandVector(required=(0, 1), available=(0, 0))
+    residual = (0, 1)
     state = [
         _single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0}),  # window 0: satisfied
         _single_hop_state((2, 0), 0.7, [20, 21], {20: 1, 21: 1}),
     ]
-    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
     assert all(slot in (20, 21) for _, _, slot in decision.dropped_slots)
 
 
 def test_drop_transmissions_timing_violation_degrades_fully():
     # A packet stripped below its hop count can no longer be delivered and
     # loses the whole requirement.
-    dv = DemandVector(required=(2,), available=(0,))
+    residual = (2,)
     state = [
         PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11],
                             hops=[1, 2], window_of={10: 0, 11: 0}),
     ]
-    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
     assert len(decision.dropped_slots) == 2
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99)
 
 
 def test_drop_transmissions_infeasible():
-    dv = DemandVector(required=(2,), available=(0,))
+    residual = (2,)
     state = [_single_hop_state((1, 0), 0.9, [10], {10: 0})]
     with pytest.raises(CandidateInfeasible):
-        drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+        drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
 
 
 def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
@@ -328,34 +323,34 @@ def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
     # satisfies with the cheaper drop.  Each group's key then moves on to its
     # next needy slot in window 1, keeping its delta: one of them is dropped
     # there, where discarding the keys would leave the demand uncovered.
-    dv = DemandVector(required=(1, 1), available=(0, 0))
+    residual = (1, 1)
     two_hop = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.5, 0.5), slots=[10, 11, 20, 21],
                                   hops=[1, 2, 1, 2], window_of={10: 0, 11: 0, 20: 1, 21: 1})
     state = [two_hop, _single_hop_state((2, 0), 0.9, [5, 6], {5: 0, 6: 0})]
-    decision = drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
     assert decision.dropped_slots == ((2, 0, 5), (1, 0, 20))
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99 - 0.5 * 0.75)
 
 
 def test_drop_transmissions_pbs_selects_packet_granularity():
-    dv = DemandVector(required=(1,), available=(0,))
+    residual = (1,)
     # PBS packets: hop labels 0, delivery via the shared-pool probability.
     a = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
                             hops=[0, 0, 0], window_of={10: 0, 11: 0, 12: 0})
     b = PeriodicPacketState(packet=(2, 0), path_pdrs=(0.6, 0.6), slots=[13, 14, 15],
                             hops=[0, 0, 0], window_of={13: 0, 14: 0, 15: 0})
-    decision = drop_transmissions(dv, to_periodic_state([a, b]), required_pdr=0.99, mode=SchedulingMode.PBS)
+    decision = drop_transmissions(residual, to_periodic_state([a, b]), required_pdr=0.99, mode=SchedulingMode.PBS)
     # the sturdier packet loses a slot more cheaply
     assert decision.dropped_slots == ((1, 0, 10),)
 
 
 def test_drop_transmissions_pbs_rejects_hop_labels():
     # PBS slots are interchangeable only when none is pinned to a hop.
-    dv = DemandVector(required=(1,), available=(0,))
+    residual = (1,)
     state = [PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
                                  hops=[1, 1, 2], window_of={10: 0, 11: 0, 12: 0})]
     with pytest.raises(ValueError, match="hop label 0"):
-        drop_transmissions(dv, to_periodic_state(state), required_pdr=0.99, mode=SchedulingMode.PBS)
+        drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99, mode=SchedulingMode.PBS)
 
 
 @st.composite
@@ -363,10 +358,7 @@ def _small_transmission_instances(draw, mode):
     """Up to four periodic packets of up to four slots over up to three
     rhythmic windows; link pdrs in [0.5, 0.99]."""
     windows = draw(st.integers(1, 3))
-    demand = DemandVector(
-        required=tuple(draw(st.lists(st.integers(0, 3), min_size=windows, max_size=windows))),
-        available=tuple(draw(st.lists(st.integers(0, 1), min_size=windows, max_size=windows))),
-    )
+    residual = tuple(draw(st.lists(st.integers(0, 3), min_size=windows, max_size=windows)))
     state = []
     slot = 0
     for j in range(draw(st.integers(1, 4))):
@@ -382,23 +374,23 @@ def _small_transmission_instances(draw, mode):
         placement = draw(st.lists(st.integers(-1, windows - 1), min_size=n, max_size=n))
         window_of = {s: w for s, w in zip(slots, placement) if w >= 0}
         state.append(PeriodicPacketState((j + 1, 10 * j), pdrs, slots, hops, window_of))
-    return demand, state
+    return residual, state
 
 
-def _check_against_transmission_oracle(demand, state, mode):
+def _check_against_transmission_oracle(residual, state, mode):
     grouped = to_periodic_state(state)
     before = {k: repr(v) for k, v in vars(grouped).items()}
     try:
-        decision = drop_transmissions(demand, grouped, required_pdr=0.99, mode=mode)
+        decision = drop_transmissions(residual, grouped, required_pdr=0.99, mode=mode)
     except CandidateInfeasible:
         with pytest.raises(CandidateInfeasible):
-            optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99)
+            optimal_drop_oracle(residual, level="transmission", state=state, required_pdr=0.99)
         return
     assert {k: repr(v) for k, v in vars(grouped).items()} == before  # the input is left as it was
     window_of = {(p.packet, s): w for p in state for s, w in p.window_of.items()}
     covered = Counter(window_of[((task, release), s)] for task, release, s in decision.dropped_slots)
-    assert [covered[w] for w in range(len(demand.residual))] == list(demand.residual)
-    oracle = optimal_drop_oracle(demand, level="transmission", state=state, required_pdr=0.99)
+    assert [covered[w] for w in range(len(residual))] == list(residual)
+    oracle = optimal_drop_oracle(residual, level="transmission", state=state, required_pdr=0.99)
     assert decision.total_degradation >= oracle.total_degradation - 1e-12
 
 
@@ -417,15 +409,15 @@ def test_drop_transmissions_pbs_covers_and_never_beats_oracle(instance):
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_matches_greedy_example():
-    dv = DemandVector(required=(1, 1), available=(0, 0))
+    residual = (1, 1)
     vectors = [_vec((1, 0), (1, 0)), _vec((2, 0), (0, 1)), _vec((3, 0), (1, 1))]
-    decision = optimal_drop_oracle(dv, vectors=vectors, level="packet", required_pdr=0.99)
+    decision = optimal_drop_oracle(residual, vectors=vectors, level="packet", required_pdr=0.99)
     assert decision.dropped_packets == ((3, 0),)
 
 
 def test_oracle_zero_demand():
-    dv = DemandVector(required=(1,), available=(3,))
-    assert optimal_drop_oracle(dv, vectors=[], level="packet").packet_count == 0
+    residual = (0,)
+    assert optimal_drop_oracle(residual, vectors=[], level="packet").packet_count == 0
 
 
 def test_greedy_never_beats_oracle():
@@ -438,31 +430,30 @@ def test_greedy_never_beats_oracle():
         ]
         required = rng.integers(0, 4, n)
         available = rng.integers(0, 2, n)
-        dv = DemandVector(required=tuple(int(x) for x in required),
-                          available=tuple(int(x) for x in available))
+        residual = tuple(np.maximum(required - available, 0).tolist())
         try:
-            greedy = greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+            greedy = greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             with pytest.raises(CandidateInfeasible):
-                optimal_drop_oracle(dv, vectors=vectors, level="packet")
+                optimal_drop_oracle(residual, vectors=vectors, level="packet")
             continue
-        oracle = optimal_drop_oracle(dv, vectors=vectors, level="packet", required_pdr=0.99)
+        oracle = optimal_drop_oracle(residual, vectors=vectors, level="packet", required_pdr=0.99)
         # greedy output must be feasible...
-        residual = list(dv.residual)
+        remaining = list(residual)
         for key in greedy.dropped_packets:
             eps = next(v.replaceable for v in vectors if v.packet == key)
             for i in range(n):
-                residual[i] = max(0, residual[i] - eps[i])
-        assert all(v == 0 for v in residual)
+                remaining[i] = max(0, remaining[i] - eps[i])
+        assert all(v == 0 for v in remaining)
         # ...and never cheaper than the optimum
         assert greedy.packet_count >= oracle.packet_count
 
 
 def test_oracle_size_limit():
-    dv = DemandVector(required=(1,), available=(0,))
+    residual = (1,)
     vectors = [_vec((j, 0), (1,)) for j in range(25)]
     with pytest.raises(ValueError):
-        optimal_drop_oracle(dv, vectors=vectors, level="packet")
+        optimal_drop_oracle(residual, vectors=vectors, level="packet")
 
 
 # ----------------------------------------------------------------- set cover
@@ -479,13 +470,13 @@ def _brute_force_cover(universe, subsets):
 
 
 def test_set_cover_singleton():
-    dv, vectors = from_set_cover(1, [[0]])
-    assert optimal_drop_oracle(dv, vectors=vectors, level="packet").packet_count == 1
+    residual, vectors = from_set_cover(1, [[0]])
+    assert optimal_drop_oracle(residual, vectors=vectors, level="packet").packet_count == 1
 
 
 def test_set_cover_prefers_superset():
-    dv, vectors = from_set_cover(2, [[0], [1], [0, 1]])
-    assert optimal_drop_oracle(dv, vectors=vectors, level="packet").packet_count == 1
+    residual, vectors = from_set_cover(2, [[0], [1], [0, 1]])
+    assert optimal_drop_oracle(residual, vectors=vectors, level="packet").packet_count == 1
 
 
 def test_set_cover_rejects_non_cover():
@@ -508,8 +499,8 @@ def test_set_cover_random_instances_agree_with_enumeration():
         union = set().union(*map(set, subsets))
         if union != set(range(n)):
             continue
-        dv, vectors = from_set_cover(n, subsets)
-        oracle = optimal_drop_oracle(dv, vectors=vectors, level="packet")
+        residual, vectors = from_set_cover(n, subsets)
+        oracle = optimal_drop_oracle(residual, vectors=vectors, level="packet")
         assert oracle.packet_count == _brute_force_cover(n, subsets)
         done += 1
 
@@ -563,7 +554,8 @@ def test_dynamic_schedule_constraints_hold():
             assert result.schedule.task_at[t] in (-1, 0) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:
-            need = entry.fixed_demand if entry.fixed_demand is not None else full_demand
+            need = entry.demand
+            assert need == full_demand or entry.tail_slots  # only a truncated packet owes less
             slots = sorted((t, a.hop) for t, a in overlay_of(plan).items() if a.release == entry.release)
             assert len(slots) == need
             assert all(entry.release <= s < entry.deadline for s, _ in slots)
@@ -582,7 +574,7 @@ def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     monkeypatch.setattr(dropping, "greedy_drop_packets",
-                        lambda demand, packets, counts, required_pdr: DropDecision(level="packet"))
+                        lambda residual, packets, counts, required_pdr: DropDecision(level="packet"))
     with pytest.raises(PlanInvariantError, match=r"usable slots for a demand of 8$"):
         dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
 
@@ -610,7 +602,7 @@ def test_overlay_rejects_a_solver_that_leaves_an_accepted_candidate_uncovered(mo
     event = DisturbanceEvent.from_task(tasks[0], 3)
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
-    def uncovered(demand, packets, counts, required_pdr):
+    def uncovered(residual, packets, counts, required_pdr):
         raise CandidateInfeasible("periodic packets cannot cover the rhythmic demand")
 
     monkeypatch.setattr(dropping, "greedy_drop_packets", uncovered)
@@ -690,13 +682,13 @@ def test_transmission_level_never_worse_than_packet_level():
                 eps[wdx] += 1
             vectors.append(_vec((j + 1, 0), eps))
         required = tuple(int(x) for x in rng.integers(0, 3, n))
-        dv = DemandVector(required=required, available=tuple([0] * n))
+        residual = required  # nothing available
         try:
-            packet_opt = optimal_drop_oracle(dv, vectors=vectors, level="packet",
+            packet_opt = optimal_drop_oracle(residual, vectors=vectors, level="packet",
                                              required_pdr=0.99)
         except CandidateInfeasible:
             continue
-        tx_opt = optimal_drop_oracle(dv, level="transmission", state=state,
+        tx_opt = optimal_drop_oracle(residual, level="transmission", state=state,
                                      required_pdr=0.99)
         assert tx_opt.total_degradation <= packet_opt.total_degradation + 1e-12
         done += 1
@@ -709,15 +701,13 @@ def test_complexity_smoke():
 
     def build(n, m):
         vectors = [_vec((j + 1, 0), rng.integers(0, 3, n).tolist()) for j in range(m)]
-        required = tuple([2] * n)
-        available = tuple([0] * n)
-        return DemandVector(required=required, available=available), vectors
+        return (2,) * n, vectors  # two slots short in every window
 
     def measure(n, m):
-        dv, vectors = build(n, m)
+        residual, vectors = build(n, m)
         start = time.perf_counter()
         try:
-            greedy_drop_packets(dv, *vector_matrix(dv, vectors), required_pdr=0.99)
+            greedy_drop_packets(residual, *vector_matrix(residual, vectors), required_pdr=0.99)
         except CandidateInfeasible:
             pass
         return time.perf_counter() - start

@@ -24,6 +24,9 @@ and share none of its packet-state, periodic-set or solver code:
 * ``dropping_reference.greedy_drop_packets`` is the packet-level greedy as
   it was before it read the (packet x window) count matrix: one list per
   transmission vector in a dict, re-clipped entry by entry each round.
+* ``dropping_reference.build_demand_vector`` is the demand builder as it
+  was before each rhythmic packet carried its own demand and available
+  count: it counts them again from the static schedule.
 * ``reference_plan`` is ``generate_dynamic_schedule`` assembled from those
   references, with the slot-by-slot scan for usable overlay slots and the
   overlay built as ``SlotAssignment`` objects.
@@ -52,12 +55,10 @@ from rtwnsim import dropping
 from rtwnsim.dropping import (
     CandidateInputs,
     CandidateTable,
-    DemandVector,
     DropDecision,
     DynamicPlan,
     PeriodicState,
     PlanInvariantError,
-    build_demand_vector,
     build_periodic_state,
     drop_transmissions,
     generate_dynamic_schedule,
@@ -76,10 +77,8 @@ from rtwnsim.model import (
 from rtwnsim.rhythmic import (
     DisturbanceEvent,
     build_active_sets,
-    earliest_last_finish,
     end_point_candidates,
     end_point_upper_bound,
-    resolved_demand,
 )
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon
 from rtwnsim.static_schedule import build_static_schedule, hop_expansion
@@ -97,6 +96,12 @@ from support import dynamic_plan, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
+
+
+def _candidates(event, task):
+    """The end-point candidates a plan tries: the disturbed task's releases
+    from its last stepped release plus its hop count to the latency bound."""
+    return end_point_candidates(event, event.enter_slot + sum(event.periods[:-1]) + task.hops, BETA)
 
 
 # ------------------------------------------------------------ frozen copies
@@ -158,7 +163,7 @@ def frozen_periodic_keys(start, candidate, static, task_id):
 
 def frozen_build_periodic_state(sets, static, tasks, network):
     by_id = {t.id: t for t in tasks}
-    windows = [d.window for d in sets.rhythmic]
+    windows = [(d.release, d.deadline) for d in sets.rhythmic]
     state = []
     for task_id, release in sets.periodic:
         task = by_id[task_id]
@@ -175,21 +180,21 @@ def frozen_build_periodic_state(sets, static, tasks, network):
     return state
 
 
-def frozen_build_transmission_vectors(sets, static, start):
+def frozen_build_transmission_vectors(sets, static, task_id, start, candidate):
     """Per periodic packet, its slots inside each rhythmic window, counted by
     one Python loop over the in-window periodic slots of the candidate window
-    [start, candidate)."""
+    [start, candidate) of the disturbed task ``task_id``."""
     n = len(sets.rhythmic)
     starts = np.array([d.release for d in sets.rhythmic])
     ends = np.array([d.deadline for d in sets.rhythmic])
     counts = {key: [0] * n for key in sets.periodic}
-    lo, hi = start, sets.candidate
+    lo, hi = start, candidate
     tasks_w = static.task_at[lo:hi]
     rel_w = static.release_at[lo:hi]
     slots = np.arange(lo, hi)
     widx = np.searchsorted(starts, slots, side="right") - 1
     in_window = (widx >= 0) & (slots < ends[np.clip(widx, 0, n - 1)])
-    periodic_mask = (tasks_w >= 0) & (tasks_w != sets.task_id) & in_window
+    periodic_mask = (tasks_w >= 0) & (tasks_w != task_id) & in_window
     for t, task_id, release, w in zip(
         slots[periodic_mask].tolist(),
         tasks_w[periodic_mask].tolist(),
@@ -200,9 +205,15 @@ def frozen_build_transmission_vectors(sets, static, start):
     return [TransmissionVector(packet=key, replaceable=tuple(counts[key])) for key in sets.periodic]
 
 
-def reference_drop_transmissions(demand, state, required_pdr, mode=SchedulingMode.TBS):
+def reference_residual(sets, static, task_id, full_demand):
+    """Each rhythmic packet's unmet demand, from the frozen demand builder."""
+    required, available = oracle.build_demand_vector(sets, static, task_id, full_demand)
+    return tuple(max(0, r - a) for r, a in zip(required, available))
+
+
+def reference_drop_transmissions(residual, state, required_pdr, mode=SchedulingMode.TBS):
     """The full-rescan solver on frozen packet states."""
-    residual = list(demand.residual)
+    residual = list(residual)
     if all(v == 0 for v in residual):
         return DropDecision(level="transmission")
 
@@ -280,20 +291,22 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
     upper = end_point_upper_bound(event, beta)
     evaluations = []
     best: Optional[tuple] = None
-    for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), beta):
+    last_stepped = event.enter_slot + sum(event.periods[:-1])
+    for candidate in end_point_candidates(event, last_stepped + task.hops, beta):
         try:
             sets = build_active_sets(candidate, event, static, tasks, full_demand)
             sets = dataclasses.replace(
                 sets, periodic=frozen_periodic_keys(event.enter_slot, candidate, static, event.task_id))
-            demand = build_demand_vector(sets, static, full_demand)
-            if demand.satisfied:
+            residual = reference_residual(sets, static, event.task_id, full_demand)
+            if not any(residual):
                 decision = DropDecision(level=level)
             elif level == "packet":
-                vectors = frozen_build_transmission_vectors(sets, static, event.enter_slot)
-                decision = oracle.greedy_drop_packets(demand, vectors, required_pdr)
+                vectors = frozen_build_transmission_vectors(sets, static, event.task_id, event.enter_slot,
+                                                            candidate)
+                decision = oracle.greedy_drop_packets(residual, vectors, required_pdr)
             else:
                 state = frozen_build_periodic_state(sets, static, tasks, network)
-                decision = reference_drop_transmissions(demand, state, required_pdr, mode=static.mode)
+                decision = reference_drop_transmissions(residual, state, required_pdr, mode=static.mode)
         except CandidateInfeasible:
             evaluations.append((candidate, None))
             continue
@@ -307,10 +320,9 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
 
     overlay = {}
     freed = decision.freed_slots(static)
-    last_stepped = event.enter_slot + sum(event.periods[:-1])
-    for entry in sets.rhythmic:
-        need = resolved_demand(entry, full_demand)
-        lo, hi = entry.window
+    required, _ = oracle.build_demand_vector(sets, static, event.task_id, full_demand)
+    for entry, need in zip(sets.rhythmic, required):
+        lo, hi = entry.release, entry.deadline
         usable = [
             t
             for t in range(lo, hi)
@@ -323,7 +335,7 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
             )
         if static.mode is not SchedulingMode.TBS:
             labels = [0] * need
-        elif entry.fixed_demand is not None:
+        elif entry.tail_slots:
             labels = list(entry.prefix_hops)
         else:
             labels = hop_expansion(retry_vector)[:need]
@@ -389,10 +401,8 @@ def _greedy_cases(draw):
     windows = draw(st.integers(1, 4))
     keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=7, unique=True))
     rows = [draw(st.lists(st.integers(0, 2), min_size=windows, max_size=windows)) for _ in keys]
-    required = draw(st.lists(st.integers(0, 5), min_size=windows, max_size=windows))
-    available = draw(st.lists(st.integers(0, 2), min_size=windows, max_size=windows))
-    demand = DemandVector(required=tuple(required), available=tuple(available))
-    return demand, [TransmissionVector(key, tuple(row)) for key, row in zip(keys, rows)]
+    residual = tuple(draw(st.lists(st.integers(0, 5), min_size=windows, max_size=windows)))
+    return residual, [TransmissionVector(key, tuple(row)) for key, row in zip(keys, rows)]
 
 
 def _greedy_outcome(solve):
@@ -405,9 +415,9 @@ def _greedy_outcome(solve):
 @settings(max_examples=500, deadline=None)
 @given(_greedy_cases())
 def test_packet_greedy_on_the_count_matrix_matches_frozen_greedy(case):
-    demand, vectors = case
-    got = _greedy_outcome(lambda: greedy_drop_packets(demand, *vector_matrix(demand, vectors), REQUIRED_PDR))
-    expected = _greedy_outcome(lambda: oracle.greedy_drop_packets(demand, vectors, REQUIRED_PDR))
+    residual, vectors = case
+    got = _greedy_outcome(lambda: greedy_drop_packets(residual, *vector_matrix(residual, vectors), REQUIRED_PDR))
+    expected = _greedy_outcome(lambda: oracle.greedy_drop_packets(residual, vectors, REQUIRED_PDR))
     assert got == expected
 
 
@@ -417,9 +427,9 @@ def _fields(p):
     return (p.packet, p.path_pdrs, p.slots, p.hops, p.window_of)
 
 
-def _outcome(solver, demand, state, mode):
+def _outcome(solver, residual, state, mode):
     try:
-        decision = solver(demand, state, REQUIRED_PDR, mode=mode)
+        decision = solver(residual, state, REQUIRED_PDR, mode=mode)
     except (CandidateInfeasible, ValueError) as exc:
         return ("raised", type(exc), str(exc))
     return ("ok", decision.dropped_slots, decision.degradations, decision.total_degradation)
@@ -453,27 +463,27 @@ def _compare_trial(trial, mode, horizon):
     full_demand = sum(allocate_retry_vector(path_pdrs, REQUIRED_PDR))
     where = f"seed {trial.seed}, {mode.value}"
     compared = raised = 0
-    for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), BETA):
+    for candidate in _candidates(event, task):
         try:
             sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
         assert sets.periodic == frozen_periodic_keys(event.enter_slot, candidate, schedule, event.task_id), where
-        inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
-        vectors = frozen_build_transmission_vectors(sets, schedule, event.enter_slot)
+        inputs = CandidateInputs(sets, schedule, trial.tasks)
+        vectors = frozen_build_transmission_vectors(sets, schedule, event.task_id, event.enter_slot, candidate)
         assert oracle.vectors_of(inputs) == vectors, f"{where}, candidate {candidate}"
         packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         assert [_fields(p) for p in packets] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
         state = build_periodic_state(inputs, oracle.task_path_pdrs(trial.tasks, trial.network))
         assert vars(state) == vars(to_periodic_state(packets)), f"{where}, candidate {candidate}"
-        demand = build_demand_vector(sets, schedule, full_demand)
-        assert inputs.demand == demand
-        if demand.satisfied:
+        residual = reference_residual(sets, schedule, event.task_id, full_demand)
+        assert sets.residual == residual, f"{where}, candidate {candidate}"
+        if not any(residual):
             continue
-        expected = _outcome(reference_drop_transmissions, demand, frozen, mode)
-        assert _outcome(oracle.drop_transmissions, demand, packets, mode) == expected
-        got = _outcome(drop_transmissions, demand, state, mode)
+        expected = _outcome(reference_drop_transmissions, residual, frozen, mode)
+        assert _outcome(oracle.drop_transmissions, residual, packets, mode) == expected
+        got = _outcome(drop_transmissions, residual, state, mode)
         assert got == expected, f"{where}, candidate {candidate}"
         compared += 1
         raised += expected[0] == "raised"
@@ -593,26 +603,26 @@ def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style
     table = {}
     shared_solver = functools.partial(drop_transmissions, table=table)
     solved = []
-    for candidate in end_point_candidates(event, earliest_last_finish(event, task.hops), BETA):
+    for candidate in _candidates(event, task):
         try:
             sets = build_active_sets(candidate, event, schedule, trial.tasks, full_demand)
         except CandidateInfeasible:
             continue
-        inputs = CandidateInputs(sets, schedule, trial.tasks, full_demand)
-        demand = inputs.demand
-        if demand.satisfied:
+        inputs = CandidateInputs(sets, schedule, trial.tasks)
+        residual = sets.residual
+        if not any(residual):
             continue
         state = build_periodic_state(inputs, oracle.task_path_pdrs(trial.tasks, trial.network))
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
-        shared = _exact(_outcome(shared_solver, demand, state, mode))
-        assert shared == _exact(_outcome(drop_transmissions, demand, state, mode)), candidate
-        assert shared == _exact(_outcome(reference_drop_transmissions, demand, frozen, mode)), candidate
-        solved.append((demand, state, shared))
+        shared = _exact(_outcome(shared_solver, residual, state, mode))
+        assert shared == _exact(_outcome(drop_transmissions, residual, state, mode)), candidate
+        assert shared == _exact(_outcome(reference_drop_transmissions, residual, frozen, mode)), candidate
+        solved.append((residual, state, shared))
     # A second pass finds every delivery probability and delta it needs in
     # the table and decides the same.
     filled = _table_snapshot(table)
-    for demand, state, shared in solved:
-        assert _exact(_outcome(shared_solver, demand, state, mode)) == shared
+    for residual, state, shared in solved:
+        assert _exact(_outcome(shared_solver, residual, state, mode)) == shared
     assert _table_snapshot(table) == filled
 
 
@@ -657,12 +667,50 @@ def _counted_pdr_calls():
             setattr(module, name, fn)
 
 
-def _solve_both(demand, packets, state, mode, library, reference):
+def _solve_both(residual, packets, state, mode, library, reference):
     """The outcomes of the library solver on ``state`` and of its oracle on
     ``packets``, each with its own table."""
-    got = _outcome(functools.partial(drop_transmissions, table=library), demand, state, mode)
-    expected = _outcome(functools.partial(oracle.drop_transmissions, table=reference), demand, packets, mode)
+    got = _outcome(functools.partial(drop_transmissions, table=library), residual, state, mode)
+    expected = _outcome(functools.partial(oracle.drop_transmissions, table=reference), residual, packets, mode)
     return got, expected
+
+
+def _sweep_cell_tables(base_seed, trials, mode):
+    """Each of the first ``trials`` trials of the sweep cell (util 0.5,
+    eight ramp steps, tick 60) at ``base_seed``, with its index and the
+    candidate table of its disturbance over the sweep's horizon."""
+    for index in range(trials):
+        trial = make_trial(_trial_seed(base_seed, 0.5, 8, 60, index), 0.5, 8, required_pdr=REQUIRED_PDR)
+        config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, required_pdr=REQUIRED_PDR,
+                           beta=BETA, framework=Framework.FDPAS_TRANSMISSION,
+                           disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
+        schedule = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR,
+                                         horizon=default_horizon(config)).schedule
+        table = CandidateTable(config.event(), schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
+        yield index, trial, table
+
+
+@pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
+def test_candidate_demands_match_the_frozen_builder_on_sweep_cell_trials(mode):
+    # Every candidate the planner builds over the benchmark's 100-trial sweep
+    # cell at base seed 0 carries, per rhythmic packet, the demand and
+    # available count the frozen builder counts, and its residual clips
+    # their difference at 0, as it must for the packets whose windows hold
+    # more free slots than they need.  The cell has no truncated boundary
+    # packet; test_rhythmic holds a hand-built one to the same builder.
+    surplus = 0
+    for index, trial, table in _sweep_cell_tables(0, 100, mode):
+        for candidate in _candidates(table.event, table.task):
+            inputs = table.inputs(candidate)
+            if isinstance(inputs, CandidateInfeasible):
+                continue
+            sets = inputs.sets
+            required, available = oracle.build_demand_vector(sets, table.static, table.task.id, table.full_demand)
+            where = f"trial {index}, {mode.value}, candidate {candidate}"
+            assert [(d.demand, d.available) for d in sets.rhythmic] == list(zip(required, available)), where
+            assert sets.residual == tuple(max(0, r - a) for r, a in zip(required, available)), where
+            surplus += sum(a > r for r, a in zip(required, available))
+    assert surplus > 0
 
 
 def compare_sweep_cell_with_oracle(base_seed, trials, mode):
@@ -676,29 +724,22 @@ def compare_sweep_cell_with_oracle(base_seed, trials, mode):
     oracle's decision at its end point, or raise as the oracle did.  Returns
     how many candidates were compared."""
     compared = 0
-    for index in range(trials):
-        trial = make_trial(_trial_seed(base_seed, 0.5, 8, 60, index), 0.5, 8, required_pdr=REQUIRED_PDR)
-        config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, required_pdr=REQUIRED_PDR,
-                           beta=BETA, framework=Framework.FDPAS_TRANSMISSION,
-                           disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
-        event = config.event()
-        schedule = build_static_schedule(trial.tasks, trial.network, mode, REQUIRED_PDR,
-                                         horizon=default_horizon(config)).schedule
-        table = CandidateTable(event, schedule, trial.tasks, trial.network, REQUIRED_PDR, BETA)
+    for index, trial, table in _sweep_cell_tables(base_seed, trials, mode):
+        event, schedule = table.event, table.static
         where = f"base seed {base_seed}, trial {index}, {mode.value}"
         library, reference = {}, {}
         evaluations, decisions, error = [], {}, None
         with _counted_pdr_calls() as calls:
-            for candidate in end_point_candidates(event, earliest_last_finish(event, table.task.hops), BETA):
+            for candidate in _candidates(event, table.task):
                 inputs = table.inputs(candidate)
                 if isinstance(inputs, CandidateInfeasible):
                     evaluations.append((candidate, None))
                     continue
-                if inputs.demand.satisfied:
+                if not any(inputs.sets.residual):
                     evaluations.append((candidate, 0.0))
                     continue
                 packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
-                got, expected = _solve_both(inputs.demand, packets,
+                got, expected = _solve_both(inputs.sets.residual, packets,
                                             build_periodic_state(inputs, table.path_pdrs),
                                             mode, library, reference)
                 assert _exact(got) == _exact(expected), f"{where}, candidate {candidate}"
@@ -739,10 +780,7 @@ def _tied_instances(draw):
     interleaved across packets."""
     mode = draw(st.sampled_from(list(SchedulingMode)))
     windows = draw(st.integers(1, 3))
-    demand = DemandVector(
-        required=tuple(draw(st.lists(st.integers(0, 4), min_size=windows, max_size=windows))),
-        available=tuple(draw(st.lists(st.integers(0, 1), min_size=windows, max_size=windows))),
-    )
+    residual = tuple(draw(st.lists(st.integers(0, 4), min_size=windows, max_size=windows)))
     sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
     slots = draw(st.lists(st.integers(0, 60), min_size=sum(sizes), max_size=sum(sizes), unique=True))
     state = []
@@ -755,7 +793,7 @@ def _tied_instances(draw):
         placement = draw(st.lists(st.integers(-1, windows - 1), min_size=n, max_size=n))
         window_of = {s: w for s, w in zip(mine, placement) if w >= 0}
         state.append(PeriodicPacketState((j % 2 + 1, 10 * (j // 2)), pdrs, mine, hops, window_of))
-    return demand, state, mode
+    return residual, state, mode
 
 
 @settings(max_examples=300, deadline=None)
@@ -764,12 +802,12 @@ def test_grouped_solver_matches_oracle_on_hand_built_states(instance):
     # The same decision or exception, the same table and as many delivery
     # probability evaluations, solved once with fresh tables and again with
     # the tables the first solve filled.
-    demand, packets, mode = instance
+    residual, packets, mode = instance
     state = to_periodic_state(packets)
     library, reference = {}, {}
     for _ in range(2):
         with _counted_pdr_calls() as calls:
-            got, expected = _solve_both(demand, packets, state, mode, library, reference)
+            got, expected = _solve_both(residual, packets, state, mode, library, reference)
         assert _exact(got) == _exact(expected)
         assert _table_snapshot(library) == _table_snapshot(reference)
         assert calls["library"] == calls["oracle"]
@@ -786,7 +824,6 @@ def test_grouped_state_rejects_hop_labels_outside_the_path_as_the_oracle_does(ho
 
 
 def test_grouped_solver_rejects_pbs_hop_labels_as_the_oracle_does():
-    demand = DemandVector(required=(1,), available=(0,))
     packets = [PeriodicPacketState((1, 0), (0.9, 0.9), [10, 11, 12], [0, 1, 0], {10: 0, 11: 0, 12: 0})]
-    got, expected = _solve_both(demand, packets, to_periodic_state(packets), SchedulingMode.PBS, {}, {})
+    got, expected = _solve_both((1,), packets, to_periodic_state(packets), SchedulingMode.PBS, {}, {})
     assert got == expected == ("raised", ValueError, "PBS packet states carry hop label 0 on every slot")

@@ -332,6 +332,14 @@ def test_task_requires_two_hops():
         TaskSpec(id=0, path=("a", "b"), period=10, deadline=10)
 
 
+@pytest.mark.parametrize("task_id", [-1, 2**31, 3_000_000_000])
+def test_task_id_must_fit_the_schedule_task_column(task_id):
+    # Schedule.task_at is int32 and marks an idle slot with -1.
+    with pytest.raises(ValueError, match=rf"^task {task_id}: id must lie in 0\.\.2147483647$"):
+        TaskSpec(id=task_id, path=("a", "b", "c"), period=10, deadline=10)
+    assert TaskSpec(id=2**31 - 1, path=("a", "b", "c"), period=10, deadline=10).id == 2**31 - 1
+
+
 def test_task_deadline_bounded_by_period():
     with pytest.raises(ValueError):
         TaskSpec(id=0, path=("a", "b", "c"), period=10, deadline=11)

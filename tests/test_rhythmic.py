@@ -10,8 +10,6 @@ from rtwnsim.config import parse_scenario
 from rtwnsim.model import (
     CandidateInfeasible,
     DisturbanceInfeasible,
-    Link,
-    NetworkModel,
     RhythmicSpec,
     SchedulingMode,
     TaskSpec,
@@ -28,6 +26,8 @@ from rtwnsim.rhythmic import (
     find_idle_slot,
 )
 from rtwnsim.static_schedule import Schedule, build_static_schedule
+
+from dropping_reference import build_demand_vector
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -129,7 +129,7 @@ def test_active_sets_no_boundary_at_aligned_release():
     assert sets.boundary_case == 0
     assert sets.resume_release == 40
     assert [d.release for d in sets.rhythmic] == [20, 30]
-    assert all(d.fixed_demand is None for d in sets.rhythmic)
+    assert all(d.demand == 2 and not d.tail_slots for d in sets.rhythmic)
 
 
 def test_active_sets_windows_disjoint_and_periodic_membership():
@@ -150,7 +150,7 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
                 sets = build_active_sets(cand, event, result.schedule, tasks, task.hops)
             except Exception:
                 continue
-            windows = [d.window for d in sets.rhythmic]
+            windows = [(d.release, d.deadline) for d in sets.rhythmic]
             for (a1, b1), (a2, b2) in zip(windows, windows[1:]):
                 assert b1 <= a2, "windows must be pairwise disjoint"
             for lo, hi in windows:
@@ -191,7 +191,7 @@ def test_active_sets_case2_deadline_clipped_to_static_takeover():
     boundary = sets.rhythmic[-1]
     assert boundary.release == 101
     assert boundary.deadline == min(115, t1)
-    assert boundary.fixed_demand is None
+    assert boundary.demand == 2 and boundary.tail_slots == ()
 
 
 def test_active_sets_case1_truncates_demand():
@@ -216,9 +216,13 @@ def test_active_sets_case1_truncates_demand():
     boundary = sets.rhythmic[-1]
     assert boundary.release == 20
     assert boundary.deadline == 28
-    assert boundary.fixed_demand == 2
+    assert boundary.demand == 2
     assert boundary.tail_slots == (28,)
     assert boundary.prefix_hops == (1, 1)
+    # Every slot of [20, 28) is idle or the task's own: more than the demand,
+    # so nothing is left to cover.  The frozen builder counts the same.
+    assert boundary.available == 8 and sets.residual == (0,)
+    assert build_demand_vector(sets, sched, 0, full_demand=3) == ((2,), (8,))
 
 
 def test_active_sets_case1_full_demand_when_takeover_impossible():
@@ -238,7 +242,7 @@ def test_active_sets_case1_full_demand_when_takeover_impossible():
     sets = build_active_sets(28, event, sched, (task,), full_demand=3)
     assert sets.boundary_case == 1
     boundary = sets.rhythmic[-1]
-    assert boundary.fixed_demand is None
+    assert boundary.demand == 3
     assert boundary.tail_slots == ()
 
 
