@@ -134,11 +134,16 @@ def _require(section: dict, key: str, where: str) -> Any:
 
 
 def _int(value: Any, key: str) -> int:
-    """``int(value)`` without truncation: a bool or a number with a fractional
-    part raises ``ValueError`` naming ``key`` instead of being read as 1 or 3."""
+    """``int(value)`` without truncation or overflow: a bool or a number with
+    a fractional part raises ``ValueError`` naming ``key`` instead of being
+    read as 1 or 3, and so does a value outside int64, which the schedule's
+    numpy columns could not hold."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} {value!r} is not an integer")
-    return int(value)
+    number = int(value)
+    if not -2**63 <= number < 2**63:
+        raise ValueError(f"{key} {value!r} lies outside the 64-bit integer range")
+    return number
 
 
 def _items(value: Any, key: str) -> Any:
@@ -161,7 +166,9 @@ def _require_int(section: dict, key: str, where: str) -> int:
     try:
         return _int(value, key)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {key} {value!r} is not an integer") from exc
+        # A number fails only _int's own checks, whose messages name the key.
+        reason = exc if isinstance(value, (int, float)) else f"{key} {value!r} is not an integer"
+        raise ConfigError(f"{where}: {reason}") from exc
 
 
 @cache

@@ -35,6 +35,7 @@ from .model import (
 from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
+    ScheduleSpan,
     build_active_sets,
     end_point_candidates,
     end_point_upper_bound,
@@ -107,15 +108,17 @@ class PeriodicState:
 
     Per packet (in ``packets`` order): its key, its path PDRs, ``counts[i][h]``,
     the number of its slots labelled hop ``h`` (index 0 counts PBS slots), and
-    ``totals[i]``, its slot count.  Per (packet, hop label) group with a slot
-    inside some rhythmic window: its packet, its label, and its in-window
-    slots in ascending order with their window indexes, stored flat as
-    ``slots[bounds[g]:bounds[g + 1]]`` and ``windows[...]``.  The groups of
-    packet ``i`` are ``first_group[i]:first_group[i + 1]``.
+    ``totals[i]``, its slot count; both count every slot of the packet.
+    Per (packet, hop label) group with a slot whose window index is not -1:
+    its packet, its label, and those slots in ascending order with their
+    window indexes, stored flat as ``slots[bounds[g]:bounds[g + 1]]`` and
+    ``windows[...]``.  The groups of packet ``i`` are
+    ``first_group[i]:first_group[i + 1]``.
 
     Built from slot columns grouped by packet, in slot order within a
-    packet, as ``CandidateInputs.slot_groups`` holds them.  A hop label
-    outside ``0..hops`` of its packet raises ValueError.
+    packet, as ``CandidateInputs.slot_groups`` holds them; a slot that the
+    solver may not drop carries window -1.  A hop label outside ``0..hops``
+    of its packet raises ValueError.
     """
 
     def __init__(self, packets: Sequence[PacketKey], path_pdrs: Sequence[tuple[float, ...]],
@@ -229,9 +232,16 @@ def build_transmission_vectors(inputs: CandidateInputs) -> np.ndarray:
 def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
     """The grouped ``PeriodicState`` of the periodic packets of ``inputs``,
     built from its slot groups and each task's path PDRs
-    (``CandidateTable.path_pdrs``)."""
+    (``CandidateTable.path_pdrs``).
+
+    A window whose residual is 0 never needs a slot, so its slots are masked
+    to window -1 and form no group; they still count in their packet's
+    ``counts`` and ``totals``, on which its delivery probability rests."""
     periodic = inputs.sets.periodic
-    return PeriodicState(periodic, [path_pdrs[task_id] for task_id, _ in periodic], *inputs.slot_groups)
+    owner, slots, hops, windows = inputs.slot_groups
+    needy = np.array([*inputs.sets.residual, 0], dtype=bool)  # index -1: outside every window
+    windows = np.where(needy[windows], windows, -1)
+    return PeriodicState(periodic, [path_pdrs[task_id] for task_id, _ in periodic], owner, slots, hops, windows)
 
 
 def greedy_drop_packets(
@@ -298,18 +308,17 @@ def drop_transmissions(
     until no residual is left.  ``residual`` holds each rhythmic packet's
     unmet demand, as ``ActivePacketSets.residual`` gives it.
 
-    Each (packet, hop label) group keeps a cursor on its in-window slots
-    and has one key on the heap: its delta and the slot under the cursor,
-    its earliest slot in a needy window.  Residuals only decrease, so a
-    satisfied window never needs slots again and a cursor only moves on.
-    A drop changes only its own packet: the dropped slot is its group's
-    cursor slot, the packet's version is bumped and its groups are pushed
-    with fresh deltas, and every other key stays exact.  A popped entry is
-    discarded when its packet's version is stale; when its window is
-    already satisfied, the group's cursor moves on to its next needy slot,
-    if any, which is pushed with the same delta.  Keys only grow, so the
-    lazy heap pops the same minimum a full rescan of every slot of every
-    packet would.  ``state`` is left as it was.
+    Each (packet, hop label) group keeps a cursor on its slots in needy
+    windows, and each packet has at most one key on the heap: the smallest
+    ``(delta, slot)`` over its groups, at each group's cursor slot.
+    Residuals only decrease, so a satisfied window never needs slots again
+    and a cursor only moves on.  A drop changes only its own packet: the
+    dropped slot is its group's cursor slot, and the packet is pushed again
+    with fresh deltas, so every other key stays exact.  A popped key whose
+    window is already satisfied is pushed again with the packet's cursors
+    moved on to their next needy slots, if any, under the same deltas.  Keys
+    only grow, so the lazy heap pops the same minimum a full rescan of every
+    slot of every packet would.  ``state`` is left as it was.
 
     Delivery probabilities and deltas come from ``table``, keyed by a
     packet's ``(path_pdrs, counts)``: each entry holds the delivery PDR and,
@@ -336,8 +345,7 @@ def drop_transmissions(
     bounds, slots, windows = state.bounds, state.slots, state.windows
     cursor = bounds[:-1]  # each group's earliest slot that may be needy
     group_packet, group_hop, first_group = state.group_packet, state.group_hop, state.first_group
-    version = [0] * len(packets)
-    heap: list[tuple[float, int, int, int, int, int]] = []  # (delta, release, task, slot, group, version)
+    heap: list[tuple[float, int, int, int, int]] = []  # (delta, release, task, slot, group)
 
     def lookup(idx: int) -> tuple[float, dict[int, float]]:
         key = (path_pdrs[idx], tuple(counts[idx]))
@@ -346,11 +354,10 @@ def drop_transmissions(
             found = table[key] = (_delivery_pdr(path_pdrs[idx], counts[idx], totals[idx]), {})
         return found
 
-    def push_groups(idx: int) -> None:
-        """Push each group of packet ``idx`` on its earliest needy slot, if
-        it has one left."""
-        deltas = None
-        task, release = packets[idx]
+    def push(idx: int) -> None:
+        """Push packet ``idx`` on the smallest ``(delta, slot)`` of its
+        groups' earliest needy slots, if it has one left."""
+        deltas = best = None
         for g in range(first_group[idx], first_group[idx + 1]):
             c, end = cursor[g], bounds[g + 1]
             while c < end and not residual[windows[c]]:
@@ -367,39 +374,33 @@ def drop_transmissions(
                 held[hop] -= 1
                 delta = deltas[hop] = current - _delivery_pdr(path_pdrs[idx], held, totals[idx] - 1)
                 held[hop] += 1
-            heapq.heappush(heap, (delta, release, task, slots[c], g, version[idx]))
+            if best is None or (delta, slots[c]) < best[:2]:
+                best = (delta, slots[c], g)
+        if best is not None:
+            task, release = packets[idx]
+            heapq.heappush(heap, (best[0], release, task, best[1], best[2]))
 
     for idx in range(len(packets)):
-        push_groups(idx)
+        push(idx)
     dropped: list[tuple[int, int, int]] = []
     touched: set[int] = set()
     while True:
         if not heap:
             raise CandidateInfeasible("no periodic transmission can cover the remaining demand")
-        delta, release, task, slot, g, ver = heapq.heappop(heap)
-        idx = group_packet[g]
-        if ver != version[idx]:
-            continue
-        c, end = cursor[g], bounds[g + 1]
+        delta, release, task, slot, g = heapq.heappop(heap)
+        idx, c = group_packet[g], cursor[g]
         window = windows[c]
-        if residual[window] == 0:  # move on to the group's next needy slot, if any
-            while c < end and not residual[windows[c]]:
-                c += 1
-            cursor[g] = c
-            if c < end:
-                heapq.heappush(heap, (delta, release, task, slots[c], g, ver))
-            continue
-        cursor[g] = c + 1
-        counts[idx][group_hop[g]] -= 1
-        totals[idx] -= 1
-        dropped.append((task, release, slot))
-        touched.add(idx)
-        residual[window] -= 1
-        needed -= 1
-        if needed == 0:
-            break
-        version[idx] += 1
-        push_groups(idx)
+        if residual[window]:
+            cursor[g] = c + 1
+            counts[idx][group_hop[g]] -= 1
+            totals[idx] -= 1
+            dropped.append((task, release, slot))
+            touched.add(idx)
+            residual[window] -= 1
+            needed -= 1
+            if needed == 0:
+                break
+        push(idx)
 
     degradations = tuple(
         (packets[idx], pdr_degradation(required_pdr, lookup(idx)[0]))
@@ -441,8 +442,9 @@ class CandidateTable:
 
     Filled lazily, one candidate at a time, by ``generate_dynamic_schedule``,
     so the packet-level and transmission-level plans of a trial build each
-    candidate's inputs once between them.  It holds every planning input:
-    the event, static schedule, tasks, network, required pdr and beta.
+    candidate's inputs once between them, all from one ``ScheduleSpan`` of
+    the static schedule.  It holds every planning input: the event, static
+    schedule, tasks, network, required pdr and beta.
     ``sim.plan_frameworks`` makes one per scenario and drops it with the
     call, so nothing it holds reaches another trial.
     """
@@ -455,6 +457,7 @@ class CandidateTable:
         # Per-hop budget of each full-demand rhythmic packet, and its sum.
         self.retry_vector = allocate_retry_vector(network.path_pdrs(self.task.path), required_pdr)
         self.full_demand = sum(self.retry_vector)
+        self.span = ScheduleSpan(event, static, beta)
         self._entries: dict[int, Union[CandidateInputs, CandidateInfeasible]] = {}
 
     @cached_property
@@ -467,7 +470,7 @@ class CandidateTable:
         entry = self._entries.get(candidate)
         if entry is None:
             try:
-                sets = build_active_sets(candidate, self.event, self.static, self.tasks, self.full_demand)
+                sets = build_active_sets(candidate, self.event, self.static, self.span, self.full_demand)
             except CandidateInfeasible as exc:
                 entry = exc.with_traceback(None)  # keeps no frame of this call alive
             else:

@@ -29,6 +29,7 @@ __all__ = [
     "RhythmicDemand",
     "ActivePacketSets",
     "IdleSlotWitness",
+    "ScheduleSpan",
     "actual_releases",
     "end_point_upper_bound",
     "end_point_candidates",
@@ -211,11 +212,37 @@ def _release_step_deadline(event: DisturbanceEvent, seq: int, release: int) -> i
     return release + event.nominal_deadline
 
 
+class ScheduleSpan:
+    """The static schedule over [enter_slot, stop) of one disturbance, read
+    once for all its end-point candidates; ``stop`` is its latest end point
+    under latency bound ``beta``.
+
+    ``free[i]`` counts the idle or disturbed-task slots of [enter_slot,
+    enter_slot + i), up to the horizon.  ``periodic`` pairs each other
+    packet's (release, task) key with the first slot it owns in the span, in
+    key order: it owns a slot of [enter_slot, candidate) exactly when that
+    slot lies before the candidate.
+    """
+
+    def __init__(self, event: DisturbanceEvent, static: Schedule, beta: int) -> None:
+        self.start, self.stop = event.enter_slot, end_point_upper_bound(event, beta)
+        owners, releases = static.task_at[self.start:self.stop], static.release_at[self.start:self.stop]
+        self.free = [0, *np.cumsum((owners == -1) | (owners == event.task_id)).tolist()]
+        # A packet's slots come in runs, so only the first slot of each run is read.
+        run_start = np.ones(len(owners), dtype=bool)
+        run_start[1:] = (owners[1:] != owners[:-1]) | (releases[1:] != releases[:-1])
+        runs = np.flatnonzero(run_start & (owners >= 0) & (owners != event.task_id))
+        first: dict[tuple[int, int], int] = {}
+        for key, slot in zip(zip(releases[runs].tolist(), owners[runs].tolist()), (runs + self.start).tolist()):
+            first.setdefault(key, slot)
+        self.periodic = sorted(first.items())
+
+
 def build_active_sets(
     candidate: int,
     event: DisturbanceEvent,
     static: Schedule,
-    tasks: Sequence[TaskSpec],
+    span: ScheduleSpan,
     full_demand: int,
 ) -> ActivePacketSets:
     """Construct the packet sets one end-point candidate implies.
@@ -237,15 +264,19 @@ def build_active_sets(
       of that instance) and the full demand applies.
 
     Raises CandidateInfeasible when any window is shorter than its demand.
-    Once every window holds its demand, each packet's ``available`` count
-    is read off the static schedule.
+    Each packet's ``available`` count and the periodic packets are read off
+    ``span``, the schedule's span of ``event``, which must reach the
+    candidate; a candidate past it raises ValueError.
     """
     start = event.enter_slot
     if candidate <= start:
         raise CandidateInfeasible("end point must lie after the window start")
+    if candidate > span.stop:
+        raise ValueError(f"end point {candidate} lies past the schedule span's end {span.stop}")
     releases = [r for r in actual_releases(event, candidate - 1) if r < candidate]
 
-    windows: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
+    rhythmic = []
+    read = len(span.free) - 1  # slots the span holds; none lie past the horizon
     p0 = event.nominal_period
     on_grid = (candidate - event.phase) % p0 == 0
     boundary_case = 0
@@ -303,27 +334,12 @@ def build_active_sets(
                 f"packet released at {release} needs {demand} slots in a "
                 f"{deadline - release}-slot window"
             )
-        windows.append((release, deadline, demand, tail, prefix))
-
-    rhythmic = []
-    for release, deadline, demand, tail, prefix in windows:
-        owners = static.task_at[release:deadline]
-        available = int(((owners == -1) | (owners == event.task_id)).sum())
+        available = span.free[min(deadline - start, read)] - span.free[min(release - start, read)]
         rhythmic.append(RhythmicDemand(release, deadline, demand, available, tail, prefix))
-
-    # Periodic packets owning at least one static slot inside the window.  A
-    # packet's slots come in runs, so only the first slot of each run is read.
-    window_tasks = static.task_at[start:candidate]
-    window_releases = static.release_at[start:candidate]
-    run_start = np.ones(len(window_tasks), dtype=bool)
-    run_start[1:] = (window_tasks[1:] != window_tasks[:-1]) | (window_releases[1:] != window_releases[:-1])
-    keep = run_start & (window_tasks >= 0) & (window_tasks != event.task_id)
-    keys = set(zip(window_releases[keep].tolist(), window_tasks[keep].tolist()))
-    periodic = [(task_id, release) for release, task_id in sorted(keys)]
 
     return ActivePacketSets(
         rhythmic=tuple(rhythmic),
-        periodic=tuple(periodic),
+        periodic=tuple((task, release) for (release, task), first in span.periodic if first < candidate),
         resume_release=resume_release,
         boundary_case=boundary_case,
     )

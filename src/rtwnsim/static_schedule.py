@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,8 +109,8 @@ def plan_retry_vectors(
                 raise ScheduleInfeasible(
                     f"task {task.id}: slot budget {task.slot_budget} below reliability minimum {minimum}"
                 )
-            for i in range(task.slot_budget - minimum):
-                rv[i % task.hops] += 1
+            rounds, extra = divmod(task.slot_budget - minimum, task.hops)
+            rv = [r + rounds + (i < extra) for i, r in enumerate(rv)]
         vectors[task.id] = tuple(rv)
     return vectors
 
@@ -162,11 +163,14 @@ def build_static_schedule(
 
     # TBS hop labels of every task's packet ordinals, one task after another:
     # a packet of task tid with r slots left takes flat[label_end[tid] - r] next.
+    # It is served only inside its window, so only its first ``deadline``
+    # ordinals are labelled, however large its budget.
     label_end: dict[int, int] = {}
     flat: list[int] = []
-    for tid, rv in retry_vectors.items():
-        flat.extend(hop_expansion(rv))
-        label_end[tid] = len(flat)
+    for task in tasks:
+        rv = retry_vectors[task.id]
+        label_end[task.id] = len(flat) + sum(rv)
+        flat.extend(islice(chain.from_iterable(repeat(h, r) for h, r in enumerate(rv, start=1)), task.deadline))
     missed: list[tuple[int, int, int]] = []  # (deadline, task, release)
 
     # One EDF segment of consecutive slots per entry; the slot arrays are

@@ -17,13 +17,19 @@ rhythmic packet's unmet demand.  ``build_demand_vector`` is the demand
 builder as it was before each rhythmic packet carried its own demand and
 available count; the tests hold those counts to it.
 
+``build_active_sets`` is the active-set builder as it was before every
+candidate of a disturbance read one ``ScheduleSpan``: it slices the static
+schedule once per rhythmic window for the available counts and finds the
+periodic packets from the run starts of the candidate's own window.
+
 ``PeriodicPacketState``, ``build_periodic_state`` and ``drop_transmissions``
 are the transmission-level solver as it was before it worked on grouped
 slot arrays: one mutable state object per periodic packet, and a heap whose
 groups rescan their packet's slots for the earliest needy one.  The library
 solver must decide exactly as they do; ``to_periodic_state`` turns a list of
-hand-built packet states into the library's ``PeriodicState``, and
-``task_path_pdrs`` gives the path PDRs a candidate table would hold.
+hand-built packet states into the library's ``PeriodicState``, masked as
+``dropping.build_periodic_state`` masks it, and ``task_path_pdrs`` gives the
+path PDRs a candidate table would hold.
 ``overlay_of`` reads a ``DynamicPlan``'s overlay arrays as ``{slot:
 SlotAssignment}``, the form the tests and the reference plan compare.
 """
@@ -55,7 +61,7 @@ from rtwnsim.model import (
     packet_pdr_flexible,
     pdr_degradation,
 )
-from rtwnsim.rhythmic import ActivePacketSets
+from rtwnsim.rhythmic import ActivePacketSets, DisturbanceEvent, RhythmicDemand, actual_releases
 from rtwnsim.static_schedule import Schedule
 
 PacketKey = tuple[int, int]  # (task id, release slot)
@@ -101,6 +107,100 @@ def build_demand_vector(
         window = static.task_at[entry.release:entry.deadline]
         available.append(int(((window == -1) | (window == task_id)).sum()))
     return tuple(required), tuple(available)
+
+
+def build_active_sets(
+    candidate: int, event: DisturbanceEvent, static: Schedule, full_demand: int
+) -> ActivePacketSets:
+    """The packet sets one end-point candidate implies, with every window's
+    available count sliced from ``static`` and the periodic packets read
+    from the run starts of [enter_slot, candidate); see
+    ``rhythmic.build_active_sets`` for the boundary cases."""
+    start = event.enter_slot
+    if candidate <= start:
+        raise CandidateInfeasible("end point must lie after the window start")
+    releases = [r for r in actual_releases(event, candidate - 1) if r < candidate]
+
+    windows: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
+    p0 = event.nominal_period
+    on_grid = (candidate - event.phase) % p0 == 0
+    boundary_case = 0
+    resume_release = candidate
+
+    last_release = releases[-1]
+    nominal_deadline_of_last = last_release + event.nominal_deadline
+    needs_boundary = nominal_deadline_of_last > candidate or not on_grid
+
+    for seq, release in enumerate(releases):
+        if seq < len(event.deadlines):
+            deadline = release + event.deadlines[seq]
+        else:
+            deadline = release + event.nominal_deadline
+        if seq + 1 < len(releases):
+            deadline = min(deadline, releases[seq + 1])  # keep windows disjoint
+        demand = full_demand
+        tail: tuple[int, ...] = ()
+        prefix: tuple[int, ...] = ()
+        if seq == len(releases) - 1:
+            if needs_boundary:
+                r_p = event.grid_release_after(last_release)
+                resume_release = r_p
+                if candidate < r_p:
+                    boundary_case = 1
+                    deadline = candidate
+                    task0 = static.task_slots(event.task_id)
+                    after = task0[task0 >= candidate]
+                    if after.size == 0:
+                        raise CandidateInfeasible("static schedule has no task slot after the end point")
+                    t_k0 = int(after[0])
+                    if t_k0 < r_p:
+                        prev_release = r_p - p0
+                        prev_slots = [
+                            int(s)
+                            for s in static.packet_slots(
+                                event.task_id, prev_release, until=prev_release + event.nominal_deadline
+                            )
+                        ]
+                        k0 = prev_slots.index(t_k0) + 1
+                        demand = k0 - 1
+                        tail = tuple(prev_slots[k0 - 1:])
+                        prefix = tuple(int(static.hop_at[s]) for s in prev_slots[: k0 - 1])
+                else:
+                    boundary_case = 2
+                    inst_slots = static.packet_slots(
+                        event.task_id, r_p, until=r_p + event.nominal_deadline
+                    )
+                    first_static = int(inst_slots[0]) if inst_slots.size else candidate
+                    deadline = min(candidate, first_static)
+            else:
+                deadline = min(deadline, candidate)
+        if demand > deadline - release:
+            raise CandidateInfeasible(
+                f"packet released at {release} needs {demand} slots in a "
+                f"{deadline - release}-slot window"
+            )
+        windows.append((release, deadline, demand, tail, prefix))
+
+    rhythmic = []
+    for release, deadline, demand, tail, prefix in windows:
+        owners = static.task_at[release:deadline]
+        available = int(((owners == -1) | (owners == event.task_id)).sum())
+        rhythmic.append(RhythmicDemand(release, deadline, demand, available, tail, prefix))
+
+    window_tasks = static.task_at[start:candidate]
+    window_releases = static.release_at[start:candidate]
+    run_start = np.ones(len(window_tasks), dtype=bool)
+    run_start[1:] = (window_tasks[1:] != window_tasks[:-1]) | (window_releases[1:] != window_releases[:-1])
+    keep = run_start & (window_tasks >= 0) & (window_tasks != event.task_id)
+    keys = set(zip(window_releases[keep].tolist(), window_tasks[keep].tolist()))
+    periodic = [(task_id, release) for release, task_id in sorted(keys)]
+
+    return ActivePacketSets(
+        rhythmic=tuple(rhythmic),
+        periodic=tuple(periodic),
+        resume_release=resume_release,
+        boundary_case=boundary_case,
+    )
 
 
 def vector_matrix(
@@ -397,11 +497,16 @@ def drop_transmissions(
     )
 
 
-def to_periodic_state(state: Sequence[PeriodicPacketState]) -> PeriodicState:
+def to_periodic_state(state: Sequence[PeriodicPacketState], residual: Sequence[int]) -> PeriodicState:
     """The library's grouped state of the packet states ``state``, each
-    packet's slots taken in ascending order."""
+    packet's slots taken in ascending order; a slot in a window whose
+    ``residual`` is 0 is masked to window -1, as the library masks it."""
+    def window(packet: PeriodicPacketState, slot: int) -> int:
+        w = packet.window_of.get(slot, -1)
+        return w if w >= 0 and residual[w] else -1
+
     columns = np.array([
-        (idx, slot, hop, packet.window_of.get(slot, -1))
+        (idx, slot, hop, window(packet, slot))
         for idx, packet in enumerate(state)
         for slot, hop in sorted(zip(packet.slots, packet.hops))
     ], dtype=np.int64).reshape(-1, 4)

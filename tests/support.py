@@ -1,6 +1,7 @@
 """Small helpers the tests share, none of which a command needs.
 
-``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``dynamic_plan``
+``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
+builds one candidate's active sets over a schedule span of its own.  ``dynamic_plan``
 plans one dropping level over a candidate table of its own, made from the
 six planning inputs.  ``standalone_record`` is the sweep's record of one
 (trial, framework) pair planned alone, through ``sim.plan``, the reference a
@@ -13,6 +14,7 @@ import io
 
 from rtwnsim.dropping import CandidateTable, DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record
+from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
 from rtwnsim.trace import SimTrace
 
@@ -22,6 +24,12 @@ def trace_text(trace: SimTrace) -> str:
     out = io.BytesIO()
     trace.write(out)
     return out.getvalue().decode("utf-8", "surrogatepass")
+
+
+def active_sets(candidate, event, static, full_demand, beta=4) -> ActivePacketSets:
+    """``build_active_sets`` of ``candidate`` over the span of ``static``
+    that latency bound ``beta`` gives ``event``."""
+    return build_active_sets(candidate, event, static, ScheduleSpan(event, static, beta), full_demand)
 
 
 def dynamic_plan(event, static, tasks, network, required_pdr, beta=4, level="packet") -> DynamicPlan:

@@ -535,6 +535,10 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     # A schedule keeps task ids in an int32 column and marks an idle slot -1.
     ("  - id: 1\n", "  - id: -1\n", "tasks[1]: task -1: id must lie in 0..2147483647"),
     ("  - id: 1\n", "  - id: 3000000000\n", "tasks[1]: task 3000000000: id must lie in 0..2147483647"),
+    # The schedule's columns hold int64; a larger integer or float is rejected.
+    ("period: 30", "period: 1000000000000000000000",
+     "tasks[1]: period 1000000000000000000000 lies outside the 64-bit integer range"),
+    ("period: 30", "period: 1.0e+308", "tasks[1]: period 1e+308 lies outside the 64-bit integer range"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: 2.0}", "mac: per_table rate 2.0 must lie in [0, 1]"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
      "mac: per_table priority distance 0 must be >= 1"),
@@ -561,6 +565,7 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
         "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
         "disturbance_rhythmic_typo", "duplicate_task_id", "negative_task_id", "task_id_beyond_int32",
+        "period_beyond_int64", "float_period_beyond_int64",
         "per_table_rate", "per_table_distance", "per_table_list",
         "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
         "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
@@ -903,6 +908,25 @@ def test_sweep_parallel_below_one_exit_code(tmp_path, capsys, serial_pool, paral
     assert main(["sweep", "--spec", str(spec), "--out-dir", str(out), "--parallel", parallel]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: --parallel must be >= 1, got {parallel}\n"
     assert serial_pool == [] and not out.exists()
+
+
+def test_simulate_slot_budget_beyond_the_deadline_exits_promptly(tmp_path):
+    # A budget of 2**31 slots per packet cannot fit task 0's 15-slot window,
+    # so its first packet is missed.  Neither the budget's padding nor the
+    # EDF build's hop labels may grow with the budget: in a separate process
+    # with a time limit, one error line and exit 3.
+    text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
+    assert "slot_budget: 8\n" in text
+    scenario = tmp_path / "budget.yaml"
+    scenario.write_text(text.replace("slot_budget: 8\n", "slot_budget: 2147483648\n", 1), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtwnsim.cli", "simulate", "--scenario", str(scenario),
+         "--trace-out", str(tmp_path / "trace.txt"), "--csv-out", str(tmp_path / "metrics.csv")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stderr == "error: static schedule misses packet (task, release) (0, 1)\n"
+    assert not (tmp_path / "trace.txt").exists()
 
 
 def test_console_entry_point_runs(tmp_path):

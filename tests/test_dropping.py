@@ -20,7 +20,7 @@ from rtwnsim.model import (
     allocate_retry_vector,
     chain_network,
 )
-from rtwnsim.rhythmic import DisturbanceEvent, build_active_sets, end_point_upper_bound
+from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
@@ -45,7 +45,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import dynamic_plan
+from support import active_sets, dynamic_plan
 
 
 def _testbed():
@@ -72,7 +72,7 @@ def _testbed():
 def _sets_for(net, tasks, event, candidate, full_demand):
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     assert result.feasible
-    return result.schedule, build_active_sets(candidate, event, result.schedule, tasks, full_demand)
+    return result.schedule, active_sets(candidate, event, result.schedule, full_demand)
 
 
 def test_vectors_empty_when_no_periodic_packets():
@@ -81,7 +81,7 @@ def test_vectors_empty_when_no_periodic_packets():
                     rhythmic=RhythmicSpec((10,), (10,)))
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
-    sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
+    sets = active_sets(40, event, result.schedule, full_demand=2)
     assert sets.periodic == ()
     counts = build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,)))
     assert counts.shape == (0, len(sets.rhythmic))
@@ -99,7 +99,7 @@ def test_vectors_count_slots_inside_one_window():
         sched.task_at[slot] = 1
         sched.release_at[slot] = 0
         sched.hop_at[slot] = hop
-    sets = build_active_sets(24, event, sched, (task0, task1), full_demand=2)
+    sets = active_sets(24, event, sched, full_demand=2)
     assert [(d.release, d.deadline) for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
     vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1)))
     assert sets.periodic == ((1, 0),) and vectors.tolist() == [[0, 3, 0]]
@@ -131,7 +131,7 @@ def test_demand_zero_when_idle_slots_suffice():
                     rhythmic=RhythmicSpec((10,), (10,)))
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
-    sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
+    sets = active_sets(40, event, result.schedule, full_demand=2)
     assert [d.demand for d in sets.rhythmic] == [2] * len(sets.rhythmic)  # one slot per hop
     assert not any(sets.residual)
 
@@ -152,7 +152,7 @@ def test_demand_reliable_subtraction():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 20
         sched.hop_at[slot] = hop
-    sets = build_active_sets(15, event, sched, (task0,), full_demand=3)
+    sets = active_sets(15, event, sched, full_demand=3)
     (entry,) = sets.rhythmic
     assert entry.demand == 3  # one slot per hop
     assert entry.available == 2  # slots 10 and 14
@@ -175,7 +175,7 @@ def test_demand_lossy_uses_retry_budget():
         sched.hop_at[slot] = hop
     full_demand = sum(allocate_retry_vector([0.9], 0.99))
     assert full_demand == 2
-    sets = build_active_sets(15, event, sched, (task0,), full_demand=full_demand)
+    sets = active_sets(15, event, sched, full_demand=full_demand)
     (entry,) = sets.rhythmic
     assert entry.demand == 2
     assert entry.available == 0
@@ -259,7 +259,7 @@ def _single_hop_state(key, pdr, slots, window_of):
 
 def test_drop_transmissions_empty_when_satisfied():
     residual = (0,)
-    assert drop_transmissions(residual, to_periodic_state([]), required_pdr=0.99).dropped_slots == ()
+    assert drop_transmissions(residual, to_periodic_state([], residual), required_pdr=0.99).dropped_slots == ()
 
 
 def test_drop_transmissions_single_retry_surrendered():
@@ -267,7 +267,7 @@ def test_drop_transmissions_single_retry_surrendered():
     # at 0.9, degrading by 0.09 instead of the full 0.99 of a packet drop.
     residual = (1,)
     state = [_single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0})]
-    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
     assert len(decision.dropped_slots) == 1
     assert decision.total_degradation == pytest.approx(0.09)
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.09)
@@ -282,7 +282,7 @@ def test_drop_transmissions_picks_cheapest_first():
         _single_hop_state((2, 0), 0.9, [11, 12], {11: 0, 12: 0}),
     ]
     # dropping (1,0)'s only slot kills it entirely (delta 0.8 > 0.09)
-    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
     assert decision.dropped_slots[0][0] == 2
     assert decision.total_degradation == pytest.approx(0.09)
 
@@ -294,7 +294,7 @@ def test_drop_transmissions_unselectable_slots_are_skipped():
         _single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0}),  # window 0: satisfied
         _single_hop_state((2, 0), 0.7, [20, 21], {20: 1, 21: 1}),
     ]
-    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
     assert all(slot in (20, 21) for _, _, slot in decision.dropped_slots)
 
 
@@ -306,7 +306,7 @@ def test_drop_transmissions_timing_violation_degrades_fully():
         PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11],
                             hops=[1, 2], window_of={10: 0, 11: 0}),
     ]
-    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
     assert len(decision.dropped_slots) == 2
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99)
 
@@ -315,19 +315,20 @@ def test_drop_transmissions_infeasible():
     residual = (2,)
     state = [_single_hop_state((1, 0), 0.9, [10], {10: 0})]
     with pytest.raises(CandidateInfeasible):
-        drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+        drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
 
 
 def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
     # Packet (1, 0)'s hop groups both start in window 0, which packet (2, 0)
-    # satisfies with the cheaper drop.  Each group's key then moves on to its
-    # next needy slot in window 1, keeping its delta: one of them is dropped
-    # there, where discarding the keys would leave the demand uncovered.
+    # satisfies with the cheaper drop.  The packet's key then moves on to its
+    # groups' next needy slots in window 1, keeping their deltas: one of them
+    # is dropped there, where discarding the key would leave the demand
+    # uncovered.
     residual = (1, 1)
     two_hop = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.5, 0.5), slots=[10, 11, 20, 21],
                                   hops=[1, 2, 1, 2], window_of={10: 0, 11: 0, 20: 1, 21: 1})
     state = [two_hop, _single_hop_state((2, 0), 0.9, [5, 6], {5: 0, 6: 0})]
-    decision = drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
     assert decision.dropped_slots == ((2, 0, 5), (1, 0, 20))
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99 - 0.5 * 0.75)
 
@@ -339,7 +340,7 @@ def test_drop_transmissions_pbs_selects_packet_granularity():
                             hops=[0, 0, 0], window_of={10: 0, 11: 0, 12: 0})
     b = PeriodicPacketState(packet=(2, 0), path_pdrs=(0.6, 0.6), slots=[13, 14, 15],
                             hops=[0, 0, 0], window_of={13: 0, 14: 0, 15: 0})
-    decision = drop_transmissions(residual, to_periodic_state([a, b]), required_pdr=0.99, mode=SchedulingMode.PBS)
+    decision = drop_transmissions(residual, to_periodic_state([a, b], residual), required_pdr=0.99, mode=SchedulingMode.PBS)
     # the sturdier packet loses a slot more cheaply
     assert decision.dropped_slots == ((1, 0, 10),)
 
@@ -350,7 +351,7 @@ def test_drop_transmissions_pbs_rejects_hop_labels():
     state = [PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
                                  hops=[1, 1, 2], window_of={10: 0, 11: 0, 12: 0})]
     with pytest.raises(ValueError, match="hop label 0"):
-        drop_transmissions(residual, to_periodic_state(state), required_pdr=0.99, mode=SchedulingMode.PBS)
+        drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99, mode=SchedulingMode.PBS)
 
 
 @st.composite
@@ -378,7 +379,7 @@ def _small_transmission_instances(draw, mode):
 
 
 def _check_against_transmission_oracle(residual, state, mode):
-    grouped = to_periodic_state(state)
+    grouped = to_periodic_state(state, residual)
     before = {k: repr(v) for k, v in vars(grouped).items()}
     try:
         decision = drop_transmissions(residual, grouped, required_pdr=0.99, mode=mode)

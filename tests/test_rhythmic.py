@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtwnsim.config import parse_scenario
 from rtwnsim.model import (
@@ -19,6 +21,7 @@ from rtwnsim.model import (
 )
 from rtwnsim.rhythmic import (
     DisturbanceEvent,
+    ScheduleSpan,
     actual_releases,
     build_active_sets,
     end_point_candidates,
@@ -27,7 +30,9 @@ from rtwnsim.rhythmic import (
 )
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 
+import dropping_reference as oracle
 from dropping_reference import build_demand_vector
+from support import active_sets
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -125,7 +130,7 @@ def test_active_sets_no_boundary_at_aligned_release():
     result = _schedule_for((task,), net, 80)
     # exit = 30 on grid; candidate 40 follows the on-grid release at 30 whose
     # nominal deadline is exactly 40: whole packets only, no adjustment.
-    sets = build_active_sets(40, event, result.schedule, (task,), full_demand=2)
+    sets = active_sets(40, event, result.schedule, full_demand=2)
     assert sets.boundary_case == 0
     assert sets.resume_release == 40
     assert [d.release for d in sets.rhythmic] == [20, 30]
@@ -145,9 +150,10 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
         result = _schedule_for(tasks, net, horizon)
         if not result.feasible:
             continue
+        span = ScheduleSpan(event, result.schedule, 4)
         for cand in end_point_candidates(event, event.exit_slot - spec.periods[-1] + task.hops, 4):
             try:
-                sets = build_active_sets(cand, event, result.schedule, tasks, task.hops)
+                sets = build_active_sets(cand, event, result.schedule, span, task.hops)
             except Exception:
                 continue
             windows = [(d.release, d.deadline) for d in sets.rhythmic]
@@ -168,7 +174,7 @@ def test_active_sets_reject_a_candidate_at_the_window_start():
     task, event = _event(period=10, instance=1, periods=(10,))
     result = _schedule_for((task,), net, 80)
     with pytest.raises(CandidateInfeasible, match="^end point must lie after the window start$"):
-        build_active_sets(event.enter_slot, event, result.schedule, (task,), full_demand=2)
+        active_sets(event.enter_slot, event, result.schedule, full_demand=2)
 
 
 def test_active_sets_case2_deadline_clipped_to_static_takeover():
@@ -183,7 +189,7 @@ def test_active_sets_case2_deadline_clipped_to_static_takeover():
     event = DisturbanceEvent.from_task(task, 2)
     assert event.enter_slot == 45 and event.exit_slot == 115
     result = _schedule_for((task,), net, 180)
-    sets = build_active_sets(115, event, result.schedule, (task,), full_demand=2)
+    sets = active_sets(115, event, result.schedule, full_demand=2)
     assert sets.boundary_case == 2
     assert sets.resume_release == 105
     t1 = int(result.schedule.packet_slots(0, 105)[0])
@@ -210,7 +216,7 @@ def test_active_sets_case1_truncates_demand():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 30
         sched.hop_at[slot] = hop
-    sets = build_active_sets(28, event, sched, (task,), full_demand=3)
+    sets = active_sets(28, event, sched, full_demand=3)
     assert sets.boundary_case == 1
     assert sets.resume_release == 30
     boundary = sets.rhythmic[-1]
@@ -239,11 +245,99 @@ def test_active_sets_case1_full_demand_when_takeover_impossible():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 30
         sched.hop_at[slot] = hop
-    sets = build_active_sets(28, event, sched, (task,), full_demand=3)
+    sets = active_sets(28, event, sched, full_demand=3)
     assert sets.boundary_case == 1
     boundary = sets.rhythmic[-1]
     assert boundary.demand == 3
     assert boundary.tail_slots == ()
+
+
+def _sets_outcome(build):
+    try:
+        return ("ok", build())
+    except (CandidateInfeasible, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@st.composite
+def _span_cases(draw):
+    """A disturbed task 0 (period 4-12, a ramp of one to three steps, latency
+    bound beta 1-3) over a drawn static schedule in TBS or PBS: runs of
+    slots that are idle, task 0's (each labelled with the grid instance
+    holding it) or one of two periodic tasks' (a release up to ten slots
+    back).  The horizon falls anywhere from before the window start to past
+    the latest end point.  Each slot is a (task, release, hop) cell."""
+    mode = draw(st.sampled_from(list(SchedulingMode)))
+    period = draw(st.integers(4, 12))
+    phase = draw(st.integers(0, period - 1))
+    instance = draw(st.integers(0, 2))
+    periods = tuple(sorted(draw(st.lists(st.integers(2, period), min_size=1, max_size=3))))
+    beta = draw(st.integers(1, 3))
+    full_demand = draw(st.integers(1, 4))
+    enter = phase + (instance + 1) * period
+    upper = enter + sum(periods) + (beta - 1) * period
+    horizon = draw(st.integers(enter - 2, upper + period))
+    cells: list[tuple[int, int, int]] = []
+    while len(cells) < horizon:
+        owner, start = draw(st.integers(-1, 2)), len(cells)
+        release = start - draw(st.integers(0, 10))
+        for slot in range(start, min(horizon, start + draw(st.integers(1, 4)))):
+            hop = 0 if mode is SchedulingMode.PBS else draw(st.integers(1, 3))
+            if owner == 0 and slot >= phase:
+                cells.append((0, slot - (slot - phase) % period, hop))
+            elif owner > 0 and release >= 0:
+                cells.append((owner, release, hop))
+            else:
+                cells.append((-1, -1, 0))
+    return mode, period, phase, instance, periods, beta, full_demand, cells
+
+
+# The grid instance released at 20 owns slots 25, 27 and 28, across the
+# latest end point 28: candidates 27 and 28 take over its static tail
+# (boundary case 1 with demand k0 - 1), which no seeded trial reaches.
+_TAKEOVER = [(-1, -1, 0)] * 40
+for _slot, _cell in [(21, (1, 18, 1)), (22, (1, 18, 1)), (23, (1, 18, 2)), (25, (0, 20, 1)), (27, (0, 20, 1)),
+                     (28, (0, 20, 2)), (31, (0, 30, 1)), (33, (0, 30, 1)), (34, (0, 30, 2))]:
+    _TAKEOVER[_slot] = _cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+@example((SchedulingMode.TBS, 10, 0, 1, (8,), 1, 3, _TAKEOVER))
+def test_span_builder_matches_the_frozen_per_window_builder(case):
+    # Every release candidate, a candidate at the span's last slot, one past
+    # the schedule's horizon and one past the span: the same active sets or
+    # the same error as the frozen builder, and a typed error past the span.
+    mode, period, phase, instance, periods, beta, full_demand, cells = case
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=period, deadline=period, phase=phase,
+                    rhythmic=RhythmicSpec(periods, periods))
+    event = DisturbanceEvent.from_task(task, instance)
+    static = Schedule.empty(mode, len(cells))
+    if cells:
+        static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(cells).T
+    span = ScheduleSpan(event, static, beta)
+    upper = end_point_upper_bound(event, beta)
+    assert span.stop == upper
+    candidates = {*actual_releases(event, upper), upper - 1, static.horizon + 1, upper + 1}
+    for candidate in sorted(candidates):
+        got = _sets_outcome(lambda: build_active_sets(candidate, event, static, span, full_demand))
+        if candidate > upper:
+            assert got == ("raised", ValueError, f"end point {candidate} lies past the schedule span's end {upper}")
+        else:
+            expected = _sets_outcome(lambda: oracle.build_active_sets(candidate, event, static, full_demand))
+            assert got == expected, candidate
+
+
+def test_the_takeover_example_truncates_the_boundary_packet():
+    # The property's explicit example reaches a truncated boundary packet at
+    # both candidates before the realigned release at 30.
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, rhythmic=RhythmicSpec((8,), (8,)))
+    event = DisturbanceEvent.from_task(task, 1)
+    static = Schedule.empty(SchedulingMode.TBS, 40)
+    static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(_TAKEOVER).T
+    span = ScheduleSpan(event, static, 1)
+    boundaries = [build_active_sets(c, event, static, span, 3).rhythmic[-1] for c in (27, 28)]
+    assert [(b.demand, b.tail_slots, b.prefix_hops) for b in boundaries] == [(1, (27, 28), (1,)), (2, (28,), (1, 1))]
 
 
 # ------------------------------------------------------------ idle-slot check

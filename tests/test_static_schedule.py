@@ -1,5 +1,7 @@
 """EDF static schedule synthesis and verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,11 @@ def test_budget_padding_is_round_robin():
     vectors = plan_retry_vectors(tasks, net, 0.95)
     assert vectors == {0: (2, 2, 2, 2), 1: (3, 3), 2: (2, 2)}
     assert hop_expansion(vectors[1]) == [1, 1, 1, 2, 2, 2]
+    # A part round goes to the first hops; a budget of 2**31 + 1 slots is
+    # padded at once, not one slot at a time.
+    for budget, expected in [(11, (3, 3, 3, 2)), (2**31 + 1, (2**29 + 1, 2**29, 2**29, 2**29))]:
+        task = dataclasses.replace(tasks[0], slot_budget=budget)
+        assert plan_retry_vectors((task,), net, 0.95) == {0: expected}
 
 
 def test_verify_flags_removed_slot():
