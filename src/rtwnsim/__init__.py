@@ -45,6 +45,7 @@ from .rhythmic import (
     ActivePacketSets,
     DisturbanceEvent,
     RhythmicDemand,
+    ScheduleSpan,
     build_active_sets,
     end_point_candidates,
     find_idle_slot,

@@ -358,6 +358,7 @@ def drop_transmissions(
         """Push packet ``idx`` on the smallest ``(delta, slot)`` of its
         groups' earliest needy slots, if it has one left."""
         deltas = best = None
+        task, release = packets[idx]
         for g in range(first_group[idx], first_group[idx + 1]):
             c, end = cursor[g], bounds[g + 1]
             while c < end and not residual[windows[c]]:
@@ -374,13 +375,13 @@ def drop_transmissions(
                 held[hop] -= 1
                 delta = deltas[hop] = current - _delivery_pdr(path_pdrs[idx], held, totals[idx] - 1)
                 held[hop] += 1
-            if best is None or (delta, slots[c]) < best[:2]:
-                best = (delta, slots[c], g)
+            key = (delta, release, task, slots[c], g)
+            if best is None or key < best:
+                best = key
         if best is not None:
-            task, release = packets[idx]
-            heapq.heappush(heap, (best[0], release, task, best[1], best[2]))
+            heapq.heappush(heap, best)
 
-    for idx in range(len(packets)):
+    for idx in dict.fromkeys(group_packet):  # the packets with a droppable slot
         push(idx)
     dropped: list[tuple[int, int, int]] = []
     touched: set[int] = set()

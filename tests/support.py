@@ -1,9 +1,10 @@
 """Small helpers the tests share, none of which a command needs.
 
 ``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
-builds one candidate's active sets over a schedule span of its own.  ``dynamic_plan``
-plans one dropping level over a candidate table of its own, made from the
-six planning inputs.  ``standalone_record`` is the sweep's record of one
+builds one candidate's active sets over a schedule span of its own, and
+``sets_outcome`` reads a builder's result or typed error as one value.
+``dynamic_plan`` plans one dropping level over a candidate table of its own,
+made from the six planning inputs.  ``standalone_record`` is the sweep's record of one
 (trial, framework) pair planned alone, through ``sim.plan``, the reference a
 sweep cell's shared plans are held to.
 """
@@ -14,6 +15,7 @@ import io
 
 from rtwnsim.dropping import CandidateTable, DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record
+from rtwnsim.model import CandidateInfeasible
 from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
 from rtwnsim.trace import SimTrace
@@ -30,6 +32,15 @@ def active_sets(candidate, event, static, full_demand, beta=4) -> ActivePacketSe
     """``build_active_sets`` of ``candidate`` over the span of ``static``
     that latency bound ``beta`` gives ``event``."""
     return build_active_sets(candidate, event, static, ScheduleSpan(event, static, beta), full_demand)
+
+
+def sets_outcome(build):
+    """``("ok", build())``, or ``("raised", type, message)`` for the
+    CandidateInfeasible or ValueError it raised."""
+    try:
+        return ("ok", build())
+    except (CandidateInfeasible, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
 
 
 def dynamic_plan(event, static, tasks, network, required_pdr, beta=4, level="packet") -> DynamicPlan:

@@ -98,7 +98,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import dynamic_plan, standalone_record
+from support import dynamic_plan, sets_outcome, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -441,15 +441,6 @@ def _outcome(solver, residual, state, mode):
     return ("ok", decision.dropped_slots, decision.degradations, decision.total_degradation)
 
 
-def _sets_outcome(build):
-    """``build()``'s active sets, or the message of the CandidateInfeasible
-    it raised."""
-    try:
-        return ("ok", build())
-    except CandidateInfeasible as exc:
-        return ("raised", str(exc))
-
-
 def _plan_outcome(event, static, trial, level):
     args = (event, static, trial.tasks, trial.network, REQUIRED_PDR, BETA, level)
     try:
@@ -481,8 +472,8 @@ def _compare_trial(trial, mode, horizon):
     path_pdrs = oracle.task_path_pdrs(trial.tasks, trial.network)
     compared = raised = 0
     for candidate in _candidates(event, task):
-        built = _sets_outcome(lambda: build_active_sets(candidate, event, schedule, span, full_demand))
-        assert built == _sets_outcome(lambda: oracle.build_active_sets(candidate, event, schedule, full_demand))
+        built = sets_outcome(lambda: build_active_sets(candidate, event, schedule, span, full_demand))
+        assert built == sets_outcome(lambda: oracle.build_active_sets(candidate, event, schedule, full_demand))
         if built[0] == "raised":
             continue
         sets = built[1]
@@ -729,8 +720,8 @@ def compare_sweep_cell_active_sets(base_seed, trials, mode):
         for candidate in _candidates(event, table.task):
             where = f"base seed {base_seed}, trial {index}, {mode.value}, candidate {candidate}"
             inputs = table.inputs(candidate)
-            got = ("raised", str(inputs)) if isinstance(inputs, CandidateInfeasible) else ("ok", inputs.sets)
-            assert got == _sets_outcome(
+            got = ("ok", inputs.sets) if isinstance(inputs, CandidateInputs) else ("raised", type(inputs), str(inputs))
+            assert got == sets_outcome(
                 lambda: oracle.build_active_sets(candidate, event, static, table.full_demand)), where
             compared += 1
             if got[0] == "raised":

@@ -32,7 +32,7 @@ from rtwnsim.static_schedule import Schedule, build_static_schedule
 
 import dropping_reference as oracle
 from dropping_reference import build_demand_vector
-from support import active_sets
+from support import active_sets, sets_outcome
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -252,13 +252,6 @@ def test_active_sets_case1_full_demand_when_takeover_impossible():
     assert boundary.tail_slots == ()
 
 
-def _sets_outcome(build):
-    try:
-        return ("ok", build())
-    except (CandidateInfeasible, ValueError) as exc:
-        return ("raised", type(exc), str(exc))
-
-
 @st.composite
 def _span_cases(draw):
     """A disturbed task 0 (period 4-12, a ramp of one to three steps, latency
@@ -295,10 +288,8 @@ def _span_cases(draw):
 # The grid instance released at 20 owns slots 25, 27 and 28, across the
 # latest end point 28: candidates 27 and 28 take over its static tail
 # (boundary case 1 with demand k0 - 1), which no seeded trial reaches.
-_TAKEOVER = [(-1, -1, 0)] * 40
-for _slot, _cell in [(21, (1, 18, 1)), (22, (1, 18, 1)), (23, (1, 18, 2)), (25, (0, 20, 1)), (27, (0, 20, 1)),
-                     (28, (0, 20, 2)), (31, (0, 30, 1)), (33, (0, 30, 1)), (34, (0, 30, 2))]:
-    _TAKEOVER[_slot] = _cell
+_TAKEOVER = [{21: (1, 18, 1), 22: (1, 18, 1), 23: (1, 18, 2), 25: (0, 20, 1), 27: (0, 20, 1), 28: (0, 20, 2),
+              31: (0, 30, 1), 33: (0, 30, 1), 34: (0, 30, 2)}.get(slot, (-1, -1, 0)) for slot in range(40)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,11 +311,11 @@ def test_span_builder_matches_the_frozen_per_window_builder(case):
     assert span.stop == upper
     candidates = {*actual_releases(event, upper), upper - 1, static.horizon + 1, upper + 1}
     for candidate in sorted(candidates):
-        got = _sets_outcome(lambda: build_active_sets(candidate, event, static, span, full_demand))
+        got = sets_outcome(lambda: build_active_sets(candidate, event, static, span, full_demand))
         if candidate > upper:
             assert got == ("raised", ValueError, f"end point {candidate} lies past the schedule span's end {upper}")
         else:
-            expected = _sets_outcome(lambda: oracle.build_active_sets(candidate, event, static, full_demand))
+            expected = sets_outcome(lambda: oracle.build_active_sets(candidate, event, static, full_demand))
             assert got == expected, candidate
 
 
