@@ -227,7 +227,7 @@ class ScheduleSpan:
     def __init__(self, event: DisturbanceEvent, static: Schedule, beta: int) -> None:
         self.start, self.stop = event.enter_slot, end_point_upper_bound(event, beta)
         owners, releases = static.task_at[self.start:self.stop], static.release_at[self.start:self.stop]
-        self.free = [0, *np.cumsum((owners == -1) | (owners == event.task_id)).tolist()]
+        self.free = np.concatenate(([0], np.cumsum((owners == -1) | (owners == event.task_id))))
         # A packet's slots come in runs, so only the first slot of each run is read.
         run_start = np.ones(len(owners), dtype=bool)
         run_start[1:] = (owners[1:] != owners[:-1]) | (releases[1:] != releases[:-1])
@@ -334,7 +334,7 @@ def build_active_sets(
                 f"packet released at {release} needs {demand} slots in a "
                 f"{deadline - release}-slot window"
             )
-        available = span.free[min(deadline - start, read)] - span.free[min(release - start, read)]
+        available = int(span.free[min(deadline - start, read)] - span.free[min(release - start, read)])
         rhythmic.append(RhythmicDemand(release, deadline, demand, available, tail, prefix))
 
     return ActivePacketSets(
