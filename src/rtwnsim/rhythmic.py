@@ -225,15 +225,15 @@ class ScheduleSpan:
     """
 
     def __init__(self, event: DisturbanceEvent, static: Schedule, beta: int) -> None:
-        self.start, self.stop = event.enter_slot, end_point_upper_bound(event, beta)
-        owners, releases = static.task_at[self.start:self.stop], static.release_at[self.start:self.stop]
+        start, self.stop = event.enter_slot, end_point_upper_bound(event, beta)
+        owners, releases = static.task_at[start:self.stop], static.release_at[start:self.stop]
         self.free = np.concatenate(([0], np.cumsum((owners == -1) | (owners == event.task_id))))
         # A packet's slots come in runs, so only the first slot of each run is read.
         run_start = np.ones(len(owners), dtype=bool)
         run_start[1:] = (owners[1:] != owners[:-1]) | (releases[1:] != releases[:-1])
         runs = np.flatnonzero(run_start & (owners >= 0) & (owners != event.task_id))
         first: dict[tuple[int, int], int] = {}
-        for key, slot in zip(zip(releases[runs].tolist(), owners[runs].tolist()), (runs + self.start).tolist()):
+        for key, slot in zip(zip(releases[runs].tolist(), owners[runs].tolist()), (runs + start).tolist()):
             first.setdefault(key, slot)
         self.periodic = sorted(first.items())
 
