@@ -33,7 +33,7 @@ from .experiments import (
     record_row,
     run_sweep,
 )
-from .sim import HorizonTooShort, run
+from .sim import HorizonTooLong, HorizonTooShort, run
 from .static_schedule import plan_retry_vectors
 
 EXIT_OK = 0
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     # other exception is a bug and keeps its traceback.
     try:
         return args.func(args)
-    except (ConfigError, HorizonTooShort) as exc:
+    except (ConfigError, HorizonTooLong, HorizonTooShort) as exc:
         return _fail(EXIT_CONFIG, exc)
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot write output: {exc}")

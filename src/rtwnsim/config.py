@@ -81,6 +81,21 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader``, except that a key repeated in one mapping raises
+    ConfigError instead of replacing the earlier value."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        seen: list = []  # a list, so an unhashable key reaches the loader's own error
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # merged keys may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise ConfigError(f"repeated key {key!r}", line=key_node.start_mark.line + 1)
+                seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_document(path: str | Path) -> dict:
     """The YAML mapping in ``path``; every command reads its input files here."""
     try:
@@ -88,7 +103,7 @@ def load_document(path: str | Path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None

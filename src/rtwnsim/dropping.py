@@ -5,9 +5,9 @@ and disturbed-task slots of the static schedule can absorb, some periodic
 traffic must yield.  This module provides the greedy packet-dropping
 heuristic, the minimum-degradation transmission-dropping heuristic, and
 the candidate sweep that turns a drop decision into the dynamic slot table.
-The level-independent inputs of each end-point candidate are built once per
-trial, in a ``CandidateTable``, and both levels derive their solver inputs
-from it.  The dropping problem is NP-hard, so planning uses the two
+The active sets of each end-point candidate are built once per trial, in a
+``CandidateTable``, and both levels cut their solver inputs from its
+``ScheduleSpan``.  The dropping problem is NP-hard, so planning uses the two
 heuristics only; the set-cover embedding and the exhaustive optimum that
 bound them live with the tests, in ``tests/dropping_reference.py``.
 """
@@ -46,7 +46,6 @@ __all__ = [
     "PlanInvariantError",
     "DropDecision",
     "PeriodicState",
-    "CandidateInputs",
     "CandidateTable",
     "DynamicPlan",
     "build_transmission_vectors",
@@ -93,12 +92,11 @@ class DropDecision:
         reliability degradation at transmission level."""
         return float(self.packet_count) if self.level == "packet" else self.total_degradation
 
-    def freed_slots(self, static: Schedule) -> set[int]:
+    def freed_slots(self, span: ScheduleSpan) -> set[int]:
+        """The static slots the decision frees, read off ``span``, the
+        schedule's span of the disturbance."""
         if self.level == "packet":
-            freed: set[int] = set()
-            for task, release in self.dropped_packets:
-                freed.update(int(s) for s in static.packet_slots(task, release))
-            return freed
+            return {slot for key in self.dropped_packets for slot in span.packet_slots(key).tolist()}
         return {slot for _, _, slot in self.dropped_slots}
 
 
@@ -116,8 +114,8 @@ class PeriodicState:
     ``first_group[i]:first_group[i + 1]``.
 
     Built from slot columns grouped by packet, in slot order within a
-    packet, as ``CandidateInputs.slot_groups`` holds them; a slot that the
-    solver may not drop carries window -1.  A hop label outside ``0..hops``
+    packet, as ``ScheduleSpan.groups`` cuts them; a slot that the solver may
+    not drop carries window -1.  A hop label outside ``0..hops``
     of its packet raises ValueError.
     """
 
@@ -162,86 +160,29 @@ def _delivery_pdr(path_pdrs: tuple[float, ...], counts: list[int], slot_count: i
 PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
 
 
-class CandidateInputs:
-    """The solver inputs of one end-point candidate that do not depend on
-    the dropping level: its active packet ``sets``, which carry each
-    rhythmic packet's demand, and, in ``slot_groups``, the static slots of
-    its periodic packets.
-
-    ``slot_groups`` is built at first use, so a candidate whose demand is
-    already met, which no solver sees, never builds it.
-    """
-
-    def __init__(self, sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec]) -> None:
-        self.sets = sets
-        self._static, self._tasks = static, tasks
-
-    @cached_property
-    def slot_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, slots, hops, windows)``: the static slots of the periodic
-        packets, grouped by packet in ``sets.periodic`` order and in slot
-        order within a packet.  ``owner`` is the packet's index in
-        ``sets.periodic``, ``hops`` the slot's hop label and ``windows`` the
-        index of the rhythmic window holding the slot, or -1 when none does.
-
-        One pass over the slots the periodic packets can own finds them all:
-        a slot belongs to the packet whose packed (release, task) key it
-        carries, if it lies in that packet's [release, release + deadline).
-        ``sets.periodic`` is in (release, task) order, so the packed keys are
-        sorted and one ``searchsorted`` matches every slot; one more finds
-        each slot's window, since the windows are sorted and disjoint.
-        """
-        sets, static = self.sets, self._static
-        if not sets.periodic:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty
-        deadline = {t.id: t.deadline for t in self._tasks}
-        task_ids = np.array([task for task, _ in sets.periodic], dtype=np.int64)
-        releases = np.array([release for _, release in sets.periodic], dtype=np.int64)
-        ends = releases + np.array([deadline[task] for task, _ in sets.periodic], dtype=np.int64)
-        lo, hi = max(0, int(releases[0])), min(static.horizon, int(ends.max()))
-        owners = static.task_at[lo:hi]
-        width = max(int(owners.max(initial=-1)), 0) + 1  # above every task id in range
-        keys = releases * width + task_ids
-        slot_keys = static.release_at[lo:hi] * width + owners  # negative on idle slots
-        idx = np.minimum(np.searchsorted(keys, slot_keys), len(keys) - 1)
-        slots = np.arange(lo, hi)
-        match = (keys[idx] == slot_keys) & (slots >= releases[idx]) & (slots < ends[idx])
-        owner = idx[match]
-        order = np.argsort(owner, kind="stable")
-        owner, slots = owner[order], slots[match][order]
-        starts = np.array([d.release for d in sets.rhythmic])
-        stops = np.array([d.deadline for d in sets.rhythmic])
-        w = np.searchsorted(starts, slots, side="right") - 1
-        windows = np.where((w >= 0) & (slots < stops[np.maximum(w, 0)]), w, -1)
-        return owner, slots, static.hop_at[slots], windows
-
-
-def build_transmission_vectors(inputs: CandidateInputs) -> np.ndarray:
-    """The transmission vectors of ``inputs``: row i counts the slots of
-    periodic packet ``sets.periodic[i]`` inside each rhythmic window, the
-    slots it could hand over to that window's packet."""
-    sets = inputs.sets
+def build_transmission_vectors(sets: ActivePacketSets, span: ScheduleSpan) -> np.ndarray:
+    """The transmission vectors of ``sets``, cut from ``span``: row i counts
+    the slots of periodic packet ``sets.periodic[i]`` inside each rhythmic
+    window, which it could hand over to that window's packet."""
     n = len(sets.rhythmic)
-    owner, _, _, windows = inputs.slot_groups
+    owner, _, _, windows = span.groups(sets)
     inside = windows >= 0
     counts = np.bincount(owner[inside] * n + windows[inside], minlength=len(sets.periodic) * n)
     return counts.reshape(len(sets.periodic), n)
 
 
-def build_periodic_state(inputs: CandidateInputs, path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
-    """The grouped ``PeriodicState`` of the periodic packets of ``inputs``,
-    built from its slot groups and each task's path PDRs
-    (``CandidateTable.path_pdrs``).
+def build_periodic_state(sets: ActivePacketSets, span: ScheduleSpan,
+                         path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
+    """The grouped ``PeriodicState`` of the periodic packets of ``sets``,
+    cut from ``span``, with each task's path PDRs (``CandidateTable.path_pdrs``).
 
     A window whose residual is 0 never needs a slot, so its slots are masked
     to window -1 and form no group; they still count in their packet's
     ``counts`` and ``totals``, on which its delivery probability rests."""
-    periodic = inputs.sets.periodic
-    owner, slots, hops, windows = inputs.slot_groups
-    needy = np.array([*inputs.sets.residual, 0], dtype=bool)  # index -1: outside every window
-    windows = np.where(needy[windows], windows, -1)
-    return PeriodicState(periodic, [path_pdrs[task_id] for task_id, _ in periodic], owner, slots, hops, windows)
+    owner, slots, hops, windows = span.groups(sets)
+    needy = np.array([*sets.residual, 0], dtype=bool)  # index -1: outside every window
+    pdrs = [path_pdrs[task_id] for task_id, _ in sets.periodic]
+    return PeriodicState(sets.periodic, pdrs, owner, slots, hops, np.where(needy[windows], windows, -1))
 
 
 def greedy_drop_packets(
@@ -438,14 +379,14 @@ class DynamicPlan:
 
 class CandidateTable:
     """Per-trial table: each end-point candidate of one disturbance maps to
-    its ``CandidateInputs``, or to the ``CandidateInfeasible`` that
+    its ``ActivePacketSets``, or to the ``CandidateInfeasible`` that
     ``build_active_sets`` raised for it.
 
     Filled lazily, one candidate at a time, by ``generate_dynamic_schedule``,
     so the packet-level and transmission-level plans of a trial build each
-    candidate's inputs once between them, all from one ``ScheduleSpan`` of
-    the static schedule.  It holds every planning input: the event, static
-    schedule, tasks, network, required pdr and beta.
+    candidate's sets once between them, all from one ``ScheduleSpan``, the
+    planner's only read of the static schedule.  It holds every planning
+    input: the event, static schedule, tasks, network, required pdr and beta.
     ``sim.plan_frameworks`` makes one per scenario and drops it with the
     call, so nothing it holds reaches another trial.
     """
@@ -458,24 +399,22 @@ class CandidateTable:
         # Per-hop budget of each full-demand rhythmic packet, and its sum.
         self.retry_vector = allocate_retry_vector(network.path_pdrs(self.task.path), required_pdr)
         self.full_demand = sum(self.retry_vector)
-        self.span = ScheduleSpan(event, static, beta)
-        self._entries: dict[int, Union[CandidateInputs, CandidateInfeasible]] = {}
+        self.span = ScheduleSpan(event, static, tasks, beta)
+        self._entries: dict[int, Union[ActivePacketSets, CandidateInfeasible]] = {}
 
     @cached_property
     def path_pdrs(self) -> dict[int, tuple[float, ...]]:
         """Each task's path PDRs, which every transmission-level candidate reads."""
         return {t.id: tuple(self.network.path_pdrs(t.path)) for t in self.tasks}
 
-    def inputs(self, candidate: int) -> Union[CandidateInputs, CandidateInfeasible]:
+    def active_sets(self, candidate: int) -> Union[ActivePacketSets, CandidateInfeasible]:
         """The entry of ``candidate``, built at its first lookup."""
         entry = self._entries.get(candidate)
         if entry is None:
             try:
-                sets = build_active_sets(candidate, self.event, self.static, self.span, self.full_demand)
+                entry = build_active_sets(candidate, self.event, self.span, self.full_demand)
             except CandidateInfeasible as exc:
                 entry = exc.with_traceback(None)  # keeps no frame of this call alive
-            else:
-                entry = CandidateInputs(sets, self.static, self.tasks)
             self._entries[candidate] = entry
         return entry
 
@@ -496,10 +435,8 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     slots in their windows, hop-ordered under TBS, where usable means idle,
     owned by the disturbed task, or freed by the decision.
 
-    Each candidate's active sets, with each rhythmic packet's demand, and
-    its grouped periodic slots come from ``table``: the packet level counts
-    transmission vectors from them and the transmission level groups them
-    into a ``PeriodicState``.
+    Each candidate's active sets come from ``table``, and its periodic slots
+    from the table's span, as transmission vectors or a ``PeriodicState``.
     Every other-task slot in a rhythmic window belongs to a periodic packet
     and each demand is bounded by its window, so a solver covers every
     candidate the table accepted; PlanInvariantError names the candidate
@@ -519,19 +456,19 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     best: Optional[tuple[float, int, ActivePacketSets, DropDecision]] = None
     pdrs: PdrTable = {}  # shared by this plan's candidates only
     for candidate in end_point_candidates(event, f_last, table.beta):
-        inputs = table.inputs(candidate)
-        if isinstance(inputs, CandidateInfeasible):
+        sets = table.active_sets(candidate)
+        if isinstance(sets, CandidateInfeasible):
             evaluations.append((candidate, None))
             continue
-        residual = inputs.sets.residual
+        residual = sets.residual
         try:
             if not any(residual):
                 decision = DropDecision(level=level)
             elif level == "packet":
-                counts = build_transmission_vectors(inputs)
-                decision = greedy_drop_packets(residual, inputs.sets.periodic, counts, required_pdr)
+                counts = build_transmission_vectors(sets, table.span)
+                decision = greedy_drop_packets(residual, sets.periodic, counts, required_pdr)
             else:
-                state = build_periodic_state(inputs, table.path_pdrs)
+                state = build_periodic_state(sets, table.span, table.path_pdrs)
                 decision = drop_transmissions(residual, state, required_pdr, static.mode, pdrs)
         except CandidateInfeasible as exc:
             raise PlanInvariantError(
@@ -540,7 +477,7 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
         cost = decision.cost()
         evaluations.append((candidate, cost))
         if best is None or cost < best[0] - 1e-15:
-            best = (cost, candidate, inputs.sets, decision)
+            best = (cost, candidate, sets, decision)
 
     if best is None:
         raise DisturbanceInfeasible(
@@ -551,11 +488,10 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
     # Each rhythmic packet takes the first ``need`` usable slots of its
     # window; the windows are sorted and disjoint, so one ascending list of
     # the usable slots of their span serves them all.
-    rhythmic = sets.rhythmic
+    rhythmic, span = sets.rhythmic, table.span
     lo, hi = rhythmic[0].release, rhythmic[-1].deadline
-    span = static.task_at[lo:hi]
-    usable = (span == -1) | (span == event.task_id)
-    freed = np.fromiter(decision.freed_slots(static), dtype=np.int64)
+    usable = span.usable[lo - span.lo:hi - span.lo].copy()
+    freed = np.fromiter(decision.freed_slots(span), dtype=np.int64)
     usable[freed[(freed >= lo) & (freed < hi)] - lo] = True
     usable = np.flatnonzero(usable) + lo
     edges = np.searchsorted(usable, [t for e in rhythmic for t in (e.release, e.deadline)]).tolist()

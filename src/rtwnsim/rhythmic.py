@@ -12,6 +12,7 @@ with the task's releases realigned to the nominal grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -205,43 +206,93 @@ def end_point_candidates(event: DisturbanceEvent, f_last: int, beta: int) -> lis
     return candidates
 
 
-def _release_step_deadline(event: DisturbanceEvent, seq: int, release: int) -> int:
-    """Pattern deadline of the seq-th in-window release (stepped then nominal)."""
-    if seq < len(event.deadlines):
-        return release + event.deadlines[seq]
-    return release + event.nominal_deadline
-
-
 class ScheduleSpan:
-    """The static schedule over [enter_slot, stop) of one disturbance, read
-    once for all its end-point candidates; ``stop`` is its latest end point
-    under latency bound ``beta``.
+    """The static schedule around one disturbance, read once for all its
+    end-point candidates and both dropping levels; the FD-PaS planner reads
+    the schedule through it alone.
 
-    ``free[i]`` counts the idle or disturbed-task slots of [enter_slot,
-    enter_slot + i), up to the horizon.  ``periodic`` pairs each other
-    packet's (release, task) key with the first slot it owns in the span, in
-    key order: it owns a slot of [enter_slot, candidate) exactly when that
-    slot lies before the candidate.
+    A periodic packet is another task's with a slot in [enter_slot, ``stop``),
+    the latest end point under latency bound ``beta``.  The span covers
+    [``lo``, ``hi``): one nominal period before enter_slot to the nominal
+    deadline past ``stop``, stretched to every periodic packet's [release,
+    release + deadline) (``tasks`` give the deadlines), within the horizon.
+    ``free[i]`` counts the idle or disturbed-task slots of [lo, lo + i),
+    which ``usable`` marks.  ``index`` maps the periodic packets' (task,
+    release) keys, in (release, task) order, to their positions, and
+    ``first`` holds the first slot each owns in [enter_slot, stop): a packet
+    is periodic for a candidate exactly when that slot lies before it.
+    ``slots`` and ``hops`` hold each such packet's slots inside its window,
+    and their labels, grouped by packet in key order (``packet`` is the
+    position of each), ascending within a packet.  ``own`` lists the
+    disturbed task's (slot, release, hop label) triples, then the same of
+    its first slot past the span, if any.
     """
 
-    def __init__(self, event: DisturbanceEvent, static: Schedule, beta: int) -> None:
-        start, self.stop = event.enter_slot, end_point_upper_bound(event, beta)
+    def __init__(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec], beta: int) -> None:
+        tid, start, self.stop = event.task_id, event.enter_slot, end_point_upper_bound(event, beta)
         owners, releases = static.task_at[start:self.stop], static.release_at[start:self.stop]
-        self.free = np.concatenate(([0], np.cumsum((owners == -1) | (owners == event.task_id))))
         # A packet's slots come in runs, so only the first slot of each run is read.
         run_start = np.ones(len(owners), dtype=bool)
         run_start[1:] = (owners[1:] != owners[:-1]) | (releases[1:] != releases[:-1])
-        runs = np.flatnonzero(run_start & (owners >= 0) & (owners != event.task_id))
-        first: dict[tuple[int, int], int] = {}
-        for key, slot in zip(zip(releases[runs].tolist(), owners[runs].tolist()), (runs + start).tolist()):
-            first.setdefault(key, slot)
-        self.periodic = sorted(first.items())
+        runs = np.flatnonzero(run_start & (owners >= 0) & (owners != tid))
+        # Each periodic packet's packed (release, task) key, in key order, and its earliest run.
+        width = int(owners[runs].max(initial=0)) + 1  # above every periodic packet's task id
+        packed, earliest = np.unique(releases[runs] * width + owners[runs], return_index=True)
+        key_release, key_task = np.divmod(packed, width)
+        self.first = runs[earliest] + start
+        self.index = {key: i for i, key in enumerate(zip(key_task.tolist(), key_release.tolist()))}
+        deadline = {t.id: t.deadline for t in tasks}
+        ends = key_release + np.array([deadline[t] for t, _ in self.index], dtype=np.int64)
+
+        self.lo = max(0, min(start - event.nominal_period, int(key_release.min(initial=start))))
+        self.hi = min(static.horizon, max(self.stop + event.nominal_deadline, int(ends.max(initial=0))))
+        owners, releases, hops = (a[self.lo:self.hi] for a in (static.task_at, static.release_at, static.hop_at))
+        self.usable = (owners == -1) | (owners == tid)
+        self.free = np.concatenate(([0], np.cumsum(self.usable)))
+        slots = np.arange(self.lo, self.lo + len(owners))
+        own = np.concatenate((slots[owners == tid], np.flatnonzero(static.task_at[self.hi:] == tid)[:1] + self.hi))
+        self.own = list(zip(own.tolist(), static.release_at[own].tolist(), static.hop_at[own].tolist()))
+
+        # A slot belongs to the periodic packet whose key it carries, if it lies
+        # in that packet's window; other owners may pass ``width``, so both
+        # fields are compared.
+        idx, match = np.zeros(len(slots), dtype=np.int64), np.zeros(len(slots), dtype=bool)
+        if self.index:
+            idx = np.minimum(np.searchsorted(packed, releases * width + owners), len(packed) - 1)
+            match = ((key_task[idx] == owners) & (key_release[idx] == releases)
+                     & (slots >= releases) & (slots < ends[idx]))
+        order = np.argsort(idx[match], kind="stable")
+        self.packet, self.slots, self.hops = idx[match][order], slots[match][order], hops[match][order]
+
+    def packet_slots(self, key: tuple[int, int]) -> np.ndarray:
+        """The slots of periodic packet ``key``, (task, release)."""
+        return self.slots[self.packet == self.index[key]]
+
+    def own_slots(self, release: int, until: int) -> list[tuple[int, int]]:
+        """(slot, hop label) of each slot before ``until`` of the disturbed
+        task's instance released at ``release``."""
+        return [(s, h) for s, r, h in self.own if r == release and release <= s < until]
+
+    def groups(self, sets: ActivePacketSets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, slots, hops, windows)`` of the periodic packets of
+        ``sets``, grouped as ``slots`` is: per slot, its packet's index in
+        ``sets.periodic``, the slot, its hop label and the index of the
+        rhythmic window holding it, or -1 (the windows are sorted and disjoint)."""
+        rank = np.full(len(self.index), -1, dtype=np.int64)
+        rank[[self.index[key] for key in sets.periodic]] = np.arange(len(sets.periodic))
+        owner = rank[self.packet]
+        taken = owner >= 0
+        owner, slots = owner[taken], self.slots[taken]
+        starts = np.array([d.release for d in sets.rhythmic])
+        stops = np.array([d.deadline for d in sets.rhythmic])
+        w = np.searchsorted(starts, slots, side="right") - 1
+        windows = np.where((w >= 0) & (slots < stops[np.maximum(w, 0)]), w, -1)
+        return owner, slots, self.hops[taken], windows
 
 
 def build_active_sets(
     candidate: int,
     event: DisturbanceEvent,
-    static: Schedule,
     span: ScheduleSpan,
     full_demand: int,
 ) -> ActivePacketSets:
@@ -264,9 +315,9 @@ def build_active_sets(
       of that instance) and the full demand applies.
 
     Raises CandidateInfeasible when any window is shorter than its demand.
-    Each packet's ``available`` count and the periodic packets are read off
-    ``span``, the schedule's span of ``event``, which must reach the
-    candidate; a candidate past it raises ValueError.
+    Every static slot is read off ``span``, the schedule's span of
+    ``event``, which must reach the candidate; a candidate past it raises
+    ValueError.
     """
     start = event.enter_slot
     if candidate <= start:
@@ -287,7 +338,8 @@ def build_active_sets(
     needs_boundary = nominal_deadline_of_last > candidate or not on_grid
 
     for seq, release in enumerate(releases):
-        deadline = _release_step_deadline(event, seq, release)
+        # The pattern deadline: stepped, then nominal.
+        deadline = release + (event.deadlines[seq] if seq < len(event.deadlines) else event.nominal_deadline)
         if seq + 1 < len(releases):
             deadline = min(deadline, releases[seq + 1])  # keep windows disjoint
         demand = full_demand
@@ -300,33 +352,22 @@ def build_active_sets(
                 if candidate < r_p:
                     boundary_case = 1
                     deadline = candidate
-                    task0 = static.task_slots(event.task_id)
-                    after = task0[task0 >= candidate]
-                    if after.size == 0:
+                    t_k0 = next((s for s, _, _ in span.own if s >= candidate), None)
+                    if t_k0 is None:
                         raise CandidateInfeasible("static schedule has no task slot after the end point")
-                    t_k0 = int(after[0])
                     if t_k0 < r_p:
                         # k-th slot of the grid instance preceding r_p; the
                         # packet takes over that instance's static tail and
                         # therefore follows its per-slot hop labels.
-                        prev_release = r_p - p0
-                        prev_slots = [
-                            int(s)
-                            for s in static.packet_slots(
-                                event.task_id, prev_release, until=prev_release + event.nominal_deadline
-                            )
-                        ]
-                        k0 = prev_slots.index(t_k0) + 1
+                        prev = span.own_slots(r_p - p0, r_p - p0 + event.nominal_deadline)
+                        k0 = [s for s, _ in prev].index(t_k0) + 1
                         demand = k0 - 1
-                        tail = tuple(prev_slots[k0 - 1:])
-                        prefix = tuple(int(static.hop_at[s]) for s in prev_slots[: k0 - 1])
+                        tail = tuple(s for s, _ in prev[k0 - 1:])
+                        prefix = tuple(h for _, h in prev[: k0 - 1])
                 else:
                     boundary_case = 2
-                    inst_slots = static.packet_slots(
-                        event.task_id, r_p, until=r_p + event.nominal_deadline
-                    )
-                    first_static = int(inst_slots[0]) if inst_slots.size else candidate
-                    deadline = min(candidate, first_static)
+                    inst = span.own_slots(r_p, r_p + event.nominal_deadline)
+                    deadline = min(candidate, inst[0][0] if inst else candidate)
             else:
                 deadline = min(deadline, candidate)
         if demand > deadline - release:
@@ -334,12 +375,12 @@ def build_active_sets(
                 f"packet released at {release} needs {demand} slots in a "
                 f"{deadline - release}-slot window"
             )
-        available = int(span.free[min(deadline - start, read)] - span.free[min(release - start, read)])
+        available = int(span.free[min(deadline - span.lo, read)] - span.free[min(release - span.lo, read)])
         rhythmic.append(RhythmicDemand(release, deadline, demand, available, tail, prefix))
 
     return ActivePacketSets(
         rhythmic=tuple(rhythmic),
-        periodic=tuple((task, release) for (release, task), first in span.periodic if first < candidate),
+        periodic=tuple(compress(span.index, (span.first < candidate).tolist())),
         resume_release=resume_release,
         boundary_case=boundary_case,
     )

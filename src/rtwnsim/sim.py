@@ -39,6 +39,7 @@ from .trace import EVENT_FIELDS, WORDS, Part, SimTrace
 
 __all__ = [
     "HorizonTooShort",
+    "HorizonTooLong",
     "Framework",
     "DisturbanceSpec",
     "BaselineParams",
@@ -54,7 +55,7 @@ __all__ = [
     "run",
     "baseline_drt",
     "degradation_rate",
-    "periodic_packets_in_window",
+    "periodic_in_window",
     "default_horizon",
 ]
 
@@ -62,10 +63,17 @@ __all__ = [
 # past it the slack is four of the longest periods.
 _HYPERPERIOD_SOFT_CAP = 10_000
 
+# Longest horizon, in slots, a plan builds its static schedule over.
+MAX_HORIZON = 2**22
+
 
 class HorizonTooShort(ValueError):
     """An explicit horizon ends before the disturbance's latest end point, so
     the distributed frameworks cannot plan its window."""
+
+
+class HorizonTooLong(ValueError):
+    """The horizon, explicit or default, exceeds ``MAX_HORIZON``."""
 
 
 class Framework(str, Enum):
@@ -232,21 +240,17 @@ class _Packet:
         self.progress = 0  # completed hops
 
 
-def periodic_packets_in_window(dynamic: DynamicPlan, tasks: Sequence[TaskSpec]) -> list[tuple[int, int]]:
-    """Periodic packets counted by the degradation-rate denominator: those
+def periodic_in_window(dynamic: DynamicPlan, tasks: Sequence[TaskSpec]) -> int:
+    """The periodic packets the degradation-rate denominator counts: those
     owning a static slot in the plan's window (its active periodic set) plus
     those released inside it."""
     keys = set(dynamic.sets.periodic)
     rhythmic_task, start, end = dynamic.event.task_id, dynamic.event.enter_slot, dynamic.end_point
     for task in tasks:
-        if task.id == rhythmic_task:
-            continue
-        k = max(0, (start - task.phase) // task.period)
-        while task.release(k) < end:
-            if task.release(k) >= start:
-                keys.add((task.id, task.release(k)))
-            k += 1
-    return sorted(keys, key=lambda x: (x[1], x[0]))
+        if task.id != rhythmic_task:
+            first = task.release(max(0, -((task.phase - start) // task.period)))  # the first release >= start
+            keys.update((task.id, release) for release in range(first, end, task.period))
+    return len(keys)
 
 
 def degradation_rate(decision: Optional[DropDecision], periodic_count: int) -> float:
@@ -319,7 +323,8 @@ def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple
     The plans share one EDF static schedule over ``config.horizon``, or over
     ``default_horizon`` when it is unset, and the FD-PaS plans share one
     ``CandidateTable``, made at the first of them and dropped with the call.
-    Raises HorizonTooShort when an explicit horizon ends before the
+    Raises HorizonTooLong when that horizon exceeds ``MAX_HORIZON``,
+    HorizonTooShort when an explicit horizon ends before the
     disturbance's latest end point and some framework is FD-PaS, and
     ScheduleInfeasible when the static schedule misses a deadline inside the
     horizon.  The distributed frameworks respond one nominal period after
@@ -337,6 +342,9 @@ def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple
                 f"sim.horizon {horizon} ends before the disturbance's latest end point "
                 f"{upper}; set it to at least {upper} or leave it unset"
             )
+    if horizon > MAX_HORIZON:
+        named = "sim.horizon" if config.horizon is not None else "the default horizon"
+        raise HorizonTooLong(f"{named} {horizon} exceeds the {MAX_HORIZON}-slot cap")
     static = build_static_schedule(config.tasks, config.network, config.mode, config.required_pdr, horizon=horizon)
     if not static.feasible:
         raise ScheduleInfeasible(f"static schedule misses packet (task, release) {static.first_failure}")
@@ -359,7 +367,7 @@ def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple
         except DisturbanceInfeasible:
             plans.append(Plan(static, event, feasible_dynamic=False, drt=drt))
             continue
-        periodic = len(periodic_packets_in_window(dynamic, config.tasks))
+        periodic = periodic_in_window(dynamic, config.tasks)
         plans.append(Plan(
             static,
             event,

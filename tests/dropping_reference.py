@@ -21,6 +21,10 @@ available count; the tests hold those counts to it.
 candidate of a disturbance read one ``ScheduleSpan``: it slices the static
 schedule once per rhythmic window for the available counts and finds the
 periodic packets from the run starts of the candidate's own window.
+``slot_groups`` finds a candidate's periodic slots as they were found
+before the span held them, from the static schedule for each candidate
+alone, and ``transmission_vectors`` counts them per window; the span's
+per-candidate groups are held to them.
 
 ``PeriodicPacketState``, ``build_periodic_state`` and ``drop_transmissions``
 are the transmission-level solver as it was before it worked on grouped
@@ -44,7 +48,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from rtwnsim.dropping import (
-    CandidateInputs,
     DropDecision,
     DynamicPlan,
     PdrTable,
@@ -61,7 +64,7 @@ from rtwnsim.model import (
     packet_pdr_flexible,
     pdr_degradation,
 )
-from rtwnsim.rhythmic import ActivePacketSets, DisturbanceEvent, RhythmicDemand, actual_releases
+from rtwnsim.rhythmic import ActivePacketSets, DisturbanceEvent, RhythmicDemand, ScheduleSpan, actual_releases
 from rtwnsim.static_schedule import Schedule
 
 PacketKey = tuple[int, int]  # (task id, release slot)
@@ -80,11 +83,69 @@ class TransmissionVector:
     replaceable: tuple[int, ...]
 
 
-def vectors_of(inputs: CandidateInputs) -> list[TransmissionVector]:
-    """The transmission vectors the library counts for ``inputs``, one
-    object per periodic packet."""
-    rows = build_transmission_vectors(inputs).tolist()
-    return [TransmissionVector(key, tuple(row)) for key, row in zip(inputs.sets.periodic, rows)]
+def vectors_of(sets: ActivePacketSets, span: ScheduleSpan) -> list[TransmissionVector]:
+    """The transmission vectors the library counts for ``sets`` from
+    ``span``, one object per periodic packet."""
+    rows = build_transmission_vectors(sets, span).tolist()
+    return [TransmissionVector(key, tuple(row)) for key, row in zip(sets.periodic, rows)]
+
+
+def slot_groups(
+    sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(owner, slots, hops, windows)``: the static slots of the periodic
+    packets of ``sets``, grouped by packet in ``sets.periodic`` order and in
+    slot order within a packet, found from ``static`` for this candidate
+    alone.  ``owner`` is the packet's index in ``sets.periodic``, ``hops``
+    the slot's hop label and ``windows`` the index of the rhythmic window
+    holding the slot, or -1 when none does.
+
+    One pass over the slots the periodic packets can own finds them all:
+    a slot belongs to the packet whose packed (release, task) key it
+    carries, if it lies in that packet's [release, release + deadline).
+    ``sets.periodic`` is in (release, task) order, so the packed keys are
+    sorted and one ``searchsorted`` matches every slot; one more finds
+    each slot's window, since the windows are sorted and disjoint.
+
+    One line differs from the library code it froze: the packing width lies
+    above the periodic packets' task ids as well as above the owners of the
+    slice.  The library took it from the owners alone, so a packet whose
+    slots all lay outside its window, which no EDF schedule holds, could
+    share its packed key with another task's packet.
+    """
+    if not sets.periodic:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    deadline = {t.id: t.deadline for t in tasks}
+    task_ids = np.array([task for task, _ in sets.periodic], dtype=np.int64)
+    releases = np.array([release for _, release in sets.periodic], dtype=np.int64)
+    ends = releases + np.array([deadline[task] for task, _ in sets.periodic], dtype=np.int64)
+    lo, hi = max(0, int(releases[0])), min(static.horizon, int(ends.max()))
+    owners = static.task_at[lo:hi]
+    width = max(int(owners.max(initial=-1)), int(task_ids.max()), 0) + 1  # above every task id in range
+    keys = releases * width + task_ids
+    slot_keys = static.release_at[lo:hi] * width + owners  # negative on idle slots
+    idx = np.minimum(np.searchsorted(keys, slot_keys), len(keys) - 1)
+    slots = np.arange(lo, hi)
+    match = (keys[idx] == slot_keys) & (slots >= releases[idx]) & (slots < ends[idx])
+    owner = idx[match]
+    order = np.argsort(owner, kind="stable")
+    owner, slots = owner[order], slots[match][order]
+    starts = np.array([d.release for d in sets.rhythmic])
+    stops = np.array([d.deadline for d in sets.rhythmic])
+    w = np.searchsorted(starts, slots, side="right") - 1
+    windows = np.where((w >= 0) & (slots < stops[np.maximum(w, 0)]), w, -1)
+    return owner, slots, static.hop_at[slots], windows
+
+
+def transmission_vectors(sets: ActivePacketSets, groups: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The (periodic packet x rhythmic window) counts of ``sets`` from its
+    ``slot_groups``, as the library counted them from those groups."""
+    n = len(sets.rhythmic)
+    owner, _, _, windows = groups
+    inside = windows >= 0
+    counts = np.bincount(owner[inside] * n + windows[inside], minlength=len(sets.periodic) * n)
+    return counts.reshape(len(sets.periodic), n)
 
 
 def build_demand_vector(
@@ -342,13 +403,13 @@ class PeriodicPacketState:
 
 
 def build_periodic_state(
-    inputs: CandidateInputs, tasks: Sequence[TaskSpec], network: NetworkModel
+    sets: ActivePacketSets, static: Schedule, tasks: Sequence[TaskSpec], network: NetworkModel
 ) -> list[PeriodicPacketState]:
-    """One fresh ``PeriodicPacketState`` per periodic packet of ``inputs``,
-    sliced from its slot groups."""
+    """One fresh ``PeriodicPacketState`` per periodic packet of ``sets``,
+    sliced from its ``slot_groups`` in ``static``."""
     by_id = {t.id: t for t in tasks}
-    periodic = inputs.sets.periodic
-    owner, slots, hops, windows = inputs.slot_groups
+    periodic = sets.periodic
+    owner, slots, hops, windows = slot_groups(sets, static, tasks)
     inside = windows >= 0
     packets = np.arange(len(periodic) + 1)
     bounds = np.searchsorted(owner, packets).tolist()

@@ -28,10 +28,10 @@ def trace_text(trace: SimTrace) -> str:
     return out.getvalue().decode("utf-8", "surrogatepass")
 
 
-def active_sets(candidate, event, static, full_demand) -> ActivePacketSets:
+def active_sets(candidate, event, static, tasks, full_demand) -> ActivePacketSets:
     """``build_active_sets`` of ``candidate`` over the span of ``static``
-    that latency bound 4 gives ``event``."""
-    return build_active_sets(candidate, event, static, ScheduleSpan(event, static, 4), full_demand)
+    and ``tasks`` that latency bound 4 gives ``event``."""
+    return build_active_sets(candidate, event, ScheduleSpan(event, static, tasks, 4), full_demand)
 
 
 def sets_outcome(build):

@@ -29,8 +29,8 @@ from rtwnsim.model import (
     packet_pdr,
 )
 from rtwnsim.static_schedule import build_static_schedule
-from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound, find_idle_slot
-from rtwnsim.dropping import CandidateInputs, greedy_drop_packets
+from rtwnsim.rhythmic import DisturbanceEvent, ScheduleSpan, end_point_upper_bound, find_idle_slot
+from rtwnsim.dropping import greedy_drop_packets
 from rtwnsim.mac import SlotTiming, contention_latency_experiment, priority_levels
 from rtwnsim.experiments import make_trial
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, run
@@ -103,13 +103,13 @@ def test_a1_bench_scenario_dropping():
     pkt, tx = plans["packet"], plans["transmission"]
     assert tx.decision.total_degradation <= pkt.decision.total_degradation + 1e-12
     pkt_oracle = optimal_drop_oracle(
-        pkt.sets.residual, vectors=vectors_of(CandidateInputs(pkt.sets, static.schedule, tasks)),
+        pkt.sets.residual, vectors=vectors_of(pkt.sets, ScheduleSpan(event, static.schedule, tasks, 4)),
         level="packet", required_pdr=0.95,
     )
     assert pkt_oracle.packet_count <= pkt.decision.packet_count
     tx_oracle = optimal_drop_oracle(
         tx.sets.residual, level="transmission",
-        state=build_periodic_state(CandidateInputs(tx.sets, static.schedule, tasks), tasks, net),
+        state=build_periodic_state(tx.sets, static.schedule, tasks, net),
         required_pdr=0.95,
     )
     assert tx_oracle.total_degradation <= tx.decision.total_degradation + 1e-12
@@ -301,7 +301,7 @@ def test_a7_constraint_suite():
         # Constraint 4: the overlay lies inside the window and takes only
         # idle slots, the disturbed task's own slots, or slots the drop
         # decision freed.
-        freed = plan.decision.freed_slots(static.schedule)
+        freed = plan.decision.freed_slots(ScheduleSpan(event, static.schedule, trial.tasks, 4))
         for s in overlay_of(plan):
             assert event.enter_slot <= s < plan.end_point
             assert static.schedule.task_at[s] in (-1, task.id) or s in freed, f"seed {seed}: slot {s}"

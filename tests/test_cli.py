@@ -446,8 +446,11 @@ def test_sweep_smoke_grid(tmp_path):
         "tick_typo", "string_r_steps", "mapping_r_steps", "repeated_alpha", "repeated_tick", "repeated_framework",
         "utils_equal_to_0.001"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
+    # ``line`` replaces the base spec's line of the same key: a repeated key
+    # is an error of its own.
     spec = tmp_path / "sweep.yaml"
-    spec.write_text(f"utils: [0.4]\nr_steps: [4]\ntrials: 1\n{line}\n", encoding="utf-8")
+    base = [row for row in ("utils: [0.4]", "r_steps: [4]", "trials: 1") if row.split(":")[0] != line.split(":")[0]]
+    spec.write_text("".join(f"{row}\n" for row in (*base, line)), encoding="utf-8")
     out = tmp_path / "out"
     rc = main(["sweep", "--spec", str(spec), "--out-dir", str(out)])
     assert rc == EXIT_CONFIG
@@ -927,6 +930,60 @@ def test_simulate_slot_budget_beyond_the_deadline_exits_promptly(tmp_path):
     assert proc.returncode == EXIT_INFEASIBLE
     assert proc.stderr == "error: static schedule misses packet (task, release) (0, 1)\n"
     assert not (tmp_path / "trace.txt").exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("  horizon: 260\n", "  horizon: 2147483647\n")], "sim.horizon 2147483647 exceeds the 4194304-slot cap"),
+    ([("  horizon: 260\n", "  horizon: 9223372036854775807\n")],
+     "sim.horizon 9223372036854775807 exceeds the 4194304-slot cap"),
+    ([("  horizon: 260\n", ""), ("    period: 30\n", "    period: 1000000000000\n")],
+     "the default horizon 4000000000166 exceeds the 4194304-slot cap"),
+], ids=["horizon_2_31", "horizon_2_63", "default_horizon_of_a_long_period"])
+def test_simulate_horizon_beyond_the_cap_exits_promptly(tmp_path, edits, message):
+    # A horizon past sim.MAX_HORIZON, explicit or the default one that a
+    # 10**12-slot period gives, is rejected before the static schedule is
+    # built: in a separate process with a time limit, one error line and
+    # exit 2.
+    text = _TESTBED
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    scenario = tmp_path / "horizon.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtwnsim.cli", "simulate", "--scenario", str(scenario),
+         "--trace-out", str(tmp_path / "trace.txt"), "--csv-out", str(tmp_path / "metrics.csv")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "trace.txt").exists()
+
+
+@pytest.mark.parametrize("command, old, new, key", [
+    ("simulate", "sim:\n", "sim:\n  horizon: 2147483647\nsim:\n", "sim"),
+    ("sweep", "trials: 1\n", "trials: 1\ntrials: 2\n", "trials"),
+    ("generate", "  controller: Vc\n", "  controller: Vc\n  controller: V0\n", "controller"),
+], ids=["scenario", "sweep_spec", "network"])
+def test_repeated_key_exit_code(tmp_path, capsys, command, old, new, key):
+    # A key given twice in one mapping is rejected at its second line, not
+    # read as its last value.
+    source = tmp_path / "input.yaml"
+    text = {"simulate": _TESTBED, "sweep": _SMALL_SWEEP,
+            "generate": (SCENARIOS / "network7.yaml").read_text(encoding="utf-8")}[command]
+    assert old in text
+    source.write_text(text.replace(old, new, 1), encoding="utf-8")
+    line = [i for i, row in enumerate(source.read_text(encoding="utf-8").splitlines(), 1)
+            if row.strip().startswith(f"{key}:")][1]
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--seed", "1", "--util", "0.3", "--network", str(source), "--out", str(out)],
+        "simulate": ["simulate", "--scenario", str(source), "--trace-out", str(out), "--csv-out", str(out)],
+        "sweep": ["sweep", "--spec", str(source), "--out-dir", str(out)],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: line {line}: repeated key {key!r}\n"
+    assert not out.exists()
 
 
 def test_console_entry_point_runs(tmp_path):

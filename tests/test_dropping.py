@@ -20,11 +20,10 @@ from rtwnsim.model import (
     allocate_retry_vector,
     chain_network,
 )
-from rtwnsim.rhythmic import DisturbanceEvent, end_point_upper_bound
+from rtwnsim.rhythmic import DisturbanceEvent, ScheduleSpan, end_point_upper_bound
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
-    CandidateInputs,
     CandidateTable,
     DropDecision,
     PlanInvariantError,
@@ -72,7 +71,7 @@ def _testbed():
 def _sets_for(net, tasks, event, candidate, full_demand):
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     assert result.feasible
-    return result.schedule, active_sets(candidate, event, result.schedule, full_demand)
+    return result.schedule, active_sets(candidate, event, result.schedule, tasks, full_demand)
 
 
 def test_vectors_empty_when_no_periodic_packets():
@@ -81,9 +80,9 @@ def test_vectors_empty_when_no_periodic_packets():
                     rhythmic=RhythmicSpec((10,), (10,)))
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
-    sets = active_sets(40, event, result.schedule, full_demand=2)
+    sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
-    counts = build_transmission_vectors(CandidateInputs(sets, result.schedule, (task,)))
+    counts = build_transmission_vectors(sets, ScheduleSpan(event, result.schedule, (task,), 4))
     assert counts.shape == (0, len(sets.rhythmic))
 
 
@@ -99,9 +98,9 @@ def test_vectors_count_slots_inside_one_window():
         sched.task_at[slot] = 1
         sched.release_at[slot] = 0
         sched.hop_at[slot] = hop
-    sets = active_sets(24, event, sched, full_demand=2)
+    sets = active_sets(24, event, sched, (task0, task1), full_demand=2)
     assert [(d.release, d.deadline) for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
-    vectors = build_transmission_vectors(CandidateInputs(sets, sched, (task0, task1)))
+    vectors = build_transmission_vectors(sets, ScheduleSpan(event, sched, (task0, task1), 4))
     assert sets.periodic == ((1, 0),) and vectors.tolist() == [[0, 3, 0]]
 
 
@@ -109,8 +108,8 @@ def test_vectors_match_naive_double_loop():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
-    inputs = CandidateInputs(sets, sched, tasks)
-    vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(inputs).tolist())))
+    span = ScheduleSpan(event, sched, tasks, 4)
+    vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(sets, span).tolist())))
     # Independent route: scan every slot of every periodic packet against
     # every window.
     for tid, rel in sets.periodic:
@@ -131,7 +130,7 @@ def test_demand_zero_when_idle_slots_suffice():
                     rhythmic=RhythmicSpec((10,), (10,)))
     event = DisturbanceEvent.from_task(task, 1)
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
-    sets = active_sets(40, event, result.schedule, full_demand=2)
+    sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert [d.demand for d in sets.rhythmic] == [2] * len(sets.rhythmic)  # one slot per hop
     assert not any(sets.residual)
 
@@ -140,6 +139,7 @@ def test_demand_reliable_subtraction():
     # Three hops demanded, two slots available -> one extra needed.
     task0 = TaskSpec(id=0, path=("S2", "S1", "C", "A1"), period=10, deadline=10,
                      rhythmic=RhythmicSpec((5,), (5,)), phase=0)
+    task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
     event = DisturbanceEvent.from_task(task0, 0)
     sched = Schedule.empty(SchedulingMode.TBS, 30)
     # window [10, 15): slots 11..13 belong to another task
@@ -152,7 +152,7 @@ def test_demand_reliable_subtraction():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 20
         sched.hop_at[slot] = hop
-    sets = active_sets(15, event, sched, full_demand=3)
+    sets = active_sets(15, event, sched, (task0, task1), full_demand=3)
     (entry,) = sets.rhythmic
     assert entry.demand == 3  # one slot per hop
     assert entry.available == 2  # slots 10 and 14
@@ -163,6 +163,7 @@ def test_demand_lossy_uses_retry_budget():
     # A single 0.9 hop against a 0.99 target needs two trials; no slots free.
     task0 = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10,
                      rhythmic=RhythmicSpec((5,), (5,)), phase=0)
+    task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
     event = DisturbanceEvent.from_task(task0, 0)
     sched = Schedule.empty(SchedulingMode.TBS, 30)
     for slot in range(10, 15):
@@ -175,7 +176,7 @@ def test_demand_lossy_uses_retry_budget():
         sched.hop_at[slot] = hop
     full_demand = sum(allocate_retry_vector([0.9], 0.99))
     assert full_demand == 2
-    sets = active_sets(15, event, sched, full_demand=full_demand)
+    sets = active_sets(15, event, sched, (task0, task1), full_demand=full_demand)
     (entry,) = sets.rhythmic
     assert entry.demand == 2
     assert entry.available == 0
@@ -549,7 +550,7 @@ def test_dynamic_schedule_constraints_hold():
     for level in ("packet", "transmission"):
         plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
         # the overlay stays in the window and takes only idle, own or freed slots
-        freed = plan.decision.freed_slots(result.schedule)
+        freed = plan.decision.freed_slots(ScheduleSpan(event, result.schedule, tasks, 4))
         for t in overlay_of(plan):
             assert event.enter_slot <= t < plan.end_point
             assert result.schedule.task_at[t] in (-1, 0) or t in freed

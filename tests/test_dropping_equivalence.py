@@ -20,8 +20,10 @@ and share none of its packet-state, periodic-set or solver code:
   they were before they shared per-plan or per-trial work: a Python loop
   over the window for the periodic set, one ``packet_slots`` mask per packet
   and a scan of the window list per slot, and a per-slot counting loop over
-  the candidate window.  The library builds both solver inputs from one
-  grouped pass over a candidate's periodic packets.
+  the candidate window.  The library cuts both solver inputs from the slot
+  groups its ``ScheduleSpan`` reads once per trial.
+* ``dropping_reference.slot_groups`` is the grouping as it was before the
+  span held it: one packed-key pass over the static schedule per candidate.
 * ``dropping_reference.greedy_drop_packets`` is the packet-level greedy as
   it was before it read the (packet x window) count matrix: one list per
   transmission vector in a dict, re-clipped entry by entry each round.
@@ -58,7 +60,6 @@ from hypothesis import strategies as st
 
 from rtwnsim import dropping
 from rtwnsim.dropping import (
-    CandidateInputs,
     CandidateTable,
     DropDecision,
     DynamicPlan,
@@ -80,6 +81,7 @@ from rtwnsim.model import (
     pdr_degradation,
 )
 from rtwnsim.rhythmic import (
+    ActivePacketSets,
     DisturbanceEvent,
     ScheduleSpan,
     build_active_sets,
@@ -102,6 +104,12 @@ from support import dynamic_plan, sets_outcome, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
+
+
+def _same_groups(got, expected):
+    """Whether two ``(owner, slots, hops, windows)`` slot groups hold the
+    same values in the same order."""
+    return all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
 
 
 def _candidates(event, task):
@@ -325,7 +333,8 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
     _, end_point, sets, decision = best
 
     overlay = {}
-    freed = decision.freed_slots(static)
+    freed = {int(s) for task, release in decision.dropped_packets for s in static.packet_slots(task, release)}
+    freed |= {slot for _, _, slot in decision.dropped_slots}
     required, _ = oracle.build_demand_vector(sets, static, event.task_id, full_demand)
     for entry, need in zip(sets.rhythmic, required):
         lo, hi = entry.release, entry.deadline
@@ -468,25 +477,26 @@ def _compare_trial(trial, mode, horizon):
     path_pdrs = trial.network.path_pdrs(task.path)
     full_demand = sum(allocate_retry_vector(path_pdrs, REQUIRED_PDR))
     where = f"seed {trial.seed}, {mode.value}"
-    span = ScheduleSpan(event, schedule, BETA)
+    span = ScheduleSpan(event, schedule, trial.tasks, BETA)
     path_pdrs = oracle.task_path_pdrs(trial.tasks, trial.network)
     compared = raised = 0
     for candidate in _candidates(event, task):
-        built = sets_outcome(lambda: build_active_sets(candidate, event, schedule, span, full_demand))
+        built = sets_outcome(lambda: build_active_sets(candidate, event, span, full_demand))
         assert built == sets_outcome(lambda: oracle.build_active_sets(candidate, event, schedule, full_demand))
         if built[0] == "raised":
             continue
         sets = built[1]
         assert sets.periodic == frozen_periodic_keys(event.enter_slot, candidate, schedule, event.task_id), where
-        inputs = CandidateInputs(sets, schedule, trial.tasks)
+        groups = span.groups(sets)
+        assert _same_groups(groups, oracle.slot_groups(sets, schedule, trial.tasks)), f"{where}, candidate {candidate}"
         vectors = frozen_build_transmission_vectors(sets, schedule, event.task_id, event.enter_slot, candidate)
-        assert oracle.vectors_of(inputs) == vectors, f"{where}, candidate {candidate}"
-        packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
+        assert oracle.vectors_of(sets, span) == vectors, f"{where}, candidate {candidate}"
+        packets = oracle.build_periodic_state(sets, schedule, trial.tasks, trial.network)
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         assert [_fields(p) for p in packets] == [_fields(p) for p in frozen], f"{where}, candidate {candidate}"
         residual = reference_residual(sets, schedule, event.task_id, full_demand)
         assert sets.residual == residual, f"{where}, candidate {candidate}"
-        state = build_periodic_state(inputs, path_pdrs)
+        state = build_periodic_state(sets, span, path_pdrs)
         assert vars(state) == vars(to_periodic_state(packets, residual)), f"{where}, candidate {candidate}"
         if not any(residual):
             continue
@@ -496,7 +506,7 @@ def _compare_trial(trial, mode, horizon):
         assert got == expected, f"{where}, candidate {candidate}"
         # The slots of satisfied windows, which the library masks, change no
         # decision: the unmasked state decides the same.
-        unmasked = PeriodicState(sets.periodic, [path_pdrs[t] for t, _ in sets.periodic], *inputs.slot_groups)
+        unmasked = PeriodicState(sets.periodic, [path_pdrs[t] for t, _ in sets.periodic], *groups)
         assert _exact(_outcome(drop_transmissions, residual, unmasked, mode)) == _exact(got), where
         compared += 1
         raised += expected[0] == "raised"
@@ -613,20 +623,19 @@ def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style
     assume(static.feasible)
     schedule = static.schedule
     full_demand = sum(allocate_retry_vector(trial.network.path_pdrs(task.path), REQUIRED_PDR))
-    span = ScheduleSpan(event, schedule, BETA)
+    span = ScheduleSpan(event, schedule, trial.tasks, BETA)
     table = {}
     shared_solver = functools.partial(drop_transmissions, table=table)
     solved = []
     for candidate in _candidates(event, task):
         try:
-            sets = build_active_sets(candidate, event, schedule, span, full_demand)
+            sets = build_active_sets(candidate, event, span, full_demand)
         except CandidateInfeasible:
             continue
-        inputs = CandidateInputs(sets, schedule, trial.tasks)
         residual = sets.residual
         if not any(residual):
             continue
-        state = build_periodic_state(inputs, oracle.task_path_pdrs(trial.tasks, trial.network))
+        state = build_periodic_state(sets, span, oracle.task_path_pdrs(trial.tasks, trial.network))
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         shared = _exact(_outcome(shared_solver, residual, state, mode))
         assert shared == _exact(_outcome(drop_transmissions, residual, state, mode)), candidate
@@ -711,16 +720,18 @@ def compare_sweep_cell_active_sets(base_seed, trials, mode):
     through one ``ScheduleSpan``, and through the frozen per-window builder:
     the same active sets or the same CandidateInfeasible message.  Each
     rhythmic packet carries the demand and available count the frozen demand
-    builder counts, and its residual clips their difference at 0.  Returns
-    how many candidates were compared and how many packets had more
-    available slots than demand."""
-    compared = surplus = 0
+    builder counts, and its residual clips their difference at 0.  The
+    span's slot groups of each built candidate equal those the frozen
+    per-candidate grouping finds in the static schedule.  Returns how many
+    candidates were compared, how many packets had more available slots
+    than demand and how many periodic slots the compared groups held."""
+    compared = surplus = grouped = 0
     for index, trial, table in _sweep_cell_tables(base_seed, trials, mode):
         event, static = table.event, table.static
         for candidate in _candidates(event, table.task):
             where = f"base seed {base_seed}, trial {index}, {mode.value}, candidate {candidate}"
-            inputs = table.inputs(candidate)
-            got = ("ok", inputs.sets) if isinstance(inputs, CandidateInputs) else ("raised", type(inputs), str(inputs))
+            sets = table.active_sets(candidate)
+            got = ("ok", sets) if isinstance(sets, ActivePacketSets) else ("raised", type(sets), str(sets))
             assert got == sets_outcome(
                 lambda: oracle.build_active_sets(candidate, event, static, table.full_demand)), where
             compared += 1
@@ -731,7 +742,10 @@ def compare_sweep_cell_active_sets(base_seed, trials, mode):
             assert [(d.demand, d.available) for d in sets.rhythmic] == list(zip(required, available)), where
             assert sets.residual == tuple(max(0, r - a) for r, a in zip(required, available)), where
             surplus += sum(a > r for r, a in zip(required, available))
-    return compared, surplus
+            groups = table.span.groups(sets)
+            assert _same_groups(groups, oracle.slot_groups(sets, static, trial.tasks)), where
+            grouped += len(groups[1])
+    return compared, surplus, grouped
 
 
 @pytest.mark.parametrize("mode", [SchedulingMode.TBS, SchedulingMode.PBS])
@@ -741,8 +755,8 @@ def test_candidate_demands_match_the_frozen_builder_on_sweep_cell_trials(mode):
     # 0-2.  Some packets' windows hold more free slots than they need, so
     # the clip at 0 matters.  The cell has no truncated boundary packet;
     # test_rhythmic's span property holds a drawn one to the same builders.
-    compared, surplus = compare_sweep_cell_active_sets(0, 100, mode)
-    assert compared == 400 and surplus > 0
+    compared, surplus, grouped = compare_sweep_cell_active_sets(0, 100, mode)
+    assert compared == 400 and surplus > 0 and grouped > 0
 
 
 def compare_sweep_cell_with_oracle(base_seed, trials, mode):
@@ -763,16 +777,16 @@ def compare_sweep_cell_with_oracle(base_seed, trials, mode):
         evaluations, decisions, error = [], {}, None
         with _counted_pdr_calls() as calls:
             for candidate in _candidates(event, table.task):
-                inputs = table.inputs(candidate)
-                if isinstance(inputs, CandidateInfeasible):
+                sets = table.active_sets(candidate)
+                if isinstance(sets, CandidateInfeasible):
                     evaluations.append((candidate, None))
                     continue
-                if not any(inputs.sets.residual):
+                if not any(sets.residual):
                     evaluations.append((candidate, 0.0))
                     continue
-                packets = oracle.build_periodic_state(inputs, trial.tasks, trial.network)
-                got, expected = _solve_both(inputs.sets.residual, packets,
-                                            build_periodic_state(inputs, table.path_pdrs),
+                packets = oracle.build_periodic_state(sets, schedule, trial.tasks, trial.network)
+                got, expected = _solve_both(sets.residual, packets,
+                                            build_periodic_state(sets, table.span, table.path_pdrs),
                                             mode, library, reference)
                 assert _exact(got) == _exact(expected), f"{where}, candidate {candidate}"
                 assert _table_snapshot(library) == _table_snapshot(reference), f"{where}, candidate {candidate}"

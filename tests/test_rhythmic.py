@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtwnsim.config import parse_scenario
+from rtwnsim.dropping import build_periodic_state, build_transmission_vectors
 from rtwnsim.model import (
     CandidateInfeasible,
     DisturbanceInfeasible,
@@ -130,7 +131,7 @@ def test_active_sets_no_boundary_at_aligned_release():
     result = _schedule_for((task,), net, 80)
     # exit = 30 on grid; candidate 40 follows the on-grid release at 30 whose
     # nominal deadline is exactly 40: whole packets only, no adjustment.
-    sets = active_sets(40, event, result.schedule, full_demand=2)
+    sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.boundary_case == 0
     assert sets.resume_release == 40
     assert [d.release for d in sets.rhythmic] == [20, 30]
@@ -150,10 +151,10 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
         result = _schedule_for(tasks, net, horizon)
         if not result.feasible:
             continue
-        span = ScheduleSpan(event, result.schedule, 4)
+        span = ScheduleSpan(event, result.schedule, tasks, 4)
         for cand in end_point_candidates(event, event.exit_slot - spec.periods[-1] + task.hops, 4):
             try:
-                sets = build_active_sets(cand, event, result.schedule, span, task.hops)
+                sets = build_active_sets(cand, event, span, task.hops)
             except Exception:
                 continue
             windows = [(d.release, d.deadline) for d in sets.rhythmic]
@@ -174,7 +175,7 @@ def test_active_sets_reject_a_candidate_at_the_window_start():
     task, event = _event(period=10, instance=1, periods=(10,))
     result = _schedule_for((task,), net, 80)
     with pytest.raises(CandidateInfeasible, match="^end point must lie after the window start$"):
-        active_sets(event.enter_slot, event, result.schedule, full_demand=2)
+        active_sets(event.enter_slot, event, result.schedule, (task,), full_demand=2)
 
 
 def test_active_sets_case2_deadline_clipped_to_static_takeover():
@@ -189,7 +190,7 @@ def test_active_sets_case2_deadline_clipped_to_static_takeover():
     event = DisturbanceEvent.from_task(task, 2)
     assert event.enter_slot == 45 and event.exit_slot == 115
     result = _schedule_for((task,), net, 180)
-    sets = active_sets(115, event, result.schedule, full_demand=2)
+    sets = active_sets(115, event, result.schedule, (task,), full_demand=2)
     assert sets.boundary_case == 2
     assert sets.resume_release == 105
     t1 = int(result.schedule.packet_slots(0, 105)[0])
@@ -216,7 +217,7 @@ def test_active_sets_case1_truncates_demand():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 30
         sched.hop_at[slot] = hop
-    sets = active_sets(28, event, sched, full_demand=3)
+    sets = active_sets(28, event, sched, (task,), full_demand=3)
     assert sets.boundary_case == 1
     assert sets.resume_release == 30
     boundary = sets.rhythmic[-1]
@@ -245,11 +246,19 @@ def test_active_sets_case1_full_demand_when_takeover_impossible():
         sched.task_at[slot] = 0
         sched.release_at[slot] = 30
         sched.hop_at[slot] = hop
-    sets = active_sets(28, event, sched, full_demand=3)
+    sets = active_sets(28, event, sched, (task,), full_demand=3)
     assert sets.boundary_case == 1
     boundary = sets.rhythmic[-1]
     assert boundary.demand == 3
     assert boundary.tail_slots == ()
+
+
+# The periodic tasks of ``_span_cases``: three hops each, so that every drawn
+# TBS label is one of theirs, with deadlines below and above the drawn
+# release offsets.
+_SPAN_TASKS = (TaskSpec(id=1, path=("S3", "S2", "S1", "C"), period=6, deadline=6),
+               TaskSpec(id=2, path=("S2", "S1", "C", "A1"), period=14, deadline=14))
+_SPAN_NETWORK = chain_network(3, 1, pdr=0.9)
 
 
 @st.composite
@@ -257,9 +266,12 @@ def _span_cases(draw):
     """A disturbed task 0 (period 4-12, a ramp of one to three steps, latency
     bound beta 1-3) over a drawn static schedule in TBS or PBS: runs of
     slots that are idle, task 0's (each labelled with the grid instance
-    holding it) or one of two periodic tasks' (a release up to ten slots
-    back).  The horizon falls anywhere from before the window start to past
-    the latest end point.  Each slot is a (task, release, hop) cell."""
+    holding it) or one of the two periodic tasks of ``_SPAN_TASKS`` (the
+    release of that task's previous run, as a preempted packet resumes, or
+    one up to ten slots back, so some of task 1's slots lie past its
+    deadline).  The horizon falls anywhere from before the window start to
+    two periods past the latest end point.  Each slot is a (task, release,
+    hop) cell."""
     mode = draw(st.sampled_from(list(SchedulingMode)))
     period = draw(st.integers(4, 12))
     phase = draw(st.integers(0, period - 1))
@@ -269,11 +281,15 @@ def _span_cases(draw):
     full_demand = draw(st.integers(1, 4))
     enter = phase + (instance + 1) * period
     upper = enter + sum(periods) + (beta - 1) * period
-    horizon = draw(st.integers(enter - 2, upper + period))
+    horizon = draw(st.integers(enter - 2, upper + 2 * period))
     cells: list[tuple[int, int, int]] = []
+    resumed: dict[int, int] = {}  # each periodic task's latest release
     while len(cells) < horizon:
         owner, start = draw(st.integers(-1, 2)), len(cells)
         release = start - draw(st.integers(0, 10))
+        if owner in resumed and draw(st.booleans()):
+            release = resumed[owner]
+        resumed[owner] = release
         for slot in range(start, min(horizon, start + draw(st.integers(1, 4)))):
             hop = 0 if mode is SchedulingMode.PBS else draw(st.integers(1, 3))
             if owner == 0 and slot >= phase:
@@ -292,13 +308,9 @@ _TAKEOVER = [{21: (1, 18, 1), 22: (1, 18, 1), 23: (1, 18, 2), 25: (0, 20, 1), 27
               31: (0, 30, 1), 33: (0, 30, 1), 34: (0, 30, 2)}.get(slot, (-1, -1, 0)) for slot in range(40)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_span_cases())
-@example((SchedulingMode.TBS, 10, 0, 1, (8,), 1, 3, _TAKEOVER))
-def test_span_builder_matches_the_frozen_per_window_builder(case):
-    # Every release candidate, a candidate at the span's last slot, one past
-    # the schedule's horizon and one past the span: the same active sets or
-    # the same error as the frozen builder, and a typed error past the span.
+def _span_case(case):
+    """The disturbed task, its event, the static schedule, the task set and
+    the schedule span of a ``_span_cases`` case."""
     mode, period, phase, instance, periods, beta, full_demand, cells = case
     task = TaskSpec(id=0, path=("S1", "C", "A1"), period=period, deadline=period, phase=phase,
                     rhythmic=RhythmicSpec(periods, periods))
@@ -306,17 +318,53 @@ def test_span_builder_matches_the_frozen_per_window_builder(case):
     static = Schedule.empty(mode, len(cells))
     if cells:
         static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(cells).T
-    span = ScheduleSpan(event, static, beta)
+    tasks = (task, *_SPAN_TASKS)
+    return task, event, static, tasks, ScheduleSpan(event, static, tasks, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+@example((SchedulingMode.TBS, 10, 0, 1, (8,), 1, 3, _TAKEOVER))
+def test_span_builder_matches_the_frozen_per_window_builder(case):
+    # Every release candidate, a candidate at the span's last slot, one past
+    # the schedule's horizon and one past the span: the same active sets or
+    # the same error as the frozen builder, and a typed error past the span.
+    full_demand, beta = case[6], case[5]
+    _, event, static, _, span = _span_case(case)
     upper = end_point_upper_bound(event, beta)
     assert span.stop == upper
     candidates = {*actual_releases(event, upper), upper - 1, static.horizon + 1, upper + 1}
     for candidate in sorted(candidates):
-        got = sets_outcome(lambda: build_active_sets(candidate, event, static, span, full_demand))
+        got = sets_outcome(lambda: build_active_sets(candidate, event, span, full_demand))
         if candidate > upper:
             assert got == ("raised", ValueError, f"end point {candidate} lies past the schedule span's end {upper}")
         else:
             expected = sets_outcome(lambda: oracle.build_active_sets(candidate, event, static, full_demand))
             assert got == expected, candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+@example((SchedulingMode.TBS, 10, 0, 1, (8,), 1, 3, _TAKEOVER))
+def test_span_groups_match_the_frozen_per_candidate_grouping(case):
+    # Every release candidate whose active sets can be built: the span's
+    # slot groups, the transmission vectors and the PeriodicState built
+    # from them equal those the frozen per-candidate grouping gives.
+    full_demand, beta = case[6], case[5]
+    _, event, static, tasks, span = _span_case(case)
+    path_pdrs = oracle.task_path_pdrs(tasks, _SPAN_NETWORK)
+    for candidate in actual_releases(event, end_point_upper_bound(event, beta)):
+        built = sets_outcome(lambda: build_active_sets(candidate, event, span, full_demand))
+        if built[0] == "raised":
+            continue
+        sets = built[1]
+        frozen = oracle.slot_groups(sets, static, tasks)
+        assert all(np.array_equal(a, b) for a, b in zip(span.groups(sets), frozen)), candidate
+        vectors = build_transmission_vectors(sets, span)
+        assert np.array_equal(vectors, oracle.transmission_vectors(sets, frozen)), candidate
+        expected = oracle.to_periodic_state(oracle.build_periodic_state(sets, static, tasks, _SPAN_NETWORK),
+                                            sets.residual)
+        assert vars(build_periodic_state(sets, span, path_pdrs)) == vars(expected), candidate
 
 
 def test_the_takeover_example_truncates_the_boundary_packet():
@@ -326,8 +374,8 @@ def test_the_takeover_example_truncates_the_boundary_packet():
     event = DisturbanceEvent.from_task(task, 1)
     static = Schedule.empty(SchedulingMode.TBS, 40)
     static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(_TAKEOVER).T
-    span = ScheduleSpan(event, static, 1)
-    boundaries = [build_active_sets(c, event, static, span, 3).rhythmic[-1] for c in (27, 28)]
+    span = ScheduleSpan(event, static, (task, *_SPAN_TASKS), 1)
+    boundaries = [build_active_sets(c, event, span, 3).rhythmic[-1] for c in (27, 28)]
     assert [(b.demand, b.tail_slots, b.prefix_hops) for b in boundaries] == [(1, (27, 28), (1,)), (2, (28,), (1, 1))]
 
 
