@@ -10,7 +10,6 @@ preempted periodic transmissions are visible.
 
 from rtwnsim import (
     EVENT_FIELDS,
-    CandidateTable,
     DisturbanceEvent,
     DisturbanceSpec,
     Framework,
@@ -51,15 +50,14 @@ print(f"notified nodes: {tasks[0].path}")
 
 static = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
-# Every node on the route derives the plans from the same inputs, which one
-# candidate table holds; both dropping levels read it.
-table = CandidateTable(event, static.schedule, tasks, net, 0.95, beta=4)
-for level in ("packet", "transmission"):
-    plan = generate_dynamic_schedule(table, level)
+# Every node on the route derives the plans from the same inputs; one call
+# plans both dropping levels over the same end-point candidates.
+levels = ("packet", "transmission")
+for level, plan in zip(levels, generate_dynamic_schedule(event, static.schedule, tasks, net, 0.95, 4, levels)):
     print(f"\n== {level}-level dropping ==")
     print(f"candidates evaluated: {plan.evaluations}")
     print(f"chosen end point: {plan.end_point} "
-          f"(bound {end_point_upper_bound(event, table.beta)})")
+          f"(bound {end_point_upper_bound(event, 4)})")
     if level == "packet":
         print(f"dropped packets: {plan.decision.dropped_packets}")
     else:

@@ -51,7 +51,6 @@ from .rhythmic import (
     find_idle_slot,
 )
 from .dropping import (
-    CandidateTable,
     DropDecision,
     DynamicPlan,
     PlanInvariantError,

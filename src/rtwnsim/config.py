@@ -55,7 +55,7 @@ from .model import (
     generate_rhythmic_spec,
 )
 from .mac import SlotTiming
-from .sim import BaselineParams, DisturbanceSpec, MacParams, SimConfig
+from .sim import MAX_HORIZON, BaselineParams, DisturbanceSpec, MacParams, SimConfig
 from .experiments import ExperimentSpec
 
 __all__ = [
@@ -269,7 +269,11 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
             deadlines = tuple(_int(d, "deadlines") for d in _items(raw.get("deadlines", periods), "deadlines"))
             return RhythmicSpec(periods=periods, deadlines=deadlines)
         if "ratio" in raw:
-            return generate_rhythmic_spec(period, float(raw["ratio"]), _require_int(raw, "steps", where))
+            ratio, steps = float(raw["ratio"]), _require_int(raw, "steps", where)
+            if steps > MAX_HORIZON:  # no plan could hold the ramp, so it is never built
+                raise ConfigError(f"{where}: steps {steps} exceeds the {MAX_HORIZON}-slot horizon cap; "
+                                  "a ramp lasts at least one slot per step")
+            return generate_rhythmic_spec(period, ratio, steps)
     except ConfigError:
         raise
     except (TypeError, ValueError, RuntimeError) as exc:

@@ -5,19 +5,19 @@ and disturbed-task slots of the static schedule can absorb, some periodic
 traffic must yield.  This module provides the greedy packet-dropping
 heuristic, the minimum-degradation transmission-dropping heuristic, and
 the candidate sweep that turns a drop decision into the dynamic slot table.
-The active sets of each end-point candidate are built once per trial, in a
-``CandidateTable``, and both levels cut their solver inputs from its
-``ScheduleSpan``.  The dropping problem is NP-hard, so planning uses the two
-heuristics only; the set-cover embedding and the exhaustive optimum that
-bound them live with the tests, in ``tests/dropping_reference.py``.
+One sweep plans every requested level: each end-point candidate's active
+sets are built once, and its periodic slots cut once from the disturbance's
+``ScheduleSpan``, for both solvers.  The dropping problem is NP-hard, so
+planning uses the two heuristics only; the set-cover embedding and the
+exhaustive optimum that bound them live with the tests, in
+``tests/dropping_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "PlanInvariantError",
     "DropDecision",
     "PeriodicState",
-    "CandidateTable",
     "DynamicPlan",
     "build_transmission_vectors",
     "build_periodic_state",
@@ -159,27 +158,32 @@ def _delivery_pdr(path_pdrs: tuple[float, ...], counts: list[int], slot_count: i
 # (delivery PDR, {hop label: delivery PDR - PDR without one slot of that label}).
 PdrTable = dict[tuple[tuple[float, ...], tuple[int, ...]], tuple[float, dict[int, float]]]
 
+# A candidate's periodic slots as ``ScheduleSpan.groups`` cuts them:
+# (owner, slots, hops, windows).
+SlotGroups = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-def build_transmission_vectors(sets: ActivePacketSets, span: ScheduleSpan) -> np.ndarray:
-    """The transmission vectors of ``sets``, cut from ``span``: row i counts
-    the slots of periodic packet ``sets.periodic[i]`` inside each rhythmic
-    window, which it could hand over to that window's packet."""
+
+def build_transmission_vectors(sets: ActivePacketSets, groups: SlotGroups) -> np.ndarray:
+    """The transmission vectors of ``sets``, counted from its slot
+    ``groups``: row i counts the slots of periodic packet ``sets.periodic[i]``
+    inside each rhythmic window, which it could hand over to that window's
+    packet."""
     n = len(sets.rhythmic)
-    owner, _, _, windows = span.groups(sets)
+    owner, _, _, windows = groups
     inside = windows >= 0
     counts = np.bincount(owner[inside] * n + windows[inside], minlength=len(sets.periodic) * n)
     return counts.reshape(len(sets.periodic), n)
 
 
-def build_periodic_state(sets: ActivePacketSets, span: ScheduleSpan,
+def build_periodic_state(sets: ActivePacketSets, groups: SlotGroups,
                          path_pdrs: Mapping[int, tuple[float, ...]]) -> PeriodicState:
     """The grouped ``PeriodicState`` of the periodic packets of ``sets``,
-    cut from ``span``, with each task's path PDRs (``CandidateTable.path_pdrs``).
+    from its slot ``groups``, with each task's path PDRs.
 
     A window whose residual is 0 never needs a slot, so its slots are masked
     to window -1 and form no group; they still count in their packet's
     ``counts`` and ``totals``, on which its delivery probability rests."""
-    owner, slots, hops, windows = span.groups(sets)
+    owner, slots, hops, windows = groups
     needy = np.array([*sets.residual, 0], dtype=bool)  # index -1: outside every window
     pdrs = [path_pdrs[task_id] for task_id, _ in sets.periodic]
     return PeriodicState(sets.periodic, pdrs, owner, slots, hops, np.where(needy[windows], windows, -1))
@@ -377,118 +381,100 @@ class DynamicPlan:
     evaluations: tuple[tuple[int, Optional[float]], ...]
 
 
-class CandidateTable:
-    """Per-trial table: each end-point candidate of one disturbance maps to
-    its ``ActivePacketSets``, or to the ``CandidateInfeasible`` that
-    ``build_active_sets`` raised for it.
+def generate_dynamic_schedule(
+    event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec], network: NetworkModel,
+    required_pdr: float, beta: int, levels: Sequence[str],
+) -> tuple[DynamicPlan, ...]:
+    """Plan the disturbance ``event`` at each dropping granularity of
+    ``levels`` in one pass over its end-point candidates: one plan per
+    level, in ``levels`` order.
 
-    Filled lazily, one candidate at a time, by ``generate_dynamic_schedule``,
-    so the packet-level and transmission-level plans of a trial build each
-    candidate's sets once between them, all from one ``ScheduleSpan``, the
-    planner's only read of the static schedule.  It holds every planning
-    input: the event, static schedule, tasks, network, required pdr and beta.
-    ``sim.plan_frameworks`` makes one per scenario and drops it with the
-    call, so nothing it holds reaches another trial.
+    Candidates are the disturbed task's releases between the earliest finish
+    of its last stepped packet and the latency bound ``beta``.  Per
+    candidate, the active sets are built once from the disturbance's
+    ``ScheduleSpan``, the planner's only read of ``static``; when their
+    residual demand is not zero, the periodic slots are cut from the span
+    once, and each level solves the residual with its greedy heuristic.
+    Each level keeps its own evaluations, cheapest decision (drop count at
+    packet level, total degradation at transmission level; ties to the
+    earliest end point) and delivery-probability table, so it gets the plan
+    it gets alone.  Rhythmic packets then claim the earliest usable slots in
+    their windows, hop-ordered under TBS, where usable means idle, owned by
+    the disturbed task, or freed by the decision.
+
+    A candidate is skipped, at every level alike, only when its active sets
+    cannot be built, so DisturbanceInfeasible (no candidate left) holds for
+    every level.  Every other-task slot in a rhythmic window belongs to a
+    periodic packet and each demand is bounded by its window, so a solver
+    covers every candidate whose sets were built; PlanInvariantError names
+    the candidate where it does not.
     """
-
-    def __init__(self, event: DisturbanceEvent, static: Schedule, tasks: Sequence[TaskSpec],
-                 network: NetworkModel, required_pdr: float, beta: int) -> None:
-        self.event, self.static, self.tasks, self.network = event, static, tasks, network
-        self.required_pdr, self.beta = required_pdr, beta
-        self.task = {t.id: t for t in tasks}[event.task_id]
-        # Per-hop budget of each full-demand rhythmic packet, and its sum.
-        self.retry_vector = allocate_retry_vector(network.path_pdrs(self.task.path), required_pdr)
-        self.full_demand = sum(self.retry_vector)
-        self.span = ScheduleSpan(event, static, tasks, beta)
-        self._entries: dict[int, Union[ActivePacketSets, CandidateInfeasible]] = {}
-
-    @cached_property
-    def path_pdrs(self) -> dict[int, tuple[float, ...]]:
-        """Each task's path PDRs, which every transmission-level candidate reads."""
-        return {t.id: tuple(self.network.path_pdrs(t.path)) for t in self.tasks}
-
-    def active_sets(self, candidate: int) -> Union[ActivePacketSets, CandidateInfeasible]:
-        """The entry of ``candidate``, built at its first lookup."""
-        entry = self._entries.get(candidate)
-        if entry is None:
-            try:
-                entry = build_active_sets(candidate, self.event, self.span, self.full_demand)
-            except CandidateInfeasible as exc:
-                entry = exc.with_traceback(None)  # keeps no frame of this call alive
-            self._entries[candidate] = entry
-        return entry
-
-
-def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
-    """Evaluate every end-point candidate of ``table``'s disturbance, pick
-    the cheapest feasible one and lay the rhythmic transmissions into the
-    freed slots.  The event, static schedule, tasks, required pdr and beta
-    are the table's.
-
-    Candidates are the disturbed task's release instants between the earliest
-    finish of its last stepped packet and the latency bound.  Per candidate
-    the residual demand of its active sets is solved at the requested
-    granularity (``level``) with the matching greedy heuristic; a candidate
-    whose active sets cannot be built is skipped.  The cheapest decision
-    wins (drop count at packet level, total degradation at transmission
-    level; ties to the earliest end point).  Rhythmic packets then claim the earliest usable
-    slots in their windows, hop-ordered under TBS, where usable means idle,
-    owned by the disturbed task, or freed by the decision.
-
-    Each candidate's active sets come from ``table``, and its periodic slots
-    from the table's span, as transmission vectors or a ``PeriodicState``.
-    Every other-task slot in a rhythmic window belongs to a periodic packet
-    and each demand is bounded by its window, so a solver covers every
-    candidate the table accepted; PlanInvariantError names the candidate
-    where it does not.  The overlay is stored as slot arrays.
-    """
-    if level not in ("packet", "transmission"):
+    planned = tuple(dict.fromkeys(levels))
+    if any(level not in ("packet", "transmission") for level in planned):
         raise ValueError("level must be 'packet' or 'transmission'")
-    event, static, required_pdr = table.event, table.static, table.required_pdr
-    retry_vector = table.retry_vector
+    task = {t.id: t for t in tasks}[event.task_id]
+    # Per-hop budget of each full-demand rhythmic packet, and its sum.
+    retry_vector = allocate_retry_vector(network.path_pdrs(task.path), required_pdr)
+    full_demand = sum(retry_vector)
+    span = ScheduleSpan(event, static, tasks, beta)
+    path_pdrs = {t.id: tuple(network.path_pdrs(t.path)) for t in tasks} if "transmission" in planned else {}
 
     # Candidates start at the optimistic finish of the last stepped packet
     # (its release plus its hop count); the overlay re-checks the realized one.
-    last_stepped = event.enter_slot + sum(event.periods[:-1])
-    f_last = last_stepped + table.task.hops
-    upper = end_point_upper_bound(event, table.beta)
-    evaluations: list[tuple[int, Optional[float]]] = []
-    best: Optional[tuple[float, int, ActivePacketSets, DropDecision]] = None
-    pdrs: PdrTable = {}  # shared by this plan's candidates only
-    for candidate in end_point_candidates(event, f_last, table.beta):
-        sets = table.active_sets(candidate)
-        if isinstance(sets, CandidateInfeasible):
-            evaluations.append((candidate, None))
+    f_last = event.enter_slot + sum(event.periods[:-1]) + task.hops
+    evaluations: dict[str, list[tuple[int, Optional[float]]]] = {level: [] for level in planned}
+    best: dict[str, tuple[float, int, ActivePacketSets, DropDecision]] = {}
+    pdrs: PdrTable = {}  # shared by the transmission plan's candidates only
+    for candidate in end_point_candidates(event, f_last, beta):
+        try:
+            sets = build_active_sets(candidate, event, span, full_demand)
+        except CandidateInfeasible:
+            for level in planned:
+                evaluations[level].append((candidate, None))
             continue
         residual = sets.residual
-        try:
-            if not any(residual):
-                decision = DropDecision(level=level)
-            elif level == "packet":
-                counts = build_transmission_vectors(sets, table.span)
-                decision = greedy_drop_packets(residual, sets.periodic, counts, required_pdr)
-            else:
-                state = build_periodic_state(sets, table.span, table.path_pdrs)
-                decision = drop_transmissions(residual, state, required_pdr, static.mode, pdrs)
-        except CandidateInfeasible as exc:
-            raise PlanInvariantError(
-                f"the {level}-level solver left end-point candidate {candidate} uncovered: {exc}"
-            ) from exc
-        cost = decision.cost()
-        evaluations.append((candidate, cost))
-        if best is None or cost < best[0] - 1e-15:
-            best = (cost, candidate, sets, decision)
+        groups = span.groups(sets) if any(residual) else None
+        for level in planned:
+            try:
+                if groups is None:
+                    decision = DropDecision(level=level)
+                elif level == "packet":
+                    counts = build_transmission_vectors(sets, groups)
+                    decision = greedy_drop_packets(residual, sets.periodic, counts, required_pdr)
+                else:
+                    state = build_periodic_state(sets, groups, path_pdrs)
+                    decision = drop_transmissions(residual, state, required_pdr, static.mode, pdrs)
+            except CandidateInfeasible as exc:
+                raise PlanInvariantError(
+                    f"the {level}-level solver left end-point candidate {candidate} uncovered: {exc}"
+                ) from exc
+            cost = decision.cost()
+            evaluations[level].append((candidate, cost))
+            if level not in best or cost < best[level][0] - 1e-15:
+                best[level] = (cost, candidate, sets, decision)
 
-    if best is None:
-        raise DisturbanceInfeasible(
-            f"no feasible end point for the disturbance at slot {event.detect_slot}"
-        )
+    if len(best) < len(planned):
+        raise DisturbanceInfeasible(f"no feasible end point for the disturbance at slot {event.detect_slot}")
+    upper = end_point_upper_bound(event, beta)
+    plans = {level: _overlay_plan(event, static.mode, span, retry_vector, upper, best[level], evaluations[level])
+             for level in planned}
+    return tuple(plans[level] for level in levels)
+
+
+def _overlay_plan(event: DisturbanceEvent, mode: SchedulingMode, span: ScheduleSpan, retry_vector: Sequence[int],
+                  upper: int, best: tuple[float, int, ActivePacketSets, DropDecision],
+                  evaluations: list[tuple[int, Optional[float]]]) -> DynamicPlan:
+    """The plan of one level: its cheapest candidate, ``best`` (cost, end
+    point, active sets, decision), with the overlay the decision leaves, and
+    the level's ``evaluations``.  ``upper`` is the latest admissible end
+    point."""
     _, end_point, sets, decision = best
+    last_stepped = event.enter_slot + sum(event.periods[:-1])
 
     # Each rhythmic packet takes the first ``need`` usable slots of its
     # window; the windows are sorted and disjoint, so one ascending list of
     # the usable slots of their span serves them all.
-    rhythmic, span = sets.rhythmic, table.span
+    rhythmic = sets.rhythmic
     lo, hi = rhythmic[0].release, rhythmic[-1].deadline
     usable = span.usable[lo - span.lo:hi - span.lo].copy()
     freed = np.fromiter(decision.freed_slots(span), dtype=np.int64)
@@ -505,7 +491,7 @@ def generate_dynamic_schedule(table: CandidateTable, level: str) -> DynamicPlan:
             )
         picks.extend(range(first, first + need))
         needs.append(need)
-        if static.mode is not SchedulingMode.TBS:
+        if mode is not SchedulingMode.TBS:
             labels.extend([0] * need)
         elif entry.tail_slots:
             labels.extend(entry.prefix_hops)  # truncated packet continues a static instance

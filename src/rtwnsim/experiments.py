@@ -27,7 +27,7 @@ from .model import (
     generate_taskset,
     random_chain_network,
 )
-from .sim import DisturbanceSpec, Framework, Plan, SimConfig, plan_frameworks
+from .sim import MAX_HORIZON, DisturbanceSpec, Framework, Plan, SimConfig, plan_frameworks
 
 __all__ = [
     "Trial",
@@ -232,6 +232,9 @@ class ExperimentSpec:
             raise ValueError("utils must lie in [0, 1]")
         if min(self.r_steps) < 1:
             raise ValueError("r_steps must be >= 1")
+        if max(self.r_steps) > MAX_HORIZON:  # no plan could hold the ramp, so no trial builds it
+            raise ValueError(f"r_steps {max(self.r_steps)} exceeds the {MAX_HORIZON}-slot horizon cap; "
+                             "a ramp lasts at least one slot per step")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         ReliabilityTarget(self.required_pdr)

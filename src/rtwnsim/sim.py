@@ -34,7 +34,7 @@ from .static_schedule import (
     hyperperiod,
 )
 from . import mac as mac_model
-from .dropping import CandidateTable, DropDecision, DynamicPlan, PlanInvariantError, generate_dynamic_schedule
+from .dropping import DropDecision, DynamicPlan, PlanInvariantError, generate_dynamic_schedule
 from .trace import EVENT_FIELDS, WORDS, Part, SimTrace
 
 __all__ = [
@@ -321,8 +321,9 @@ def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple
     in order, without running any slot; ``config.framework`` is not read.
 
     The plans share one EDF static schedule over ``config.horizon``, or over
-    ``default_horizon`` when it is unset, and the FD-PaS plans share one
-    ``CandidateTable``, made at the first of them and dropped with the call.
+    ``default_horizon`` when it is unset, and the FD-PaS plans come from one
+    ``generate_dynamic_schedule`` call, whose DisturbanceInfeasible marks
+    every one of them infeasible (no level has a feasible end point then).
     Raises HorizonTooLong when that horizon exceeds ``MAX_HORIZON``,
     HorizonTooShort when an explicit horizon ends before the
     disturbance's latest end point and some framework is FD-PaS, and
@@ -351,20 +352,20 @@ def plan_frameworks(config: SimConfig, frameworks: Sequence[Framework]) -> tuple
     if event is None:
         return tuple(Plan(static, None) for _ in frameworks)
     drt = event.enter_slot - event.detect_slot  # FD-PaS responds one nominal period on
-    table: Optional[CandidateTable] = None
+    levels = ["packet" if f is Framework.FDPAS_PACKET else "transmission"
+              for f in frameworks if f is not Framework.BASELINE_BROADCAST]
+    try:  # the FD-PaS plans, in framework order
+        dynamics = iter(generate_dynamic_schedule(event, static.schedule, config.tasks, config.network,
+                                                  config.required_pdr, config.beta, levels) if levels else ())
+    except DisturbanceInfeasible:
+        dynamics = iter([None] * len(levels))
     plans = []
     for framework in frameworks:
         if framework is Framework.BASELINE_BROADCAST:
             plans.append(Plan(static, event, drt=baseline_drt(config, static)))
             continue
-        if table is None:
-            table = CandidateTable(event, static.schedule, config.tasks, config.network,
-                                   config.required_pdr, config.beta)
-        try:
-            dynamic = generate_dynamic_schedule(
-                table, "packet" if framework is Framework.FDPAS_PACKET else "transmission"
-            )
-        except DisturbanceInfeasible:
+        dynamic = next(dynamics)
+        if dynamic is None:
             plans.append(Plan(static, event, feasible_dynamic=False, drt=drt))
             continue
         periodic = periodic_in_window(dynamic, config.tasks)

@@ -33,7 +33,7 @@ groups rescan their packet's slots for the earliest needy one.  The library
 solver must decide exactly as they do; ``to_periodic_state`` turns a list of
 hand-built packet states into the library's ``PeriodicState``, masked as
 ``dropping.build_periodic_state`` masks it, and ``task_path_pdrs`` gives the
-path PDRs a candidate table would hold.
+path PDRs the planner finds for the transmission level.
 ``overlay_of`` reads a ``DynamicPlan``'s overlay arrays as ``{slot:
 SlotAssignment}``, the form the tests and the reference plan compare.
 """
@@ -86,7 +86,7 @@ class TransmissionVector:
 def vectors_of(sets: ActivePacketSets, span: ScheduleSpan) -> list[TransmissionVector]:
     """The transmission vectors the library counts for ``sets`` from
     ``span``, one object per periodic packet."""
-    rows = build_transmission_vectors(sets, span).tolist()
+    rows = build_transmission_vectors(sets, span.groups(sets)).tolist()
     return [TransmissionVector(key, tuple(row)) for key, row in zip(sets.periodic, rows)]
 
 
@@ -337,7 +337,7 @@ def overlay_of(plan: DynamicPlan) -> dict[int, SlotAssignment]:
 
 
 def task_path_pdrs(tasks: Sequence[TaskSpec], network: NetworkModel) -> dict[int, tuple[float, ...]]:
-    """Each task's path PDRs, as ``CandidateTable.path_pdrs`` holds them."""
+    """Each task's path PDRs, as ``generate_dynamic_schedule`` finds them."""
     return {t.id: tuple(network.path_pdrs(t.path)) for t in tasks}
 
 @dataclass

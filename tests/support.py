@@ -3,8 +3,8 @@
 ``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
 builds one candidate's active sets over a schedule span of its own, and
 ``sets_outcome`` reads a builder's result or typed error as one value.
-``dynamic_plan`` plans one dropping level over a candidate table of its own,
-made from the six planning inputs.  ``standalone_record`` is the sweep's record of one
+``dynamic_plan`` plans one dropping level alone from the six planning
+inputs.  ``standalone_record`` is the sweep's record of one
 (trial, framework) pair planned alone, through ``sim.plan``, the reference a
 sweep cell's shared plans are held to.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 
-from rtwnsim.dropping import CandidateTable, DynamicPlan, generate_dynamic_schedule
+from rtwnsim.dropping import DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record
 from rtwnsim.model import CandidateInfeasible
 from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
@@ -44,8 +44,9 @@ def sets_outcome(build):
 
 
 def dynamic_plan(event, static, tasks, network, required_pdr, beta=4, level="packet") -> DynamicPlan:
-    """``generate_dynamic_schedule`` at ``level`` over a fresh candidate table."""
-    return generate_dynamic_schedule(CandidateTable(event, static, tasks, network, required_pdr, beta), level)
+    """The plan ``generate_dynamic_schedule`` makes at ``level`` alone."""
+    (plan,) = generate_dynamic_schedule(event, static, tasks, network, required_pdr, beta, (level,))
+    return plan
 
 
 def standalone_record(trial: Trial, framework: Framework, alpha_mult: int = 1, beta: int = 4,

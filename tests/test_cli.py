@@ -960,6 +960,34 @@ def test_simulate_horizon_beyond_the_cap_exits_promptly(tmp_path, edits, message
     assert not (tmp_path / "trace.txt").exists()
 
 
+_RAMP_CAP = "exceeds the 4194304-slot horizon cap; a ramp lasts at least one slot per step"
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("simulate", "rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.2, steps: 100000000}",
+     f"tasks[0].rhythmic: steps 100000000 {_RAMP_CAP}"),
+    ("simulate", "  instance: 3\n", "  instance: 3\n  rhythmic: {ratio: 0.2, steps: 4194305}\n",
+     f"disturbance.rhythmic: steps 4194305 {_RAMP_CAP}"),
+    ("sweep", "r_steps: [4]", "r_steps: [4, 2147483648]", f"experiment spec: r_steps 2147483648 {_RAMP_CAP}"),
+], ids=["task_steps_10_8", "disturbance_steps_cap_plus_1", "r_steps_2_31"])
+def test_ramp_longer_than_the_horizon_cap_exits_promptly(tmp_path, command, old, new, message):
+    # A ramp of n steps lasts at least n slots, so one of more than
+    # sim.MAX_HORIZON steps is rejected as the file is parsed, before its
+    # periods are built: in a separate process with a time limit, one error
+    # line and exit 2.
+    text = _TESTBED if command == "simulate" else _SMALL_SWEEP
+    assert old in text
+    source = tmp_path / "input.yaml"
+    source.write_text(text.replace(old, new, 1), encoding="utf-8")
+    args = (["--scenario", str(source), "--trace-out", str(tmp_path / "trace.txt")] if command == "simulate"
+            else ["--spec", str(source), "--out-dir", str(tmp_path / "out")])
+    proc = subprocess.run([sys.executable, "-m", "rtwnsim.cli", command, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "trace.txt").exists() and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, old, new, key", [
     ("simulate", "sim:\n", "sim:\n  horizon: 2147483647\nsim:\n", "sim"),
     ("sweep", "trials: 1\n", "trials: 1\ntrials: 2\n", "trials"),

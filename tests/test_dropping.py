@@ -24,7 +24,6 @@ from rtwnsim.rhythmic import DisturbanceEvent, ScheduleSpan, end_point_upper_bou
 from rtwnsim.static_schedule import Schedule, build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
-    CandidateTable,
     DropDecision,
     PlanInvariantError,
     build_transmission_vectors,
@@ -82,7 +81,7 @@ def test_vectors_empty_when_no_periodic_packets():
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
-    counts = build_transmission_vectors(sets, ScheduleSpan(event, result.schedule, (task,), 4))
+    counts = build_transmission_vectors(sets, ScheduleSpan(event, result.schedule, (task,), 4).groups(sets))
     assert counts.shape == (0, len(sets.rhythmic))
 
 
@@ -100,7 +99,7 @@ def test_vectors_count_slots_inside_one_window():
         sched.hop_at[slot] = hop
     sets = active_sets(24, event, sched, (task0, task1), full_demand=2)
     assert [(d.release, d.deadline) for d in sets.rhythmic] == [(12, 16), (16, 20), (20, 24)]
-    vectors = build_transmission_vectors(sets, ScheduleSpan(event, sched, (task0, task1), 4))
+    vectors = build_transmission_vectors(sets, ScheduleSpan(event, sched, (task0, task1), 4).groups(sets))
     assert sets.periodic == ((1, 0),) and vectors.tolist() == [[0, 3, 0]]
 
 
@@ -109,7 +108,7 @@ def test_vectors_match_naive_double_loop():
     event = DisturbanceEvent.from_task(tasks[0], 3)
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
     span = ScheduleSpan(event, sched, tasks, 4)
-    vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(sets, span).tolist())))
+    vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(sets, span.groups(sets)).tolist())))
     # Independent route: scan every slot of every periodic packet against
     # every window.
     for tid, rel in sets.periodic:
@@ -638,21 +637,22 @@ def test_no_sweep_candidate_leaves_a_solver_uncovered(index, base_seed, cell, mo
             assert mode is SchedulingMode.PBS and "pdr values must lie in [0, 1]" in str(exc)
 
 
-def test_candidate_table_serves_only_the_plan_it_was_made_for():
-    # A plan reads every input from its table: the event, schedule, required
-    # pdr and beta a table was made for give the plan that a config with
-    # those inputs gets from plan_frameworks.
+def test_dynamic_schedule_serves_only_the_plan_its_inputs_name():
+    # A plan reads every input from its arguments: the event, schedule,
+    # required pdr and beta of a call give the plan that a config with those
+    # inputs gets from plan_frameworks, for each level of the call.
     net, tasks = _testbed()
     base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, horizon=260, disturbance=DisturbanceSpec(0, 3))
     for config in [base, dataclasses.replace(base, disturbance=DisturbanceSpec(0, 4)),
                    dataclasses.replace(base, required_pdr=0.9), dataclasses.replace(base, beta=3)]:
         schedule = build_static_schedule(tasks, net, SchedulingMode.TBS, config.required_pdr, horizon=260).schedule
-        table = CandidateTable(config.event(), schedule, tasks, net, config.required_pdr, config.beta)
-        for level, framework in (("transmission", Framework.FDPAS_TRANSMISSION), ("packet", Framework.FDPAS_PACKET)):
-            planned = generate_dynamic_schedule(table, level)
+        levels = (("transmission", Framework.FDPAS_TRANSMISSION), ("packet", Framework.FDPAS_PACKET))
+        planned = generate_dynamic_schedule(config.event(), schedule, tasks, net, config.required_pdr, config.beta,
+                                            [level for level, _ in levels])
+        for (level, framework), got in zip(levels, planned, strict=True):
             (expected,) = plan_frameworks(config, (framework,))
-            assert planned == expected.dynamic, (config, level)
-            assert overlay_of(planned) == overlay_of(expected.dynamic), (config, level)
+            assert got == expected.dynamic, (config, level)
+            assert overlay_of(got) == overlay_of(expected.dynamic), (config, level)
 
 
 def test_transmission_level_never_worse_than_packet_level():

@@ -360,11 +360,11 @@ def test_span_groups_match_the_frozen_per_candidate_grouping(case):
         sets = built[1]
         frozen = oracle.slot_groups(sets, static, tasks)
         assert all(np.array_equal(a, b) for a, b in zip(span.groups(sets), frozen)), candidate
-        vectors = build_transmission_vectors(sets, span)
+        vectors = build_transmission_vectors(sets, span.groups(sets))
         assert np.array_equal(vectors, oracle.transmission_vectors(sets, frozen)), candidate
         expected = oracle.to_periodic_state(oracle.build_periodic_state(sets, static, tasks, _SPAN_NETWORK),
                                             sets.residual)
-        assert vars(build_periodic_state(sets, span, path_pdrs)) == vars(expected), candidate
+        assert vars(build_periodic_state(sets, span.groups(sets), path_pdrs)) == vars(expected), candidate
 
 
 def test_the_takeover_example_truncates_the_boundary_packet():

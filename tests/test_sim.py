@@ -27,7 +27,8 @@ from rtwnsim.sim import (
     run,
 )
 from rtwnsim.dropping import DropDecision, PlanInvariantError
-from rtwnsim import sim as sim_mod
+from rtwnsim import dropping, sim as sim_mod
+from rtwnsim.rhythmic import ScheduleSpan
 
 from support import standalone_record, trace_text
 
@@ -267,27 +268,58 @@ def _counting(monkeypatch, name) -> list:
     return calls
 
 
-def test_plan_shares_a_candidate_table_between_the_fdpas_levels(monkeypatch):
-    # One plan_frameworks call builds one static schedule and, at its first
-    # FD-PaS framework, one candidate table; each plan equals the plan of
-    # its framework made alone.
+def test_plan_frameworks_makes_one_dynamic_schedule_call_for_the_fdpas_levels(monkeypatch):
+    # One plan_frameworks call builds one static schedule and makes one
+    # generate_dynamic_schedule call for all its FD-PaS frameworks; each
+    # plan equals the plan of its framework made alone.
     net, tasks = _testbed()
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
                     disturbance=DisturbanceSpec(0, 3))
     frameworks = (Framework.BASELINE_BROADCAST, Framework.FDPAS_TRANSMISSION, Framework.FDPAS_PACKET)
     alone = [plan(dataclasses.replace(cfg, framework=f)) for f in frameworks]
-    builds, tables = _counting(monkeypatch, "build_static_schedule"), _counting(monkeypatch, "CandidateTable")
+    builds = _counting(monkeypatch, "build_static_schedule")
+    calls = _counting(monkeypatch, "generate_dynamic_schedule")
     planned = plan_frameworks(cfg, frameworks)
-    assert (len(builds), len(tables)) == (1, 1)
+    assert (len(builds), len(calls)) == (1, 1)
+    assert calls[0][-1] == ["transmission", "packet"]
     assert all(p.static is planned[0].static for p in planned)
     # A Schedule has no equality of its own; each plan compares without it.
     assert [dataclasses.replace(p, static=None) for p in planned] == [
         dataclasses.replace(p, static=None) for p in alone]
     assert planned[0].static.schedule.horizon == 260
-    # No table without an FD-PaS framework or without a disturbance.
+    # No planning pass without an FD-PaS framework or without a disturbance.
     plan_frameworks(cfg, (Framework.BASELINE_BROADCAST,))
     plan_frameworks(dataclasses.replace(cfg, disturbance=None), frameworks)
-    assert (len(builds), len(tables)) == (3, 1)
+    assert (len(builds), len(calls)) == (3, 1)
+
+
+def test_run_cell_cuts_each_candidates_slots_once(monkeypatch):
+    # Over ten sweep trials, each trial's end-point candidates are found
+    # once, and each built candidate with a residual demand has its periodic
+    # slots cut from the span once, for both FD-PaS levels.
+    candidate_calls, residual_candidates, cuts = [], [], []
+
+    def candidates(*args, _real=dropping.end_point_candidates):
+        candidate_calls.append(args)
+        return _real(*args)
+
+    def active_sets(*args, _real=dropping.build_active_sets):
+        sets = _real(*args)
+        if any(sets.residual):
+            residual_candidates.append(args[0])
+        return sets
+
+    def groups(span, sets, _real=ScheduleSpan.groups):
+        cuts.append(sets)
+        return _real(span, sets)
+
+    monkeypatch.setattr(dropping, "end_point_candidates", candidates)
+    monkeypatch.setattr(dropping, "build_active_sets", active_sets)
+    monkeypatch.setattr(ScheduleSpan, "groups", groups)
+    spec = ExperimentSpec(utils=(0.5,), r_steps=(8,), trials=10)
+    run_cell(spec, 0.5, 8, 60)
+    assert len(candidate_calls) == spec.trials
+    assert len(cuts) == len(residual_candidates) > 0
 
 
 def test_infeasible_disturbance_reports_failure():
