@@ -39,8 +39,10 @@ read as unset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from enum import Enum
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union, get_args, get_origin, get_type_hints
@@ -270,9 +272,13 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
             return RhythmicSpec(periods=periods, deadlines=deadlines)
         if "ratio" in raw:
             ratio, steps = float(raw["ratio"]), _require_int(raw, "steps", where)
-            if steps > MAX_HORIZON:  # no plan could hold the ramp, so it is never built
-                raise ConfigError(f"{where}: steps {steps} exceeds the {MAX_HORIZON}-slot horizon cap; "
-                                  "a ramp lasts at least one slot per step")
+            if 0 < ratio < 1:
+                # A ramp lasts at least ``steps`` times its first, shortest
+                # period, so one no plan could hold is never built.
+                shortest = max(1, math.floor(period * Fraction(str(ratio))))
+                if steps * shortest > MAX_HORIZON:
+                    raise ConfigError(f"{where}: a ramp of {steps} steps lasts at least {steps * shortest} slots, "
+                                      f"beyond the {MAX_HORIZON}-slot horizon cap")
             return generate_rhythmic_spec(period, ratio, steps)
     except ConfigError:
         raise

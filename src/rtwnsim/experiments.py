@@ -232,9 +232,11 @@ class ExperimentSpec:
             raise ValueError("utils must lie in [0, 1]")
         if min(self.r_steps) < 1:
             raise ValueError("r_steps must be >= 1")
-        if max(self.r_steps) > MAX_HORIZON:  # no plan could hold the ramp, so no trial builds it
-            raise ValueError(f"r_steps {max(self.r_steps)} exceeds the {MAX_HORIZON}-slot horizon cap; "
-                             "a ramp lasts at least one slot per step")
+        # A trial's ramp periods are at least its task's slot budget, which is
+        # at least the task's 2 hops, so no plan could hold a longer ramp.
+        if max(self.r_steps) > MAX_HORIZON // 2:
+            raise ValueError(f"r_steps {max(self.r_steps)} exceeds {MAX_HORIZON // 2}, half the "
+                             f"{MAX_HORIZON}-slot horizon cap; a ramp lasts at least 2 slots per step")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         ReliabilityTarget(self.required_pdr)

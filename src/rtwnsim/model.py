@@ -82,6 +82,10 @@ class NetworkModel:
             seen.add((link.src, link.dst))
 
     @cached_property
+    def _node_set(self) -> frozenset[str]:
+        return frozenset(self.nodes)
+
+    @cached_property
     def _pdr_map(self) -> dict[tuple[str, str], float]:
         return {(l.src, l.dst): l.pdr for l in self.links}
 
@@ -263,8 +267,9 @@ class TaskSpec:
         return self.path[hop - 1], self.path[hop]
 
     def validate_against(self, network: NetworkModel) -> None:
+        nodes = network._node_set
         for node in self.path:
-            if node not in network.nodes:
+            if node not in nodes:
                 raise ValueError(f"task {self.id}: path node {node!r} not in network")
         if network.controller not in self.path:
             raise ValueError(f"task {self.id}: path does not pass through the controller")
@@ -426,13 +431,16 @@ def generate_rhythmic_spec(
     # integer just below it, flipping floor.  Step k's period is
     # floor(P * (n*steps + (k-1)*(d-n)) / (d*steps)).
     n, d = Fraction(str(ratio)).as_integer_ratio()
+    # The periods never decrease, so the first one, floor(P * n / d), is
+    # checked before the rest are built.
+    first = nominal_period * n // d
+    if first < min_period:
+        raise InfeasibleError(
+            f"rhythmic period ramp starts at {first}, below the minimum feasible period {min_period}"
+        )
     periods = [
         nominal_period * (n * steps + (k - 1) * (d - n)) // (d * steps) for k in range(1, steps + 1)
     ]
-    if any(p < min_period for p in periods):
-        raise InfeasibleError(
-            f"rhythmic period ramp {periods} falls below the minimum feasible period {min_period}"
-        )
     return RhythmicSpec(periods=tuple(periods), deadlines=tuple(periods))
 
 

@@ -12,6 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,16 +57,6 @@ class Schedule:
         self.task_at = task_at
         self.release_at = release_at
         self.hop_at = hop_at
-
-    @classmethod
-    def empty(cls, mode: SchedulingMode, horizon: int) -> "Schedule":
-        return cls(
-            mode,
-            horizon,
-            np.full(horizon, -1, dtype=np.int32),
-            np.full(horizon, -1, dtype=np.int64),
-            np.zeros(horizon, dtype=np.int16),
-        )
 
     def packet_slots(self, task: int, release: int, until: Optional[int] = None) -> np.ndarray:
         """Slots assigned to one packet; ``until`` bounds the scan (a packet's
@@ -152,14 +143,18 @@ def build_static_schedule(
         raise ValueError("duplicate task ids")
 
     retry_vectors = plan_retry_vectors(tasks, network, required_pdr)
+    demand = {tid: sum(rv) for tid, rv in retry_vectors.items()}
 
-    # [release, deadline, task, remaining demand] of every instance released
-    # in the window, in (release, deadline, task) order: that triple is unique.
-    jobs: list[list[int]] = []
-    for task in tasks:
-        tid, deadline, demand = task.id, task.deadline, sum(retry_vectors[task.id])
-        jobs.extend([r, r + deadline, tid, demand] for r in range(task.phase, horizon, task.period))
-    jobs.sort()
+    # Every instance released in the window, as its heap entry (deadline,
+    # task, release, remaining demand), in release order; the first three
+    # fields are its EDF key, which is unique.  A sentinel released at the
+    # horizon ends the list, so a release is never looked for past it.
+    jobs = sorted(chain.from_iterable(
+        zip(range(task.phase + task.deadline, horizon + task.deadline, task.period), repeat(task.id),
+            range(task.phase, horizon, task.period), repeat(demand[task.id]))
+        for task in tasks
+    ), key=itemgetter(2))
+    jobs.append((horizon, 0, horizon, 0))
 
     # TBS hop labels of every task's packet ordinals, one task after another:
     # a packet of task tid with r slots left takes flat[label_end[tid] - r] next.
@@ -169,83 +164,100 @@ def build_static_schedule(
     flat: list[int] = []
     for task in tasks:
         rv = retry_vectors[task.id]
-        label_end[task.id] = len(flat) + sum(rv)
+        label_end[task.id] = len(flat) + demand[task.id]
         flat.extend(islice(chain.from_iterable(repeat(h, r) for h, r in enumerate(rv, start=1)), task.deadline))
-    missed: list[tuple[int, int, int]] = []  # (deadline, task, release)
+    missed: list[tuple[int, int, int, int]] = []  # heap entries of the missed jobs
 
     # One EDF segment of consecutive slots per entry; the slot arrays are
-    # written from these lists after the loop.
+    # decoded from these lists after the loop.
     seg_start: list[int] = []
     seg_run: list[int] = []
     seg_task: list[int] = []
     seg_release: list[int] = []
     seg_ordinal: list[int] = []  # index of the segment's first hop label in ``flat``
 
-    heap: list[tuple[int, int, int, int]] = []  # (deadline, task, release, job index)
+    push, pop = heapq.heappush, heapq.heappop
+    heap: list[tuple[int, int, int, int]] = []  # entries of the released, unfinished jobs
     i = 0
+    next_release = jobs[0][2]
     t = 0
-    n = len(jobs)
     while t < horizon:
-        while i < n and jobs[i][0] <= t:
-            heapq.heappush(heap, (jobs[i][1], jobs[i][2], jobs[i][0], i))
+        while next_release <= t:
+            push(heap, jobs[i])
             i += 1
+            next_release = jobs[i][2]
         if not heap:
-            if i >= n:
+            if next_release >= horizon:
                 break
-            t = min(jobs[i][0], horizon)
+            t = next_release
             continue
-        deadline, task_id, release, idx = heapq.heappop(heap)
-        remaining = jobs[idx][3]
+        job = pop(heap)
+        deadline, task_id, release, remaining = job
         if deadline <= t:
-            missed.append((deadline, task_id, release))
+            missed.append(job)
             continue
         # The job runs on through every release whose key is larger than
         # its own, and those releases wait in the heap; a release with a
         # smaller key preempts it there.
-        end = min(t + remaining, deadline, horizon)
-        while i < n and jobs[i][0] < end:
-            r, d, tid, _ = jobs[i]
-            if (d, tid, r) < (deadline, task_id, release):
-                end = r
+        end = t + remaining
+        if end > deadline:
+            end = deadline
+        if end > horizon:
+            end = horizon
+        while next_release < end:
+            if jobs[i] < job:
+                end = next_release
                 break
-            heapq.heappush(heap, (d, tid, r, i))
+            push(heap, jobs[i])
             i += 1
+            next_release = jobs[i][2]
         run = end - t
         seg_start.append(t)
         seg_run.append(run)
         seg_task.append(task_id)
         seg_release.append(release)
         seg_ordinal.append(label_end[task_id] - remaining)
-        jobs[idx][3] = remaining - run
-        t += run
-        if jobs[idx][3] > 0:
-            heapq.heappush(heap, (deadline, task_id, release, idx))
-    for deadline, task_id, release, idx in heap:
-        if jobs[idx][3] > 0:
-            missed.append((deadline, task_id, release))
+        t = end
+        if remaining > run:
+            push(heap, (deadline, task_id, release, remaining - run))
+    missed.extend(heap)
 
-    sched = Schedule.empty(mode, horizon)
-    runs = np.array(seg_run, dtype=np.int64)
-    # Position of each scheduled slot among all of them, minus the position
-    # of its segment's first slot, is its offset in the segment.
-    offset = np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
-    slots = np.repeat(np.array(seg_start, dtype=np.int64), runs) + offset
-    sched.task_at[slots] = np.repeat(np.array(seg_task, dtype=np.int32), runs)
-    sched.release_at[slots] = np.repeat(np.array(seg_release, dtype=np.int64), runs)
+    # The slots alternate idle runs and busy segments, beginning and ending
+    # with an idle run that may be empty: run-length decode each array.
+    starts = np.array(seg_start, dtype=np.int64)
+    edges = np.zeros(2 * len(starts) + 2, dtype=np.int64)  # 0, start, end, start, end, ..., horizon
+    edges[1:-1:2] = starts
+    edges[2:-1:2] = starts + np.array(seg_run, dtype=np.int64)
+    edges[-1] = horizon
+    counts = edges[1:] - edges[:-1]
+    values = np.full(len(counts), -1, dtype=np.int64)  # one per run, idle runs at even positions
+    values[1::2] = seg_task
+    task_at = np.repeat(values.astype(np.int32), counts)
+    values[1::2] = seg_release
+    release_at = np.repeat(values, counts)
     if mode is SchedulingMode.TBS:
-        ordinals = np.repeat(np.array(seg_ordinal, dtype=np.int64), runs) + offset
-        sched.hop_at[slots] = np.array(flat, dtype=np.int16)[ordinals]
+        # Slot s of a segment takes hop label s - start + ordinal; an idle
+        # slot s reads the zero label at len(flat) + s.
+        labels = np.zeros(len(flat) + horizon, dtype=np.int16)
+        labels[:len(flat)] = flat
+        values[::2] = len(flat)
+        values[1::2] = np.array(seg_ordinal, dtype=np.int64) - starts
+        index = np.repeat(values, counts)
+        index += np.arange(horizon)
+        hop_at = labels[index]
+    else:
+        hop_at = np.zeros(horizon, dtype=np.int16)
+    sched = Schedule(mode, horizon, task_at, release_at, hop_at)
 
-    missed_in_window = sorted((d, tid, rel) for d, tid, rel in missed if d <= horizon)
-    feasible = not missed_in_window
+    in_window = [m for m in missed if m[0] <= horizon]
     first_failure = None
-    if missed_in_window:
-        _, tid, rel = missed_in_window[0]
+    if in_window:
+        _, tid, rel, _ = min(in_window)
         first_failure = (tid, rel)
     return StaticScheduleResult(
         schedule=sched,
         retry_vectors=retry_vectors,
-        feasible=feasible,
+        feasible=not in_window,
         first_failure=first_failure,
     )
 

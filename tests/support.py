@@ -1,5 +1,6 @@
 """Small helpers the tests share, none of which a command needs.
 
+``empty_schedule`` is an all-idle slot table that a test fills by hand.
 ``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
 builds one candidate's active sets over a schedule span of its own, and
 ``sets_outcome`` reads a builder's result or typed error as one value.
@@ -13,12 +14,26 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
+
 from rtwnsim.dropping import DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record
-from rtwnsim.model import CandidateInfeasible
+from rtwnsim.model import CandidateInfeasible, SchedulingMode
 from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
+from rtwnsim.static_schedule import Schedule
 from rtwnsim.trace import SimTrace
+
+
+def empty_schedule(mode: SchedulingMode, horizon: int) -> Schedule:
+    """A schedule over [0, horizon) with every slot idle."""
+    return Schedule(
+        mode,
+        horizon,
+        np.full(horizon, -1, dtype=np.int32),
+        np.full(horizon, -1, dtype=np.int64),
+        np.zeros(horizon, dtype=np.int16),
+    )
 
 
 def trace_text(trace: SimTrace) -> str:

@@ -960,21 +960,25 @@ def test_simulate_horizon_beyond_the_cap_exits_promptly(tmp_path, edits, message
     assert not (tmp_path / "trace.txt").exists()
 
 
-_RAMP_CAP = "exceeds the 4194304-slot horizon cap; a ramp lasts at least one slot per step"
+_RAMP_CAP = "beyond the 4194304-slot horizon cap"
+_SWEEP_RAMP_CAP = "exceeds 2097152, half the 4194304-slot horizon cap; a ramp lasts at least 2 slots per step"
 
 
 @pytest.mark.parametrize("command, old, new, message", [
     ("simulate", "rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.2, steps: 100000000}",
-     f"tasks[0].rhythmic: steps 100000000 {_RAMP_CAP}"),
+     f"tasks[0].rhythmic: a ramp of 100000000 steps lasts at least 300000000 slots, {_RAMP_CAP}"),
     ("simulate", "  instance: 3\n", "  instance: 3\n  rhythmic: {ratio: 0.2, steps: 4194305}\n",
-     f"disturbance.rhythmic: steps 4194305 {_RAMP_CAP}"),
-    ("sweep", "r_steps: [4]", "r_steps: [4, 2147483648]", f"experiment spec: r_steps 2147483648 {_RAMP_CAP}"),
-], ids=["task_steps_10_8", "disturbance_steps_cap_plus_1", "r_steps_2_31"])
+     f"disturbance.rhythmic: a ramp of 4194305 steps lasts at least 12582915 slots, {_RAMP_CAP}"),
+    ("simulate", "  instance: 3\n", "  instance: 3\n  rhythmic: {ratio: 0.2, steps: 4194304}\n",
+     f"disturbance.rhythmic: a ramp of 4194304 steps lasts at least 12582912 slots, {_RAMP_CAP}"),
+    ("sweep", "r_steps: [4]", "r_steps: [4, 2147483648]", f"experiment spec: r_steps 2147483648 {_SWEEP_RAMP_CAP}"),
+    ("sweep", "r_steps: [4]", "r_steps: [4194304]", f"experiment spec: r_steps 4194304 {_SWEEP_RAMP_CAP}"),
+], ids=["task_steps_10_8", "disturbance_steps_cap_plus_1", "disturbance_steps_cap", "r_steps_2_31", "r_steps_cap"])
 def test_ramp_longer_than_the_horizon_cap_exits_promptly(tmp_path, command, old, new, message):
-    # A ramp of n steps lasts at least n slots, so one of more than
-    # sim.MAX_HORIZON steps is rejected as the file is parsed, before its
-    # periods are built: in a separate process with a time limit, one error
-    # line and exit 2.
+    # A ramp of n steps lasts at least n times its first, shortest period,
+    # and a sweep's periods are at least 2 slots, so a ramp no plan could
+    # hold is rejected as the file is parsed, before its periods are built:
+    # in a separate process with a time limit, one error line and exit 2.
     text = _TESTBED if command == "simulate" else _SMALL_SWEEP
     assert old in text
     source = tmp_path / "input.yaml"
@@ -986,6 +990,24 @@ def test_ramp_longer_than_the_horizon_cap_exits_promptly(tmp_path, command, old,
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr == f"error: {message}\n"
     assert not (tmp_path / "trace.txt").exists() and not (tmp_path / "out").exists()
+
+
+def test_the_longest_ramp_under_the_horizon_cap_still_parses(tmp_path):
+    # Task 0's ramp at ratio 0.8 starts at floor(15 * 0.8) = 12 slots, so
+    # 349525 steps (4194300 slots at least) parse and one more step does
+    # not.  A sweep accepts r_steps up to half the cap.
+    def ramp(steps):
+        source = tmp_path / f"ramp-{steps}.yaml"
+        source.write_text(_TESTBED.replace("rhythmic: {periods: [12, 12, 12, 12, 12]}",
+                                           f"rhythmic: {{ratio: 0.8, steps: {steps}}}", 1), encoding="utf-8")
+        return parse_scenario(source)
+
+    assert len(ramp(349525).tasks[0].rhythmic.periods) == 349525
+    with pytest.raises(ConfigError, match=r"a ramp of 349526 steps lasts at least 4194312 slots"):
+        ramp(349526)
+    assert experiments.ExperimentSpec(r_steps=(2097152,)).r_steps == (2097152,)
+    with pytest.raises(ValueError, match=r"r_steps 2097153 exceeds 2097152"):
+        experiments.ExperimentSpec(r_steps=(2097153,))
 
 
 @pytest.mark.parametrize("command, old, new, key", [

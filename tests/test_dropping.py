@@ -21,7 +21,7 @@ from rtwnsim.model import (
     chain_network,
 )
 from rtwnsim.rhythmic import DisturbanceEvent, ScheduleSpan, end_point_upper_bound
-from rtwnsim.static_schedule import Schedule, build_static_schedule
+from rtwnsim.static_schedule import build_static_schedule
 import rtwnsim.dropping as dropping
 from rtwnsim.dropping import (
     DropDecision,
@@ -43,7 +43,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import active_sets, dynamic_plan
+from support import active_sets, dynamic_plan, empty_schedule
 
 
 def _testbed():
@@ -92,7 +92,7 @@ def test_vectors_count_slots_inside_one_window():
                      rhythmic=RhythmicSpec((4, 4, 4), (4, 4, 4)), phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=24, deadline=24)
     event = DisturbanceEvent.from_task(task0, 0)
-    sched = Schedule.empty(SchedulingMode.TBS, 48)
+    sched = empty_schedule(SchedulingMode.TBS, 48)
     for slot, hop in [(16, 1), (17, 1), (18, 2)]:
         sched.task_at[slot] = 1
         sched.release_at[slot] = 0
@@ -140,7 +140,7 @@ def test_demand_reliable_subtraction():
                      rhythmic=RhythmicSpec((5,), (5,)), phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
     event = DisturbanceEvent.from_task(task0, 0)
-    sched = Schedule.empty(SchedulingMode.TBS, 30)
+    sched = empty_schedule(SchedulingMode.TBS, 30)
     # window [10, 15): slots 11..13 belong to another task
     for slot in (11, 12, 13):
         sched.task_at[slot] = 1
@@ -164,7 +164,7 @@ def test_demand_lossy_uses_retry_budget():
                      rhythmic=RhythmicSpec((5,), (5,)), phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
     event = DisturbanceEvent.from_task(task0, 0)
-    sched = Schedule.empty(SchedulingMode.TBS, 30)
+    sched = empty_schedule(SchedulingMode.TBS, 30)
     for slot in range(10, 15):
         sched.task_at[slot] = 1
         sched.release_at[slot] = 0

@@ -29,11 +29,11 @@ from rtwnsim.rhythmic import (
     end_point_upper_bound,
     find_idle_slot,
 )
-from rtwnsim.static_schedule import Schedule, build_static_schedule
+from rtwnsim.static_schedule import build_static_schedule
 
 import dropping_reference as oracle
 from dropping_reference import build_demand_vector
-from support import active_sets, sets_outcome
+from support import active_sets, empty_schedule, sets_outcome
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -208,7 +208,7 @@ def test_active_sets_case1_truncates_demand():
     # boundary packet needs only two dynamic slots and takes over slot 28.
     task, event = _event(period=10, instance=1, periods=(8,))
     assert event.enter_slot == 20 and event.exit_slot == 28
-    sched = Schedule.empty(SchedulingMode.TBS, 60)
+    sched = empty_schedule(SchedulingMode.TBS, 60)
     for slot, hop in [(25, 1), (27, 1), (28, 2)]:
         sched.task_at[slot] = 0
         sched.release_at[slot] = 20
@@ -237,7 +237,7 @@ def test_active_sets_case1_full_demand_when_takeover_impossible():
     # the first task slot after the end point belongs to the realigned
     # instance, so the boundary packet carries its full demand.
     task, event = _event(period=10, instance=1, periods=(8,))
-    sched = Schedule.empty(SchedulingMode.TBS, 60)
+    sched = empty_schedule(SchedulingMode.TBS, 60)
     for slot, hop in [(21, 1), (22, 1), (23, 2)]:
         sched.task_at[slot] = 0
         sched.release_at[slot] = 20
@@ -315,7 +315,7 @@ def _span_case(case):
     task = TaskSpec(id=0, path=("S1", "C", "A1"), period=period, deadline=period, phase=phase,
                     rhythmic=RhythmicSpec(periods, periods))
     event = DisturbanceEvent.from_task(task, instance)
-    static = Schedule.empty(mode, len(cells))
+    static = empty_schedule(mode, len(cells))
     if cells:
         static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(cells).T
     tasks = (task, *_SPAN_TASKS)
@@ -372,7 +372,7 @@ def test_the_takeover_example_truncates_the_boundary_packet():
     # both candidates before the realigned release at 30.
     task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, rhythmic=RhythmicSpec((8,), (8,)))
     event = DisturbanceEvent.from_task(task, 1)
-    static = Schedule.empty(SchedulingMode.TBS, 40)
+    static = empty_schedule(SchedulingMode.TBS, 40)
     static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(_TAKEOVER).T
     span = ScheduleSpan(event, static, (task, *_SPAN_TASKS), 1)
     boundaries = [build_active_sets(c, event, span, 3).rhythmic[-1] for c in (27, 28)]
@@ -420,7 +420,7 @@ def test_idle_slot_violation_on_dense_schedule():
                     rhythmic=RhythmicSpec((4,), (4,)))
     filler = TaskSpec(id=1, path=("S1", "C", "A1"), period=4, deadline=4)
     event = DisturbanceEvent.from_task(task, 0)
-    sched = Schedule.empty(SchedulingMode.TBS, 12)
+    sched = empty_schedule(SchedulingMode.TBS, 12)
     assignments = [
         (0, 0, 0, 1), (1, 0, 0, 1),  # detecting packet, sender S1
         (2, 1, 0, 1), (3, 1, 0, 1),  # filler keeps S1 transmitting

@@ -4,13 +4,15 @@ memoised retry allocation.
 
 ``reference_build`` below records every assigned slot of every packet and
 writes the TBS hop labels one slot at a time after the EDF pass.  The library
-builder records each EDF segment and fills every slot array with one scatter
-after the pass; both must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
+builder records each EDF segment and, after the pass, decodes every slot
+array from the runs of idle slots and segments with one ``np.repeat``; both
+must produce the same ``task_at``/``release_at``/``hop_at`` bytes and the
 same feasibility verdict, under TBS and PBS, over the sweep's default
 horizons, over one hyperperiod and over short explicit horizons.  Since the
 library's EDF segments run on through releases that cannot preempt them,
 hand-made cases pin where a segment must still end (a release with a smaller
-key, the job's deadline, the horizon) and how many heap pops it takes.
+key, the job's deadline, the horizon) and how many heap pops it takes, and
+where an idle run is empty (at slot 0, at the horizon) or the only one.
 """
 
 import dataclasses
@@ -32,7 +34,6 @@ from rtwnsim.model import (
     chain_network,
 )
 from rtwnsim.static_schedule import (
-    Schedule,
     StaticScheduleResult,
     build_static_schedule,
     hop_expansion,
@@ -40,7 +41,7 @@ from rtwnsim.static_schedule import (
     plan_retry_vectors,
 )
 
-from support import standalone_record
+from support import empty_schedule, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4
@@ -60,7 +61,7 @@ def reference_build(tasks, network, mode, required_pdr, horizon):
             k += 1
     jobs.sort(key=lambda j: (j[0], j[1], j[2]))
 
-    sched = Schedule.empty(mode, horizon)
+    sched = empty_schedule(mode, horizon)
     slots_of = {}
     missed = []
     heap = []
@@ -275,6 +276,38 @@ def test_a_horizon_that_cuts_a_segment(mode, horizon):
     # non-preempting release at 4.
     tasks = (_task(0, 0, 20, 20, 8), _task(1, 4, 20, 16, 2))
     assert _owners(tasks, mode, horizon) == [0] * horizon
+
+
+@_MODES
+@pytest.mark.parametrize("horizon", [1, 2, 4])
+def test_a_horizon_before_every_phase_leaves_every_slot_idle(mode, horizon):
+    # No job is released, so the EDF pass makes no segment and the one
+    # idle run covers the horizon.
+    tasks = (_task(0, 4, 20, 20, 3), _task(1, 6, 20, 10, 2))
+    assert _owners(tasks, mode, horizon) == [-1] * horizon
+
+
+@_MODES
+def test_a_last_segment_that_ends_at_the_horizon(mode):
+    # Task 1's segment [5, 8) ends at the horizon: the idle run after it is
+    # empty, the one between the two segments is not.
+    tasks = (_task(0, 0, 20, 20, 3), _task(1, 5, 20, 10, 3))
+    assert _owners(tasks, mode, 8) == [0, 0, 0, -1, -1, 1, 1, 1]
+
+
+@_MODES
+def test_a_busy_slot_0_and_back_to_back_segments(mode):
+    # Task 0 takes slot 0, so the leading idle run is empty, and task 1's
+    # segment starts where task 0's ends.
+    tasks = (_task(0, 0, 20, 5, 3), _task(1, 1, 20, 19, 4))
+    assert _owners(tasks, mode, 12) == [0, 0, 0, 1, 1, 1, 1] + [-1] * 5
+
+
+@_MODES
+@pytest.mark.parametrize("phase", [0, 1])
+def test_a_horizon_of_one_slot(mode, phase):
+    tasks = (_task(0, phase, 20, 20, 3),)
+    assert _owners(tasks, mode, 1) == [0 if phase == 0 else -1]
 
 
 @st.composite
