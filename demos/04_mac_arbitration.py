@@ -7,7 +7,7 @@ slot.  Shows the level capacity per tick, slot arbitration outcomes, and a
 three-sender saturation experiment where latency orders by priority.
 """
 
-from rtwnsim import ContendingTx, SlotTiming, adjusted_tx_offset, arbitrate_slot, priority_levels
+from rtwnsim import SlotTiming, adjusted_tx_offset, arbitrate_slot, priority_levels
 from rtwnsim.mac import contention_latency_experiment, preemption_error_rate
 
 print("== priority capacity vs tick ==")
@@ -21,17 +21,13 @@ for tick in (30, 60, 90, 120, 200, 400):
 
 print("\n== one slot, three contenders ==")
 timing = SlotTiming(priority_tick_us=60)
-contenders = [
-    ContendingTx("urgent", "C", priority=0),
-    ContendingTx("routine", "C", priority=1),
-    ContendingTx("bulk", "C", priority=3),
-]
-for c, outcome in zip(contenders, arbitrate_slot(contenders, timing, [True] * 3)):
-    print(f"  {c.sender:8s} (level {c.priority}): {outcome.value}")
+contenders = [("urgent", 0), ("routine", 1), ("bulk", 3)]  # (sender, level)
+outcomes = arbitrate_slot([level for _, level in contenders], timing, [True] * 3)
+for (sender, level), outcome in zip(contenders, outcomes):
+    print(f"  {sender:8s} (level {level}): {outcome.value}")
 
-clashing = [ContendingTx("a", "C", 2), ContendingTx("b", "C", 2)]
 print("equal levels cannot hear each other:",
-      [o.value for o in arbitrate_slot(clashing, timing, [True, True])])
+      [o.value for o in arbitrate_slot([2, 2], timing, [True, True])])
 
 print("\n== saturated three-sender experiment ==")
 stats = contention_latency_experiment(seed=6, frames=30_000, timing=timing)

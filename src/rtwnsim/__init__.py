@@ -60,7 +60,6 @@ from .dropping import (
     greedy_drop_packets,
 )
 from .mac import (
-    ContendingTx,
     SlotTiming,
     TxOutcome,
     adjusted_tx_offset,

@@ -206,6 +206,8 @@ def _convert(hint: Any, value: Any, key: str) -> Any:
         return tuple(_convert(args[0], item, key) for item in _items(value, key))
     if hint is int:
         return _int(value, key)
+    if hint is float and isinstance(value, bool):  # float(True) would read as 1.0
+        raise ValueError(f"{key} {value!r} is not a number")
     if issubclass(hint, Enum):
         return hint(str(value).upper())
     return hint(value)

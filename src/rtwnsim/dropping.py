@@ -421,7 +421,7 @@ def generate_dynamic_schedule(
 
     # Candidates start at the optimistic finish of the last stepped packet
     # (its release plus its hop count); the overlay re-checks the realized one.
-    f_last = event.enter_slot + sum(event.periods[:-1]) + task.hops
+    f_last = event.last_stepped + task.hops
     evaluations: dict[str, list[tuple[int, Optional[float]]]] = {level: [] for level in planned}
     best: dict[str, tuple[float, int, ActivePacketSets, DropDecision]] = {}
     pdrs: PdrTable = {}  # shared by the transmission plan's candidates only
@@ -469,7 +469,6 @@ def _overlay_plan(event: DisturbanceEvent, mode: SchedulingMode, span: ScheduleS
     the level's ``evaluations``.  ``upper`` is the latest admissible end
     point."""
     _, end_point, sets, decision = best
-    last_stepped = event.enter_slot + sum(event.periods[:-1])
 
     # Each rhythmic packet takes the first ``need`` usable slots of its
     # window; the windows are sorted and disjoint, so one ascending list of
@@ -496,10 +495,10 @@ def _overlay_plan(event: DisturbanceEvent, mode: SchedulingMode, span: ScheduleS
         elif entry.tail_slots:
             labels.extend(entry.prefix_hops)  # truncated packet continues a static instance
         else:
-            labels.extend(hop_expansion(retry_vector)[:need])
+            labels.extend(hop_expansion(retry_vector, need))
         # The last stepped-state packet must finish inside the window it was
         # granted; its final assigned slot realizes that finish time.
-        if entry.release == last_stepped and need:
+        if entry.release == event.last_stepped and need:
             realized_finish = int(usable[first + need - 1]) + 1
             if not (realized_finish <= end_point <= upper):
                 raise PlanInvariantError(

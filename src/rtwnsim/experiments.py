@@ -170,14 +170,10 @@ def make_trial(
     raise InfeasibleError(f"no admissible disturbance found for seed {seed}")
 
 
-def _disturbed_task(trial: Trial) -> TaskSpec:
-    return next(t for t in trial.tasks if t.id == trial.rhythmic_task)
-
-
 def _record(trial: Trial, framework: Framework, planned: Plan, alpha_mult: int, tick: int) -> RunRecord:
     """The record of one planned (trial, framework) pair at alpha = alpha_mult
     nominal periods."""
-    alpha = alpha_mult * _disturbed_task(trial).period
+    alpha = alpha_mult * planned.event.nominal_period
     decision = planned.decision
     return RunRecord(
         framework=framework.value,

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "SlotTiming",
-    "ContendingTx",
     "TxOutcome",
     "adjusted_tx_offset",
     "priority_levels",
@@ -34,10 +33,6 @@ class SlotTiming:
     slot_duration_us: int = 10_000
     ext_slot_duration_us: int = 10_800
     tx_offset_us: int = 2_120
-    tx_ack_delay_us: int = 1_000
-    long_gt_us: int = 2_200
-    ext_long_gt_us: int = 3_000
-    short_gt_us: int = 1_000
     priority_tick_us: int = 60
 
     def __post_init__(self) -> None:
@@ -45,8 +40,7 @@ class SlotTiming:
             raise ValueError("priority tick must be positive")
         if self.ext_slot_duration_us < self.slot_duration_us:
             raise ValueError("extended slot cannot be shorter than the base slot")
-        worst = self.tx_offset_us + (priority_levels(self) - 1) * self.priority_tick_us
-        if worst >= self.ext_slot_duration_us:
+        if adjusted_tx_offset(self, priority_levels(self) - 1) >= self.ext_slot_duration_us:
             raise ValueError("adjusted offsets must fit inside the extended slot")
 
 
@@ -55,17 +49,6 @@ class TxOutcome(str, Enum):
     WON_LOST = "won_lost"
     DEFERRED = "deferred"
     COLLIDED = "collided"
-
-
-@dataclass(frozen=True)
-class ContendingTx:
-    sender: str
-    receiver: str
-    priority: int  # 0 = highest
-
-    def __post_init__(self) -> None:
-        if self.priority < 0:
-            raise ValueError("priority levels are non-negative")
 
 
 def priority_levels(timing: SlotTiming) -> int:
@@ -84,34 +67,36 @@ def adjusted_tx_offset(timing: SlotTiming, priority: int) -> int:
 
 
 def arbitrate_slot(
-    contenders: Sequence[ContendingTx],
+    priorities: Sequence[int],
     timing: SlotTiming,
     link_success: Sequence[bool],
 ) -> list[TxOutcome]:
-    """Resolve one slot's contention.
+    """Resolve one slot's contention among senders at the given priority
+    levels (0 = highest).
 
     A unique highest-priority sender transmits; its delivery follows its link
     draw.  Strictly lower-priority senders hear the earlier start-of-frame
     during CCA and defer without transmitting.  A tie at the top level means
     the tied senders transmit simultaneously and all collide.
     """
-    if len(link_success) != len(contenders):
+    if len(link_success) != len(priorities):
         raise ValueError("need one link draw per contender")
-    if not contenders:
+    if not priorities:
         return []
-    for c in contenders:
-        if c.priority >= priority_levels(timing):
-            raise ValueError(f"priority {c.priority} exceeds the slot's level capacity")
-    top = min(c.priority for c in contenders)
-    winners = [i for i, c in enumerate(contenders) if c.priority == top]
+    levels = priority_levels(timing)
+    for level in priorities:
+        if not 0 <= level < levels:
+            raise ValueError(f"priority {level} outside the slot's level range 0..{levels - 1}")
+    top = min(priorities)
+    tied = sum(level == top for level in priorities) > 1
     outcomes: list[TxOutcome] = []
-    for i, c in enumerate(contenders):
-        if c.priority != top:
+    for level, up in zip(priorities, link_success):
+        if level != top:
             outcomes.append(TxOutcome.DEFERRED)
-        elif len(winners) > 1:
+        elif tied:
             outcomes.append(TxOutcome.COLLIDED)
         else:
-            outcomes.append(TxOutcome.WON_DELIVERED if link_success[i] else TxOutcome.WON_LOST)
+            outcomes.append(TxOutcome.WON_DELIVERED if up else TxOutcome.WON_LOST)
     return outcomes
 
 
@@ -180,8 +165,7 @@ def contention_latency_experiment(
         waiting = [(p, pending[p]) for p in priorities if pending[p] is not None]
         if not waiting:
             continue
-        contenders = [ContendingTx(sender=f"N{p}", receiver="C", priority=p) for p, _ in waiting]
-        outcomes = arbitrate_slot(contenders, timing, [True] * len(contenders))
+        outcomes = arbitrate_slot([p for p, _ in waiting], timing, [True] * len(waiting))
         for (p, packet), outcome in zip(waiting, outcomes):
             if outcome is TxOutcome.WON_DELIVERED:
                 stats[p][1] += 1

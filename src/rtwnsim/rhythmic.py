@@ -65,6 +65,11 @@ class DisturbanceEvent:
     def exit_slot(self) -> int:
         return self.enter_slot + int(sum(self.periods))
 
+    @property
+    def last_stepped(self) -> int:
+        """Release of the last stepped-state packet."""
+        return self.enter_slot + sum(self.periods[:-1])
+
     @classmethod
     def from_task(cls, task: TaskSpec, instance: int,
                   spec: Optional[RhythmicSpec] = None) -> "DisturbanceEvent":
@@ -324,7 +329,7 @@ def build_active_sets(
         raise CandidateInfeasible("end point must lie after the window start")
     if candidate > span.stop:
         raise ValueError(f"end point {candidate} lies past the schedule span's end {span.stop}")
-    releases = [r for r in actual_releases(event, candidate - 1) if r < candidate]
+    releases = actual_releases(event, candidate - 1)
 
     rhythmic = []
     read = len(span.free) - 1  # slots the span holds; none lie past the horizon

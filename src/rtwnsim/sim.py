@@ -410,13 +410,11 @@ def _contend(candidates: list[tuple], t: int, mac: MacParams, per_draws: Optiona
     successes, packet, hop, priority)``: priority arbitration over their
     link draws, then, below a 60 us tick, the preemption-error draw of the
     winner."""
-    contenders = [
-        mac_model.ContendingTx(sender=s, receiver=r, priority=prio) for s, r, *_, prio in candidates
-    ]
+    priorities = [c[-1] for c in candidates]
     link_success = [bool(up[t]) for _, _, up, *_ in candidates]
-    outcomes = mac_model.arbitrate_slot(contenders, mac.timing, link_success)
+    outcomes = mac_model.arbitrate_slot(priorities, mac.timing, link_success)
     if per_draws is not None:
-        prios = sorted(c.priority for c in contenders)
+        prios = sorted(priorities)
         distance = prios[1] - prios[0]
         if distance >= 1:
             per = mac_model.preemption_error_rate(
@@ -477,11 +475,10 @@ def _packet_table(
                 alias = ((event.task_id, prev_release), dynamic.end_point, (event.task_id, entry.release))
             if expiry <= horizon:
                 rhythmic.append((entry.release, expiry))
-        hop_count = next(t.hops for t in config.tasks if t.id == event.task_id)
         tasks.append(np.full(len(rhythmic), event.task_id, dtype=np.int64))
         releases.append(np.array([r for r, _ in rhythmic], dtype=np.int64))
         expiries.append(np.array([e for _, e in rhythmic], dtype=np.int64))
-        hops.append(np.full(len(rhythmic), hop_count, dtype=np.int64))
+        hops.append(np.full(len(rhythmic), config._disturbed_task().hops, dtype=np.int64))
         if dynamic.decision.level == "packet":
             dropped = dynamic.decision.dropped_packets
     task, release = np.concatenate(tasks), np.concatenate(releases)
@@ -555,14 +552,11 @@ def _split(
     window_rows = np.empty(0, dtype=np.int64)
     if dynamic is not None:
         event = dynamic.event
-        route = next(t for t in config.tasks if t.id == event.task_id)
-        vrhy = frozenset(route.path)  # only the disturbed task's route learns of the disturbance
+        vrhy = frozenset(config._disturbed_task().path)  # only the disturbed task's route learns of the disturbance
         lo, hi = event.enter_slot, dynamic.end_point
-        first, stop = np.searchsorted(dynamic.overlay_slots, (lo, hi))
-        overlay_slots = dynamic.overlay_slots[first:stop]
+        overlay_slots = dynamic.overlay_slots  # every entry lies in a rhythmic window, inside [lo, hi)
         overlay = {slot: (event.task_id, release, hop) for slot, release, hop in zip(
-            overlay_slots.tolist(), dynamic.overlay_releases[first:stop].tolist(),
-            dynamic.overlay_hops[first:stop].tolist())}
+            overlay_slots.tolist(), dynamic.overlay_releases.tolist(), dynamic.overlay_hops.tolist())}
         named = [(event.task_id, entry.release) for entry in dynamic.sets.rhythmic]
         named += [*dynamic.decision.dropped_packets, *((alias[0], alias[2]) if alias else ())]
         a, b = np.searchsorted(slots, (lo, hi))
@@ -580,8 +574,8 @@ def _split(
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending.  (``np.unique`` would import
-    ``numpy.ma`` in the middle of a first run.)"""
+    """The distinct values, ascending.  (``np.unique`` here raised the long
+    simulate run's peak RSS by about 1 MB.)"""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
@@ -800,15 +794,10 @@ def _window_loop(
             # and its receiver listens per that same entry, so delivery
             # follows the link draw alone.
             add((t, "sched", "static", tid, rel, hop))
-            pkt = packets.get((tid, rel))
-            if pkt is None or pkt.progress == pkt.hops or t >= pkt.expiry:
+            tx = tx_for((tid, rel, hop), periodic_prio, t)
+            if tx is None:
                 continue
-            if tbs and hop > 0:
-                if pkt.progress != hop - 1:
-                    continue
-            else:  # PBS: the current holder forwards
-                hop = pkt.progress + 1
-            sender, receiver, link_up = links[tid][hop]
+            sender, receiver, link_up, pkt, hop, _ = tx
             add((t, "tx", sender, receiver, pkt.task, pkt.release, hop, periodic_prio))
             if link_up[t]:
                 pkt.progress += 1

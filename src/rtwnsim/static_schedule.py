@@ -106,9 +106,11 @@ def plan_retry_vectors(
     return vectors
 
 
-def hop_expansion(retry_vector: Sequence[int]) -> list[int]:
-    """Ordinal -> 1-based hop label: hop 1 repeated R[0] times, then hop 2, ..."""
-    return [h for h, r in enumerate(retry_vector, start=1) for _ in range(r)]
+def hop_expansion(retry_vector: Sequence[int], count: int) -> list[int]:
+    """The 1-based hop labels of a packet's first ``count`` slot ordinals:
+    hop 1 repeated R[0] times, then hop 2, ...; all of them when the budget
+    is shorter."""
+    return list(islice(chain.from_iterable(repeat(h, r) for h, r in enumerate(retry_vector, start=1)), count))
 
 
 def hyperperiod(tasks: Sequence[TaskSpec]) -> int:
@@ -163,9 +165,8 @@ def build_static_schedule(
     label_end: dict[int, int] = {}
     flat: list[int] = []
     for task in tasks:
-        rv = retry_vectors[task.id]
         label_end[task.id] = len(flat) + demand[task.id]
-        flat.extend(islice(chain.from_iterable(repeat(h, r) for h, r in enumerate(rv, start=1)), task.deadline))
+        flat.extend(hop_expansion(retry_vectors[task.id], task.deadline))
     missed: list[tuple[int, int, int, int]] = []  # heap entries of the missed jobs
 
     # One EDF segment of consecutive slots per entry; the slot arrays are

@@ -440,11 +440,17 @@ def test_sweep_smoke_grid(tmp_path):
     ("ticks: [50, 60, 50]", "experiment spec: ticks must not repeat a value"),
     ("frameworks: [FDPAS_PACKET, FDPAS_PACKET]", "experiment spec: frameworks must not repeat a value"),
     ("utils: [0.4, 0.4001]", "experiment spec: utils must not repeat a value"),
+    ("trials: 0", "experiment spec: trials must be >= 1"),
+    ("utils: []", "experiment spec: sweep axes must be non-empty"),
+    # A YAML boolean is not a number: float(True) would read as 1.0.
+    ("utils: [true]", "experiment spec: utils True is not a number"),
+    ("gamma: true", "experiment spec: gamma True is not a number"),
+    ("required_pdr: true", "experiment spec: required_pdr True is not a number"),
 ], ids=["alpha_0", "beta_0", "unknown_solver", "oracle_solver", "util_1.5", "util_negative", "r_steps_0", "gamma_1",
         "gamma_0", "required_pdr_1", "required_pdr_0", "tick_negative", "base_seed_negative", "scalar_utils",
         "list_trials", "fractional_trials", "fractional_alpha", "fractional_beta", "bool_base_seed", "util_typo",
         "tick_typo", "string_r_steps", "mapping_r_steps", "repeated_alpha", "repeated_tick", "repeated_framework",
-        "utils_equal_to_0.001"])
+        "utils_equal_to_0.001", "trials_0", "empty_utils", "bool_util", "bool_gamma", "bool_required_pdr"])
 def test_sweep_invalid_spec_exit_code(tmp_path, capsys, line, message):
     # ``line`` replaces the base spec's line of the same key: a repeated key
     # is an error of its own.
@@ -558,6 +564,26 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
      "tasks[0].rhythmic: periods must be a list, got str"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: {12: 12}}",
      "tasks[0].rhythmic: deadlines must be a list, got dict"),
+    ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: 0.9}\n    - {from: V0, to: V0, pdr: 0.9}",
+     "network.links[1]: link endpoints must differ, got V0->V0"),
+    ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: 0.9}\n    - {from: V0, to: V1, pdr: 0.8}",
+     "network: duplicate link V0->V1"),
+    ("path: [V2, Vc, V3]", "path: [V2, Vc, V2]", "tasks[1]: task 1: path revisits a node"),
+    ("phase: 1\n  - id: 2", "phase: -1\n  - id: 2", "tasks[1]: task 1: phase must be >= 0"),
+    ("slot_budget: 8", "slot_budget: 3", "tasks[0]: task 0: slot budget below hop count"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: [12]}",
+     "tasks[0].rhythmic: periods and deadlines must have equal length >= 1"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: [12, 13]}",
+     "tasks[0].rhythmic: each step needs 1 <= deadline <= period, got (12, 13)"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 1.5, steps: 3}",
+     "tasks[0].rhythmic: ratio must be in (0, 1)"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.8, steps: 0}",
+     "tasks[0].rhythmic: steps must be >= 1"),
+    ("priority_tick_us: 60", "priority_tick_us: 0", "mac: priority tick must be positive"),
+    # A YAML boolean is not a number: float(True) would read as 1.0.
+    ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: true}", "network.links[0]: pdr True is not a number"),
+    ("required_pdr: 0.95", "required_pdr: true", "sim: required_pdr True is not a number"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: true}", "mac: per_table True is not a number"),
 ], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
@@ -572,7 +598,9 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "per_table_rate", "per_table_distance", "per_table_list",
         "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
         "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
-        "duplicate_node"])
+        "duplicate_node", "self_link", "duplicate_link", "path_revisits_node", "negative_phase",
+        "slot_budget_below_hops", "rhythmic_lengths_differ", "step_deadline_above_period", "ratio_1.5", "steps_0",
+        "tick_0", "bool_link_pdr", "bool_required_pdr", "bool_per_table_rate"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text

@@ -544,14 +544,16 @@ def test_dynamic_schedule_rejects_an_unknown_level():
 def test_dynamic_schedule_constraints_hold():
     net, tasks = _testbed()
     event = DisturbanceEvent.from_task(tasks[0], 3)
-    result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     full_demand = sum(allocate_retry_vector(net.path_pdrs(tasks[0].path), 0.95))
-    for level in ("packet", "transmission"):
+    for mode, level in itertools.product(SchedulingMode, ("packet", "transmission")):
+        result = build_static_schedule(tasks, net, mode, 0.95, horizon=260)
         plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
-        # the overlay stays in the window and takes only idle, own or freed slots
+        # the overlay stays in the window, which the slot engine relies on
+        # when it reads the overlay arrays whole
+        assert np.all((plan.overlay_slots >= event.enter_slot) & (plan.overlay_slots < plan.end_point))
+        # the overlay takes only idle, own or freed slots
         freed = plan.decision.freed_slots(ScheduleSpan(event, result.schedule, tasks, 4))
         for t in overlay_of(plan):
-            assert event.enter_slot <= t < plan.end_point
             assert result.schedule.task_at[t] in (-1, 0) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:

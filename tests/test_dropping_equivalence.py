@@ -350,7 +350,7 @@ def reference_plan(event, static, tasks, network, required_pdr, beta, level):
         elif entry.tail_slots:
             labels = list(entry.prefix_hops)
         else:
-            labels = hop_expansion(retry_vector)[:need]
+            labels = hop_expansion(retry_vector, need)
         chosen = usable[:need]
         for slot, hop in zip(chosen, labels):
             overlay[slot] = SlotAssignment(task=event.task_id, release=entry.release, hop=hop)

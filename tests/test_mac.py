@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rtwnsim.mac import (
-    ContendingTx,
     SlotTiming,
     TxOutcome,
     adjusted_tx_offset,
@@ -20,9 +19,7 @@ def test_default_timing_constants():
     assert t.slot_duration_us == 10_000
     assert t.ext_slot_duration_us == 10_800
     assert t.tx_offset_us == 2_120
-    assert t.tx_ack_delay_us == 1_000
-    assert t.long_gt_us == 2_200
-    assert t.short_gt_us == 1_000
+    assert t.priority_tick_us == 60
 
 
 @pytest.mark.parametrize(
@@ -54,26 +51,18 @@ def test_offsets_strictly_increasing():
 
 
 def test_arbitrate_preemption():
-    timing = SlotTiming()
-    contenders = [
-        ContendingTx("a", "c", priority=1),
-        ContendingTx("b", "c", priority=3),
-    ]
-    outcomes = arbitrate_slot(contenders, timing, [True, True])
+    outcomes = arbitrate_slot([1, 3], SlotTiming(), [True, True])
     assert outcomes == [TxOutcome.WON_DELIVERED, TxOutcome.DEFERRED]
 
 
 def test_arbitrate_single_contender_follows_link_draw():
     timing = SlotTiming()
-    tx = [ContendingTx("a", "c", priority=0)]
-    assert arbitrate_slot(tx, timing, [True]) == [TxOutcome.WON_DELIVERED]
-    assert arbitrate_slot(tx, timing, [False]) == [TxOutcome.WON_LOST]
+    assert arbitrate_slot([0], timing, [True]) == [TxOutcome.WON_DELIVERED]
+    assert arbitrate_slot([0], timing, [False]) == [TxOutcome.WON_LOST]
 
 
 def test_arbitrate_equal_priorities_collide():
-    timing = SlotTiming()
-    contenders = [ContendingTx("a", "c", 2), ContendingTx("b", "c", 2)]
-    assert arbitrate_slot(contenders, timing, [True, True]) == [
+    assert arbitrate_slot([2, 2], SlotTiming(), [True, True]) == [
         TxOutcome.COLLIDED,
         TxOutcome.COLLIDED,
     ]
@@ -83,17 +72,23 @@ def test_arbitrate_empty():
     assert arbitrate_slot([], SlotTiming(), []) == []
 
 
+@pytest.mark.parametrize("levels", [[-1], [0, -1], [0, 3]])
+def test_arbitrate_rejects_a_level_outside_the_slot_range(levels):
+    timing = SlotTiming(priority_tick_us=400)  # 3 levels
+    with pytest.raises(ValueError, match="outside the slot's level range 0..2"):
+        arbitrate_slot(levels, timing, [True] * len(levels))
+
+
 def test_unique_top_priority_always_wins_with_perfect_links():
     rng = np.random.default_rng(8)
     timing = SlotTiming(priority_tick_us=60)
     for _ in range(100):
         n = int(rng.integers(2, 6))
         prios = rng.choice(14, size=n, replace=False).tolist()
-        contenders = [ContendingTx(f"n{i}", "c", int(p)) for i, p in enumerate(prios)]
-        outcomes = arbitrate_slot(contenders, timing, [True] * n)
+        outcomes = arbitrate_slot(prios, timing, [True] * n)
         assert outcomes.count(TxOutcome.WON_DELIVERED) == 1
         winner = outcomes.index(TxOutcome.WON_DELIVERED)
-        assert contenders[winner].priority == min(prios)
+        assert prios[winner] == min(prios)
         assert all(o is TxOutcome.DEFERRED for i, o in enumerate(outcomes) if i != winner)
 
 
@@ -107,9 +102,7 @@ def test_winner_delivery_matches_link_pdr_for_safe_ticks():
     n = 20_000
     for _ in range(n):
         draw = bool(rng.random() < pdr)
-        outcome = arbitrate_slot(
-            [ContendingTx("a", "c", 0), ContendingTx("b", "c", 1)], timing, [draw, True]
-        )[0]
+        outcome = arbitrate_slot([0, 1], timing, [draw, True])[0]
         delivered += outcome is TxOutcome.WON_DELIVERED
     sigma = (pdr * (1 - pdr) / n) ** 0.5
     assert abs(delivered / n - pdr) <= 4 * sigma

@@ -4,7 +4,7 @@ and the writer they replaced.
 ``reference_run`` below records every event through a keyword-argument
 helper into a frozen copy of the old ``TraceEvent`` (``(slot, kind,
 fields)`` with ``(name, value)`` pairs, rendered by its own f-string
-``line``), builds a ``ContendingTx`` and calls ``mac.arbitrate_slot`` on
+``line``), calls ``mac.arbitrate_slot`` on the senders' priority levels in
 every busy slot, and resolves the tail alias on each packet lookup.  The
 library engine resolves lone-sender slots from the link draw alone and
 keeps its records as columns; its flat ``(slot, kind, *values)`` records,
@@ -279,16 +279,14 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
         if not candidates:
             continue
 
-        contenders = []
+        priorities = []
         for sender, receiver, pkt, hop, source in candidates:
             prio = (
                 config.mac.rhythmic_priority
                 if source == "dynamic"
                 else config.mac.periodic_priority
             )
-            contenders.append(
-                mac_model.ContendingTx(sender=sender, receiver=receiver, priority=prio)
-            )
+            priorities.append(prio)
             _add(trace, t, "tx", sender=sender, receiver=receiver, task=pkt.task,
                  release=pkt.release, hop=hop, prio=prio)
 
@@ -297,10 +295,10 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
             u = draws[(sender, receiver)][t]
             ok = bool(u < config.network.link_pdr(sender, receiver))
             link_success.append(ok)
-        outcomes = mac_model.arbitrate_slot(contenders, config.mac.timing, link_success)
+        outcomes = mac_model.arbitrate_slot(priorities, config.mac.timing, link_success)
 
         if len(candidates) > 1 and per_draws is not None:
-            prios = sorted(c.priority for c in contenders)
+            prios = sorted(priorities)
             distance = prios[1] - prios[0]
             if distance >= 1:
                 per = mac_model.preemption_error_rate(

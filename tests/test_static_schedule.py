@@ -86,7 +86,10 @@ def test_budget_padding_is_round_robin():
     net, tasks = _testbed()
     vectors = plan_retry_vectors(tasks, net, 0.95)
     assert vectors == {0: (2, 2, 2, 2), 1: (3, 3), 2: (2, 2)}
-    assert hop_expansion(vectors[1]) == [1, 1, 1, 2, 2, 2]
+    assert hop_expansion(vectors[1], 6) == [1, 1, 1, 2, 2, 2]
+    # A count below the budget cuts the labels; one above it keeps them all.
+    assert hop_expansion(vectors[1], 4) == [1, 1, 1, 2]
+    assert hop_expansion(vectors[1], 9) == [1, 1, 1, 2, 2, 2]
     # A part round goes to the first hops; a budget of 2**31 + 1 slots is
     # padded at once, not one slot at a time.
     for budget, expected in [(11, (3, 3, 3, 2)), (2**31 + 1, (2**29 + 1, 2**29, 2**29, 2**29))]:

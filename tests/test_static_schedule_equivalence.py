@@ -102,7 +102,7 @@ def reference_build(tasks, network, mode, required_pdr, horizon):
 
     if mode is SchedulingMode.TBS:
         for (task_id, release), slots in slots_of.items():
-            for slot, hop in zip(slots, hop_expansion(retry_vectors[task_id])):
+            for slot, hop in zip(slots, hop_expansion(retry_vectors[task_id], len(slots))):
                 sched.hop_at[slot] = hop
 
     missed_in_window = sorted(m for m in missed if m[0] <= horizon)
