@@ -39,10 +39,8 @@ read as unset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union, get_args, get_origin, get_type_hints
@@ -54,6 +52,7 @@ from .model import (
     NetworkModel,
     RhythmicSpec,
     TaskSpec,
+    _decimal_ratio,
     generate_rhythmic_spec,
 )
 from .mac import SlotTiming
@@ -277,7 +276,8 @@ def _parse_rhythmic(raw: dict, period: int, where: str) -> RhythmicSpec:
             if 0 < ratio < 1:
                 # A ramp lasts at least ``steps`` times its first, shortest
                 # period, so one no plan could hold is never built.
-                shortest = max(1, math.floor(period * Fraction(str(ratio))))
+                n, d = _decimal_ratio(ratio)
+                shortest = max(1, period * n // d)
                 if steps * shortest > MAX_HORIZON:
                     raise ConfigError(f"{where}: a ramp of {steps} steps lasts at least {steps * shortest} slots, "
                                       f"beyond the {MAX_HORIZON}-slot horizon cap")

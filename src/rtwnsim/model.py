@@ -69,13 +69,14 @@ class NetworkModel:
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+        nodes = self._node_set
+        if len(nodes) != len(self.nodes):
             raise ValueError("duplicate node identifiers")
-        if self.controller not in self.nodes:
+        if self.controller not in nodes:
             raise ValueError(f"controller {self.controller!r} is not a declared node")
         seen: set[tuple[str, str]] = set()
         for link in self.links:
-            if link.src not in self.nodes or link.dst not in self.nodes:
+            if link.src not in nodes or link.dst not in nodes:
                 raise ValueError(f"link {link.src}->{link.dst} references undeclared nodes")
             if (link.src, link.dst) in seen:
                 raise ValueError(f"duplicate link {link.src}->{link.dst}")
@@ -90,20 +91,8 @@ class NetworkModel:
         return {(l.src, l.dst): l.pdr for l in self.links}
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """Successor and predecessor lists of every node, in sorted (src, dst) link order."""
-        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
-        pred: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst in sorted(self._pdr_map):
-            succ[src].append(dst)
-            pred[dst].append(src)
-        return succ, pred
-
-    @cached_property
-    def _controller_hops(self) -> dict[str, int]:
-        """Hop distance from the controller to each node it reaches, ignoring link direction."""
-        succ, pred = self._adjacency
-        return _bfs_lengths({n: succ[n] + pred[n] for n in self.nodes}, self.controller)
+    def _topology(self) -> _Topology:
+        return _shared_topology(self.nodes, self.controller, tuple(sorted(self._pdr_map)))
 
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self._pdr_map
@@ -115,14 +104,18 @@ class NetworkModel:
             raise KeyError(f"no link {src}->{dst} in network") from None
 
     def path_pdrs(self, path: Sequence[str]) -> list[float]:
-        return [self.link_pdr(a, b) for a, b in zip(path, path[1:])]
+        pdrs = self._pdr_map
+        try:
+            return [pdrs[link] for link in zip(path, path[1:])]
+        except KeyError as exc:
+            raise KeyError("no link {}->{} in network".format(*exc.args[0])) from None
 
     def broadcast_depth(self) -> int:
         """Worst-case hop distance from the controller, ignoring link direction.
 
         Used as the default flood depth of the centralized baseline model.
         """
-        hops = self._controller_hops
+        hops = self._topology.controller_hops
         if len(hops) < len(self.nodes):
             cut = ", ".join(n for n in self.nodes if n not in hops)
             raise ValueError(f"network is not connected: {cut} cut off from controller {self.controller}")
@@ -131,44 +124,110 @@ class NetworkModel:
     def hop_distances(self, source: str, reverse: bool = False) -> dict[str, int]:
         """Hop distance from ``source`` to each node it reaches over directed
         links, or with ``reverse`` from each node that reaches it."""
-        return _bfs_lengths(self._adjacency[1 if reverse else 0], source)
+        topology = self._topology
+        return _bfs_lengths(topology.pred if reverse else topology.succ, source)
 
     def shortest_path(self, source: str, target: str) -> list[str]:
-        """A shortest directed path from ``source`` to ``target``.
+        """A shortest directed path from ``source`` to ``target``: see ``_shortest_path``."""
+        return _shortest_path(self._topology, source, target)
 
-        Bidirectional BFS in the visiting order of networkx's
-        ``bidirectional_shortest_path``, so that ties resolve to the same path:
-        the forward side expands a level when its fringe is not longer than
-        the reverse side's, neighbours come in sorted link order, and the search
-        stops at the first node both sides have reached.
-        """
-        succ, pred = self._adjacency
-        if source not in succ or target not in succ:
-            raise ValueError(f"no node {source if source not in succ else target!r} in network")
-        forward: dict[str, Optional[str]] = {source: None}  # node -> its predecessor toward source
-        backward: dict[str, Optional[str]] = {target: None}  # node -> its successor toward target
-        meet = source if source == target else None
-        forward_fringe, backward_fringe = [source], [target]
-        while meet is None and forward_fringe and backward_fringe:
-            if len(forward_fringe) <= len(backward_fringe):
-                level, forward_fringe = forward_fringe, []
-                meet = _expand_level(level, succ, forward, backward, forward_fringe)
-            else:
-                level, backward_fringe = backward_fringe, []
-                meet = _expand_level(level, pred, backward, forward, backward_fringe)
-        if meet is None:
-            raise ValueError(f"no path from {source} to {target}")
-        path = []
-        node: Optional[str] = meet
-        while node is not None:
-            path.append(node)
-            node = forward[node]
-        path.reverse()
-        node = backward[meet]
-        while node is not None:
-            path.append(node)
-            node = backward[node]
-        return path
+
+class _Topology:
+    """What a network's nodes, controller and link endpoints decide, shared
+    through ``_shared_topology`` by every network with the same ones: the
+    adjacency lists in sorted (src, dst) link order, the controller's
+    undirected hop distances, sensors by hop distance to the controller and
+    actuators by distance from it, each hop count's (sensor depth, actuator
+    depth) splits, hop counts ascending, and the routes drawn so far."""
+
+    def __init__(self, nodes: tuple[str, ...], controller: str, endpoints: tuple[tuple[str, str], ...]) -> None:
+        succ: dict[str, list[str]] = {n: [] for n in nodes}
+        pred: dict[str, list[str]] = {n: [] for n in nodes}
+        for src, dst in endpoints:
+            succ[src].append(dst)
+            pred[dst].append(src)
+        self.succ, self.pred, self.controller = succ, pred, controller
+        self.controller_hops = _bfs_lengths({n: succ[n] + pred[n] for n in nodes}, controller)
+        self.sensors = _by_depth(_bfs_lengths(pred, controller))
+        self.actuators = _by_depth(_bfs_lengths(succ, controller))
+        splits: dict[int, list[tuple[int, int]]] = {}
+        for a in sorted(self.sensors):
+            for b in sorted(self.actuators):
+                splits.setdefault(a + b, []).append((a, b))
+        self.splits = dict(sorted(splits.items()))
+        self._legs: dict[tuple[str, str], list[str]] = {}
+        self._routes: dict[tuple[str, str], tuple[tuple[str, ...], bool]] = {}
+
+    def route(self, sensor: str, actuator: str) -> tuple[tuple[str, ...], bool]:
+        """The route from ``sensor`` through the controller to ``actuator``,
+        two shortest paths joined, and whether it visits each node once.  A
+        route depends on the topology alone, so callers that search one at
+        once store equal values."""
+        found = self._routes.get((sensor, actuator))
+        if found is None:
+            path = tuple(self._leg(sensor, self.controller) + self._leg(self.controller, actuator)[1:])
+            found = self._routes[(sensor, actuator)] = (path, len(set(path)) == len(path))
+        return found
+
+    def _leg(self, source: str, target: str) -> list[str]:
+        leg = self._legs.get((source, target))
+        if leg is None:
+            leg = self._legs[(source, target)] = _shortest_path(self, source, target)
+        return leg
+
+
+@lru_cache(maxsize=64)
+def _shared_topology(nodes: tuple[str, ...], controller: str, endpoints: tuple[tuple[str, str], ...]) -> _Topology:
+    """The topology of every network with these nodes, controller and sorted
+    link endpoints; bounded, so a run over many topologies keeps few tables."""
+    return _Topology(nodes, controller, endpoints)
+
+
+def _by_depth(lengths: dict[str, int]) -> dict[int, list[str]]:
+    """Nodes other than the BFS source grouped by their distance, names ascending in each group."""
+    groups: dict[int, list[str]] = {}
+    for node, dist in sorted(lengths.items()):
+        if dist >= 1:
+            groups.setdefault(dist, []).append(node)
+    return groups
+
+
+def _shortest_path(topology: _Topology, source: str, target: str) -> list[str]:
+    """A shortest directed path from ``source`` to ``target``.
+
+    Bidirectional BFS in the visiting order of networkx's
+    ``bidirectional_shortest_path``, so that ties resolve to the same path:
+    the forward side expands a level when its fringe is not longer than
+    the reverse side's, neighbours come in sorted link order, and the search
+    stops at the first node both sides have reached.
+    """
+    succ, pred = topology.succ, topology.pred
+    if source not in succ or target not in succ:
+        raise ValueError(f"no node {source if source not in succ else target!r} in network")
+    forward: dict[str, Optional[str]] = {source: None}  # node -> its predecessor toward source
+    backward: dict[str, Optional[str]] = {target: None}  # node -> its successor toward target
+    meet = source if source == target else None
+    forward_fringe, backward_fringe = [source], [target]
+    while meet is None and forward_fringe and backward_fringe:
+        if len(forward_fringe) <= len(backward_fringe):
+            level, forward_fringe = forward_fringe, []
+            meet = _expand_level(level, succ, forward, backward, forward_fringe)
+        else:
+            level, backward_fringe = backward_fringe, []
+            meet = _expand_level(level, pred, backward, forward, backward_fringe)
+    if meet is None:
+        raise ValueError(f"no path from {source} to {target}")
+    path = []
+    node: Optional[str] = meet
+    while node is not None:
+        path.append(node)
+        node = forward[node]
+    path.reverse()
+    node = backward[meet]
+    while node is not None:
+        path.append(node)
+        node = backward[node]
+    return path
 
 
 def _bfs_lengths(adjacency: dict[str, list[str]], source: str) -> dict[str, int]:
@@ -430,7 +489,7 @@ def generate_rhythmic_spec(
     # rounding of ratio arithmetic can push a value that is mathematically an
     # integer just below it, flipping floor.  Step k's period is
     # floor(P * (n*steps + (k-1)*(d-n)) / (d*steps)).
-    n, d = Fraction(str(ratio)).as_integer_ratio()
+    n, d = _decimal_ratio(ratio)
     # The periods never decrease, so the first one, floor(P * n / d), is
     # checked before the rest are built.
     first = nominal_period * n // d
@@ -442,6 +501,12 @@ def generate_rhythmic_spec(
         nominal_period * (n * steps + (k - 1) * (d - n)) // (d * steps) for k in range(1, steps + 1)
     ]
     return RhythmicSpec(periods=tuple(periods), deadlines=tuple(periods))
+
+
+@lru_cache(maxsize=256)
+def _decimal_ratio(ratio: float) -> tuple[int, int]:
+    """Numerator and denominator of the decimal value ``str(ratio)`` names."""
+    return Fraction(str(ratio)).as_integer_ratio()
 
 
 def chain_network(
@@ -457,15 +522,22 @@ def chain_network(
     actuator at depth b give an (a+b)-hop route, so hop counts 2..in+out are
     all realizable.
     """
+    nodes, endpoints = _chain_layout(in_depth, out_depth, controller)
+    return NetworkModel(nodes=nodes, controller=controller, links=tuple(Link(s, d, pdr) for s, d in endpoints))
+
+
+@lru_cache(maxsize=64)
+def _chain_layout(in_depth: int, out_depth: int, controller: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The nodes of ``chain_network`` and its link endpoints, in link order."""
     if in_depth < 1 or out_depth < 1:
         raise ValueError("chain depths must be >= 1")
-    s_nodes = [f"S{i}" for i in range(1, in_depth + 1)]
-    a_nodes = [f"A{i}" for i in range(1, out_depth + 1)]
-    links = [Link("S1", controller, pdr)]
-    links += [Link(f"S{i + 1}", f"S{i}", pdr) for i in range(1, in_depth)]
-    links += [Link(controller, "A1", pdr)]
-    links += [Link(f"A{i}", f"A{i + 1}", pdr) for i in range(1, out_depth)]
-    return NetworkModel(nodes=tuple(s_nodes + [controller] + a_nodes), controller=controller, links=tuple(links))
+    s_nodes = tuple(f"S{i}" for i in range(1, in_depth + 1))
+    a_nodes = tuple(f"A{i}" for i in range(1, out_depth + 1))
+    endpoints = [("S1", controller)]
+    endpoints += [(f"S{i + 1}", f"S{i}") for i in range(1, in_depth)]
+    endpoints += [(controller, "A1")]
+    endpoints += [(f"A{i}", f"A{i + 1}") for i in range(1, out_depth)]
+    return s_nodes + (controller,) + a_nodes, tuple(endpoints)
 
 
 # The interval a random chain network draws each link's delivery ratio from.
@@ -473,26 +545,11 @@ CHAIN_PDR_RANGE = (0.9, 0.999)
 
 
 def random_chain_network(seed: int, in_depth: int = 8, out_depth: int = 8) -> NetworkModel:
-    """Chain network with per-link delivery ratios drawn uniformly from ``CHAIN_PDR_RANGE``."""
-    rng = np.random.default_rng(seed)
-    base = chain_network(in_depth, out_depth, pdr=1.0)
-    links = tuple(Link(l.src, l.dst, float(rng.uniform(*CHAIN_PDR_RANGE))) for l in base.links)
-    return NetworkModel(nodes=base.nodes, controller=base.controller, links=links)
-
-
-def _route_depths(network: NetworkModel) -> tuple[dict[int, list[str]], dict[int, list[str]]]:
-    """Sensor nodes grouped by hop distance to the controller, and actuators from it."""
-    to_ctrl = network.hop_distances(network.controller, reverse=True)
-    from_ctrl = network.hop_distances(network.controller)
-    sensors: dict[int, list[str]] = {}
-    actuators: dict[int, list[str]] = {}
-    for node, dist in sorted(to_ctrl.items()):
-        if node != network.controller and dist >= 1:
-            sensors.setdefault(dist, []).append(node)
-    for node, dist in sorted(from_ctrl.items()):
-        if node != network.controller and dist >= 1:
-            actuators.setdefault(dist, []).append(node)
-    return sensors, actuators
+    """Chain network with per-link delivery ratios drawn uniformly from
+    ``CHAIN_PDR_RANGE``, one draw per link in ``chain_network``'s link order."""
+    nodes, endpoints = _chain_layout(in_depth, out_depth, "C")
+    pdrs = np.random.default_rng(seed).uniform(*CHAIN_PDR_RANGE, size=len(endpoints)).tolist()
+    return NetworkModel(nodes=nodes, controller="C", links=tuple(Link(s, d, p) for (s, d), p in zip(endpoints, pdrs)))
 
 
 def generate_taskset(
@@ -517,13 +574,10 @@ def generate_taskset(
     if not (0.0 <= target_utilization <= 1.0):
         raise ValueError("target utilization must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    sensors, actuators = _route_depths(network)
+    topology = network._topology
+    sensors, actuators = topology.sensors, topology.actuators
     lo, hi = hop_range
-    available = sorted(
-        h
-        for h in {a + b for a in sensors for b in actuators}
-        if lo <= h <= hi
-    )
+    available = [h for h in topology.splits if lo <= h <= hi]
     if not available:
         raise InfeasibleError("network too small to host any sensor-to-actuator path")
 
@@ -541,15 +595,13 @@ def generate_taskset(
                 )
             raise InfeasibleError("task generation failed to reach the target utilization")
         h = int(available[rng.integers(len(available))])
-        splits = [(a, b) for a in sorted(sensors) for b in sorted(actuators) if a + b == h]
+        splits = topology.splits[h]
         a, b = splits[rng.integers(len(splits))]
         sensor = sensors[a][rng.integers(len(sensors[a]))]
         actuator = actuators[b][rng.integers(len(actuators[b]))]
-        inbound = network.shortest_path(sensor, network.controller)
-        outbound = network.shortest_path(network.controller, actuator)
-        path = tuple(inbound + outbound[1:])
+        path, simple_route = topology.route(sensor, actuator)
         period = int(rng.integers(h, max_period + 1))
-        if len(set(path)) < len(path):
+        if not simple_route:
             continue  # the routes to and from the controller share a node
         simple = True
         budget = sum(allocate_retry_vector(network.path_pdrs(path), required_pdr))

@@ -424,6 +424,14 @@ def test_broadcast_depth_rejects_a_node_cut_off_from_the_controller():
         net.broadcast_depth()
 
 
+def test_path_pdrs_names_a_missing_link():
+    net = random_chain_network(4, 2, 2)
+    assert net.path_pdrs(("S2", "S1", "C")) == [net.link_pdr("S2", "S1"), net.link_pdr("S1", "C")]
+    for lookup in (lambda: net.path_pdrs(("S2", "S1", "S2")), lambda: net.link_pdr("S1", "S2")):
+        with pytest.raises(KeyError, match="no link S1->S2 in network"):
+            lookup()
+
+
 def test_shortest_path_rejects_unknown_node_and_missing_path():
     net = chain_network(2, 2)
     assert net.shortest_path("S2", "A2") == ["S2", "S1", "C", "A1", "A2"]

@@ -3,6 +3,7 @@ timing model, determinism and resumption equivalence."""
 
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rtwnsim.sim import (
     BaselineParams,
     DisturbanceSpec,
     Framework,
+    MAX_HORIZON,
+    HorizonTooLong,
     HorizonTooShort,
     MacParams,
     SimConfig,
@@ -254,6 +257,24 @@ def test_plan_frameworks_checks_the_horizon_for_any_fdpas_framework():
     for frameworks in ((Framework.BASELINE_BROADCAST, Framework.FDPAS_PACKET), (Framework.FDPAS_TRANSMISSION,)):
         with pytest.raises(HorizonTooShort, match="166"):
             plan_frameworks(cfg, frameworks)
+
+
+def test_plan_names_the_horizon_past_the_cap(monkeypatch):
+    # An explicit horizon one slot past MAX_HORIZON, and the default horizon
+    # a 10**12-slot period gives, are rejected before any static build, each
+    # under its own name.
+    net, tasks = _testbed()
+    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, disturbance=DisturbanceSpec(0, 3))
+    long_period = dataclasses.replace(tasks[1], period=10**12, deadline=10**12)
+    unset = dataclasses.replace(base, tasks=(tasks[0], long_period, tasks[2]))
+    builds = _counting(monkeypatch, "build_static_schedule")
+    cap = f"exceeds the {MAX_HORIZON}-slot cap"
+    with pytest.raises(HorizonTooLong, match=re.escape(f"sim.horizon {MAX_HORIZON + 1} {cap}")):
+        plan(dataclasses.replace(base, horizon=MAX_HORIZON + 1))
+    assert default_horizon(unset) == 4_000_000_000_166
+    with pytest.raises(HorizonTooLong, match=re.escape(f"the default horizon 4000000000166 {cap}")):
+        plan(unset)
+    assert builds == []
 
 
 def _counting(monkeypatch, name) -> list:
