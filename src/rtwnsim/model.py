@@ -97,12 +97,6 @@ class NetworkModel:
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self._pdr_map
 
-    def link_pdr(self, src: str, dst: str) -> float:
-        try:
-            return self._pdr_map[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src}->{dst} in network") from None
-
     def path_pdrs(self, path: Sequence[str]) -> list[float]:
         pdrs = self._pdr_map
         try:

@@ -227,7 +227,7 @@ class Metrics:
 
 
 class _Packet:
-    """A window packet as the slot loop sees it."""
+    """A packet the slot loop holds (see ``_split``)."""
 
     __slots__ = ("index", "task", "release", "expiry", "hops", "progress")
 
@@ -496,13 +496,13 @@ def _packet_table(
 
 class _Split(NamedTuple):
     """Where a run's static slots go.  The slot loop visits ``loop_slots``:
-    the window packets' static slots and the overlay slots.  Every other
-    static slot is listed, ascending, with its entry, the packet-table row
-    it carries and the position of that row's task in ``config.tasks``; both
-    are -1 for a key outside the table."""
+    the overlay slots and the static slots of the packets it holds.  Every
+    other static slot is listed, ascending, with its entry, the packet-table
+    row it carries and the position of that row's task in ``config.tasks``;
+    both are -1 for a key outside the table."""
 
     loop_slots: np.ndarray
-    window_rows: np.ndarray  # packet-table rows of the window packets
+    window_rows: np.ndarray  # packet-table rows of the packets the loop holds
     overlay: dict  # the overlay entry (task, release, hop) of each slot inside the window
     vrhy: frozenset[str]  # the disturbed route's nodes, which follow the overlay
     slot: np.ndarray
@@ -520,10 +520,12 @@ def _split(
     dynamic: Optional[DynamicPlan],
     alias: Optional[_Alias],
 ) -> _Split:
-    """Split the static slots between the slot loop and the walk.  Window
-    packets are the rhythmic ones, both keys of the tail alias, the
-    packet-level drops and every packet with a static slot in the window
-    [enter, end point)."""
+    """Split the static slots between the slot loop and the walk.  The loop
+    holds the rhythmic packets, both keys of the tail alias, the
+    packet-level drops and every packet with a static slot at an overlay
+    slot.  A static slot without an overlay entry has one sender, whose
+    receiver expects it, so the walk sends every other packet exactly as
+    the loop would."""
     # A packet key packs (task, release) into release * task count + the
     # rank of the task id; positions[k] is the position in config.tasks of
     # the task whose id ranks k.
@@ -553,17 +555,16 @@ def _split(
     if dynamic is not None:
         event = dynamic.event
         vrhy = frozenset(config._disturbed_task().path)  # only the disturbed task's route learns of the disturbance
-        lo, hi = event.enter_slot, dynamic.end_point
-        overlay_slots = dynamic.overlay_slots  # every entry lies in a rhythmic window, inside [lo, hi)
+        overlay_slots = dynamic.overlay_slots
         overlay = {slot: (event.task_id, release, hop) for slot, release, hop in zip(
             overlay_slots.tolist(), dynamic.overlay_releases.tolist(), dynamic.overlay_hops.tolist())}
         named = [(event.task_id, entry.release) for entry in dynamic.sets.rhythmic]
         named += [*dynamic.decision.dropped_packets, *((alias[0], alias[2]) if alias else ())]
-        a, b = np.searchsorted(slots, (lo, hi))
-        window_keys = _distinct(np.concatenate([key[a:b], pack(*zip(*named))]))
-        at = np.minimum(np.searchsorted(window_keys, key), len(window_keys) - 1)
-        outside = window_keys[at] != key
-        window_rows = row_of(window_keys)
+        met = overlay_slots[sched.task_at[overlay_slots] >= 0]  # the overlay slots with a static entry
+        loop_keys = _distinct(np.concatenate([pack(sched.task_at[met], sched.release_at[met]), pack(*zip(*named))]))
+        at = np.minimum(np.searchsorted(loop_keys, key), len(loop_keys) - 1)
+        outside = loop_keys[at] != key
+        window_rows = row_of(loop_keys)
         window_rows = window_rows[window_rows >= 0]
     loop_slots = _distinct(np.concatenate([slots[~outside], overlay_slots]))
     slot = slots[outside]
@@ -735,7 +736,7 @@ def _window_loop(
     used: set[tuple[str, str]],
 ) -> list[tuple]:
     """The records of the slots in ``split.loop_slots``, in slot order.
-    ``packets`` holds the window packets by key; the loop advances their
+    ``packets`` holds the loop's packets by key; the loop advances their
     progress.  Conflicting transmissions contend through the priority MAC; a
     slot without an overlay entry has at most one sender, the holder of its
     static entry, whose receiver expects it."""
@@ -918,17 +919,17 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     senders do not consume their trial, and a winning transmission is
     received only if its receiver's own operative schedule expects it.
 
-    The engine works packet by packet.  Window packets -- the rhythmic ones,
-    both keys of the tail alias, every packet with a static slot in the
-    window and every dropped one -- go through a slot loop over their static
-    slots and the overlay slots.  Every other packet is the lone sender of
-    its static slots, none of which has an overlay entry, and its receivers
-    expect it, so its transmissions follow from its link draws alone:
-    ``_independent_walk`` finds them with numpy.  The loop's records, the
-    walk's and the packet table's ``released``, ``missed`` and ``dropped``
-    marks stay columns in the returned ``SimTrace``, which writes them in
-    the v1 order and merges them into flat records only when its
-    ``events`` are read.
+    The engine works packet by packet.  The packets the overlay can touch
+    -- the rhythmic ones, both keys of the tail alias, every packet with a
+    static slot at an overlay slot and every dropped one -- go through a
+    slot loop over their static slots and the overlay slots.  Every other
+    packet is the lone sender of its static slots, none of which has an
+    overlay entry, and its receivers expect it, so its transmissions follow
+    from its link draws alone: ``_independent_walk`` finds them with numpy.
+    The loop's records, the walk's and the packet table's ``released``,
+    ``missed`` and ``dropped`` marks stay columns in the returned
+    ``SimTrace``, which writes them in the v1 order and merges them into
+    flat records only when its ``events`` are read.
     """
     planned = plan(config)
     sched = planned.static.schedule
@@ -942,7 +943,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
         pkt = _Packet(row, int(table.task[row]), int(table.release[row]),
                       int(table.expiry[row]), int(table.hops[row]))
         packets[(pkt.task, pkt.release)] = pkt
-    window_packets = list(packets.values())  # the loop re-keys the tail alias
+    loop_packets = list(packets.values())  # the loop re-keys the tail alias
     # Only links on some task's path are drawn: no other link ever sends.  A
     # stream-0 draw is read only against its link's pdr.
     used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
@@ -954,7 +955,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     del up  # freed before the records are built
     delivered = np.zeros(len(table.task), dtype=bool)
     delivered[walk.done_row] = True
-    delivered[[pkt.index for pkt in window_packets if pkt.progress == pkt.hops]] = True
+    delivered[[pkt.index for pkt in loop_packets if pkt.progress == pkt.hops]] = True
     trace = _records(config, horizon, table, split, delivered, loop_records, walk)
 
     ids = sorted(t.id for t in config.tasks)

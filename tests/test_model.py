@@ -426,10 +426,10 @@ def test_broadcast_depth_rejects_a_node_cut_off_from_the_controller():
 
 def test_path_pdrs_names_a_missing_link():
     net = random_chain_network(4, 2, 2)
-    assert net.path_pdrs(("S2", "S1", "C")) == [net.link_pdr("S2", "S1"), net.link_pdr("S1", "C")]
-    for lookup in (lambda: net.path_pdrs(("S2", "S1", "S2")), lambda: net.link_pdr("S1", "S2")):
-        with pytest.raises(KeyError, match="no link S1->S2 in network"):
-            lookup()
+    pdrs = {(link.src, link.dst): link.pdr for link in net.links}
+    assert net.path_pdrs(("S2", "S1", "C")) == [pdrs[("S2", "S1")], pdrs[("S1", "C")]]
+    with pytest.raises(KeyError, match="no link S1->S2 in network"):
+        net.path_pdrs(("S2", "S1", "S2"))
 
 
 def test_shortest_path_rejects_unknown_node_and_missing_path():

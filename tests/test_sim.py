@@ -570,3 +570,47 @@ def test_walk_rejects_a_corrupted_static_schedule(corrupt, message, monkeypatch)
     net, tasks = _testbed()
     with pytest.raises(PlanInvariantError, match=message):
         run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300))
+
+
+@pytest.mark.parametrize("framework", [Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION],
+                         ids=lambda f: f.value)
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_loop_holds_only_the_packets_the_overlay_touches(mode, framework, monkeypatch):
+    # The slot loop holds the rhythmic packets, both keys of the tail alias,
+    # the packet-level drops and the packets with a static slot at an
+    # overlay slot, and visits the overlay slots and those packets' static
+    # slots; every other packet, in the window or not, is walked.
+    splits = []
+    real = sim_mod._split
+
+    def recorded(config, sched, table, dynamic, alias):
+        result = real(config, sched, table, dynamic, alias)
+        splits.append((sched, table, dynamic, alias, result))
+        return result
+
+    monkeypatch.setattr(sim_mod, "_split", recorded)
+    walked_in_window = 0
+    for index in range(6):  # sweep trials 0-5 of base seed 1 at tick 50, the PBS panel's cell
+        trial = make_trial(_trial_seed(1, 0.5, 8, 50, index), 0.5, 8)
+        run(SimConfig(
+            network=trial.network, tasks=trial.tasks, mode=mode, seed=index,
+            disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
+            framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=50)),
+        ))
+    assert len(splits) == 6 and all(dynamic is not None for _, _, dynamic, _, _ in splits)
+    for sched, table, dynamic, alias, split in splits:
+        event = dynamic.event
+        keys = {(event.task_id, entry.release) for entry in dynamic.sets.rhythmic}
+        keys.update(dynamic.decision.dropped_packets)
+        if alias is not None:
+            keys.update((alias[0], alias[2]))
+        overlay = dynamic.overlay_slots.tolist()
+        keys.update((int(sched.task_at[s]), int(sched.release_at[s])) for s in overlay if sched.task_at[s] >= 0)
+        static = np.flatnonzero(sched.task_at >= 0).tolist()
+        static_key = {s: (int(sched.task_at[s]), int(sched.release_at[s])) for s in static}
+        rows = [r for r, key in enumerate(zip(table.task.tolist(), table.release.tolist())) if key in keys]
+        assert sorted(split.window_rows.tolist()) == rows
+        assert split.loop_slots.tolist() == sorted({*overlay, *(s for s in static if static_key[s] in keys)})
+        walked_in_window += len({static_key[s] for s in static if event.enter_slot <= s < dynamic.end_point
+                                 and static_key[s] not in keys})
+    assert walked_in_window > 0  # the rule walks periodic packets whose window slots meet no overlay slot

@@ -187,6 +187,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
                 packets[key].decided_drop = True
 
     draws = frozen_link_draws(config.network, config.seed, horizon, stream=0)
+    pdrs = {(link.src, link.dst): link.pdr for link in config.network.links}
     tick = config.mac.timing.priority_tick_us
     per_draws = frozen_link_draws(config.network, config.seed, horizon, stream=1) if tick < 60 else None
 
@@ -293,7 +294,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
         link_success = []
         for sender, receiver, pkt, hop, source in candidates:
             u = draws[(sender, receiver)][t]
-            ok = bool(u < config.network.link_pdr(sender, receiver))
+            ok = bool(u < pdrs[(sender, receiver)])
             link_success.append(ok)
         outcomes = mac_model.arbitrate_slot(priorities, config.mac.timing, link_success)
 
