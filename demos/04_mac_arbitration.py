@@ -7,14 +7,14 @@ slot.  Shows the level capacity per tick, slot arbitration outcomes, and a
 three-sender saturation experiment where latency orders by priority.
 """
 
-from rtwnsim import SlotTiming, adjusted_tx_offset, arbitrate_slot, priority_levels
-from rtwnsim.mac import contention_latency_experiment, preemption_error_rate
+from rtwnsim import SlotTiming, arbitrate_slot, priority_levels
+from rtwnsim.mac import TX_OFFSET_US, contention_latency_experiment, preemption_error_rate
 
 print("== priority capacity vs tick ==")
 for tick in (30, 60, 90, 120, 200, 400):
     timing = SlotTiming(priority_tick_us=tick)
     levels = priority_levels(timing)
-    offsets = [adjusted_tx_offset(timing, p) for p in range(min(levels, 4))]
+    offsets = [TX_OFFSET_US + p * tick for p in range(min(levels, 4))]
     per = preemption_error_rate(tick, 1)
     print(f"tick {tick:3d} us: {levels:2d} levels, first offsets {offsets} us, "
           f"preemption error at distance 1: {per:.2f}")
@@ -30,7 +30,7 @@ print("equal levels cannot hear each other:",
       [o.value for o in arbitrate_slot([2, 2], timing, [True, True])])
 
 print("\n== saturated three-sender experiment ==")
-stats = contention_latency_experiment(seed=6, frames=30_000, timing=timing)
+stats = contention_latency_experiment(seed=6, frames=30_000)
 for prio, s in stats.items():
     print(f"priority {prio}: sent {s.sent}, drop rate {s.drop_rate:.3f}, "
           f"mean latency {s.mean_latency_frames:.2f} frames")

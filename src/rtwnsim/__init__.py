@@ -26,7 +26,6 @@ from .model import (
     SchedulingMode,
     TaskSpec,
     allocate_retry_vector,
-    chain_network,
     generate_rhythmic_spec,
     generate_taskset,
     packet_pdr,
@@ -62,7 +61,6 @@ from .dropping import (
 from .mac import (
     SlotTiming,
     TxOutcome,
-    adjusted_tx_offset,
     arbitrate_slot,
     preemption_error_rate,
     priority_levels,

@@ -340,7 +340,7 @@ def parse_scenario(path: str | Path) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(f"disturbance: {exc}") from exc
 
-    # ``mac`` holds MacParams' fields and the one SlotTiming field a file sets.
+    # ``mac`` holds MacParams' fields and SlotTiming's one field.
     mac_raw = _section(doc.get("mac"), "mac")
     timing = _build(SlotTiming, {k: v for k, v in mac_raw.items() if k == "priority_tick_us"}, "mac")
     mac = _build(MacParams, {k: v for k, v in mac_raw.items() if k != "priority_tick_us"}, "mac", timing=timing)

@@ -238,8 +238,8 @@ def drop_transmissions(
     residual: Sequence[int],
     state: PeriodicState,
     required_pdr: float,
-    mode: SchedulingMode = SchedulingMode.TBS,
-    table: Optional[PdrTable] = None,
+    mode: SchedulingMode,
+    table: PdrTable,
 ) -> DropDecision:
     """Surrender individual periodic slots, cheapest reliability loss first.
 
@@ -271,10 +271,9 @@ def drop_transmissions(
     functions of that key (PBS counts every slot at index 0, so the key also
     fixes the slot count), so a table entry is the same float a fresh
     evaluation gives.  ``generate_dynamic_schedule`` passes one table to
-    every candidate of a plan, where packets reach the same states again;
-    without one, each call makes its own.  A table is never kept across
-    plans: then the PDR evaluations a plan makes would depend on what ran
-    before it.
+    every candidate of a plan, where packets reach the same states again.  A
+    table is never kept across plans: then the PDR evaluations a plan makes
+    would depend on what ran before it.
     """
     residual = list(residual)
     needed = sum(residual)
@@ -283,8 +282,6 @@ def drop_transmissions(
 
     if mode is SchedulingMode.PBS and any(c[0] != n for c, n in zip(state.counts, state.totals)):
         raise ValueError("PBS packet states carry hop label 0 on every slot")
-    if table is None:
-        table = {}
     packets, path_pdrs = state.packets, state.path_pdrs
     counts, totals = [c[:] for c in state.counts], state.totals[:]
     bounds, slots, windows = state.bounds, state.slots, state.windows

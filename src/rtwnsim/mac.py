@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "SlotTiming",
     "TxOutcome",
-    "adjusted_tx_offset",
     "priority_levels",
     "arbitrate_slot",
     "preemption_error_rate",
@@ -26,22 +25,25 @@ __all__ = [
 ]
 
 
+# Hardware slot timing in microseconds.  A transmission at priority level p
+# starts TX_OFFSET_US + p * tick into the slot, and the slot is extended from
+# SLOT_US to EXT_SLOT_US; priority_levels counts the ticks the extension
+# holds.  The largest offset, TX_OFFSET_US + (800 // tick) * tick, is at most
+# 2,920 us, inside the extended slot for every positive tick.
+SLOT_US = 10_000
+EXT_SLOT_US = 10_800
+TX_OFFSET_US = 2_120
+
+
 @dataclass(frozen=True)
 class SlotTiming:
-    """Slot timing constants (microseconds); tick is the per-level offset step."""
+    """The per-level start-of-frame offset step, in microseconds."""
 
-    slot_duration_us: int = 10_000
-    ext_slot_duration_us: int = 10_800
-    tx_offset_us: int = 2_120
     priority_tick_us: int = 60
 
     def __post_init__(self) -> None:
         if self.priority_tick_us <= 0:
             raise ValueError("priority tick must be positive")
-        if self.ext_slot_duration_us < self.slot_duration_us:
-            raise ValueError("extended slot cannot be shorter than the base slot")
-        if adjusted_tx_offset(self, priority_levels(self) - 1) >= self.ext_slot_duration_us:
-            raise ValueError("adjusted offsets must fit inside the extended slot")
 
 
 class TxOutcome(str, Enum):
@@ -53,17 +55,7 @@ class TxOutcome(str, Enum):
 
 def priority_levels(timing: SlotTiming) -> int:
     """Levels the slot extension supports: floor(extension / tick) + 1."""
-    extension = timing.ext_slot_duration_us - timing.slot_duration_us
-    return extension // timing.priority_tick_us + 1
-
-
-def adjusted_tx_offset(timing: SlotTiming, priority: int) -> int:
-    """Start-of-frame offset of a transmission at the given priority level."""
-    if not (0 <= priority < priority_levels(timing)):
-        raise ValueError(
-            f"priority {priority} outside supported range 0..{priority_levels(timing) - 1}"
-        )
-    return timing.tx_offset_us + priority * timing.priority_tick_us
+    return (EXT_SLOT_US - SLOT_US) // timing.priority_tick_us + 1
 
 
 def arbitrate_slot(
@@ -135,24 +127,18 @@ class SenderStats:
     mean_latency_frames: float
 
 
-def contention_latency_experiment(
-    seed: int,
-    frames: int = 20_000,
-    timing: Optional[SlotTiming] = None,
-    arrival_prob: float = 0.6,
-    max_retries: int = 5,
-    priorities: Sequence[int] = (0, 1, 2),
-) -> dict[int, SenderStats]:
-    """Three senders sharing one slot per frame, retrying on deferral.
+def contention_latency_experiment(seed: int, frames: int) -> dict[int, SenderStats]:
+    """Three senders at levels 0, 1 and 2 sharing one slot per frame at a
+    60 us tick, retrying on deferral.
 
-    Every frame each sender may generate a packet; all pending packets contend
-    in the shared slot.  A deferred packet retries in the next frame; after
-    ``max_retries`` failed attempts it is dropped.  Returns per-priority drop
-    rate and mean delivery latency in frames: the top priority never loses a
-    contention, so its drop rate is exactly zero, and mean latency grows as
-    priority falls.
+    Every frame each idle sender generates a packet with probability 0.6; all
+    pending packets contend in the shared slot.  A deferred packet retries in
+    the next frame; after 5 failed attempts it is dropped.  Returns
+    per-priority drop rate and mean delivery latency in frames: the top
+    priority never loses a contention, so its drop rate is exactly zero, and
+    mean latency grows as priority falls.
     """
-    timing = timing or SlotTiming()
+    timing, arrival_prob, max_retries, priorities = SlotTiming(), 0.6, 5, (0, 1, 2)
     rng = np.random.default_rng(seed)
     pending: dict[int, Optional[list[int]]] = {p: None for p in priorities}  # [born, attempts]
     stats = {p: [0, 0, 0, 0] for p in priorities}  # sent, delivered, dropped, latency sum

@@ -115,16 +115,6 @@ class NetworkModel:
             raise ValueError(f"network is not connected: {cut} cut off from controller {self.controller}")
         return max(hops.values())
 
-    def hop_distances(self, source: str, reverse: bool = False) -> dict[str, int]:
-        """Hop distance from ``source`` to each node it reaches over directed
-        links, or with ``reverse`` from each node that reaches it."""
-        topology = self._topology
-        return _bfs_lengths(topology.pred if reverse else topology.succ, source)
-
-    def shortest_path(self, source: str, target: str) -> list[str]:
-        """A shortest directed path from ``source`` to ``target``: see ``_shortest_path``."""
-        return _shortest_path(self._topology, source, target)
-
 
 class _Topology:
     """What a network's nodes, controller and link endpoints decide, shared
@@ -503,26 +493,16 @@ def _decimal_ratio(ratio: float) -> tuple[int, int]:
     return Fraction(str(ratio)).as_integer_ratio()
 
 
-def chain_network(
-    in_depth: int = 8,
-    out_depth: int = 8,
-    pdr: float = 1.0,
-    controller: str = "C",
-) -> NetworkModel:
-    """Two relay chains joined at the controller.
+@lru_cache(maxsize=64)
+def _chain_layout(in_depth: int, out_depth: int, controller: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """Nodes and link endpoints, in link order, of two relay chains joined
+    at the controller.
 
     Sensor-side nodes S1..S<in_depth> forward toward the controller; actuator
     nodes A1..A<out_depth> fan out from it.  A sensor at depth a and an
     actuator at depth b give an (a+b)-hop route, so hop counts 2..in+out are
     all realizable.
     """
-    nodes, endpoints = _chain_layout(in_depth, out_depth, controller)
-    return NetworkModel(nodes=nodes, controller=controller, links=tuple(Link(s, d, pdr) for s, d in endpoints))
-
-
-@lru_cache(maxsize=64)
-def _chain_layout(in_depth: int, out_depth: int, controller: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The nodes of ``chain_network`` and its link endpoints, in link order."""
     if in_depth < 1 or out_depth < 1:
         raise ValueError("chain depths must be >= 1")
     s_nodes = tuple(f"S{i}" for i in range(1, in_depth + 1))
@@ -540,7 +520,7 @@ CHAIN_PDR_RANGE = (0.9, 0.999)
 
 def random_chain_network(seed: int, in_depth: int = 8, out_depth: int = 8) -> NetworkModel:
     """Chain network with per-link delivery ratios drawn uniformly from
-    ``CHAIN_PDR_RANGE``, one draw per link in ``chain_network``'s link order."""
+    ``CHAIN_PDR_RANGE``, one draw per link in ``_chain_layout``'s link order."""
     nodes, endpoints = _chain_layout(in_depth, out_depth, "C")
     pdrs = np.random.default_rng(seed).uniform(*CHAIN_PDR_RANGE, size=len(endpoints)).tolist()
     return NetworkModel(nodes=nodes, controller="C", links=tuple(Link(s, d, p) for (s, d), p in zip(endpoints, pdrs)))

@@ -49,7 +49,6 @@ class DisturbanceEvent:
     """
 
     task_id: int
-    instance: int  # index of the detecting release
     detect_slot: int
     periods: tuple[int, ...]
     deadlines: tuple[int, ...]
@@ -78,7 +77,6 @@ class DisturbanceEvent:
             raise ValueError(f"task {task.id} has no rhythmic specification")
         return cls(
             task_id=task.id,
-            instance=instance,
             detect_slot=task.release(instance),
             periods=spec.periods,
             deadlines=spec.deadlines,

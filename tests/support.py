@@ -1,7 +1,9 @@
 """Small helpers the tests share, none of which a command needs.
 
-``empty_schedule`` is an all-idle slot table that a test fills by hand.
-``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
+``chain_network`` is a chain network with one PDR on every link, on the
+layout whose PDRs ``random_chain_network`` draws.  ``empty_schedule`` is an
+all-idle slot table that a test fills by hand.  ``raised`` is the type and
+message of the error a call raises.  ``trace_text`` decodes the bytes ``SimTrace.write`` writes.  ``active_sets``
 builds one candidate's active sets over a schedule span of its own, and
 ``sets_outcome`` reads a builder's result or typed error as one value.
 ``dynamic_plan`` plans one dropping level alone from the six planning
@@ -15,14 +17,21 @@ from __future__ import annotations
 import io
 
 import numpy as np
+import pytest
 
 from rtwnsim.dropping import DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record
-from rtwnsim.model import CandidateInfeasible, SchedulingMode
+from rtwnsim.model import CandidateInfeasible, Link, NetworkModel, SchedulingMode, _chain_layout
 from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
 from rtwnsim.static_schedule import Schedule
 from rtwnsim.trace import SimTrace
+
+
+def chain_network(in_depth: int = 8, out_depth: int = 8, pdr: float = 1.0, controller: str = "C") -> NetworkModel:
+    """Two relay chains joined at ``controller``, every link at ``pdr``."""
+    nodes, endpoints = _chain_layout(in_depth, out_depth, controller)
+    return NetworkModel(nodes=nodes, controller=controller, links=tuple(Link(s, d, pdr) for s, d in endpoints))
 
 
 def empty_schedule(mode: SchedulingMode, horizon: int) -> Schedule:
@@ -34,6 +43,13 @@ def empty_schedule(mode: SchedulingMode, horizon: int) -> Schedule:
         np.full(horizon, -1, dtype=np.int64),
         np.zeros(horizon, dtype=np.int16),
     )
+
+
+def raised(call) -> tuple[type, str]:
+    """The type and message of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
 
 
 def trace_text(trace: SimTrace) -> str:

@@ -255,8 +255,7 @@ def test_a5_delivery_math():
 def test_a6_mac_regression_points():
     assert priority_levels(SlotTiming(priority_tick_us=400)) == 3
     assert priority_levels(SlotTiming(priority_tick_us=60)) == 14
-    stats = contention_latency_experiment(seed=6, frames=30_000,
-                                          timing=SlotTiming(priority_tick_us=60))
+    stats = contention_latency_experiment(seed=6, frames=30_000)
     high, mid, low = stats[0], stats[1], stats[2]
     assert high.drop_rate == 0.0
     assert high.mean_latency_frames < mid.mean_latency_frames < low.mean_latency_frames

@@ -1,7 +1,7 @@
 """The adjacency-list BFS of ``NetworkModel`` against networkx.
 
 The library searches its own successor and predecessor lists; networkx is
-imported here only as the reference.  ``shortest_path`` must pick the same
+imported here only as the reference.  ``_shortest_path`` must pick the same
 path as ``nx.shortest_path`` when several shortest paths tie, so that
 ``generate_taskset`` draws the same tasks as the networkx-based generator it
 replaced (``reference_generate_taskset`` below is a frozen copy of it).
@@ -19,6 +19,7 @@ from rtwnsim.model import (
     Link,
     NetworkModel,
     TaskSpec,
+    _shortest_path,
     allocate_retry_vector,
     generate_taskset,
 )
@@ -123,19 +124,19 @@ def tied_digraphs(draw):
 def test_bfs_matches_networkx(network):
     g = reference_graph(network)
     assume(has_tie(g))
+    topology = network._topology
     for source in network.nodes:
-        lengths = network.hop_distances(source)
-        assert lengths == nx.single_source_shortest_path_length(g, source)
-        assert network.hop_distances(source, reverse=True) == nx.single_source_shortest_path_length(
-            g.reverse(copy=False), source
-        )
+        reachable = nx.single_source_shortest_path_length(g, source)
         for target in network.nodes:
-            if target in lengths:
-                assert network.shortest_path(source, target) == nx.shortest_path(g, source, target)
+            if target in reachable:
+                assert _shortest_path(topology, source, target) == nx.shortest_path(g, source, target)
             else:
                 with pytest.raises(ValueError, match="no path"):
-                    network.shortest_path(source, target)
+                    _shortest_path(topology, source, target)
+    # _bfs_lengths, through the hop distances the topology keeps.
+    assert (topology.sensors, topology.actuators) == reference_route_depths(network)
     und = nx.single_source_shortest_path_length(g.to_undirected(), network.controller)
+    assert topology.controller_hops == und
     if len(und) == len(network.nodes):
         assert network.broadcast_depth() == max(und.values())
     else:

@@ -18,7 +18,6 @@ from rtwnsim.model import (
     SchedulingMode,
     TaskSpec,
     allocate_retry_vector,
-    chain_network,
 )
 from rtwnsim.rhythmic import DisturbanceEvent, ScheduleSpan, end_point_upper_bound
 from rtwnsim.static_schedule import build_static_schedule
@@ -43,7 +42,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import active_sets, dynamic_plan, empty_schedule
+from support import active_sets, chain_network, dynamic_plan, empty_schedule
 
 
 def _testbed():
@@ -259,7 +258,8 @@ def _single_hop_state(key, pdr, slots, window_of):
 
 def test_drop_transmissions_empty_when_satisfied():
     residual = (0,)
-    assert drop_transmissions(residual, to_periodic_state([], residual), required_pdr=0.99).dropped_slots == ()
+    decision = drop_transmissions(residual, to_periodic_state([], residual), 0.99, SchedulingMode.TBS, {})
+    assert decision.dropped_slots == ()
 
 
 def test_drop_transmissions_single_retry_surrendered():
@@ -267,7 +267,7 @@ def test_drop_transmissions_single_retry_surrendered():
     # at 0.9, degrading by 0.09 instead of the full 0.99 of a packet drop.
     residual = (1,)
     state = [_single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0})]
-    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
     assert len(decision.dropped_slots) == 1
     assert decision.total_degradation == pytest.approx(0.09)
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.09)
@@ -282,7 +282,7 @@ def test_drop_transmissions_picks_cheapest_first():
         _single_hop_state((2, 0), 0.9, [11, 12], {11: 0, 12: 0}),
     ]
     # dropping (1,0)'s only slot kills it entirely (delta 0.8 > 0.09)
-    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
     assert decision.dropped_slots[0][0] == 2
     assert decision.total_degradation == pytest.approx(0.09)
 
@@ -294,7 +294,7 @@ def test_drop_transmissions_unselectable_slots_are_skipped():
         _single_hop_state((1, 0), 0.9, [10, 11], {10: 0, 11: 0}),  # window 0: satisfied
         _single_hop_state((2, 0), 0.7, [20, 21], {20: 1, 21: 1}),
     ]
-    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
     assert all(slot in (20, 21) for _, _, slot in decision.dropped_slots)
 
 
@@ -306,7 +306,7 @@ def test_drop_transmissions_timing_violation_degrades_fully():
         PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11],
                             hops=[1, 2], window_of={10: 0, 11: 0}),
     ]
-    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
     assert len(decision.dropped_slots) == 2
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99)
 
@@ -315,7 +315,7 @@ def test_drop_transmissions_infeasible():
     residual = (2,)
     state = [_single_hop_state((1, 0), 0.9, [10], {10: 0})]
     with pytest.raises(CandidateInfeasible):
-        drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+        drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
 
 
 def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
@@ -328,7 +328,7 @@ def test_drop_transmissions_repushes_a_group_whose_window_is_satisfied_first():
     two_hop = PeriodicPacketState(packet=(1, 0), path_pdrs=(0.5, 0.5), slots=[10, 11, 20, 21],
                                   hops=[1, 2, 1, 2], window_of={10: 0, 11: 0, 20: 1, 21: 1})
     state = [two_hop, _single_hop_state((2, 0), 0.9, [5, 6], {5: 0, 6: 0})]
-    decision = drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99)
+    decision = drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.TBS, {})
     assert decision.dropped_slots == ((2, 0, 5), (1, 0, 20))
     assert dict(decision.degradations)[(1, 0)] == pytest.approx(0.99 - 0.5 * 0.75)
 
@@ -340,7 +340,7 @@ def test_drop_transmissions_pbs_selects_packet_granularity():
                             hops=[0, 0, 0], window_of={10: 0, 11: 0, 12: 0})
     b = PeriodicPacketState(packet=(2, 0), path_pdrs=(0.6, 0.6), slots=[13, 14, 15],
                             hops=[0, 0, 0], window_of={13: 0, 14: 0, 15: 0})
-    decision = drop_transmissions(residual, to_periodic_state([a, b], residual), required_pdr=0.99, mode=SchedulingMode.PBS)
+    decision = drop_transmissions(residual, to_periodic_state([a, b], residual), 0.99, SchedulingMode.PBS, {})
     # the sturdier packet loses a slot more cheaply
     assert decision.dropped_slots == ((1, 0, 10),)
 
@@ -351,7 +351,7 @@ def test_drop_transmissions_pbs_rejects_hop_labels():
     state = [PeriodicPacketState(packet=(1, 0), path_pdrs=(0.9, 0.9), slots=[10, 11, 12],
                                  hops=[1, 1, 2], window_of={10: 0, 11: 0, 12: 0})]
     with pytest.raises(ValueError, match="hop label 0"):
-        drop_transmissions(residual, to_periodic_state(state, residual), required_pdr=0.99, mode=SchedulingMode.PBS)
+        drop_transmissions(residual, to_periodic_state(state, residual), 0.99, SchedulingMode.PBS, {})
 
 
 @st.composite
@@ -382,7 +382,7 @@ def _check_against_transmission_oracle(residual, state, mode):
     grouped = to_periodic_state(state, residual)
     before = {k: repr(v) for k, v in vars(grouped).items()}
     try:
-        decision = drop_transmissions(residual, grouped, required_pdr=0.99, mode=mode)
+        decision = drop_transmissions(residual, grouped, 0.99, mode, {})
     except CandidateInfeasible:
         with pytest.raises(CandidateInfeasible):
             optimal_drop_oracle(residual, level="transmission", state=state, required_pdr=0.99)

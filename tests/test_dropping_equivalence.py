@@ -439,6 +439,11 @@ def _fields(p):
     return (p.packet, p.path_pdrs, p.slots, p.hops, p.window_of)
 
 
+def _solve_with_own_table(residual, state, required_pdr, mode):
+    """The library's transmission solver on a delivery-probability table of its own."""
+    return drop_transmissions(residual, state, required_pdr, mode, {})
+
+
 def _outcome(solver, residual, state, mode):
     try:
         decision = solver(residual, state, REQUIRED_PDR, mode=mode)
@@ -499,12 +504,12 @@ def _compare_trial(trial, mode, horizon):
             continue
         expected = _outcome(reference_drop_transmissions, residual, frozen, mode)
         assert _outcome(oracle.drop_transmissions, residual, packets, mode) == expected
-        got = _outcome(drop_transmissions, residual, state, mode)
+        got = _outcome(_solve_with_own_table, residual, state, mode)
         assert got == expected, f"{where}, candidate {candidate}"
         # The slots of satisfied windows, which the library masks, change no
         # decision: the unmasked state decides the same.
         unmasked = PeriodicState(sets.periodic, [path_pdrs[t] for t, _ in sets.periodic], *groups)
-        assert _exact(_outcome(drop_transmissions, residual, unmasked, mode)) == _exact(got), where
+        assert _exact(_outcome(_solve_with_own_table, residual, unmasked, mode)) == _exact(got), where
         compared += 1
         raised += expected[0] == "raised"
     for level in ("packet", "transmission"):
@@ -641,7 +646,7 @@ def test_shared_table_matches_fresh_tables_and_reference(seed, mode, sweep_style
         state = build_periodic_state(sets, span.groups(sets), oracle.task_path_pdrs(trial.tasks, trial.network))
         frozen = frozen_build_periodic_state(sets, schedule, trial.tasks, trial.network)
         shared = _exact(_outcome(shared_solver, residual, state, mode))
-        assert shared == _exact(_outcome(drop_transmissions, residual, state, mode)), candidate
+        assert shared == _exact(_outcome(_solve_with_own_table, residual, state, mode)), candidate
         assert shared == _exact(_outcome(reference_drop_transmissions, residual, frozen, mode)), candidate
         solved.append((residual, state, shared))
     # A second pass finds every delivery probability and delta it needs in

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from rtwnsim.mac import (
+    EXT_SLOT_US,
+    SLOT_US,
+    TX_OFFSET_US,
     SlotTiming,
     TxOutcome,
-    adjusted_tx_offset,
     arbitrate_slot,
     contention_latency_experiment,
     preemption_error_rate,
     priority_levels,
 )
 
+from support import raised
+
 
 def test_default_timing_constants():
-    t = SlotTiming()
-    assert t.slot_duration_us == 10_000
-    assert t.ext_slot_duration_us == 10_800
-    assert t.tx_offset_us == 2_120
-    assert t.priority_tick_us == 60
+    assert (SLOT_US, EXT_SLOT_US, TX_OFFSET_US) == (10_000, 10_800, 2_120)
+    assert SlotTiming().priority_tick_us == 60
 
 
 @pytest.mark.parametrize(
@@ -30,24 +31,14 @@ def test_priority_levels(tick, levels):
     assert priority_levels(SlotTiming(priority_tick_us=tick)) == levels
 
 
-@pytest.mark.parametrize(
-    "tick, priority, offset",
-    [(60, 0, 2120), (100, 3, 2420), (400, 1, 2520)],
-)
-def test_adjusted_tx_offset(tick, priority, offset):
-    assert adjusted_tx_offset(SlotTiming(priority_tick_us=tick), priority) == offset
-
-
-def test_adjusted_tx_offset_range_error():
-    timing = SlotTiming(priority_tick_us=400)  # 3 levels
-    with pytest.raises(ValueError):
-        adjusted_tx_offset(timing, 3)
-
-
 def test_offsets_strictly_increasing():
-    timing = SlotTiming(priority_tick_us=60)
-    offsets = [adjusted_tx_offset(timing, p) for p in range(priority_levels(timing))]
-    assert offsets == sorted(set(offsets))
+    # Level p starts TX_OFFSET_US + p * tick into the slot; for every tick the
+    # last level's offset still lies inside the extended slot.
+    for tick in range(1, 1_001):
+        levels = priority_levels(SlotTiming(priority_tick_us=tick))
+        offsets = [TX_OFFSET_US + p * tick for p in range(levels)]
+        assert offsets == sorted(set(offsets))
+        assert offsets[-1] <= TX_OFFSET_US + EXT_SLOT_US - SLOT_US < EXT_SLOT_US
 
 
 def test_arbitrate_preemption():
@@ -120,9 +111,15 @@ def test_preemption_error_rate_override():
     assert preemption_error_rate(30, 1, table={1: 0.2}) == pytest.approx(0.2)
 
 
+def test_arbitrate_needs_one_link_draw_per_contender():
+    assert raised(lambda: arbitrate_slot([0, 1], SlotTiming(), [True])) == (
+        ValueError, "need one link draw per contender")
+
+
 def test_preemption_error_rate_range():
     with pytest.raises(ValueError):
         preemption_error_rate(20, 1)
+    assert raised(lambda: preemption_error_rate(30, 0)) == (ValueError, "priority distance must be >= 1")
 
 
 def test_contention_experiment_orders_latency_by_priority():

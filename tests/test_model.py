@@ -15,8 +15,8 @@ from rtwnsim.model import (
     RhythmicSpec,
     TaskSpec,
     _flexible_table,
+    _shortest_path,
     allocate_retry_vector,
-    chain_network,
     generate_rhythmic_spec,
     generate_taskset,
     packet_pdr,
@@ -25,6 +25,8 @@ from rtwnsim.model import (
     random_chain_network,
 )
 from rtwnsim.rhythmic import DisturbanceEvent
+
+from support import chain_network, raised
 
 
 # ---------------------------------------------------------------- packet_pdr
@@ -432,12 +434,28 @@ def test_path_pdrs_names_a_missing_link():
         net.path_pdrs(("S2", "S1", "S2"))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: packet_pdr([0.0], [1]), ValueError, "link pdr must be in (0, 1], got 0.0"),
+    (lambda: packet_pdr([0.9], [-1]), ValueError, "trial counts must be >= 0"),
+    (lambda: allocate_retry_vector([], 0.99), ValueError, "need at least one hop"),
+    (lambda: allocate_retry_vector([0.9], -0.5), ValueError, "required pdr must be >= 0"),
+    (lambda: allocate_retry_vector([1e-9], 0.99), InfeasibleError, "retry allocation did not converge"),
+    (lambda: random_chain_network(0, 0, 8), ValueError, "chain depths must be >= 1"),
+    (lambda: generate_taskset(0, 1.5, random_chain_network(0)), ValueError, "target utilization must lie in [0, 1]"),
+    (lambda: TaskSpec(id=0, path=("A1", "A2", "A3"), period=10, deadline=10).validate_against(chain_network(1, 3)),
+     ValueError, "task 0: path does not pass through the controller"),
+], ids=["pdr", "trials", "no-hops", "negative-requirement", "no-convergence", "chain-depth", "utilization",
+        "no-controller"])
+def test_model_names_bad_inputs(call, error, message):
+    assert raised(call) == (error, message)
+
+
 def test_shortest_path_rejects_unknown_node_and_missing_path():
-    net = chain_network(2, 2)
-    assert net.shortest_path("S2", "A2") == ["S2", "S1", "C", "A1", "A2"]
-    assert net.shortest_path("C", "C") == ["C"]
+    topology = chain_network(2, 2)._topology
+    assert _shortest_path(topology, "S2", "A2") == ["S2", "S1", "C", "A1", "A2"]
+    assert _shortest_path(topology, "C", "C") == ["C"]
     with pytest.raises(ValueError, match="no node 'Z'"):
-        net.shortest_path("S1", "Z")
+        _shortest_path(topology, "S1", "Z")
     with pytest.raises(ValueError, match="no path from A1 to S1"):
-        net.shortest_path("A1", "S1")
+        _shortest_path(topology, "A1", "S1")
 

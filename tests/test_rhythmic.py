@@ -16,7 +16,6 @@ from rtwnsim.model import (
     RhythmicSpec,
     SchedulingMode,
     TaskSpec,
-    chain_network,
     generate_taskset,
     random_chain_network,
 )
@@ -33,7 +32,7 @@ from rtwnsim.static_schedule import build_static_schedule
 
 import dropping_reference as oracle
 from dropping_reference import build_demand_vector
-from support import active_sets, empty_schedule, sets_outcome
+from support import active_sets, chain_network, empty_schedule, raised, sets_outcome
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -166,6 +165,13 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
             for tid, rel in sets.periodic:
                 slots = arr.packet_slots(tid, rel)
                 assert ((slots >= event.enter_slot) & (slots < cand)).any()
+
+
+def test_event_and_end_point_bound_name_bad_inputs():
+    task = TaskSpec(id=4, path=("S1", "C", "A1"), period=10, deadline=10)
+    assert raised(lambda: DisturbanceEvent.from_task(task, 1)) == (ValueError, "task 4 has no rhythmic specification")
+    _, event = _event()
+    assert raised(lambda: end_point_upper_bound(event, 0)) == (ValueError, "beta must be >= 1")
 
 
 def test_active_sets_reject_a_candidate_at_the_window_start():

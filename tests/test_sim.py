@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtwnsim.mac import SlotTiming
-from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec, chain_network
+from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
 from rtwnsim.experiments import ExperimentSpec, _trial_seed, make_trial, run_cell
 from rtwnsim.sim import (
     EVENT_FIELDS,
@@ -33,7 +33,7 @@ from rtwnsim.dropping import DropDecision, PlanInvariantError
 from rtwnsim import dropping, sim as sim_mod
 from rtwnsim.rhythmic import ScheduleSpan
 
-from support import standalone_record, trace_text
+from support import chain_network, raised, standalone_record, trace_text
 
 
 def _testbed(pdr=0.9):
@@ -243,6 +243,14 @@ def test_horizon_must_reach_latest_end_point():
                                disturbance=DisturbanceSpec(0, 3),
                                framework=Framework.BASELINE_BROADCAST))
     assert metrics.drt_slots == 30
+
+
+def test_config_names_a_bad_beta_and_an_unknown_disturbed_task():
+    net = chain_network(1, 1)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, rhythmic=RhythmicSpec((8,), (8,)))
+    assert raised(lambda: SimConfig(network=net, tasks=(task,), beta=0)) == (ValueError, "beta must be >= 1")
+    assert raised(lambda: SimConfig(network=net, tasks=(task,), disturbance=DisturbanceSpec(7, 1))) == (
+        ValueError, "disturbance names unknown task 7")
 
 
 def test_plan_frameworks_checks_the_horizon_for_any_fdpas_framework():

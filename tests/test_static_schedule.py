@@ -11,7 +11,6 @@ from rtwnsim.model import (
     ScheduleInfeasible,
     SchedulingMode,
     TaskSpec,
-    chain_network,
     generate_taskset,
     packet_pdr,
     random_chain_network,
@@ -24,6 +23,8 @@ from rtwnsim.static_schedule import (
     plan_retry_vectors,
     verify_schedulable,
 )
+
+from support import chain_network, raised
 
 
 def _testbed():
@@ -73,6 +74,18 @@ def test_overloaded_set_is_infeasible():
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.9, horizon=3)
     assert not result.feasible
     assert result.first_failure is not None
+
+
+def test_schedule_and_build_name_bad_inputs():
+    net = chain_network(1, 1)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
+    short = np.full(3, -1, np.int32)
+    assert raised(lambda: Schedule(SchedulingMode.TBS, 4, short, np.full(4, -1, np.int64), np.zeros(4, np.int16))) == (
+        ValueError, "schedule arrays must match the horizon")
+    assert raised(lambda: build_static_schedule([], net, SchedulingMode.TBS, 0.99, 10)) == (
+        ValueError, "need at least one task")
+    assert raised(lambda: build_static_schedule([task, task], net, SchedulingMode.TBS, 0.99, 10)) == (
+        ValueError, "duplicate task ids")
 
 
 def test_budget_below_reliability_minimum_rejected():

@@ -31,7 +31,6 @@ from rtwnsim.model import (
     SchedulingMode,
     TaskSpec,
     allocate_retry_vector,
-    chain_network,
 )
 from rtwnsim.static_schedule import (
     StaticScheduleResult,
@@ -41,7 +40,7 @@ from rtwnsim.static_schedule import (
     plan_retry_vectors,
 )
 
-from support import empty_schedule, standalone_record
+from support import chain_network, empty_schedule, standalone_record
 
 REQUIRED_PDR = 0.99
 BETA = 4

@@ -26,11 +26,11 @@ from rtwnsim.model import (
     TaskSpec,
     _shared_topology,
     allocate_retry_vector,
-    chain_network,
     generate_taskset,
     random_chain_network,
 )
 
+from support import chain_network
 from test_bfs_equivalence import reference_generate_taskset
 
 
