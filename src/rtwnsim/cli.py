@@ -93,7 +93,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         drt_slots=metrics.drt_slots,
         dhl_slots=metrics.dhl_slots,
         success=metrics.success,
-        feasible_dynamic=metrics.feasible_dynamic,
         dr=metrics.degradation_rate,
         dropped_packets=metrics.dropped_packets,
         dropped_transmissions=metrics.dropped_transmissions,

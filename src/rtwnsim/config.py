@@ -7,8 +7,7 @@ One YAML document fully determines a run.  Top-level keys:
                     rhythmic?: {periods, deadlines?} | {ratio, steps}}]
     disturbance:  {task, instance, rhythmic?: {periods, deadlines?} |
                                               {ratio, steps}}
-    mac:          {priority_tick_us?, rhythmic_priority?, periodic_priority?,
-                   per_table?: {priority distance: preemption-error rate}}
+    mac:          {priority_tick_us?}
     sim:          {mode?, required_pdr?, seed?, horizon?, alpha?, beta?,
                    framework?}
     baseline:     {broadcast_period?, depth?, offset?}
@@ -18,12 +17,12 @@ Experiment sweep files use: utils, r_steps, alphas, ticks, trials, base_seed,
 frameworks, gamma, required_pdr, beta.
 
 The keys of ``mac``, ``sim``, ``baseline`` and a sweep file are the field
-names of ``MacParams`` (plus ``SlotTiming.priority_tick_us``), ``SimConfig``,
-``BaselineParams`` and ``ExperimentSpec``.  The field's type converts the
-value, an absent key keeps the dataclass default, and a null leaves an
-optional field unset.  A list field takes a list, not a string or a
-mapping.  A section or ``rhythmic`` block given as null reads as absent;
-any other value that is not a mapping, falsy ones included, is an error.
+names of ``SlotTiming``, ``SimConfig``, ``BaselineParams`` and
+``ExperimentSpec``.  The field's type converts the value, an absent key
+keeps the dataclass default, and a null leaves an optional field unset.
+A list field takes a list, not a string or a mapping.  A section or
+``rhythmic`` block given as null reads as absent; any other value that is
+not a mapping, falsy ones included, is an error.
 A key that names no field or section, in any part of the file, is a
 configuration error (``rtwnsim`` exits 2).
 ``dump_scenario`` writes the same fields back, so
@@ -197,10 +196,6 @@ def _convert(hint: Any, value: Any, key: str) -> Any:
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # Optional[X]: null leaves it unset
         return None if value is None else _convert(args[0], value, key)
-    if origin is tuple and get_origin(args[0]) is tuple:  # pairs, written as a mapping
-        k_hint, v_hint = get_args(args[0])
-        items = _section(value, key).items()
-        return tuple(sorted((_convert(k_hint, k, f"{key} key"), _convert(v_hint, v, key)) for k, v in items))
     if origin is tuple:
         return tuple(_convert(args[0], item, key) for item in _items(value, key))
     if hint is int:
@@ -219,8 +214,6 @@ def _plain(hint: Any, value: Any) -> Any:
         return None
     if origin is Union:
         return _plain(args[0], value)
-    if origin is tuple:  # a tuple of pairs such as ``per_table``; no dumped field is a plain tuple
-        return dict(value)
     return value.value if isinstance(value, Enum) else value
 
 
@@ -340,10 +333,8 @@ def parse_scenario(path: str | Path) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(f"disturbance: {exc}") from exc
 
-    # ``mac`` holds MacParams' fields and SlotTiming's one field.
-    mac_raw = _section(doc.get("mac"), "mac")
-    timing = _build(SlotTiming, {k: v for k, v in mac_raw.items() if k == "priority_tick_us"}, "mac")
-    mac = _build(MacParams, {k: v for k, v in mac_raw.items() if k != "priority_tick_us"}, "mac", timing=timing)
+    # ``mac`` holds SlotTiming's one field.
+    mac = _build(MacParams, {}, "mac", timing=_build(SlotTiming, doc.get("mac"), "mac"))
     baseline = _build(BaselineParams, doc.get("baseline"), "baseline")
     sections = dict(network=network, tasks=tasks, disturbance=disturbance, mac=mac, baseline=baseline)
     return _build(SimConfig, _without_solver(doc.get("sim"), "sim"), "sim", **sections)
@@ -396,7 +387,7 @@ def dump_scenario(config: SimConfig) -> str:
         doc["disturbance"] = {"task": config.disturbance.task, "instance": config.disturbance.instance}
         if config.disturbance.rhythmic is not None:
             doc["disturbance"]["rhythmic"] = _rhythmic_doc(config.disturbance.rhythmic)
-    doc["mac"] = {"priority_tick_us": config.mac.timing.priority_tick_us, **_flat(config.mac, "timing")}
+    doc["mac"] = _flat(config.mac.timing)
     doc["baseline"] = _flat(config.baseline)
     doc["sim"] = _flat(config, *_SECTIONS)
     return yaml.safe_dump(doc, sort_keys=False)

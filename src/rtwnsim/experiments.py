@@ -86,7 +86,6 @@ class RunRecord:
     drt_slots: int
     dhl_slots: int
     success: bool
-    feasible_dynamic: bool
     dr: float
     dropped_packets: int
     dropped_transmissions: int
@@ -184,7 +183,6 @@ def _record(trial: Trial, framework: Framework, planned: Plan, alpha_mult: int, 
         drt_slots=planned.drt,
         dhl_slots=planned.dhl,
         success=planned.meets(alpha),
-        feasible_dynamic=planned.feasible_dynamic,
         dr=planned.dr,
         dropped_packets=decision.packet_count if decision else 0,
         dropped_transmissions=decision.slot_count if decision else 0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,13 @@ __all__ = [
 SLOT_US = 10_000
 EXT_SLOT_US = 10_800
 TX_OFFSET_US = 2_120
+
+# The levels a run's two senders use.  The disturbed route's dynamic
+# (rhythmic) transmission starts a tick before any static periodic one, so a
+# periodic sender contending for its slot hears it during CCA and defers:
+# the rhythmic packets the disturbance plan relies on are never preempted.
+RHYTHMIC_PRIORITY = 0
+PERIODIC_PRIORITY = 1
 
 
 @dataclass(frozen=True)
@@ -94,13 +101,11 @@ def arbitrate_slot(
 
 # Preemption error rates read off hardware measurements: below 60 us the
 # loser's CCA window starts missing the winner's start-of-frame.  Keyed by the
-# priority distance between the top two contenders; user-overridable.
-DEFAULT_PER_TABLE: dict[int, float] = {1: 0.10, 2: 0.05}
+# priority distance between the top two contenders.
+PER_TABLE: dict[int, float] = {1: 0.10, 2: 0.05}
 
 
-def preemption_error_rate(
-    tick_us: int, priority_distance: int, table: Optional[Mapping[int, float]] = None
-) -> float:
+def preemption_error_rate(tick_us: int, priority_distance: int) -> float:
     """Probability that the high-priority winner is corrupted by a contender.
 
     Zero for ticks of 60 us and above; at smaller ticks the rate falls as the
@@ -112,10 +117,7 @@ def preemption_error_rate(
         raise ValueError("priority distance must be >= 1")
     if tick_us >= 60:
         return 0.0
-    rates = dict(DEFAULT_PER_TABLE)
-    if table:
-        rates.update(table)
-    return rates.get(priority_distance, rates[max(rates)])
+    return PER_TABLE.get(priority_distance, PER_TABLE[max(PER_TABLE)])
 
 
 @dataclass(frozen=True)

@@ -116,24 +116,11 @@ class BaselineParams:
 @dataclass(frozen=True)
 class MacParams:
     timing: mac_model.SlotTiming = mac_model.SlotTiming()
-    rhythmic_priority: int = 0
-    periodic_priority: int = 1
-    per_table: tuple[tuple[int, float], ...] = ()  # overrides the preemption-error lookup
 
     def __post_init__(self) -> None:
         # A run looks preemption errors up at this tick; the lookup rejects
         # ticks its measurements do not cover.
         mac_model.preemption_error_rate(self.timing.priority_tick_us, 1)
-        levels = mac_model.priority_levels(self.timing)
-        for name in ("rhythmic_priority", "periodic_priority"):
-            value = getattr(self, name)
-            if not 0 <= value < levels:
-                raise ValueError(f"{name} {value} outside the supported range 0..{levels - 1}")
-        for distance, rate in self.per_table:
-            if distance < 1:
-                raise ValueError(f"per_table priority distance {distance} must be >= 1")
-            if not 0 <= rate <= 1:
-                raise ValueError(f"per_table rate {rate} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -405,26 +392,22 @@ def _link_draws(
     return draws
 
 
-def _contend(candidates: list[tuple], t: int, mac: MacParams, per_draws: Optional[dict]) -> list[mac_model.TxOutcome]:
-    """Outcomes of a slot with two or more senders ``(sender, receiver, link
-    successes, packet, hop, priority)``: priority arbitration over their
-    link draws, then, below a 60 us tick, the preemption-error draw of the
-    winner."""
+def _contend(
+    candidates: list[tuple], t: int, timing: mac_model.SlotTiming, per_draws: Optional[dict], per: float
+) -> list[mac_model.TxOutcome]:
+    """Outcomes of a slot with two senders ``(sender, receiver, link
+    successes, packet, hop, priority)``, one at each level: priority
+    arbitration over their link draws, then, with ``per_draws`` (below a
+    60 us tick), the winner's preemption-error draw against rate ``per``."""
     priorities = [c[-1] for c in candidates]
     link_success = [bool(up[t]) for _, _, up, *_ in candidates]
-    outcomes = mac_model.arbitrate_slot(priorities, mac.timing, link_success)
+    outcomes = mac_model.arbitrate_slot(priorities, timing, link_success)
     if per_draws is not None:
-        prios = sorted(priorities)
-        distance = prios[1] - prios[0]
-        if distance >= 1:
-            per = mac_model.preemption_error_rate(
-                mac.timing.priority_tick_us, distance, table=dict(mac.per_table) or None
-            )
-            for i, outcome in enumerate(outcomes):
-                if outcome is mac_model.TxOutcome.WON_DELIVERED:
-                    sender, receiver = candidates[i][0], candidates[i][1]
-                    if per_draws[(sender, receiver)][t] < per:
-                        outcomes[i] = mac_model.TxOutcome.WON_LOST
+        for i, outcome in enumerate(outcomes):
+            if outcome is mac_model.TxOutcome.WON_DELIVERED:
+                sender, receiver = candidates[i][0], candidates[i][1]
+                if per_draws[(sender, receiver)][t] < per:
+                    outcomes[i] = mac_model.TxOutcome.WON_LOST
     return outcomes
 
 
@@ -749,7 +732,7 @@ def _window_loop(
         for t in config.tasks
     }
     tbs = config.mode is SchedulingMode.TBS
-    rhythmic_prio, periodic_prio = config.mac.rhythmic_priority, config.mac.periodic_priority
+    rhythmic_prio, periodic_prio = mac_model.RHYTHMIC_PRIORITY, mac_model.PERIODIC_PRIORITY
     won, lost = mac_model.TxOutcome.WON_DELIVERED, mac_model.TxOutcome.WON_LOST
     results = {
         lost: "lost",
@@ -757,10 +740,12 @@ def _window_loop(
         mac_model.TxOutcome.COLLIDED: "collided",
     }
     # Preemption-error draws (stream 1) are read only in contended slots below
-    # a 60 us tick, so the first such slot draws them; each link's array is a
-    # pure function of (seed, stream, link), whenever it is drawn.
-    preempt_errors = config.mac.timing.priority_tick_us < 60
-    per_draws = None
+    # a 60 us tick, so the first such slot draws them and looks up their rate;
+    # each link's array is a pure function of (seed, stream, link), whenever
+    # it is drawn.
+    timing = config.mac.timing
+    preempt_errors = timing.priority_tick_us < 60
+    per_draws, per = None, 0.0
 
     loop_records: list[tuple] = []
     add = loop_records.append
@@ -835,7 +820,8 @@ def _window_loop(
         else:
             if preempt_errors and per_draws is None:
                 per_draws = _link_draws(config.network, used, config.seed, horizon, stream=1)
-            outcomes = _contend(candidates, t, config.mac, per_draws)
+                per = mac_model.preemption_error_rate(timing.priority_tick_us, periodic_prio - rhythmic_prio)
+            outcomes = _contend(candidates, t, timing, per_draws, per)
 
         for (sender, receiver, _, pkt, hop, _), outcome in zip(candidates, outcomes):
             if outcome is won:
@@ -902,7 +888,7 @@ def _records(
         Part(released, _RELEASED, "state", (table.task[by_release], released, "released")),
         Part(np.array([r[0] for r in loop_records], dtype=np.int64), _LOOP, None, loop_records),
         Part(split.slot, _SCHED, "sched", ("static", split.task, split.release, split.hop)),
-        Part(at, _TX, "tx", (sender, receiver, task, release, hop, config.mac.periodic_priority)),
+        Part(at, _TX, "tx", (sender, receiver, task, release, hop, mac_model.PERIODIC_PRIORITY)),
         Part(done_slot, _DELIVERED, "state", (table.task[done_row], table.release[done_row], "delivered")),
         Part(at, _OUTCOME, "outcome", (sender, task, release, hop, walk.ok[by_slot].astype(np.intp))),
     ], vocab, horizon)

@@ -18,7 +18,7 @@ from rtwnsim import experiments
 from rtwnsim import trace as trace_mod
 from rtwnsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from rtwnsim.config import ConfigError, dump_scenario, parse_experiment, parse_scenario, parse_tasks
-from rtwnsim.mac import SlotTiming, priority_levels
+from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, RhythmicSpec, SchedulingMode, TaskSpec, generate_taskset
 from rtwnsim.sim import BaselineParams, DisturbanceSpec, Framework, MacParams, SimConfig
 from rtwnsim.static_schedule import plan_retry_vectors
@@ -120,8 +120,6 @@ def _scenario_configs(draw):
                                       rhythmic=draw(own | _rhythmic_specs(task.period)))
         alpha = draw(st.none() | st.integers(task.period, 3 * task.period))
     timing = SlotTiming(priority_tick_us=draw(st.sampled_from([30, 50, 60, 100, 400])))
-    priority = st.integers(0, priority_levels(timing) - 1)
-    per_table = draw(st.dictionaries(st.integers(1, 13), st.floats(0.0, 1.0), max_size=3))
     return SimConfig(
         network=network,
         tasks=tuple(tasks),
@@ -133,8 +131,7 @@ def _scenario_configs(draw):
         alpha=alpha,
         beta=draw(st.integers(1, 6)),
         framework=draw(st.sampled_from(list(Framework))),
-        mac=MacParams(timing=timing, rhythmic_priority=draw(priority), periodic_priority=draw(priority),
-                      per_table=tuple(sorted(per_table.items()))),
+        mac=MacParams(timing=timing),
         baseline=BaselineParams(broadcast_period=draw(st.none() | st.integers(1, 60)),
                                 depth=draw(st.none() | st.integers(0, 6)), offset=draw(st.integers(0, 10))),
     )
@@ -481,10 +478,6 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  periodic_priority: 99",
-     "mac: periodic_priority 99 outside the supported range 0..13"),
-    ("priority_tick_us: 60", "priority_tick_us: 400\n  rhythmic_priority: 3",
-     "mac: rhythmic_priority 3 outside the supported range 0..2"),
     ("path: [V2, Vc, V3]", "path: [V2, Vx, V3]", "tasks[1]: task 1: path node 'Vx' not in network"),
     ("horizon: 260\n  alpha: 15\n  beta: 4\n  framework: FDPAS_PACKET",
      "horizon: -5\n  alpha: 15\n  beta: 4\n  framework: BASELINE_BROADCAST",
@@ -530,6 +523,10 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("framework: FDPAS_PACKET", "framework: FDPAS_PACKET\n  mac: {priority_tick_us: 60}", "sim: unknown key 'mac'"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  periodic_prio: 1", "mac: unknown key 'periodic_prio'"),
     ("priority_tick_us: 60", "priority_tick_us: 60\n  slot_duration_us: 9000", "mac: unknown key 'slot_duration_us'"),
+    # The MAC's priority levels and preemption-error table are constants.
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  rhythmic_priority: 0", "mac: unknown key 'rhythmic_priority'"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  periodic_priority: 1", "mac: unknown key 'periodic_priority'"),
+    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: 0.05}", "mac: unknown key 'per_table'"),
     ("mac:\n", "baseline: {broadcast_periods: 30}\nmac:\n", "baseline: unknown key 'broadcast_periods'"),
     ("mac:\n", "baselin: {broadcast_period: 30}\nmac:\n", "document: unknown key 'baselin'"),
     ("  controller: Vc\n", "  controller: Vc\n  root: Vc\n", "network: unknown key 'root'"),
@@ -548,10 +545,6 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("period: 30", "period: 1000000000000000000000",
      "tasks[1]: period 1000000000000000000000 lies outside the 64-bit integer range"),
     ("period: 30", "period: 1.0e+308", "tasks[1]: period 1e+308 lies outside the 64-bit integer range"),
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: 2.0}", "mac: per_table rate 2.0 must lie in [0, 1]"),
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {0: 0.5}",
-     "mac: per_table priority distance 0 must be >= 1"),
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: [0.5]", "mac: per_table: expected a mapping, got list"),
     ("  task: 0\n", "  task: 9\n", "disturbance: unknown task 9"),
     ("  task: 0\n", "  task: 1\n", "disturbance: task has no rhythmic specification"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {steps: 3}",
@@ -583,24 +576,23 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     # A YAML boolean is not a number: float(True) would read as 1.0.
     ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: true}", "network.links[0]: pdr True is not a number"),
     ("required_pdr: 0.95", "required_pdr: true", "sim: required_pdr True is not a number"),
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: {1: true}", "mac: per_table True is not a number"),
-], ids=["periodic_priority_99", "rhythmic_priority_at_tick_400", "path_node_off_network",
+], ids=["path_node_off_network",
         "baseline_negative_horizon", "zero_horizon", "zero_alpha", "oracle_solver",
         "baseline_negative_period_and_depth", "baseline_zero_period", "baseline_negative_depth",
         "baseline_negative_offset", "negative_seed", "negative_instance", "tick_20", "non_integer_instance",
         "non_integer_task", "non_integer_period", "scalar_rhythmic_periods", "fractional_instance",
         "bool_instance", "fractional_period", "fractional_slot_budget", "fractional_rhythmic_period",
         "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
-        "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "baseline_typo", "document_typo",
+        "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "mac_rhythmic_priority",
+        "mac_periodic_priority", "mac_per_table", "baseline_typo", "document_typo",
         "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
         "disturbance_rhythmic_typo", "duplicate_task_id", "negative_task_id", "task_id_beyond_int32",
         "period_beyond_int64", "float_period_beyond_int64",
-        "per_table_rate", "per_table_distance", "per_table_list",
         "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
         "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
         "duplicate_node", "self_link", "duplicate_link", "path_revisits_node", "negative_phase",
         "slot_budget_below_hops", "rhythmic_lengths_differ", "step_deadline_above_period", "ratio_1.5", "steps_0",
-        "tick_0", "bool_link_pdr", "bool_required_pdr", "bool_per_table_rate"])
+        "tick_0", "bool_link_pdr", "bool_required_pdr"])
 def test_simulate_invalid_scenario_exit_code(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     assert old in text
@@ -672,10 +664,9 @@ _TESTBED = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     ("disturbance:\n  task: 0\n  instance: 3\n", "disturbance: []\n", "disturbance: expected a mapping, got list"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: []", "tasks[0].rhythmic: expected a mapping, got list"),
     ("  instance: 3\n", "  instance: 3\n  rhythmic: 0\n", "disturbance.rhythmic: expected a mapping, got int"),
-    ("priority_tick_us: 60", "priority_tick_us: 60\n  per_table: []", "mac: per_table: expected a mapping, got list"),
 ], ids=["bare_link", "bare_task", "scalar_network", "list_disturbance", "scalar_mac", "list_baseline",
         "scalar_sim", "empty_list_sim", "zero_mac", "empty_list_baseline", "empty_list_disturbance",
-        "empty_list_task_rhythmic", "zero_disturbance_rhythmic", "empty_list_per_table"])
+        "empty_list_task_rhythmic", "zero_disturbance_rhythmic"])
 def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
     assert old in _TESTBED
     scenario = tmp_path / "bad.yaml"

@@ -107,10 +107,6 @@ def test_preemption_error_rate(tick, distance, per):
     assert preemption_error_rate(tick, distance) == pytest.approx(per)
 
 
-def test_preemption_error_rate_override():
-    assert preemption_error_rate(30, 1, table={1: 0.2}) == pytest.approx(0.2)
-
-
 def test_arbitrate_needs_one_link_draw_per_contender():
     assert raised(lambda: arbitrate_slot([0, 1], SlotTiming(), [True])) == (
         ValueError, "need one link draw per contender")

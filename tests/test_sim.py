@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtwnsim.mac import SlotTiming
+from rtwnsim.mac import PER_TABLE, PERIODIC_PRIORITY, RHYTHMIC_PRIORITY, SlotTiming, priority_levels
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
 from rtwnsim.experiments import ExperimentSpec, _trial_seed, make_trial, run_cell
 from rtwnsim.sim import (
@@ -116,13 +116,21 @@ def test_packet_balance_over_seeded_fuzz(mode):
 
 @pytest.mark.parametrize("tick, levels", [(60, 14), (400, 3)])
 def test_mac_priorities_must_fit_the_slot_levels(tick, levels):
-    timing = SlotTiming(priority_tick_us=tick)
-    MacParams(timing=timing, rhythmic_priority=0, periodic_priority=levels - 1)
-    for bad in (levels, -1):
-        with pytest.raises(ValueError, match=f"periodic_priority {bad} outside the supported range 0..{levels - 1}"):
-            MacParams(timing=timing, periodic_priority=bad)
-        with pytest.raises(ValueError, match=f"rhythmic_priority {bad} outside"):
-            MacParams(timing=timing, rhythmic_priority=bad)
+    # The finest and the coarsest tick of the paper's sweep: the slot
+    # extension yields `levels` levels, and both senders' levels are among them.
+    assert priority_levels(SlotTiming(priority_tick_us=tick)) == levels
+    assert 0 <= RHYTHMIC_PRIORITY < levels and 0 <= PERIODIC_PRIORITY < levels
+
+
+def test_mac_priority_constants_fit_every_supported_tick():
+    # At every tick a run accepts, both levels fit the slot, the dynamic
+    # sender starts first, and their distance has its own preemption-error
+    # rate, so the lookup never falls back to another distance's.
+    distance = PERIODIC_PRIORITY - RHYTHMIC_PRIORITY
+    assert RHYTHMIC_PRIORITY < PERIODIC_PRIORITY and distance in PER_TABLE
+    for tick in range(30, 401):
+        levels = range(priority_levels(SlotTiming(priority_tick_us=tick)))
+        assert RHYTHMIC_PRIORITY in levels and PERIODIC_PRIORITY in levels, tick
 
 
 def test_window_conflicts_resolve_for_the_disturbed_task():
@@ -387,9 +395,9 @@ def test_run_cell_matches_run_on_sweep_trials():
             disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec),
             alpha=rec.alpha_slots, framework=Framework(rec.framework),
         ))
-        assert (rec.drt_slots, rec.dhl_slots, rec.success, rec.feasible_dynamic, rec.dr,
+        assert (rec.drt_slots, rec.dhl_slots, rec.success, rec.dr,
                 rec.dropped_packets, rec.dropped_transmissions) == (
-            m.drt_slots, m.dhl_slots, m.success, m.feasible_dynamic, m.degradation_rate,
+            m.drt_slots, m.dhl_slots, m.success, m.degradation_rate,
             m.dropped_packets, m.dropped_transmissions), (rec.seed, rec.framework)
 
 

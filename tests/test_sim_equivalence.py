@@ -283,9 +283,9 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
         priorities = []
         for sender, receiver, pkt, hop, source in candidates:
             prio = (
-                config.mac.rhythmic_priority
+                mac_model.RHYTHMIC_PRIORITY
                 if source == "dynamic"
-                else config.mac.periodic_priority
+                else mac_model.PERIODIC_PRIORITY
             )
             priorities.append(prio)
             _add(trace, t, "tx", sender=sender, receiver=receiver, task=pkt.task,
@@ -302,9 +302,7 @@ def reference_run(config: SimConfig) -> tuple[list[TraceEvent], Metrics, PacketR
             prios = sorted(priorities)
             distance = prios[1] - prios[0]
             if distance >= 1:
-                per = mac_model.preemption_error_rate(
-                    tick, distance, table=dict(config.mac.per_table) or None
-                )
+                per = mac_model.preemption_error_rate(tick, distance)
                 for i, outcome in enumerate(outcomes):
                     if outcome is mac_model.TxOutcome.WON_DELIVERED:
                         sender, receiver = candidates[i][0], candidates[i][1]
