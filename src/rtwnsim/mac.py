@@ -19,6 +19,7 @@ __all__ = [
     "SlotTiming",
     "TxOutcome",
     "priority_levels",
+    "check_tick",
     "arbitrate_slot",
     "preemption_error_rate",
     "contention_latency_experiment",
@@ -105,14 +106,19 @@ def arbitrate_slot(
 PER_TABLE: dict[int, float] = {1: 0.10, 2: 0.05}
 
 
+def check_tick(tick_us: int) -> None:
+    """Reject a tick the preemption-error measurements do not cover."""
+    if not (30 <= tick_us <= 400):
+        raise ValueError("tick must lie in the supported 30..400 us range")
+
+
 def preemption_error_rate(tick_us: int, priority_distance: int) -> float:
     """Probability that the high-priority winner is corrupted by a contender.
 
     Zero for ticks of 60 us and above; at smaller ticks the rate falls as the
     priority distance grows.
     """
-    if not (30 <= tick_us <= 400):
-        raise ValueError("tick must lie in the supported 30..400 us range")
+    check_tick(tick_us)
     if priority_distance < 1:
         raise ValueError("priority distance must be >= 1")
     if tick_us >= 60:

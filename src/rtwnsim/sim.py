@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,9 +118,8 @@ class MacParams:
     timing: mac_model.SlotTiming = mac_model.SlotTiming()
 
     def __post_init__(self) -> None:
-        # A run looks preemption errors up at this tick; the lookup rejects
-        # ticks its measurements do not cover.
-        mac_model.preemption_error_rate(self.timing.priority_tick_us, 1)
+        # A run looks preemption errors up at this tick.
+        mac_model.check_tick(self.timing.priority_tick_us)
 
 
 @dataclass(frozen=True)
@@ -393,21 +392,21 @@ def _link_draws(
 
 
 def _contend(
-    candidates: list[tuple], t: int, timing: mac_model.SlotTiming, per_draws: Optional[dict], per: float
+    candidates: list[tuple], t: int, timing: mac_model.SlotTiming,
+    preempted: Optional[Callable[[tuple[str, str]], np.ndarray]],
 ) -> list[mac_model.TxOutcome]:
     """Outcomes of a slot with two senders ``(sender, receiver, link
     successes, packet, hop, priority)``, one at each level: priority
-    arbitration over their link draws, then, with ``per_draws`` (below a
-    60 us tick), the winner's preemption-error draw against rate ``per``."""
+    arbitration over their link draws, then, with ``preempted`` (below a
+    60 us tick), whether a preemption error corrupts the winner, read off
+    ``preempted(link)``, one bool per slot."""
     priorities = [c[-1] for c in candidates]
     link_success = [bool(up[t]) for _, _, up, *_ in candidates]
     outcomes = mac_model.arbitrate_slot(priorities, timing, link_success)
-    if per_draws is not None:
+    if preempted is not None:
         for i, outcome in enumerate(outcomes):
-            if outcome is mac_model.TxOutcome.WON_DELIVERED:
-                sender, receiver = candidates[i][0], candidates[i][1]
-                if per_draws[(sender, receiver)][t] < per:
-                    outcomes[i] = mac_model.TxOutcome.WON_LOST
+            if outcome is mac_model.TxOutcome.WON_DELIVERED and preempted(candidates[i][:2])[t]:
+                outcomes[i] = mac_model.TxOutcome.WON_LOST
     return outcomes
 
 
@@ -716,7 +715,6 @@ def _window_loop(
     packets: dict[tuple[int, int], _Packet],
     alias: Optional[_Alias],
     up: dict[tuple[str, str], np.ndarray],
-    used: set[tuple[str, str]],
 ) -> list[tuple]:
     """The records of the slots in ``split.loop_slots``, in slot order.
     ``packets`` holds the loop's packets by key; the loop advances their
@@ -739,13 +737,21 @@ def _window_loop(
         mac_model.TxOutcome.DEFERRED: "deferred",
         mac_model.TxOutcome.COLLIDED: "collided",
     }
-    # Preemption-error draws (stream 1) are read only in contended slots below
-    # a 60 us tick, so the first such slot draws them and looks up their rate;
-    # each link's array is a pure function of (seed, stream, link), whenever
-    # it is drawn.
+    # Preemption-error draws (stream 1) are read only where a contended slot's
+    # winner would deliver below a 60 us tick, so each winner's link is drawn
+    # when it first needs them.  A link's array is a pure function of (seed,
+    # stream, link), whenever it is drawn, and is kept as one bool per slot:
+    # whether the draw falls below the rate.
     timing = config.mac.timing
-    preempt_errors = timing.priority_tick_us < 60
-    per_draws, per = None, 0.0
+    preempted = None
+    if timing.priority_tick_us < 60:
+        per = mac_model.preemption_error_rate(timing.priority_tick_us, periodic_prio - rhythmic_prio)
+        per_errors: dict[tuple[str, str], np.ndarray] = {}
+
+        def preempted(link: tuple[str, str]) -> np.ndarray:
+            if link not in per_errors:
+                per_errors[link] = _link_draws(config.network, {link}, config.seed, horizon, stream=1)[link] < per
+            return per_errors[link]
 
     loop_records: list[tuple] = []
     add = loop_records.append
@@ -818,10 +824,7 @@ def _window_loop(
         if len(candidates) == 1:
             outcomes = [won if candidates[0][2][t] else lost]
         else:
-            if preempt_errors and per_draws is None:
-                per_draws = _link_draws(config.network, used, config.seed, horizon, stream=1)
-                per = mac_model.preemption_error_rate(timing.priority_tick_us, periodic_prio - rhythmic_prio)
-            outcomes = _contend(candidates, t, timing, per_draws, per)
+            outcomes = _contend(candidates, t, timing, preempted)
 
         for (sender, receiver, _, pkt, hop, _), outcome in zip(candidates, outcomes):
             if outcome is won:
@@ -934,7 +937,7 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     # stream-0 draw is read only against its link's pdr.
     used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
     up = _link_draws(config.network, used, config.seed, horizon, stream=0, successes=True)
-    loop_records = _window_loop(config, sched, split, packets, alias, up, used)
+    loop_records = _window_loop(config, sched, split, packets, alias, up)
     walk = _independent_walk(
         split, table, config, {tid: sum(rv) for tid, rv in planned.static.retry_vectors.items()}, up
     )

@@ -194,13 +194,15 @@ def _render(parts: Sequence[Part], vocab: Sequence[str], horizon: int, fh: Binar
     time.  A window's lines are filled part by part into the columns of one
     uint8 matrix, each field in a block of rows as tall as its longest entry
     and aligned to its bottom above ``_PAD``: literal text is broadcast, ints
-    come from ``_decimal`` and text values are columns of the vocabulary's
-    byte matrix.  The matrix is turned into one row per line, the rows are
-    put into v1 order, and every byte but ``_PAD``, which no UTF-8 text
-    holds, is kept, so any text round-trips.  A trace without records is a
-    lone newline."""
+    come from ``_decimal`` and text values are the bottom rows of the
+    vocabulary's byte matrix, as many as the longest word the window's ids
+    name has UTF-8 bytes.  The matrix is turned into one row per line, the
+    rows are put into v1 order, and every byte but ``_PAD``, which no UTF-8
+    text holds, is kept, so any text round-trips.  A trace without records
+    is a lone newline."""
     encoded = [word.encode("utf-8", "surrogatepass") for word in vocab]
-    word_bytes = np.full((max(map(len, encoded), default=0), len(encoded)), _PAD, dtype=np.uint8)
+    word_len = np.array(list(map(len, encoded)), dtype=np.intp)
+    word_bytes = np.full((word_len.max(initial=0), len(encoded)), _PAD, dtype=np.uint8)
     for column, word in zip(word_bytes.T, encoded):
         column[len(column) - len(word):] = np.frombuffer(word, dtype=np.uint8)
     word_id = {w: i for i, w in enumerate(vocab)}
@@ -221,7 +223,8 @@ def _render(parts: Sequence[Part], vocab: Sequence[str], horizon: int, fh: Binar
                 key = (id(values), lo, hi)
                 if key not in columns:
                     ids = values[lo:hi]
-                    columns[key] = word_bytes[:, ids] if is_text else _decimal(ids)
+                    columns[key] = (word_bytes[len(word_bytes) - word_len[ids].max():, ids] if is_text
+                                    else _decimal(ids))
                 blocks.append(columns[key])
             filled.append(blocks)
         text = np.empty((max(sum(map(len, blocks)) for blocks in filled), len(order)), dtype=np.uint8)

@@ -9,7 +9,9 @@ builds one candidate's active sets over a schedule span of its own, and
 ``dynamic_plan`` plans one dropping level alone from the six planning
 inputs.  ``standalone_record`` is the sweep's record of one
 (trial, framework) pair planned alone, through ``sim.plan``, the reference a
-sweep cell's shared plans are held to.
+sweep cell's shared plans are held to.  ``TAIL_TRIALS`` are the seeded
+trials whose plans hold a truncated boundary packet, and ``tail_trial_config``
+is the config that disturbs one of them.
 """
 
 from __future__ import annotations
@@ -20,12 +22,25 @@ import numpy as np
 import pytest
 
 from rtwnsim.dropping import DynamicPlan, generate_dynamic_schedule
-from rtwnsim.experiments import RunRecord, Trial, _record
+from rtwnsim.experiments import RunRecord, Trial, _record, make_trial
 from rtwnsim.model import CandidateInfeasible, Link, NetworkModel, SchedulingMode, _chain_layout
 from rtwnsim.rhythmic import ActivePacketSets, ScheduleSpan, build_active_sets
 from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan
 from rtwnsim.static_schedule import Schedule
 from rtwnsim.trace import SimTrace
+
+
+# (seed, util) of the ``make_trial(seed, util, 2)`` trials whose last
+# rhythmic packet takes over a static tail (``tail_slots``), in TBS and PBS
+# at both FD-PaS levels.
+TAIL_TRIALS = ((106, 0.5), (106, 0.7), (16, 0.9), (62, 0.9), (78, 0.9), (106, 0.9), (112, 0.9), (241, 0.9))
+
+
+def tail_trial_config(seed: int, util: float, mode: SchedulingMode, framework: Framework) -> SimConfig:
+    """The config of ``make_trial(seed, util, 2)`` at its default horizon."""
+    trial = make_trial(seed, util, 2)
+    return SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, framework=framework,
+                     disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
 
 
 def chain_network(in_depth: int = 8, out_depth: int = 8, pdr: float = 1.0, controller: str = "C") -> NetworkModel:

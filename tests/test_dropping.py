@@ -31,7 +31,7 @@ from rtwnsim.dropping import (
     greedy_drop_packets,
 )
 from rtwnsim.experiments import _trial_seed, make_trial
-from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, plan_frameworks
+from rtwnsim.sim import DisturbanceSpec, Framework, SimConfig, default_horizon, plan_frameworks
 
 from dropping_reference import (
     PeriodicPacketState,
@@ -42,7 +42,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import active_sets, chain_network, dynamic_plan, empty_schedule
+from support import TAIL_TRIALS, active_sets, chain_network, dynamic_plan, empty_schedule, tail_trial_config
 
 
 def _testbed():
@@ -542,19 +542,28 @@ def test_dynamic_schedule_rejects_an_unknown_level():
 
 
 def test_dynamic_schedule_constraints_hold():
+    # The testbed, and the seeded trials whose last rhythmic packet is
+    # truncated: it owes less than the full demand and takes over a static
+    # tail.
     net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
-    full_demand = sum(allocate_retry_vector(net.path_pdrs(tasks[0].path), 0.95))
-    for mode, level in itertools.product(SchedulingMode, ("packet", "transmission")):
-        result = build_static_schedule(tasks, net, mode, 0.95, horizon=260)
-        plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level=level)
+    cases = [(DisturbanceEvent.from_task(tasks[0], 3), tasks, net, 0.95, 260, False)]
+    for seed, util in TAIL_TRIALS:
+        config = tail_trial_config(seed, util, SchedulingMode.TBS, Framework.FDPAS_PACKET)
+        cases.append((config.event(), config.tasks, config.network, config.required_pdr, default_horizon(config), True))
+    for (event, tasks, net, pdr, horizon, truncated), mode, level in itertools.product(
+            cases, SchedulingMode, ("packet", "transmission")):
+        (task,) = [t for t in tasks if t.id == event.task_id]
+        full_demand = sum(allocate_retry_vector(net.path_pdrs(task.path), pdr))
+        result = build_static_schedule(tasks, net, mode, pdr, horizon=horizon)
+        plan = dynamic_plan(event, result.schedule, tasks, net, pdr, level=level)
+        assert any(entry.tail_slots for entry in plan.sets.rhythmic) or not truncated
         # the overlay stays in the window, which the slot engine relies on
         # when it reads the overlay arrays whole
         assert np.all((plan.overlay_slots >= event.enter_slot) & (plan.overlay_slots < plan.end_point))
         # the overlay takes only idle, own or freed slots
         freed = plan.decision.freed_slots(ScheduleSpan(event, result.schedule, tasks, 4))
         for t in overlay_of(plan):
-            assert result.schedule.task_at[t] in (-1, 0) or t in freed
+            assert result.schedule.task_at[t] in (-1, task.id) or t in freed
         # every demanded slot was granted inside the window, hop-ordered
         for entry in plan.sets.rhythmic:
             need = entry.demand
@@ -564,10 +573,15 @@ def test_dynamic_schedule_constraints_hold():
             assert all(entry.release <= s < entry.deadline for s, _ in slots)
             hops = [h for _, h in slots]
             assert hops == sorted(hops)
-        # completion constraint for the chosen end point
+        # completion constraint for the chosen end point, where the last
+        # stepped packet has overlay slots; a truncated one without them
+        # owes none and rides its static tail
         last_stepped = event.enter_slot + sum(event.periods[:-1])
-        finish = max(t for t, a in overlay_of(plan).items() if a.release == last_stepped) + 1
-        assert finish <= plan.end_point <= end_point_upper_bound(event, 4)
+        assert plan.end_point <= end_point_upper_bound(event, 4)
+        finish = max((t for t, a in overlay_of(plan).items() if a.release == last_stepped), default=None)
+        assert finish is not None or [e.demand for e in plan.sets.rhythmic if e.release == last_stepped] == [0]
+        if finish is not None:
+            assert finish + 1 <= plan.end_point
 
 
 def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):

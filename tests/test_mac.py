@@ -10,6 +10,7 @@ from rtwnsim.mac import (
     SlotTiming,
     TxOutcome,
     arbitrate_slot,
+    check_tick,
     contention_latency_experiment,
     preemption_error_rate,
     priority_levels,
@@ -113,8 +114,10 @@ def test_arbitrate_needs_one_link_draw_per_contender():
 
 
 def test_preemption_error_rate_range():
-    with pytest.raises(ValueError):
-        preemption_error_rate(20, 1)
+    for tick in (29, 401):
+        assert raised(lambda: preemption_error_rate(tick, 1)) == raised(lambda: check_tick(tick)) == (
+            ValueError, "tick must lie in the supported 30..400 us range")
+    assert check_tick(30) is None and check_tick(400) is None
     assert raised(lambda: preemption_error_rate(30, 0)) == (ValueError, "priority distance must be >= 1")
 
 

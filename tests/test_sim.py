@@ -133,6 +133,20 @@ def test_mac_priority_constants_fit_every_supported_tick():
         assert RHYTHMIC_PRIORITY in levels and PERIODIC_PRIORITY in levels, tick
 
 
+def test_mac_params_check_their_tick_without_a_rate_lookup(monkeypatch):
+    # Parsing a config is not a preemption-error lookup: the tick range is
+    # checked by mac.check_tick, which the lookup shares.
+    def lookup(tick_us, priority_distance):
+        raise AssertionError("a config looked a preemption-error rate up")
+
+    monkeypatch.setattr(sim_mod.mac_model, "preemption_error_rate", lookup)
+    for tick in (30, 50, 400):
+        MacParams(timing=SlotTiming(priority_tick_us=tick))
+    for tick in (29, 401):
+        assert raised(lambda: MacParams(timing=SlotTiming(priority_tick_us=tick))) == (
+            ValueError, "tick must lie in the supported 30..400 us range")
+
+
 def test_window_conflicts_resolve_for_the_disturbed_task():
     # Every contended slot inside the window is won by the disturbed task's
     # transmission; the periodic sender defers.
@@ -197,14 +211,16 @@ def test_preemption_error_draws_wait_for_the_first_contended_slot(monkeypatch):
     assert _contended_slots(trace) == 0
     assert streams == [0]
 
+    # Below a 60 us tick, stream 1 is drawn after stream 0, one link at a time.
     net, tasks = _testbed()
-    for tick, expected in ((30, [0, 1]), (50, [0, 1]), (60, [0])):
+    for tick in (30, 50, 60):
         streams.clear()
         trace, _ = run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
                                  disturbance=DisturbanceSpec(0, 3),
                                  mac=MacParams(timing=SlotTiming(priority_tick_us=tick))))
         assert _contended_slots(trace) > 0
-        assert streams == expected, tick
+        assert streams[0] == 0 and streams[1:] == [1] * (len(streams) - 1), tick
+        assert (len(streams) > 1) == (tick < 60), tick
 
 
 def test_rhythmic_packets_meet_deadlines_with_perfect_links():

@@ -17,14 +17,16 @@ library reads off the events, must equal the per-packet logs and terminal
 records the reference keeps as it runs -- on sweep trials in both modes
 under all three frameworks, on the contended testbed window at
 preemption-error and error-free ticks, on runs whose last rhythmic packet
-takes over a static tail, and on hypothesis-drawn variants of the testbed
-network with and without a disturbance.  ``reference_run`` draws every link
-of the network through ``frozen_link_draws``; the engine draws only the
-links on some task's path, with the same per-link streams.
+takes over a static tail (hand-set testbed configs and seeded trials), and
+on hypothesis-drawn variants of the testbed network with and without a
+disturbance.  ``reference_run`` draws every link of the network through
+``frozen_link_draws``; the engine draws only the links on some task's path,
+with the same per-link streams, and stream 1 only for the links that need it.
 """
 
 import dataclasses
 import io
+import itertools
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -52,10 +54,10 @@ from rtwnsim.sim import (
     plan,
     run,
 )
-from rtwnsim.trace import _PAD, _WINDOW_SLOTS, _decimal
+from rtwnsim.trace import _PAD, _WINDOW_SLOTS, WORDS, Part, _decimal
 
 from dropping_reference import overlay_of
-from support import trace_text
+from support import TAIL_TRIALS, tail_trial_config, trace_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -477,6 +479,16 @@ def test_tail_takeover_matches_reference(case, framework, seed):
     assert any(slot >= dynamic.end_point for slot, _, _ in log)
 
 
+@pytest.mark.parametrize("seed, util", TAIL_TRIALS)
+def test_truncated_boundary_trials_match_reference(seed, util):
+    # Seeded trials whose plans hold a truncated boundary packet: the last
+    # rhythmic packet has tail slots, in both modes at both levels.
+    for mode, framework in itertools.product(SchedulingMode, (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION)):
+        config = tail_trial_config(seed, util, mode, framework)
+        assert any(entry.tail_slots for entry in plan(config).dynamic.sets.rhythmic)
+        assert _assert_same_run(config) is not None
+
+
 def test_marks_on_one_slot_order_by_task_id_and_table():
     # The tasks are listed in reverse id order, with loops 1 and 2 on one
     # release grid: their packets are released on the same slots, in table
@@ -573,10 +585,8 @@ def test_long_run_matches_reference(mode, framework, link_scale, required_pdr):
         assert "missed" in results
 
 
-@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
-def test_unused_link_is_never_drawn(mode, monkeypatch):
-    # ("V0", "V2") carries no task and sorts between used links, so the
-    # links after it keep their stream index only if it still counts.
+def _record_link_draws(monkeypatch) -> list[tuple[int, set]]:
+    """The stream and links of each ``sim._link_draws`` call from here on."""
     drawn: list[tuple[int, set]] = []
     real = sim_mod._link_draws
 
@@ -586,12 +596,45 @@ def test_unused_link_is_never_drawn(mode, monkeypatch):
         return draws
 
     monkeypatch.setattr(sim_mod, "_link_draws", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_unused_link_is_never_drawn(mode, monkeypatch):
+    # ("V0", "V2") carries no task and sorts between used links, so the
+    # links after it keep their stream index only if it still counts.
+    drawn = _record_link_draws(monkeypatch)
     base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode,
                                mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
     network = dataclasses.replace(base.network, links=base.network.links + (Link("V0", "V2", 0.7),))
     assert _assert_same_run(dataclasses.replace(base, network=network)) is not None
-    assert [stream for stream, _ in drawn] == [0, 1]
-    assert all(("V0", "V2") not in links and len(links) == 6 for _, links in drawn)
+    # Stream 0 draws every used link at once, stream 1 one link at a time.
+    (stream, links), *preemption = drawn
+    assert stream == 0 and len(links) == 6 and ("V0", "V2") not in links
+    assert preemption and all(stream == 1 and len(one) == 1 and one <= links for stream, one in preemption)
+
+
+@pytest.mark.parametrize("framework", [Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION],
+                         ids=lambda f: f.value)
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_preemption_errors_are_drawn_only_for_contended_winners(mode, framework, monkeypatch):
+    # Below a 60 us tick, a link's stream-1 draws are read only where it wins
+    # a contended slot and its stream-0 draw delivers, so exactly those links
+    # are drawn, each once.
+    real = sim_mod._link_draws
+    drawn = _record_link_draws(monkeypatch)
+    config = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode, framework=framework,
+                                 mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
+    trace = _assert_same_run(config)
+    (_, links), *preemption = drawn
+    up = real(config.network, links, config.seed, plan(config).static.schedule.horizon, 0, successes=True)
+    tx: dict[int, list[tuple]] = {}
+    for record in trace.events:
+        if record[1] == "tx":
+            tx.setdefault(record[0], []).append(record)
+    needed = {(r[2], r[3]) for t, sent in tx.items() if len(sent) > 1
+              for r in sent if r[-1] == mac_model.RHYTHMIC_PRIORITY and up[(r[2], r[3])][t]}
+    assert needed and sorted(one for _, (one,) in preemption) == sorted(needed)
 
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
@@ -647,6 +690,24 @@ def test_any_node_name_writes_the_reference_bytes(names, mode):
     out = io.BytesIO()
     trace.write(out)
     assert out.getvalue() == text.encode("utf-8", "surrogatepass")
+
+
+def test_text_blocks_fit_the_words_of_each_window():
+    # A text block is as tall as the longest word, in UTF-8 bytes, its ids
+    # name in the window: the first window's sender column holds
+    # "no_listener" next to 1-byte names, the second holds only short words,
+    # one of them a node name of 2 characters and 6 bytes.
+    vocab = (*WORDS, "A", "B", "控制")
+    a, b, wide, listener, lost = len(WORDS), len(WORDS) + 1, len(WORDS) + 2, WORDS.index("no_listener"), 0
+    slot = np.array([3, 3, 9, _WINDOW_SLOTS + 1, _WINDOW_SLOTS + 5], dtype=np.int64)
+    sender = np.array([a, listener, b, wide, a], dtype=np.intp)
+    result = np.array([WORDS.index("delivered"), listener, lost, lost, lost], dtype=np.intp)
+    hop = np.array([1, 2, 1, 3, 12], dtype=np.int64)
+    part = Part(slot, 0, "outcome", (sender, 7, slot - 1, hop, result))
+    trace = SimTrace([part], vocab, 2 * _WINDOW_SLOTS)
+    text = trace_text(trace)
+    assert text == _reference_text(trace.events)
+    assert "sender=no_listener" in text and "sender=控制 " in text
 
 
 def test_a_trace_without_records_is_one_newline():
