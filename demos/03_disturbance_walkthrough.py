@@ -8,42 +8,14 @@ granularities, the resulting overlay, and the simulated outcome in which the
 preempted periodic transmissions are visible.
 """
 
-from rtwnsim import (
-    EVENT_FIELDS,
-    DisturbanceEvent,
-    DisturbanceSpec,
-    Framework,
-    Link,
-    NetworkModel,
-    RhythmicSpec,
-    SchedulingMode,
-    SimConfig,
-    TaskSpec,
-    build_static_schedule,
-    generate_dynamic_schedule,
-    run,
-)
+from pathlib import Path
+
+from rtwnsim import EVENT_FIELDS, SchedulingMode, build_static_schedule, generate_dynamic_schedule, run
+from rtwnsim.config import parse_scenario
 from rtwnsim.rhythmic import end_point_upper_bound
 
-net = NetworkModel(
-    nodes=("V0", "V1", "V2", "V3", "V4", "V5", "Vc"),
-    controller="Vc",
-    links=tuple(
-        Link(a, b, 0.9)
-        for a, b in [
-            ("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"),
-            ("V2", "Vc"), ("Vc", "V5"),
-        ]
-    ),
-)
-tasks = (
-    TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-             rhythmic=RhythmicSpec((12,) * 5, (12,) * 5), slot_budget=8, phase=1),
-    TaskSpec(id=1, path=("V2", "Vc", "V3"), period=30, deadline=30, slot_budget=6, phase=1),
-    TaskSpec(id=2, path=("V1", "Vc", "V5"), period=20, deadline=20, slot_budget=4, phase=1),
-)
-
-event = DisturbanceEvent.from_task(tasks[0], 3)
+cfg = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "testbed.yaml")
+net, tasks, event = cfg.network, cfg.tasks, cfg.event()
 print(f"detected at slot {event.detect_slot}; short-period state "
       f"[{event.enter_slot}, {event.exit_slot})")
 print(f"notified nodes: {tasks[0].path}")
@@ -66,9 +38,6 @@ for level, plan in zip(levels, generate_dynamic_schedule(event, static.schedule,
     print(f"total degradation: {plan.decision.total_degradation:.4f}")
 
 print("\n== simulated run (packet-level) ==")
-cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
-                disturbance=DisturbanceSpec(0, 3), alpha=15,
-                framework=Framework.FDPAS_PACKET)
 trace, metrics = run(cfg)
 print(f"response latency {metrics.drt_slots} slots, window length {metrics.dhl_slots}, "
       f"success={metrics.success}")

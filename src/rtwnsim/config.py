@@ -3,10 +3,9 @@
 One YAML document fully determines a run.  Top-level keys:
 
     network:      controller, nodes [..], links [{from, to, pdr?}]
-    tasks:        [{id, path, period, deadline?, slot_budget?, phase?,
-                    rhythmic?: {periods, deadlines?} | {ratio, steps}}]
-    disturbance:  {task, instance, rhythmic?: {periods, deadlines?} |
-                                              {ratio, steps}}
+    tasks:        [{id, path, period, deadline?, slot_budget?, phase?}]
+    disturbance:  {task, instance, rhythmic: {periods, deadlines?} |
+                                             {ratio, steps}}
     mac:          {priority_tick_us?}
     sim:          {mode?, required_pdr?, seed?, horizon?, alpha?, beta?,
                    framework?}
@@ -207,16 +206,6 @@ def _convert(hint: Any, value: Any, key: str) -> Any:
     return hint(value)
 
 
-def _plain(hint: Any, value: Any) -> Any:
-    """Field ``value`` in the YAML form ``_convert`` reads back."""
-    origin, args = get_origin(hint), get_args(hint)
-    if value is None:
-        return None
-    if origin is Union:
-        return _plain(args[0], value)
-    return value.value if isinstance(value, Enum) else value
-
-
 def _build(cls: type, section: Any, where: str, **given: Any) -> Any:
     """``cls(**given)`` plus one field per key of the flat ``section``."""
     hints = _field_types(cls)
@@ -228,9 +217,10 @@ def _build(cls: type, section: Any, where: str, **given: Any) -> Any:
 
 
 def _flat(obj: Any, *skip: str) -> dict[str, Any]:
-    """The fields of ``obj`` not in ``skip``, as ``_build`` reads them."""
-    hints = _field_types(type(obj))
-    return {f.name: _plain(hints[f.name], getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+    """The fields of ``obj`` not in ``skip``, as ``_build`` reads them: an
+    Enum as its value, any other value as it is."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+    return {key: value.value if isinstance(value, Enum) else value for key, value in values.items()}
 
 
 def parse_network(doc: dict) -> NetworkModel:
@@ -287,18 +277,12 @@ def parse_tasks(doc: dict) -> tuple[TaskSpec, ...]:
     for i, raw in enumerate(_require_list(doc, "tasks", "document")):
         where = f"tasks[{i}]"
         period = _require_int(raw, "period", where)
-        rhythmic = None
-        if raw.get("rhythmic") is not None:
-            rhythmic = _parse_rhythmic(raw["rhythmic"], period, f"{where}.rhythmic")
         task_id = _require_int(raw, "id", where)
         if any(t.id == task_id for t in tasks):
             raise ConfigError(f"{where}: duplicate task id {task_id}")
         path = tuple(str(n) for n in _require_list(raw, "path", where))
-        rest = {k: v for k, v in raw.items() if k not in ("id", "path", "period", "rhythmic")}
-        tasks.append(
-            _build(TaskSpec, {"deadline": period, **rest}, where,
-                   id=task_id, path=path, period=period, rhythmic=rhythmic)
-        )
+        rest = {k: v for k, v in raw.items() if k not in ("id", "path", "period")}
+        tasks.append(_build(TaskSpec, {"deadline": period, **rest}, where, id=task_id, path=path, period=period))
     if not tasks:
         raise ConfigError("document: tasks must list at least one task")
     return tuple(tasks)
@@ -321,11 +305,9 @@ def parse_scenario(path: str | Path) -> SimConfig:
         task_id = _require_int(raw, "task", "disturbance")
         if task_id not in by_id:
             raise ConfigError(f"disturbance: unknown task {task_id}")
-        rhythmic = None
-        if raw.get("rhythmic") is not None:
-            rhythmic = _parse_rhythmic(raw["rhythmic"], by_id[task_id].period, "disturbance.rhythmic")
-        elif by_id[task_id].rhythmic is None:
-            raise ConfigError("disturbance: task has no rhythmic specification")
+        if raw.get("rhythmic") is None:
+            raise ConfigError("disturbance: missing required key 'rhythmic'")
+        rhythmic = _parse_rhythmic(raw["rhythmic"], by_id[task_id].period, "disturbance.rhythmic")
         instance = _require_int(raw, "instance", "disturbance")
         _known(raw, ("task", "instance", "rhythmic"), "disturbance")
         try:
@@ -344,10 +326,6 @@ def parse_experiment(path: str | Path) -> ExperimentSpec:
     return _build(ExperimentSpec, _without_solver(load_document(path), "experiment spec"), "experiment spec")
 
 
-def _rhythmic_doc(spec: RhythmicSpec) -> dict:
-    return {"periods": list(spec.periods), "deadlines": list(spec.deadlines)}
-
-
 def _task_doc(task: TaskSpec) -> dict:
     raw: dict[str, Any] = {
         "id": task.id,
@@ -359,8 +337,6 @@ def _task_doc(task: TaskSpec) -> dict:
         raw["slot_budget"] = task.slot_budget
     if task.phase:
         raw["phase"] = task.phase
-    if task.rhythmic is not None:
-        raw["rhythmic"] = _rhythmic_doc(task.rhythmic)
     return raw
 
 
@@ -384,9 +360,9 @@ def dump_scenario(config: SimConfig) -> str:
         "tasks": [_task_doc(t) for t in config.tasks],
     }
     if config.disturbance is not None:
-        doc["disturbance"] = {"task": config.disturbance.task, "instance": config.disturbance.instance}
-        if config.disturbance.rhythmic is not None:
-            doc["disturbance"]["rhythmic"] = _rhythmic_doc(config.disturbance.rhythmic)
+        ramp = config.disturbance.rhythmic
+        doc["disturbance"] = {"task": config.disturbance.task, "instance": config.disturbance.instance,
+                              "rhythmic": {"periods": list(ramp.periods), "deadlines": list(ramp.deadlines)}}
     doc["mac"] = _flat(config.mac.timing)
     doc["baseline"] = _flat(config.baseline)
     doc["sim"] = _flat(config, *_SECTIONS)

@@ -279,10 +279,6 @@ def run_cell(spec: ExperimentSpec, util: float, r_steps: int, tick: int) -> list
     return records
 
 
-def _run_cell_star(args) -> list[RunRecord]:
-    return run_cell(*args)
-
-
 def run_sweep(spec: ExperimentSpec, parallel: int = 1) -> list[RunRecord]:
     """Execute the whole grid; cells go to at most ``parallel`` worker
     processes, never more than there are cells, and the output order is
@@ -291,7 +287,7 @@ def run_sweep(spec: ExperimentSpec, parallel: int = 1) -> list[RunRecord]:
     workers = min(parallel, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_cell_star, [(spec, *cell) for cell in cells]))
+            chunks = list(pool.map(run_cell, itertools.repeat(spec), *zip(*cells)))
     else:
         chunks = [run_cell(spec, *cell) for cell in cells]
     records = [r for chunk in chunks for r in chunk]

@@ -277,7 +277,6 @@ class TaskSpec:
     path: tuple[str, ...]
     period: int
     deadline: int
-    rhythmic: Optional[RhythmicSpec] = None
     slot_budget: Optional[int] = None  # assigned slots per packet; None = reliability minimum
     phase: int = 0  # slot of the first release
 

@@ -70,11 +70,7 @@ class DisturbanceEvent:
         return self.enter_slot + sum(self.periods[:-1])
 
     @classmethod
-    def from_task(cls, task: TaskSpec, instance: int,
-                  spec: Optional[RhythmicSpec] = None) -> "DisturbanceEvent":
-        spec = spec or task.rhythmic
-        if spec is None:
-            raise ValueError(f"task {task.id} has no rhythmic specification")
+    def from_task(cls, task: TaskSpec, instance: int, spec: RhythmicSpec) -> "DisturbanceEvent":
         return cls(
             task_id=task.id,
             detect_slot=task.release(instance),

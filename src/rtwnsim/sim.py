@@ -86,7 +86,7 @@ class Framework(str, Enum):
 class DisturbanceSpec:
     task: int
     instance: int
-    rhythmic: Optional[RhythmicSpec] = None  # falls back to the task's own spec
+    rhythmic: RhythmicSpec
 
     def __post_init__(self) -> None:
         if self.instance < 0:

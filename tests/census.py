@@ -56,8 +56,6 @@ ALLOWED = {
     "trace.SimTrace.packets_from",
     # The paper's MAC contention result (A6, demo 04).
     "mac.contention_latency_experiment",
-    # Entered only in the sweep's pool worker processes.
-    "experiments._run_cell_star",
 }
 
 SITECUSTOMIZE = """\

@@ -11,16 +11,21 @@ inputs.  ``standalone_record`` is the sweep's record of one
 (trial, framework) pair planned alone, through ``sim.plan``, the reference a
 sweep cell's shared plans are held to.  ``TAIL_TRIALS`` are the seeded
 trials whose plans hold a truncated boundary packet, and ``tail_trial_config``
-is the config that disturbs one of them.
+is the config that disturbs one of them.  ``testbed`` is the config of
+``scenarios/testbed.yaml`` with its links rebuilt at one PDR.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtwnsim.config import parse_scenario
 from rtwnsim.dropping import DynamicPlan, generate_dynamic_schedule
 from rtwnsim.experiments import RunRecord, Trial, _record, make_trial
 from rtwnsim.model import CandidateInfeasible, Link, NetworkModel, SchedulingMode, _chain_layout
@@ -41,6 +46,17 @@ def tail_trial_config(seed: int, util: float, mode: SchedulingMode, framework: F
     trial = make_trial(seed, util, 2)
     return SimConfig(network=trial.network, tasks=trial.tasks, mode=mode, framework=framework,
                      disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
+
+
+@cache
+def testbed(pdr: float = 0.9) -> SimConfig:
+    """``scenarios/testbed.yaml`` with every link at ``pdr``."""
+    config = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "testbed.yaml")
+    links = tuple(dataclasses.replace(link, pdr=pdr) for link in config.network.links)
+    return dataclasses.replace(config, network=dataclasses.replace(config.network, links=links))
+
+
+testbed.__test__ = False  # a helper, though pytest collects the name from every test module importing it
 
 
 def chain_network(in_depth: int = 8, out_depth: int = 8, pdr: float = 1.0, controller: str = "C") -> NetworkModel:

@@ -20,11 +20,7 @@ import numpy as np
 
 from rtwnsim.model import (
     CandidateInfeasible,
-    Link,
-    NetworkModel,
-    RhythmicSpec,
     SchedulingMode,
-    TaskSpec,
     allocate_retry_vector,
     packet_pdr,
 )
@@ -44,7 +40,7 @@ from dropping_reference import (
     vector_matrix,
     vectors_of,
 )
-from support import dynamic_plan, standalone_record
+from support import dynamic_plan, standalone_record, testbed
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:
@@ -53,29 +49,10 @@ def _criterion(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name} failed: {detail}"
 
 
-def _testbed(pdr=0.9):
-    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
-    links = tuple(
-        Link(a, b, pdr)
-        for a, b in [
-            ("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"),
-            ("V2", "Vc"), ("Vc", "V5"),
-        ]
-    )
-    net = NetworkModel(nodes=nodes, controller="Vc", links=links)
-    tasks = (
-        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-                 rhythmic=RhythmicSpec((12,) * 5, (12,) * 5), slot_budget=8, phase=1),
-        TaskSpec(id=1, path=("V2", "Vc", "V3"), period=30, deadline=30, slot_budget=6, phase=1),
-        TaskSpec(id=2, path=("V1", "Vc", "V5"), period=20, deadline=20, slot_budget=4, phase=1),
-    )
-    return net, tasks
-
-
 def test_a1_bench_scenario_dropping():
     start = time.perf_counter()
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     static = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     assert static.feasible
 
@@ -234,7 +211,8 @@ def test_a5_delivery_math():
         )
 
     # Empirical nominal-mode delivery over >= 10^4 packets per the engine.
-    net, tasks = _testbed(pdr=0.9)
+    bed = testbed(0.9)
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=101, horizon=70_001)
     _, metrics = run(cfg)
     total = sum(s.released for s in metrics.per_task.values())

@@ -108,16 +108,14 @@ def _scenario_configs(draw):
         period = draw(st.integers(3, 40))
         tasks.append(TaskSpec(
             id=task_id, path=path, period=period, deadline=draw(st.integers(1, period)),
-            rhythmic=draw(st.none() | _rhythmic_specs(period)),
             slot_budget=draw(st.none() | st.integers(len(path) - 1, len(path) + 3)),
             phase=draw(st.integers(0, 5)),
         ))
     disturbance, alpha = None, draw(st.none() | st.integers(1, 100))
     if draw(st.booleans()):
         task = draw(st.sampled_from(tasks))
-        own = st.none() if task.rhythmic is not None else st.nothing()
         disturbance = DisturbanceSpec(task=task.id, instance=draw(st.integers(0, 5)),
-                                      rhythmic=draw(own | _rhythmic_specs(task.period)))
+                                      rhythmic=draw(_rhythmic_specs(task.period)))
         alpha = draw(st.none() | st.integers(task.period, 3 * task.period))
     timing = SlotTiming(priority_tick_us=draw(st.sampled_from([30, 50, 60, 100, 400])))
     return SimConfig(
@@ -314,10 +312,9 @@ def _controller_first_baseline(tmp_path, mode, baseline=""):
     its sensor, and disturbed under the centralized baseline."""
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     for old, new in [
-        ("path: [V2, Vc, V3]\n    period: 30\n    deadline: 30\n    slot_budget: 6\n    phase: 1\n",
-         "path: [Vc, V3, V4]\n    period: 30\n    deadline: 30\n    slot_budget: 6\n    phase: 1\n"
-         "    rhythmic: {periods: [24, 24]}\n"),
+        ("path: [V2, Vc, V3]", "path: [Vc, V3, V4]"),
         ("  task: 0\n", "  task: 1\n"),
+        ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [24, 24]}"),
         ("alpha: 15", "alpha: 30"),
         ("mode: TBS", f"mode: {mode}"),
         ("framework: FDPAS_PACKET", "framework: BASELINE_BROADCAST"),
@@ -354,9 +351,10 @@ def test_simulate_with_no_packet_writes_an_empty_trace(tmp_path):
     # Every task's first release is at the explicit horizon, and no
     # disturbance is set: the run has no event, and the trace is one newline.
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
-    assert text.count("phase: 1\n") == 3 and "disturbance:\n  task: 0\n  instance: 3\n" in text
+    disturbance = "disturbance:\n  task: 0\n  instance: 3\n  rhythmic: {periods: [12, 12, 12, 12, 12]}\n"
+    assert text.count("phase: 1\n") == 3 and disturbance in text
     text = text.replace("phase: 1\n", "phase: 260\n")
-    text = text.replace("disturbance:\n  task: 0\n  instance: 3\n", "")
+    text = text.replace(disturbance, "")
     scenario = tmp_path / "idle.yaml"
     scenario.write_text(text, encoding="utf-8")
     trace = tmp_path / "trace.txt"
@@ -503,14 +501,14 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("  task: 0\n", "  task: x\n", "disturbance: task 'x' is not an integer"),
     ("period: 30", "period: x", "tasks[1]: period 'x' is not an integer"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: 12}",
-     "tasks[0].rhythmic: 'int' object is not iterable"),
+     "disturbance.rhythmic: 'int' object is not iterable"),
     # A number with a fractional part, or a bool, is rejected, not truncated.
     ("instance: 3", "instance: 3.9", "disturbance: instance 3.9 is not an integer"),
     ("instance: 3", "instance: true", "disturbance: instance True is not an integer"),
     ("period: 30", "period: 30.5", "tasks[1]: period 30.5 is not an integer"),
     ("slot_budget: 8", "slot_budget: 8.5", "tasks[0]: slot_budget 8.5 is not an integer"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12.5, 12, 12, 12]}",
-     "tasks[0].rhythmic: periods 12.5 is not an integer"),
+     "disturbance.rhythmic: periods 12.5 is not an integer"),
     ("priority_tick_us: 60", "priority_tick_us: 60.5", "mac: priority_tick_us 60.5 is not an integer"),
     ("seed: 7", "seed: 7.5", "sim: seed 7.5 is not an integer"),
     ("horizon: 260", "horizon: 260.5", "sim: horizon 260.5 is not an integer"),
@@ -533,10 +531,12 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, prr: 0.9}", "network.links[0]: unknown key 'prr'"),
     ("period: 30", "period: 30\n    priority: 2", "tasks[1]: unknown key 'priority'"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12, 12, 12, 12], deadline: [12]}",
-     "tasks[0].rhythmic: unknown key 'deadline'"),
+     "disturbance.rhythmic: unknown key 'deadline'"),
     ("  instance: 3\n", "  instance: 3\n  slot: 40\n", "disturbance: unknown key 'slot'"),
-    ("  instance: 3\n", "  instance: 3\n  rhythmic: {periods: [12, 12], steps: 2, ratios: 0.8}\n",
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], steps: 2, ratios: 0.8}",
      "disturbance.rhythmic: unknown key 'ratios'"),
+    # The disturbed task's ramp is read from the disturbance only.
+    ("    slot_budget: 8\n", "    slot_budget: 8\n    rhythmic: {periods: [12]}\n", "tasks[0]: unknown key 'rhythmic'"),
     ("  - id: 2\n", "  - id: 1\n", "tasks[2]: duplicate task id 1"),
     # A schedule keeps task ids in an int32 column and marks an idle slot -1.
     ("  - id: 1\n", "  - id: -1\n", "tasks[1]: task -1: id must lie in 0..2147483647"),
@@ -546,17 +546,18 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
      "tasks[1]: period 1000000000000000000000 lies outside the 64-bit integer range"),
     ("period: 30", "period: 1.0e+308", "tasks[1]: period 1e+308 lies outside the 64-bit integer range"),
     ("  task: 0\n", "  task: 9\n", "disturbance: unknown task 9"),
-    ("  task: 0\n", "  task: 1\n", "disturbance: task has no rhythmic specification"),
+    ("  rhythmic: {periods: [12, 12, 12, 12, 12]}\n", "", "disturbance: missing required key 'rhythmic'"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: null", "disturbance: missing required key 'rhythmic'"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {steps: 3}",
-     "tasks[0].rhythmic: rhythmic needs either 'periods' or 'ratio'+'steps'"),
+     "disturbance.rhythmic: rhythmic needs either 'periods' or 'ratio'+'steps'"),
     ("  controller: Vc\n", "  controller: Vz\n", "network: controller 'Vz' is not a declared node"),
     ("nodes: [V0, V1, V2, V3, V4, V5, Vc]", "nodes: [V0, V1, V2, V3, V4, V5, Vc, V1]",
      "network: duplicate node identifiers"),
     # A string or a mapping is iterable, but is not a list of periods.
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", 'rhythmic: {periods: "12"}',
-     "tasks[0].rhythmic: periods must be a list, got str"),
+     "disturbance.rhythmic: periods must be a list, got str"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: {12: 12}}",
-     "tasks[0].rhythmic: deadlines must be a list, got dict"),
+     "disturbance.rhythmic: deadlines must be a list, got dict"),
     ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: 0.9}\n    - {from: V0, to: V0, pdr: 0.9}",
      "network.links[1]: link endpoints must differ, got V0->V0"),
     ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: 0.9}\n    - {from: V0, to: V1, pdr: 0.8}",
@@ -565,13 +566,13 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
     ("phase: 1\n  - id: 2", "phase: -1\n  - id: 2", "tasks[1]: task 1: phase must be >= 0"),
     ("slot_budget: 8", "slot_budget: 3", "tasks[0]: task 0: slot budget below hop count"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: [12]}",
-     "tasks[0].rhythmic: periods and deadlines must have equal length >= 1"),
+     "disturbance.rhythmic: periods and deadlines must have equal length >= 1"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {periods: [12, 12], deadlines: [12, 13]}",
-     "tasks[0].rhythmic: each step needs 1 <= deadline <= period, got (12, 13)"),
+     "disturbance.rhythmic: each step needs 1 <= deadline <= period, got (12, 13)"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 1.5, steps: 3}",
-     "tasks[0].rhythmic: ratio must be in (0, 1)"),
+     "disturbance.rhythmic: ratio must be in (0, 1)"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.8, steps: 0}",
-     "tasks[0].rhythmic: steps must be >= 1"),
+     "disturbance.rhythmic: steps must be >= 1"),
     ("priority_tick_us: 60", "priority_tick_us: 0", "mac: priority tick must be positive"),
     # A YAML boolean is not a number: float(True) would read as 1.0.
     ("{from: V0, to: V1, pdr: 0.9}", "{from: V0, to: V1, pdr: true}", "network.links[0]: pdr True is not a number"),
@@ -585,11 +586,11 @@ def test_simulate_unknown_solver_exit_code(tmp_path, capsys):
         "fractional_tick", "fractional_seed", "fractional_horizon", "fractional_beta", "fractional_offset",
         "list_seed", "sim_typo", "sim_nested_mac", "mac_typo", "mac_timing_field", "mac_rhythmic_priority",
         "mac_periodic_priority", "mac_per_table", "baseline_typo", "document_typo",
-        "network_typo", "link_typo", "task_typo", "task_rhythmic_typo", "disturbance_typo",
-        "disturbance_rhythmic_typo", "duplicate_task_id", "negative_task_id", "task_id_beyond_int32",
+        "network_typo", "link_typo", "task_typo", "rhythmic_deadline_typo", "disturbance_typo",
+        "disturbance_rhythmic_typo", "task_level_rhythmic", "duplicate_task_id", "negative_task_id", "task_id_beyond_int32",
         "period_beyond_int64", "float_period_beyond_int64",
         "string_rhythmic_periods", "mapping_rhythmic_deadlines", "unknown_disturbed_task",
-        "disturbed_task_without_rhythmic_spec", "rhythmic_without_periods_or_ratio", "undeclared_controller",
+        "disturbed_task_without_rhythmic_spec", "null_disturbance_rhythmic", "rhythmic_without_periods_or_ratio", "undeclared_controller",
         "duplicate_node", "self_link", "duplicate_link", "path_revisits_node", "negative_phase",
         "slot_budget_below_hops", "rhythmic_lengths_differ", "step_deadline_above_period", "ratio_1.5", "steps_0",
         "tick_0", "bool_link_pdr", "bool_required_pdr"])
@@ -633,7 +634,7 @@ def test_simulate_baseline_on_disconnected_network_exit_code(tmp_path, capsys):
     ("{from: V2, to: Vc, pdr: 0.9}", "{src: V2, to: Vc, pdr: 0.9}",
      "error: network.links[4]: missing required key 'from'\n"),
     ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.8}",
-     "error: tasks[0].rhythmic: missing required key 'steps'\n"),
+     "error: disturbance.rhythmic: missing required key 'steps'\n"),
 ], ids=["task_id", "link_from", "rhythmic_steps"])
 def test_missing_key_names_its_location_once(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
@@ -653,7 +654,8 @@ _TESTBED = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     ("\ndisturbance:\n", "  - 7\n\ndisturbance:\n", "tasks[3]: expected a mapping, got int"),
     (_TESTBED[_TESTBED.index("network:"):_TESTBED.index("tasks:")], "network: 3\n",
      "network: expected a mapping, got int"),
-    ("disturbance:\n  task: 0\n  instance: 3\n", "disturbance: [1]\n", "disturbance: expected a mapping, got list"),
+    (_TESTBED[_TESTBED.index("disturbance:"):_TESTBED.index("mac:")], "disturbance: [1]\n",
+     "disturbance: expected a mapping, got list"),
     ("mac:\n  priority_tick_us: 60\n", "mac: 3\n", "mac: expected a mapping, got int"),
     ("mac:\n", "baseline: [1]\nmac:\n", "baseline: expected a mapping, got list"),
     (_TESTBED[_TESTBED.index("sim:"):], "sim: 3\n", "sim: expected a mapping, got int"),
@@ -661,12 +663,13 @@ _TESTBED = (SCENARIOS / "testbed.yaml").read_text(encoding="utf-8")
     (_TESTBED[_TESTBED.index("sim:"):], "sim: []\n", "sim: expected a mapping, got list"),
     ("mac:\n  priority_tick_us: 60\n", "mac: 0\n", "mac: expected a mapping, got int"),
     ("mac:\n", "baseline: []\nmac:\n", "baseline: expected a mapping, got list"),
-    ("disturbance:\n  task: 0\n  instance: 3\n", "disturbance: []\n", "disturbance: expected a mapping, got list"),
-    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: []", "tasks[0].rhythmic: expected a mapping, got list"),
-    ("  instance: 3\n", "  instance: 3\n  rhythmic: 0\n", "disturbance.rhythmic: expected a mapping, got int"),
+    (_TESTBED[_TESTBED.index("disturbance:"):_TESTBED.index("mac:")], "disturbance: []\n",
+     "disturbance: expected a mapping, got list"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: []", "disturbance.rhythmic: expected a mapping, got list"),
+    ("rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: 0", "disturbance.rhythmic: expected a mapping, got int"),
 ], ids=["bare_link", "bare_task", "scalar_network", "list_disturbance", "scalar_mac", "list_baseline",
         "scalar_sim", "empty_list_sim", "zero_mac", "empty_list_baseline", "empty_list_disturbance",
-        "empty_list_task_rhythmic", "zero_disturbance_rhythmic"])
+        "empty_list_disturbance_rhythmic", "zero_disturbance_rhythmic"])
 def test_non_mapping_entry_exit_code(tmp_path, capsys, old, new, message):
     assert old in _TESTBED
     scenario = tmp_path / "bad.yaml"
@@ -899,8 +902,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return list(map(fn, iterable))
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     return sizes
@@ -985,14 +988,14 @@ _SWEEP_RAMP_CAP = "exceeds 2097152, half the 4194304-slot horizon cap; a ramp la
 
 @pytest.mark.parametrize("command, old, new, message", [
     ("simulate", "rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.2, steps: 100000000}",
-     f"tasks[0].rhythmic: a ramp of 100000000 steps lasts at least 300000000 slots, {_RAMP_CAP}"),
-    ("simulate", "  instance: 3\n", "  instance: 3\n  rhythmic: {ratio: 0.2, steps: 4194305}\n",
+     f"disturbance.rhythmic: a ramp of 100000000 steps lasts at least 300000000 slots, {_RAMP_CAP}"),
+    ("simulate", "rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.2, steps: 4194305}",
      f"disturbance.rhythmic: a ramp of 4194305 steps lasts at least 12582915 slots, {_RAMP_CAP}"),
-    ("simulate", "  instance: 3\n", "  instance: 3\n  rhythmic: {ratio: 0.2, steps: 4194304}\n",
+    ("simulate", "rhythmic: {periods: [12, 12, 12, 12, 12]}", "rhythmic: {ratio: 0.2, steps: 4194304}",
      f"disturbance.rhythmic: a ramp of 4194304 steps lasts at least 12582912 slots, {_RAMP_CAP}"),
     ("sweep", "r_steps: [4]", "r_steps: [4, 2147483648]", f"experiment spec: r_steps 2147483648 {_SWEEP_RAMP_CAP}"),
     ("sweep", "r_steps: [4]", "r_steps: [4194304]", f"experiment spec: r_steps 4194304 {_SWEEP_RAMP_CAP}"),
-], ids=["task_steps_10_8", "disturbance_steps_cap_plus_1", "disturbance_steps_cap", "r_steps_2_31", "r_steps_cap"])
+], ids=["disturbance_steps_10_8", "disturbance_steps_cap_plus_1", "disturbance_steps_cap", "r_steps_2_31", "r_steps_cap"])
 def test_ramp_longer_than_the_horizon_cap_exits_promptly(tmp_path, command, old, new, message):
     # A ramp of n steps lasts at least n times its first, shortest period,
     # and a sweep's periods are at least 2 slots, so a ramp no plan could
@@ -1021,7 +1024,7 @@ def test_the_longest_ramp_under_the_horizon_cap_still_parses(tmp_path):
                                            f"rhythmic: {{ratio: 0.8, steps: {steps}}}", 1), encoding="utf-8")
         return parse_scenario(source)
 
-    assert len(ramp(349525).tasks[0].rhythmic.periods) == 349525
+    assert len(ramp(349525).disturbance.rhythmic.periods) == 349525
     with pytest.raises(ConfigError, match=r"a ramp of 349526 steps lasts at least 4194312 slots"):
         ramp(349526)
     assert experiments.ExperimentSpec(r_steps=(2097152,)).r_steps == (2097152,)

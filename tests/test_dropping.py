@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from rtwnsim.model import (
     CandidateInfeasible,
-    Link,
-    NetworkModel,
     RhythmicSpec,
     SchedulingMode,
     TaskSpec,
@@ -42,26 +40,7 @@ from dropping_reference import (
     to_periodic_state,
     vector_matrix,
 )
-from support import TAIL_TRIALS, active_sets, chain_network, dynamic_plan, empty_schedule, tail_trial_config
-
-
-def _testbed():
-    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
-    links = tuple(
-        Link(a, b, 0.9)
-        for a, b in [
-            ("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"),
-            ("V2", "Vc"), ("Vc", "V5"),
-        ]
-    )
-    net = NetworkModel(nodes=nodes, controller="Vc", links=links)
-    tasks = (
-        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-                 rhythmic=RhythmicSpec((12,) * 5, (12,) * 5), slot_budget=8, phase=1),
-        TaskSpec(id=1, path=("V2", "Vc", "V3"), period=30, deadline=30, slot_budget=6, phase=1),
-        TaskSpec(id=2, path=("V1", "Vc", "V5"), period=20, deadline=20, slot_budget=4, phase=1),
-    )
-    return net, tasks
+from support import TAIL_TRIALS, active_sets, chain_network, dynamic_plan, empty_schedule, tail_trial_config, testbed
 
 
 # ------------------------------------------------------- transmission vectors
@@ -74,9 +53,8 @@ def _sets_for(net, tasks, event, candidate, full_demand):
 
 def test_vectors_empty_when_no_periodic_packets():
     net = chain_network(1, 1, pdr=1.0)
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10,
-                    rhythmic=RhythmicSpec((10,), (10,)))
-    event = DisturbanceEvent.from_task(task, 1)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
+    event = DisturbanceEvent.from_task(task, 1, RhythmicSpec((10,), (10,)))
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert sets.periodic == ()
@@ -87,10 +65,9 @@ def test_vectors_empty_when_no_periodic_packets():
 def test_vectors_count_slots_inside_one_window():
     # Hand-built: one periodic packet with three slots, all inside the second
     # rhythmic window.
-    task0 = TaskSpec(id=0, path=("S1", "C", "A1"), period=12, deadline=12,
-                     rhythmic=RhythmicSpec((4, 4, 4), (4, 4, 4)), phase=0)
+    task0 = TaskSpec(id=0, path=("S1", "C", "A1"), period=12, deadline=12, phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=24, deadline=24)
-    event = DisturbanceEvent.from_task(task0, 0)
+    event = DisturbanceEvent.from_task(task0, 0, RhythmicSpec((4, 4, 4), (4, 4, 4)))
     sched = empty_schedule(SchedulingMode.TBS, 48)
     for slot, hop in [(16, 1), (17, 1), (18, 2)]:
         sched.task_at[slot] = 1
@@ -103,8 +80,8 @@ def test_vectors_count_slots_inside_one_window():
 
 
 def test_vectors_match_naive_double_loop():
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     sched, sets = _sets_for(net, tasks, event, 136, full_demand=8)
     span = ScheduleSpan(event, sched, tasks, 4)
     vectors = dict(zip(sets.periodic, map(tuple, build_transmission_vectors(sets, span.groups(sets)).tolist())))
@@ -124,9 +101,8 @@ def test_vectors_match_naive_double_loop():
 
 def test_demand_zero_when_idle_slots_suffice():
     net = chain_network(1, 1, pdr=1.0)
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10,
-                    rhythmic=RhythmicSpec((10,), (10,)))
-    event = DisturbanceEvent.from_task(task, 1)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
+    event = DisturbanceEvent.from_task(task, 1, RhythmicSpec((10,), (10,)))
     result = build_static_schedule((task,), net, SchedulingMode.TBS, 0.9, horizon=80)
     sets = active_sets(40, event, result.schedule, (task,), full_demand=2)
     assert [d.demand for d in sets.rhythmic] == [2] * len(sets.rhythmic)  # one slot per hop
@@ -135,10 +111,9 @@ def test_demand_zero_when_idle_slots_suffice():
 
 def test_demand_reliable_subtraction():
     # Three hops demanded, two slots available -> one extra needed.
-    task0 = TaskSpec(id=0, path=("S2", "S1", "C", "A1"), period=10, deadline=10,
-                     rhythmic=RhythmicSpec((5,), (5,)), phase=0)
+    task0 = TaskSpec(id=0, path=("S2", "S1", "C", "A1"), period=10, deadline=10, phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
-    event = DisturbanceEvent.from_task(task0, 0)
+    event = DisturbanceEvent.from_task(task0, 0, RhythmicSpec((5,), (5,)))
     sched = empty_schedule(SchedulingMode.TBS, 30)
     # window [10, 15): slots 11..13 belong to another task
     for slot in (11, 12, 13):
@@ -159,10 +134,9 @@ def test_demand_reliable_subtraction():
 
 def test_demand_lossy_uses_retry_budget():
     # A single 0.9 hop against a 0.99 target needs two trials; no slots free.
-    task0 = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10,
-                     rhythmic=RhythmicSpec((5,), (5,)), phase=0)
+    task0 = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, phase=0)
     task1 = TaskSpec(id=1, path=("S1", "C", "A1"), period=30, deadline=30)
-    event = DisturbanceEvent.from_task(task0, 0)
+    event = DisturbanceEvent.from_task(task0, 0, RhythmicSpec((5,), (5,)))
     sched = empty_schedule(SchedulingMode.TBS, 30)
     for slot in range(10, 15):
         sched.task_at[slot] = 1
@@ -510,10 +484,9 @@ def test_set_cover_random_instances_agree_with_enumeration():
 
 def test_dynamic_schedule_zero_drop_when_workload_fits():
     net = chain_network(1, 1, pdr=1.0)
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10,
-                    rhythmic=RhythmicSpec((5, 5), (5, 5)))
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
     other = TaskSpec(id=1, path=("S1", "C", "A1"), period=40, deadline=40)
-    event = DisturbanceEvent.from_task(task, 1)
+    event = DisturbanceEvent.from_task(task, 1, RhythmicSpec((5, 5), (5, 5)))
     result = build_static_schedule((task, other), net, SchedulingMode.TBS, 0.9, horizon=120)
     plan = dynamic_plan(event, result.schedule, (task, other), net, 0.9)
     assert plan.decision.packet_count == 0
@@ -524,8 +497,8 @@ def test_dynamic_schedule_zero_drop_when_workload_fits():
 
 
 def test_dynamic_schedule_testbed_packet_level():
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     plan = dynamic_plan(event, result.schedule, tasks, net, 0.95, level="packet")
     # both packets of the 30-slot task released inside the window are dropped
@@ -534,8 +507,8 @@ def test_dynamic_schedule_testbed_packet_level():
 
 
 def test_dynamic_schedule_rejects_an_unknown_level():
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     with pytest.raises(ValueError, match="level must be 'packet' or 'transmission'"):
         dynamic_plan(event, result.schedule, tasks, net, 0.95, level="slot")
@@ -545,8 +518,8 @@ def test_dynamic_schedule_constraints_hold():
     # The testbed, and the seeded trials whose last rhythmic packet is
     # truncated: it owes less than the full demand and takes over a static
     # tail.
-    net, tasks = _testbed()
-    cases = [(DisturbanceEvent.from_task(tasks[0], 3), tasks, net, 0.95, 260, False)]
+    bed = testbed()
+    cases = [(bed.event(), bed.tasks, bed.network, 0.95, 260, False)]
     for seed, util in TAIL_TRIALS:
         config = tail_trial_config(seed, util, SchedulingMode.TBS, Framework.FDPAS_PACKET)
         cases.append((config.event(), config.tasks, config.network, config.required_pdr, default_horizon(config), True))
@@ -587,8 +560,8 @@ def test_dynamic_schedule_constraints_hold():
 def test_overlay_rejects_a_decision_that_frees_too_few_slots(monkeypatch):
     # Fault injection: a packet solver that frees nothing while the demand is
     # unmet leaves a rhythmic packet fewer usable slots than it needs.
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     monkeypatch.setattr(dropping, "greedy_drop_packets",
                         lambda residual, packets, counts, required_pdr: DropDecision(level="packet"))
@@ -601,8 +574,8 @@ def test_overlay_rejects_a_plan_that_breaks_the_completion_bound(monkeypatch, le
     # Fault injection: with the latency bound moved to the window's start,
     # the chosen end point and the last stepped packet's realized finish
     # both lie past it.
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
     monkeypatch.setattr(dropping, "end_point_upper_bound", lambda event, beta: event.enter_slot)
     message = (rf"^end point \d+ violates the completion constraint: the last stepped packet "
@@ -615,8 +588,8 @@ def test_overlay_rejects_a_solver_that_leaves_an_accepted_candidate_uncovered(mo
     # Fault injection: a packet solver that finds no cover for a candidate
     # whose active sets were built.  The planner names the candidate instead
     # of skipping it.
-    net, tasks = _testbed()
-    event = DisturbanceEvent.from_task(tasks[0], 3)
+    bed = testbed()
+    net, tasks, event = bed.network, bed.tasks, bed.event()
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=260)
 
     def uncovered(residual, packets, counts, required_pdr):
@@ -657,9 +630,10 @@ def test_dynamic_schedule_serves_only_the_plan_its_inputs_name():
     # A plan reads every input from its arguments: the event, schedule,
     # required pdr and beta of a call give the plan that a config with those
     # inputs gets from plan_frameworks, for each level of the call.
-    net, tasks = _testbed()
-    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, horizon=260, disturbance=DisturbanceSpec(0, 3))
-    for config in [base, dataclasses.replace(base, disturbance=DisturbanceSpec(0, 4)),
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
+    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, horizon=260, disturbance=bed.disturbance)
+    for config in [base, dataclasses.replace(base, disturbance=dataclasses.replace(bed.disturbance, instance=4)),
                    dataclasses.replace(base, required_pdr=0.9), dataclasses.replace(base, beta=3)]:
         schedule = build_static_schedule(tasks, net, SchedulingMode.TBS, config.required_pdr, horizon=260).schedule
         levels = (("transmission", Framework.FDPAS_TRANSMISSION), ("packet", Framework.FDPAS_PACKET))
@@ -734,3 +708,34 @@ def test_complexity_smoke():
     large = min(measure(20, 80) for _ in range(5))
     print(f"greedy packet dropping: n*m x4 -> time x{large / max(small, 1e-9):.1f}")
     assert large < 1.0  # sanity: stays desk-interactive
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
+def test_dynamic_schedule_reads_the_static_schedule_only_through_its_span(mode):
+    # A static build ended at the span's end, or at the disturbed task's
+    # first slot past it, gives the plans and overlays of the build over the
+    # default horizon, on trials 0-59 of the benchmark's sweep cell (base
+    # seed 0, util 0.5, r 8, tick 60).
+    levels = ("packet", "transmission")
+
+    def planned(config, horizon):
+        static = build_static_schedule(config.tasks, config.network, mode, config.required_pdr, horizon=horizon)
+        try:
+            plans = generate_dynamic_schedule(config.event(), static.schedule, config.tasks, config.network,
+                                              config.required_pdr, config.beta, levels)
+        except ValueError as exc:  # DisturbanceInfeasible, or the known PBS rounding defect
+            return static.schedule, (type(exc), str(exc))
+        overlays = [(p.overlay_slots.tolist(), p.overlay_releases.tolist(), p.overlay_hops.tolist()) for p in plans]
+        return static.schedule, (plans, overlays)
+
+    shortened = 0
+    for index in range(60):
+        trial = make_trial(_trial_seed(0, 0.5, 8, 60, index), 0.5, 8)
+        config = SimConfig(network=trial.network, tasks=trial.tasks, mode=mode,
+                           disturbance=DisturbanceSpec(trial.rhythmic_task, trial.instance, trial.spec))
+        full, expected = planned(config, default_horizon(config))
+        span = ScheduleSpan(config.event(), full, config.tasks, config.beta)
+        end = max(span.hi, span.own[-1][0] + 1)  # ``own`` ends with the first slot past the span, if any
+        shortened += end < full.horizon
+        assert planned(config, end)[1] == expected, index
+    assert shortened == 60

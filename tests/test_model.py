@@ -299,15 +299,10 @@ def test_rhythmic_ramp_below_min_period():
 
 
 def test_rhythmic_state_length_is_period_sum():
-    task = TaskSpec(
-        id=0,
-        path=("S1", "C", "A1"),
-        period=20,
-        deadline=20,
-        rhythmic=generate_rhythmic_spec(20, 0.3, 4),
-    )
-    event = DisturbanceEvent.from_task(task, 2)
-    assert event.exit_slot - event.enter_slot == sum(task.rhythmic.periods)
+    spec = generate_rhythmic_spec(20, 0.3, 4)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=20, deadline=20)
+    event = DisturbanceEvent.from_task(task, 2, spec)
+    assert event.exit_slot - event.enter_slot == sum(spec.periods)
 
 
 # ----------------------------------------------------------- type invariants

@@ -1,14 +1,11 @@
 """Disturbance windows, end-point candidates, active packet sets and the
 idle-slot witness."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtwnsim.config import parse_scenario
 from rtwnsim.dropping import build_periodic_state, build_transmission_vectors
 from rtwnsim.model import (
     CandidateInfeasible,
@@ -32,7 +29,7 @@ from rtwnsim.static_schedule import build_static_schedule
 
 import dropping_reference as oracle
 from dropping_reference import build_demand_vector
-from support import active_sets, chain_network, empty_schedule, raised, sets_outcome
+from support import active_sets, chain_network, empty_schedule, raised, sets_outcome, testbed
 
 
 def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
@@ -41,10 +38,9 @@ def _event(period=10, phase=0, instance=1, periods=(8,), deadline=None):
         path=("S1", "C", "A1"),
         period=period,
         deadline=deadline or period,
-        rhythmic=RhythmicSpec(tuple(periods), tuple(periods)),
         phase=phase,
     )
-    return task, DisturbanceEvent.from_task(task, instance)
+    return task, DisturbanceEvent.from_task(task, instance, RhythmicSpec(tuple(periods), tuple(periods)))
 
 
 # ----------------------------------------------------------- release timing
@@ -82,9 +78,8 @@ def test_candidates_sorted_unique_and_bounded():
     for seed in range(20):
         periods = tuple(int(p) for p in np.random.default_rng(seed).integers(5, 15, 3))
         periods = tuple(sorted(periods))
-        task = TaskSpec(id=0, path=("S1", "C", "A1"), period=20, deadline=20,
-                        rhythmic=RhythmicSpec(periods, periods))
-        event = DisturbanceEvent.from_task(task, 2)
+        task = TaskSpec(id=0, path=("S1", "C", "A1"), period=20, deadline=20)
+        event = DisturbanceEvent.from_task(task, 2, RhythmicSpec(periods, periods))
         f_last = event.enter_slot + sum(periods[:-1]) + task.hops
         upper = end_point_upper_bound(event, 4)
         cands = end_point_candidates(event, f_last, 4)
@@ -107,11 +102,8 @@ def test_candidates_empty_is_an_error():
 def test_candidates_testbed_enumeration():
     # Stepped releases 61..109, state exit 121 (on the phase-1 grid), then
     # grid releases; upper bound 121 + 3*15 = 166.
-    task = TaskSpec(
-        id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-        rhythmic=RhythmicSpec((12,) * 5, (12,) * 5), phase=1,
-    )
-    event = DisturbanceEvent.from_task(task, 3)
+    task = TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15, phase=1)
+    event = DisturbanceEvent.from_task(task, 3, RhythmicSpec((12,) * 5, (12,) * 5))
     assert event.enter_slot == 61 and event.exit_slot == 121
     assert end_point_upper_bound(event, 4) == 166
     f_last = 109 + task.hops
@@ -168,8 +160,6 @@ def test_active_sets_windows_disjoint_and_periodic_membership():
 
 
 def test_event_and_end_point_bound_name_bad_inputs():
-    task = TaskSpec(id=4, path=("S1", "C", "A1"), period=10, deadline=10)
-    assert raised(lambda: DisturbanceEvent.from_task(task, 1)) == (ValueError, "task 4 has no rhythmic specification")
     _, event = _event()
     assert raised(lambda: end_point_upper_bound(event, 0)) == (ValueError, "beta must be >= 1")
 
@@ -189,11 +179,8 @@ def test_active_sets_case2_deadline_clipped_to_static_takeover():
     # 101 is the boundary: the grid instance at 105 resumes statically and the
     # boundary deadline clips to that instance's first slot.
     net = chain_network(1, 1, pdr=1.0)
-    task = TaskSpec(
-        id=0, path=("S1", "C", "A1"), period=15, deadline=15,
-        rhythmic=RhythmicSpec((14,) * 5, (14,) * 5), phase=0,
-    )
-    event = DisturbanceEvent.from_task(task, 2)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=15, deadline=15, phase=0)
+    event = DisturbanceEvent.from_task(task, 2, RhythmicSpec((14,) * 5, (14,) * 5))
     assert event.enter_slot == 45 and event.exit_slot == 115
     result = _schedule_for((task,), net, 180)
     sets = active_sets(115, event, result.schedule, (task,), full_demand=2)
@@ -318,9 +305,8 @@ def _span_case(case):
     """The disturbed task, its event, the static schedule, the task set and
     the schedule span of a ``_span_cases`` case."""
     mode, period, phase, instance, periods, beta, full_demand, cells = case
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=period, deadline=period, phase=phase,
-                    rhythmic=RhythmicSpec(periods, periods))
-    event = DisturbanceEvent.from_task(task, instance)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=period, deadline=period, phase=phase)
+    event = DisturbanceEvent.from_task(task, instance, RhythmicSpec(periods, periods))
     static = empty_schedule(mode, len(cells))
     if cells:
         static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(cells).T
@@ -376,8 +362,8 @@ def test_span_groups_match_the_frozen_per_candidate_grouping(case):
 def test_the_takeover_example_truncates_the_boundary_packet():
     # The property's explicit example reaches a truncated boundary packet at
     # both candidates before the realigned release at 30.
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, rhythmic=RhythmicSpec((8,), (8,)))
-    event = DisturbanceEvent.from_task(task, 1)
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
+    event = DisturbanceEvent.from_task(task, 1, RhythmicSpec((8,), (8,)))
     static = empty_schedule(SchedulingMode.TBS, 40)
     static.task_at[:], static.release_at[:], static.hop_at[:] = np.array(_TAKEOVER).T
     span = ScheduleSpan(event, static, (task, *_SPAN_TASKS), 1)
@@ -422,10 +408,9 @@ def test_idle_slot_sensor_knows_at_detection():
 def test_idle_slot_violation_on_dense_schedule():
     # Hand-packed schedule keeping the sensor busy every slot between the
     # detection and the next instance: the premise fails and is flagged.
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=4, deadline=4,
-                    rhythmic=RhythmicSpec((4,), (4,)))
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=4, deadline=4)
     filler = TaskSpec(id=1, path=("S1", "C", "A1"), period=4, deadline=4)
-    event = DisturbanceEvent.from_task(task, 0)
+    event = DisturbanceEvent.from_task(task, 0, RhythmicSpec((4,), (4,)))
     sched = empty_schedule(SchedulingMode.TBS, 12)
     assignments = [
         (0, 0, 0, 1), (1, 0, 0, 1),  # detecting packet, sender S1
@@ -440,13 +425,10 @@ def test_idle_slot_violation_on_dense_schedule():
     assert not witness.ok
 
 
-TESTBED = Path(__file__).resolve().parent.parent / "scenarios" / "testbed.yaml"
-
-
 def _testbed_witness(mode, node, horizon=260):
     """The testbed's tasks, static schedule in ``mode`` and idle-slot
     witness for ``node``."""
-    config = parse_scenario(TESTBED)
+    config = testbed()
     static = build_static_schedule(config.tasks, config.network, mode, config.required_pdr, horizon=horizon)
     return config.tasks, static.schedule, find_idle_slot(static.schedule, config.event(), node, config.tasks)
 

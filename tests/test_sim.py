@@ -33,30 +33,12 @@ from rtwnsim.dropping import DropDecision, PlanInvariantError
 from rtwnsim import dropping, sim as sim_mod
 from rtwnsim.rhythmic import ScheduleSpan
 
-from support import chain_network, raised, standalone_record, trace_text
-
-
-def _testbed(pdr=0.9):
-    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
-    links = tuple(
-        Link(a, b, pdr)
-        for a, b in [
-            ("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"),
-            ("V2", "Vc"), ("Vc", "V5"),
-        ]
-    )
-    net = NetworkModel(nodes=nodes, controller="Vc", links=links)
-    tasks = (
-        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-                 rhythmic=RhythmicSpec((12,) * 5, (12,) * 5), slot_budget=8, phase=1),
-        TaskSpec(id=1, path=("V2", "Vc", "V3"), period=30, deadline=30, slot_budget=6, phase=1),
-        TaskSpec(id=2, path=("V1", "Vc", "V5"), period=20, deadline=20, slot_budget=4, phase=1),
-    )
-    return net, tasks
+from support import chain_network, raised, standalone_record, testbed, trace_text
 
 
 def test_nominal_perfect_links_all_delivered():
-    net, tasks = _testbed(pdr=1.0)
+    bed = testbed(1.0)
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=1, horizon=241)
     trace, metrics = run(cfg)
     assert metrics.success
@@ -67,9 +49,10 @@ def test_nominal_perfect_links_all_delivered():
 
 
 def test_response_latency_is_one_period():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3), alpha=15)
+                    disturbance=bed.disturbance, alpha=15)
     _, metrics = run(cfg)
     assert metrics.feasible_dynamic
     assert metrics.drt_slots == 15
@@ -77,19 +60,21 @@ def test_response_latency_is_one_period():
 
 
 def test_trace_is_deterministic():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=11, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3))
+                    disturbance=bed.disturbance)
     a, _ = run(cfg)
     b, _ = run(cfg)
     assert trace_text(a) == trace_text(b)
 
 
 def test_conservation_of_packets():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
         cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=5, horizon=360,
-                        disturbance=DisturbanceSpec(0, 3), framework=framework)
+                        disturbance=bed.disturbance, framework=framework)
         _, metrics = run(cfg)
         for stats in metrics.per_task.values():
             assert stats.released == stats.delivered + stats.missed + stats.dropped
@@ -150,9 +135,10 @@ def test_mac_params_check_their_tick_without_a_rate_lookup(monkeypatch):
 def test_window_conflicts_resolve_for_the_disturbed_task():
     # Every contended slot inside the window is won by the disturbed task's
     # transmission; the periodic sender defers.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3))
+                    disturbance=bed.disturbance)
     trace, metrics = run(cfg)
     outcomes = [(e[0], dict(zip(EVENT_FIELDS["outcome"], e[2:]))) for e in trace.events if e[1] == "outcome"]
     deferred = [(slot, fields) for slot, fields in outcomes if fields["result"] == "deferred"]
@@ -168,9 +154,10 @@ def test_trace_records_stay_untracked_by_the_cyclic_gc(mode, framework):
     # A flat tuple of ints and strings is untracked by the collector's first
     # pass over it; a nested-tuple or tuple-subclass record stays tracked and
     # is walked again by every later full collection.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, mode=mode, required_pdr=0.95, seed=7, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3), framework=framework)
+                    disturbance=bed.disturbance, framework=framework)
     trace, _ = run(cfg)
     events = trace.events  # built on first read
     gc.collect()
@@ -212,11 +199,12 @@ def test_preemption_error_draws_wait_for_the_first_contended_slot(monkeypatch):
     assert streams == [0]
 
     # Below a 60 us tick, stream 1 is drawn after stream 0, one link at a time.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     for tick in (30, 50, 60):
         streams.clear()
         trace, _ = run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=7, horizon=260,
-                                 disturbance=DisturbanceSpec(0, 3),
+                                 disturbance=bed.disturbance,
                                  mac=MacParams(timing=SlotTiming(priority_tick_us=tick))))
         assert _contended_slots(trace) > 0
         assert streams[0] == 0 and streams[1:] == [1] * (len(streams) - 1), tick
@@ -224,9 +212,10 @@ def test_preemption_error_draws_wait_for_the_first_contended_slot(monkeypatch):
 
 
 def test_rhythmic_packets_meet_deadlines_with_perfect_links():
-    net, tasks = _testbed(pdr=1.0)
+    bed = testbed(1.0)
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=2, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3))
+                    disturbance=bed.disturbance)
     trace, metrics = run(cfg)
     assert metrics.per_task[0].missed == 0
     assert metrics.per_task[0].delivered == metrics.per_task[0].released
@@ -235,17 +224,12 @@ def test_rhythmic_packets_meet_deadlines_with_perfect_links():
 def test_post_endpoint_equality_with_undisturbed_run():
     # Packets released at/after the chosen end point behave draw-for-draw as
     # in a disturbance-free run (per-link, per-slot random streams).
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=13, horizon=360,
-                    disturbance=DisturbanceSpec(0, 3))
+                    disturbance=bed.disturbance)
     trace_d, metrics = run(cfg)
-    nominal_tasks = tuple(
-        TaskSpec(id=t.id, path=t.path, period=t.period, deadline=t.deadline,
-                 slot_budget=t.slot_budget, phase=t.phase)
-        for t in tasks
-    )
-    cfg_n = SimConfig(network=net, tasks=nominal_tasks, required_pdr=0.95, seed=13,
-                      horizon=360)
+    cfg_n = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=13, horizon=360)
     trace_n, _ = run(cfg_n)
     assert metrics.endpoint is not None
     assert trace_d.packets_from(metrics.endpoint) == trace_n.packets_from(metrics.endpoint)
@@ -254,26 +238,28 @@ def test_post_endpoint_equality_with_undisturbed_run():
 def test_horizon_must_reach_latest_end_point():
     # Disturbance at instance 3: state exit 121, beta 4, period 15 -> the
     # latest end point is slot 166.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     for framework in (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION):
         base = dict(network=net, tasks=tasks, required_pdr=0.95, seed=3,
-                    disturbance=DisturbanceSpec(0, 3), framework=framework)
+                    disturbance=bed.disturbance, framework=framework)
         with pytest.raises(HorizonTooShort, match="166"):
             run(SimConfig(horizon=165, **base))
         _, metrics = run(SimConfig(horizon=166, **base))
         assert metrics.feasible_dynamic and metrics.endpoint == 121
     # The baseline plans no window, so a short horizon stays valid for it.
     _, metrics = run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=60,
-                               disturbance=DisturbanceSpec(0, 3),
+                               disturbance=bed.disturbance,
                                framework=Framework.BASELINE_BROADCAST))
     assert metrics.drt_slots == 30
 
 
 def test_config_names_a_bad_beta_and_an_unknown_disturbed_task():
     net = chain_network(1, 1)
-    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10, rhythmic=RhythmicSpec((8,), (8,)))
+    task = TaskSpec(id=0, path=("S1", "C", "A1"), period=10, deadline=10)
+    unknown = DisturbanceSpec(7, 1, RhythmicSpec((8,), (8,)))
     assert raised(lambda: SimConfig(network=net, tasks=(task,), beta=0)) == (ValueError, "beta must be >= 1")
-    assert raised(lambda: SimConfig(network=net, tasks=(task,), disturbance=DisturbanceSpec(7, 1))) == (
+    assert raised(lambda: SimConfig(network=net, tasks=(task,), disturbance=unknown)) == (
         ValueError, "disturbance names unknown task 7")
 
 
@@ -281,9 +267,10 @@ def test_plan_frameworks_checks_the_horizon_for_any_fdpas_framework():
     # The latest end point is slot 166 (see above).  A short horizon is
     # rejected as soon as one of the frameworks plans a window, whichever
     # framework the config names.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=165,
-                    disturbance=DisturbanceSpec(0, 3), framework=Framework.BASELINE_BROADCAST)
+                    disturbance=bed.disturbance, framework=Framework.BASELINE_BROADCAST)
     (baseline,) = plan_frameworks(cfg, (Framework.BASELINE_BROADCAST,))
     assert baseline.static.schedule.horizon == 165 and baseline.drt == plan(cfg).drt
     for frameworks in ((Framework.BASELINE_BROADCAST, Framework.FDPAS_PACKET), (Framework.FDPAS_TRANSMISSION,)):
@@ -295,8 +282,9 @@ def test_plan_names_the_horizon_past_the_cap(monkeypatch):
     # An explicit horizon one slot past MAX_HORIZON, and the default horizon
     # a 10**12-slot period gives, are rejected before any static build, each
     # under its own name.
-    net, tasks = _testbed()
-    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, disturbance=DisturbanceSpec(0, 3))
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
+    base = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, disturbance=bed.disturbance)
     long_period = dataclasses.replace(tasks[1], period=10**12, deadline=10**12)
     unset = dataclasses.replace(base, tasks=(tasks[0], long_period, tasks[2]))
     builds = _counting(monkeypatch, "build_static_schedule")
@@ -325,9 +313,10 @@ def test_plan_frameworks_makes_one_dynamic_schedule_call_for_the_fdpas_levels(mo
     # One plan_frameworks call builds one static schedule and makes one
     # generate_dynamic_schedule call for all its FD-PaS frameworks; each
     # plan equals the plan of its framework made alone.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=260,
-                    disturbance=DisturbanceSpec(0, 3))
+                    disturbance=bed.disturbance)
     frameworks = (Framework.BASELINE_BROADCAST, Framework.FDPAS_TRANSMISSION, Framework.FDPAS_PACKET)
     alone = [plan(dataclasses.replace(cfg, framework=f)) for f in frameworks]
     builds = _counting(monkeypatch, "build_static_schedule")
@@ -379,10 +368,9 @@ def test_infeasible_disturbance_reports_failure():
     # A ramp whose stepped windows cannot even host the hop count leaves no
     # feasible end point; the run completes with success=False.
     net = chain_network(2, 2, pdr=1.0)
-    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10,
-                    rhythmic=RhythmicSpec((3, 3, 3), (3, 3, 3)))
-    cfg = SimConfig(network=net, tasks=(task,), required_pdr=0.9, seed=1,
-                    horizon=160, disturbance=DisturbanceSpec(0, 1), beta=1)
+    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10)
+    cfg = SimConfig(network=net, tasks=(task,), required_pdr=0.9, seed=1, horizon=160,
+                    disturbance=DisturbanceSpec(0, 1, RhythmicSpec((3, 3, 3), (3, 3, 3))), beta=1)
     _, metrics = run(cfg)
     assert not metrics.feasible_dynamic
     assert not metrics.success
@@ -392,9 +380,9 @@ def test_infeasible_disturbance_reports_failure():
 def test_plan_frameworks_reports_an_infeasible_disturbance_like_run():
     # The same ramp as above, planned the sweep's way, both levels in one call.
     net = chain_network(2, 2, pdr=1.0)
-    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10,
-                    rhythmic=RhythmicSpec((3, 3, 3), (3, 3, 3)))
-    cfg = SimConfig(network=net, tasks=(task,), required_pdr=0.9, disturbance=DisturbanceSpec(0, 1), beta=1)
+    task = TaskSpec(id=0, path=("S2", "S1", "C", "A1", "A2"), period=10, deadline=10)
+    cfg = SimConfig(network=net, tasks=(task,), required_pdr=0.9, beta=1,
+                    disturbance=DisturbanceSpec(0, 1, RhythmicSpec((3, 3, 3), (3, 3, 3))))
     for planned in plan_frameworks(cfg, (Framework.FDPAS_PACKET, Framework.FDPAS_TRANSMISSION)):
         assert not planned.feasible_dynamic and not planned.meets(cfg.alpha_slots())
         assert planned.drt == 10 and planned.dhl == 0 and planned.dr == 0.0
@@ -462,18 +450,21 @@ def _motivating_example():
     )
     net = NetworkModel(nodes=nodes, controller="Vc", links=links)
     tasks = (
-        TaskSpec(id=0, path=("V2", "Vc", "V5"), period=9, deadline=9,
-                 rhythmic=RhythmicSpec((4, 6), (3, 5))),
+        TaskSpec(id=0, path=("V2", "Vc", "V5"), period=9, deadline=9),
         TaskSpec(id=1, path=("V0", "V1", "Vc", "V5"), period=9, deadline=9),
         TaskSpec(id=2, path=("V2", "Vc", "V3", "V4"), period=10, deadline=10),
     )
     return net, tasks
 
 
+# The motivating example's task 0 steps to periods 4 and 6.
+_MOTIVATING_DISTURBANCE = DisturbanceSpec(0, 1, RhythmicSpec((4, 6), (3, 5)))
+
+
 def test_baseline_best_case_close_to_one_period():
     net, tasks = _motivating_example()
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.9, seed=1, horizon=200,
-                    disturbance=DisturbanceSpec(0, 1), framework=Framework.BASELINE_BROADCAST,
+                    disturbance=_MOTIVATING_DISTURBANCE, framework=Framework.BASELINE_BROADCAST,
                     baseline=BaselineParams(broadcast_period=9, depth=1, offset=2))
     # detection at 9, delivery to the controller at 10, broadcast at 11,
     # flood done 12, next release 18: exactly one nominal period.
@@ -486,7 +477,7 @@ def test_baseline_motivating_shape_three_periods():
     # at 28, next release 36.
     net, tasks = _motivating_example()
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.9, seed=1, horizon=200,
-                    disturbance=DisturbanceSpec(0, 1), framework=Framework.BASELINE_BROADCAST,
+                    disturbance=_MOTIVATING_DISTURBANCE, framework=Framework.BASELINE_BROADCAST,
                     baseline=BaselineParams(broadcast_period=18, depth=2, offset=8))
     assert plan(cfg).drt == 27  # three nominal periods
 
@@ -532,7 +523,8 @@ def test_degradation_rate_examples():
 
 
 def test_pbs_mode_runs_and_delivers():
-    net, tasks = _testbed(pdr=1.0)
+    bed = testbed(1.0)
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, mode=SchedulingMode.PBS, required_pdr=0.95,
                     seed=2, horizon=241)
     _, metrics = run(cfg)
@@ -558,7 +550,8 @@ def test_empirical_delivery_tracks_reliability_math():
     from rtwnsim.model import packet_pdr
     from rtwnsim.static_schedule import plan_retry_vectors
 
-    net, tasks = _testbed(pdr=0.9)
+    bed = testbed(0.9)
+    net, tasks = bed.network, bed.tasks
     cfg = SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=4, horizon=6001)
     _, metrics = run(cfg)
     vectors = plan_retry_vectors(tasks, net, 0.95)
@@ -579,7 +572,7 @@ def _swap_first_labels(sched) -> None:
 def _move_first_slot(sched) -> None:
     """Hand the first packet's first slot to the task's next packet."""
     first = int(np.flatnonzero(sched.task_at >= 0)[0])
-    task = next(t for t in _testbed()[1] if t.id == sched.task_at[first])
+    task = next(t for t in testbed().tasks if t.id == sched.task_at[first])
     sched.release_at[first] += task.period
 
 
@@ -599,7 +592,8 @@ def test_walk_rejects_a_corrupted_static_schedule(corrupt, message, monkeypatch)
         return result
 
     monkeypatch.setattr(sim_mod, "build_static_schedule", corrupted)
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     with pytest.raises(PlanInvariantError, match=message):
         run(SimConfig(network=net, tasks=tasks, required_pdr=0.95, seed=3, horizon=300))
 

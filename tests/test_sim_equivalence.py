@@ -27,7 +27,6 @@ with the same per-link streams, and stream 1 only for the links that need it.
 import dataclasses
 import io
 import itertools
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from rtwnsim import mac as mac_model
 from rtwnsim import sim as sim_mod
-from rtwnsim.config import parse_scenario
 from rtwnsim.experiments import _trial_seed, make_trial
 from rtwnsim.mac import SlotTiming
 from rtwnsim.model import Link, NetworkModel, RhythmicSpec, SchedulingMode, TaskSpec
@@ -57,9 +55,7 @@ from rtwnsim.sim import (
 from rtwnsim.trace import _PAD, _WINDOW_SLOTS, WORDS, Part, _decimal
 
 from dropping_reference import overlay_of
-from support import TAIL_TRIALS, tail_trial_config, trace_text
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from support import TAIL_TRIALS, tail_trial_config, testbed, trace_text
 
 
 class TraceEvent(NamedTuple):
@@ -421,7 +417,7 @@ def test_sweep_trials_match_reference(mode, framework, tick):
 @pytest.mark.parametrize("framework", list(Framework), ids=lambda f: f.value)
 @pytest.mark.parametrize("mode", list(SchedulingMode), ids=lambda m: m.value)
 def test_contended_testbed_window_matches_reference(mode, framework, tick):
-    base = parse_scenario(SCENARIOS / "testbed.yaml")
+    base = testbed()
     config = dataclasses.replace(
         base, mode=mode, framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=tick))
     )
@@ -432,25 +428,15 @@ def test_contended_testbed_window_matches_reference(mode, framework, tick):
     assert (len(tx_slots) > len(set(tx_slots))) == (framework is not Framework.BASELINE_BROADCAST)
 
 
-def _testbed_network(pdr: float) -> NetworkModel:
-    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
-    links = tuple(
-        Link(a, b, pdr)
-        for a, b in [("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"), ("V2", "Vc"), ("Vc", "V5")]
-    )
-    return NetworkModel(nodes=nodes, controller="Vc", links=links)
-
-
 def _testbed_config(mode, period, ramp, phase, p1, phase1, p2, phase2, instance, beta,
                     framework=Framework.FDPAS_PACKET, tick=60, pdr=0.9, seed=1):
     tasks = (
-        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=period, deadline=period,
-                 rhythmic=RhythmicSpec(ramp, ramp), phase=phase),
+        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=period, deadline=period, phase=phase),
         TaskSpec(id=1, path=("V2", "Vc", "V3"), period=p1, deadline=p1, phase=phase1),
         TaskSpec(id=2, path=("V1", "Vc", "V5"), period=p2, deadline=p2, phase=phase2),
     )
-    return SimConfig(network=_testbed_network(pdr), tasks=tasks, mode=mode, required_pdr=0.9,
-                     seed=seed, disturbance=DisturbanceSpec(0, instance), beta=beta,
+    return SimConfig(network=testbed(pdr).network, tasks=tasks, mode=mode, required_pdr=0.9,
+                     seed=seed, disturbance=DisturbanceSpec(0, instance, RhythmicSpec(ramp, ramp)), beta=beta,
                      framework=framework, mac=MacParams(timing=SlotTiming(priority_tick_us=tick)))
 
 
@@ -604,7 +590,7 @@ def test_unused_link_is_never_drawn(mode, monkeypatch):
     # ("V0", "V2") carries no task and sorts between used links, so the
     # links after it keep their stream index only if it still counts.
     drawn = _record_link_draws(monkeypatch)
-    base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode,
+    base = dataclasses.replace(testbed(), mode=mode,
                                mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
     network = dataclasses.replace(base.network, links=base.network.links + (Link("V0", "V2", 0.7),))
     assert _assert_same_run(dataclasses.replace(base, network=network)) is not None
@@ -623,7 +609,7 @@ def test_preemption_errors_are_drawn_only_for_contended_winners(mode, framework,
     # are drawn, each once.
     real = sim_mod._link_draws
     drawn = _record_link_draws(monkeypatch)
-    config = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode, framework=framework,
+    config = dataclasses.replace(testbed(), mode=mode, framework=framework,
                                  mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
     trace = _assert_same_run(config)
     (_, links), *preemption = drawn
@@ -681,7 +667,7 @@ _NODE_NAMES = st.lists(st.text(min_size=1, max_size=6), min_size=7, max_size=7, 
 def test_any_node_name_writes_the_reference_bytes(names, mode):
     # Spaces, non-ASCII characters, NUL bytes and a lone surrogate in node
     # names: the renderer drops only the pad byte, which no UTF-8 text holds.
-    base = dataclasses.replace(parse_scenario(SCENARIOS / "testbed.yaml"), mode=mode)
+    base = dataclasses.replace(testbed(), mode=mode)
     config = _renamed(base, dict(zip(base.network.nodes, names)))
     trace, _ = run(config)
     text = trace_text(trace)
@@ -712,7 +698,7 @@ def test_text_blocks_fit_the_words_of_each_window():
 
 def test_a_trace_without_records_is_one_newline():
     # Every task's first release is at the horizon, and no disturbance is set.
-    base = parse_scenario(SCENARIOS / "testbed.yaml")
+    base = testbed()
     config = dataclasses.replace(
         base, disturbance=None, horizon=260,
         tasks=tuple(dataclasses.replace(t, phase=260) for t in base.tasks),

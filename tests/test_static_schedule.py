@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from rtwnsim.model import (
-    Link,
-    NetworkModel,
     ScheduleInfeasible,
     SchedulingMode,
     TaskSpec,
@@ -24,26 +22,7 @@ from rtwnsim.static_schedule import (
     verify_schedulable,
 )
 
-from support import chain_network, raised
-
-
-def _testbed():
-    nodes = ("V0", "V1", "V2", "V3", "V4", "V5", "Vc")
-    links = tuple(
-        Link(a, b, 0.9)
-        for a, b in [
-            ("V0", "V1"), ("V1", "Vc"), ("Vc", "V3"), ("V3", "V4"),
-            ("V2", "Vc"), ("Vc", "V5"),
-        ]
-    )
-    net = NetworkModel(nodes=nodes, controller="Vc", links=links)
-    tasks = (
-        TaskSpec(id=0, path=("V0", "V1", "Vc", "V3", "V4"), period=15, deadline=15,
-                 slot_budget=8, phase=1),
-        TaskSpec(id=1, path=("V2", "Vc", "V3"), period=30, deadline=30, slot_budget=6, phase=1),
-        TaskSpec(id=2, path=("V1", "Vc", "V5"), period=20, deadline=20, slot_budget=4, phase=1),
-    )
-    return net, tasks
+from support import chain_network, raised, testbed
 
 
 def test_single_task_layout():
@@ -57,7 +36,8 @@ def test_single_task_layout():
 
 
 def test_testbed_set_is_feasible():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=240)
     assert result.feasible
     assert hyperperiod(tasks) == 60
@@ -96,7 +76,8 @@ def test_budget_below_reliability_minimum_rejected():
 
 
 def test_budget_padding_is_round_robin():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     vectors = plan_retry_vectors(tasks, net, 0.95)
     assert vectors == {0: (2, 2, 2, 2), 1: (3, 3), 2: (2, 2)}
     assert hop_expansion(vectors[1], 6) == [1, 1, 1, 2, 2, 2]
@@ -111,7 +92,8 @@ def test_budget_padding_is_round_robin():
 
 
 def test_verify_flags_removed_slot():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=240)
     slot = int(result.schedule.packet_slots(1, 1)[0])
     result.schedule.task_at[slot] = -1
@@ -121,7 +103,8 @@ def test_verify_flags_removed_slot():
 
 
 def test_verify_flags_hop_order_violation():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, SchedulingMode.TBS, 0.95, horizon=240)
     slots = result.schedule.packet_slots(2, 1)
     first, last = int(slots[0]), int(slots[-1])
@@ -160,7 +143,8 @@ def test_verify_names_each_injected_fault(mode, fault, violation):
     # Each fault breaks one rule for task 1's packet released at slot 1
     # (window [1, 31), retry vector (3, 3)); the verifier names exactly it.
     # The TBS slot-count and hop-ordering faults are the two tests above.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, mode, 0.95, horizon=240)
     assert verify_schedulable(result, tasks, net, 0.95).ok
     fault(result.schedule, result.schedule.packet_slots(1, 1))
@@ -171,11 +155,10 @@ def test_verify_names_each_injected_fault(mode, fault, violation):
 def test_verify_names_a_reliability_shortfall(mode):
     # The budgets were sized for links of pdr 0.9; over links of pdr 0.5
     # every task misses the requirement, and each is named once.
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, mode, 0.95, horizon=240)
-    lossy = NetworkModel(nodes=net.nodes, controller=net.controller,
-                         links=tuple(Link(l.src, l.dst, 0.5) for l in net.links))
-    violations = verify_schedulable(result, tasks, lossy, 0.95).violations
+    violations = verify_schedulable(result, tasks, testbed(0.5).network, 0.95).violations
     assert [v.split(":")[0] for v in violations] == ["task 0", "task 1", "task 2"]
     assert all("below requirement 0.95" in v for v in violations)
 
@@ -191,7 +174,8 @@ def test_determinism():
 
 
 def test_pbs_assigns_budget_without_hop_pinning():
-    net, tasks = _testbed()
+    bed = testbed()
+    net, tasks = bed.network, bed.tasks
     result = build_static_schedule(tasks, net, SchedulingMode.PBS, 0.95, horizon=240)
     assert result.feasible
     assert verify_schedulable(result, tasks, net, 0.95).ok
