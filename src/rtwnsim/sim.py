@@ -507,7 +507,10 @@ def _split(
     packet-level drops and every packet with a static slot at an overlay
     slot.  A static slot without an overlay entry has one sender, whose
     receiver expects it, so the walk sends every other packet exactly as
-    the loop would."""
+    the loop would.  The busy static slots come in runs of one key, the EDF
+    segments: each run's key is packed, tested against the loop's keys and
+    looked up in the packet table once, and the results are spread over
+    its slots."""
     # A packet key packs (task, release) into release * task count + the
     # rank of the task id; positions[k] is the position in config.tasks of
     # the task whose id ranks k.
@@ -528,11 +531,16 @@ def _split(
         return np.where(keys[rows] == packed, rows, -1)
 
     slots = np.flatnonzero(sched.task_at >= 0)
-    key = pack(sched.task_at[slots], sched.release_at[slots])
+    task, release = sched.task_at[slots], sched.release_at[slots]
+    first = np.ones(len(slots), dtype=bool)  # where a run starts
+    first[1:] = (task[1:] != task[:-1]) | (release[1:] != release[:-1])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=len(slots))
+    key = pack(task[starts], release[starts])
     vrhy: frozenset[str] = frozenset()
     overlay: dict = {}
     overlay_slots = np.empty(0, dtype=np.int64)
-    outside = np.ones(len(slots), dtype=bool)
+    outside = np.ones(len(starts), dtype=bool)
     window_rows = np.empty(0, dtype=np.int64)
     if dynamic is not None:
         event = dynamic.event
@@ -548,12 +556,13 @@ def _split(
         outside = loop_keys[at] != key
         window_rows = row_of(loop_keys)
         window_rows = window_rows[window_rows >= 0]
-    loop_slots = _distinct(np.concatenate([slots[~outside], overlay_slots]))
-    slot = slots[outside]
-    task = sched.task_at[slot]
+    walked = np.repeat(outside, lengths)
+    loop_slots = _distinct(np.concatenate([slots[~walked], overlay_slots]))
+    slot, lengths = slots[walked], lengths[outside]
     row = row_of(key[outside])
-    return _Split(loop_slots, window_rows, overlay, vrhy, slot, task, sched.release_at[slot], sched.hop_at[slot],
-                  row, np.where(row >= 0, positions[np.searchsorted(ids, task)], -1))
+    position = np.where(row >= 0, positions[key[outside] % len(ids)], -1)
+    return _Split(loop_slots, window_rows, overlay, vrhy, slot, task[walked], release[walked], sched.hop_at[slot],
+                  np.repeat(row, lengths), np.repeat(position, lengths))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -593,8 +602,10 @@ def _independent_walk(
 
     Hop h of a packet is sent in its eligible slots after its hop h - 1
     success, up to and including the first whose link draw succeeds.  Under
-    TBS a slot is eligible for hop h when it is labelled h; under PBS every
-    slot is, so a slot's hop is 1 + the successes before it.
+    TBS a slot is eligible for hop h when it is labelled h, and each task's
+    hops are read off its labels at once; under PBS every slot is, so a
+    slot's hop is 1 + the successes before it, and the PBS packets of all
+    tasks step together one slot column at a time.
 
     Raises PlanInvariantError when the slots do not form one block of
     ``budgets`` slots per packet, or under TBS when a packet's hop labels
@@ -666,46 +677,48 @@ def _tbs_walk(
 
 
 def _pbs_walk(blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]], up: dict[tuple[str, str], np.ndarray]) -> _Walk:
-    """The PBS walk of all tasks at once: a slot's hop is 1 + the packet's
-    successes before it.  Each block holds a task, its packets' rows and
-    one row of slots per packet; shorter rows are padded."""
-    width = max(slots.shape[1] for _, _, slots in blocks)
-    count = sum(len(rows) for _, rows, _ in blocks)
-    most = max(task.hops for task, _, _ in blocks)
-    slots = np.zeros((count, width), dtype=np.int64)
-    end = np.empty(count, dtype=np.int64)  # column of each packet's last slot
-    hops = np.empty(count, dtype=np.int64)
-    rows = np.empty(count, dtype=np.int64)
-    success = np.zeros((most + 1, count, width), dtype=bool)  # per hop; hop 0 unused
-    at = 0
-    for task, task_rows, task_slots in blocks:
-        block, used = slice(at, at + len(task_rows)), slice(0, task_slots.shape[1])
-        slots[block, used] = task_slots
-        end[block], hops[block], rows[block] = task_slots.shape[1] - 1, task.hops, task_rows
-        for h in range(1, task.hops + 1):
-            success[h, block, used] = up[task.hop_link(h)][task_slots]
-        at += len(task_rows)
-    col = np.arange(width)
-    marks = np.zeros((count, width), dtype=bool)  # the successes: one per hop passed
-    stop = end.copy()  # each packet's last sent slot: its last hop's success, or its last slot
-    delivered = np.zeros(count, dtype=bool)
-    last = np.full(count, -1)  # column of the latest success; width once delivered or stuck
-    for h in range(1, most + 1):
-        hit = success[h] & (col > last[:, None])
-        found = hit.any(axis=1)
-        first = hit.argmax(axis=1)
-        packet = np.flatnonzero(found)
-        marks[packet, first[packet]] = True
-        arrived = packet[hops[packet] == h]
-        stop[arrived], delivered[arrived] = first[arrived], True
-        last = np.where(found & (hops > h), first, width)
-        if (last == width).all():
+    """The PBS walk of all tasks at once, one slot column at a time: at
+    column c every packet still in flight sends its current hop in its c-th
+    slot and moves on to the next hop when that hop's link draw succeeds.  A
+    packet leaves the air once its last hop is delivered or its slots run
+    out; the walk stops when no packet is in flight.  Each block holds a
+    task, its packets' rows and one row of slots per packet."""
+    links = sorted({task.hop_link(h) for task, _, _ in blocks for h in range(1, task.hops + 1)})
+    horizon = len(up[links[0]])
+    success = np.concatenate([up[link] for link in links])  # link i's slot s at i * horizon + s
+    offset = {link: i * horizon for i, link in enumerate(links)}
+    stride = max(task.hops for task, _, _ in blocks) + 1
+    counts = [len(rows) for _, rows, _ in blocks]
+    slots = np.zeros((max(s.shape[1] for _, _, s in blocks), sum(counts)), dtype=np.int64)  # a row per column
+    links_at = np.zeros((len(blocks), stride), dtype=np.int64)  # [b, h]: offset of hop h's link of block b
+    for b, (task, _, task_slots) in enumerate(blocks):
+        start = sum(counts[:b])
+        slots[:task_slots.shape[1], start:start + counts[b]] = task_slots.T
+        links_at[b, 1:task.hops + 1] = [offset[task.hop_link(h)] for h in range(1, task.hops + 1)]
+    # Per packet: its slot count, hop count, row and link offsets; hop h of
+    # packet p reads success[base[p * stride + h] + slot].
+    end = np.repeat([task_slots.shape[1] for _, _, task_slots in blocks], counts)
+    last = np.repeat([task.hops for task, _, _ in blocks], counts)
+    row = np.concatenate([rows for _, rows, _ in blocks])
+    base = np.repeat(links_at, counts, axis=0).ravel()
+    ends = set(end.tolist())
+    live = np.arange(len(row))  # the packets in flight
+    hop = np.ones(len(row), dtype=np.int64)
+    walk: tuple[list, ...] = ([], [], [], [])  # per column: slot, packet, hop, success
+    for c, column in enumerate(slots):
+        sent, at = column[live], hop[live]
+        ok = success[base[live * stride + at] + sent]
+        hop[live] = at + ok
+        for part, value in zip(walk, (sent, live, at, ok)):
+            part.append(value)
+        live = live[~(ok & (at == last[live]))]
+        if c + 1 in ends:
+            live = live[end[live] > c + 1]
+        if not live.size:
             break
-    # A sent slot's hop is 1 + the packet's successes before it.
-    packet, column = np.nonzero(col <= stop[:, None])
-    hop = (np.cumsum(marks, axis=1) - marks + 1)[packet, column]
-    done = np.flatnonzero(delivered)
-    return _Walk(slots[packet, column], rows[packet], hop, marks[packet, column], rows[done], slots[done, stop[done]])
+    sent, packet, at, ok = (np.concatenate(part) for part in walk)
+    arrived = ok & (at == last[packet])  # the last hop's successes
+    return _Walk(sent, row[packet], at, ok, row[packet[arrived]], sent[arrived])
 
 
 def _window_loop(
