@@ -373,21 +373,20 @@ def plan(config: SimConfig) -> Plan:
 
 
 def _link_draws(
-    network: NetworkModel, used: set[tuple[str, str]], seed: int, horizon: int, stream: int,
-    successes: bool = False,
+    network: NetworkModel, rates: dict[tuple[str, str], float], seed: int, horizon: int, stream: int
 ) -> dict[tuple[str, str], np.ndarray]:
-    """One uniform draw per (link, slot) for each link in ``used``,
-    independent of consumption order.  A link's stream index is its position
-    among all of the network's links in (src, dst) order, so its draws do not
-    depend on which other links are used.  With ``successes``, each link
-    keeps only whether its draws fall below its pdr: a byte per slot, not
-    eight, and one link's draws held at a time."""
+    """For each link in ``rates``, whether each slot's uniform draw falls
+    below the link's rate: a byte per slot, not eight, and one link's draws
+    held at a time.  The draws are independent of consumption order.  A
+    link's stream index is its position among all of the network's links in
+    (src, dst) order, so its draws do not depend on which other links are
+    drawn."""
     draws = {}
     for idx, link in enumerate(sorted(network.links, key=lambda l: (l.src, l.dst))):
-        if (link.src, link.dst) in used:
+        key = (link.src, link.dst)
+        if key in rates:
             rng = np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
-            draw = rng.random(horizon)
-            draws[(link.src, link.dst)] = draw < link.pdr if successes else draw
+            draws[key] = rng.random(horizon) < rates[key]
     return draws
 
 
@@ -600,19 +599,21 @@ def _independent_walk(
     slots each of its packets holds, and ``up`` each link to whether its
     draws succeed.
 
-    Hop h of a packet is sent in its eligible slots after its hop h - 1
-    success, up to and including the first whose link draw succeeds.  Under
-    TBS a slot is eligible for hop h when it is labelled h, and each task's
-    hops are read off its labels at once; under PBS every slot is, so a
-    slot's hop is 1 + the successes before it, and the PBS packets of all
-    tasks step together one slot column at a time.
+    The packets of all tasks step together, one slot column at a time: at
+    column c every packet still in flight sends its current hop h in its
+    c-th slot when that slot may carry h, and moves on to hop h + 1 when
+    the link draw succeeds.  Under PBS every slot may carry any hop.  Under
+    TBS a slot carries the hop it is labelled with: a packet skips a slot
+    labelled below h and leaves the air at one labelled above h, since hop
+    h's slots ran out and labels only rise.  A packet also leaves once its
+    last hop is delivered or its slots run out; the walk stops when no
+    packet is in flight.
 
     Raises PlanInvariantError when the slots do not form one block of
     ``budgets`` slots per packet, or under TBS when a packet's hop labels
     decrease along its slots or name no hop of its path."""
     tbs = config.mode is SchedulingMode.TBS
-    walks: list[_Walk] = []
-    blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]] = []  # PBS: (task, rows, slots per row)
+    blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]] = []  # (task, rows, split positions per row)
     for i, task in enumerate(config.tasks):
         mine = np.flatnonzero(split.position == i)
         if not mine.size:
@@ -625,79 +626,37 @@ def _independent_walk(
         if (packets * budget != len(mine) or np.any(rows[1:] <= rows[:-1])
                 or np.any(split.row[mine] != np.repeat(rows, budget))):
             raise PlanInvariantError(f"task {task.id}: a packet does not hold {budget} consecutive static slots")
+        mine = mine.reshape(packets, budget)
         if tbs:
-            walks.append(_tbs_walk(task, rows, split.slot[mine], split.hop[mine], budget, table, up))
-        else:
-            blocks.append((task, rows, split.slot[mine].reshape(packets, budget)))
-    if blocks:
-        walks.append(_pbs_walk(blocks, up))
-    if not walks:
+            labels = split.hop[mine]
+            broken = (labels < 1) | (labels > task.hops)
+            broken[:, 1:] |= labels[:, 1:] < labels[:, :-1]
+            if broken.any():
+                r = rows[broken.any(axis=1).argmax()]
+                raise PlanInvariantError(
+                    f"static slots of packet (task, release) {(task.id, int(table.release[r]))} "
+                    "carry hop labels that decrease or name no hop of its path"
+                )
+        blocks.append((task, rows, mine))
+    if not blocks:
         empty = np.empty(0, dtype=np.int64)
         return _Walk(empty, empty, empty, empty.astype(bool), empty, empty)
-    return _Walk(*[np.concatenate(column) for column in zip(*walks)])
-
-
-def _tbs_walk(
-    task: TaskSpec, rows: np.ndarray, slots: np.ndarray, labels: np.ndarray, budget: int,
-    table: _PacketTable, up: dict[tuple[str, str], np.ndarray],
-) -> _Walk:
-    """One TBS task's walk: a slot's hop is its label.  ``slots`` holds each
-    packet's ``budget`` slots in turn, ``labels`` their hop labels."""
-    hops, packets = task.hops, len(rows)
-    stride = hops + 1
-    owner = np.arange(len(slots)) // budget  # each slot's packet
-    # Packet p's slots labelled h are the run key == p * stride + h; the walk
-    # needs each run to follow the run labelled h - 1.
-    key = owner * stride + labels
-    broken = (labels < 1) | (labels > hops)
-    broken[1:] |= key[1:] < key[:-1]
-    if broken.any():
-        r = rows[owner[broken.argmax()]]
-        raise PlanInvariantError(
-            f"static slots of packet (task, release) {(task.id, int(table.release[r]))} "
-            "carry hop labels that decrease or name no hop of its path"
-        )
-    success = np.empty(len(slots), dtype=bool)
-    for h in range(1, hops + 1):
-        mask = labels == h
-        success[mask] = up[task.hop_link(h)][slots[mask]]
-    hits = np.flatnonzero(success)
-    hits = hits[np.diff(key[hits], prepend=-1) != 0]  # the first success of each run
-    first = np.full(packets * stride, len(slots))
-    first[key[hits]] = hits
-    passed = np.zeros(packets * stride, dtype=bool)
-    passed[key[hits]] = True
-    # Hops passed in a row from hop 1: the packet's final progress.
-    progress = np.cumprod(passed.reshape(packets, stride)[:, 1:], axis=1).sum(axis=1)
-    bound = first[key]
-    sent = np.flatnonzero((labels <= progress[owner] + 1) & (np.arange(len(slots)) <= bound))
-    done = progress == hops
-    return _Walk(slots[sent], rows[owner[sent]], labels[sent], sent == bound[sent],
-                 rows[done], slots[first.reshape(packets, stride)[done, hops]])
-
-
-def _pbs_walk(blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]], up: dict[tuple[str, str], np.ndarray]) -> _Walk:
-    """The PBS walk of all tasks at once, one slot column at a time: at
-    column c every packet still in flight sends its current hop in its c-th
-    slot and moves on to the next hop when that hop's link draw succeeds.  A
-    packet leaves the air once its last hop is delivered or its slots run
-    out; the walk stops when no packet is in flight.  Each block holds a
-    task, its packets' rows and one row of slots per packet."""
     links = sorted({task.hop_link(h) for task, _, _ in blocks for h in range(1, task.hops + 1)})
     horizon = len(up[links[0]])
     success = np.concatenate([up[link] for link in links])  # link i's slot s at i * horizon + s
     offset = {link: i * horizon for i, link in enumerate(links)}
     stride = max(task.hops for task, _, _ in blocks) + 1
     counts = [len(rows) for _, rows, _ in blocks]
-    slots = np.zeros((max(s.shape[1] for _, _, s in blocks), sum(counts)), dtype=np.int64)  # a row per column
+    index = np.zeros((max(m.shape[1] for _, _, m in blocks), sum(counts)), dtype=np.int64)  # a row per column
     links_at = np.zeros((len(blocks), stride), dtype=np.int64)  # [b, h]: offset of hop h's link of block b
-    for b, (task, _, task_slots) in enumerate(blocks):
+    for b, (task, _, mine) in enumerate(blocks):
         start = sum(counts[:b])
-        slots[:task_slots.shape[1], start:start + counts[b]] = task_slots.T
+        index[:mine.shape[1], start:start + counts[b]] = mine.T
         links_at[b, 1:task.hops + 1] = [offset[task.hop_link(h)] for h in range(1, task.hops + 1)]
+    slots, labels = split.slot[index], split.hop[index]  # [c, p]: packet p's c-th slot and its hop label
     # Per packet: its slot count, hop count, row and link offsets; hop h of
     # packet p reads success[base[p * stride + h] + slot].
-    end = np.repeat([task_slots.shape[1] for _, _, task_slots in blocks], counts)
+    end = np.repeat([mine.shape[1] for _, _, mine in blocks], counts)
     last = np.repeat([task.hops for task, _, _ in blocks], counts)
     row = np.concatenate([rows for _, rows, _ in blocks])
     base = np.repeat(links_at, counts, axis=0).ravel()
@@ -706,12 +665,17 @@ def _pbs_walk(blocks: list[tuple[TaskSpec, np.ndarray, np.ndarray]], up: dict[tu
     hop = np.ones(len(row), dtype=np.int64)
     walk: tuple[list, ...] = ([], [], [], [])  # per column: slot, packet, hop, success
     for c, column in enumerate(slots):
-        sent, at = column[live], hop[live]
-        ok = success[base[live * stride + at] + sent]
-        hop[live] = at + ok
-        for part, value in zip(walk, (sent, live, at, ok)):
+        sending, at = live, hop[live]
+        if tbs:  # a slot labelled past a packet's hop ends its flight
+            label = labels[c, live]
+            carried = label == at
+            sending, at, live = live[carried], at[carried], live[label <= at]
+        sent = column[sending]
+        ok = success[base[sending * stride + at] + sent]
+        hop[sending] = at + ok
+        for part, value in zip(walk, (sent, sending, at, ok)):
             part.append(value)
-        live = live[~(ok & (at == last[live]))]
+        live = live[hop[live] <= last[live]]  # a delivered packet's hop is past its last
         if c + 1 in ends:
             live = live[end[live] > c + 1]
         if not live.size:
@@ -763,7 +727,7 @@ def _window_loop(
 
         def preempted(link: tuple[str, str]) -> np.ndarray:
             if link not in per_errors:
-                per_errors[link] = _link_draws(config.network, {link}, config.seed, horizon, stream=1)[link] < per
+                per_errors[link] = _link_draws(config.network, {link: per}, config.seed, horizon, stream=1)[link]
             return per_errors[link]
 
     loop_records: list[tuple] = []
@@ -927,7 +891,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     slot loop over their static slots and the overlay slots.  Every other
     packet is the lone sender of its static slots, none of which has an
     overlay entry, and its receivers expect it, so its transmissions follow
-    from its link draws alone: ``_independent_walk`` finds them with numpy.
+    from its link draws alone: ``_independent_walk`` finds them in one numpy
+    walk over slot columns, which TBS and PBS share; under TBS a slot
+    carries only the hop it is labelled with.
     The loop's records, the walk's and the packet table's ``released``,
     ``missed`` and ``dropped`` marks stay columns in the returned
     ``SimTrace``, which writes them in the v1 order and merges them into
@@ -948,8 +914,9 @@ def run(config: SimConfig) -> tuple[SimTrace, Metrics]:
     loop_packets = list(packets.values())  # the loop re-keys the tail alias
     # Only links on some task's path are drawn: no other link ever sends.  A
     # stream-0 draw is read only against its link's pdr.
-    used = {hop for t in config.tasks for hop in zip(t.path, t.path[1:])}
-    up = _link_draws(config.network, used, config.seed, horizon, stream=0, successes=True)
+    pdrs = {link: pdr for t in config.tasks
+            for link, pdr in zip(zip(t.path, t.path[1:]), config.network.path_pdrs(t.path))}
+    up = _link_draws(config.network, pdrs, config.seed, horizon, stream=0)
     loop_records = _window_loop(config, sched, split, packets, alias, up)
     walk = _independent_walk(
         split, table, config, {tid: sum(rv) for tid, rv in planned.static.retry_vectors.items()}, up

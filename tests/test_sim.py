@@ -569,6 +569,19 @@ def _swap_first_labels(sched) -> None:
     sched.hop_at[[slots[0], slots[-1]]] = sched.hop_at[[slots[-1], slots[0]]]
 
 
+def _zero_first_label(sched) -> None:
+    """Label the first packet's first slot 0, a hop no path has."""
+    sched.hop_at[int(np.flatnonzero(sched.task_at >= 0)[0])] = 0
+
+
+def _label_last_slot_past_the_path(sched) -> None:
+    """Label the first packet's last slot one hop past its path."""
+    first = int(np.flatnonzero(sched.task_at >= 0)[0])
+    task = next(t for t in testbed().tasks if t.id == sched.task_at[first])
+    slots = sched.packet_slots(task.id, int(sched.release_at[first]))
+    sched.hop_at[slots[-1]] = task.hops + 1
+
+
 def _move_first_slot(sched) -> None:
     """Hand the first packet's first slot to the task's next packet."""
     first = int(np.flatnonzero(sched.task_at >= 0)[0])
@@ -578,12 +591,15 @@ def _move_first_slot(sched) -> None:
 
 @pytest.mark.parametrize("corrupt, message", [
     (_swap_first_labels, "hop labels that decrease"),
+    (_zero_first_label, "name no hop of its path"),
+    (_label_last_slot_past_the_path, "name no hop of its path"),
     (_move_first_slot, "consecutive static slots"),
-], ids=["decreasing-labels", "moved-slot"])
+], ids=["decreasing-labels", "zero-label", "label-past-the-path", "moved-slot"])
 def test_walk_rejects_a_corrupted_static_schedule(corrupt, message, monkeypatch):
     # The packet-wise engine reads each packet's static slots as one block,
-    # hop labels rising under TBS; a schedule that breaks either raises a
-    # typed error, not an assert that python -O strips.
+    # hop labels rising under TBS and naming hops of its path; a schedule
+    # that breaks either raises a typed error, not an assert that python -O
+    # strips.
     real = sim_mod.build_static_schedule
 
     def corrupted(*args, **kwargs):

@@ -578,6 +578,12 @@ def test_long_run_matches_reference(mode, framework, link_scale, required_pdr):
         delivered = {(task, release): t for t, _, task, release, event in states if event == "delivered"}
         assert any(last.get(key) == t for key, t in delivered.items())
         assert any(event == "released" and (task, release) not in delivered for _, _, task, release, event in states)
+        # Some packet's last outcome is a hop lost before its last hop: under
+        # TBS it left the air at a slot labelled past that hop, under PBS its
+        # slots ran out mid-route.
+        hops = {task.id: task.hops for task in config.tasks}
+        last_outcome = {(r[3], r[4]): (r[5], r[6]) for r in trace.events if r[1] == "outcome"}
+        assert any(result == "lost" and hop < hops[task] for (task, _), (hop, result) in last_outcome.items())
 
 
 def _record_link_draws(monkeypatch) -> list[tuple[int, set]]:
@@ -622,7 +628,8 @@ def test_preemption_errors_are_drawn_only_for_contended_winners(mode, framework,
                                  mac=MacParams(timing=SlotTiming(priority_tick_us=50)))
     trace = _assert_same_run(config)
     (_, links), *preemption = drawn
-    up = real(config.network, links, config.seed, plan(config).static.schedule.horizon, 0, successes=True)
+    pdrs = {(link.src, link.dst): link.pdr for link in config.network.links if (link.src, link.dst) in links}
+    up = real(config.network, pdrs, config.seed, plan(config).static.schedule.horizon, 0)
     tx: dict[int, list[tuple]] = {}
     for record in trace.events:
         if record[1] == "tx":
